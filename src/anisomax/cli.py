@@ -1,8 +1,12 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all checks pass, 1 a hard assertion failed, 2 the config is
-invalid, 3 a compute budget was exceeded.  The output directory resolves
-as --out, then the ANISOMAX_OUT environment variable, then the config.
+invalid (including a dilation an experiment cannot use, such as one whose
+norm_power is not 1 for the stopping construction), 3 a compute budget was
+exceeded, 4 a numerical routine failed (NumericalFailureError,
+WindowExhaustedError, or any other package error).  The output directory
+resolves as --out, then the ANISOMAX_OUT environment variable, then the
+config.
 """
 
 import os
@@ -12,10 +16,12 @@ import click
 
 from .config import load_config
 from .errors import (
+    AnisoError,
     BudgetExceededError,
     ConfigInvalidError,
     DegenerateFitError,
     InputInvalidError,
+    NotNormalizedError,
     ResolutionTooCoarseError,
 )
 from .experiments import EXPERIMENT_NAMES, run_experiment
@@ -49,13 +55,16 @@ def run(config_path, experiment, out_dir, seed, overrides):
                              out_dir=out_dir)
         status = run_experiment(config, experiment)
     except (ConfigInvalidError, InputInvalidError, ResolutionTooCoarseError,
-            DegenerateFitError) as exc:
+            DegenerateFitError, NotNormalizedError) as exc:
         # parameters the config chose were rejected by their owning module
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except BudgetExceededError as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(3)
+    except AnisoError as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(4)
     summary = os.path.join(config.out_dir, "summary.txt")
     with open(summary) as fh:
         click.echo(fh.read(), nl=False)

@@ -409,6 +409,11 @@ class ExceptionalPrimitive:
             return self.tendril.contains_points(points)
         return self.quad.contains_points(points)
 
+    def bbox(self):
+        if self.kind == "tendril":
+            return self.tendril.bbox()
+        return self.quad.bbox()
+
 
 @dataclass
 class StoppingResult:

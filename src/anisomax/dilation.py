@@ -22,7 +22,7 @@ from .errors import (
 
 _EXPAND_TOL = 1e-9
 _RANK_TOL = 1e-7
-_SCAN_LIMIT = 64
+SCAN_LIMIT = 64
 
 
 @dataclass
@@ -66,7 +66,8 @@ def _block_size_at(A: np.ndarray, lam: complex, rank_tol: float) -> int:
     else:
         m_factor = A @ A - 2.0 * lam.real * A + (abs(lam) ** 2) * np.eye(d)
     norm = _operator_norm(m_factor)
-    if norm == 0.0:
+    if norm <= rank_tol:
+        # a 2x2 complex pair: by Cayley-Hamilton the factor is 0 up to rounding
         return 1
     m_factor = m_factor / norm
     prev_rank = d
@@ -142,12 +143,12 @@ def validate_dilation(matrix) -> DilationStructure:
 def _norm_power(A: np.ndarray) -> int:
     inv = np.linalg.inv(A)
     power = np.eye(A.shape[0])
-    for m in range(1, _SCAN_LIMIT + 1):
+    for m in range(1, SCAN_LIMIT + 1):
         power = power @ inv
         if _operator_norm(power) <= 0.5:
             return m
     raise WindowExhaustedError(
-        f"no m <= {_SCAN_LIMIT} gives an operator norm of A^-m at most 1/2"
+        f"no m <= {SCAN_LIMIT} gives an operator norm of A^-m at most 1/2"
     )
 
 
@@ -187,7 +188,7 @@ def slowest_direction(D: DilationStructure):
     else:
         m_factor = A @ A - 2.0 * lam.real * A + (abs(lam) ** 2) * np.eye(d)
     norm = _operator_norm(m_factor)
-    if norm > 0.0:
+    if norm > rank_tol:
         m_factor = m_factor / norm
 
     full = np.linalg.matrix_power(m_factor, n_max)
@@ -257,7 +258,7 @@ def quasi_metric(D: DilationStructure, x, y) -> float:
     diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     if not np.any(diff):
         return 0.0
-    for k in range(-_SCAN_LIMIT, _SCAN_LIMIT + 1):
+    for k in range(-SCAN_LIMIT, SCAN_LIMIT + 1):
         if np.linalg.norm(D.power(-k) @ diff) <= 1.0:
             return float(np.exp(k))
     raise WindowExhaustedError("no k in [-64, 64] contracts the difference into the unit ball")

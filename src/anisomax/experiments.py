@@ -23,18 +23,24 @@ from .decomposition import (
     verify_whitney,
     whitney_decompose,
 )
-from .dilation import cube_diameter, fit_diameter_exponent
+from .dilation import SCAN_LIMIT, cube_diameter, fit_diameter_exponent
 from .errors import ConfigInvalidError, TailNotNegligibleWarning
 from .maximal import (
     THRESHOLD_COUNT,
     THRESHOLD_FLOOR,
     TAIL_FRACTION,
+    SampledField,
+    _excluded_mask,
     distribution_function,
     make_lattice,
     maximal_field,
     write_field_binary,
 )
 from .surface import (
+    DECAY_N_SHELLS,
+    DECAY_SLOPE_CUT,
+    FINE_POINTS,
+    KERNEL_SMOOTH_CELLS,
     autocorrelation_kernel,
     check_kernel_decay,
     classify_pieces,
@@ -53,17 +59,20 @@ EXPERIMENT_NAMES = (
     "full-pipeline",
 )
 
+# first and last tau of the diameter-growth fit in validate-dilation
+DIAMETER_FIT_TAU = (-40, -10)
+
 MODULE_CONSTANTS = {
-    "classify_fine_points": 4096,
-    "decay_n_shells": 12,
-    "decay_slope_cut": -0.7,
-    "diameter_fit_tau": [-40, -10],
-    "kernel_smooth_cells": 1.0,
+    "classify_fine_points": FINE_POINTS,
+    "decay_n_shells": DECAY_N_SHELLS,
+    "decay_slope_cut": DECAY_SLOPE_CUT,
+    "diameter_fit_tau": list(DIAMETER_FIT_TAU),
+    "kernel_smooth_cells": KERNEL_SMOOTH_CELLS,
     "maximal_tail_fraction": TAIL_FRACTION,
     "maximal_threshold_count": THRESHOLD_COUNT,
     "maximal_threshold_floor": THRESHOLD_FLOOR,
     "partition_cap_spread": "1/(2 sqrt(2 (d-1)))",
-    "power_scan_window": 64,
+    "power_scan_window": SCAN_LIMIT,
 }
 
 
@@ -156,11 +165,13 @@ def _run_validate_dilation(config, out: Path, lines: Lines) -> None:
     lines.add("dilation_valid", True,
               f"a={D.det_scale:g}, r={D.r_min:g}, n={D.block_size}, "
               f"norm_power={D.norm_power}")
-    taus = list(range(-40, 1))
+    fit_lo, fit_hi = DIAMETER_FIT_TAU
+    taus = list(range(fit_lo, 1))
     _write_csv(out / "diameters.csv", ["tau", "diameter"],
                [(t, cube_diameter(D, t)) for t in taus])
-    p = fit_diameter_exponent(D, range(-40, -9))
-    lines.add("diameter_exponent", True, f"p={p!r} over tau in [-40,-10]")
+    p = fit_diameter_exponent(D, range(fit_lo, fit_hi + 1))
+    lines.add("diameter_exponent", True,
+              f"p={p!r} over tau in [{fit_lo},{fit_hi}]")
 
 
 def _run_whitney(config, out: Path, lines: Lines) -> None:
@@ -267,8 +278,12 @@ def _run_kernel_decay(config, out: Path, lines: Lines) -> None:
               f"slope={report.slope!r} over {len(report.radii)} shells")
 
 
-def _weak_type_report(f, measure, config, lattice, exclude=None):
-    """Maximal field, distribution report, and normalized ratio."""
+def _weak_type_report(f, measure, config, lattice, excluded=None):
+    """Maximal field, distribution report, and normalized ratio.
+
+    excluded is a cell mask of E; those cells are zeroed before counting,
+    which drops them from every superlevel set since the thresholds are > 0.
+    """
     k_lo, k_hi = (int(v) for v in config.k_range)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
@@ -278,7 +293,10 @@ def _weak_type_report(f, measure, config, lattice, exclude=None):
     if peak <= 0.0:
         return mf, None, 0.0
     thresholds = np.geomspace(THRESHOLD_FLOOR * peak, peak, THRESHOLD_COUNT)
-    report = distribution_function(mf, thresholds, h1=h1, exclude=exclude)
+    counted = mf
+    if excluded is not None:
+        counted = SampledField(lattice, np.where(excluded, 0.0, mf.values))
+    report = distribution_function(counted, thresholds, h1=h1)
     return mf, report, report.weak_ratio / h1
 
 
@@ -348,6 +366,7 @@ def _run_full_pipeline(config, out: Path, lines: Lines) -> None:
 
     measure = surface_quadrature(surface, config.n_gl)
     lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
+    excluded = _excluded_mask(lattice, exclude)
     cap = config.constants["c_stop"] / alpha
     taus = sorted({atom.support.tau for atom, _ in f.terms})
     rows = []
@@ -356,11 +375,11 @@ def _run_full_pipeline(config, out: Path, lines: Lines) -> None:
         group = AtomicSum(terms=[(a, l) for a, l in f.terms
                                  if a.support.tau == tau], dilation=f.dilation)
         _, _, ratio = _weak_type_report(group, measure, config, lattice,
-                                        exclude=exclude)
+                                        excluded=excluded)
         rows.append((tau, len(group.terms), group.h1_norm(), ratio))
         all_ok = all_ok and ratio <= cap
     _, _, total = _weak_type_report(f, measure, config, lattice,
-                                    exclude=exclude)
+                                    excluded=excluded)
     rows.append(("all", len(f.terms), f.h1_norm(), total))
     _write_csv(out / "weak_type.csv", ["tau", "atoms", "h1", "ratio"], rows)
     lines.add("weak_type_outside_E", all_ok and total <= cap,

@@ -17,6 +17,11 @@ from .errors import BudgetExceededError, InputInvalidError, NotNormalizedError
 
 _COVER_BUDGET = 10_000_000
 _CONTAIN_TOL = 1e-12
+_TENDRIL_RADIUS = 2.0
+_TENDRIL_TOL = 1e-9
+# half-width, relative to the pullback box's extent, of the band of
+# distances that the tendril bounds leave to the projector
+_BAND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,50 @@ class _ClampedProjector:
         return best
 
 
+class _PullbackFrame:
+    """A tendril bound seen through A^-(tau+2): the set {y : dist(y, P) <= r}.
+
+    P = origin + basis [0, 1]^d is the pullback of q**.  Two exact bounds on
+    dist(y, P) settle most points without the projector: the distance to the
+    axis-aligned box of P is a lower bound, and the distance to the point of
+    P at the clamped local coordinates of y is an upper bound.  A point whose
+    bounds straddle r within the rounding slack goes to the projector, which
+    is built on first use.
+    """
+
+    def __init__(self, pull: np.ndarray, origin: np.ndarray, basis: np.ndarray,
+                 radius: float):
+        self.pull = pull
+        self.origin = origin
+        self.basis = basis
+        self.inv_basis = np.linalg.inv(basis)
+        self.box_lo, self.box_hi = Parallelepiped(origin, basis).bbox()
+        extent = float(np.max(np.abs(np.concatenate([self.box_lo, self.box_hi]))))
+        slack = _BAND_SLACK * max(1.0, extent)
+        self.radius = radius
+        self.far_sq = (radius + slack) ** 2
+        self.near_sq = (radius - slack) ** 2
+        self.projector = None
+
+    def contains(self, y: np.ndarray) -> np.ndarray:
+        gap = np.maximum(self.box_lo - y, y - self.box_hi)
+        np.maximum(gap, 0.0, out=gap)
+        inside = np.zeros(y.shape[0], dtype=bool)
+        cand = np.flatnonzero((gap ** 2).sum(axis=1) <= self.far_sq)
+        if cand.size == 0:
+            return inside
+        rel = y[cand] - self.origin
+        u = np.clip(rel @ self.inv_basis.T, 0.0, 1.0)
+        near = ((rel - u @ self.basis.T) ** 2).sum(axis=1) <= self.near_sq
+        inside[cand[near]] = True
+        band = cand[~near]
+        if band.size:
+            if self.projector is None:
+                self.projector = _ClampedProjector(self.origin, self.basis)
+            inside[band] = self.projector.distance(y[band]) <= self.radius
+        return inside
+
+
 @dataclass(frozen=True)
 class TendrilBound:
     """Outer bound for the tendril of a cube q: q** + A^(tau+2) B_2(0).
@@ -267,25 +316,34 @@ class TendrilBound:
     scale: float
 
     @property
-    def _projector(self) -> _ClampedProjector:
-        got = self.__dict__.get("_projector_cache")
+    def _frame(self) -> _PullbackFrame:
+        got = self.__dict__.get("_frame_cache")
         if got is None:
-            D = self.cube.dilation
-            pull = D.power(-(self.cube.tau + 2))
+            pull = self.cube.dilation.power(-(self.cube.tau + 2))
             quad = expand_cube(self.cube, 4.0)
-            got = _ClampedProjector(pull @ quad.origin, pull @ quad.basis)
-            self.__dict__["_projector_cache"] = got
+            got = _PullbackFrame(pull, pull @ quad.origin, pull @ quad.basis,
+                                 _TENDRIL_RADIUS + _TENDRIL_TOL)
+            self.__dict__["_frame_cache"] = got
         return got
 
     def contains_points(self, points) -> np.ndarray:
         """Membership in q** + A^(tau+2) B_2(0), exact through pullback.
 
         A point x is in the set exactly when A^-(tau+2) x is within Euclidean
-        distance 2 of the pullback of q**.
+        distance 2 (plus 1e-9) of the pullback of q**.  That distance is
+        decided by _ClampedProjector; box and clamped-coordinate bounds only
+        settle the points whose answer the projector could not change.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        pull = self.cube.dilation.power(-(self.cube.tau + 2))
-        return self._projector.distance(pts @ pull.T) <= 2.0 + 1e-9
+        frame = self._frame
+        return frame.contains(pts @ frame.pull.T)
+
+    def bbox(self):
+        """Axis-aligned box holding every point contains_points accepts."""
+        rows = self.cube.dilation.power(self.cube.tau + 2)
+        reach = (_TENDRIL_RADIUS + _TENDRIL_TOL) * np.sqrt((rows ** 2).sum(axis=1))
+        lo, hi = expand_cube(self.cube, 4.0).bbox()
+        return lo - reach, hi + reach
 
 
 def _unit_ball_volume(d: int) -> float:
@@ -302,7 +360,7 @@ def tendril_of(cube: GridCube) -> TendrilBound:
         )
     d = D.dim
     quad = expand_cube(cube, 4.0)
-    ball_radius = 2.0
+    ball_radius = _TENDRIL_RADIUS
     ball_vol = _unit_ball_volume(d) * (ball_radius ** d)
     scale = (2.0 ** cube.sigma) * (D.det_scale ** cube.tau)
     volume_bound = (4.0 ** d) * ball_vol * (D.det_scale ** 2) * scale

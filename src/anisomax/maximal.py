@@ -233,11 +233,24 @@ def _normalize_k_range(k_range) -> list:
 
 
 def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
-    mask = np.zeros(int(np.prod(lattice.shape)), dtype=bool)
-    if exclude:
-        pts = lattice.points()
-        for primitive in exclude:
-            mask |= primitive.contains_points(pts)
+    """Cells whose centers lie in any exclude primitive, in the lattice shape.
+
+    Each primitive is tested only on the cells of its bbox() padded by one
+    cell, and only on the cells that no earlier primitive captured.
+    """
+    mask = np.zeros(lattice.shape, dtype=bool)
+    pad = np.asarray(lattice.spacing)
+    for primitive in exclude or ():
+        lo, hi = primitive.bbox()
+        slices = lattice.window(lo - pad, hi + pad)
+        if slices is None:
+            continue
+        window = mask[slices]
+        todo = ~window
+        if not todo.any():
+            continue
+        window[todo] = primitive.contains_points(
+            lattice.window_points(slices)[todo.ravel()])
     return mask
 
 
@@ -246,7 +259,9 @@ def distribution_function(field: SampledField, thresholds, h1: float = None,
     """Cell-count sizes of the superlevel sets {field > lambda}.
 
     Cells whose centers lie in any exclude primitive are skipped, which
-    never enlarges a superlevel set.
+    never enlarges a superlevel set.  A primitive provides bbox() and
+    contains_points(); its own contains_points decides membership, and the
+    box only limits which cells are asked.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
@@ -254,7 +269,7 @@ def distribution_function(field: SampledField, thresholds, h1: float = None,
     if np.any(np.diff(thresholds) < 0):
         raise InputInvalidError("thresholds must be sorted ascending")
     flat = field.values.ravel()
-    keep = ~_excluded_mask(field.lattice, exclude)
+    keep = ~_excluded_mask(field.lattice, exclude).ravel()
     cell = field.lattice.cell_volume
     kept = flat[keep]
     measures = np.array([cell * np.count_nonzero(kept > lam) for lam in thresholds])

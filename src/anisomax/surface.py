@@ -25,6 +25,10 @@ CATALOG = ("circle-arc", "paraboloid", "quartic-flat", "custom-polynomial")
 _PIECE_BUDGET = 1_000_000
 _PROBE_POINTS = 33
 _MAX_POLY_DEGREE = 6
+FINE_POINTS = 4096
+KERNEL_SMOOTH_CELLS = 1.0
+DECAY_N_SHELLS = 12
+DECAY_SLOPE_CUT = -0.7
 
 
 def plateau_profile(u: np.ndarray) -> np.ndarray:
@@ -399,7 +403,7 @@ def _fine_grid(lo: np.ndarray, hi: np.ndarray, total: int):
 
 def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
                     eps: float, zeta: float, tau_window=None,
-                    fine_points: int = 4096) -> list:
+                    fine_points: int = FINE_POINTS) -> list:
     """Flag each piece for low curvature (I1) and cube-mass excess (I2)."""
     if not pieces:
         return []
@@ -471,7 +475,7 @@ class GrowthReport:
 
 def excluded_piece_growth(surface: GraphSurface, D: DilationStructure,
                           eps: float, zeta: float, s_values,
-                          n_gl: int = 24, fine_points: int = 4096) -> GrowthReport:
+                          n_gl: int = 24, fine_points: int = FINE_POINTS) -> GrowthReport:
     """Fit |I1 union I2| ~ 2^{g s} and return eta = (d-1)eps - g."""
     s_values = [int(s) for s in s_values]
     if len(set(s_values)) < 5:
@@ -512,7 +516,7 @@ class KernelField:
 
 
 def autocorrelation_kernel(measure, n_bins: int = 255,
-                           smooth_cells: float = 1.0) -> KernelField:
+                           smooth_cells: float = KERNEL_SMOOTH_CELLS) -> KernelField:
     """Histogram density of all pairwise node differences, then smooth."""
     pts = measure.quad_points
     w = measure.quad_weights
@@ -546,7 +550,7 @@ class KernelDecayReport:
 
 def check_kernel_decay(kernel: KernelField, alpha_order: int = 0,
                        r_min: float = None, r_max: float = None,
-                       n_shells: int = 12) -> KernelDecayReport:
+                       n_shells: int = DECAY_N_SHELLS) -> KernelDecayReport:
     """Log-log slope of the shell maxima of |field| over one decade."""
     if alpha_order != 0:
         raise InputInvalidError("only the zeroth derivative order is checked")
@@ -575,7 +579,7 @@ def check_kernel_decay(kernel: KernelField, alpha_order: int = 0,
         raise DegenerateFitError("too few populated shells for a fit")
     slope = float(np.polyfit(np.log2(used_r), np.log2(used_m), 1)[0])
     return KernelDecayReport(slope=slope, radii=used_r, maxima=used_m,
-                             ok=slope <= -0.7)
+                             ok=slope <= DECAY_SLOPE_CUT)
 
 
 def _conv_lattice(atomic, measure_points, spacing, pad):

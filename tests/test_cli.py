@@ -8,7 +8,8 @@ from pytest import approx
 
 from anisomax.cli import main
 from anisomax.config import load_config
-from anisomax.errors import ConfigInvalidError
+from anisomax import experiments
+from anisomax.errors import ConfigInvalidError, WindowExhaustedError
 from anisomax.experiments import run_experiment
 
 FAST = [
@@ -118,7 +119,18 @@ def test_cli_validate_dilation(tmp_path):
     assert manifest["seed"] == 7
     assert manifest["config"]["eps"] == approx(0.25)
     assert "numpy" in manifest["versions"]
-    assert "maximal_threshold_count" in manifest["module_constants"]
+    assert manifest["module_constants"] == {
+        "classify_fine_points": 4096,
+        "decay_n_shells": 12,
+        "decay_slope_cut": -0.7,
+        "diameter_fit_tau": [-40, -10],
+        "kernel_smooth_cells": 1.0,
+        "maximal_tail_fraction": 0.01,
+        "maximal_threshold_count": 64,
+        "maximal_threshold_floor": 0.001,
+        "partition_cap_spread": "1/(2 sqrt(2 (d-1)))",
+        "power_scan_window": 64,
+    }
 
 
 def test_cli_whitney_empty_atoms(tmp_path):
@@ -137,6 +149,25 @@ def test_cli_exit_code_config_error(tmp_path):
     assert res.exit_code == 2
     res = _run(["run", "--experiment", "nonsense", "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+def test_cli_exit_code_not_normalized(tmp_path):
+    # 1.5 I needs two steps to contract by half, so it has no tendril bounds
+    res = _run(["run", "--experiment", "stopping", "--out", str(tmp_path),
+                "--override", "matrix=[[1.5,0],[0,1.5]]"])
+    assert res.exit_code == 2
+    assert "norm_power" in res.output
+
+
+def test_cli_exit_code_numerical_failure(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise WindowExhaustedError("no level in the scan window")
+
+    monkeypatch.setattr(experiments, "fit_diameter_exponent", fail)
+    res = _run(["run", "--experiment", "validate-dilation",
+                "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    assert "numerical failure" in res.output
 
 
 def test_cli_exit_code_budget(tmp_path):

@@ -6,6 +6,7 @@ Frozen reference values:
   quasi_metric(2I, 0, (3, 0)) = e^2, quasi_metric(2I, 0, (1, 0)) = 1
   cube_diameter(diag(2, 4), 0) = sqrt(2), tau = -1 gives sqrt(5)/4
   cube_diameter(2I, -3) = sqrt(2)/8 in d = 2
+  [[2, -2], [2, 2]]: det_scale 8, r_min 2 sqrt(2), block_size 1, norm_power 1
 """
 
 import numpy as np
@@ -77,6 +78,23 @@ def test_rotation_times_half_rejected():
 def test_non_square_rejected():
     with pytest.raises(NonSquareError):
         validate_dilation([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+@pytest.mark.parametrize("matrix, det, r_min, norm_power", [
+    ([[2.0, -2.0], [2.0, 2.0]], 8.0, 2.0 * np.sqrt(2.0), 1),
+    ([[1.5, -1.2], [1.2, 1.5]], 3.69, np.sqrt(3.69), 2),
+    ([[0.0, -2.0], [2.0, 0.0]], 4.0, 2.0, 1),
+])
+def test_planar_complex_pair_structure(matrix, det, r_min, norm_power):
+    # In 2-D the real quadratic factor of a complex pair vanishes up to
+    # rounding, so the slow eigenspace is the whole plane.
+    D = validate_dilation(matrix)
+    assert D.det_scale == approx(det)
+    assert D.r_min == approx(r_min)
+    assert D.block_size == 1
+    assert D.norm_power == norm_power
+    assert D.slow_subspace.shape == (2, 2)
+    assert np.linalg.norm(D.slow_vector) == approx(1.0)
 
 
 def test_normalization_power_matches_field():

@@ -20,6 +20,7 @@ from anisomax.errors import (
 )
 from anisomax.grid import (
     GridCube,
+    _ClampedProjector,
     cube_contains,
     enumerate_cover,
     expand_cube,
@@ -262,3 +263,77 @@ def test_tendril_membership_property():
         y = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii[:, None]
         pts = x + y @ D.power(k).T
         assert np.all(t.contains_points(pts))
+
+
+def _projector_oracle(t):
+    """The 3^d active-set projector on the pullback of q**, built directly."""
+    D = t.cube.dilation
+    pull = D.power(-(t.cube.tau + 2))
+    quad = expand_cube(t.cube, 4.0)
+    return pull, _ClampedProjector(pull @ quad.origin, pull @ quad.basis)
+
+
+def _band_points(pull, proj, rng, count):
+    """Points whose pullback lies near distance 2 from the set.
+
+    Bisects along rays from the pullback center, where the distance grows
+    monotonically, for the accepted limit 2 + 1e-9, then jitters the hit by
+    up to 2e-9: the distances cover [2 - 1e-9, 2 + 3e-9] on both sides of
+    the limit.
+    """
+    d = pull.shape[0]
+    limit = 2.0 + 1e-9
+    center = proj.origin + proj.basis @ np.full(d, 0.5)
+    dirs = rng.normal(size=(count, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lo = np.zeros(count)
+    hi = np.full(count, 1.0)
+    while True:
+        short = proj.distance(center + hi[:, None] * dirs) < limit
+        if not short.any():
+            break
+        hi[short] *= 2.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        outside = proj.distance(center + mid[:, None] * dirs) > limit
+        hi = np.where(outside, mid, hi)
+        lo = np.where(outside, lo, mid)
+    t_hit = lo + rng.uniform(-2e-9, 2e-9, count)
+    y = center + t_hit[:, None] * dirs
+    return y @ np.linalg.inv(pull).T
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2.0, 0.0], [0.0, 4.0]],
+    [[4.0, 0.0], [0.0, 2.0]],
+    [[4.0, 1.0], [1.0, 3.0]],
+    [[2.0, -2.0], [2.0, 2.0]],
+    np.diag([2.0, 3.0, 4.0]).tolist(),
+])
+def test_tendril_fast_membership_matches_projector(matrix):
+    # The box and clamped-coordinate bounds never overrule the projector,
+    # including on points within 1e-9 of the boundary distance.
+    D = validate_dilation(matrix)
+    d = D.dim
+    rng = np.random.default_rng(31)
+    mismatches = 0
+    checked = 0
+    for _ in range(6):
+        sigma = int(rng.integers(-3, 1))
+        tau = int(rng.integers(-4, 3))
+        index = tuple(int(v) for v in rng.integers(-5, 6, size=d))
+        t = tendril_of(GridCube(sigma, tau, index, D))
+        pull, proj = _projector_oracle(t)
+        lo, hi = t.bbox()
+        span = hi - lo
+        wide = lo - 0.25 * span + rng.random((6000, d)) * 1.5 * span
+        band = _band_points(pull, proj, rng, 3000)
+        for pts in (wide, band):
+            expect = proj.distance(pts @ pull.T) <= 2.0 + 1e-9
+            got = t.contains_points(pts)
+            mismatches += int(np.sum(got != expect))
+            checked += len(pts)
+        inside = wide[proj.distance(wide @ pull.T) <= 2.0 + 1e-9]
+        assert np.all((inside >= lo) & (inside <= hi))
+    assert checked == 6 * 9000
+    assert mismatches == 0

@@ -8,13 +8,17 @@ Frozen reference values:
   positive half, making the convolution exactly mass/8 deep inside
 """
 
+import collections
 import warnings
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from anisomax import experiments
 from anisomax.atoms import Atom, AtomicSum, compose_dilation, make_atom
+from anisomax.config import load_config
+from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
 from anisomax.dilation import validate_dilation
 from anisomax.errors import (
     InputInvalidError,
@@ -25,6 +29,7 @@ from anisomax.grid import GridCube
 from anisomax.maximal import (
     Lattice,
     SampledField,
+    _excluded_mask,
     convolve_dilated,
     distribution_function,
     make_lattice,
@@ -34,6 +39,7 @@ from anisomax.maximal import (
     write_field_binary,
     write_field_csv,
 )
+from anisomax.experiments import run_experiment
 from anisomax.surface import make_surface, plateau_profile, surface_quadrature
 
 CHI_MASS = 0.7696560773850898
@@ -265,6 +271,90 @@ def test_distribution_exclusion_never_grows():
     masked = distribution_function(fld, [0.5, 2.0], exclude=[cube.realize()])
     assert np.all(masked.measures <= plain.measures + 1e-15)
     assert masked.measures[0] < plain.measures[0]
+
+
+# ------------------------------------------------------ exceptional-set mask
+
+# A full-pipeline instance under diag(4, 2) whose E covers about a fifth of
+# the [-6, 6]^2 lattice: two tendrils and two quadrupled cubes near the origin.
+PIPELINE_OVERRIDES = [
+    "matrix=[[4.0, 0.0], [0.0, 2.0]]",
+    "alpha=16.0",
+    "atoms.list=[{tau: 0, index: [-1, 0], lam: 1.4, profile: bump},"
+    " {tau: 0, index: [1, -5], lam: 2.0, profile: bump},"
+    " {tau: -1, index: [-2, -3], lam: 1.6, profile: bump},"
+    " {tau: -2, index: [5, -3], lam: 1.2, profile: bump},"
+    " {tau: -2, index: [-5, 4], lam: 0.4, profile: bump}]",
+    "lattice.box=[[-6, 6], [-6, 6]]",
+    "lattice.shape=[384, 384]",
+    "k_range=[-2, 0]",
+    "n_gl=32",
+    "s_range=[4, 4]",
+]
+
+
+def _pipeline_exceptional_set(cfg):
+    entries = cfg.entries()
+    wres = whitney_decompose(entries, cfg.alpha)
+    kept = [entries[i] for i in sorted(wres.assigned)]
+    return stopping_time(wres.selected, kept, cfg.alpha).exceptional
+
+
+def test_windowed_mask_matches_brute_force_union(tmp_path):
+    cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
+    exceptional = _pipeline_exceptional_set(cfg)
+    assert {p.kind for p in exceptional} == {"tendril", "quad"}
+    lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    pts = lat.points()
+    brute = np.zeros(len(pts), dtype=bool)
+    for primitive in exceptional:
+        brute |= primitive.contains_points(pts)
+        lo, hi = primitive.bbox()
+        inside = pts[primitive.contains_points(pts)]
+        assert np.all((inside >= lo) & (inside <= hi))
+    assert 0.05 < brute.mean() < 0.5   # the lattice extends beyond E
+    mask = _excluded_mask(lat, exceptional)
+    assert mask.shape == lat.shape
+    assert np.array_equal(mask.ravel(), brute)
+    # a primitive off the lattice changes nothing
+    far = GridCube(0, 0, (40, 40), _diag24()).realize()
+    assert np.array_equal(_excluded_mask(lat, exceptional + [far]), mask)
+    # zeroing the masked cells, as full-pipeline does, counts the same sizes
+    fld = SampledField(lat, np.random.default_rng(4).random(lat.shape))
+    thresholds = np.geomspace(1e-3, 1.0, 16)
+    skipped = distribution_function(fld, thresholds, exclude=exceptional)
+    zeroed = distribution_function(
+        SampledField(lat, np.where(mask, 0.0, fld.values)), thresholds)
+    assert np.array_equal(skipped.measures, zeroed.measures)
+
+
+def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
+                                                              monkeypatch):
+    cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
+    masks, asked = [], collections.Counter()
+    building = [False]
+
+    def counting_mask(lattice, exclude):
+        masks.append(len(exclude))
+        building[0] = True
+        try:
+            return _excluded_mask(lattice, exclude)
+        finally:
+            building[0] = False
+
+    contains = ExceptionalPrimitive.contains_points
+
+    def counting_contains(self, points):
+        if building[0]:
+            asked[id(self)] += 1
+        return contains(self, points)
+
+    monkeypatch.setattr(experiments, "_excluded_mask", counting_mask)
+    monkeypatch.setattr(ExceptionalPrimitive, "contains_points",
+                        counting_contains)
+    assert run_experiment(cfg, "full-pipeline") == 0
+    assert masks == [4]   # one mask per run, shared by every weak-type report
+    assert asked and max(asked.values()) == 1
 
 
 # -------------------------------------------------------------- weak type
