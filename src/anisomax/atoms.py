@@ -51,26 +51,33 @@ class Atom:
         local = pts @ D.power(-self.support.tau).T - np.asarray(self.support.index, dtype=float)
         return self._evaluate_local(local)
 
+    def axis_factor(self, j: int, u) -> np.ndarray:
+        """The profile's 1-D factor along axis j at local coordinates u.
+
+        Every profile is a product of these factors over the axes, each zero
+        outside [0, 1): the +-1 step (haar) or the hat difference (bump) on
+        the split axis, and 1 (haar) or the hat (bump, plateau) elsewhere.
+        """
+        u = np.asarray(u, dtype=float)
+        inside = (u >= 0.0) & (u < 1.0)
+        if self.profile == "haar":
+            if j == self.axis:
+                return np.where(inside, np.where(u < 0.5, 1.0, -1.0), 0.0)
+            return inside.astype(float)
+        if self.profile == "bump" and j == self.axis:
+            return _smooth_hat(2.0 * u) - _smooth_hat(2.0 * u - 1.0)
+        return _smooth_hat(u)
+
     def _evaluate_local(self, local: np.ndarray) -> np.ndarray:
         inside = np.all((local >= 0.0) & (local < 1.0), axis=1)
         vals = np.zeros(local.shape[0])
         if not np.any(inside):
             return vals
         u = local[inside]
-        z = u[:, self.axis]
-        if self.profile == "haar":
-            vals[inside] = np.where(z < 0.5, self.amplitude, -self.amplitude)
-        elif self.profile == "bump":
-            shape = _smooth_hat(2.0 * z) - _smooth_hat(2.0 * z - 1.0)
-            for j in range(u.shape[1]):
-                if j != self.axis:
-                    shape = shape * _smooth_hat(u[:, j])
-            vals[inside] = self.amplitude * shape
-        else:
-            shape = np.ones(u.shape[0])
-            for j in range(u.shape[1]):
-                shape = shape * _smooth_hat(u[:, j])
-            vals[inside] = self.amplitude * shape
+        shape = self.axis_factor(0, u[:, 0])
+        for j in range(1, u.shape[1]):
+            shape = shape * self.axis_factor(j, u[:, j])
+        vals[inside] = self.amplitude * shape
         return vals
 
 

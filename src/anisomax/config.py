@@ -170,7 +170,7 @@ def _apply_override(merged: dict, item: str) -> dict:
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     try:
-        cfg.dilation()
+        dim = cfg.dilation().dim
         cfg.surface_obj()
     except AnisoError as exc:
         raise ConfigInvalidError(f"config rejected by its module: {exc}")
@@ -189,6 +189,12 @@ def _validate(raw: dict) -> ExperimentConfig:
             raise ConfigInvalidError("lattice box sides must have positive length")
     if any(int(n) <= 0 for n in shape):
         raise ConfigInvalidError("lattice shape must be positive")
+    dims = {"matrix": dim,
+            "surface.dim": int(cfg.surface.get("dim", 2)),
+            "lattice": len(box)}
+    if len(set(dims.values())) > 1:
+        raise ConfigInvalidError("dimensions disagree: " + ", ".join(
+            f"{name} {d}" for name, d in dims.items()))
     if cfg.atoms.get("list") is None:
         if int(cfg.atoms["count"]) < 0:
             raise ConfigInvalidError("atom count must be nonnegative")

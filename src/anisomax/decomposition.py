@@ -46,7 +46,7 @@ def star_window(Q: GridCube, sigma: int, tau: int):
     hull of its vertices.
     """
     D = Q.dilation
-    verts = Q.realize().vertices() @ D.power(-tau).T
+    verts = Q.vertices() @ D.power(-tau).T
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     side = 2.0 ** sigma
@@ -67,7 +67,7 @@ def _entry_in_star(Q: GridCube, host: GridCube) -> bool:
         # Same scale: the double [n - 1/2, n + 3/2]^d holds exactly one
         # integer unit cube per axis, the host's own.
         return Q.index == host.index
-    verts = Q.realize().vertices() @ Q.dilation.power(-host.tau).T
+    verts = Q.vertices() @ Q.dilation.power(-host.tau).T
     side = 2.0 ** host.sigma
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
@@ -83,7 +83,7 @@ def _cubes_overlap(a: GridCube, b: GridCube) -> bool:
     if a.tau == b.tau and a.sigma == b.sigma:
         return a.index == b.index
     inner, outer = (a, b) if a.volume <= b.volume else (b, a)
-    verts = inner.realize().vertices() @ inner.dilation.power(-outer.tau).T
+    verts = inner.vertices() @ inner.dilation.power(-outer.tau).T
     side = 2.0 ** outer.sigma
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
@@ -212,15 +212,15 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     placed = []
     for rec in nodes:
         parent = None
-        for cand in placed:
-            if cube_contains(cand[1].realize(), rec[1]):
+        for cand, box in placed:
+            if cube_contains(box, rec[1]):
                 if parent is None or cand[1].volume < parent[1].volume:
                     parent = cand
         if parent is None:
             roots.append(rec)
         else:
             children[id(parent)].append(rec)
-        placed.append(rec)
+        placed.append((rec, rec[1].realize()))
 
     def _collect(rec):
         got = list(rec[2])
@@ -278,6 +278,7 @@ def _merge_nested(selected, assigned, entries):
     """Drop selected cubes contained in other selected cubes, reassigning."""
     order = sorted((s_id for s_id, s in enumerate(selected) if s is not None),
                    key=lambda s_id: -selected[s_id].volume)
+    boxes = {s_id: selected[s_id].realize() for s_id in order}
     for small_pos in range(len(order) - 1, -1, -1):
         small_id = order[small_pos]
         small = selected[small_id]
@@ -288,7 +289,7 @@ def _merge_nested(selected, assigned, entries):
             same = (big.sigma, big.tau, big.index) == (small.sigma, small.tau, small.index)
             if not same and big.volume < small.volume:
                 continue
-            if same or cube_contains(big.realize(), small):
+            if same or cube_contains(boxes[big_id], small):
                 for i, s in list(assigned.items()):
                     if s == small_id:
                         assigned[i] = big_id
@@ -355,11 +356,12 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
                 inner, outer = sorted((a_rec[1], b_rec[1]), key=lambda c: c.volume)
                 if not cube_contains(outer.realize(), inner):
                     conservative = True
+    boxes = [cube.realize() for _, cube in recs]
     worst = 0.0
     for mass, cube in recs:
         chain = 0.0
-        for other_mass, other in recs:
-            if other is cube or cube_contains(other.realize(), cube) or \
+        for (other_mass, other), box in zip(recs, boxes):
+            if other is cube or cube_contains(box, cube) or \
                     (conservative and _cubes_overlap(other, cube)):
                 chain += other_mass / other.volume
         if chain > worst:

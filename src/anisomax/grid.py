@@ -57,6 +57,20 @@ class GridCube:
         origin = power @ (self.side * n)
         return Parallelepiped(origin=origin, basis=self.side * power)
 
+    def vertices(self) -> np.ndarray:
+        """realize().vertices(), computed once per cube; read-only.
+
+        Only the vertex array is kept, not the parallelepiped: cubes live as
+        long as the entries and results holding them, and a parallelepiped
+        with its three arrays costs about three times the memory.
+        """
+        got = self.__dict__.get("_vertices")
+        if got is None:
+            got = self.realize().vertices()
+            got.flags.writeable = False
+            self.__dict__["_vertices"] = got
+        return got
+
     def center(self) -> np.ndarray:
         n = np.asarray(self.index, dtype=float)
         return self.dilation.power(self.tau) @ (self.side * (n + 0.5))
@@ -95,9 +109,14 @@ class Parallelepiped:
         return self.origin + corners @ self.basis.T
 
     def diameter(self) -> float:
-        verts = self.vertices()
-        diffs = verts[:, None, :] - verts[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(-1)).max())
+        """Largest vertex distance, computed once per parallelepiped."""
+        got = self.__dict__.get("_diameter")
+        if got is None:
+            verts = self.vertices()
+            diffs = verts[:, None, :] - verts[None, :, :]
+            got = float(np.sqrt((diffs ** 2).sum(-1)).max())
+            self.__dict__["_diameter"] = got
+        return got
 
     def contains_points(self, points, tol: float = None) -> np.ndarray:
         """Closed-hull membership test with a diameter-relative tolerance."""
@@ -118,7 +137,7 @@ def realize_cube(cube: GridCube) -> Parallelepiped:
 
 def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
     """True when every vertex of the inner cube lies in the closed outer hull."""
-    return bool(np.all(outer.contains_points(inner.realize().vertices())))
+    return bool(np.all(outer.contains_points(inner.vertices())))
 
 
 def expand_cube(cube: GridCube, factor: float) -> Parallelepiped:
@@ -215,7 +234,7 @@ def enumerate_cover(D: DilationStructure, sigma: int, tau: int, box) -> list:
     axes = _axes_for_sat(D.power(tau) * side)
     for idx in product(*(range(n_lo[i], n_hi[i] + 1) for i in range(D.dim))):
         cube = GridCube(sigma, tau, idx, D)
-        if _boxes_intersect_open(cube.realize().vertices(), box_verts, axes):
+        if _boxes_intersect_open(cube.vertices(), box_verts, axes):
             cubes.append(cube)
     return cubes
 

@@ -2,10 +2,14 @@
 
 The measure is a node cloud with weights (a full quadrature measure or a
 single partition piece).  Convolving an atomic sum with its dilate by A^k
-is a windowed scatter: each displaced measure node contributes one copy
-of the atom profile, and the profile's support cube bounds the affected
-lattice cells.  The maximal field is the pointwise sup of |mu_k * f| over
-a finite k range, with a reported tail criterion in place of k in Z.
+adds one copy of the atom profile per displaced measure node, on the
+lattice cells of that node's window (the support cube's box, shifted).
+Under a diagonal A every profile is a product of 1-D factors, so each
+atom's sum over the nodes is one separable contraction of per-axis factor
+matrices; any other A keeps the windowed scatter, one atom evaluation per
+atom and node, which is also the test oracle.  The maximal field is the
+pointwise sup of |mu_k * f| over a finite k range, with a reported tail
+criterion in place of k in Z.
 
 Superlevel-set sizes are cell counts times the cell volume, optionally
 skipping cells captured by an exceptional-set descriptor.
@@ -62,17 +66,25 @@ class Lattice:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
+    def window_bounds(self, lo, hi):
+        """First and last index, per axis, of the cells centered in [lo, hi].
+
+        lo and hi hold one box corner per row, shape (..., d); a box misses
+        the lattice where first > last on some axis.
+        """
+        shape = np.asarray(self.shape)
+        rel_lo = (np.asarray(lo, dtype=float) - self.origin) / self.spacing
+        rel_hi = (np.asarray(hi, dtype=float) - self.origin) / self.spacing
+        first = np.clip(np.ceil(rel_lo - 0.5), 0, shape)
+        last = np.clip(np.floor(rel_hi - 0.5), -1, shape - 1)
+        return first.astype(int), last.astype(int)
+
     def window(self, lo, hi):
         """Index slices of cells whose centers fall in [lo, hi], or None."""
-        slices = []
-        for j in range(self.dim):
-            a = int(np.ceil((lo[j] - self.origin[j]) / self.spacing[j] - 0.5))
-            b = int(np.floor((hi[j] - self.origin[j]) / self.spacing[j] - 0.5))
-            a, b = max(a, 0), min(b, self.shape[j] - 1)
-            if a > b:
-                return None
-            slices.append(slice(a, b + 1))
-        return tuple(slices)
+        first, last = self.window_bounds(lo, hi)
+        if np.any(first > last):
+            return None
+        return tuple(slice(int(a), int(b) + 1) for a, b in zip(first, last))
 
     def window_points(self, slices) -> np.ndarray:
         axes = [self.axis_centers(j)[slices[j]] for j in range(self.dim)]
@@ -153,8 +165,63 @@ def _min_atom_diameter(f: AtomicSum) -> float:
     return min(cube_diameter(D, atom.support.tau) for atom, _ in f.terms)
 
 
+def _is_diagonal(matrix: np.ndarray) -> bool:
+    """True when every off-diagonal entry is exactly zero."""
+    return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
+
+
+def _add_scatter(values, lattice, atom, weights, shifted, first, last) -> None:
+    """values += sum_i weights_i atom(x - shifted_i), one evaluation per node.
+
+    Each node's atom is evaluated on the cells of its window, the lattice
+    cells whose centers lie in the node's shifted support box.
+    """
+    for i in range(len(weights)):
+        slices = tuple(slice(a, b + 1) for a, b in zip(first[i], last[i]))
+        local = lattice.window_points(slices) - shifted[i]
+        block = atom.evaluate(local).reshape(values[slices].shape)
+        values[slices] += weights[i] * block
+
+
+def _add_separable(values, lattice, atom, weights, shifted, first, last) -> None:
+    """values += sum_i weights_i atom(x - shifted_i), for a diagonal dilation.
+
+    The atom is amplitude x prod_j axis_factor(j, u_j), and under a diagonal
+    A the local coordinate u_j depends on x_j alone.  G_j[c, i] is the axis-j
+    factor at cell c for node i, with u_j computed as Atom.evaluate computes
+    it and zeroed outside node i's window, so the result is the scatter
+    path's up to summation order.  The sum over nodes is one contraction of
+    the G_j over the union of the node windows: a Khatri-Rao product of all
+    axes but the last, then one matrix product.
+    """
+    cube = atom.support
+    scale = np.diag(cube.dilation.power(-cube.tau))
+    lo, hi = first.min(axis=0), last.max(axis=0)
+    factors = []
+    for j in range(lattice.dim):
+        cells = np.arange(lo[j], hi[j] + 1)[:, None]
+        x = lattice.axis_centers(j)[lo[j]:hi[j] + 1, None]
+        u = (x - shifted[:, j]) * scale[j] - float(cube.index[j])
+        in_window = (cells >= first[:, j]) & (cells <= last[:, j])
+        factors.append(np.where(in_window, atom.axis_factor(j, u), 0.0))
+    rows = np.ones((1, len(weights)))
+    for g in factors[:-1]:
+        rows = (rows[:, None, :] * g[None, :, :]).reshape(-1, len(weights))
+    block = rows @ ((weights * atom.amplitude)[:, None] * factors[-1].T)
+    slices = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    values[slices] += block.reshape(values[slices].shape)
+
+
 def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> SampledField:
-    """Field of (mu_k * f)(x) = sum_i w_i f(x - A^k p_i) at cell centers."""
+    """Field of (mu_k * f)(x) = sum_i w_i f(x - A^k p_i) at cell centers.
+
+    Node i touches only the cells of its window, those whose centers lie in
+    the atom's support box shifted by A^k p_i; nodes whose window misses the
+    lattice are dropped.  Under a diagonal A each atom's sum over the nodes
+    is a separable contraction (_add_separable).  Any other A keeps the
+    windowed scatter (_add_scatter), one atom evaluation per atom and node,
+    which is also the test oracle for the separable path.
+    """
     if not f.terms:
         return SampledField(lattice, np.zeros(lattice.shape),
                             {"f": _atomic_label(f), "k": k})
@@ -168,15 +235,14 @@ def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> Sampled
     pts, w = _measure_nodes(measure)
     shifted = pts @ D.power(k).T
     values = np.zeros(lattice.shape)
+    add = _add_separable if _is_diagonal(D.matrix) else _add_scatter
     for atom, lam in f.terms:
         blo, bhi = realize_cube(atom.support).bbox()
-        for i in range(shifted.shape[0]):
-            slices = lattice.window(blo + shifted[i], bhi + shifted[i])
-            if slices is None:
-                continue
-            local = lattice.window_points(slices) - shifted[i]
-            block = atom.evaluate(local).reshape(values[slices].shape)
-            values[slices] += (lam * w[i]) * block
+        first, last = lattice.window_bounds(blo + shifted, bhi + shifted)
+        live = np.flatnonzero(np.all(first <= last, axis=1))
+        if live.size:
+            add(values, lattice, atom, lam * w[live], shifted[live],
+                first[live], last[live])
     return SampledField(lattice, values, {
         "f": _atomic_label(f), "measure": _measure_label(measure), "k": k,
     })

@@ -9,8 +9,10 @@ from pytest import approx
 from anisomax.cli import main
 from anisomax.config import load_config
 from anisomax import experiments
+from anisomax.decomposition import stopping_time, whitney_decompose
 from anisomax.errors import ConfigInvalidError, WindowExhaustedError
 from anisomax.experiments import run_experiment
+from anisomax.maximal import _excluded_mask, make_lattice
 
 FAST = [
     "--override", "atoms.count=3",
@@ -95,6 +97,21 @@ def test_config_rejections(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
+DIAG234 = "matrix=[[2,0,0],[0,3,0],[0,0,4]]"
+
+
+def test_config_dimensions_must_agree():
+    with pytest.raises(ConfigInvalidError, match="dimensions disagree"):
+        load_config(None, overrides=[DIAG234])
+    with pytest.raises(ConfigInvalidError, match="dimensions disagree"):
+        load_config(None, overrides=["lattice.box=[[-1,1],[-1,1],[-1,1]]",
+                                     "lattice.shape=[8,8,8]"])
+    cfg = load_config(None, overrides=[
+        DIAG234, "surface.kind=paraboloid", "surface.dim=3",
+        "lattice.box=[[-1,1],[-1,1],[-1,1]]", "lattice.shape=[8,8,8]"])
+    assert cfg.dilation().dim == 3
+
+
 def test_run_experiment_rejects_unknown_name(tmp_path):
     cfg = load_config(None, out_dir=tmp_path)
     with pytest.raises(ConfigInvalidError):
@@ -149,6 +166,13 @@ def test_cli_exit_code_config_error(tmp_path):
     assert res.exit_code == 2
     res = _run(["run", "--experiment", "nonsense", "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+def test_cli_exit_code_dimension_mismatch(tmp_path):
+    res = _run(["run", "--experiment", "maximal-weak-type",
+                "--out", str(tmp_path), "--override", DIAG234])
+    assert res.exit_code == 2
+    assert "dimensions disagree" in res.output
 
 
 def test_cli_exit_code_not_normalized(tmp_path):
@@ -231,3 +255,39 @@ def test_cli_full_pipeline_small(tmp_path):
     assert (out / "kappa_hist.csv").exists()
     assert (out / "exceptional_volume.csv").exists()
     assert (out / "pieces.csv").exists()
+
+
+# diag(4, 2) at alpha = 16: the tau = -2 atom is heavy enough to select a
+# cube, and its exceptional set covers part of the [-6, 6]^2 lattice; 384
+# cells a side keep the spacing under an eighth of that atom's diameter,
+# as the resolution guard requires
+MASKED_PIPELINE = [
+    "--override", "matrix=[[4.0, 0.0], [0.0, 2.0]]",
+    "--override", "alpha=16.0",
+    "--override", "atoms.list=[{tau: 0, index: [-1, 0], lam: 1.4, profile: bump},"
+                  " {tau: -2, index: [5, -3], lam: 1.2, profile: bump}]",
+    "--override", "lattice.box=[[-6, 6], [-6, 6]]",
+    "--override", "lattice.shape=[384, 384]",
+    "--override", "k_range=[-2, 2]",
+    "--override", "n_gl=48",
+    "--override", "s_range=[4, 4]",
+]
+
+
+def test_cli_full_pipeline_masks_part_of_the_lattice(tmp_path):
+    out = tmp_path / "fp"
+    res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
+               + MASKED_PIPELINE)
+    assert res.exit_code == 0, res.output
+    assert "RESULT PASS" in res.output
+    cfg = load_config(None, overrides=MASKED_PIPELINE[1::2])
+    entries = cfg.entries()
+    wres = whitney_decompose(entries, cfg.alpha)
+    kept = [entries[i] for i in sorted(wres.assigned)]
+    exceptional = stopping_time(wres.selected, kept, cfg.alpha).exceptional
+    lattice = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    coverage = _excluded_mask(lattice, exceptional).mean()
+    assert 0.0 < coverage < 1.0
+    # superlevel cells remain outside E, so the ratio is measured, not 0
+    total = (out / "weak_type.csv").read_text().strip().split("\n")[-1]
+    assert total.startswith("all,") and float(total.split(",")[-1]) > 0.0

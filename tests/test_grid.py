@@ -20,6 +20,7 @@ from anisomax.errors import (
 )
 from anisomax.grid import (
     GridCube,
+    Parallelepiped,
     _ClampedProjector,
     cube_contains,
     enumerate_cover,
@@ -337,3 +338,19 @@ def test_tendril_fast_membership_matches_projector(matrix):
         assert np.all((inside >= lo) & (inside <= hi))
     assert checked == 6 * 9000
     assert mismatches == 0
+
+
+def test_cube_vertices_are_computed_once_and_read_only():
+    cube = GridCube(0, -1, (2, -3), _jordan2())
+    verts = cube.vertices()
+    assert cube.vertices() is verts
+    assert np.array_equal(verts, cube.realize().vertices())
+    with pytest.raises(ValueError):
+        verts[0, 0] = 0.0
+    # equality and hashing still see only (sigma, tau, index)
+    twin = GridCube(0, -1, (2, -3), cube.dilation)
+    assert twin == cube and hash(twin) == hash(cube)
+    # a parallelepiped keeps its diameter: the same value on every call
+    box = expand_cube(cube, 4.0)
+    fresh = Parallelepiped(origin=box.origin.copy(), basis=box.basis.copy())
+    assert box.diameter() == box.diameter() == fresh.diameter()

@@ -9,13 +9,14 @@ Frozen reference values:
 """
 
 import collections
+import types
 import warnings
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from anisomax import experiments
+from anisomax import experiments, maximal
 from anisomax.atoms import Atom, AtomicSum, compose_dilation, make_atom
 from anisomax.config import load_config
 from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
@@ -173,6 +174,169 @@ def test_dilation_covariance():
     lhs = convolve_dilated(f, meas, 1, image)
     rhs = convolve_dilated(g, meas, 0, lat)
     assert lhs.values == approx(rhs.values, abs=1e-14)
+
+
+# ------------------------------------------- separable path vs the scatter
+
+
+def _scatter_field(f, measure, k, lattice, monkeypatch):
+    """The windowed scatter, the oracle, forced on any dilation."""
+    with monkeypatch.context() as patch:
+        patch.setattr(maximal, "_is_diagonal", lambda matrix: False)
+        return convolve_dilated(f, measure, k, lattice).values
+
+
+def _assert_same_field(got, want):
+    peak = np.abs(want).max()
+    assert peak > 0
+    assert np.abs(got - want).max() <= 1e-12 * peak
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+def _distinct_weights(measure, seed=5):
+    """The measure's nodes with every weight scaled by its own factor.
+
+    The two paths add the same node terms in different orders, so a sum
+    that cancels exactly in one (mirrored nodes of the symmetric arc under
+    a haar step) can leave a rounding residue in the other.  With distinct
+    weights no terms cancel exactly, and identical zero cells then mean
+    identical windows.
+    """
+    rng = np.random.default_rng(seed)
+    weights = measure.quad_weights * rng.uniform(0.5, 1.5, len(measure.quad_weights))
+    return types.SimpleNamespace(quad_points=measure.quad_points,
+                                 quad_weights=weights)
+
+
+def _profile_sum(D, profile, cubes, seed=3):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for tau, index in cubes:
+        Q = GridCube(0, tau, index, D)
+        if profile == "plateau":
+            atom = Atom(support=Q, profile="plateau", axis=0,
+                        amplitude=1.0 / Q.volume)
+        else:
+            atom = make_atom(Q, profile, seed=int(rng.integers(2 ** 31)))
+        terms.append((atom, float(rng.uniform(0.1, 2.0))))
+    return AtomicSum(terms=terms, dilation=D)
+
+
+@pytest.mark.parametrize("profile", ["haar", "bump", "plateau"])
+@pytest.mark.parametrize("matrix", [[[2.0, 0.0], [0.0, 4.0]],
+                                    [[4.0, 0.0], [0.0, 2.0]]])
+def test_separable_matches_scatter(profile, matrix, monkeypatch):
+    D = validate_dilation(matrix)
+    f = _profile_sum(D, profile, [(0, (0, 0)), (0, (-2, 1)), (-1, (3, -2))])
+    arc = _circle_measure(48)
+    meas = _distinct_weights(arc)
+    lat = make_lattice([(-3.0, 3.0), (-3.0, 3.0)], (160, 160))
+    for k in (-1, 0, 1):
+        got = convolve_dilated(f, meas, k, lat).values
+        _assert_same_field(got, _scatter_field(f, meas, k, lat, monkeypatch))
+        # the symmetric arc itself: equal up to rounding
+        got = convolve_dilated(f, arc, k, lat).values
+        want = _scatter_field(f, arc, k, lat, monkeypatch)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("profile", ["haar", "bump"])
+def test_separable_matches_scatter_in_3d(profile, monkeypatch):
+    D = validate_dilation(np.diag([2.0, 3.0, 4.0]))
+    f = _profile_sum(D, profile, [(0, (0, 0, 0)), (0, (-1, 1, -2))])
+    meas = _distinct_weights(surface_quadrature(make_surface("paraboloid", dim=3), 8))
+    lat = make_lattice([(-3.0, 3.0)] * 3, (32, 36, 40))
+    for k in (-1, 0):
+        got = convolve_dilated(f, meas, k, lat).values
+        _assert_same_field(got, _scatter_field(f, meas, k, lat, monkeypatch))
+
+
+def test_separable_haar_edges_on_cell_centers(monkeypatch):
+    # node shifts are multiples of the spacing, so the support edges and
+    # the split fall exactly on cell centers: half-open [0, 1) decides them
+    D = _diag24()
+    f = _profile_sum(D, "haar", [(0, (0, 0)), (1, (-1, 0))])
+    nodes = types.SimpleNamespace(
+        quad_points=np.array([[0.0, 0.0], [0.25, 0.5], [-0.5, 0.125]]),
+        quad_weights=np.array([1.0, 0.5, 0.25]))
+    lat = make_lattice([(-4.0625, 3.9375), (-4.0625, 3.9375)], (64, 64))
+    assert 0.0 in lat.axis_centers(0) and 0.5 in lat.axis_centers(1)
+    atom = f.terms[0][0]
+    u = np.array([-0.0625, 0.0, 0.4375, 0.5, 0.9375, 1.0])
+    assert list(atom.axis_factor(atom.axis, u)) == [0, 1, 1, -1, -1, 0]
+    assert list(atom.axis_factor(1 - atom.axis, u)) == [0, 1, 1, 1, 1, 0]
+    got = convolve_dilated(f, nodes, 0, lat).values
+    want = _scatter_field(f, nodes, 0, lat, monkeypatch)
+    assert np.array_equal(got, want)
+    # brute force over every cell agrees, edges included
+    pts = lat.points()
+    brute = sum(w * f.evaluate(pts - p) for p, w
+                in zip(nodes.quad_points, nodes.quad_weights))
+    assert np.array_equal(got.ravel(), brute)
+
+
+def test_separable_keeps_the_window_rule(monkeypatch):
+    # cell 159's center is at local coordinate u = 0 exactly for the first
+    # node, inside the haar atom's cube, but the window rule, which rounds
+    # (lo - origin) / spacing, leaves it out; the second node's window
+    # holds it, so the separable path computes it and must leave the first
+    # node's term out
+    D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+    f = _profile_sum(D, "haar", [(0, (4, 0))])
+    lat = Lattice(origin=(-15.387155820125052, 0.0),
+                  spacing=(0.025086177308678785, 0.125), shape=(200, 8))
+    s = -15.385910539390785
+    nodes = types.SimpleNamespace(quad_points=np.array([[s, 0.0], [s - 0.5, 0.0]]),
+                                  quad_weights=np.array([1.0, 0.5]))
+    blo, bhi = f.terms[0][0].support.realize().bbox()
+    assert lat.axis_centers(0)[159] - s - blo[0] == 0.0
+    assert lat.window(blo + nodes.quad_points[0],
+                      bhi + nodes.quad_points[0])[0] == slice(160, 199)
+    got = convolve_dilated(f, nodes, 0, lat).values
+    assert np.array_equal(got, _scatter_field(f, nodes, 0, lat, monkeypatch))
+
+
+def test_separable_nodes_leaving_the_lattice(monkeypatch):
+    # at k = 2, 3 the dilated arc carries some windows partly and some
+    # wholly off this small lattice
+    D = _diag24()
+    f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 2))])
+    meas = _distinct_weights(_circle_measure(48))
+    lat = make_lattice([(-0.5, 1.0), (-0.25, 1.5)], (48, 56))
+    for k in (2, 3):
+        shifted = meas.quad_points @ D.power(k).T
+        blo, bhi = f.terms[0][0].support.realize().bbox()
+        first, last = lat.window_bounds(blo + shifted, bhi + shifted)
+        live = np.all(first <= last, axis=1)
+        assert 0 < live.sum() < len(live)
+        got = convolve_dilated(f, meas, k, lat).values
+        _assert_same_field(got, _scatter_field(f, meas, k, lat, monkeypatch))
+
+
+def test_non_diagonal_dilation_takes_the_scatter(monkeypatch):
+    calls = collections.Counter()
+    evaluate = Atom.evaluate
+
+    def counting(self, points):
+        calls["evaluate"] += 1
+        return evaluate(self, points)
+
+    monkeypatch.setattr(Atom, "evaluate", counting)
+    meas = _distinct_weights(_circle_measure(48))
+    lat = make_lattice([(-3.0, 3.0), (-3.0, 3.0)], (96, 96))
+    skew = validate_dilation([[4.0, 1.0], [1.0, 3.0]])
+    f = _profile_sum(skew, "bump", [(0, (0, 0)), (0, (-1, 1))])
+    got = convolve_dilated(f, meas, 0, lat).values
+    assert calls["evaluate"] > 0
+    # the scatter is the sum of translates the brute force computes
+    pts = lat.points()
+    brute = sum(w * f.evaluate(pts - p) for p, w
+                in zip(meas.quad_points, meas.quad_weights))
+    _assert_same_field(got.ravel(), brute)
+    calls.clear()
+    diagonal = _profile_sum(_diag24(), "bump", [(0, (0, 0))])
+    convolve_dilated(diagonal, meas, 0, lat)
+    assert calls["evaluate"] == 0
 
 
 # ---------------------------------------------------------------- maximal
