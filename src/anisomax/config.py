@@ -195,12 +195,18 @@ def _validate(raw: dict) -> ExperimentConfig:
     if len(set(dims.values())) > 1:
         raise ConfigInvalidError("dimensions disagree: " + ", ".join(
             f"{name} {d}" for name, d in dims.items()))
-    if cfg.atoms.get("list") is None:
+    rows = cfg.atoms.get("list")
+    if rows is None:
         if int(cfg.atoms["count"]) < 0:
             raise ConfigInvalidError("atom count must be nonnegative")
         tl, th = (int(v) for v in cfg.atoms["tau_range"])
         if tl > th:
             raise ConfigInvalidError("atom tau_range must be [lo, hi]")
+        ll, lh = (float(v) for v in cfg.atoms["lam_range"])
+        if not 0 < ll <= lh:
+            raise ConfigInvalidError("atom lam_range must be [lo, hi] with 0 < lo <= hi")
+    elif any(not float(row["lam"]) > 0 for row in rows):
+        raise ConfigInvalidError("every atoms.list row needs lam > 0")
     for name, value in cfg.constants.items():
         if not float(value) > 0:
             raise ConfigInvalidError(f"constant {name} must be positive")

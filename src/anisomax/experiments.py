@@ -29,11 +29,9 @@ from .maximal import (
     THRESHOLD_COUNT,
     THRESHOLD_FLOOR,
     TAIL_FRACTION,
-    SampledField,
     _excluded_mask,
-    distribution_function,
     make_lattice,
-    maximal_field,
+    weak_type_report,
     write_field_binary,
 )
 from .surface import (
@@ -278,35 +276,16 @@ def _run_kernel_decay(config, out: Path, lines: Lines) -> None:
               f"slope={report.slope!r} over {len(report.radii)} shells")
 
 
-def _weak_type_report(f, measure, config, lattice, excluded=None):
-    """Maximal field, distribution report, and normalized ratio.
-
-    excluded is a cell mask of E; those cells are zeroed before counting,
-    which drops them from every superlevel set since the thresholds are > 0.
-    """
-    k_lo, k_hi = (int(v) for v in config.k_range)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TailNotNegligibleWarning)
-        mf = maximal_field(f, measure, (k_lo, k_hi), lattice)
-    h1 = f.h1_norm()
-    peak = float(mf.values.max())
-    if peak <= 0.0:
-        return mf, None, 0.0
-    thresholds = np.geomspace(THRESHOLD_FLOOR * peak, peak, THRESHOLD_COUNT)
-    counted = mf
-    if excluded is not None:
-        counted = SampledField(lattice, np.where(excluded, 0.0, mf.values))
-    report = distribution_function(counted, thresholds, h1=h1)
-    return mf, report, report.weak_ratio / h1
-
-
 def _run_maximal_weak_type(config, out: Path, lines: Lines) -> None:
     f = config.atomic_sum()
     if not f.terms:
         raise ConfigInvalidError("maximal-weak-type needs a nonempty atom list")
     measure = surface_quadrature(config.surface_obj(), config.n_gl)
     lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
-    mf, report, ratio = _weak_type_report(f, measure, config, lattice)
+    k_range = tuple(int(v) for v in config.k_range)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        mf, report, ratio = weak_type_report(f, measure, k_range, lattice)
     rows = []
     if report is not None:
         rows = [(lam, mu, lam * mu) for lam, mu
@@ -367,19 +346,22 @@ def _run_full_pipeline(config, out: Path, lines: Lines) -> None:
     measure = surface_quadrature(surface, config.n_gl)
     lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
     excluded = _excluded_mask(lattice, exclude)
+    k_range = tuple(int(v) for v in config.k_range)
     cap = config.constants["c_stop"] / alpha
     taus = sorted({atom.support.tau for atom, _ in f.terms})
     rows = []
     all_ok = True
-    for tau in taus:
-        group = AtomicSum(terms=[(a, l) for a, l in f.terms
-                                 if a.support.tau == tau], dilation=f.dilation)
-        _, _, ratio = _weak_type_report(group, measure, config, lattice,
-                                        excluded=excluded)
-        rows.append((tau, len(group.terms), group.h1_norm(), ratio))
-        all_ok = all_ok and ratio <= cap
-    _, _, total = _weak_type_report(f, measure, config, lattice,
-                                    excluded=excluded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        for tau in taus:
+            group = AtomicSum(terms=[(a, l) for a, l in f.terms
+                                     if a.support.tau == tau], dilation=f.dilation)
+            _, _, ratio = weak_type_report(group, measure, k_range, lattice,
+                                           excluded=excluded)
+            rows.append((tau, len(group.terms), group.h1_norm(), ratio))
+            all_ok = all_ok and ratio <= cap
+        _, _, total = weak_type_report(f, measure, k_range, lattice,
+                                       excluded=excluded)
     rows.append(("all", len(f.terms), f.h1_norm(), total))
     _write_csv(out / "weak_type.csv", ["tau", "atoms", "h1", "ratio"], rows)
     lines.add("weak_type_outside_E", all_ok and total <= cap,

@@ -12,7 +12,9 @@ pointwise sup of |mu_k * f| over a finite k range, with a reported tail
 criterion in place of k in Z.
 
 Superlevel-set sizes are cell counts times the cell volume, optionally
-skipping cells captured by an exceptional-set descriptor.
+skipping the cells of a boolean mask, such as the cells of an exceptional
+set E built once per lattice by _excluded_mask.  Every weak-type ratio comes
+from weak_type_report.
 """
 
 import struct
@@ -161,8 +163,8 @@ def _atomic_label(f: AtomicSum) -> str:
 
 
 def _min_atom_diameter(f: AtomicSum) -> float:
-    D = f.dilation
-    return min(cube_diameter(D, atom.support.tau) for atom, _ in f.terms)
+    taus = {atom.support.tau for atom, _ in f.terms}
+    return min(cube_diameter(f.dilation, tau) for tau in taus)
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
@@ -321,42 +323,57 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
 
 
 def distribution_function(field: SampledField, thresholds, h1: float = None,
-                          exclude=None) -> DistributionReport:
+                          excluded=None) -> DistributionReport:
     """Cell-count sizes of the superlevel sets {field > lambda}.
 
-    Cells whose centers lie in any exclude primitive are skipped, which
-    never enlarges a superlevel set.  A primitive provides bbox() and
-    contains_points(); its own contains_points decides membership, and the
-    box only limits which cells are asked.
+    excluded is a boolean cell mask in the lattice shape (for an exceptional
+    set, from _excluded_mask); its cells are skipped, which never enlarges a
+    superlevel set.  The kept values are sorted once and every threshold is
+    counted by one binary search.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise InputInvalidError("thresholds must be a nonempty 1-d sequence")
     if np.any(np.diff(thresholds) < 0):
         raise InputInvalidError("thresholds must be sorted ascending")
-    flat = field.values.ravel()
-    keep = ~_excluded_mask(field.lattice, exclude).ravel()
-    cell = field.lattice.cell_volume
-    kept = flat[keep]
-    measures = np.array([cell * np.count_nonzero(kept > lam) for lam in thresholds])
-    weak = float(np.max(thresholds * measures)) if thresholds.size else 0.0
+    values = field.values.ravel()
+    if excluded is not None:
+        excluded = np.asarray(excluded, dtype=bool)
+        if excluded.shape != field.lattice.shape:
+            raise InputInvalidError("excluded mask shape does not match the lattice")
+        values = values[~excluded.ravel()]
+    kept = np.sort(values)
+    above = kept.size - np.searchsorted(kept, thresholds, side="right")
+    measures = field.lattice.cell_volume * above
+    weak = float(np.max(thresholds * measures))
     return DistributionReport(thresholds=thresholds, measures=measures,
                               weak_ratio=weak, h1=h1)
 
 
-def weak_type_ratio(f: AtomicSum, measure, k_range, lattice: Lattice,
-                    exclude=None) -> float:
-    """sup over a log-spaced grid of lambda |{Mf > lambda} \\ E| / ||f||."""
+def weak_type_report(f: AtomicSum, measure, k_range, lattice: Lattice,
+                     excluded=None):
+    """Maximal field, distribution report and weak-type ratio of f.
+
+    The ratio is sup over a log-spaced grid of lambda of
+    lambda |{Mf > lambda} \\ E| / ||f||, with E the cells of the boolean
+    mask excluded.  The report is None, and the ratio 0, when Mf vanishes.
+    """
     h1 = f.h1_norm()
     if h1 <= 0:
         raise InputInvalidError("the atomic sum must have positive norm")
     mf = maximal_field(f, measure, k_range, lattice)
     peak = float(mf.values.max())
     if peak <= 0:
-        return 0.0
+        return mf, None, 0.0
     thresholds = np.geomspace(THRESHOLD_FLOOR * peak, peak, THRESHOLD_COUNT)
-    report = distribution_function(mf, thresholds, h1=h1, exclude=exclude)
-    return report.weak_ratio / h1
+    report = distribution_function(mf, thresholds, h1=h1, excluded=excluded)
+    return mf, report, report.weak_ratio / h1
+
+
+def weak_type_ratio(f: AtomicSum, measure, k_range, lattice: Lattice,
+                    excluded=None) -> float:
+    """sup over a log-spaced grid of lambda |{Mf > lambda} \\ E| / ||f||."""
+    return weak_type_report(f, measure, k_range, lattice, excluded=excluded)[2]
 
 
 # ----------------------------------------------------------------- exports

@@ -4,7 +4,8 @@ A surface is the graph of a smooth map psi over the first d-1 coordinates,
 weighted by a plateau cutoff chi.  The measure is split into overlapping caps
 whose bumps sum back to chi, caps are classified by curvature and by mass
 concentration against grid cubes, and convolution-type bounds are checked on
-sample lattices.
+a maximal.Lattice, with the fields computed by maximal.convolve_dilated at
+k = 0 (the measure nodes unmoved).
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
 )
+from .grid import realize_cube
+from .maximal import Lattice, _min_atom_diameter, convolve_dilated
 
 CHI_RADIUS = 0.48
 CATALOG = ("circle-arc", "paraboloid", "quartic-flat", "custom-polynomial")
@@ -582,35 +585,30 @@ def check_kernel_decay(kernel: KernelField, alpha_order: int = 0,
                              ok=slope <= DECAY_SLOPE_CUT)
 
 
-def _conv_lattice(atomic, measure_points, spacing, pad):
-    from .grid import realize_cube
+def _support_boxes(*atomics) -> np.ndarray:
+    """Box around the atom supports of each atomic sum, shape (n, 2, d)."""
+    out = []
+    for atomic in atomics:
+        boxes = np.array([realize_cube(atom.support).bbox() for atom, _ in atomic.terms])
+        out.append((boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)))
+    return np.array(out)
 
-    boxes = [realize_cube(atom.support).bbox() for atom, _ in atomic.terms]
-    f_lo = np.min([b[0] for b in boxes], axis=0)
-    f_hi = np.max([b[1] for b in boxes], axis=0)
-    lo = f_lo + measure_points.min(axis=0) - pad
-    hi = f_hi + measure_points.max(axis=0) + pad
+
+def _conv_lattice(boxes, measure_points, spacing, pad) -> Lattice:
+    """Lattice of side spacing holding every support box moved by every node."""
+    lo = boxes[:, 0].min(axis=0) + measure_points.min(axis=0) - pad
+    hi = boxes[:, 1].max(axis=0) + measure_points.max(axis=0) + pad
     counts = np.maximum(2, np.ceil((hi - lo) / spacing).astype(int))
     if np.prod(counts.astype(float)) > 4e6:
         raise BudgetExceededError("convolution lattice too large")
-    axes = [lo[j] + (np.arange(counts[j]) + 0.5) * spacing
-            for j in range(lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return Lattice(origin=tuple(float(v) for v in lo),
+                   spacing=(float(spacing),) * lo.size,
+                   shape=tuple(int(n) for n in counts))
 
 
-def _convolve_nodes(atomic, points, weights, X):
-    out = np.zeros(X.shape[0])
-    for j in range(points.shape[0]):
-        if weights[j] == 0.0:
-            continue
-        out += weights[j] * atomic.evaluate(X - points[j])
-    return out
-
-
-def _default_spacing(atomic, D):
-    diam = min(cube_diameter(D, atom.support.tau) for atom, _ in atomic.terms)
-    return diam / 16.0
+def _default_spacing(atomic):
+    """A sixteenth of the smallest atom diameter, half what convolve_dilated allows."""
+    return _min_atom_diameter(atomic) / 16.0
 
 
 @dataclass
@@ -634,10 +632,11 @@ def check_linfty_bound(atomic, piece, D: DilationStructure, sigma: int,
     if lam_q <= 0.0:
         raise InputInvalidError("the atomic sum must carry positive mass")
     if spacing is None:
-        spacing = _default_spacing(atomic, D)
+        spacing = _default_spacing(atomic)
     eps = piece.eps if piece.eps else 0.25
-    X = _conv_lattice(atomic, piece.quad_points, spacing, pad=2.0 * spacing)
-    vals = _convolve_nodes(atomic, piece.quad_points, piece.quad_weights, X)
+    lattice = _conv_lattice(_support_boxes(atomic), piece.quad_points, spacing,
+                            pad=2.0 * spacing)
+    vals = convolve_dilated(atomic, piece, 0, lattice).values
     d = piece.quad_points.shape[1]
     sup = float(np.max(np.abs(vals)))
     l1 = float(np.sum(np.abs(vals))) * spacing ** d
@@ -675,24 +674,18 @@ def check_pair_bound(atomic_a, atomic_b, piece, D: DilationStructure,
                      sigma_prime: int, eps: float, s: int, dist: float = None,
                      C: float = 64.0, spacing: float = None) -> PairBoundReport:
     """Inner product of two convolved atom sums against the pair bound."""
-    from .grid import realize_cube
-
     lam_a, lam_b = atomic_a.h1_norm(), atomic_b.h1_norm()
     if spacing is None:
-        spacing = min(_default_spacing(atomic_a, D), _default_spacing(atomic_b, D))
+        spacing = min(_default_spacing(atomic_a), _default_spacing(atomic_b))
+    boxes = _support_boxes(atomic_a, atomic_b)
     if dist is None:
-        centers = []
-        for atomic in (atomic_a, atomic_b):
-            boxes = np.array([realize_cube(a.support).bbox() for a, _ in atomic.terms])
-            centers.append(0.5 * (boxes[:, 0].min(axis=0) + boxes[:, 1].max(axis=0)))
+        centers = boxes.mean(axis=1)
         dist = float(np.linalg.norm(centers[0] - centers[1]))
 
-    pts, w = piece.quad_points, piece.quad_weights
-    d = pts.shape[1]
-    combined = AtomsPair(atomic_a, atomic_b)
-    X = _conv_lattice(combined, pts, spacing, pad=2.0 * spacing)
-    f1 = _convolve_nodes(atomic_a, pts, w, X)
-    f2 = _convolve_nodes(atomic_b, pts, w, X)
+    d = piece.quad_points.shape[1]
+    lattice = _conv_lattice(boxes, piece.quad_points, spacing, pad=2.0 * spacing)
+    f1 = convolve_dilated(atomic_a, piece, 0, lattice).values
+    f2 = convolve_dilated(atomic_b, piece, 0, lattice).values
     inner = float(np.sum(f1 * f2)) * spacing ** d
     core = 2.0 ** (sigma_prime + eps * s * (5 - d)) * lam_a * lam_b / dist ** 2
     return PairBoundReport(
@@ -700,10 +693,3 @@ def check_pair_bound(atomic_a, atomic_b, piece, D: DilationStructure,
         ok=abs(inner) <= C * core,
         precondition_met=dist >= 2.0 ** sigma_prime,
     )
-
-
-class AtomsPair:
-    """Joint support view over two atomic sums, for lattice sizing."""
-
-    def __init__(self, a, b):
-        self.terms = list(a.terms) + list(b.terms)

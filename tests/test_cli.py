@@ -87,6 +87,8 @@ def test_config_rejections(tmp_path):
         load_config(None, overrides=["k_range=[3,1]"])
     with pytest.raises(ConfigInvalidError):
         load_config(None, overrides=["lattice.shape=[0,4]"])
+    with pytest.raises(ConfigInvalidError, match="lam_range"):
+        load_config(None, overrides=["atoms.lam_range=[2.0,1.0]"])
     with pytest.raises(ConfigInvalidError):
         load_config(None, overrides=["badly formed"])
     bad = tmp_path / "bad.yaml"
@@ -173,6 +175,29 @@ def test_cli_exit_code_dimension_mismatch(tmp_path):
                 "--out", str(tmp_path), "--override", DIAG234])
     assert res.exit_code == 2
     assert "dimensions disagree" in res.output
+
+
+def test_cli_exit_code_zero_weight_atoms(tmp_path):
+    # ||f|| = 0 would make every weak-type ratio 0 and pass vacuously
+    res = _run(["run", "--experiment", "maximal-weak-type",
+                "--out", str(tmp_path),
+                "--override", "atoms.lam_range=[0.0,0.0]",
+                "--override", "atoms.count=3",
+                "--override", "atoms.tau_range=[0,0]",
+                "--override", "lattice.shape=[128,128]",
+                "--override", "n_gl=32"])
+    assert res.exit_code == 2
+    assert "lam_range" in res.output
+    assert "PASS" not in res.output
+
+
+def test_cli_exit_code_zero_weight_list_row(tmp_path):
+    res = _run(["run", "--experiment", "full-pipeline", "--out", str(tmp_path),
+                "--override", "atoms.list=[{tau: 0, index: [0, 0], lam: 1.0},"
+                " {tau: -1, index: [2, 0], lam: 0.0}]"])
+    assert res.exit_code == 2
+    assert "lam > 0" in res.output
+    assert "PASS" not in res.output
 
 
 def test_cli_exit_code_not_normalized(tmp_path):

@@ -20,7 +20,7 @@ from anisomax import experiments, maximal
 from anisomax.atoms import Atom, AtomicSum, compose_dilation, make_atom
 from anisomax.config import load_config
 from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
-from anisomax.dilation import validate_dilation
+from anisomax.dilation import cube_diameter, validate_dilation
 from anisomax.errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
@@ -37,6 +37,7 @@ from anisomax.maximal import (
     maximal_field,
     read_field_binary,
     weak_type_ratio,
+    weak_type_report,
     write_field_binary,
     write_field_csv,
 )
@@ -139,6 +140,23 @@ def test_convolve_resolution_guard():
     coarse = make_lattice([(-2.0, 2.0), (-2.0, 2.0)], (8, 8))
     with pytest.raises(ResolutionTooCoarseError):
         convolve_dilated(f, _circle_measure(), 0, coarse)
+
+
+def test_resolution_guard_sizes_each_tau_once(monkeypatch):
+    D = _diag24()
+    taus = (0, -1, 0, -1, 0)
+    mixed = AtomicSum(terms=[
+        (make_atom(GridCube(0, tau, (i, 0), D), "haar", seed=i), 1.0)
+        for i, tau in enumerate(taus)], dilation=D)
+    asked = []
+
+    def counting(D, tau):
+        asked.append(tau)
+        return cube_diameter(D, tau)
+
+    monkeypatch.setattr(maximal, "cube_diameter", counting)
+    assert maximal._min_atom_diameter(mixed) == cube_diameter(D, -1)
+    assert sorted(asked) == [-1, 0]
 
 
 def test_convolve_empty_sum():
@@ -432,9 +450,32 @@ def test_distribution_exclusion_never_grows():
     fld = _small_field()
     cube = GridCube(0, -2, (0, 0), D)   # covers [0, 0.25) x [0, 0.0625)
     plain = distribution_function(fld, [0.5, 2.0])
-    masked = distribution_function(fld, [0.5, 2.0], exclude=[cube.realize()])
+    masked = distribution_function(
+        fld, [0.5, 2.0], excluded=_excluded_mask(fld.lattice, [cube.realize()]))
     assert np.all(masked.measures <= plain.measures + 1e-15)
     assert masked.measures[0] < plain.measures[0]
+    with pytest.raises(InputInvalidError):
+        distribution_function(fld, [0.5], excluded=np.zeros((4, 4), dtype=bool))
+
+
+def test_distribution_counts_match_per_threshold_passes():
+    # one sort and a binary search per threshold count exactly what a pass
+    # over the cells per threshold counts, ties on a threshold included
+    rng = np.random.default_rng(11)
+    lat = make_lattice([(0.0, 1.0), (0.0, 2.0)], (24, 40))
+    thresholds = np.array([0.0, 0.125, 0.25, 0.25, 0.5, 0.75, 1.0, 2.0])
+    values = rng.choice(np.concatenate([thresholds, rng.random(50)]), lat.shape)
+    fld = SampledField(lat, values)
+    before = fld.values.copy()
+    for excluded in (None, rng.random(lat.shape) < 0.3,
+                     np.ones(lat.shape, dtype=bool)):
+        kept = values if excluded is None else values[~excluded]
+        brute = np.array([lat.cell_volume * np.count_nonzero(kept > lam)
+                          for lam in thresholds])
+        report = distribution_function(fld, thresholds, excluded=excluded)
+        assert np.array_equal(report.measures, brute)
+        assert report.weak_ratio == float(np.max(thresholds * brute))
+    assert np.array_equal(fld.values, before)   # the field is not sorted in place
 
 
 # ------------------------------------------------------ exceptional-set mask
@@ -483,13 +524,13 @@ def test_windowed_mask_matches_brute_force_union(tmp_path):
     # a primitive off the lattice changes nothing
     far = GridCube(0, 0, (40, 40), _diag24()).realize()
     assert np.array_equal(_excluded_mask(lat, exceptional + [far]), mask)
-    # zeroing the masked cells, as full-pipeline does, counts the same sizes
+    # the masked counts are those of the cells outside the brute-force union
     fld = SampledField(lat, np.random.default_rng(4).random(lat.shape))
     thresholds = np.geomspace(1e-3, 1.0, 16)
-    skipped = distribution_function(fld, thresholds, exclude=exceptional)
-    zeroed = distribution_function(
-        SampledField(lat, np.where(mask, 0.0, fld.values)), thresholds)
-    assert np.array_equal(skipped.measures, zeroed.measures)
+    skipped = distribution_function(fld, thresholds, excluded=mask)
+    outside = fld.values.ravel()[~brute]
+    assert np.array_equal(skipped.measures, lat.cell_volume * np.array(
+        [np.count_nonzero(outside > lam) for lam in thresholds]))
 
 
 def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
@@ -576,6 +617,10 @@ def test_weak_type_rejects_zero_norm():
     lat = make_lattice([(0.0, 1.0), (0.0, 1.0)], (8, 8))
     with pytest.raises(InputInvalidError):
         weak_type_ratio(empty, _circle_measure(), (0, 1), lat)
+    # zero-weight atoms: Mf vanishes, so a ratio of 0 would pass vacuously
+    weightless = _haar_sum(D, lam=0.0)
+    with pytest.raises(InputInvalidError):
+        weak_type_report(weightless, _circle_measure(), (0, 1), lat)
 
 
 # ----------------------------------------------------------------- export

@@ -33,6 +33,9 @@ from anisomax.surface import (
     GraphSurface,
     KernelField,
     SurfaceMeasure,
+    _conv_lattice,
+    _default_spacing,
+    _support_boxes,
     autocorrelation_kernel,
     check_kernel_decay,
     check_linfty_bound,
@@ -504,3 +507,47 @@ def test_pair_control_shallow_decay():
     slope = np.polyfit(np.log(dists), np.log(inners), 1)[0]
     assert slope >= -1.5
     assert slope < 0.0
+
+
+def _brute_convolution(atomic, measure, points):
+    """(mu * f) at the points: the whole atomic sum once per measure node."""
+    out = np.zeros(points.shape[0])
+    for node, w in zip(measure.quad_points, measure.quad_weights):
+        if w != 0.0:
+            out += w * atomic.evaluate(points - node)
+    return out
+
+
+@pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 2.0]],
+                                    [[4.0, 1.0], [1.0, 3.0]]])
+def test_kernel_checks_match_brute_force(matrix):
+    # diag(4, 2) takes convolve_dilated's separable path and the sheared
+    # matrix its windowed scatter; both must match one evaluation of the
+    # sum per node on the cell centers of the check's lattice
+    D = validate_dilation(matrix)
+    piece = partition_measure(make_surface("circle-arc"), s=0, eps=EPS)[1]
+    a = AtomicSum(terms=[
+        (make_atom(GridCube(0, -1, (0, 0), D), "haar", seed=1), 1.0),
+        (make_atom(GridCube(0, 0, (1, -1), D), "bump", seed=2), 0.5)],
+        dilation=D)
+    b = _haar_sum(D, (2, 0), -1)
+
+    h = _default_spacing(a)
+    lat = _conv_lattice(_support_boxes(a), piece.quad_points, h, 2.0 * h)
+    field = _brute_convolution(a, piece, lat.points())
+    peak = float(np.max(np.abs(field)))
+    assert peak > 0.0
+    rep = check_linfty_bound(a, piece, D, sigma=0, zeta=ZETA, s=0)
+    assert rep.sup_norm == approx(peak, rel=0, abs=1e-12 * peak)
+    assert rep.l1_norm == approx(np.sum(np.abs(field)) * h * h, rel=0,
+                                 abs=1e-12 * peak * field.size * h * h)
+
+    h = min(_default_spacing(a), _default_spacing(b))
+    lat = _conv_lattice(_support_boxes(a, b), piece.quad_points, h, 2.0 * h)
+    fa = _brute_convolution(a, piece, lat.points())
+    fb = _brute_convolution(b, piece, lat.points())
+    scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
+    rep = check_pair_bound(a, b, piece, D, sigma_prime=-1, eps=EPS, s=0)
+    assert abs(rep.inner) > 1e-6 * scale * h * h
+    assert rep.inner == approx(float(np.sum(fa * fb)) * h * h, rel=0,
+                               abs=1e-12 * scale * fa.size * h * h)
