@@ -7,28 +7,27 @@ output.  stopping_time runs a two-parameter refinement loop over scales
 (sigma, tau), classifies every input cube with a stopping level kappa, and
 assembles an exceptional set out of tendril bounds and quadrupled cubes;
 verify_stopping re-checks its four defining conditions.
+
+Both reduce to three questions about grid cubes: is Q inside a cube, is Q
+inside a cube's double, and do two cubes overlap.  All three are answered
+from one pullback box, Q's bounding box in the units of the other cube's
+grid, under one tolerance rule.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .dilation import DilationStructure, cube_diameter
+from .dilation import cube_diameter
 from .errors import (
     BudgetExceededError,
     InputInvalidError,
     NotNormalizedError,
     NumericalFailureError,
 )
-from .grid import (
-    GridCube,
-    Parallelepiped,
-    TendrilBound,
-    cube_contains,
-    expand_cube,
-    tendril_of,
-)
+from .grid import GridCube, Parallelepiped, TendrilBound, expand_cube, tendril_of
 
 _LEVEL_BUDGET = 200
 _TOL = 1e-9
@@ -37,60 +36,72 @@ _TOL = 1e-9
 # --------------------------------------------------------------- shared math
 
 
+def _pullback_box(Q: GridCube, sigma: int, tau: int) -> list:
+    """Q's bounding box in the units of the (sigma, tau) grid.
+
+    The coordinates are 2^-sigma A^-tau x, in which the grid cube of index n
+    is [n, n + 1)^d.  The box is exact because Q is the convex hull of its
+    vertices.  One (lo, hi, tol) triple per axis; tol is the rounding
+    allowance of every comparison made on that axis.
+    """
+    verts = Q.vertices() @ Q.dilation.power(-tau).T
+    scale = 2.0 ** -sigma
+    box = []
+    for lo, hi in zip(verts.min(axis=0).tolist(), verts.max(axis=0).tolist()):
+        lo, hi = lo * scale, hi * scale
+        box.append((lo, hi, _TOL * max(1.0, abs(lo) + abs(hi))))
+    return box
+
+
 def star_window(Q: GridCube, sigma: int, tau: int):
     """Integer indices n with Q contained in the double of (sigma, tau, n).
 
-    The double of the cube is the box 2^sigma [n - 1/2, n + 3/2]^d in the
-    A^-tau pullback frame, so containment reduces to per-axis inequalities on
-    the pullback bounding box of Q, which is exact because Q is the convex
-    hull of its vertices.
+    The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so the
+    windows are per-axis inequalities on Q's pullback box.
     """
-    D = Q.dilation
-    verts = Q.vertices() @ D.power(-tau).T
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    side = 2.0 ** sigma
     windows = []
-    for i in range(D.dim):
-        tol = _TOL * max(1.0, abs(lo[i]) + abs(hi[i]))
-        n_min = int(np.ceil(hi[i] / side - 1.5 - tol))
-        n_max = int(np.floor(lo[i] / side + 0.5 + tol))
+    for lo, hi, tol in _pullback_box(Q, sigma, tau):
+        n_min = math.ceil(hi - 1.5 - tol)
+        n_max = math.floor(lo + 0.5 + tol)
         if n_min > n_max:
             return []
         windows.append(range(n_min, n_max + 1))
-    return [tuple(n) for n in product(*windows)]
+    return list(product(*windows))
 
 
-def _entry_in_star(Q: GridCube, host: GridCube) -> bool:
-    """Exact test Q subset of host* through the host's pullback frame."""
-    if host.sigma == 0 and host.tau == Q.tau and Q.sigma == 0:
-        # Same scale: the double [n - 1/2, n + 3/2]^d holds exactly one
-        # integer unit cube per axis, the host's own.
+def _within(Q: GridCube, host: GridCube, factor: float) -> bool:
+    """Q inside the host grown about its center by factor: 1 or 2 (its double)."""
+    if Q.sigma == host.sigma and Q.tau == host.tau:
+        # Same scale: the cube and its double each hold exactly one grid
+        # cube, the host's own.
         return Q.index == host.index
-    verts = Q.vertices() @ Q.dilation.power(-host.tau).T
-    side = 2.0 ** host.sigma
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    for i, n in enumerate(host.index):
-        tol = _TOL * max(1.0, abs(lo[i]) + abs(hi[i]))
-        if lo[i] < side * (n - 0.5) - tol or hi[i] > side * (n + 1.5) + tol:
+    reach = 0.5 * factor
+    for (lo, hi, tol), n in zip(_pullback_box(Q, host.sigma, host.tau), host.index):
+        if lo < n + 0.5 - reach - tol or hi > n + 0.5 + reach + tol:
             return False
     return True
 
 
 def _cubes_overlap(a: GridCube, b: GridCube) -> bool:
-    """Strict interior overlap of two half-open grid cubes."""
+    """Interior overlap of the smaller cube's pullback box with the larger cube:
+    exact when the grids nest (diagonal A), otherwise it may err towards overlap."""
     if a.tau == b.tau and a.sigma == b.sigma:
         return a.index == b.index
     inner, outer = (a, b) if a.volume <= b.volume else (b, a)
-    verts = inner.vertices() @ inner.dilation.power(-outer.tau).T
-    side = 2.0 ** outer.sigma
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    for i, n in enumerate(outer.index):
-        if min(hi[i], side * (n + 1)) - max(lo[i], side * n) <= _TOL * max(1.0, side):
+    for (lo, hi, tol), n in zip(_pullback_box(inner, outer.sigma, outer.tau), outer.index):
+        if min(hi, n + 1) - max(lo, n) <= tol:
             return False
     return True
+
+
+def _star_groups(entries, ids, sigma: int, tau: int) -> dict:
+    """Map each index n to the ids, in the given order, whose cube lies in
+    the double of (sigma, tau, n)."""
+    groups = {}
+    for i in ids:
+        for n in star_window(entries[i][0], sigma, tau):
+            groups.setdefault(n, []).append(i)
+    return groups
 
 
 # ------------------------------------------------------------------- whitney
@@ -181,10 +192,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         remaining = sum(entries[i][1] for i in active)
         if remaining <= alpha * (a ** t):
             continue
-        candidates = {}
-        for i in sorted(active):
-            for n in star_window(entries[i][0], 0, t):
-                candidates.setdefault(n, []).append(i)
+        candidates = _star_groups(entries, sorted(active), 0, t)
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
             residual = sum(entries[i][1] for i in members)
@@ -212,15 +220,15 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     placed = []
     for rec in nodes:
         parent = None
-        for cand, box in placed:
-            if cube_contains(box, rec[1]):
+        for cand in placed:
+            if _within(rec[1], cand[1], 1.0):
                 if parent is None or cand[1].volume < parent[1].volume:
                     parent = cand
         if parent is None:
             roots.append(rec)
         else:
             children[id(parent)].append(rec)
-        placed.append((rec, rec[1].realize()))
+        placed.append(rec)
 
     def _collect(rec):
         got = list(rec[2])
@@ -252,7 +260,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         for s_id, s_cube in enumerate(selected):
             if s_cube is None:
                 continue
-            full = sum(lam for cube, lam in entries if _entry_in_star(cube, s_cube))
+            full = sum(lam for cube, lam in entries if _within(cube, s_cube, 2.0))
             excess = full - 16.0 * alpha * s_cube.volume
             if excess > _TOL * max(1.0, full) and (worst is None or excess > worst[1]):
                 worst = (s_id, excess)
@@ -278,7 +286,6 @@ def _merge_nested(selected, assigned, entries):
     """Drop selected cubes contained in other selected cubes, reassigning."""
     order = sorted((s_id for s_id, s in enumerate(selected) if s is not None),
                    key=lambda s_id: -selected[s_id].volume)
-    boxes = {s_id: selected[s_id].realize() for s_id in order}
     for small_pos in range(len(order) - 1, -1, -1):
         small_id = order[small_pos]
         small = selected[small_id]
@@ -286,10 +293,9 @@ def _merge_nested(selected, assigned, entries):
             big = selected[big_id]
             if big is None or big_id == small_id or small is None:
                 continue
-            same = (big.sigma, big.tau, big.index) == (small.sigma, small.tau, small.index)
-            if not same and big.volume < small.volume:
+            if big.volume < small.volume:
                 continue
-            if same or cube_contains(boxes[big_id], small):
+            if _within(small, big, 1.0):
                 for i, s in list(assigned.items()):
                     if s == small_id:
                         assigned[i] = big_id
@@ -318,14 +324,14 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
 
     ok, witness = True, None
     for i, s_id in result.assigned.items():
-        if not _entry_in_star(entries[i][0], selected[s_id]):
+        if not _within(entries[i][0], selected[s_id], 2.0):
             ok, witness = False, f"entry {i} not inside the double of its host {s_id}"
             break
     report.add("assignment", ok, witness)
 
     ok, witness = True, None
     for s_id, s_cube in enumerate(selected):
-        full = sum(lam for cube, lam in entries if _entry_in_star(cube, s_cube))
+        full = sum(lam for cube, lam in entries if _within(cube, s_cube, 2.0))
         bound = c_w * alpha * s_cube.volume
         if full > bound * (1.0 + 1e-9):
             ok, witness = False, f"host {s_id}: mass {full:.6g} > {bound:.6g}"
@@ -354,14 +360,13 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
             a_rec, b_rec = recs[k], recs[m]
             if _cubes_overlap(a_rec[1], b_rec[1]):
                 inner, outer = sorted((a_rec[1], b_rec[1]), key=lambda c: c.volume)
-                if not cube_contains(outer.realize(), inner):
+                if not _within(inner, outer, 1.0):
                     conservative = True
-    boxes = [cube.realize() for _, cube in recs]
     worst = 0.0
     for mass, cube in recs:
         chain = 0.0
-        for (other_mass, other), box in zip(recs, boxes):
-            if other is cube or cube_contains(box, cube) or \
+        for other_mass, other in recs:
+            if other is cube or _within(cube, other, 1.0) or \
                     (conservative and _cubes_overlap(other, cube)):
                 chain += other_mass / other.volume
         if chain > worst:
@@ -458,7 +463,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
 
     hosts_of = {}
     for i, (cube, _) in enumerate(entries):
-        hosts_of[i] = [k for k, s_cube in enumerate(S_list) if _entry_in_star(cube, s_cube)]
+        hosts_of[i] = [k for k, s_cube in enumerate(S_list) if _within(cube, s_cube, 2.0)]
         if not hosts_of[i]:
             raise InputInvalidError(f"entry {i} is not inside the double of any S")
 
@@ -483,15 +488,12 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
         sigma = 0
         while live:
             fits = any(
-                cube_diameter(D, entries[i][0].tau - tau) <= (2.0 ** (sigma + 1)) * unit_diam
-                for i in live
+                cube_diameter(D, t - tau) <= (2.0 ** (sigma + 1)) * unit_diam
+                for t in {entries[i][0].tau for i in live}
             )
             if not fits:
                 break
-            candidates = {}
-            for i in sorted(live):
-                for n in star_window(entries[i][0], sigma, tau):
-                    candidates.setdefault(n, []).append(i)
+            candidates = _star_groups(entries, sorted(live), sigma, tau)
             threshold = alpha * (2.0 ** sigma) * (a ** tau)
             chosen = []
             for n in sorted(candidates):
@@ -504,20 +506,18 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                 selected_qs[(sigma, tau, n)] = q
                 trace.append(TraceEvent(kind="select", sigma=sigma, tau=tau,
                                         index=n, mass=mass))
-            if chosen:
-                chosen_set = {n for n, _ in chosen}
-                for n, _ in chosen:
-                    for i in list(candidates[n]):
-                        if i not in live:
-                            continue
-                        first = min(m for m in star_window(entries[i][0], sigma, tau)
-                                    if m in chosen_set)
-                        live.discard(i)
-                        kappa[i] = tau + 1
-                        classification[i] = "C1"
-                        host[i] = ("q", sigma, tau, first)
-                        trace.append(TraceEvent(kind="classify", sigma=sigma, tau=tau,
-                                                index=first, entry=i, action="C1"))
+            # chosen ascends, so the first chosen double holding a live
+            # entry is the one that stops it
+            for n, _ in chosen:
+                for i in candidates[n]:
+                    if i not in live:
+                        continue
+                    live.discard(i)
+                    kappa[i] = tau + 1
+                    classification[i] = "C1"
+                    host[i] = ("q", sigma, tau, n)
+                    trace.append(TraceEvent(kind="classify", sigma=sigma, tau=tau,
+                                            index=n, entry=i, action="C1"))
             sigma -= 1
         finishing = [i for i in sorted(live) if entries[i][0].tau == tau]
         for i in finishing:
@@ -644,7 +644,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
         ok, witness = True, None
         for i, (cube, _) in enumerate(entries):
             for k, s_cube in enumerate(S_list):
-                if _entry_in_star(cube, s_cube) and result.kappa[i] <= s_cube.tau:
+                if _within(cube, s_cube, 2.0) and result.kappa[i] <= s_cube.tau:
                     ok = False
                     witness = f"entry {i}: kappa {result.kappa[i]} <= tau(S_{k}) {s_cube.tau}"
                     break
@@ -659,12 +659,10 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             stopped = [i for i in range(len(entries)) if result.kappa[i] <= tau]
             if not stopped:
                 continue
-            sums = {}
-            for i in stopped:
-                for n in star_window(entries[i][0], sigma, tau):
-                    sums[n] = sums.get(n, 0.0) + entries[i][1]
+            groups = _star_groups(entries, stopped, sigma, tau)
             bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
-            for n, mass in sums.items():
+            for n, members in groups.items():
+                mass = sum(entries[i][1] for i in members)
                 if mass > bound * (1.0 + 1e-9):
                     ok = False
                     witness = (f"step ({sigma}, {tau}), cube {n}: "

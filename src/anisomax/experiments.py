@@ -42,7 +42,7 @@ from .surface import (
     autocorrelation_kernel,
     check_kernel_decay,
     classify_pieces,
-    excluded_piece_growth,
+    fit_excluded_growth,
     partition_measure,
     surface_quadrature,
 )
@@ -242,12 +242,15 @@ def _run_stopping(config, out: Path, lines: Lines) -> None:
 def _run_surface_classify(config, out: Path, lines: Lines) -> None:
     surface = config.surface_obj()
     D = config.dilation()
+    s_values = config.s_values()
     rows = []
-    for s in config.s_values():
+    counts = []
+    for s in s_values:
         pieces = partition_measure(surface, s, config.eps, n_gl=24)
         records = classify_pieces(pieces, surface, D, config.eps, config.zeta,
                                   tau_window=config.tau_window)
         excluded = sum(1 for r in records if r.in_I1 or r.in_I2)
+        counts.append(excluded)
         lines.add(f"scale_s{s}", True,
                   f"{len(records)} pieces, {excluded} excluded")
         for r in records:
@@ -257,10 +260,8 @@ def _run_surface_classify(config, out: Path, lines: Lines) -> None:
     _write_csv(out / "classification.csv",
                ["s", "rho", "center", "min_curvature", "worst_mass_ratio",
                 "worst_tau", "in_I1", "in_I2"], rows)
-    s_values = config.s_values()
     if len(set(s_values)) >= 5:
-        growth = excluded_piece_growth(surface, D, config.eps, config.zeta,
-                                       s_values)
+        growth = fit_excluded_growth(surface.dim, config.eps, s_values, counts)
         lines.add("excluded_growth", True,
                   f"eta={growth.eta!r}, counts={growth.counts}")
 

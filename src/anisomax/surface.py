@@ -27,6 +27,8 @@ CHI_RADIUS = 0.48
 CATALOG = ("circle-arc", "paraboloid", "quartic-flat", "custom-polynomial")
 _PIECE_BUDGET = 1_000_000
 _PROBE_POINTS = 33
+# largest pulled coordinate whose floor is still an exact cube key
+_KEY_LIMIT = 2.0 ** 53
 _MAX_POLY_DEGREE = 6
 FINE_POINTS = 4096
 KERNEL_SMOOTH_CELLS = 1.0
@@ -449,6 +451,12 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
                     worst_ratio, worst_tau = ratio, tau
                 continue
             pulled = pts @ D.power(-tau).T
+            # past 2^53 floats no longer hold every integer, and the int64
+            # cast overflows past 2^63: the cube keys would be garbage
+            if not np.all(np.abs(pulled) < _KEY_LIMIT):
+                raise InputInvalidError(
+                    f"tau {tau}: pulled coordinates reach 2^53, past exact "
+                    "integer cube keys; narrow tau_window")
             keys = np.floor(pulled).astype(np.int64)
             _, inverse = np.unique(keys, axis=0, return_inverse=True)
             cube_mass = np.bincount(inverse, weights=masses)
@@ -479,18 +487,24 @@ class GrowthReport:
 def excluded_piece_growth(surface: GraphSurface, D: DilationStructure,
                           eps: float, zeta: float, s_values,
                           n_gl: int = 24, fine_points: int = FINE_POINTS) -> GrowthReport:
-    """Fit |I1 union I2| ~ 2^{g s} and return eta = (d-1)eps - g."""
+    """Count |I1 union I2| at every scale and fit it with fit_excluded_growth."""
     s_values = [int(s) for s in s_values]
-    if len(set(s_values)) < 5:
-        raise DegenerateFitError("need at least 5 distinct scales")
     counts = []
     for s in s_values:
         pieces = partition_measure(surface, s, eps, n_gl=n_gl)
         classify_pieces(pieces, surface, D, eps, zeta, fine_points=fine_points)
         counts.append(sum(1 for piece in pieces if piece.excluded))
+    return fit_excluded_growth(surface.dim, eps, s_values, counts)
+
+
+def fit_excluded_growth(dim: int, eps: float, s_values, counts) -> GrowthReport:
+    """Fit excluded counts |I1 union I2| ~ 2^{g s}; eta = (d-1)eps - g."""
+    s_values = [int(s) for s in s_values]
+    if len(set(s_values)) < 5:
+        raise DegenerateFitError("need at least 5 distinct scales")
     logs = np.log2(np.asarray(counts, dtype=float) + 1.0)
     growth = float(np.polyfit(np.asarray(s_values, dtype=float), logs, 1)[0])
-    eta = (surface.dim - 1) * eps - growth
+    eta = (dim - 1) * eps - growth
     return GrowthReport(eta=eta, growth=growth, s_values=s_values, counts=counts)
 
 

@@ -1,6 +1,7 @@
 """Config loading, experiment runners, and the command-line interface."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -223,6 +224,28 @@ def test_cli_exit_code_budget(tmp_path):
     res = _run(["run", "--experiment", "surface-classify",
                 "--out", str(tmp_path), "--override", "s_range=[80,84]"])
     assert res.exit_code == 3
+
+
+def test_cli_exit_code_cube_keys_past_exact_floats(tmp_path):
+    res = _run(["run", "--experiment", "surface-classify",
+                "--out", str(tmp_path), "--override", "s_range=[0,4]",
+                "--override", "tau_window=[-40,-20]"])
+    assert res.exit_code == 2
+    assert "2^53" in res.output
+    assert "PASS" not in res.output
+
+
+def test_cli_surface_classify_growth_fits_the_printed_counts(tmp_path):
+    # the growth line must fit the counts of the scale lines, which honour
+    # tau_window, not a second classification under the default window
+    res = _run(["run", "--experiment", "surface-classify",
+                "--out", str(tmp_path), "--override", "s_range=[0,4]",
+                "--override", "tau_window=[0,0]"])
+    assert res.exit_code == 0, res.output
+    printed = [int(v) for v in re.findall(r"(\d+) excluded", res.output)]
+    assert len(printed) == 5
+    fitted = re.search(r"counts=\[([^\]]*)\]", res.output).group(1)
+    assert [int(v) for v in fitted.split(",")] == printed
 
 
 def test_cli_out_dir_precedence(tmp_path):

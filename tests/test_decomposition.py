@@ -6,6 +6,8 @@ from numpy.random import default_rng
 from pytest import approx
 
 from anisomax.decomposition import (
+    _cubes_overlap,
+    _within,
     replay_trace_masses,
     star_window,
     stopping_time,
@@ -16,7 +18,7 @@ from anisomax.decomposition import (
 )
 from anisomax.dilation import validate_dilation
 from anisomax.errors import BudgetExceededError, InputInvalidError, NotNormalizedError
-from anisomax.grid import GridCube
+from anisomax.grid import GridCube, _boxes_intersect_open, cube_contains, expand_cube
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,59 @@ def test_star_window_coarser_level_count(diag_dilation):
     for n in window:
         host = GridCube(0, 1, n, diag_dilation)
         assert host.volume == approx(8.0)
+
+
+PREDICATE_MATRICES = [
+    [[4, 1], [1, 3]],
+    [[2, 1], [0, 2]],
+    [[2, -2], [2, 2]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+    [[2, 0], [0, 4]],
+    [[4, 0], [0, 2]],
+]
+
+
+def _interiors_meet(a, b):
+    """Separating-axis oracle: do the two closed parallelepipeds share interior?"""
+    pa, pb = a.realize(), b.realize()
+    axes = list(np.linalg.inv(pa.basis)) + list(np.linalg.inv(pb.basis))
+    if pa.dim == 3:
+        axes += [np.cross(pa.basis[:, i], pb.basis[:, j])
+                 for i in range(3) for j in range(3)]
+    axes = [axis for axis in axes if np.linalg.norm(axis) > 1e-14]
+    return _boxes_intersect_open(pa.vertices(), pb.vertices(), axes)
+
+
+@pytest.mark.parametrize("matrix", PREDICATE_MATRICES)
+def test_cube_relations_match_parallelepiped_oracle(matrix):
+    D = validate_dilation(matrix)
+    rng = default_rng(5)
+    diagonal = np.allclose(D.matrix, np.diag(np.diag(D.matrix)))
+    hits = {1.0: 0, 2.0: 0, "overlap": 0}
+    for _ in range(600):
+        sigmas = rng.integers(-2, 1, size=2)
+        taus = rng.integers(-4, 2, size=2)
+        Q = GridCube(int(sigmas[0]), int(taus[0]),
+                     tuple(int(v) for v in rng.integers(-3, 4, size=D.dim)), D)
+        # a host near Q, so that containment holds on a fair share of pairs
+        near = np.linalg.solve(D.power(int(taus[1])), Q.center()) / 2.0 ** sigmas[1]
+        index = tuple(int(np.floor(v)) + int(rng.integers(-1, 2)) for v in near)
+        host = GridCube(int(sigmas[1]), int(taus[1]), index, D)
+        for factor in (1.0, 2.0):
+            inside = cube_contains(expand_cube(host, factor), Q)
+            assert _within(Q, host, factor) == inside, (Q, host, factor)
+            hits[factor] += inside
+        in_window = host.index in star_window(Q, host.sigma, host.tau)
+        assert in_window == cube_contains(expand_cube(host, 2.0), Q), (Q, host)
+        meet = _interiors_meet(Q, host)
+        hits["overlap"] += meet
+        if diagonal:
+            # nested grids: the pullback box is the cube itself
+            assert _cubes_overlap(Q, host) == meet, (Q, host)
+        elif meet:
+            # otherwise the box test may only err towards overlap
+            assert _cubes_overlap(Q, host), (Q, host)
+    assert min(hits.values()) >= 10, hits
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +180,19 @@ def test_nested_chain_density_repair(diag_dilation):
     assert len(res.selected) == 1
     assert res.selected[0].tau == -3
     assert sorted(res.leftover) == [0, 1, 2]
+    rep = verify_whitney(res, entries, alpha)
+    assert rep.passed, rep.failures()
+
+
+def test_density_guard_lifts_an_overloaded_double(diag_dilation):
+    # The sweep and the repair leave the second cube at tau = -2, where its
+    # double holds 0.254 > 16 alpha |S| = 0.25; the guard lifts it to its
+    # tau parent.  Without the guard condition 1 fails on this instance.
+    alpha = 1.0
+    entries = [(GridCube(0, -3, (0, 2), diag_dilation), 0.175),
+               (GridCube(0, -3, (2, 2), diag_dilation), 0.079)]
+    res = whitney_decompose(entries, alpha)
+    assert [(s.tau, s.index) for s in res.selected] == [(-1, (-1, -1)), (-1, (0, 0))]
     rep = verify_whitney(res, entries, alpha)
     assert rep.passed, rep.failures()
 

@@ -346,6 +346,18 @@ def test_classify_input_validation():
         classify_pieces(mixed, circ, D, eps=EPS, zeta=ZETA)
 
 
+def test_classify_rejects_cube_keys_past_exact_floats():
+    # under diag(2,4) the pulled coordinates pass 2^53 from tau = -28 on,
+    # where float cube keys stop being exact (and int64 keys wrap at 2^63)
+    circ = make_surface("circle-arc")
+    pieces = partition_measure(circ, s=0, eps=EPS)
+    with pytest.raises(InputInvalidError, match="2\\^53"):
+        classify_pieces(pieces, circ, _normal_perp(), eps=EPS, zeta=ZETA,
+                        tau_window=(-40, -20))
+    classify_pieces(pieces, circ, _normal_perp(), eps=EPS, zeta=ZETA,
+                    tau_window=(-27, -20))
+
+
 def test_growth_quartic_eta():
     quart = make_surface("quartic-flat")
     report = excluded_piece_growth(quart, _transversal(), eps=EPS, zeta=ZETA,
