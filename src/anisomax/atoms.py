@@ -128,9 +128,6 @@ class AtomicSum:
                 out += lam * atom._evaluate_local(local)
         return out
 
-    def support_cubes(self) -> list:
-        return [atom.support for atom, _ in self.terms]
-
 
 def eval_atomic_sum(f: AtomicSum, points) -> np.ndarray:
     return f.evaluate(points)

@@ -38,7 +38,7 @@ DEFAULTS = {
     "tau_window": None,
     "n_gl": 200,
     "n_bins": 255,
-    "constants": {"c_w": 16.0, "c_stop": 100.0, "c_iv": 32.0, "c_pair": 64.0},
+    "constants": {"c_w": 16.0, "c_stop": 100.0, "c_iv": 32.0},
     "out_dir": "runs",
     "seed": 7,
 }

@@ -31,6 +31,8 @@ from .grid import GridCube, Parallelepiped, TendrilBound, expand_cube, tendril_o
 
 _LEVEL_BUDGET = 200
 _TOL = 1e-9
+# unit-ball points per entry and level in verify_stopping's check (ii)
+STOPPING_SAMPLES = 1000
 
 
 # --------------------------------------------------------------- shared math
@@ -119,7 +121,11 @@ class WhitneyResult:
 
 @dataclass
 class CheckReport:
-    """Named pass/fail outcomes with witnesses for the first failure of each."""
+    """Named pass/fail outcomes, each with a witness or detail line.
+
+    The verifiers fill one per run, and run_experiment renders one into
+    summary.txt.
+    """
 
     checks: list = field(default_factory=list)
 
@@ -132,6 +138,15 @@ class CheckReport:
 
     def failures(self) -> list:
         return [(n, w) for n, ok, w in self.checks if not ok]
+
+    def render(self) -> str:
+        """One PASS/FAIL line per check, then the overall RESULT line."""
+        out = []
+        for name, ok, witness in self.checks:
+            tag = "PASS" if ok else "FAIL"
+            out.append(f"{tag} {name}: {witness}" if witness else f"{tag} {name}")
+        out.append(f"RESULT {'PASS' if self.passed else 'FAIL'}")
+        return "\n".join(out) + "\n"
 
 
 def _validate_entries(entries):
@@ -572,28 +587,18 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     )
 
 
-def _sample_support(surface, count, rng):
-    """Points of the measure's support: graph points over the cutoff box."""
-    if surface is None:
-        return None
-    half = surface.chi_radius
-    d = surface.dim
-    y = rng.uniform(-half, half, size=(count, d - 1))
-    return np.column_stack([y, surface.psi(y)])
-
-
 def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
-                    surface=None, C: float = 100.0, C_iv: float = 32.0,
-                    n_samples: int = 1000, seed: int = 0,
+                    C: float = 100.0, C_iv: float = 32.0, seed: int = 0,
                     checks=("i", "ii", "iii", "iv")) -> CheckReport:
     """Re-check the four defining conditions of the stopping construction.
 
     (i) the summed volume terms of the exceptional primitives are controlled
-    by C (alpha^-1 sum lam + sum |S|); (ii) sampled dilates of each entry at
-    levels below kappa land inside the exceptional set; (iii) kappa exceeds
-    tau(S) for every S whose double holds the entry; (iv) at every recorded
-    step (sigma, tau), mass already stopped (kappa <= tau) stacks to at most
-    C_iv alpha 2^sigma a^tau inside any double.
+    by C (alpha^-1 sum lam + sum |S|); (ii) dilates of each entry at levels
+    below kappa, sampled at STOPPING_SAMPLES points of the unit ball, land
+    inside the exceptional set; (iii) kappa exceeds tau(S) for every S whose
+    double holds the entry; (iv) at every recorded step (sigma, tau), mass
+    already stopped (kappa <= tau) stacks to at most C_iv alpha 2^sigma a^tau
+    inside any double.
     """
     report = CheckReport()
     D = entries[0][0].dilation
@@ -608,19 +613,16 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
 
     if "ii" in checks:
         ok, witness = True, None
-        if surface is None:
-            ball = rng.normal(size=(n_samples, D.dim))
-            ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
-            ball = ball * (rng.random((n_samples, 1)) ** (1.0 / D.dim))
-            support = ball
-        else:
-            support = _sample_support(surface, n_samples, rng)
+        n = STOPPING_SAMPLES
+        ball = rng.normal(size=(n, D.dim))
+        ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
+        ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
         for i, (cube, _) in enumerate(entries):
             base = cube.realize()
-            u = rng.random((n_samples, D.dim))
+            u = rng.random((n, D.dim))
             x = base.origin + u @ base.basis.T
             for j in (result.kappa[i] - 1, result.kappa[i] - 3, result.kappa[i] - 8):
-                pts = x + support @ D.power(j).T
+                pts = x + ball @ D.power(j).T
                 inside = result.exceptional[result.assigned_primitive[i]].contains_points(pts)
                 if not np.all(inside):
                     missing = np.where(~inside)[0]
@@ -634,7 +636,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
                     if not np.all(rest):
                         ok = False
                         witness = (f"entry {i}, level {j}: "
-                                   f"{int(np.sum(~rest))} of {n_samples} samples escape")
+                                   f"{int(np.sum(~rest))} of {n} samples escape")
                         break
             if not ok:
                 break

@@ -53,12 +53,12 @@ def _operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _block_size_at(A: np.ndarray, lam: complex, rank_tol: float) -> int:
-    """Size of the largest Jordan block of A at eigenvalue lam.
+def _jordan_factor(A: np.ndarray, lam: complex, rank_tol: float):
+    """The real factor M of A at eigenvalue lam, scaled to norm 1, and its norm.
 
     Works over the reals: for a complex pair the factor (A - lam)(A - conj lam)
-    is the real quadratic A^2 - 2 Re(lam) A + |lam|^2 I.  The block size is the
-    first j at which rank(M^j) stabilizes, where M is the (real) factor.
+    is the real quadratic A^2 - 2 Re(lam) A + |lam|^2 I.  A factor of norm at
+    most rank_tol is returned unscaled.
     """
     d = A.shape[0]
     if abs(lam.imag) <= rank_tol:
@@ -66,10 +66,17 @@ def _block_size_at(A: np.ndarray, lam: complex, rank_tol: float) -> int:
     else:
         m_factor = A @ A - 2.0 * lam.real * A + (abs(lam) ** 2) * np.eye(d)
     norm = _operator_norm(m_factor)
+    if norm > rank_tol:
+        m_factor = m_factor / norm
+    return m_factor, norm
+
+
+def _block_size(m_factor: np.ndarray, norm: float, rank_tol: float) -> int:
+    """Size of the largest Jordan block: the first j at which rank(M^j) stabilizes."""
     if norm <= rank_tol:
         # a 2x2 complex pair: by Cayley-Hamilton the factor is 0 up to rounding
         return 1
-    m_factor = m_factor / norm
+    d = m_factor.shape[0]
     prev_rank = d
     power = np.eye(d)
     for j in range(1, d + 1):
@@ -99,6 +106,28 @@ def _eigen_groups(eigvals: np.ndarray, tol: float):
     return reps
 
 
+def _slowest_block(A: np.ndarray, eigvals: np.ndarray):
+    """The slow eigenvalue of largest Jordan block, with its block data.
+
+    Among the eigenvalue representatives of minimal modulus, the first with
+    the largest block wins.  Returns (lam, block size, normalized factor,
+    rank_tol).
+    """
+    moduli = np.abs(eigvals)
+    r = float(np.min(moduli))
+    group_tol = 1e-8 * max(1.0, float(np.max(moduli)))
+    reps = _eigen_groups(eigvals, group_tol)
+    slow_reps = [lam for lam in reps if abs(abs(lam) - r) <= 1e-8 * r]
+    rank_tol = _RANK_TOL * max(1.0, _operator_norm(A))
+    best = None
+    for lam in slow_reps:
+        m_factor, norm = _jordan_factor(A, lam, rank_tol)
+        n_lam = _block_size(m_factor, norm, rank_tol)
+        if best is None or n_lam > best[1]:
+            best = (lam, n_lam, m_factor)
+    return best + (rank_tol,)
+
+
 def validate_dilation(matrix) -> DilationStructure:
     """Validate an expanding matrix and compute its scaling structure.
 
@@ -115,29 +144,18 @@ def validate_dilation(matrix) -> DilationStructure:
         raise EigenvalueNotExpandingError(
             f"minimum eigenvalue modulus {np.min(moduli):.6g} is not > 1"
         )
-    det_scale = float(abs(np.linalg.det(A)))
-    r_min = float(np.min(moduli))
-
-    group_tol = 1e-8 * max(1.0, float(np.max(moduli)))
-    reps = _eigen_groups(eigvals, group_tol)
-    rank_tol = _RANK_TOL * max(1.0, _operator_norm(A))
-    slow_reps = [lam for lam in reps if abs(abs(lam) - r_min) <= 1e-8 * r_min]
-    block_size = max(_block_size_at(A, lam, rank_tol) for lam in slow_reps)
-
-    structure = DilationStructure(
+    lam, block_size, m_factor, rank_tol = _slowest_block(A, eigvals)
+    v, w = _slow_vectors(A, lam, block_size, m_factor, rank_tol)
+    return DilationStructure(
         matrix=A,
         dim=d,
-        det_scale=det_scale,
-        r_min=r_min,
+        det_scale=float(abs(np.linalg.det(A))),
+        r_min=float(np.min(moduli)),
         block_size=block_size,
-        slow_vector=np.zeros(d),
-        slow_subspace=np.zeros((d, 0)),
+        slow_vector=v,
+        slow_subspace=w,
         norm_power=_norm_power(A),
     )
-    v, w = slowest_direction(structure)
-    structure.slow_vector = v
-    structure.slow_subspace = w
-    return structure
 
 
 def _norm_power(A: np.ndarray) -> int:
@@ -167,37 +185,20 @@ def slowest_direction(D: DilationStructure):
     at tau = -40 and NumericalFailureError is raised if it fails.
     """
     A = D.matrix
-    d = D.dim
-    eigvals = np.linalg.eigvals(A)
-    moduli = np.abs(eigvals)
-    r = float(np.min(moduli))
-    group_tol = 1e-8 * max(1.0, float(np.max(moduli)))
-    reps = _eigen_groups(eigvals, group_tol)
-    slow_reps = [lam for lam in reps if abs(abs(lam) - r) <= 1e-8 * r]
-    rank_tol = _RANK_TOL * max(1.0, _operator_norm(A))
+    return _slow_vectors(A, *_slowest_block(A, np.linalg.eigvals(A)))
 
-    best = None
-    for lam in slow_reps:
-        n_lam = _block_size_at(A, lam, rank_tol)
-        if best is None or n_lam > best[1]:
-            best = (lam, n_lam)
-    lam, n_max = best
 
-    if abs(lam.imag) <= rank_tol:
-        m_factor = A - lam.real * np.eye(d)
-    else:
-        m_factor = A @ A - 2.0 * lam.real * A + (abs(lam) ** 2) * np.eye(d)
-    norm = _operator_norm(m_factor)
-    if norm > rank_tol:
-        m_factor = m_factor / norm
-
+def _slow_vectors(A: np.ndarray, lam: complex, n_max: int, m_factor: np.ndarray,
+                  rank_tol: float):
+    """(v, W) of slowest_direction from the block data of _slowest_block."""
+    d = A.shape[0]
     full = np.linalg.matrix_power(m_factor, n_max)
-    u_mat, s_vals, _ = np.linalg.svd(full)
+    _, s_vals, vh = np.linalg.svd(full)
     null_dim = int(np.sum(s_vals <= rank_tol * max(1.0, s_vals[0] if len(s_vals) else 1.0)))
     if null_dim == 0:
         raise NumericalFailureError("empty generalized eigenspace; eigen data inconsistent")
     # Orthonormal basis of the generalized eigenspace G = null(m_factor^n_max).
-    basis = np.linalg.svd(full)[2][d - null_dim:].T
+    basis = vh[d - null_dim:].T
 
     depth_test = np.linalg.matrix_power(m_factor, n_max - 1) if n_max > 1 else np.eye(d)
     proj = basis @ basis.T

@@ -18,6 +18,7 @@ import scipy
 from . import __version__
 from .atoms import AtomicSum
 from .decomposition import (
+    CheckReport,
     stopping_time,
     verify_stopping,
     verify_whitney,
@@ -101,28 +102,6 @@ def _index_str(index) -> str:
     return ";".join(str(int(v)) for v in index)
 
 
-class Lines:
-    """Accumulates named pass/fail lines for the summary."""
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.rows.append((name, bool(passed), detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.rows)
-
-    def render(self) -> str:
-        out = []
-        for name, ok, detail in self.rows:
-            tag = "PASS" if ok else "FAIL"
-            out.append(f"{tag} {name}: {detail}" if detail else f"{tag} {name}")
-        out.append(f"RESULT {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(out) + "\n"
-
-
 def _write_manifest(out: Path, config, experiment: str) -> None:
     manifest = {
         "experiment": experiment,
@@ -148,31 +127,31 @@ def run_experiment(config, experiment: str, out_dir=None) -> int:
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[experiment]
-    lines = Lines()
-    runner(config, out, lines)
-    out.joinpath("summary.txt").write_text(lines.render())
+    summary = CheckReport()
+    runner(config, out, summary)
+    out.joinpath("summary.txt").write_text(summary.render())
     _write_manifest(out, config, experiment)
-    return 0 if lines.passed else 1
+    return 0 if summary.passed else 1
 
 
 # ---------------------------------------------------------- experiments
 
 
-def _run_validate_dilation(config, out: Path, lines: Lines) -> None:
+def _run_validate_dilation(config, out: Path, summary: CheckReport) -> None:
     D = config.dilation()
-    lines.add("dilation_valid", True,
-              f"a={D.det_scale:g}, r={D.r_min:g}, n={D.block_size}, "
-              f"norm_power={D.norm_power}")
+    summary.add("dilation_valid", True,
+                f"a={D.det_scale:g}, r={D.r_min:g}, n={D.block_size}, "
+                f"norm_power={D.norm_power}")
     fit_lo, fit_hi = DIAMETER_FIT_TAU
     taus = list(range(fit_lo, 1))
     _write_csv(out / "diameters.csv", ["tau", "diameter"],
                [(t, cube_diameter(D, t)) for t in taus])
     p = fit_diameter_exponent(D, range(fit_lo, fit_hi + 1))
-    lines.add("diameter_exponent", True,
-              f"p={p!r} over tau in [{fit_lo},{fit_hi}]")
+    summary.add("diameter_exponent", True,
+                f"p={p!r} over tau in [{fit_lo},{fit_hi}]")
 
 
-def _run_whitney(config, out: Path, lines: Lines) -> None:
+def _run_whitney(config, out: Path, summary: CheckReport) -> None:
     entries = config.entries()
     alpha = config.alpha
     result = whitney_decompose(entries, alpha)
@@ -184,11 +163,10 @@ def _run_whitney(config, out: Path, lines: Lines) -> None:
         rows.append((S.tau, _index_str(S.index), S.volume, mass))
     _write_csv(out / "selected.csv",
                ["tau", "index", "volume", "assigned_mass"], rows)
-    lines.add("selection", True,
-              f"{len(result.selected)} cubes from {len(entries)} entries, "
-              f"alpha={alpha!r}")
-    for name, ok, witness in report.checks:
-        lines.add(name, ok, witness or "")
+    summary.add("selection", True,
+                f"{len(result.selected)} cubes from {len(entries)} entries, "
+                f"alpha={alpha!r}")
+    summary.checks.extend(report.checks)
 
 
 def _pipeline_decomposition(config):
@@ -218,16 +196,16 @@ def _kappa_rows(sres, kept):
     return per_entry, hist
 
 
-def _run_stopping(config, out: Path, lines: Lines) -> None:
+def _run_stopping(config, out: Path, summary: CheckReport) -> None:
     entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(config)
-    lines.add("whitney", wrep.passed,
-              f"{len(wres.selected)} cubes from {len(entries)} entries")
+    summary.add("whitney", wrep.passed,
+                f"{len(wres.selected)} cubes from {len(entries)} entries")
     if sres is None:
         _write_csv(out / "kappa.csv",
                    ["entry", "tau", "index", "lam", "kappa", "class"], [])
         _write_csv(out / "kappa_hist.csv", ["kappa", "count"], [])
         _write_csv(out / "exceptional.csv", ["kind", "volume_term"], [])
-        lines.add("stopping", True, "no cubes selected; nothing to stop")
+        summary.add("stopping", True, "no cubes selected; nothing to stop")
         return
     per_entry, hist = _kappa_rows(sres, kept)
     _write_csv(out / "kappa.csv",
@@ -235,24 +213,23 @@ def _run_stopping(config, out: Path, lines: Lines) -> None:
     _write_csv(out / "kappa_hist.csv", ["kappa", "count"], hist)
     _write_csv(out / "exceptional.csv", ["kind", "volume_term"],
                [(p.kind, p.volume_term) for p in sres.exceptional])
-    for name, ok, witness in srep.checks:
-        lines.add(name, ok, witness or "")
+    summary.checks.extend(srep.checks)
 
 
-def _run_surface_classify(config, out: Path, lines: Lines) -> None:
+def _run_surface_classify(config, out: Path, summary: CheckReport) -> None:
     surface = config.surface_obj()
     D = config.dilation()
     s_values = config.s_values()
     rows = []
     counts = []
     for s in s_values:
-        pieces = partition_measure(surface, s, config.eps, n_gl=24)
+        pieces = partition_measure(surface, s, config.eps)
         records = classify_pieces(pieces, surface, D, config.eps, config.zeta,
                                   tau_window=config.tau_window)
         excluded = sum(1 for r in records if r.in_I1 or r.in_I2)
         counts.append(excluded)
-        lines.add(f"scale_s{s}", True,
-                  f"{len(records)} pieces, {excluded} excluded")
+        summary.add(f"scale_s{s}", True,
+                    f"{len(records)} pieces, {excluded} excluded")
         for r in records:
             rows.append((r.s, r.rho, _joined(r.center), r.min_curvature,
                          r.worst_mass_ratio, r.worst_tau,
@@ -262,22 +239,22 @@ def _run_surface_classify(config, out: Path, lines: Lines) -> None:
                 "worst_tau", "in_I1", "in_I2"], rows)
     if len(set(s_values)) >= 5:
         growth = fit_excluded_growth(surface.dim, config.eps, s_values, counts)
-        lines.add("excluded_growth", True,
-                  f"eta={growth.eta!r}, counts={growth.counts}")
+        summary.add("excluded_growth", True,
+                    f"eta={growth.eta!r}, counts={growth.counts}")
 
 
-def _run_kernel_decay(config, out: Path, lines: Lines) -> None:
+def _run_kernel_decay(config, out: Path, summary: CheckReport) -> None:
     surface = config.surface_obj()
     measure = surface_quadrature(surface, config.n_gl)
     kernel = autocorrelation_kernel(measure, n_bins=config.n_bins)
     report = check_kernel_decay(kernel)
     _write_csv(out / "shells.csv", ["radius", "maximum"],
                list(zip(report.radii, report.maxima)))
-    lines.add("kernel_decay", report.ok,
-              f"slope={report.slope!r} over {len(report.radii)} shells")
+    summary.add("kernel_decay", report.ok,
+                f"slope={report.slope!r} over {len(report.radii)} shells")
 
 
-def _run_maximal_weak_type(config, out: Path, lines: Lines) -> None:
+def _run_maximal_weak_type(config, out: Path, summary: CheckReport) -> None:
     f = config.atomic_sum()
     if not f.terms:
         raise ConfigInvalidError("maximal-weak-type needs a nonempty atom list")
@@ -295,44 +272,44 @@ def _run_maximal_weak_type(config, out: Path, lines: Lines) -> None:
                ["threshold", "size", "product"], rows)
     write_field_binary(mf, out / "maximal_field.bin")
     tails = mf.provenance["tail_fractions"]
-    lines.add("weak_type_ratio", ratio <= config.constants["c_stop"],
-              f"ratio={ratio!r} over {THRESHOLD_COUNT} thresholds")
-    lines.add("range_tails", True,
-              f"end fractions {tails[0]!r}, {tails[1]!r}")
+    summary.add("weak_type_ratio", ratio <= config.constants["c_stop"],
+                f"ratio={ratio!r} over {THRESHOLD_COUNT} thresholds")
+    summary.add("range_tails", True,
+                f"end fractions {tails[0]!r}, {tails[1]!r}")
 
 
-def _run_full_pipeline(config, out: Path, lines: Lines) -> None:
+def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
     f = config.atomic_sum()
     if not f.terms:
         raise ConfigInvalidError("full-pipeline needs a nonempty atom list")
     alpha = config.alpha
     entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(config)
-    lines.add("whitney", wrep.passed,
-              f"{len(wres.selected)} cubes from {len(entries)} entries")
+    summary.add("whitney", wrep.passed,
+                f"{len(wres.selected)} cubes from {len(entries)} entries")
     exclude = []
     if sres is not None:
         per_entry, hist = _kappa_rows(sres, kept)
         _write_csv(out / "kappa_hist.csv", ["kappa", "count"], hist)
         _write_csv(out / "exceptional_volume.csv", ["kind", "volume_term"],
                    [(p.kind, p.volume_term) for p in sres.exceptional])
-        lines.add("stopping", srep.passed,
-                  "; ".join(n for n, _ in srep.failures()) or "all checks hold")
+        summary.add("stopping", srep.passed,
+                    "; ".join(n for n, _ in srep.failures()) or "all checks hold")
         e_volume = sum(p.volume_term for p in sres.exceptional)
         bound = config.constants["c_stop"] * (
             sum(lam for _, lam in kept) / alpha
             + sum(S.volume for S in wres.selected))
-        lines.add("exceptional_volume", e_volume <= bound,
-                  f"sum={e_volume!r} vs bound={bound!r}")
+        summary.add("exceptional_volume", e_volume <= bound,
+                    f"sum={e_volume!r} vs bound={bound!r}")
         exclude = sres.exceptional
     else:
         _write_csv(out / "kappa_hist.csv", ["kappa", "count"], [])
         _write_csv(out / "exceptional_volume.csv", ["kind", "volume_term"], [])
-        lines.add("stopping", True, "no cubes selected; E is empty")
+        summary.add("stopping", True, "no cubes selected; E is empty")
 
     surface = config.surface_obj()
     D = config.dilation()
     s0 = config.s_values()[0]
-    pieces = partition_measure(surface, s0, config.eps, n_gl=24)
+    pieces = partition_measure(surface, s0, config.eps)
     records = classify_pieces(pieces, surface, D, config.eps, config.zeta,
                               tau_window=config.tau_window)
     _write_csv(out / "pieces.csv",
@@ -341,8 +318,8 @@ def _run_full_pipeline(config, out: Path, lines: Lines) -> None:
                [(r.s, r.rho, r.min_curvature, r.worst_mass_ratio,
                  int(r.in_I1), int(r.in_I2)) for r in records])
     usable = sum(1 for r in records if not (r.in_I1 or r.in_I2))
-    lines.add("piece_split", True,
-              f"s={s0}: {usable} of {len(records)} pieces kept")
+    summary.add("piece_split", True,
+                f"s={s0}: {usable} of {len(records)} pieces kept")
 
     measure = surface_quadrature(surface, config.n_gl)
     lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
@@ -365,8 +342,8 @@ def _run_full_pipeline(config, out: Path, lines: Lines) -> None:
                                        excluded=excluded)
     rows.append(("all", len(f.terms), f.h1_norm(), total))
     _write_csv(out / "weak_type.csv", ["tau", "atoms", "h1", "ratio"], rows)
-    lines.add("weak_type_outside_E", all_ok and total <= cap,
-              f"overall ratio={total!r} vs cap={cap!r}")
+    summary.add("weak_type_outside_E", all_ok and total <= cap,
+                f"overall ratio={total!r} vs cap={cap!r}")
 
 
 _RUNNERS = {

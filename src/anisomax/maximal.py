@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import AtomicSum
-from .dilation import DilationStructure, cube_diameter
+from .dilation import cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
 from .grid import realize_cube
 
@@ -135,20 +135,8 @@ class DistributionReport:
 # -------------------------------------------------------------- convolution
 
 
-def _measure_nodes(measure):
-    pts = getattr(measure, "quad_points", None)
-    if pts is None:
-        # bare surface: fall back to its full quadrature measure
-        from .surface import surface_quadrature
-
-        meas = surface_quadrature(measure)
-        return meas.quad_points, meas.quad_weights
-    return pts, measure.quad_weights
-
-
 def _measure_label(measure) -> str:
-    surface = getattr(measure, "surface", measure)
-    label = getattr(surface, "catalog_id", "measure")
+    label = getattr(getattr(measure, "surface", None), "catalog_id", "measure")
     rho = getattr(measure, "rho", None)
     if rho is not None:
         label = f"{label}/piece{rho}"
@@ -234,8 +222,8 @@ def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> Sampled
             f"of the smallest atom diameter {min_diam:.4g}")
 
     D = f.dilation
-    pts, w = _measure_nodes(measure)
-    shifted = pts @ D.power(k).T
+    w = measure.quad_weights
+    shifted = measure.quad_points @ D.power(k).T
     values = np.zeros(lattice.shape)
     add = _add_separable if _is_diagonal(D.matrix) else _add_scatter
     for atom, lam in f.terms:

@@ -9,7 +9,7 @@ k = 0 (the measure nodes unmoved).
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numpy.polynomial.legendre import leggauss
 from scipy.ndimage import gaussian_filter
 
@@ -34,6 +34,8 @@ FINE_POINTS = 4096
 KERNEL_SMOOTH_CELLS = 1.0
 DECAY_N_SHELLS = 12
 DECAY_SLOPE_CUT = -0.7
+# the constant C of the sup, L1 and pair bounds of the kernel-bound checks
+PIECE_BOUND_FACTOR = 64.0
 
 
 def plateau_profile(u: np.ndarray) -> np.ndarray:
@@ -406,9 +408,25 @@ def _fine_grid(lo: np.ndarray, hi: np.ndarray, total: int):
     return pts, cell
 
 
+def _cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Summed mass per distinct key row, rows in lexicographic key order.
+
+    Sorting the rows with column 0 as the primary key and cutting where a
+    row differs from its predecessor gives the grouping of
+    np.unique(keys, axis=0); bincount then adds each group's masses in
+    point order.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = np.cumsum(starts) - 1
+    return np.bincount(labels, weights=masses)
+
+
 def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
-                    eps: float, zeta: float, tau_window=None,
-                    fine_points: int = FINE_POINTS) -> list:
+                    eps: float, zeta: float, tau_window=None) -> list:
     """Flag each piece for low curvature (I1) and cube-mass excess (I2)."""
     if not pieces:
         return []
@@ -431,7 +449,7 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
         piece.min_curvature = min_k
 
         y, cell = _fine_grid(piece.center - piece.partition.r_cap,
-                             piece.center + piece.partition.r_cap, fine_points)
+                             piece.center + piece.partition.r_cap, FINE_POINTS)
         bump_vals = piece.bump(y)
         masses = bump_vals * cell
         sup_bump = float(np.max(bump_vals)) if bump_vals.size else 0.0
@@ -457,9 +475,7 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
                 raise InputInvalidError(
                     f"tau {tau}: pulled coordinates reach 2^53, past exact "
                     "integer cube keys; narrow tau_window")
-            keys = np.floor(pulled).astype(np.int64)
-            _, inverse = np.unique(keys, axis=0, return_inverse=True)
-            cube_mass = np.bincount(inverse, weights=masses)
+            cube_mass = _cube_masses(np.floor(pulled).astype(np.int64), masses)
             ratio = min(float(np.max(cube_mass)), analytic) / threshold
             if ratio > worst_ratio:
                 worst_ratio, worst_tau = ratio, tau
@@ -485,14 +501,13 @@ class GrowthReport:
 
 
 def excluded_piece_growth(surface: GraphSurface, D: DilationStructure,
-                          eps: float, zeta: float, s_values,
-                          n_gl: int = 24, fine_points: int = FINE_POINTS) -> GrowthReport:
+                          eps: float, zeta: float, s_values) -> GrowthReport:
     """Count |I1 union I2| at every scale and fit it with fit_excluded_growth."""
     s_values = [int(s) for s in s_values]
     counts = []
     for s in s_values:
-        pieces = partition_measure(surface, s, eps, n_gl=n_gl)
-        classify_pieces(pieces, surface, D, eps, zeta, fine_points=fine_points)
+        pieces = partition_measure(surface, s, eps)
+        classify_pieces(pieces, surface, D, eps, zeta)
         counts.append(sum(1 for piece in pieces if piece.excluded))
     return fit_excluded_growth(surface.dim, eps, s_values, counts)
 
@@ -532,8 +547,7 @@ class KernelField:
         return np.sqrt(sum(m * m for m in mesh))
 
 
-def autocorrelation_kernel(measure, n_bins: int = 255,
-                           smooth_cells: float = KERNEL_SMOOTH_CELLS) -> KernelField:
+def autocorrelation_kernel(measure, n_bins: int = 255) -> KernelField:
     """Histogram density of all pairwise node differences, then smooth."""
     pts = measure.quad_points
     w = measure.quad_weights
@@ -552,7 +566,7 @@ def autocorrelation_kernel(measure, n_bins: int = 255,
     hist, _ = np.histogramdd(diffs, bins=n_bins,
                              range=[(-half, half)] * d, weights=wpair)
     cell = spacing ** d
-    values = gaussian_filter(hist, sigma=smooth_cells, mode="constant") / cell
+    values = gaussian_filter(hist, sigma=KERNEL_SMOOTH_CELLS, mode="constant") / cell
     return KernelField(values=values, half_width=half, spacing=spacing,
                        dim=d, mass_squared=float(np.sum(w)) ** 2)
 
@@ -565,23 +579,17 @@ class KernelDecayReport:
     ok: bool
 
 
-def check_kernel_decay(kernel: KernelField, alpha_order: int = 0,
-                       r_min: float = None, r_max: float = None,
-                       n_shells: int = DECAY_N_SHELLS) -> KernelDecayReport:
+def check_kernel_decay(kernel: KernelField, r_max: float = None) -> KernelDecayReport:
     """Log-log slope of the shell maxima of |field| over one decade."""
-    if alpha_order != 0:
-        raise InputInvalidError("only the zeroth derivative order is checked")
     if r_max is None:
         r_max = 0.8 * kernel.half_width
-    if r_min is None:
-        r_min = r_max / 10.0
-    r_min = max(r_min, 3.0 * kernel.spacing)
+    r_min = max(r_max / 10.0, 3.0 * kernel.spacing)
     if r_min >= r_max:
         raise DegenerateFitError("empty radius range")
 
     radii = kernel.radii().ravel()
     mags = np.abs(kernel.values).ravel()
-    shell_r = np.geomspace(r_min, r_max, n_shells)
+    shell_r = np.geomspace(r_min, r_max, DECAY_N_SHELLS)
     g = np.sqrt(shell_r[1] / shell_r[0])
     used_r, used_m = [], []
     for r in shell_r:
@@ -638,8 +646,7 @@ class KernelBoundReport:
     rationale: str
 
 
-def check_linfty_bound(atomic, piece, D: DilationStructure, sigma: int,
-                       zeta: float, s: int, C: float = 64.0,
+def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int,
                        spacing: float = None) -> KernelBoundReport:
     """Compare sup and L1 norms of A_q * mu_rho against the scale bounds."""
     lam_q = atomic.h1_norm()
@@ -665,6 +672,7 @@ def check_linfty_bound(atomic, piece, D: DilationStructure, sigma: int,
         if piece.in_I2:
             flags.append("cube-mass excess")
         rationale = "piece excluded (" + ", ".join(flags) + "); bound not claimed"
+    C = PIECE_BOUND_FACTOR
     return KernelBoundReport(
         sup_norm=sup, l1_norm=l1,
         sup_ratio=sup / sup_core, l1_ratio=l1 / l1_core,
@@ -684,9 +692,8 @@ class PairBoundReport:
     precondition_met: bool
 
 
-def check_pair_bound(atomic_a, atomic_b, piece, D: DilationStructure,
-                     sigma_prime: int, eps: float, s: int, dist: float = None,
-                     C: float = 64.0, spacing: float = None) -> PairBoundReport:
+def check_pair_bound(atomic_a, atomic_b, piece, sigma_prime: int, eps: float,
+                     s: int, dist: float = None, spacing: float = None) -> PairBoundReport:
     """Inner product of two convolved atom sums against the pair bound."""
     lam_a, lam_b = atomic_a.h1_norm(), atomic_b.h1_norm()
     if spacing is None:
@@ -702,6 +709,7 @@ def check_pair_bound(atomic_a, atomic_b, piece, D: DilationStructure,
     f2 = convolve_dilated(atomic_b, piece, 0, lattice).values
     inner = float(np.sum(f1 * f2)) * spacing ** d
     core = 2.0 ** (sigma_prime + eps * s * (5 - d)) * lam_a * lam_b / dist ** 2
+    C = PIECE_BOUND_FACTOR
     return PairBoundReport(
         inner=inner, dist=dist, ratio=abs(inner) / core, bound=C * core,
         ok=abs(inner) <= C * core,

@@ -191,10 +191,10 @@ def test_criterion_6_piece_bounds(capsys):
     assert len(configs) == 20
     worst_lin = worst_pair = 0.0
     for piece, tau in configs:
-        lrep = check_linfty_bound(haar((0, 0), tau), piece, D,
+        lrep = check_linfty_bound(haar((0, 0), tau), piece,
                                   sigma=0, zeta=ZETA, s=piece.s)
         assert lrep.ok, (piece.s, piece.rho, tau)
-        prep = check_pair_bound(haar((0, 0), -1), haar((2, 0), -1), piece, D,
+        prep = check_pair_bound(haar((0, 0), -1), haar((2, 0), -1), piece,
                                 sigma_prime=-1, eps=EPS, s=piece.s)
         assert prep.precondition_met and prep.ok, (piece.s, piece.rho)
         worst_lin = max(worst_lin, lrep.sup_ratio, lrep.l1_ratio)
@@ -213,7 +213,7 @@ def test_criterion_6_piece_bounds(capsys):
     dists, inners = [], []
     for idx in (4, 6, 9, 12, 16):
         rep = check_pair_bound(plateau((0, 0)), plateau((idx, 0)), measure,
-                               D, sigma_prime=-4, eps=EPS, s=0, spacing=0.003)
+                               sigma_prime=-4, eps=EPS, s=0, spacing=0.003)
         assert rep.precondition_met
         dists.append(rep.dist)
         inners.append(abs(rep.inner))

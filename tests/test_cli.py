@@ -171,6 +171,15 @@ def test_cli_exit_code_config_error(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_rejects_a_constant_nothing_reads(tmp_path):
+    # the manifest records the config, so a key no code reads is refused
+    res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
+                "--override", "constants.c_pair=64"])
+    assert res.exit_code == 2
+    assert "unknown config key: constants.c_pair" in res.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_exit_code_dimension_mismatch(tmp_path):
     res = _run(["run", "--experiment", "maximal-weak-type",
                 "--out", str(tmp_path), "--override", DIAG234])

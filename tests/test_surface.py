@@ -34,6 +34,7 @@ from anisomax.surface import (
     KernelField,
     SurfaceMeasure,
     _conv_lattice,
+    _cube_masses,
     _default_spacing,
     _support_boxes,
     autocorrelation_kernel,
@@ -346,6 +347,37 @@ def test_classify_input_validation():
         classify_pieces(mixed, circ, D, eps=EPS, zeta=ZETA)
 
 
+def _unique_oracle(keys, masses):
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return np.bincount(inverse.ravel(), weights=masses)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cube_masses_match_unique_oracle(dim):
+    # negative keys, and keys spanning more than 2^32 on an axis, where a
+    # packed 1-D key of the columns would overflow
+    rng = np.random.default_rng(dim)
+    n = 3000
+    keys = rng.integers(-3, 4, size=(n, dim))
+    wide = rng.random(n) < 0.3
+    keys[wide, 0] += rng.choice([-2 ** 52, 2 ** 40, 2 ** 52 - 1], size=int(wide.sum()))
+    keys = keys.astype(np.int64)
+    masses = rng.random(n)
+    got = _cube_masses(keys, masses)
+    want = _unique_oracle(keys, masses)
+    assert np.ptp(keys[:, 0]) > 2 ** 32
+    assert np.array_equal(got, want)
+
+
+def test_cube_masses_single_point_and_ties():
+    keys = np.array([[5, -7]], dtype=np.int64)
+    assert np.array_equal(_cube_masses(keys, np.array([0.25])), [0.25])
+    # rows equal in column 0 must still split on column 1
+    keys = np.array([[0, 1], [0, -1], [0, 1], [-1, 1]], dtype=np.int64)
+    masses = np.array([1.0, 2.0, 4.0, 8.0])
+    assert np.array_equal(_cube_masses(keys, masses), _unique_oracle(keys, masses))
+
+
 def test_classify_rejects_cube_keys_past_exact_floats():
     # under diag(2,4) the pulled coordinates pass 2^53 from tau = -28 on,
     # where float cube keys stop being exact (and int64 keys wrap at 2^63)
@@ -434,7 +466,7 @@ def test_linfty_bound_atom():
     _, pieces = _classified_circle(0)
     piece = next(p for p in pieces if not p.excluded)
     D = _transversal()
-    rep = check_linfty_bound(_haar_sum(D, (0, 0), 0), piece, D,
+    rep = check_linfty_bound(_haar_sum(D, (0, 0), 0), piece,
                              sigma=0, zeta=ZETA, s=0)
     assert rep.sup_norm > 0.0
     assert 0.0 < rep.sup_ratio <= 64.0
@@ -450,8 +482,8 @@ def test_linfty_homogeneity():
     atom = make_atom(GridCube(0, 0, (0, 0), D), "haar", seed=1)
     one = AtomicSum(terms=[(atom, 1.0)], dilation=D)
     ten = AtomicSum(terms=[(atom, 10.0)], dilation=D)
-    rep1 = check_linfty_bound(one, piece, D, sigma=0, zeta=ZETA, s=0)
-    rep10 = check_linfty_bound(ten, piece, D, sigma=0, zeta=ZETA, s=0)
+    rep1 = check_linfty_bound(one, piece, sigma=0, zeta=ZETA, s=0)
+    rep10 = check_linfty_bound(ten, piece, sigma=0, zeta=ZETA, s=0)
     assert rep10.sup_ratio == approx(rep1.sup_ratio, rel=1e-12)
     assert rep10.l1_ratio == approx(rep1.l1_ratio, rel=1e-12)
     assert rep10.sup_norm == approx(10.0 * rep1.sup_norm, rel=1e-12)
@@ -464,12 +496,12 @@ def test_linfty_excluded_rationales():
     qp = partition_measure(quart, s=8, eps=EPS)
     classify_pieces(qp, quart, D, eps=EPS, zeta=ZETA)
     low_curv = next(p for p in qp if p.in_I1)
-    rep = check_linfty_bound(asum, low_curv, D, sigma=0, zeta=ZETA, s=8)
+    rep = check_linfty_bound(asum, low_curv, sigma=0, zeta=ZETA, s=8)
     assert rep.excluded
     assert "curvature" in rep.rationale
     _, cp = _classified_circle(0)
     heavy = next(p for p in cp if p.in_I2)
-    rep2 = check_linfty_bound(asum, heavy, D, sigma=0, zeta=ZETA, s=0)
+    rep2 = check_linfty_bound(asum, heavy, sigma=0, zeta=ZETA, s=0)
     assert rep2.excluded
     assert "mass" in rep2.rationale
 
@@ -479,7 +511,7 @@ def test_pair_bound_spec_distance():
     circ = make_surface("circle-arc")
     meas = surface_quadrature(circ, 200)
     rep = check_pair_bound(_haar_sum(D, (0, 0), -1), _haar_sum(D, (2, 0), -1),
-                           meas, D, sigma_prime=-1, eps=EPS, s=0)
+                           meas, sigma_prime=-1, eps=EPS, s=0)
     assert rep.dist == approx(0.5)
     assert rep.precondition_met
     assert abs(rep.inner) > 0.0
@@ -488,7 +520,7 @@ def test_pair_bound_spec_distance():
     # the same geometry with an overridden short distance fails the
     # separation precondition without raising
     short = check_pair_bound(_haar_sum(D, (0, 0), -1), _haar_sum(D, (2, 0), -1),
-                             meas, D, sigma_prime=-1, eps=EPS, s=0, dist=0.25)
+                             meas, sigma_prime=-1, eps=EPS, s=0, dist=0.25)
     assert not short.precondition_met
 
 
@@ -497,9 +529,9 @@ def test_pair_bound_distance_doubling():
     circ = make_surface("circle-arc")
     meas = surface_quadrature(circ, 200)
     near = check_pair_bound(_haar_sum(D, (0, 0), -2), _haar_sum(D, (4, 0), -2),
-                            meas, D, sigma_prime=-2, eps=EPS, s=0)
+                            meas, sigma_prime=-2, eps=EPS, s=0)
     far = check_pair_bound(_haar_sum(D, (0, 0), -2), _haar_sum(D, (8, 0), -2),
-                           meas, D, sigma_prime=-2, eps=EPS, s=0)
+                           meas, sigma_prime=-2, eps=EPS, s=0)
     assert far.dist == approx(2.0 * near.dist)
     assert far.ratio <= 2.0 * near.ratio
 
@@ -513,7 +545,7 @@ def test_pair_control_shallow_decay():
     dists, inners = [], []
     for idx in (4, 8, 16):
         rep = check_pair_bound(_plateau_sum(D, (0, 0), -3), _plateau_sum(D, (idx, 0), -3),
-                               meas, D, sigma_prime=-4, eps=EPS, s=0, spacing=0.004)
+                               meas, sigma_prime=-4, eps=EPS, s=0, spacing=0.004)
         dists.append(rep.dist)
         inners.append(abs(rep.inner))
     slope = np.polyfit(np.log(dists), np.log(inners), 1)[0]
@@ -549,7 +581,7 @@ def test_kernel_checks_match_brute_force(matrix):
     field = _brute_convolution(a, piece, lat.points())
     peak = float(np.max(np.abs(field)))
     assert peak > 0.0
-    rep = check_linfty_bound(a, piece, D, sigma=0, zeta=ZETA, s=0)
+    rep = check_linfty_bound(a, piece, sigma=0, zeta=ZETA, s=0)
     assert rep.sup_norm == approx(peak, rel=0, abs=1e-12 * peak)
     assert rep.l1_norm == approx(np.sum(np.abs(field)) * h * h, rel=0,
                                  abs=1e-12 * peak * field.size * h * h)
@@ -559,7 +591,7 @@ def test_kernel_checks_match_brute_force(matrix):
     fa = _brute_convolution(a, piece, lat.points())
     fb = _brute_convolution(b, piece, lat.points())
     scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
-    rep = check_pair_bound(a, b, piece, D, sigma_prime=-1, eps=EPS, s=0)
+    rep = check_pair_bound(a, b, piece, sigma_prime=-1, eps=EPS, s=0)
     assert abs(rep.inner) > 1e-6 * scale * h * h
     assert rep.inner == approx(float(np.sum(fa * fb)) * h * h, rel=0,
                                abs=1e-12 * scale * fa.size * h * h)
