@@ -12,10 +12,18 @@ Both reduce to three questions about grid cubes: is Q inside a cube, is Q
 inside a cube's double, and do two cubes overlap.  All three are answered
 from one pullback box, Q's bounding box in the units of the other cube's
 grid, under one tolerance rule.
+
+The boxes are array-shaped: _BoxSet stacks a call's cubes once and gives
+every cube's box in a (sigma, tau) grid as (N, d) arrays, computed per
+level per call and never cached on the cubes.  The loops read boolean
+masks from them and still sum masses one entry at a time, in entry order.
+The scalar star_window, _within and _cubes_overlap read row 0 of the same
+rule and serve as the tests' oracles.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -39,20 +47,9 @@ STOPPING_SAMPLES = 1000
 
 
 def _pullback_box(Q: GridCube, sigma: int, tau: int) -> list:
-    """Q's bounding box in the units of the (sigma, tau) grid.
-
-    The coordinates are 2^-sigma A^-tau x, in which the grid cube of index n
-    is [n, n + 1)^d.  The box is exact because Q is the convex hull of its
-    vertices.  One (lo, hi, tol) triple per axis; tol is the rounding
-    allowance of every comparison made on that axis.
-    """
-    verts = Q.vertices() @ Q.dilation.power(-tau).T
-    scale = 2.0 ** -sigma
-    box = []
-    for lo, hi in zip(verts.min(axis=0).tolist(), verts.max(axis=0).tolist()):
-        lo, hi = lo * scale, hi * scale
-        box.append((lo, hi, _TOL * max(1.0, abs(lo) + abs(hi))))
-    return box
+    """Q's pullback box, row 0 of _BoxSet([Q]).boxes: one (lo, hi, tol) per axis."""
+    lo, hi, tol = _BoxSet([Q]).boxes(sigma, tau)
+    return list(zip(lo[0].tolist(), hi[0].tolist(), tol[0].tolist()))
 
 
 def star_window(Q: GridCube, sigma: int, tau: int):
@@ -96,14 +93,106 @@ def _cubes_overlap(a: GridCube, b: GridCube) -> bool:
     return True
 
 
-def _star_groups(entries, ids, sigma: int, tau: int) -> dict:
+def _star_groups(boxes, ids, sigma: int, tau: int) -> dict:
     """Map each index n to the ids, in the given order, whose cube lies in
-    the double of (sigma, tau, n)."""
+    the double of (sigma, tau, n): star_window for every id of the box set
+    at once."""
     groups = {}
-    for i in ids:
-        for n in star_window(entries[i][0], sigma, tau):
-            groups.setdefault(n, []).append(i)
+    if not ids:
+        return groups
+    lo, hi, tol = (part[ids] for part in boxes.boxes(sigma, tau))
+    n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
+    n_max = np.floor(lo + 0.5 + tol).astype(np.int64) + 1
+    nonempty = np.all(n_min < n_max, axis=1)
+    for i, ok, first, stop in zip(ids, nonempty.tolist(), n_min.tolist(), n_max.tolist()):
+        if ok:
+            for n in product(*map(range, first, stop)):
+                groups.setdefault(n, []).append(i)
     return groups
+
+
+class _BoxSet:
+    """Pullback boxes of one list of cubes, one (N, d) set per grid level.
+
+    A level's boxes are computed on first use and kept only as long as the
+    box set, which lives for one call: boxes are never cached on the cubes.
+    within, within_each and overlap_matrix give, as boolean arrays over
+    the list, the answers of _within and _cubes_overlap.
+    """
+
+    def __init__(self, cubes):
+        self.cubes = list(cubes)
+        self._verts = np.stack([Q.vertices() for Q in self.cubes]) if self.cubes else None
+        self._levels = {}
+
+    def boxes(self, sigma: int, tau: int):
+        """The cubes' bounding boxes in the units of the (sigma, tau) grid.
+
+        The coordinates are 2^-sigma A^-tau x, in which the grid cube of
+        index n is [n, n + 1)^d.  A box is exact because a cube is the convex
+        hull of its vertices.  Returns (lo, hi, tol), each of shape (N, d),
+        row k for cubes[k]; tol is the rounding allowance of every comparison
+        made on that row and axis.  Computed once per level.
+        """
+        got = self._levels.get((sigma, tau))
+        if got is None:
+            verts = self._verts @ self.cubes[0].dilation.power(-tau).T
+            scale = 2.0 ** -sigma
+            lo = verts.min(axis=1) * scale
+            hi = verts.max(axis=1) * scale
+            got = (lo, hi, _TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
+            self._levels[(sigma, tau)] = got
+        return got
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return np.array([(Q.sigma, Q.tau) for Q in self.cubes], dtype=np.int64)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        return np.array([Q.index for Q in self.cubes], dtype=np.int64)
+
+    @cached_property
+    def volume(self) -> np.ndarray:
+        return np.array([Q.volume for Q in self.cubes])
+
+    def within(self, host: GridCube, factor: float) -> np.ndarray:
+        """Mask of _within(Q, host, factor) over the list."""
+        lo, hi, tol = self.boxes(host.sigma, host.tau)
+        n = np.asarray(host.index, dtype=np.int64)
+        reach = 0.5 * factor
+        out = (lo < n + 0.5 - reach - tol) | (hi > n + 0.5 + reach + tol)
+        same = (self.scale[:, 0] == host.sigma) & (self.scale[:, 1] == host.tau)
+        return np.where(same, np.all(self.index == n, axis=1), ~np.any(out, axis=1))
+
+    def within_each(self, hosts, factor: float) -> np.ndarray:
+        """M[k, h] = _within(cubes[k], hosts[h], factor)."""
+        out = np.zeros((len(self.cubes), len(hosts)), dtype=bool)
+        if self.cubes:
+            for h, host in enumerate(hosts):
+                out[:, h] = self.within(host, factor)
+        return out
+
+    def overlap_matrix(self) -> np.ndarray:
+        """M[k, m] = _cubes_overlap(cubes[k], cubes[m]).
+
+        Column m tests every cube no larger than cubes[m] in cubes[m]'s grid;
+        an entry whose row cube is the larger one is read from the transpose.
+        """
+        N = len(self.cubes)
+        meets = np.zeros((N, N), dtype=bool)
+        if N == 0:
+            return meets
+        for m, outer in enumerate(self.cubes):
+            lo, hi, tol = self.boxes(outer.sigma, outer.tau)
+            n = self.index[m]
+            gap = np.minimum(hi, n + 1) - np.maximum(lo, n)
+            meets[:, m] = np.all(gap > tol, axis=1)
+        inner_first = self.volume[:, None] <= self.volume[None, :]
+        out = np.where(inner_first, meets, meets.T)
+        same = np.all(self.scale[:, None, :] == self.scale[None, :, :], axis=2)
+        equal = np.all(self.index[:, None, :] == self.index[None, :, :], axis=2)
+        return np.where(same, equal, out)
 
 
 # ------------------------------------------------------------------- whitney
@@ -200,6 +289,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     active = set(range(len(entries)))
     selected = []
     assigned = {}
+    boxes = _BoxSet(cube for cube, _ in entries)
 
     for t in range(t_hi, t_lo - 1, -1):
         if not active:
@@ -207,7 +297,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         remaining = sum(entries[i][1] for i in active)
         if remaining <= alpha * (a ** t):
             continue
-        candidates = _star_groups(entries, sorted(active), 0, t)
+        candidates = _star_groups(boxes, sorted(active), 0, t)
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
             residual = sum(entries[i][1] for i in members)
@@ -232,18 +322,18 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     nodes = sorted(by_cube.values(), key=lambda rec: (-rec[1].tau, rec[1].index))
     children = {id(rec): [] for rec in nodes}
     roots = []
-    placed = []
-    for rec in nodes:
+    node_boxes = _BoxSet(rec[1] for rec in nodes)
+    inside = node_boxes.within_each(node_boxes.cubes, 1.0)
+    for pos, rec in enumerate(nodes):
         parent = None
-        for cand in placed:
-            if _within(rec[1], cand[1], 1.0):
-                if parent is None or cand[1].volume < parent[1].volume:
-                    parent = cand
+        for cand_pos in np.flatnonzero(inside[pos, :pos]).tolist():
+            cand = nodes[cand_pos]
+            if parent is None or cand[1].volume < parent[1].volume:
+                parent = cand
         if parent is None:
             roots.append(rec)
         else:
             children[id(parent)].append(rec)
-        placed.append(rec)
 
     def _collect(rec):
         got = list(rec[2])
@@ -275,7 +365,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         for s_id, s_cube in enumerate(selected):
             if s_cube is None:
                 continue
-            full = sum(lam for cube, lam in entries if _within(cube, s_cube, 2.0))
+            full = _mass_of(entries, boxes.within(s_cube, 2.0))
             excess = full - 16.0 * alpha * s_cube.volume
             if excess > _TOL * max(1.0, full) and (worst is None or excess > worst[1]):
                 worst = (s_id, excess)
@@ -295,6 +385,11 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     assigned = {i: remap[s] for i, s in assigned.items()}
     return WhitneyResult(selected=live, assigned=assigned,
                          leftover=sorted(active), alpha=alpha)
+
+
+def _mass_of(entries, mask) -> float:
+    """Summed mass of the masked entries, in entry order."""
+    return sum(entries[i][1] for i in np.flatnonzero(mask).tolist())
 
 
 def _merge_nested(selected, assigned, entries):
@@ -337,16 +432,18 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
             break
     report.add("disjoint", ok, witness)
 
+    in_double = _BoxSet(cube for cube, _ in entries).within_each(selected, 2.0)
+
     ok, witness = True, None
     for i, s_id in result.assigned.items():
-        if not _within(entries[i][0], selected[s_id], 2.0):
+        if not in_double[i, s_id]:
             ok, witness = False, f"entry {i} not inside the double of its host {s_id}"
             break
     report.add("assignment", ok, witness)
 
     ok, witness = True, None
     for s_id, s_cube in enumerate(selected):
-        full = sum(lam for cube, lam in entries if _within(cube, s_cube, 2.0))
+        full = _mass_of(entries, in_double[:, s_id])
         bound = c_w * alpha * s_cube.volume
         if full > bound * (1.0 + 1e-9):
             ok, witness = False, f"host {s_id}: mass {full:.6g} > {bound:.6g}"
@@ -369,20 +466,22 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
         distinct.setdefault(key, [0.0, cube])
         distinct[key][0] += lam
     recs = list(distinct.values())
-    conservative = False
-    for k in range(len(recs)):
-        for m in range(k + 1, len(recs)):
-            a_rec, b_rec = recs[k], recs[m]
-            if _cubes_overlap(a_rec[1], b_rec[1]):
-                inner, outer = sorted((a_rec[1], b_rec[1]), key=lambda c: c.volume)
-                if not _within(inner, outer, 1.0):
-                    conservative = True
+    rec_boxes = _BoxSet(cube for _, cube in recs)
+    inside = rec_boxes.within_each(rec_boxes.cubes, 1.0)
+    meets = rec_boxes.overlap_matrix()
+    # a pair overlaps without nesting: the smaller cube (the first on equal
+    # volumes) is not inside the other
+    volume = rec_boxes.volume
+    nested = np.where(volume[:, None] <= volume[None, :], inside, inside.T)
+    conservative = bool(np.any(np.triu(meets & ~nested, 1)))
+    if conservative:
+        inside = inside | meets.T
     worst = 0.0
-    for mass, cube in recs:
+    for k, (mass, cube) in enumerate(recs):
         chain = 0.0
-        for other_mass, other in recs:
-            if other is cube or _within(cube, other, 1.0) or \
-                    (conservative and _cubes_overlap(other, cube)):
+        for m in range(len(recs)):
+            if m == k or inside[k, m]:
+                other_mass, other = recs[m]
                 chain += other_mass / other.volume
         if chain > worst:
             worst = chain
@@ -476,9 +575,11 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
         if s_cube.sigma != 0:
             raise InputInvalidError("S cubes must live on the sigma = 0 grid")
 
+    boxes = _BoxSet(cube for cube, _ in entries)
+    in_double = boxes.within_each(S_list, 2.0)
     hosts_of = {}
-    for i, (cube, _) in enumerate(entries):
-        hosts_of[i] = [k for k, s_cube in enumerate(S_list) if _within(cube, s_cube, 2.0)]
+    for i in range(len(entries)):
+        hosts_of[i] = np.flatnonzero(in_double[i]).tolist()
         if not hosts_of[i]:
             raise InputInvalidError(f"entry {i} is not inside the double of any S")
 
@@ -508,7 +609,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             )
             if not fits:
                 break
-            candidates = _star_groups(entries, sorted(live), sigma, tau)
+            candidates = _star_groups(boxes, sorted(live), sigma, tau)
             threshold = alpha * (2.0 ** sigma) * (a ** tau)
             chosen = []
             for n in sorted(candidates):
@@ -604,6 +705,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     D = entries[0][0].dilation
     a = D.det_scale
     rng = np.random.default_rng(seed)
+    boxes = _BoxSet(cube for cube, _ in entries)
 
     if "i" in checks:
         lhs = sum(p.volume_term for p in result.exceptional)
@@ -617,12 +719,14 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
         ball = rng.normal(size=(n, D.dim))
         ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
         ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
+        # samples are built as (d, n) columns; pts is their (n, d) view
+        ball = np.ascontiguousarray(ball.T)
         for i, (cube, _) in enumerate(entries):
             base = cube.realize()
             u = rng.random((n, D.dim))
-            x = base.origin + u @ base.basis.T
+            x = base.origin[:, None] + base.basis @ u.T
             for j in (result.kappa[i] - 1, result.kappa[i] - 3, result.kappa[i] - 8):
-                pts = x + ball @ D.power(j).T
+                pts = (x + D.power(j) @ ball).T
                 inside = result.exceptional[result.assigned_primitive[i]].contains_points(pts)
                 if not np.all(inside):
                     missing = np.where(~inside)[0]
@@ -644,14 +748,14 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
 
     if "iii" in checks:
         ok, witness = True, None
-        for i, (cube, _) in enumerate(entries):
-            for k, s_cube in enumerate(S_list):
-                if _within(cube, s_cube, 2.0) and result.kappa[i] <= s_cube.tau:
-                    ok = False
-                    witness = f"entry {i}: kappa {result.kappa[i]} <= tau(S_{k}) {s_cube.tau}"
-                    break
-            if not ok:
-                break
+        kappa = np.array([result.kappa[i] for i in range(len(entries))])
+        s_tau = np.array([s_cube.tau for s_cube in S_list])
+        bad = np.argwhere(boxes.within_each(S_list, 2.0)
+                          & (kappa[:, None] <= s_tau[None, :]))
+        if len(bad):
+            i, k = bad[0].tolist()
+            ok = False
+            witness = f"entry {i}: kappa {result.kappa[i]} <= tau(S_{k}) {S_list[k].tau}"
         report.add("iii_kappa_exceeds_hosts", ok, witness)
 
     if "iv" in checks:
@@ -661,7 +765,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             stopped = [i for i in range(len(entries)) if result.kappa[i] <= tau]
             if not stopped:
                 continue
-            groups = _star_groups(entries, stopped, sigma, tau)
+            groups = _star_groups(boxes, stopped, sigma, tau)
             bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
             for n, members in groups.items():
                 mass = sum(entries[i][1] for i in members)

@@ -38,6 +38,8 @@ class DilationStructure:
     slow_subspace: np.ndarray
     norm_power: int
     _pow_cache: dict = field(default_factory=dict, repr=False)
+    # unit-side cube diameter per tau, for cube_diameter
+    _diam_cache: dict = field(default_factory=dict, repr=False)
 
     def power(self, k: int) -> np.ndarray:
         """A^k for integer k, cached."""
@@ -270,16 +272,20 @@ def cube_diameter(D: DilationStructure, tau: int, sigma: int = 0) -> float:
 
     The cube is the image under A^tau of a dyadic cube of side 2^sigma, so the
     diameter is 2^sigma times the longest image of a vertex difference
-    u in {-1, 0, 1}^d.
+    u in {-1, 0, 1}^d.  The unit-side diameter is cached per tau on D.
     """
-    power = D.power(int(tau))
-    best = 0.0
-    for u in product((-1, 0, 1), repeat=D.dim):
-        if all(c == 0 for c in u):
-            continue
-        length = float(np.linalg.norm(power @ np.asarray(u, dtype=float)))
-        if length > best:
-            best = length
+    tau = int(tau)
+    best = D._diam_cache.get(tau)
+    if best is None:
+        power = D.power(tau)
+        best = 0.0
+        for u in product((-1, 0, 1), repeat=D.dim):
+            if all(c == 0 for c in u):
+                continue
+            length = float(np.linalg.norm(power @ np.asarray(u, dtype=float)))
+            if length > best:
+                best = length
+        D._diam_cache[tau] = best
     return (2.0 ** sigma) * best
 
 

@@ -18,6 +18,7 @@ import scipy
 from . import __version__
 from .atoms import AtomicSum
 from .decomposition import (
+    STOPPING_SAMPLES,
     CheckReport,
     stopping_time,
     verify_stopping,
@@ -40,6 +41,8 @@ from .surface import (
     DECAY_SLOPE_CUT,
     FINE_POINTS,
     KERNEL_SMOOTH_CELLS,
+    PIECE_BOUND_FACTOR,
+    PIECE_GL_NODES,
     autocorrelation_kernel,
     check_kernel_decay,
     classify_pieces,
@@ -71,7 +74,10 @@ MODULE_CONSTANTS = {
     "maximal_threshold_count": THRESHOLD_COUNT,
     "maximal_threshold_floor": THRESHOLD_FLOOR,
     "partition_cap_spread": "1/(2 sqrt(2 (d-1)))",
+    "piece_bound_factor": PIECE_BOUND_FACTOR,
+    "piece_gl_nodes": PIECE_GL_NODES,
     "power_scan_window": SCAN_LIMIT,
+    "stopping_samples": STOPPING_SAMPLES,
 }
 
 

@@ -5,6 +5,10 @@ A grid cube at scale (sigma, tau) is the image under A^tau of the dyadic cube
 containment questions the closed hull is used with a diameter-relative
 tolerance.  Expanded cubes and tendril outer bounds are parallelepipeds plus
 dilated balls, handled exactly through pullback coordinates.
+
+Layout: public point arrays are (N, d), one point per row, in any memory
+order.  The membership kernels work coordinate-major inside, on (d, N)
+columns, so that every elementwise step runs along the N points.
 """
 
 from dataclasses import dataclass, field
@@ -123,8 +127,8 @@ class Parallelepiped:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if tol is None:
             tol = _CONTAIN_TOL * max(1.0, self.diameter())
-        local = np.linalg.solve(self.basis, (pts - self.origin).T).T
-        return np.all((local >= -tol) & (local <= 1.0 + tol), axis=1)
+        local = np.linalg.solve(self.basis, pts.T - self.origin[:, None])
+        return np.all((local >= -tol) & (local <= 1.0 + tol), axis=0)
 
     def bbox(self):
         verts = self.vertices()
@@ -265,13 +269,15 @@ class _ClampedProjector:
             self.patterns.append((base, sub, pinv))
 
     def distance(self, points: np.ndarray) -> np.ndarray:
-        best = np.full(points.shape[0], np.inf)
+        """Distances of the (N, d) points, computed on (d, N) columns."""
+        cols = np.asarray(points, dtype=float).T
+        best = np.full(cols.shape[1], np.inf)
         for base, sub, pinv in self.patterns:
-            resid = points - base
+            resid = cols - base[:, None]
             if sub is not None:
-                u_free = np.clip(resid @ pinv.T, 0.0, 1.0)
-                resid = resid - u_free @ sub.T
-            np.minimum(best, np.sqrt((resid ** 2).sum(axis=1)), out=best)
+                u_free = np.clip(pinv @ resid, 0.0, 1.0)
+                resid = resid - sub @ u_free
+            np.minimum(best, np.sqrt((resid * resid).sum(axis=0)), out=best)
         return best
 
 
@@ -289,33 +295,43 @@ class _PullbackFrame:
     def __init__(self, pull: np.ndarray, origin: np.ndarray, basis: np.ndarray,
                  radius: float):
         self.pull = pull
-        self.origin = origin
         self.basis = basis
         self.inv_basis = np.linalg.inv(basis)
-        self.box_lo, self.box_hi = Parallelepiped(origin, basis).bbox()
-        extent = float(np.max(np.abs(np.concatenate([self.box_lo, self.box_hi]))))
+        box_lo, box_hi = Parallelepiped(origin, basis).bbox()
+        extent = float(np.max(np.abs(np.concatenate([box_lo, box_hi]))))
         slack = _BAND_SLACK * max(1.0, extent)
+        # (d, 1) columns, broadcast along the points of a (d, N) array
+        self.origin = origin.reshape(-1, 1).copy()
+        self.box_lo = box_lo.reshape(-1, 1).copy()
+        self.box_hi = box_hi.reshape(-1, 1).copy()
         self.radius = radius
         self.far_sq = (radius + slack) ** 2
         self.near_sq = (radius - slack) ** 2
         self.projector = None
 
     def contains(self, y: np.ndarray) -> np.ndarray:
-        gap = np.maximum(self.box_lo - y, y - self.box_hi)
+        """Membership of the pulled points y, given coordinate-major as (d, N)."""
+        gap = self.box_lo - y
+        np.maximum(gap, y - self.box_hi, out=gap)
         np.maximum(gap, 0.0, out=gap)
-        inside = np.zeros(y.shape[0], dtype=bool)
-        cand = np.flatnonzero((gap ** 2).sum(axis=1) <= self.far_sq)
+        inside = np.zeros(y.shape[1], dtype=bool)
+        cand = np.flatnonzero(np.square(gap, out=gap).sum(axis=0) <= self.far_sq)
         if cand.size == 0:
             return inside
-        rel = y[cand] - self.origin
-        u = np.clip(rel @ self.inv_basis.T, 0.0, 1.0)
-        near = ((rel - u @ self.basis.T) ** 2).sum(axis=1) <= self.near_sq
-        inside[cand[near]] = True
+        # take, not fancy indexing: on a (d, N) array, y[:, cand] is an
+        # order of magnitude slower
+        rel = y.take(cand, axis=1)
+        rel -= self.origin
+        u = self.inv_basis @ rel
+        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+        resid = rel - self.basis @ u
+        near = np.square(resid, out=resid).sum(axis=0) <= self.near_sq
+        inside[cand] = near
         band = cand[~near]
         if band.size:
             if self.projector is None:
-                self.projector = _ClampedProjector(self.origin, self.basis)
-            inside[band] = self.projector.distance(y[band]) <= self.radius
+                self.projector = _ClampedProjector(self.origin[:, 0], self.basis)
+            inside[band] = self.projector.distance(y.take(band, axis=1).T) <= self.radius
         return inside
 
 
@@ -355,7 +371,7 @@ class TendrilBound:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         frame = self._frame
-        return frame.contains(pts @ frame.pull.T)
+        return frame.contains(frame.pull @ pts.T)
 
     def bbox(self):
         """Axis-aligned box holding every point contains_points accepts."""

@@ -36,6 +36,8 @@ DECAY_N_SHELLS = 12
 DECAY_SLOPE_CUT = -0.7
 # the constant C of the sup, L1 and pair bounds of the kernel-bound checks
 PIECE_BOUND_FACTOR = 64.0
+# Gauss-Legendre nodes per axis of each cap's quadrature in partition_measure
+PIECE_GL_NODES = 24
 
 
 def plateau_profile(u: np.ndarray) -> np.ndarray:
@@ -344,7 +346,7 @@ class SurfacePiece:
 
 
 def partition_measure(surface: GraphSurface, s: int, eps: float,
-                      n_gl: int = 24) -> list:
+                      n_gl: int = PIECE_GL_NODES) -> list:
     """Split the measure into caps of ambient diameter about 2^(-eps s)."""
     if s < 0 or not 0.0 < eps < 1.0:
         raise InputInvalidError("need s >= 0 and 0 < eps < 1")
@@ -652,9 +654,13 @@ def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int,
     lam_q = atomic.h1_norm()
     if lam_q <= 0.0:
         raise InputInvalidError("the atomic sum must carry positive mass")
+    eps = piece.eps
+    if eps is None or eps <= 0.0:
+        raise InputInvalidError(
+            "the L1 bound needs a cap exponent eps > 0: pass a piece of "
+            "partition_measure, not the full measure")
     if spacing is None:
         spacing = _default_spacing(atomic)
-    eps = piece.eps if piece.eps else 0.25
     lattice = _conv_lattice(_support_boxes(atomic), piece.quad_points, spacing,
                             pad=2.0 * spacing)
     vals = convolve_dilated(atomic, piece, 0, lattice).values

@@ -149,7 +149,10 @@ def test_cli_validate_dilation(tmp_path):
         "maximal_threshold_count": 64,
         "maximal_threshold_floor": 0.001,
         "partition_cap_spread": "1/(2 sqrt(2 (d-1)))",
+        "piece_bound_factor": 64.0,
+        "piece_gl_nodes": 24,
         "power_scan_window": 64,
+        "stopping_samples": 1000,
     }
 
 

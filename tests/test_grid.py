@@ -354,3 +354,95 @@ def test_cube_vertices_are_computed_once_and_read_only():
     box = expand_cube(cube, 4.0)
     fresh = Parallelepiped(origin=box.origin.copy(), basis=box.basis.copy())
     assert box.diameter() == box.diameter() == fresh.diameter()
+
+
+def _face_distance(p, origin, basis):
+    """Exact distance from p to origin + basis [0, 1]^k, by recursion over
+    faces: the projection onto the affine hull when it lands inside the
+    face, the nearest facet otherwise."""
+    k = basis.shape[1]
+    if k == 0:
+        return float(np.linalg.norm(p - origin))
+    u = np.linalg.lstsq(basis, p - origin, rcond=None)[0]
+    if np.all((u >= 0.0) & (u <= 1.0)):
+        return float(np.linalg.norm(p - origin - basis @ u))
+    return min(_face_distance(p, origin + side * basis[:, i], np.delete(basis, i, axis=1))
+               for i in range(k) for side in (0.0, 1.0))
+
+
+@pytest.mark.parametrize("matrix", [[[4.0, 1.0], [1.0, 3.0]],
+                                    np.diag([2.0, 3.0, 4.0]).tolist()])
+def test_clamped_projector_matches_face_recursion(matrix):
+    D = validate_dilation(matrix)
+    d = D.dim
+    rng = np.random.default_rng(41)
+    for tau in (-2, 0, 1):
+        t = tendril_of(GridCube(-1, tau, tuple(int(v) for v in rng.integers(-3, 4, size=d)), D))
+        pull, proj = _projector_oracle(t)
+        lo, hi = t.bbox()
+        pts = np.concatenate([(lo + rng.random((150, d)) * (hi - lo)) @ pull.T,
+                              proj.origin + rng.random((30, d)) @ proj.basis.T])
+        got = proj.distance(pts)
+        expect = np.array([_face_distance(y, proj.origin, proj.basis) for y in pts])
+        assert got == approx(expect, rel=1e-12, abs=1e-12)
+        assert np.any(expect < 1e-9) and np.any(expect > 2.0)
+
+
+def _layouts(pts):
+    """The same (N, d) points as C-ordered, transposed-view, Fortran-ordered
+    and strided arrays."""
+    wide = np.zeros((pts.shape[0], 2 * pts.shape[1]))
+    wide[:, ::2] = pts
+    return {"C": np.ascontiguousarray(pts),
+            "T view": np.ascontiguousarray(pts.T).T,
+            "Fortran": np.asfortranarray(pts),
+            "strided": wide[:, ::2]}
+
+
+@pytest.mark.parametrize("matrix", [[[4.0, 1.0], [1.0, 3.0]],
+                                    [[2.0, 0.0], [0.0, 4.0]],
+                                    np.diag([2.0, 3.0, 4.0]).tolist()])
+def test_coordinate_major_membership_on_any_layout(matrix):
+    # contains_points takes (N, d) points in any memory layout; inside,
+    # the kernels work on (d, N) columns.  The tendril bound must match
+    # the projector, on band points within 3e-9 of the limit and on the
+    # unjittered bisection hits on both sides of it, and the
+    # parallelepiped must match its per-point solve.
+    D = validate_dilation(matrix)
+    d = D.dim
+    rng = np.random.default_rng(43)
+    for tau in (-3, 0, 2):
+        cube = GridCube(-1, tau, tuple(int(v) for v in rng.integers(-4, 5, size=d)), D)
+        t = tendril_of(cube)
+        pull, proj = _projector_oracle(t)
+        lo, hi = t.bbox()
+        center = proj.origin + proj.basis @ np.full(d, 0.5)
+        dirs = rng.normal(size=(400, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        b_lo, b_hi = np.zeros(400), np.full(400, 64.0 * float(np.max(hi - lo)))
+        for _ in range(200):
+            mid = 0.5 * (b_lo + b_hi)
+            outside = proj.distance(center + mid[:, None] * dirs) > 2.0 + 1e-9
+            b_hi = np.where(outside, mid, b_hi)
+            b_lo = np.where(outside, b_lo, mid)
+        edge = [(center + r[:, None] * dirs) @ np.linalg.inv(pull).T for r in (b_lo, b_hi)]
+        pts = np.concatenate([lo + rng.random((600, d)) * (hi - lo),
+                              _band_points(pull, proj, rng, 400)] + edge)
+        expect = proj.distance(pts @ pull.T) <= 2.0 + 1e-9
+        assert 0 < expect.sum() < len(pts)
+        for name, arr in _layouts(pts).items():
+            got = t.contains_points(arr)
+            assert got.shape == (len(pts),)
+            assert np.array_equal(got, expect), (name, np.flatnonzero(got != expect))
+
+        quad = expand_cube(cube, 4.0)
+        tol = 1e-12 * max(1.0, quad.diameter())
+        corners = quad.vertices()[rng.integers(0, 2 ** d, size=300)]
+        near_faces = corners + rng.uniform(-3.0, 3.0, size=(300, d)) * tol
+        pts = np.concatenate([lo + rng.random((300, d)) * (hi - lo), near_faces])
+        expect = np.array([
+            bool(np.all((u >= -tol) & (u <= 1.0 + tol)))
+            for u in (np.linalg.solve(quad.basis, x - quad.origin) for x in pts)])
+        assert 0 < expect.sum() < len(pts)
+        for name, arr in _layouts(pts).items():
+            assert np.array_equal(quad.contains_points(arr), expect), name

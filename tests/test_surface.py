@@ -595,3 +595,14 @@ def test_kernel_checks_match_brute_force(matrix):
     assert abs(rep.inner) > 1e-6 * scale * h * h
     assert rep.inner == approx(float(np.sum(fa * fb)) * h * h, rel=0,
                                abs=1e-12 * scale * fa.size * h * h)
+
+
+def test_linfty_bound_rejects_a_measure_without_cap_exponent():
+    # the L1 bound 2^((zeta + eps(1 - d)) s) is stated per cap; the full
+    # measure carries eps = 0 and must not be checked under a made-up eps
+    D = _transversal()
+    measure = surface_quadrature(make_surface("circle-arc"), 50)
+    assert measure.eps == 0.0
+    with pytest.raises(InputInvalidError, match="cap exponent"):
+        check_linfty_bound(_haar_sum(D, (0, 0), -1), measure,
+                           sigma=0, zeta=ZETA, s=0)
