@@ -129,10 +129,6 @@ class AtomicSum:
         return out
 
 
-def eval_atomic_sum(f: AtomicSum, points) -> np.ndarray:
-    return f.evaluate(points)
-
-
 def compose_dilation(atom: Atom, j: int) -> Atom:
     """Push the atom forward through A^j and rescale by a^-j.
 

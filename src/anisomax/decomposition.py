@@ -13,15 +13,14 @@ inside a cube's double, and do two cubes overlap.  All three are answered
 from one pullback box, Q's bounding box in the units of the other cube's
 grid, under one tolerance rule.
 
-The boxes are array-shaped: _BoxSet stacks a call's cubes once and gives
-every cube's box in a (sigma, tau) grid as (N, d) arrays, computed per
-level per call and never cached on the cubes.  The loops read boolean
-masks from them and still sum masses one entry at a time, in entry order.
-The scalar star_window, _within and _cubes_overlap read row 0 of the same
-rule and serve as the tests' oracles.
+_BoxSet is the one place those boxes are computed and compared.  It stacks
+a call's cubes once and gives every cube's box in a (sigma, tau) grid as
+(N, d) arrays, computed per level per call and never cached on the cubes;
+its masks and _star_groups answer the three questions for the whole list
+at once.  The loops read those masks and still sum masses one entry at a
+time, in entry order.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -46,57 +45,13 @@ STOPPING_SAMPLES = 1000
 # --------------------------------------------------------------- shared math
 
 
-def _pullback_box(Q: GridCube, sigma: int, tau: int) -> list:
-    """Q's pullback box, row 0 of _BoxSet([Q]).boxes: one (lo, hi, tol) per axis."""
-    lo, hi, tol = _BoxSet([Q]).boxes(sigma, tau)
-    return list(zip(lo[0].tolist(), hi[0].tolist(), tol[0].tolist()))
-
-
-def star_window(Q: GridCube, sigma: int, tau: int):
-    """Integer indices n with Q contained in the double of (sigma, tau, n).
-
-    The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so the
-    windows are per-axis inequalities on Q's pullback box.
-    """
-    windows = []
-    for lo, hi, tol in _pullback_box(Q, sigma, tau):
-        n_min = math.ceil(hi - 1.5 - tol)
-        n_max = math.floor(lo + 0.5 + tol)
-        if n_min > n_max:
-            return []
-        windows.append(range(n_min, n_max + 1))
-    return list(product(*windows))
-
-
-def _within(Q: GridCube, host: GridCube, factor: float) -> bool:
-    """Q inside the host grown about its center by factor: 1 or 2 (its double)."""
-    if Q.sigma == host.sigma and Q.tau == host.tau:
-        # Same scale: the cube and its double each hold exactly one grid
-        # cube, the host's own.
-        return Q.index == host.index
-    reach = 0.5 * factor
-    for (lo, hi, tol), n in zip(_pullback_box(Q, host.sigma, host.tau), host.index):
-        if lo < n + 0.5 - reach - tol or hi > n + 0.5 + reach + tol:
-            return False
-    return True
-
-
-def _cubes_overlap(a: GridCube, b: GridCube) -> bool:
-    """Interior overlap of the smaller cube's pullback box with the larger cube:
-    exact when the grids nest (diagonal A), otherwise it may err towards overlap."""
-    if a.tau == b.tau and a.sigma == b.sigma:
-        return a.index == b.index
-    inner, outer = (a, b) if a.volume <= b.volume else (b, a)
-    for (lo, hi, tol), n in zip(_pullback_box(inner, outer.sigma, outer.tau), outer.index):
-        if min(hi, n + 1) - max(lo, n) <= tol:
-            return False
-    return True
-
-
 def _star_groups(boxes, ids, sigma: int, tau: int) -> dict:
     """Map each index n to the ids, in the given order, whose cube lies in
-    the double of (sigma, tau, n): star_window for every id of the box set
-    at once."""
+    the double of (sigma, tau, n).
+
+    The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so each id's
+    indices form a window of per-axis inequalities on its pullback box.
+    """
     groups = {}
     if not ids:
         return groups
@@ -116,8 +71,8 @@ class _BoxSet:
 
     A level's boxes are computed on first use and kept only as long as the
     box set, which lives for one call: boxes are never cached on the cubes.
-    within, within_each and overlap_matrix give, as boolean arrays over
-    the list, the answers of _within and _cubes_overlap.
+    within, within_each and overlap_matrix answer containment and overlap
+    as boolean arrays over the list.
     """
 
     def __init__(self, cubes):
@@ -157,7 +112,13 @@ class _BoxSet:
         return np.array([Q.volume for Q in self.cubes])
 
     def within(self, host: GridCube, factor: float) -> np.ndarray:
-        """Mask of _within(Q, host, factor) over the list."""
+        """Mask of the cubes inside the host grown about its center by
+        factor: 1 for the host itself, 2 for its double.
+
+        A cube of the host's own scale is inside either exactly when it is
+        the host; any other cube's pullback box must fit the grown host's
+        [n + 1/2 - factor/2, n + 1/2 + factor/2]^d.
+        """
         lo, hi, tol = self.boxes(host.sigma, host.tau)
         n = np.asarray(host.index, dtype=np.int64)
         reach = 0.5 * factor
@@ -166,7 +127,7 @@ class _BoxSet:
         return np.where(same, np.all(self.index == n, axis=1), ~np.any(out, axis=1))
 
     def within_each(self, hosts, factor: float) -> np.ndarray:
-        """M[k, h] = _within(cubes[k], hosts[h], factor)."""
+        """M[k, h] = within(hosts[h], factor)[k]: cubes[k] inside hosts[h]."""
         out = np.zeros((len(self.cubes), len(hosts)), dtype=bool)
         if self.cubes:
             for h, host in enumerate(hosts):
@@ -174,8 +135,12 @@ class _BoxSet:
         return out
 
     def overlap_matrix(self) -> np.ndarray:
-        """M[k, m] = _cubes_overlap(cubes[k], cubes[m]).
+        """M[k, m]: the interiors of cubes[k] and cubes[m] overlap.
 
+        The smaller cube's pullback box (cubes[k]'s on equal volumes) is
+        tested against the larger cube in the larger cube's grid.  That is
+        exact when the grids nest (diagonal A); otherwise it may err towards
+        overlap.  Two cubes of one scale overlap exactly when they are equal.
         Column m tests every cube no larger than cubes[m] in cubes[m]'s grid;
         an entry whose row cube is the larger one is read from the transpose.
         """
@@ -311,52 +276,40 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
 
     # Density repair: leftover chains whose stacked density exceeds alpha are
     # capped by selecting the shallowest offending cube of each chain.
-    leftover_ids = sorted(active)
-    by_cube = {}
-    for i in leftover_ids:
-        key = (entries[i][0].tau, entries[i][0].index)
-        by_cube.setdefault(key, [0.0, entries[i][0], []])
-        by_cube[key][0] += entries[i][1]
-        by_cube[key][2].append(i)
-
-    nodes = sorted(by_cube.values(), key=lambda rec: (-rec[1].tau, rec[1].index))
-    children = {id(rec): [] for rec in nodes}
+    nodes = sorted(_leftover_nodes(entries, sorted(active)),
+                   key=lambda rec: (-rec[1].tau, rec[1].index))
+    children = [[] for _ in nodes]
     roots = []
     node_boxes = _BoxSet(rec[1] for rec in nodes)
     inside = node_boxes.within_each(node_boxes.cubes, 1.0)
-    for pos, rec in enumerate(nodes):
+    for pos in range(len(nodes)):
         parent = None
-        for cand_pos in np.flatnonzero(inside[pos, :pos]).tolist():
-            cand = nodes[cand_pos]
-            if parent is None or cand[1].volume < parent[1].volume:
+        for cand in np.flatnonzero(inside[pos, :pos]).tolist():
+            if parent is None or nodes[cand][1].volume < nodes[parent][1].volume:
                 parent = cand
-        if parent is None:
-            roots.append(rec)
-        else:
-            children[id(parent)].append(rec)
+        (roots if parent is None else children[parent]).append(pos)
 
-    def _collect(rec):
-        got = list(rec[2])
-        for child in children[id(rec)]:
-            got.extend(_collect(child))
-        return got
-
-    def _repair(rec, prefix):
-        dens = prefix + rec[0] / rec[1].volume
+    # Depth first, children in order: the first node on a chain whose stacked
+    # density exceeds alpha is selected with its whole subtree.
+    stack = [(pos, 0.0) for pos in reversed(roots)]
+    while stack:
+        pos, prefix = stack.pop()
+        mass, cube, _ = nodes[pos]
+        dens = prefix + mass / cube.volume
         if dens > alpha:
             s_id = len(selected)
-            selected.append(rec[1])
-            for i in _collect(rec):
-                assigned[i] = s_id
-                active.discard(i)
+            selected.append(cube)
+            subtree = [pos]
+            while subtree:
+                sub = subtree.pop()
+                for i in nodes[sub][2]:
+                    assigned[i] = s_id
+                    active.discard(i)
+                subtree.extend(reversed(children[sub]))
         else:
-            for child in children[id(rec)]:
-                _repair(child, dens)
+            stack.extend((child, dens) for child in reversed(children[pos]))
 
-    for rec in roots:
-        _repair(rec, 0.0)
-
-    _merge_nested(selected, assigned, entries)
+    _merge_nested(selected, assigned)
 
     # Bounded-density guard: a selected double should not carry more than
     # 16 alpha times the cube volume.  Offenders are merged upward.
@@ -373,7 +326,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
             break
         s_id = worst[0]
         selected[s_id] = selected[s_id].tau_parent()
-        _merge_nested(selected, assigned, entries)
+        _merge_nested(selected, assigned)
     else:
         raise BudgetExceededError("density guard did not settle within budget")
 
@@ -392,26 +345,39 @@ def _mass_of(entries, mask) -> float:
     return sum(entries[i][1] for i in np.flatnonzero(mask).tolist())
 
 
-def _merge_nested(selected, assigned, entries):
+def _leftover_nodes(entries, ids) -> list:
+    """Group the ids' entries by cube (tau, index), in first-seen order:
+    one [mass, cube, ids] per cube, its masses summed in the given order."""
+    by_cube = {}
+    for i in ids:
+        cube, lam = entries[i]
+        rec = by_cube.setdefault((cube.tau, cube.index), [0.0, cube, []])
+        rec[0] += lam
+        rec[2].append(i)
+    return list(by_cube.values())
+
+
+def _merge_nested(selected, assigned):
     """Drop selected cubes contained in other selected cubes, reassigning."""
     order = sorted((s_id for s_id, s in enumerate(selected) if s is not None),
                    key=lambda s_id: -selected[s_id].volume)
-    for small_pos in range(len(order) - 1, -1, -1):
-        small_id = order[small_pos]
-        small = selected[small_id]
-        for big_id in order:
-            big = selected[big_id]
-            if big is None or big_id == small_id or small is None:
+    boxes = _BoxSet(selected[s_id] for s_id in order)
+    inside = boxes.within_each(boxes.cubes, 1.0)
+    meets = boxes.overlap_matrix()
+    volume = boxes.volume.tolist()
+    for small in range(len(order) - 1, -1, -1):
+        small_id = order[small]
+        for big, big_id in enumerate(order):
+            if selected[big_id] is None or big == small or selected[small_id] is None:
                 continue
-            if big.volume < small.volume:
+            if volume[big] < volume[small]:
                 continue
-            if _within(small, big, 1.0):
+            if inside[small, big]:
                 for i, s in list(assigned.items()):
                     if s == small_id:
                         assigned[i] = big_id
                 selected[small_id] = None
-                small = None
-            elif _cubes_overlap(big, small):
+            elif meets[big, small]:
                 raise NumericalFailureError(
                     "selected cubes overlap without containment; grid is not nested"
                 )
@@ -423,13 +389,10 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
     selected = result.selected
 
     ok, witness = True, None
-    for i in range(len(selected)):
-        for j in range(i + 1, len(selected)):
-            if _cubes_overlap(selected[i], selected[j]):
-                ok, witness = False, f"cubes {i} and {j} overlap"
-                break
-        if not ok:
-            break
+    pairs = np.argwhere(np.triu(_BoxSet(selected).overlap_matrix(), 1))
+    if len(pairs):
+        i, j = pairs[0].tolist()
+        ok, witness = False, f"cubes {i} and {j} overlap"
     report.add("disjoint", ok, witness)
 
     in_double = _BoxSet(cube for cube, _ in entries).within_each(selected, 2.0)
@@ -459,14 +422,8 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
     )
 
     ok, witness = True, None
-    distinct = {}
-    for i in result.leftover:
-        cube, lam = entries[i]
-        key = (cube.tau, cube.index)
-        distinct.setdefault(key, [0.0, cube])
-        distinct[key][0] += lam
-    recs = list(distinct.values())
-    rec_boxes = _BoxSet(cube for _, cube in recs)
+    recs = _leftover_nodes(entries, result.leftover)
+    rec_boxes = _BoxSet(rec[1] for rec in recs)
     inside = rec_boxes.within_each(rec_boxes.cubes, 1.0)
     meets = rec_boxes.overlap_matrix()
     # a pair overlaps without nesting: the smaller cube (the first on equal
@@ -477,11 +434,11 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
     if conservative:
         inside = inside | meets.T
     worst = 0.0
-    for k, (mass, cube) in enumerate(recs):
+    for k, (_, cube, _) in enumerate(recs):
         chain = 0.0
         for m in range(len(recs)):
             if m == k or inside[k, m]:
-                other_mass, other = recs[m]
+                other_mass, other, _ = recs[m]
                 chain += other_mass / other.volume
         if chain > worst:
             worst = chain
@@ -689,8 +646,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
 
 
 def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
-                    C: float = 100.0, C_iv: float = 32.0, seed: int = 0,
-                    checks=("i", "ii", "iii", "iv")) -> CheckReport:
+                    C: float = 100.0, C_iv: float = 32.0, seed: int = 0) -> CheckReport:
     """Re-check the four defining conditions of the stopping construction.
 
     (i) the summed volume terms of the exceptional primitives are controlled
@@ -707,76 +663,72 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     rng = np.random.default_rng(seed)
     boxes = _BoxSet(cube for cube, _ in entries)
 
-    if "i" in checks:
-        lhs = sum(p.volume_term for p in result.exceptional)
-        rhs = C * (sum(lam for _, lam in entries) / alpha + sum(s.volume for s in S_list))
-        report.add("i_volume_sum", lhs <= rhs,
-                   None if lhs <= rhs else f"{lhs:.6g} > {rhs:.6g}")
+    lhs = sum(p.volume_term for p in result.exceptional)
+    rhs = C * (sum(lam for _, lam in entries) / alpha + sum(s.volume for s in S_list))
+    report.add("i_volume_sum", lhs <= rhs,
+               None if lhs <= rhs else f"{lhs:.6g} > {rhs:.6g}")
 
-    if "ii" in checks:
-        ok, witness = True, None
-        n = STOPPING_SAMPLES
-        ball = rng.normal(size=(n, D.dim))
-        ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
-        ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
-        # samples are built as (d, n) columns; pts is their (n, d) view
-        ball = np.ascontiguousarray(ball.T)
-        for i, (cube, _) in enumerate(entries):
-            base = cube.realize()
-            u = rng.random((n, D.dim))
-            x = base.origin[:, None] + base.basis @ u.T
-            for j in (result.kappa[i] - 1, result.kappa[i] - 3, result.kappa[i] - 8):
-                pts = (x + D.power(j) @ ball).T
-                inside = result.exceptional[result.assigned_primitive[i]].contains_points(pts)
-                if not np.all(inside):
-                    missing = np.where(~inside)[0]
-                    rest = np.zeros(len(missing), dtype=bool)
-                    for p_idx, prim in enumerate(result.exceptional):
-                        if p_idx == result.assigned_primitive[i]:
-                            continue
-                        rest |= prim.contains_points(pts[missing])
-                        if np.all(rest):
-                            break
-                    if not np.all(rest):
-                        ok = False
-                        witness = (f"entry {i}, level {j}: "
-                                   f"{int(np.sum(~rest))} of {n} samples escape")
+    ok, witness = True, None
+    n = STOPPING_SAMPLES
+    ball = rng.normal(size=(n, D.dim))
+    ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
+    ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
+    # samples are built as (d, n) columns; pts is their (n, d) view
+    ball = np.ascontiguousarray(ball.T)
+    for i, (cube, _) in enumerate(entries):
+        base = cube.realize()
+        u = rng.random((n, D.dim))
+        x = base.origin[:, None] + base.basis @ u.T
+        for j in (result.kappa[i] - 1, result.kappa[i] - 3, result.kappa[i] - 8):
+            pts = (x + D.power(j) @ ball).T
+            inside = result.exceptional[result.assigned_primitive[i]].contains_points(pts)
+            if not np.all(inside):
+                missing = np.where(~inside)[0]
+                rest = np.zeros(len(missing), dtype=bool)
+                for p_idx, prim in enumerate(result.exceptional):
+                    if p_idx == result.assigned_primitive[i]:
+                        continue
+                    rest |= prim.contains_points(pts[missing])
+                    if np.all(rest):
                         break
-            if not ok:
-                break
-        report.add("ii_dilates_covered", ok, witness)
-
-    if "iii" in checks:
-        ok, witness = True, None
-        kappa = np.array([result.kappa[i] for i in range(len(entries))])
-        s_tau = np.array([s_cube.tau for s_cube in S_list])
-        bad = np.argwhere(boxes.within_each(S_list, 2.0)
-                          & (kappa[:, None] <= s_tau[None, :]))
-        if len(bad):
-            i, k = bad[0].tolist()
-            ok = False
-            witness = f"entry {i}: kappa {result.kappa[i]} <= tau(S_{k}) {S_list[k].tau}"
-        report.add("iii_kappa_exceeds_hosts", ok, witness)
-
-    if "iv" in checks:
-        ok, witness = True, None
-        steps = [(ev.sigma, ev.tau) for ev in result.trace if ev.kind == "step"]
-        for sigma, tau in steps:
-            stopped = [i for i in range(len(entries)) if result.kappa[i] <= tau]
-            if not stopped:
-                continue
-            groups = _star_groups(boxes, stopped, sigma, tau)
-            bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
-            for n, members in groups.items():
-                mass = sum(entries[i][1] for i in members)
-                if mass > bound * (1.0 + 1e-9):
+                if not np.all(rest):
                     ok = False
-                    witness = (f"step ({sigma}, {tau}), cube {n}: "
-                               f"stopped mass {mass:.6g} > {bound:.6g}")
+                    witness = (f"entry {i}, level {j}: "
+                               f"{int(np.sum(~rest))} of {n} samples escape")
                     break
-            if not ok:
+        if not ok:
+            break
+    report.add("ii_dilates_covered", ok, witness)
+
+    ok, witness = True, None
+    kappa = np.array([result.kappa[i] for i in range(len(entries))])
+    s_tau = np.array([s_cube.tau for s_cube in S_list])
+    bad = np.argwhere(boxes.within_each(S_list, 2.0)
+                      & (kappa[:, None] <= s_tau[None, :]))
+    if len(bad):
+        i, k = bad[0].tolist()
+        ok = False
+        witness = f"entry {i}: kappa {result.kappa[i]} <= tau(S_{k}) {S_list[k].tau}"
+    report.add("iii_kappa_exceeds_hosts", ok, witness)
+
+    ok, witness = True, None
+    steps = [(ev.sigma, ev.tau) for ev in result.trace if ev.kind == "step"]
+    for sigma, tau in steps:
+        stopped = [i for i in range(len(entries)) if result.kappa[i] <= tau]
+        if not stopped:
+            continue
+        groups = _star_groups(boxes, stopped, sigma, tau)
+        bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
+        for n, members in groups.items():
+            mass = sum(entries[i][1] for i in members)
+            if mass > bound * (1.0 + 1e-9):
+                ok = False
+                witness = (f"step ({sigma}, {tau}), cube {n}: "
+                           f"stopped mass {mass:.6g} > {bound:.6g}")
                 break
-        report.add("iv_stopped_mass_bounded", ok, witness)
+        if not ok:
+            break
+    report.add("iv_stopped_mass_bounded", ok, witness)
 
     return report
 
@@ -787,23 +739,13 @@ def replay_trace_masses(result: StoppingResult, entries):
     Returns a list of (event, recomputed mass) pairs for every select event;
     a correct trace reproduces its recorded masses exactly.
     """
+    boxes = _BoxSet(cube for cube, _ in entries)
     live = set(range(len(entries)))
-    classified_at = {}
-    for ev in result.trace:
-        if ev.kind == "classify":
-            classified_at[ev.entry] = (ev.sigma, ev.tau)
     pairs = []
-    pos = 0
-    trace = result.trace
-    while pos < len(trace):
-        ev = trace[pos]
+    for ev in result.trace:
         if ev.kind == "select":
-            mass = sum(
-                entries[i][1] for i in live
-                if ev.index in star_window(entries[i][0], ev.sigma, ev.tau)
-            )
-            pairs.append((ev, mass))
+            members = _star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
+            pairs.append((ev, sum(entries[i][1] for i in members)))
         elif ev.kind == "classify":
             live.discard(ev.entry)
-        pos += 1
     return pairs

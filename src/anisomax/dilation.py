@@ -172,27 +172,18 @@ def _norm_power(A: np.ndarray) -> int:
     )
 
 
-def normalization_power(D: DilationStructure) -> int:
-    """Smallest m >= 1 with operator norm of A^-m at most 1/2."""
-    return D.norm_power
-
-
-def slowest_direction(D: DilationStructure):
-    """Unit vector v in the slowest generalized eigenspace, plus limit span.
-
-    Returns (v, W) where v lies in a generalized eigenspace of an eigenvalue
-    of minimal modulus with maximal Jordan block size, and W is a matrix
-    whose columns span the 1- or 2-dimensional subspace that the normalized
-    backward iterates A^tau v approach.  The approach is checked numerically
-    at tau = -40 and NumericalFailureError is raised if it fails.
-    """
-    A = D.matrix
-    return _slow_vectors(A, *_slowest_block(A, np.linalg.eigvals(A)))
-
-
 def _slow_vectors(A: np.ndarray, lam: complex, n_max: int, m_factor: np.ndarray,
                   rank_tol: float):
-    """(v, W) of slowest_direction from the block data of _slowest_block."""
+    """The slowest direction v and its limit span W, stored by
+    validate_dilation as slow_vector and slow_subspace.
+
+    From the block data of _slowest_block: v is a unit vector in the
+    generalized eigenspace of the slow eigenvalue lam with maximal Jordan
+    block size n_max, and W is a matrix whose columns span the 1- or
+    2-dimensional subspace that the normalized backward iterates A^tau v
+    approach.  The approach is checked numerically at tau = -40 and
+    NumericalFailureError is raised if it fails.
+    """
     d = A.shape[0]
     full = np.linalg.matrix_power(m_factor, n_max)
     _, s_vals, vh = np.linalg.svd(full)

@@ -135,10 +135,6 @@ class Parallelepiped:
         return verts.min(axis=0), verts.max(axis=0)
 
 
-def realize_cube(cube: GridCube) -> Parallelepiped:
-    return cube.realize()
-
-
 def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
     """True when every vertex of the inner cube lies in the closed outer hull."""
     return bool(np.all(outer.contains_points(inner.vertices())))
@@ -148,9 +144,7 @@ def expand_cube(cube: GridCube, factor: float) -> Parallelepiped:
     """Dilate the cube about its center by the given factor."""
     if factor <= 0:
         raise InputInvalidError("expansion factor must be positive")
-    inner = cube.realize()
-    shift = 0.5 * (factor - 1.0) * (inner.basis @ np.ones(inner.dim))
-    return Parallelepiped(origin=inner.origin - shift, basis=factor * inner.basis)
+    return expand_parallelepiped(cube.realize(), factor)
 
 
 def expand_parallelepiped(p: Parallelepiped, factor: float) -> Parallelepiped:

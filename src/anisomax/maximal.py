@@ -26,7 +26,6 @@ import numpy as np
 from .atoms import AtomicSum
 from .dilation import cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
-from .grid import realize_cube
 
 MAGIC = b"ANISOFLD"
 THRESHOLD_COUNT = 64
@@ -227,7 +226,7 @@ def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> Sampled
     values = np.zeros(lattice.shape)
     add = _add_separable if _is_diagonal(D.matrix) else _add_scatter
     for atom, lam in f.terms:
-        blo, bhi = realize_cube(atom.support).bbox()
+        blo, bhi = atom.support.realize().bbox()
         first, last = lattice.window_bounds(blo + shifted, bhi + shifted)
         live = np.flatnonzero(np.all(first <= last, axis=1))
         if live.size:

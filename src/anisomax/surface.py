@@ -20,7 +20,6 @@ from .errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
 )
-from .grid import realize_cube
 from .maximal import Lattice, _min_atom_diameter, convolve_dilated
 
 CHI_RADIUS = 0.48
@@ -613,7 +612,7 @@ def _support_boxes(*atomics) -> np.ndarray:
     """Box around the atom supports of each atomic sum, shape (n, 2, d)."""
     out = []
     for atomic in atomics:
-        boxes = np.array([realize_cube(atom.support).bbox() for atom, _ in atomic.terms])
+        boxes = np.array([atom.support.realize().bbox() for atom, _ in atomic.terms])
         out.append((boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)))
     return np.array(out)
 

@@ -16,7 +16,6 @@ from anisomax.atoms import (
     Atom,
     AtomicSum,
     compose_dilation,
-    eval_atomic_sum,
     make_atom,
     random_atomic_sum,
 )
@@ -129,7 +128,7 @@ def test_atomic_sum_norm_and_eval():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1.0, 2.0, size=(200, 2))
     direct = 0.25 * a1.evaluate(pts) + 1.5 * a2.evaluate(pts)
-    assert eval_atomic_sum(f, pts) == approx(direct)
+    assert f.evaluate(pts) == approx(direct)
 
 
 def test_atomic_sum_rejects_negative_weight():

@@ -1,5 +1,8 @@
 """Tests for the mass decomposition and stopping-time constructions."""
 
+import gc
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -7,11 +10,9 @@ from pytest import approx
 
 from anisomax.decomposition import (
     _BoxSet,
-    _cubes_overlap,
+    _merge_nested,
     _star_groups,
-    _within,
     replay_trace_masses,
-    star_window,
     stopping_time,
     verify_stopping,
     verify_whitney,
@@ -19,7 +20,12 @@ from anisomax.decomposition import (
     WhitneyResult,
 )
 from anisomax.dilation import validate_dilation
-from anisomax.errors import BudgetExceededError, InputInvalidError, NotNormalizedError
+from anisomax.errors import (
+    BudgetExceededError,
+    InputInvalidError,
+    NotNormalizedError,
+    NumericalFailureError,
+)
 from anisomax.grid import GridCube, _boxes_intersect_open, cube_contains, expand_cube
 
 
@@ -42,19 +48,23 @@ def random_instance(D, alpha, n_entries, seed, tau_lo=-6, tau_hi=0, span=6):
 
 
 # ---------------------------------------------------------------------------
-# star windows
+# star windows: the indices whose double holds a cube
+
+
+def _star_window(Q, sigma, tau):
+    return list(_star_groups(_BoxSet([Q]), [0], sigma, tau))
 
 
 def test_star_window_same_level_is_singleton(diag_dilation):
     Q = GridCube(0, -2, (3, -1), diag_dilation)
-    assert star_window(Q, 0, -2) == [(3, -1)]
+    assert _star_window(Q, 0, -2) == [(3, -1)]
 
 
 def test_star_window_coarser_level_count(diag_dilation):
     # A unit cube pulled back one dilation level spans at most two indices
     # per axis of the coarser grid.
     Q = GridCube(0, 0, (0, 0), diag_dilation)
-    window = star_window(Q, 0, 1)
+    window = _star_window(Q, 0, 1)
     assert (0, 0) in window
     assert 1 <= len(window) <= 4
     for n in window:
@@ -98,20 +108,22 @@ def test_cube_relations_match_parallelepiped_oracle(matrix):
         near = np.linalg.solve(D.power(int(taus[1])), Q.center()) / 2.0 ** sigmas[1]
         index = tuple(int(np.floor(v)) + int(rng.integers(-1, 2)) for v in near)
         host = GridCube(int(sigmas[1]), int(taus[1]), index, D)
+        boxes = _BoxSet([Q, host])
         for factor in (1.0, 2.0):
             inside = cube_contains(expand_cube(host, factor), Q)
-            assert _within(Q, host, factor) == inside, (Q, host, factor)
+            assert bool(boxes.within(host, factor)[0]) == inside, (Q, host, factor)
             hits[factor] += inside
-        in_window = host.index in star_window(Q, host.sigma, host.tau)
+        in_window = host.index in _star_groups(boxes, [0], host.sigma, host.tau)
         assert in_window == cube_contains(expand_cube(host, 2.0), Q), (Q, host)
         meet = _interiors_meet(Q, host)
         hits["overlap"] += meet
+        meets = boxes.overlap_matrix()
         if diagonal:
             # nested grids: the pullback box is the cube itself
-            assert _cubes_overlap(Q, host) == meet, (Q, host)
+            assert meets[0, 1] == meets[1, 0] == meet, (Q, host)
         elif meet:
             # otherwise the box test may only err towards overlap
-            assert _cubes_overlap(Q, host), (Q, host)
+            assert meets[0, 1] and meets[1, 0], (Q, host)
     assert min(hits.values()) >= 10, hits
 
 
@@ -140,13 +152,23 @@ def found_instances(D, count):
         yield alpha, entries
 
 
+def _near_indices(Q, sigma, tau):
+    """Every index n whose double could hold Q: Q's center pulled back into
+    the (sigma, tau) grid lies in the double's [n - 1/2, n + 3/2]^d."""
+    D = Q.dilation
+    c = np.linalg.solve(D.power(tau), Q.center()) / 2.0 ** sigma
+    return product(*(range(int(np.ceil(v - 1.5 - 1e-9)), int(np.floor(v + 0.5 + 1e-9)) + 1)
+                     for v in c))
+
+
 @pytest.mark.parametrize("matrix", FOUND_MATRICES)
-def test_batched_relations_match_scalar_oracles(matrix):
-    # _star_groups and the box-set masks answer every question of the
-    # scalar star_window, _within and _cubes_overlap at once; they must
-    # agree with them, and with the parallelepiped oracle, entry by entry
+def test_batched_relations_match_parallelepiped_oracles(matrix):
+    # _star_groups and the box-set masks answer containment and overlap for
+    # a whole list of cubes at once; entry by entry they must agree with the
+    # vertex test cube_contains and the separating-axis _interiors_meet
     D = validate_dilation(matrix)
-    checked = {"groups": 0, "within": 0, "pairs": 0}
+    diagonal = np.allclose(D.matrix, np.diag(np.diag(D.matrix)))
+    checked = {"members": 0, "outsiders": 0, "within": 0, "pairs": 0}
     for _, entries in found_instances(D, 30):
         cubes = [cube for cube, _ in entries]
         cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D)
@@ -155,30 +177,35 @@ def test_batched_relations_match_scalar_oracles(matrix):
         ids = list(range(len(cubes)))[::-1]
         for sigma, tau in ((0, -3), (0, 0), (0, 1), (-1, -1), (-2, 0)):
             groups = _star_groups(boxes, ids, sigma, tau)
-            expect = {}
-            for i in ids:
-                for n in star_window(cubes[i], sigma, tau):
-                    expect.setdefault(n, []).append(i)
-            assert list(groups.items()) == list(expect.items()), (sigma, tau)
             for n, members in groups.items():
+                # members keep the order of ids, and every one is inside
+                assert members == [i for i in ids if i in members], (sigma, tau, n)
                 double = expand_cube(GridCube(sigma, tau, n, D), 2.0)
                 assert all(cube_contains(double, cubes[i]) for i in members)
-                checked["groups"] += len(members)
+                checked["members"] += len(members)
+            # and every cube inside a double is in that double's group
+            for i in ids:
+                for n in _near_indices(cubes[i], sigma, tau):
+                    double = expand_cube(GridCube(sigma, tau, n, D), 2.0)
+                    held = cube_contains(double, cubes[i])
+                    assert (i in groups.get(n, [])) == held, (sigma, tau, n, i)
+                    checked["outsiders"] += not held
         hosts = cubes + [c.tau_parent() for c in cubes if c.sigma == 0]
-        for host in hosts:
-            for factor in (1.0, 2.0):
-                mask = boxes.within(host, factor).tolist()
-                assert mask == [_within(Q, host, factor) for Q in cubes]
+        for factor in (1.0, 2.0):
+            inside = boxes.within_each(hosts, factor)
+            for h, host in enumerate(hosts):
                 grown = expand_cube(host, factor)
-                assert mask == [cube_contains(grown, Q) for Q in cubes]
-                checked["within"] += sum(mask)
-        inside = boxes.within_each(cubes, 1.0)
+                assert inside[:, h].tolist() == [cube_contains(grown, Q) for Q in cubes]
+                checked["within"] += int(inside[:, h].sum())
         meets = boxes.overlap_matrix()
         for k, a in enumerate(cubes):
-            for m, b in enumerate(cubes):
-                assert inside[k, m] == _within(a, b, 1.0), (a, b)
-                assert meets[k, m] == _cubes_overlap(a, b), (a, b)
-                checked["pairs"] += bool(meets[k, m]) and k != m
+            for m in range(k + 1, len(cubes)):
+                meet = _interiors_meet(a, cubes[m])
+                if diagonal:
+                    assert meets[k, m] == meets[m, k] == meet, (a, cubes[m])
+                elif meet:
+                    assert meets[k, m] and meets[m, k], (a, cubes[m])
+                checked["pairs"] += meet
     assert min(checked.values()) >= 20, checked
 
 
@@ -236,21 +263,93 @@ def test_heavy_stack_selects_coarser_host(diag_dilation):
     assert rep.passed, rep.failures()
 
 
-def test_nested_chain_density_repair(diag_dilation):
-    # Six nested cubes each carrying density 0.3*alpha: no single level is
-    # heavy, but the leftover chain would exceed density one, so the sweep
-    # must select a cube partway down the chain.
-    alpha = 1.0
+def _nested_chain(D, alpha):
+    """Six nested cubes, tau = 0 down to -5, each carrying density 0.3 alpha."""
     entries = []
     for tau in range(0, -6, -1):
-        cube = GridCube(0, tau, (0, 0), diag_dilation)
+        cube = GridCube(0, tau, (0, 0), D)
         entries.append((cube, 0.3 * alpha * cube.volume))
+    return entries
+
+
+def test_nested_chain_density_repair(diag_dilation):
+    # No single level of the nested chain is heavy, but the leftover chain
+    # would exceed density one, so the sweep must select a cube partway
+    # down the chain.
+    alpha = 1.0
+    entries = _nested_chain(diag_dilation, alpha)
     res = whitney_decompose(entries, alpha)
     assert len(res.selected) == 1
     assert res.selected[0].tau == -3
     assert sorted(res.leftover) == [0, 1, 2]
     rep = verify_whitney(res, entries, alpha)
     assert rep.passed, rep.failures()
+
+
+def test_nested_chain_sums_entries_per_cube(diag_dilation):
+    # Splitting every entry of the chain in two leaves each cube's density,
+    # so the repair selects the same cube and leaves the same cubes over.
+    alpha = 1.0
+    entries = []
+    for cube, lam in _nested_chain(diag_dilation, alpha):
+        entries += [(cube, 0.5 * lam), (cube, 0.5 * lam)]
+    res = whitney_decompose(entries, alpha)
+    assert [(s.tau, s.index) for s in res.selected] == [(-3, (0, 0))]
+    assert res.leftover == [0, 1, 2, 3, 4, 5]
+    rep = verify_whitney(res, entries, alpha)
+    assert rep.passed, rep.failures()
+
+
+def test_density_repair_selects_sibling_chains_in_order(diag_dilation):
+    # A light root with two heavy children inside it: each chain crosses
+    # alpha at its child, and the children are selected in index order.
+    alpha = 1.0
+    left = GridCube(0, -1, (0, 0), diag_dilation)
+    right = GridCube(0, -1, (1, 3), diag_dilation)
+    entries = [(GridCube(0, 0, (0, 0), diag_dilation), 0.1 * alpha),
+               (right, 0.95 * alpha * right.volume),
+               (left, 0.95 * alpha * left.volume)]
+    res = whitney_decompose(entries, alpha)
+    assert [(s.tau, s.index) for s in res.selected] == [(-1, (0, 0)), (-1, (1, 3))]
+    assert res.assigned == {2: 0, 1: 1}
+    assert res.leftover == [0]
+    rep = verify_whitney(res, entries, alpha)
+    assert rep.passed, rep.failures()
+
+
+def test_merge_nested_folds_contained_selections(diag_dilation):
+    big = GridCube(0, 0, (0, 0), diag_dilation)
+    inner = GridCube(0, -1, (1, 3), diag_dilation)
+    apart = GridCube(0, -1, (4, 4), diag_dilation)
+    selected = [inner, big, apart]
+    assigned = {0: 0, 1: 1, 2: 0, 3: 2}
+    _merge_nested(selected, assigned)
+    assert selected == [None, big, apart]
+    assert assigned == {0: 1, 1: 1, 2: 1, 3: 2}
+
+
+def test_merge_nested_rejects_overlap_without_nesting():
+    # under a shear a finer cube can straddle a coarser cube's boundary
+    D = validate_dilation([[4, 1], [1, 3]])
+    big, straddling = GridCube(0, 0, (0, 0), D), GridCube(0, -1, (0, 0), D)
+    assert _interiors_meet(big, straddling)
+    assert not cube_contains(expand_cube(big, 1.0), straddling)
+    with pytest.raises(NumericalFailureError):
+        _merge_nested([big, straddling], {})
+
+
+def test_whitney_decompose_leaves_no_reference_cycle(diag_dilation):
+    # The density repair walks its tree with an explicit stack: a call must
+    # free everything it built on return, leaving nothing for the collector.
+    entries = _nested_chain(diag_dilation, 1.0)
+    whitney_decompose(entries, 1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        whitney_decompose(entries, 1.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_density_guard_lifts_an_overloaded_double(diag_dilation):
@@ -438,6 +537,36 @@ def test_pipeline_instances_pass_all_checks(diag_dilation):
         checked += 1
 
 
+# sheared, rotated, 3-D and swapped diagonal grids
+BEYOND_DIAG24 = [
+    [[4, 1], [1, 3]],
+    [[2, -2], [2, 2]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+    [[4, 0], [0, 2]],
+]
+
+
+def found_pipeline_instances(matrix, count):
+    """Whitney-decompose count found_instances and keep, for each with a
+    selection, (alpha, selected cubes, covered entries)."""
+    D = validate_dilation(matrix)
+    for alpha, entries in found_instances(D, count):
+        res = whitney_decompose(entries, alpha)
+        if res.selected:
+            yield alpha, res.selected, [entries[i] for i in sorted(res.assigned)]
+
+
+@pytest.mark.parametrize("matrix", BEYOND_DIAG24)
+def test_pipeline_instances_pass_all_checks_beyond_diag24(matrix):
+    checked = 0
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 60)):
+        res = stopping_time(S_list, kept, alpha)
+        rep = verify_stopping(res, S_list, kept, alpha, seed=seed)
+        assert rep.passed, (seed, rep.failures())
+        checked += 1
+    assert checked >= 40
+
+
 def test_classification_partitions_entries(diag_dilation):
     alpha = 0.7
     built = pipeline_instance(diag_dilation, alpha, seed=3)
@@ -476,7 +605,7 @@ def test_sentinel_mutation_fails_host_check(diag_dilation):
         dimension_violations=res.dimension_violations,
         alpha=res.alpha,
     )
-    rep = verify_stopping(mutated, S_mut, kept_mut, alpha, seed=7, checks=("iii",))
+    rep = verify_stopping(mutated, S_mut, kept_mut, alpha, seed=7)
     assert not rep.passed
     assert any(name == "iii_kappa_exceeds_hosts" for name, _ in rep.failures())
 
@@ -511,7 +640,7 @@ def test_kappa_decrement_fails_stopped_mass_check(diag_dilation):
         dimension_violations=res.dimension_violations,
         alpha=res.alpha,
     )
-    rep = verify_stopping(mutated, S_list, entries, alpha, seed=7, checks=("iv",))
+    rep = verify_stopping(mutated, S_list, entries, alpha, seed=7)
     assert not rep.passed
     assert any(name == "iv_stopped_mass_bounded" for name, _ in rep.failures())
 
@@ -530,6 +659,17 @@ def test_replay_reproduces_recorded_masses(diag_dilation):
         for event, mass in replay_trace_masses(res, kept):
             assert mass == approx(event.mass, rel=0, abs=0)
         checked += 1
+
+
+@pytest.mark.parametrize("matrix", BEYOND_DIAG24)
+def test_replay_reproduces_recorded_masses_beyond_diag24(matrix):
+    events = 0
+    for alpha, S_list, kept in found_pipeline_instances(matrix, 60):
+        res = stopping_time(S_list, kept, alpha)
+        for event, mass in replay_trace_masses(res, kept):
+            assert mass == approx(event.mass, rel=0, abs=0)
+            events += 1
+    assert events >= 150
 
 
 def test_selected_windows_have_no_selected_ancestor(diag_dilation):

@@ -16,9 +16,7 @@ from pytest import approx
 from anisomax.dilation import (
     cube_diameter,
     fit_diameter_exponent,
-    normalization_power,
     quasi_metric,
-    slowest_direction,
     validate_dilation,
 )
 from anisomax.errors import (
@@ -98,8 +96,11 @@ def test_planar_complex_pair_structure(matrix, det, r_min, norm_power):
 
 
 def test_normalization_power_matches_field():
+    # norm_power is the smallest m >= 1 with operator norm of A^-m at most 1/2
     D = _jordan2()
-    assert normalization_power(D) == D.norm_power == 2
+    assert D.norm_power == 2
+    assert np.linalg.norm(D.power(-1), 2) > 0.5
+    assert np.linalg.norm(D.power(-2), 2) <= 0.5
 
 
 # -------------------------------------------------------------- quasi-metric
@@ -193,20 +194,21 @@ def test_fit_requires_enough_points():
 
 
 def test_slow_vector_diagonal():
-    v, W = slowest_direction(_diag24())
+    D = _diag24()
+    v, W = D.slow_vector, D.slow_subspace
     assert v == approx(np.array([1.0, 0.0]))
     assert W.shape == (2, 1)
     assert abs(W[:, 0] @ np.array([1.0, 0.0])) == approx(1.0)
 
 
 def test_slow_vector_isotropic_tie_break():
-    v, _ = slowest_direction(_double())
+    v = _double().slow_vector
     assert v == approx(np.array([1.0, 0.0]))
 
 
 def test_slow_vector_jordan_lies_in_generalized_eigenspace():
     D = _jordan2()
-    v, W = slowest_direction(D)
+    v, W = D.slow_vector, D.slow_subspace
     # Generalized eigenspace of 2 is all of R^2; the true eigenvector is e1.
     assert W.shape == (2, 1)
     assert abs(W[:, 0] @ np.array([1.0, 0.0])) == approx(1.0, abs=1e-6)
@@ -223,7 +225,7 @@ def test_slow_vector_complex_pair_plane():
     A[:2, :2] = R
     A[2, 2] = 8.0
     D = validate_dilation(A)
-    v, W = slowest_direction(D)
+    v, W = D.slow_vector, D.slow_subspace
     assert W.shape == (3, 2)
     assert abs(v[2]) < 1e-9
     iterate = np.linalg.matrix_power(np.linalg.inv(A), 40) @ v

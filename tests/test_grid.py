@@ -26,7 +26,6 @@ from anisomax.grid import (
     enumerate_cover,
     expand_cube,
     expand_parallelepiped,
-    realize_cube,
     tendril_of,
     tendril_volume_estimate,
 )
@@ -48,7 +47,7 @@ def _double():
 
 
 def test_realize_unit_cube():
-    p = realize_cube(GridCube(0, 0, (0, 0), _diag24()))
+    p = GridCube(0, 0, (0, 0), _diag24()).realize()
     assert p.origin == approx(np.zeros(2))
     assert p.volume == approx(1.0)
     lo, hi = p.bbox()
@@ -58,7 +57,7 @@ def test_realize_unit_cube():
 
 def test_realize_scaled_cube():
     D = _diag24()
-    p = realize_cube(GridCube(-1, -2, (1, 3), D))
+    p = GridCube(-1, -2, (1, 3), D).realize()
     # Pullback lower corner (0.5, 1.5) maps through A^-2 = diag(1/4, 1/16).
     assert p.origin == approx(np.array([0.5 / 4.0, 1.5 / 16.0]))
     assert p.volume == approx((2.0 ** -2) * (8.0 ** -2))
