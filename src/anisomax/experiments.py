@@ -16,7 +16,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .atoms import AtomicSum
 from .decomposition import (
     STOPPING_SAMPLES,
     CheckReport,
@@ -34,6 +33,7 @@ from .maximal import (
     _excluded_mask,
     make_lattice,
     weak_type_report,
+    weak_type_reports,
     write_field_binary,
 )
 from .surface import (
@@ -332,23 +332,15 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
     excluded = _excluded_mask(lattice, exclude)
     k_range = tuple(int(v) for v in config.k_range)
     cap = config.constants["c_stop"] / alpha
-    taus = sorted({atom.support.tau for atom, _ in f.terms})
-    rows = []
-    all_ok = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
-        for tau in taus:
-            group = AtomicSum(terms=[(a, l) for a, l in f.terms
-                                     if a.support.tau == tau], dilation=f.dilation)
-            _, _, ratio = weak_type_report(group, measure, k_range, lattice,
-                                           excluded=excluded)
-            rows.append((tau, len(group.terms), group.h1_norm(), ratio))
-            all_ok = all_ok and ratio <= cap
-        _, _, total = weak_type_report(f, measure, k_range, lattice,
-                                       excluded=excluded)
-    rows.append(("all", len(f.terms), f.h1_norm(), total))
+        reports = weak_type_reports(f, measure, k_range, lattice,
+                                    excluded=excluded)
+    rows = [(key, len(part.terms), part.h1_norm(), ratio)
+            for key, (part, _, _, ratio) in reports.items()]
     _write_csv(out / "weak_type.csv", ["tau", "atoms", "h1", "ratio"], rows)
-    summary.add("weak_type_outside_E", all_ok and total <= cap,
+    total = reports["all"][3]
+    summary.add("weak_type_outside_E", all(row[3] <= cap for row in rows),
                 f"overall ratio={total!r} vs cap={cap!r}")
 
 

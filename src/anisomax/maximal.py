@@ -11,10 +11,18 @@ atom and node, which is also the test oracle.  The maximal field is the
 pointwise sup of |mu_k * f| over a finite k range, with a reported tail
 criterion in place of k in Z.
 
+One engine (_maximal_fields) builds every maximal field: at each k it adds
+each atom's windowed block once into the scratch array of every sub-sum
+that holds the atom, and updates each sup and argmax only on the slices
+written, or on their bounding box when it is smaller.  maximal_field is
+its one-part case; convolve_dilated runs the same per-atom loop for a
+single k.
+
 Superlevel-set sizes are cell counts times the cell volume, optionally
 skipping the cells of a boolean mask, such as the cells of an exceptional
 set E built once per lattice by _excluded_mask.  Every weak-type ratio comes
-from weak_type_report.
+from weak_type_report, or from weak_type_reports, which measures f and each
+of its tau groups from one engine run.
 """
 
 import struct
@@ -142,8 +150,8 @@ def _measure_label(measure) -> str:
     return label
 
 
-def _atomic_label(f: AtomicSum) -> str:
-    taus = sorted(atom.support.tau for atom, _ in f.terms)
+def _atomic_label(terms) -> str:
+    taus = sorted(atom.support.tau for atom, _ in terms)
     if not taus:
         return "0 atoms"
     return f"{len(taus)} atoms, tau in [{taus[0]},{taus[-1]}]"
@@ -159,21 +167,24 @@ def _is_diagonal(matrix: np.ndarray) -> bool:
     return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
 
 
-def _add_scatter(values, lattice, atom, weights, shifted, first, last) -> None:
-    """values += sum_i weights_i atom(x - shifted_i), one evaluation per node.
+def _add_scatter(targets, lattice, atom, weights, shifted, first, last) -> tuple:
+    """Each array in targets += sum_i weights_i atom(x - shifted_i).
 
-    Each node's atom is evaluated on the cells of its window, the lattice
-    cells whose centers lie in the node's shifted support box.
+    Each node's atom is evaluated once, on the cells of its window, the
+    lattice cells whose centers lie in the node's shifted support box.
+    Returns the slices of the box that holds every node window.
     """
     for i in range(len(weights)):
         slices = tuple(slice(a, b + 1) for a, b in zip(first[i], last[i]))
         local = lattice.window_points(slices) - shifted[i]
-        block = atom.evaluate(local).reshape(values[slices].shape)
-        values[slices] += weights[i] * block
+        block = weights[i] * atom.evaluate(local).reshape(targets[0][slices].shape)
+        for values in targets:
+            values[slices] += block
+    return tuple(slice(a, b + 1) for a, b in zip(first.min(axis=0), last.max(axis=0)))
 
 
-def _add_separable(values, lattice, atom, weights, shifted, first, last) -> None:
-    """values += sum_i weights_i atom(x - shifted_i), for a diagonal dilation.
+def _add_separable(targets, lattice, atom, weights, shifted, first, last) -> tuple:
+    """Each array in targets += sum_i weights_i atom(x - shifted_i), diagonal A.
 
     The atom is amplitude x prod_j axis_factor(j, u_j), and under a diagonal
     A the local coordinate u_j depends on x_j alone.  G_j[c, i] is the axis-j
@@ -181,7 +192,7 @@ def _add_separable(values, lattice, atom, weights, shifted, first, last) -> None
     it and zeroed outside node i's window, so the result is the scatter
     path's up to summation order.  The sum over nodes is one contraction of
     the G_j over the union of the node windows: a Khatri-Rao product of all
-    axes but the last, then one matrix product.
+    axes but the last, then one matrix product.  Returns the union's slices.
     """
     cube = atom.support
     scale = np.diag(cube.dilation.power(-cube.tau))
@@ -198,43 +209,171 @@ def _add_separable(values, lattice, atom, weights, shifted, first, last) -> None
         rows = (rows[:, None, :] * g[None, :, :]).reshape(-1, len(weights))
     block = rows @ ((weights * atom.amplitude)[:, None] * factors[-1].T)
     slices = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-    values[slices] += block.reshape(values[slices].shape)
+    block = block.reshape(targets[0][slices].shape)
+    for values in targets:
+        values[slices] += block
+    return slices
 
 
-def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> SampledField:
-    """Field of (mu_k * f)(x) = sum_i w_i f(x - A^k p_i) at cell centers.
-
-    Node i touches only the cells of its window, those whose centers lie in
-    the atom's support box shifted by A^k p_i; nodes whose window misses the
-    lattice are dropped.  Under a diagonal A each atom's sum over the nodes
-    is a separable contraction (_add_separable).  Any other A keeps the
-    windowed scatter (_add_scatter), one atom evaluation per atom and node,
-    which is also the test oracle for the separable path.
-    """
+def _support_boxes(f: AtomicSum, lattice: Lattice) -> list:
+    """Each atom's support bbox, once the lattice passes the resolution guard."""
     if not f.terms:
-        return SampledField(lattice, np.zeros(lattice.shape),
-                            {"f": _atomic_label(f), "k": k})
+        return []
     min_diam = _min_atom_diameter(f)
     if max(lattice.spacing) > min_diam / 8.0:
         raise ResolutionTooCoarseError(
             f"lattice spacing {max(lattice.spacing):.4g} exceeds an eighth "
             f"of the smallest atom diameter {min_diam:.4g}")
+    return [atom.support.realize().bbox() for atom, _ in f.terms]
 
+
+def _add_terms(f: AtomicSum, measure, k: int, lattice: Lattice, boxes,
+               targets) -> list:
+    """Add each term of mu_k * f into its arrays; targets[i] holds term i's.
+
+    Node p of a term touches only the cells of its window, those whose
+    centers lie in the atom's support box (boxes, from _support_boxes)
+    shifted by A^k p; nodes whose window misses the lattice are dropped.
+    Under a diagonal A each atom's sum over the nodes is a separable
+    contraction (_add_separable).  Any other A keeps the windowed scatter
+    (_add_scatter), one atom evaluation per atom and node, which is also
+    the test oracle for the separable path.  Returns (i, slices) for each
+    term i that met the lattice, slices holding every cell it wrote.
+    """
     D = f.dilation
     w = measure.quad_weights
     shifted = measure.quad_points @ D.power(k).T
-    values = np.zeros(lattice.shape)
     add = _add_separable if _is_diagonal(D.matrix) else _add_scatter
-    for atom, lam in f.terms:
-        blo, bhi = atom.support.realize().bbox()
+    touched = []
+    for i, ((atom, lam), (blo, bhi)) in enumerate(zip(f.terms, boxes)):
         first, last = lattice.window_bounds(blo + shifted, bhi + shifted)
         live = np.flatnonzero(np.all(first <= last, axis=1))
         if live.size:
-            add(values, lattice, atom, lam * w[live], shifted[live],
-                first[live], last[live])
+            touched.append((i, add(targets[i], lattice, atom, lam * w[live],
+                                   shifted[live], first[live], last[live])))
+    return touched
+
+
+def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> SampledField:
+    """Field of (mu_k * f)(x) = sum_i w_i f(x - A^k p_i) at cell centers.
+
+    One k of the per-atom loop the maximal field runs (_add_terms), into a
+    single array.
+    """
+    values = np.zeros(lattice.shape)
+    if not f.terms:
+        return SampledField(lattice, values, {"f": _atomic_label(f.terms), "k": k})
+    boxes = _support_boxes(f, lattice)
+    _add_terms(f, measure, k, lattice, boxes, [[values]] * len(f.terms))
     return SampledField(lattice, values, {
-        "f": _atomic_label(f), "measure": _measure_label(measure), "k": k,
+        "f": _atomic_label(f.terms), "measure": _measure_label(measure), "k": k,
     })
+
+
+def _cells(slices) -> int:
+    return int(np.prod([s.stop - s.start for s in slices]))
+
+
+def _fold_regions(touched: list) -> list:
+    """The slices touched, or their bounding box when it holds fewer cells.
+
+    Either way no more cells are walked than the lattice holds, however
+    many atoms' slices overlap.
+    """
+    if len(touched) < 2:
+        return touched
+    hull = tuple(slice(min(s[j].start for s in touched),
+                       max(s[j].stop for s in touched))
+                 for j in range(len(touched[0])))
+    if _cells(hull) <= sum(_cells(s) for s in touched):
+        return [hull]
+    return touched
+
+
+class _RunningSup:
+    """Pointwise sup over k of |mu_k * g| and its argmax, for one sub-sum g.
+
+    At each k the terms of g are added into scratch, and fold(k, touched)
+    updates the sup and the argmax on the slices written (_fold_regions)
+    only, with a strict >, which is idempotent where they overlap; cells
+    outside them hold 0 and could not win.  The regions are zeroed only
+    after all of them are folded, so scratch starts the next k at 0.
+    """
+
+    def __init__(self, lattice: Lattice, ks):
+        self.scratch = np.zeros(lattice.shape)
+        self.best = np.zeros(lattice.shape)
+        self.ks = ks
+        # argmax holds k - ks[0] in the narrowest type, until field()
+        self.argmax = np.zeros(lattice.shape, np.min_scalar_type(ks[-1] - ks[0]))
+        self.end_max = {}
+
+    def fold(self, k: int, touched: list) -> None:
+        """Fold |mu_k * g|, written into scratch on the slices touched."""
+        regions = _fold_regions(touched)
+        peak = 0.0
+        for slices in regions:
+            fk = np.abs(self.scratch[slices])
+            top = float(fk.max())
+            if not np.isfinite(top):
+                raise InputInvalidError("field values must be finite")
+            peak = max(peak, top)
+            best = self.best[slices]
+            mask = fk > best
+            best[mask] = fk[mask]
+            self.argmax[slices][mask] = k - self.ks[0]
+        for slices in regions:
+            self.scratch[slices] = 0.0
+        if k in (self.ks[0], self.ks[-1]):
+            self.end_max[k] = peak
+
+    def field(self, lattice: Lattice, provenance: dict) -> SampledField:
+        """The sup as a field, with argmax_k and the range-end tail fractions."""
+        self.scratch = None
+        peak = float(self.best.max())
+        tails = tuple(self.end_max[k] / peak if peak > 0 else 0.0
+                      for k in (self.ks[0], self.ks[-1]))
+        if max(tails) > TAIL_FRACTION:
+            warnings.warn(
+                f"range ends contribute {max(tails):.3f} of the field max",
+                TailNotNegligibleWarning)
+        argmax = self.argmax.astype(int)
+        argmax += self.ks[0]
+        return SampledField(lattice, self.best, {
+            **provenance, "k_range": (self.ks[0], self.ks[-1]),
+            "argmax_k": argmax, "tail_fractions": tails,
+        })
+
+
+def _maximal_fields(f: AtomicSum, parts, measure, k_range,
+                    lattice: Lattice) -> list:
+    """maximal_field of each sub-sum of f in parts, from one pass over k.
+
+    parts lists term positions of f, ascending.  At each k every atom's
+    windowed contribution is computed once and added into the scratch
+    array of every part that holds it, so each part's array gets the
+    same blocks, in term order, as a run on that part alone would.
+    """
+    ks = _normalize_k_range(k_range)
+    sups = [_RunningSup(lattice, ks) for _ in parts]
+    holders = [[] for _ in f.terms]
+    for j, part in enumerate(parts):
+        for i in part:
+            holders[i].append(j)
+    targets = [[sups[j].scratch for j in holder] for holder in holders]
+    boxes = _support_boxes(f, lattice)
+    for k in ks:
+        touched = [[] for _ in parts]
+        for i, slices in _add_terms(f, measure, k, lattice, boxes, targets):
+            for j in holders[i]:
+                touched[j].append(slices)
+        for sup, slices in zip(sups, touched):
+            sup.fold(k, slices)
+    # drop the references to the scratch arrays, which field() frees
+    del targets
+    return [sup.field(lattice, {
+        "f": _atomic_label([f.terms[i] for i in part]),
+        "measure": _measure_label(measure)}) for sup, part in zip(sups, parts)]
 
 
 def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledField:
@@ -244,31 +383,7 @@ def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledFi
     field maximum; otherwise a TailNotNegligibleWarning is emitted.  The
     measured end fractions are stored in the provenance either way.
     """
-    ks = _normalize_k_range(k_range)
-    best = np.zeros(lattice.shape)
-    argmax = np.full(lattice.shape, ks[0], dtype=int)
-    end_max = {}
-    for k in ks:
-        fk = np.abs(convolve_dilated(f, measure, k, lattice).values)
-        if k in (ks[0], ks[-1]):
-            end_max[k] = float(fk.max())
-        mask = fk > best
-        best[mask] = fk[mask]
-        argmax[mask] = k
-    peak = float(best.max())
-    tails = (
-        end_max[ks[0]] / peak if peak > 0 else 0.0,
-        end_max[ks[-1]] / peak if peak > 0 else 0.0,
-    )
-    if max(tails) > TAIL_FRACTION:
-        warnings.warn(
-            f"range ends contribute {max(tails):.3f} of the field max",
-            TailNotNegligibleWarning)
-    return SampledField(lattice, best, {
-        "f": _atomic_label(f), "measure": _measure_label(measure),
-        "k_range": (ks[0], ks[-1]), "argmax_k": argmax,
-        "tail_fractions": tails,
-    })
+    return _maximal_fields(f, [range(len(f.terms))], measure, k_range, lattice)[0]
 
 
 def _normalize_k_range(k_range) -> list:
@@ -291,7 +406,8 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
     """Cells whose centers lie in any exclude primitive, in the lattice shape.
 
     Each primitive is tested only on the cells of its bbox() padded by one
-    cell, and only on the cells that no earlier primitive captured.
+    cell, and only on the cells that no earlier primitive captured; the
+    centers are built for those cells alone, in C order.
     """
     mask = np.zeros(lattice.shape, dtype=bool)
     pad = np.asarray(lattice.spacing)
@@ -305,8 +421,19 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
         if not todo.any():
             continue
         window[todo] = primitive.contains_points(
-            lattice.window_points(slices)[todo.ravel()])
+            _picked_centers(lattice, slices, todo))
     return mask
+
+
+def _picked_centers(lattice: Lattice, slices, picked) -> np.ndarray:
+    """Centers of the window cells where the boolean array picked holds, C order."""
+    columns = []
+    for j in range(lattice.dim):
+        axis = [1] * lattice.dim
+        axis[j] = -1
+        centers = lattice.axis_centers(j)[slices[j]].reshape(axis)
+        columns.append(np.broadcast_to(centers, picked.shape)[picked])
+    return np.column_stack(columns)
 
 
 def distribution_function(field: SampledField, thresholds, h1: float = None,
@@ -337,6 +464,22 @@ def distribution_function(field: SampledField, thresholds, h1: float = None,
                               weak_ratio=weak, h1=h1)
 
 
+def _positive_norm(f: AtomicSum) -> float:
+    h1 = f.h1_norm()
+    if h1 <= 0:
+        raise InputInvalidError("the atomic sum must have positive norm")
+    return h1
+
+
+def _weak_type(mf: SampledField, h1: float, excluded):
+    peak = float(mf.values.max())
+    if peak <= 0:
+        return mf, None, 0.0
+    thresholds = np.geomspace(THRESHOLD_FLOOR * peak, peak, THRESHOLD_COUNT)
+    report = distribution_function(mf, thresholds, h1=h1, excluded=excluded)
+    return mf, report, report.weak_ratio / h1
+
+
 def weak_type_report(f: AtomicSum, measure, k_range, lattice: Lattice,
                      excluded=None):
     """Maximal field, distribution report and weak-type ratio of f.
@@ -345,16 +488,32 @@ def weak_type_report(f: AtomicSum, measure, k_range, lattice: Lattice,
     lambda |{Mf > lambda} \\ E| / ||f||, with E the cells of the boolean
     mask excluded.  The report is None, and the ratio 0, when Mf vanishes.
     """
-    h1 = f.h1_norm()
-    if h1 <= 0:
-        raise InputInvalidError("the atomic sum must have positive norm")
-    mf = maximal_field(f, measure, k_range, lattice)
-    peak = float(mf.values.max())
-    if peak <= 0:
-        return mf, None, 0.0
-    thresholds = np.geomspace(THRESHOLD_FLOOR * peak, peak, THRESHOLD_COUNT)
-    report = distribution_function(mf, thresholds, h1=h1, excluded=excluded)
-    return mf, report, report.weak_ratio / h1
+    h1 = _positive_norm(f)
+    return _weak_type(maximal_field(f, measure, k_range, lattice), h1, excluded)
+
+
+def weak_type_reports(f: AtomicSum, measure, k_range, lattice: Lattice,
+                      excluded) -> dict:
+    """weak_type_report of each tau group of f and of f, from one field run.
+
+    Keys are the taus of f, ascending, then "all" for f itself; each value
+    is (atomic sum, maximal field, report, ratio), equal to what
+    weak_type_report gives on that sum alone.  mu_k * f is the sum of the
+    group fields at each k, so one _maximal_fields run convolves each atom
+    once per k and feeds the group's array and f's.
+    """
+    positions = {}
+    for i, (atom, _) in enumerate(f.terms):
+        positions.setdefault(atom.support.tau, []).append(i)
+    taus = sorted(positions)
+    parts = [AtomicSum([f.terms[i] for i in positions[tau]], f.dilation)
+             for tau in taus] + [f]
+    norms = [_positive_norm(part) for part in parts]
+    fields = _maximal_fields(
+        f, [positions[tau] for tau in taus] + [range(len(f.terms))],
+        measure, k_range, lattice)
+    return {key: (part,) + _weak_type(mf, h1, excluded) for key, part, mf, h1
+            in zip(taus + ["all"], parts, fields, norms)}
 
 
 def weak_type_ratio(f: AtomicSum, measure, k_range, lattice: Lattice,
@@ -378,17 +537,25 @@ def write_field_binary(field: SampledField, path) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise InputInvalidError(
+            f"truncated field file: wanted {size} bytes, found {len(data)}")
+    return data
+
+
 def read_field_binary(path) -> SampledField:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise InputInvalidError(f"not a field file: bad magic {magic!r}")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        origin = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        spacing = struct.unpack(f"<{dim}d", fh.read(8 * dim))
+        (dim,) = struct.unpack("<I", _read_exact(fh, 4))
+        shape = struct.unpack(f"<{dim}I", _read_exact(fh, 4 * dim))
+        origin = struct.unpack(f"<{dim}d", _read_exact(fh, 8 * dim))
+        spacing = struct.unpack(f"<{dim}d", _read_exact(fh, 8 * dim))
         count = int(np.prod(shape))
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
+        values = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").reshape(shape)
     lattice = Lattice(origin=origin, spacing=spacing, shape=shape)
     return SampledField(lattice, values.copy(), {"source": "binary"})
 

@@ -2,18 +2,25 @@
 
 import json
 import re
+import warnings
 
 import pytest
 from click.testing import CliRunner
 from pytest import approx
 
+from anisomax.atoms import AtomicSum
 from anisomax.cli import main
 from anisomax.config import load_config
 from anisomax import experiments
 from anisomax.decomposition import stopping_time, whitney_decompose
-from anisomax.errors import ConfigInvalidError, WindowExhaustedError
+from anisomax.errors import (
+    ConfigInvalidError,
+    TailNotNegligibleWarning,
+    WindowExhaustedError,
+)
 from anisomax.experiments import run_experiment
-from anisomax.maximal import _excluded_mask, make_lattice
+from anisomax.maximal import _excluded_mask, make_lattice, weak_type_report
+from anisomax.surface import surface_quadrature
 
 FAST = [
     "--override", "atoms.count=3",
@@ -334,20 +341,52 @@ MASKED_PIPELINE = [
 ]
 
 
-def test_cli_full_pipeline_masks_part_of_the_lattice(tmp_path):
-    out = tmp_path / "fp"
-    res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
-               + MASKED_PIPELINE)
-    assert res.exit_code == 0, res.output
-    assert "RESULT PASS" in res.output
+def _masked_pipeline_lattice():
+    """The MASKED_PIPELINE config, its lattice and the cell mask of its E."""
     cfg = load_config(None, overrides=MASKED_PIPELINE[1::2])
     entries = cfg.entries()
     wres = whitney_decompose(entries, cfg.alpha)
     kept = [entries[i] for i in sorted(wres.assigned)]
     exceptional = stopping_time(wres.selected, kept, cfg.alpha).exceptional
     lattice = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
-    coverage = _excluded_mask(lattice, exceptional).mean()
+    return cfg, lattice, _excluded_mask(lattice, exceptional)
+
+
+def test_cli_full_pipeline_masks_part_of_the_lattice(tmp_path):
+    out = tmp_path / "fp"
+    res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
+               + MASKED_PIPELINE)
+    assert res.exit_code == 0, res.output
+    assert "RESULT PASS" in res.output
+    _, _, excluded = _masked_pipeline_lattice()
+    coverage = excluded.mean()
     assert 0.0 < coverage < 1.0
     # superlevel cells remain outside E, so the ratio is measured, not 0
     total = (out / "weak_type.csv").read_text().strip().split("\n")[-1]
     assert total.startswith("all,") and float(total.split(",")[-1]) > 0.0
+
+
+def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):
+    # one field run serves every tau group and the total; each row must be
+    # what weak_type_report gives on that sum alone, to the last digit
+    out = tmp_path / "fp"
+    res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
+               + MASKED_PIPELINE)
+    assert res.exit_code == 0, res.output
+    cfg, lattice, excluded = _masked_pipeline_lattice()
+    f = cfg.atomic_sum()
+    measure = surface_quadrature(cfg.surface_obj(), cfg.n_gl)
+    k_range = tuple(int(v) for v in cfg.k_range)
+    taus = sorted({atom.support.tau for atom, _ in f.terms})
+    assert len(taus) == 2
+    parts = [(tau, AtomicSum([(a, lam) for a, lam in f.terms
+                              if a.support.tau == tau], f.dilation))
+             for tau in taus] + [("all", f)]
+    want = ["tau,atoms,h1,ratio"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        for key, part in parts:
+            ratio = weak_type_report(part, measure, k_range, lattice,
+                                     excluded=excluded)[2]
+            want.append(f"{key},{len(part.terms)},{part.h1_norm()!r},{ratio!r}")
+    assert (out / "weak_type.csv").read_text() == "\n".join(want) + "\n"

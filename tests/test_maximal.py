@@ -38,6 +38,7 @@ from anisomax.maximal import (
     read_field_binary,
     weak_type_ratio,
     weak_type_report,
+    weak_type_reports,
     write_field_binary,
     write_field_csv,
 )
@@ -405,6 +406,88 @@ def test_maximal_range_robustness():
     assert wide.provenance["tail_fractions"][0] > 0.5
 
 
+def _live_nodes(f, measure, k, lattice):
+    """Per atom, the nodes whose shifted support window meets the lattice."""
+    shifted = measure.quad_points @ f.dilation.power(k).T
+    counts = []
+    for atom, _ in f.terms:
+        lo, hi = atom.support.realize().bbox()
+        first, last = lattice.window_bounds(lo + shifted, hi + shifted)
+        counts.append(int(np.all(first <= last, axis=1).sum()))
+    return counts
+
+
+def _full_lattice_sup(f, measure, ks, lattice):
+    """The sup over ks of |convolve_dilated|, one full-lattice pass per k."""
+    best = np.zeros(lattice.shape)
+    argmax = np.full(lattice.shape, ks[0])
+    ends = []
+    for k in ks:
+        fk = np.abs(convolve_dilated(f, measure, k, lattice).values)
+        mask = fk > best
+        best[mask] = fk[mask]
+        argmax[mask] = k
+        ends.append(float(fk.max()))
+    peak = float(best.max())
+    return best, argmax, (ends[0] / peak, ends[-1] / peak)
+
+
+@pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 2.0]],
+                                    [[4.0, 1.0], [1.0, 3.0]]])
+def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
+    # diag(4, 2) takes the separable path, [[4, 1], [1, 3]] the scatter
+    D = validate_dilation(matrix)
+    # the fold walks the atoms' own slices at some k and their bounding
+    # box at others; both must give the full-lattice result
+    choices = set()
+    fold_regions = maximal._fold_regions
+
+    def recording(touched):
+        regions = fold_regions(touched)
+        if len(touched) > 1:
+            choices.add("hull" if regions != touched else "slices")
+        return regions
+
+    monkeypatch.setattr(maximal, "_fold_regions", recording)
+    f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 0)), (0, (-3, -2)),
+                                 (-1, (2, 0))])
+    arc = _circle_measure(24)
+    # the arc moved off the origin, so every window leaves the lattice
+    # once A^k is large enough
+    nodes = types.SimpleNamespace(quad_points=arc.quad_points + [0.75, 0.5],
+                                  quad_weights=arc.quad_weights)
+    lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (96, 64))
+    ks = list(range(-1, 4))
+    live = {k: _live_nodes(f, nodes, k, lat) for k in ks}
+    # the first two atoms overlap, and the tau -1 pair sits side by side;
+    # at some k one atom's nodes all miss the lattice while another's meet
+    # it; the end k touches nothing
+    (lo0, hi0), (lo1, hi1) = (a.support.realize().bbox() for a, _ in f.terms[:2])
+    assert np.all(np.maximum(lo0, lo1) < np.minimum(hi0, hi1))
+    assert any(0 in live[k] and max(live[k]) > 0 for k in ks)
+    assert live[ks[-1]] == [0, 0, 0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        reports = weak_type_reports(f, nodes, (ks[0], ks[-1]), lat, None)
+        assert list(reports) == [-1, 0, "all"]
+        for key, (part, mf, _, ratio) in reports.items():
+            assert len(part.terms) == (4 if key == "all" else 2)
+            alone = maximal_field(part, nodes, (ks[0], ks[-1]), lat)
+            best, argmax, tails = _full_lattice_sup(part, nodes, ks, lat)
+            for other in (alone.values, best):
+                assert np.array_equal(mf.values, other)
+            for other in (alone.provenance["argmax_k"], argmax):
+                assert np.array_equal(mf.provenance["argmax_k"], other)
+            assert alone.provenance["tail_fractions"] == tails
+            assert mf.provenance["tail_fractions"] == tails
+            assert tails[1] == 0.0
+            assert ratio == weak_type_report(part, nodes, (ks[0], ks[-1]), lat)[2]
+    assert choices == {"hull", "slices"}
+    # the total is not the sup of the group fields: the groups overlap
+    groups = np.maximum(reports[-1][1].values, reports[0][1].values)
+    assert not np.array_equal(reports["all"][1].values, groups)
+
+
 def test_k_range_forms():
     D = _diag24()
     meas = _circle_measure()
@@ -640,6 +723,17 @@ def test_binary_roundtrip(tmp_path):
     bad.write_bytes(b"NOTAFLD0" + b"\x00" * 32)
     with pytest.raises(InputInvalidError):
         read_field_binary(bad)
+
+
+@pytest.mark.parametrize("keep", [-8, 10])
+def test_binary_truncated_file_is_invalid_input(tmp_path, keep):
+    # cut inside the values (the last cell) or inside the dimension header
+    path = tmp_path / "field.bin"
+    write_field_binary(_small_field(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:keep])
+    with pytest.raises(InputInvalidError, match="truncated"):
+        read_field_binary(path)
 
 
 def test_csv_format(tmp_path):
