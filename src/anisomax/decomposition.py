@@ -19,6 +19,14 @@ a call's cubes once and gives every cube's box in a (sigma, tau) grid as
 its masks and _star_groups answer the three questions for the whole list
 at once.  The loops read those masks and still sum masses one entry at a
 time, in entry order.
+
+verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
+the exceptional set, certifies before it samples.  _certified_dilates
+settles from geometry every (entry, level) pair whose whole dilate lies in
+the entry's assigned primitive, with rounding slack to spare; only the
+other pairs are tested at sampled points.  A certified pair is one whose
+samples the primitive would all have accepted, and the random stream is
+drawn in full either way, so every report is the one sampling alone gives.
 """
 
 from dataclasses import dataclass, field
@@ -77,7 +85,8 @@ class _BoxSet:
 
     def __init__(self, cubes):
         self.cubes = list(cubes)
-        self._verts = np.stack([Q.vertices() for Q in self.cubes]) if self.cubes else None
+        # (N, 2^d, d): every cube's vertices
+        self.verts = np.stack([Q.vertices() for Q in self.cubes]) if self.cubes else None
         self._levels = {}
 
     def boxes(self, sigma: int, tau: int):
@@ -91,7 +100,7 @@ class _BoxSet:
         """
         got = self._levels.get((sigma, tau))
         if got is None:
-            verts = self._verts @ self.cubes[0].dilation.power(-tau).T
+            verts = self.verts @ self.cubes[0].dilation.power(-tau).T
             scale = 2.0 ** -sigma
             lo = verts.min(axis=1) * scale
             hi = verts.max(axis=1) * scale
@@ -492,6 +501,13 @@ class ExceptionalPrimitive:
             return self.tendril.bbox()
         return self.quad.bbox()
 
+    def covers_dilates(self, verts, spreads) -> np.ndarray:
+        """(N, L) mask: cell n grown by spreads[l] B_1 lies inside, with
+        room to spare, so contains_points accepts every point of it."""
+        if self.kind == "tendril":
+            return self.tendril.covers_dilates(verts, spreads)
+        return self.quad.covers_dilates(verts, spreads)
+
 
 @dataclass
 class StoppingResult:
@@ -645,18 +661,64 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     )
 
 
+def _certified_dilates(result: StoppingResult, boxes: _BoxSet,
+                       levels: np.ndarray) -> np.ndarray:
+    """Mask over levels, an (entries, L) integer array: entry i's whole
+    dilate Q + A^j B_1 at level j = levels[i, l] lies in its assigned
+    primitive.
+
+    Decided from geometry alone (ExceptionalPrimitive.covers_dilates), one
+    call per primitive over its entries' stacked vertices and the distinct
+    levels among them.  A True pair's samples are all accepted by that
+    primitive; a False pair says nothing and is left to sampling.
+    """
+    D = boxes.cubes[0].dilation
+    owner = np.array([result.assigned_primitive[i] for i in range(len(boxes.cubes))])
+    out = np.zeros(levels.shape, dtype=bool)
+    for p in sorted(set(owner.tolist())):
+        rows = np.flatnonzero(owner == p)
+        uniq = sorted(set(levels[rows].ravel().tolist()))
+        spreads = np.stack([D.power(j) for j in uniq])
+        covered = result.exceptional[p].covers_dilates(boxes.verts[rows], spreads)
+        out[rows] = covered[np.arange(len(rows))[:, None], np.searchsorted(uniq, levels[rows])]
+    return out
+
+
 def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
                     C: float = 100.0, C_iv: float = 32.0, seed: int = 0) -> CheckReport:
     """Re-check the four defining conditions of the stopping construction.
 
     (i) the summed volume terms of the exceptional primitives are controlled
     by C (alpha^-1 sum lam + sum |S|); (ii) dilates of each entry at levels
-    below kappa, sampled at STOPPING_SAMPLES points of the unit ball, land
-    inside the exceptional set; (iii) kappa exceeds tau(S) for every S whose
-    double holds the entry; (iv) at every recorded step (sigma, tau), mass
-    already stopped (kappa <= tau) stacks to at most C_iv alpha 2^sigma a^tau
-    inside any double.
+    kappa - 1, kappa - 3 and kappa - 8 land inside the exceptional set;
+    (iii) kappa exceeds tau(S) for every S whose double holds the entry;
+    (iv) at every recorded step (sigma, tau), mass already stopped
+    (kappa <= tau) stacks to at most C_iv alpha 2^sigma a^tau inside any
+    double.
+
+    Check (ii) certifies, then samples.  A pair (entry, level j) whose whole
+    dilate Q + A^j B_1 provably lies in the entry's assigned primitive is
+    settled by _certified_dilates.  Every other pair is tested at
+    STOPPING_SAMPLES points of Q + A^j B_1, first against the assigned
+    primitive and then, for the points it rejects, against the others; a
+    point none accepts is a witness.  A certified pair's points would all
+    have been accepted by the assigned primitive, so skipping them cannot
+    change the outcome or the witness.  The random stream is the same with
+    or without the certificate: the unit-ball points first, then one draw
+    per entry in entry order, certified entries included.
+
+    Raises InputInvalidError when entries is empty or invalid, when alpha
+    is not positive, or when kappa or assigned_primitive misses an entry.
     """
+    if alpha <= 0:
+        raise InputInvalidError("alpha must be positive")
+    _validate_entries(entries)
+    if not entries:
+        raise InputInvalidError("verify_stopping needs at least one entry")
+    for name in ("kappa", "assigned_primitive"):
+        missing = set(range(len(entries))) - getattr(result, name).keys()
+        if missing:
+            raise InputInvalidError(f"{name} has no value for entry {min(missing)}")
     report = CheckReport()
     D = entries[0][0].dilation
     a = D.det_scale
@@ -670,16 +732,24 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
 
     ok, witness = True, None
     n = STOPPING_SAMPLES
+    kappa = np.array([result.kappa[i] for i in range(len(entries))])
+    levels = kappa[:, None] - np.array([1, 3, 8])
+    certified = _certified_dilates(result, boxes, levels)
     ball = rng.normal(size=(n, D.dim))
     ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
     ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
     # samples are built as (d, n) columns; pts is their (n, d) view
     ball = np.ascontiguousarray(ball.T)
     for i, (cube, _) in enumerate(entries):
-        base = cube.realize()
+        # drawn even when unused, so later entries meet the same points
         u = rng.random((n, D.dim))
+        if certified[i].all():
+            continue
+        base = cube.realize()
         x = base.origin[:, None] + base.basis @ u.T
-        for j in (result.kappa[i] - 1, result.kappa[i] - 3, result.kappa[i] - 8):
+        for j, sure in zip(levels[i].tolist(), certified[i].tolist()):
+            if sure:
+                continue
             pts = (x + D.power(j) @ ball).T
             inside = result.exceptional[result.assigned_primitive[i]].contains_points(pts)
             if not np.all(inside):
@@ -701,7 +771,6 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     report.add("ii_dilates_covered", ok, witness)
 
     ok, witness = True, None
-    kappa = np.array([result.kappa[i] for i in range(len(entries))])
     s_tau = np.array([s_cube.tau for s_cube in S_list])
     bad = np.argwhere(boxes.within_each(S_list, 2.0)
                       & (kappa[:, None] <= s_tau[None, :]))

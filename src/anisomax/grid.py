@@ -134,6 +134,29 @@ class Parallelepiped:
         verts = self.vertices()
         return verts.min(axis=0), verts.max(axis=0)
 
+    def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+        """(N, L) mask: cell n grown by spreads[l] B_1 lies in the hull.
+
+        verts is (N, V, d), the vertices of N convex cells; spreads is
+        (L, d, d).  A local coordinate of cell + M B_1 is affine on the cell
+        plus the ball, so it ranges at most over the cell's vertex range
+        widened by the norm of the matching row of basis^-1 M.  True only
+        when every such range lies in [slack, 1 - slack], which
+        contains_points then accepts for every point of the set.  slack
+        follows the tendril bounds' rule, _BAND_SLACK relative to the
+        extent of the hull in these local coordinates.
+        """
+        n, v, d = verts.shape
+        offset = np.linalg.solve(self.basis, self.origin)
+        extent = float(max(np.abs(offset).max(), np.abs(offset + 1.0).max()))
+        slack = _BAND_SLACK * max(1.0, extent)
+        local = np.linalg.solve(self.basis, verts.reshape(-1, d).T - self.origin[:, None])
+        local = local.reshape(d, n, v)
+        lo = local.min(axis=2).T[:, None, :]
+        hi = local.max(axis=2).T[:, None, :]
+        rows = np.sqrt(np.square(np.linalg.inv(self.basis) @ spreads).sum(axis=2))
+        return np.all((lo - rows >= slack) & (hi + rows <= 1.0 - slack), axis=2)
+
 
 def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
     """True when every vertex of the inner cube lies in the closed outer hull."""
@@ -283,7 +306,8 @@ class _PullbackFrame:
     axis-aligned box of P is a lower bound, and the distance to the point of
     P at the clamped local coordinates of y is an upper bound.  A point whose
     bounds straddle r within the rounding slack goes to the projector, which
-    is built on first use.
+    is built on first use.  The upper bound also settles whole dilated cells
+    at once (covers_dilates).
     """
 
     def __init__(self, pull: np.ndarray, origin: np.ndarray, basis: np.ndarray,
@@ -299,9 +323,18 @@ class _PullbackFrame:
         self.box_lo = box_lo.reshape(-1, 1).copy()
         self.box_hi = box_hi.reshape(-1, 1).copy()
         self.radius = radius
+        self.slack = slack
         self.far_sq = (radius + slack) ** 2
         self.near_sq = (radius - slack) ** 2
         self.projector = None
+
+    def _clamped_sq(self, rel: np.ndarray) -> np.ndarray:
+        """Squared upper bounds on dist(y, P), from rel = y - origin as (d, N);
+        rel is overwritten."""
+        u = self.inv_basis @ rel
+        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+        rel -= self.basis @ u
+        return np.square(rel, out=rel).sum(axis=0)
 
     def contains(self, y: np.ndarray) -> np.ndarray:
         """Membership of the pulled points y, given coordinate-major as (d, N)."""
@@ -316,10 +349,7 @@ class _PullbackFrame:
         # order of magnitude slower
         rel = y.take(cand, axis=1)
         rel -= self.origin
-        u = self.inv_basis @ rel
-        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
-        resid = rel - self.basis @ u
-        near = np.square(resid, out=resid).sum(axis=0) <= self.near_sq
+        near = self._clamped_sq(rel) <= self.near_sq
         inside[cand] = near
         band = cand[~near]
         if band.size:
@@ -327,6 +357,24 @@ class _PullbackFrame:
                 self.projector = _ClampedProjector(self.origin[:, 0], self.basis)
             inside[band] = self.projector.distance(y.take(band, axis=1).T) <= self.radius
         return inside
+
+    def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+        """(N, L) mask: pull (cell n + spreads[l] B_1) lies within
+        radius - slack of P.
+
+        verts is (N, V, d), the unpulled vertices of N convex cells; spreads
+        is (L, d, d).  dist(., P) is convex, so over a pulled cell it peaks
+        at a vertex, where the clamped-coordinate distance bounds it from
+        above; the pulled ball pull spreads[l] B_1 adds at most the
+        Frobenius norm of pull spreads[l].  A point within radius - slack is
+        one that contains accepts.
+        """
+        n, v, d = verts.shape
+        rel = self.pull @ verts.reshape(-1, d).T
+        rel -= self.origin
+        far = np.sqrt(self._clamped_sq(rel)).reshape(n, v).max(axis=1)
+        reach = np.sqrt(np.square(self.pull @ spreads).sum(axis=(1, 2)))
+        return far[:, None] + reach[None, :] <= self.radius - self.slack
 
 
 @dataclass(frozen=True)
@@ -366,6 +414,13 @@ class TendrilBound:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         frame = self._frame
         return frame.contains(frame.pull @ pts.T)
+
+    def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+        """(N, L) mask: cell n grown by spreads[l] B_1 lies in the bound,
+        with the rounding slack to spare, so contains_points accepts every
+        point of it.  verts is (N, V, d), spreads (L, d, d); see
+        _PullbackFrame.covers_dilates."""
+        return self._frame.covers_dilates(verts, spreads)
 
     def bbox(self):
         """Axis-aligned box holding every point contains_points accepts."""

@@ -1,5 +1,6 @@
 """Tests for the mass decomposition and stopping-time constructions."""
 
+import dataclasses
 import gc
 from itertools import product
 
@@ -9,7 +10,9 @@ from numpy.random import default_rng
 from pytest import approx
 
 from anisomax.decomposition import (
+    STOPPING_SAMPLES,
     _BoxSet,
+    _certified_dilates,
     _merge_nested,
     _star_groups,
     replay_trace_masses,
@@ -507,6 +510,31 @@ def test_jordan_dilation_rejected_for_stopping():
         stopping_time([Q], [(Q, 1.0)], 1.0)
 
 
+def _one_entry_stopping(D):
+    Q = GridCube(0, -1, (2, -3), D)
+    return [Q], [(Q, 1.0)], stopping_time([Q], [(Q, 1.0)], 1.0)
+
+
+def test_verify_stopping_rejects_empty_entries(diag_dilation):
+    S_list, _, res = _one_entry_stopping(diag_dilation)
+    with pytest.raises(InputInvalidError, match="at least one entry"):
+        verify_stopping(res, S_list, [], 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_verify_stopping_rejects_nonpositive_alpha(diag_dilation, alpha):
+    S_list, entries, res = _one_entry_stopping(diag_dilation)
+    with pytest.raises(InputInvalidError, match="alpha must be positive"):
+        verify_stopping(res, S_list, entries, alpha)
+
+
+def test_verify_stopping_rejects_kappa_missing_an_entry(diag_dilation):
+    S_list, entries, res = _one_entry_stopping(diag_dilation)
+    R = GridCube(0, -1, (3, -3), diag_dilation)
+    with pytest.raises(InputInvalidError, match="kappa has no value for entry 1"):
+        verify_stopping(res, S_list, entries + [(R, 1.0)], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # stopping time: pipeline instances and verification
 
@@ -643,6 +671,93 @@ def test_kappa_decrement_fails_stopped_mass_check(diag_dilation):
     rep = verify_stopping(mutated, S_list, entries, alpha, seed=7)
     assert not rep.passed
     assert any(name == "iv_stopped_mass_bounded" for name, _ in rep.failures())
+
+
+def test_dropped_primitive_fails_dilates_check(diag_dilation):
+    # Two light entries, each stopped against its own S.  With entry 1's
+    # quadrupled cube swapped for a far one, only 4 S_0 still covers part
+    # of entry 1's dilates.  Entry 0 is certified and never sampled, but its
+    # draw is still taken, so entry 1 meets the points a sample-only check
+    # drew: the witness is the one recorded before the certificate existed.
+    alpha = 1e9
+    S_list = [GridCube(0, -1, (2, -3), diag_dilation),
+              GridCube(0, -1, (4, -3), diag_dilation)]
+    entries = [(S, 1.0) for S in S_list]
+    res = stopping_time(S_list, entries, alpha)
+    assert res.assigned_primitive == {0: 0, 1: 1}
+    assert verify_stopping(res, S_list, entries, alpha, seed=7).passed
+
+    far = GridCube(0, -1, (40, 40), diag_dilation)
+    exceptional = list(res.exceptional)
+    exceptional[1] = dataclasses.replace(exceptional[1], cube=far, quad=expand_cube(far, 4.0))
+    dropped = dataclasses.replace(res, exceptional=exceptional)
+    levels = np.array([[-1, -3, -8]] * 2)
+    assert _certified_dilates(dropped, _BoxSet(S_list), levels).tolist() == [
+        [True] * 3, [False] * 3]
+    rep = verify_stopping(dropped, S_list, entries, alpha, seed=7)
+    assert rep.failures() == [
+        ("ii_dilates_covered", "entry 1, level -1: 502 of 1000 samples escape")]
+
+
+def _dilate_samples(entries, levels, seed):
+    """(entry, level position, points) for every pair of check (ii), drawn
+    from the random stream the way verify_stopping draws them."""
+    D = entries[0][0].dilation
+    n = STOPPING_SAMPLES
+    rng = default_rng(seed)
+    ball = rng.normal(size=(n, D.dim))
+    ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
+    ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
+    for i, (cube, _) in enumerate(entries):
+        base = cube.realize()
+        x = base.origin + rng.random((n, D.dim)) @ base.basis.T
+        for k, j in enumerate(levels[i].tolist()):
+            yield i, k, x + ball @ D.power(j).T
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + BEYOND_DIAG24)
+def test_certified_dilates_are_covered(matrix):
+    # Soundness of the certificate: whenever it accepts a pair, the
+    # assigned primitive accepts the pair's samples, the cube's vertices,
+    # and the vertices pushed by A^j along the axes, A^j's singular
+    # directions and 256 fixed directions.  At alpha the entries stop
+    # against tendril bounds; at 1e6 alpha nothing is selected and every
+    # entry stops against its quadrupled S.  kappa + 4 grows the dilates
+    # until a share of the pairs falls to sampling.
+    D = validate_dilation(matrix)
+    d = D.dim
+    rng = default_rng(53)
+    dirs = rng.normal(size=(256, d))
+    dirs = np.concatenate([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), np.eye(d)])
+    # (primitive kind, kappa shift) -> [sampled, certified] pairs
+    counts = {key: [0, 0] for key in product(("tendril", "quad"), (0, 4))}
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 24)):
+        boxes = _BoxSet(cube for cube, _ in kept)
+        for scale, shift in product((1.0, 1e6), (0, 4)):
+            res = stopping_time(S_list, kept, scale * alpha)
+            kappa = np.array([res.kappa[i] for i in range(len(kept))]) + shift
+            levels = kappa[:, None] - np.array([1, 3, 8])
+            certified = _certified_dilates(res, boxes, levels)
+            for i, k, pts in _dilate_samples(kept, levels, seed):
+                prim = res.exceptional[res.assigned_primitive[i]]
+                counts[prim.kind, shift][bool(certified[i, k])] += 1
+                if not certified[i, k]:
+                    continue
+                power = D.power(levels[i, k])
+                push = np.concatenate([dirs, np.linalg.svd(power)[2]])
+                push = np.concatenate([push, -push]) @ power.T
+                verts = kept[i][0].vertices()
+                pushed = (verts[:, None, :] + push[None, :, :]).reshape(-1, d)
+                where = (seed, scale, shift, i, k)
+                assert np.all(prim.contains_points(pts)), where
+                assert np.all(prim.contains_points(verts)), where
+                assert np.all(prim.contains_points(pushed)), where
+    # most plain pairs are settled by geometry, and kappa + 4 leaves a
+    # share to sampling
+    for kind in ("tendril", "quad"):
+        sampled, sure = counts[kind, 0]
+        assert sure > 4 * sampled, counts
+        assert min(counts[kind, 4]) > 0, counts
 
 
 def test_replay_reproduces_recorded_masses(diag_dilation):

@@ -19,6 +19,7 @@ from anisomax.errors import (
     NotNormalizedError,
 )
 from anisomax.grid import (
+    _BAND_SLACK,
     GridCube,
     Parallelepiped,
     _ClampedProjector,
@@ -445,3 +446,39 @@ def test_coordinate_major_membership_on_any_layout(matrix):
         assert 0 < expect.sum() < len(pts)
         for name, arr in _layouts(pts).items():
             assert np.array_equal(quad.contains_points(arr), expect), name
+
+
+def test_dilates_touching_the_outer_edge_go_to_sampling():
+    # covers_dilates accepts a dilate only while it stays the rounding slack
+    # inside the set.  Under diag(2, 4) every number below is exact: the
+    # rank-one spread A^2 diag(s, 0) (tendril) or diag(4 s, 0) (quad)
+    # pushes the cube out along x by exactly s, so gap 0 touches the edge.
+    D = _diag24()
+    t = tendril_of(GridCube(0, 0, (0, 0), D))
+    # q** pulls to [-3/8, 5/8] x [-3/32, 5/32]; Q pulls to [3/4, 13/16] x
+    # [0, 1/256], its far side 3/16 off the face x = 5/8
+    verts = GridCube(0, -2, (12, 0), D).vertices()
+    limit = 2.0 + 1e-9
+    slack = t._frame.slack
+    assert 0.0 < slack < 1e-5
+    for gap, expect in ((0.0, False), (0.5 * slack, False), (2.0 * slack, True), (0.5, True)):
+        s = limit - gap - 3.0 / 16.0
+        spread = D.power(2) @ np.diag([s, 0.0])
+        assert t.covers_dilates(verts[None], spread[None]).tolist() == [[expect]], gap
+        # the dilate's outermost points are in the set
+        tips = verts + spread @ np.array([1.0, 0.0])
+        assert np.all(t.contains_points(tips))
+        if gap == 0.0:
+            edge = tips[verts[:, 0] == verts[:, 0].max()]
+    # at gap 0 they touch the edge: 1e-8 further out (pulled) is outside
+    assert not np.any(t.contains_points(edge + [4e-8, 0.0]))
+
+    # 4 S is [-3/2, 5/2]^2, local coordinates (x + 3/2) / 4; Q's local x is
+    # [3/4, 7/8], so a push of 1/8 reaches the face
+    quad = expand_cube(GridCube(0, 0, (0, 0), D), 4.0)
+    verts = GridCube(0, -1, (3, 0), D).vertices()
+    for gap, expect in ((0.0, False), (0.5 * _BAND_SLACK, False),
+                        (2.0 * _BAND_SLACK, True), (0.1, True)):
+        spread = np.diag([4.0 * (0.125 - gap), 0.0])
+        assert quad.covers_dilates(verts[None], spread[None]).tolist() == [[expect]], gap
+        assert np.all(quad.contains_points(verts + spread @ np.array([1.0, 0.0])))
