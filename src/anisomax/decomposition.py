@@ -15,10 +15,24 @@ grid, under one tolerance rule.
 
 _BoxSet is the one place those boxes are computed and compared.  It stacks
 a call's cubes once and gives every cube's box in a (sigma, tau) grid as
-(N, d) arrays, computed per level per call and never cached on the cubes;
-its masks and _star_groups answer the three questions for the whole list
-at once.  The loops read those masks and still sum masses one entry at a
+(N, d) arrays, computed per call and never cached on the cubes.  Each tau
+is pulled back by one matrix product, and its sigma levels are that
+product's min and max scaled by 2^-sigma, which is exact.  Its masks and
+_star_groups answer the three questions for the whole list at once, and
+within_each and overlap_matrix compare hosts of any mix of levels in one
+broadcast.  The loops read those masks and still sum masses one entry at a
 time, in entry order.
+
+The Whitney sweep, the stopping loop and check (iv) of verify_stopping
+each compare the masses of doubles against a bound, and each passes that
+bound to _star_groups, which skips a step whose whole mass is within it:
+no box is computed and no group built.  The argument is monotone rounding.
+Masses are nonnegative, a double's mass sums a subsequence of the step's
+entries in the same (ascending) order, and round-to-nearest is monotone,
+so by induction over the terms the subsequence's rounded sum never
+exceeds the whole sequence's.  No double can pass a bound the whole does
+not, so a skipped step is one that would have selected or reported
+nothing.
 
 verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
 the exceptional set, certifies before it samples.  _certified_dilates
@@ -53,15 +67,25 @@ STOPPING_SAMPLES = 1000
 # --------------------------------------------------------------- shared math
 
 
-def _star_groups(boxes, ids, sigma: int, tau: int) -> dict:
+def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None) -> dict:
     """Map each index n to the ids, in the given order, whose cube lies in
     the double of (sigma, tau, n).
 
     The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so each id's
     indices form a window of per-axis inequalities on its pullback box.
+
+    Given masses (nonnegative, by id) and a bound, the map is left empty,
+    with no box computed, when the ids' masses sum in the given order to at
+    most the bound.  No double's mass can then exceed it: summed over its
+    group, a double's mass sums a subsequence of the same terms in the same
+    order, and round-to-nearest is monotone, so by induction over the terms
+    its rounded sum never exceeds the whole's.  The induction is over
+    left-to-right rounding, which is how sum() adds floats up to CPython
+    3.11; from 3.12 sum() compensates its rounding, which the argument
+    does not cover.
     """
     groups = {}
-    if not ids:
+    if not ids or (bound is not None and sum(masses[i] for i in ids) <= bound):
         return groups
     lo, hi, tol = (part[ids] for part in boxes.boxes(sigma, tau))
     n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
@@ -74,11 +98,20 @@ def _star_groups(boxes, ids, sigma: int, tau: int) -> dict:
     return groups
 
 
+def _scaled_box(lo, hi, scale):
+    """(lo, hi, tol): pulled bounds times scale, a power of two, and the
+    rounding allowance of every comparison made on them."""
+    lo = lo * scale
+    hi = hi * scale
+    return lo, hi, _TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+
+
 class _BoxSet:
     """Pullback boxes of one list of cubes, one (N, d) set per grid level.
 
-    A level's boxes are computed on first use and kept only as long as the
-    box set, which lives for one call: boxes are never cached on the cubes.
+    A tau's pulled vertices are computed on first use and kept only as long
+    as the box set, which lives for one call: boxes are never cached on the
+    cubes.
     within, within_each and overlap_matrix answer containment and overlap
     as boolean arrays over the list.
     """
@@ -87,7 +120,18 @@ class _BoxSet:
         self.cubes = list(cubes)
         # (N, 2^d, d): every cube's vertices
         self.verts = np.stack([Q.vertices() for Q in self.cubes]) if self.cubes else None
-        self._levels = {}
+        # tau -> per-cube min and max of the vertices pulled back by A^-tau
+        self._pulled = {}
+
+    def _pull(self, tau: int):
+        """The cubes' vertices times A^-tau, reduced to their per-cube min
+        and max, each (N, d): one matrix product per tau, kept."""
+        got = self._pulled.get(tau)
+        if got is None:
+            verts = self.verts @ self.cubes[0].dilation.power(-tau).T
+            got = (verts.min(axis=1), verts.max(axis=1))
+            self._pulled[tau] = got
+        return got
 
     def boxes(self, sigma: int, tau: int):
         """The cubes' bounding boxes in the units of the (sigma, tau) grid.
@@ -96,17 +140,24 @@ class _BoxSet:
         index n is [n, n + 1)^d.  A box is exact because a cube is the convex
         hull of its vertices.  Returns (lo, hi, tol), each of shape (N, d),
         row k for cubes[k]; tol is the rounding allowance of every comparison
-        made on that row and axis.  Computed once per level.
+        made on that row and axis.
+
+        Each tau is pulled once (_pull), and a level's box is the pulled min
+        and max times 2^-sigma.  Scaling by a power of two is exact and
+        commutes with min and max, so the sigma levels of one tau share one
+        matrix product and every box is bit for bit the one a product per
+        level would give.
         """
-        got = self._levels.get((sigma, tau))
-        if got is None:
-            verts = self.verts @ self.cubes[0].dilation.power(-tau).T
-            scale = 2.0 ** -sigma
-            lo = verts.min(axis=1) * scale
-            hi = verts.max(axis=1) * scale
-            got = (lo, hi, _TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
-            self._levels[(sigma, tau)] = got
-        return got
+        return _scaled_box(*self._pull(tau), 2.0 ** -sigma)
+
+    def _host_rows(self, hosts):
+        """(lo, hi, tol), each (H, N, d): [h] is boxes() at hosts[h]'s level,
+        scaled from the pulled pair of its tau."""
+        taus = {}
+        pos = [taus.setdefault(Q.tau, len(taus)) for Q in hosts]
+        lo, hi = (np.stack(part)[pos] for part in zip(*map(self._pull, taus)))
+        scale = np.array([2.0 ** -Q.sigma for Q in hosts])[:, None, None]
+        return _scaled_box(lo, hi, scale)
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -121,27 +172,32 @@ class _BoxSet:
         return np.array([Q.volume for Q in self.cubes])
 
     def within(self, host: GridCube, factor: float) -> np.ndarray:
-        """Mask of the cubes inside the host grown about its center by
-        factor: 1 for the host itself, 2 for its double.
+        """Mask of the cubes inside the host grown by factor: within_each's
+        one-host case."""
+        return self.within_each([host], factor)[:, 0]
+
+    def within_each(self, hosts, factor: float) -> np.ndarray:
+        """M[k, h]: cubes[k] lies inside hosts[h] grown about its center by
+        factor, 1 for the host itself and 2 for its double.
 
         A cube of the host's own scale is inside either exactly when it is
         the host; any other cube's pullback box must fit the grown host's
-        [n + 1/2 - factor/2, n + 1/2 + factor/2]^d.
+        [n + 1/2 - factor/2, n + 1/2 + factor/2]^d.  Each host's rows are
+        gathered from the boxes of its level, each level one scaling of its
+        tau's pulled product, so hosts of any mix of levels are compared in
+        one broadcast over (host, cube, axis), element by element as one
+        host at a time would compare them.
         """
-        lo, hi, tol = self.boxes(host.sigma, host.tau)
-        n = np.asarray(host.index, dtype=np.int64)
+        if not self.cubes or not hosts:
+            return np.zeros((len(self.cubes), len(hosts)), dtype=bool)
+        lo, hi, tol = self._host_rows(hosts)
+        n = np.array([Q.index for Q in hosts], dtype=np.int64)[:, None, :]
         reach = 0.5 * factor
         out = (lo < n + 0.5 - reach - tol) | (hi > n + 0.5 + reach + tol)
-        same = (self.scale[:, 0] == host.sigma) & (self.scale[:, 1] == host.tau)
-        return np.where(same, np.all(self.index == n, axis=1), ~np.any(out, axis=1))
-
-    def within_each(self, hosts, factor: float) -> np.ndarray:
-        """M[k, h] = within(hosts[h], factor)[k]: cubes[k] inside hosts[h]."""
-        out = np.zeros((len(self.cubes), len(hosts)), dtype=bool)
-        if self.cubes:
-            for h, host in enumerate(hosts):
-                out[:, h] = self.within(host, factor)
-        return out
+        levels = np.array([(Q.sigma, Q.tau) for Q in hosts], dtype=np.int64)
+        same = np.all(self.scale[None, :, :] == levels[:, None, :], axis=2)
+        equal = np.all(self.index[None, :, :] == n, axis=2)
+        return np.where(same, equal, ~np.any(out, axis=2)).T
 
     def overlap_matrix(self) -> np.ndarray:
         """M[k, m]: the interiors of cubes[k] and cubes[m] overlap.
@@ -150,18 +206,16 @@ class _BoxSet:
         tested against the larger cube in the larger cube's grid.  That is
         exact when the grids nest (diagonal A); otherwise it may err towards
         overlap.  Two cubes of one scale overlap exactly when they are equal.
-        Column m tests every cube no larger than cubes[m] in cubes[m]'s grid;
-        an entry whose row cube is the larger one is read from the transpose.
+        Column m tests every cube no larger than cubes[m] in cubes[m]'s grid,
+        on rows gathered as within_each gathers them; an entry whose row cube
+        is the larger one is read from the transpose.
         """
-        N = len(self.cubes)
-        meets = np.zeros((N, N), dtype=bool)
-        if N == 0:
-            return meets
-        for m, outer in enumerate(self.cubes):
-            lo, hi, tol = self.boxes(outer.sigma, outer.tau)
-            n = self.index[m]
-            gap = np.minimum(hi, n + 1) - np.maximum(lo, n)
-            meets[:, m] = np.all(gap > tol, axis=1)
+        if not self.cubes:
+            return np.zeros((0, 0), dtype=bool)
+        lo, hi, tol = self._host_rows(self.cubes)
+        n = self.index[:, None, :]
+        gap = np.minimum(hi, n + 1) - np.maximum(lo, n)
+        meets = np.all(gap > tol, axis=2).T
         inner_first = self.volume[:, None] <= self.volume[None, :]
         out = np.where(inner_first, meets, meets.T)
         same = np.all(self.scale[:, None, :] == self.scale[None, :, :], axis=2)
@@ -264,17 +318,15 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     selected = []
     assigned = {}
     boxes = _BoxSet(cube for cube, _ in entries)
+    masses = [lam for _, lam in entries]
 
     for t in range(t_hi, t_lo - 1, -1):
         if not active:
             break
-        remaining = sum(entries[i][1] for i in active)
-        if remaining <= alpha * (a ** t):
-            continue
-        candidates = _star_groups(boxes, sorted(active), 0, t)
+        candidates = _star_groups(boxes, sorted(active), 0, t, masses, alpha * (a ** t))
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
-            residual = sum(entries[i][1] for i in members)
+            residual = sum(masses[i] for i in members)
             if residual > alpha * (a ** t):
                 s_cube = GridCube(0, t, n, D)
                 s_id = len(selected)
@@ -324,11 +376,11 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     # 16 alpha times the cube volume.  Offenders are merged upward.
     for _ in range(_LEVEL_BUDGET):
         worst = None
-        for s_id, s_cube in enumerate(selected):
-            if s_cube is None:
-                continue
-            full = _mass_of(entries, boxes.within(s_cube, 2.0))
-            excess = full - 16.0 * alpha * s_cube.volume
+        live_ids = [s_id for s_id, s_cube in enumerate(selected) if s_cube is not None]
+        held = boxes.within_each([selected[s_id] for s_id in live_ids], 2.0)
+        for col, s_id in enumerate(live_ids):
+            full = _mass_of(entries, held[:, col])
+            excess = full - 16.0 * alpha * selected[s_id].volume
             if excess > _TOL * max(1.0, full) and (worst is None or excess > worst[1]):
                 worst = (s_id, excess)
         if worst is None:
@@ -549,6 +601,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             raise InputInvalidError("S cubes must live on the sigma = 0 grid")
 
     boxes = _BoxSet(cube for cube, _ in entries)
+    masses = [lam for _, lam in entries]
     in_double = boxes.within_each(S_list, 2.0)
     hosts_of = {}
     for i in range(len(entries)):
@@ -582,11 +635,11 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             )
             if not fits:
                 break
-            candidates = _star_groups(boxes, sorted(live), sigma, tau)
             threshold = alpha * (2.0 ** sigma) * (a ** tau)
+            candidates = _star_groups(boxes, sorted(live), sigma, tau, masses, threshold)
             chosen = []
             for n in sorted(candidates):
-                mass = sum(entries[i][1] for i in candidates[n])
+                mass = sum(masses[i] for i in candidates[n])
                 if mass > threshold:
                     chosen.append((n, mass))
             trace.append(TraceEvent(kind="step", sigma=sigma, tau=tau))
@@ -724,6 +777,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     a = D.det_scale
     rng = np.random.default_rng(seed)
     boxes = _BoxSet(cube for cube, _ in entries)
+    masses = [lam for _, lam in entries]
 
     lhs = sum(p.volume_term for p in result.exceptional)
     rhs = C * (sum(lam for _, lam in entries) / alpha + sum(s.volume for s in S_list))
@@ -783,14 +837,13 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     ok, witness = True, None
     steps = [(ev.sigma, ev.tau) for ev in result.trace if ev.kind == "step"]
     for sigma, tau in steps:
-        stopped = [i for i in range(len(entries)) if result.kappa[i] <= tau]
-        if not stopped:
-            continue
-        groups = _star_groups(boxes, stopped, sigma, tau)
+        stopped = np.flatnonzero(kappa <= tau).tolist()
         bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
+        limit = bound * (1.0 + 1e-9)
+        groups = _star_groups(boxes, stopped, sigma, tau, masses, limit)
         for n, members in groups.items():
-            mass = sum(entries[i][1] for i in members)
-            if mass > bound * (1.0 + 1e-9):
+            mass = sum(masses[i] for i in members)
+            if mass > limit:
                 ok = False
                 witness = (f"step ({sigma}, {tau}), cube {n}: "
                            f"stopped mass {mass:.6g} > {bound:.6g}")

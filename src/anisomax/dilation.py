@@ -40,6 +40,8 @@ class DilationStructure:
     _pow_cache: dict = field(default_factory=dict, repr=False)
     # unit-side cube diameter per tau, for cube_diameter
     _diam_cache: dict = field(default_factory=dict, repr=False)
+    # A^-k for k in [-SCAN_LIMIT, SCAN_LIMIT], stacked, for quasi_metric
+    _scan_cache: np.ndarray = field(default=None, repr=False)
 
     def power(self, k: int) -> np.ndarray:
         """A^k for integer k, cached."""
@@ -245,17 +247,22 @@ def _slow_vectors(A: np.ndarray, lam: complex, n_max: int, m_factor: np.ndarray,
 def quasi_metric(D: DilationStructure, x, y) -> float:
     """exp(k*) where k* is the least integer k with |A^-k (y - x)| <= 1.
 
-    The scan covers k in [-64, 64]; identical points give 0 exactly and a
+    The scan covers k in [-64, 64] with one product: the powers A^-k are
+    stacked once per dilation.  Identical points give 0 exactly and a
     difference that never contracts into the unit ball raises
     WindowExhaustedError.
     """
     diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     if not np.any(diff):
         return 0.0
-    for k in range(-SCAN_LIMIT, SCAN_LIMIT + 1):
-        if np.linalg.norm(D.power(-k) @ diff) <= 1.0:
-            return float(np.exp(k))
-    raise WindowExhaustedError("no k in [-64, 64] contracts the difference into the unit ball")
+    if D._scan_cache is None:
+        D._scan_cache = np.stack([D.power(-k) for k in range(-SCAN_LIMIT, SCAN_LIMIT + 1)])
+    norms = np.linalg.norm(D._scan_cache @ diff, axis=1)
+    hits = np.flatnonzero(norms <= 1.0)
+    if not len(hits):
+        raise WindowExhaustedError(
+            "no k in [-64, 64] contracts the difference into the unit ball")
+    return float(np.exp(int(hits[0]) - SCAN_LIMIT))
 
 
 def cube_diameter(D: DilationStructure, tau: int, sigma: int = 0) -> float:

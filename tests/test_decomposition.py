@@ -11,6 +11,7 @@ from pytest import approx
 
 from anisomax.decomposition import (
     STOPPING_SAMPLES,
+    TraceEvent,
     _BoxSet,
     _certified_dilates,
     _merge_nested,
@@ -193,7 +194,11 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
                     held = cube_contains(double, cubes[i])
                     assert (i in groups.get(n, [])) == held, (sigma, tau, n, i)
                     checked["outsiders"] += not held
-        hosts = cubes + [c.tau_parent() for c in cubes if c.sigma == 0]
+        parents = [c.tau_parent() for c in cubes if c.sigma == 0]
+        # sigma = -1 quarters of the parents: one within_each call meets
+        # hosts of mixed (sigma, tau) levels, some holding their cube
+        quarters = [GridCube(-1, p.tau, tuple(2 * v for v in p.index), D) for p in parents[:4]]
+        hosts = cubes + parents + quarters
         for factor in (1.0, 2.0):
             inside = boxes.within_each(hosts, factor)
             for h, host in enumerate(hosts):
@@ -210,6 +215,61 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
                     assert meets[k, m] and meets[m, k], (a, cubes[m])
                 checked["pairs"] += meet
     assert min(checked.values()) >= 20, checked
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + FOUND_MATRICES)
+def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
+    # boxes() pulls each tau once and scales the pulled min and max by
+    # 2^-sigma.  Scaling by a power of two is exact, so every level must
+    # equal, bit for bit, the box of its own product 2^-sigma A^-tau x
+    D = validate_dilation(matrix)
+    cubes = [cube for _, entries in found_instances(D, 4) for cube, _ in entries]
+    cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:4]]
+    verts = np.stack([Q.vertices() for Q in cubes])
+    boxes = _BoxSet(cubes)
+    levels = list(product(range(-8, 3), range(-6, 3)))
+    # ask in a shuffled order, so a tau is first pulled at any sigma
+    for k in default_rng(3).permutation(len(levels)):
+        sigma, tau = levels[k]
+        pulled = verts @ (2.0 ** -sigma * D.power(-tau)).T
+        lo, hi = pulled.min(axis=1), pulled.max(axis=1)
+        got = boxes.boxes(sigma, tau)
+        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi), (sigma, tau)
+        assert np.array_equal(got[2], 1e-9 * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + FOUND_MATRICES)
+def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
+    # within_each and overlap_matrix compare every host at once on rows
+    # gathered from each host's level; the reference takes one host at a
+    # time on boxes(host.sigma, host.tau), and the masks must be equal
+    D = validate_dilation(matrix)
+    for _, entries in found_instances(D, 10):
+        cubes = [cube for cube, _ in entries]
+        cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:3]]
+        hosts = cubes + [c.tau_parent() for c in cubes if c.sigma == 0]
+        boxes = _BoxSet(cubes)
+        scale, index = boxes.scale, boxes.index
+        for factor in (1.0, 2.0):
+            reach = 0.5 * factor
+            loop = []
+            for host in hosts:
+                lo, hi, tol = boxes.boxes(host.sigma, host.tau)
+                n = np.asarray(host.index)
+                out = (lo < n + 0.5 - reach - tol) | (hi > n + 0.5 + reach + tol)
+                same = (scale[:, 0] == host.sigma) & (scale[:, 1] == host.tau)
+                loop.append(np.where(same, np.all(index == n, axis=1), ~np.any(out, axis=1)))
+            assert np.array_equal(boxes.within_each(hosts, factor), np.stack(loop, axis=1))
+        meets = np.zeros((len(cubes), len(cubes)), dtype=bool)
+        for m, outer in enumerate(cubes):
+            lo, hi, tol = boxes.boxes(outer.sigma, outer.tau)
+            gap = np.minimum(hi, index[m] + 1) - np.maximum(lo, index[m])
+            meets[:, m] = np.all(gap > tol, axis=1)
+        inner_first = boxes.volume[:, None] <= boxes.volume[None, :]
+        loop = np.where(inner_first, meets, meets.T)
+        loop = np.where(np.all(scale[:, None] == scale[None, :], axis=2),
+                        np.all(index[:, None] == index[None, :], axis=2), loop)
+        assert np.array_equal(boxes.overlap_matrix(), loop)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +324,20 @@ def test_heavy_stack_selects_coarser_host(diag_dilation):
     assert len(res.assigned) == 18
     rep = verify_whitney(res, entries, alpha)
     assert rep.passed, rep.failures()
+
+
+def test_sweep_selects_where_the_remaining_total_barely_fills_a_double(diag_dilation):
+    # The sweep skips a level only when the whole remaining mass is within
+    # alpha a^t.  Here it exceeds alpha a^0 by half, and the double of the
+    # tau = 0 cube holds both entries, so that double is selected; a level
+    # skipped too eagerly would leave the tau = -1 entry to select itself.
+    alpha = 1.0
+    entries = [(GridCube(0, 0, (0, 0), diag_dilation), 0.9 * alpha),
+               (GridCube(0, -1, (0, 0), diag_dilation), 0.6 * alpha)]
+    res = whitney_decompose(entries, alpha)
+    assert [(s.tau, s.index) for s in res.selected] == [(0, (0, 0))]
+    assert res.assigned == {0: 0, 1: 0}
+    assert verify_whitney(res, entries, alpha).passed
 
 
 def _nested_chain(D, alpha):
@@ -697,6 +771,77 @@ def test_dropped_primitive_fails_dilates_check(diag_dilation):
     rep = verify_stopping(dropped, S_list, entries, alpha, seed=7)
     assert rep.failures() == [
         ("ii_dilates_covered", "entry 1, level -1: 502 of 1000 samples escape")]
+
+
+def _exhaustive_check_iv(result, entries, alpha, C_iv=32.0):
+    """Check (iv) without the skip: every recorded step groups the stopped
+    entries by double, whatever their total."""
+    a = entries[0][0].dilation.det_scale
+    boxes = _BoxSet(cube for cube, _ in entries)
+    for ev in result.trace:
+        if ev.kind != "step":
+            continue
+        stopped = [i for i in range(len(entries)) if result.kappa[i] <= ev.tau]
+        bound = C_iv * alpha * (2.0 ** ev.sigma) * (a ** ev.tau)
+        for n, members in _star_groups(boxes, stopped, ev.sigma, ev.tau).items():
+            mass = sum(entries[i][1] for i in members)
+            if mass > bound * (1.0 + 1e-9):
+                return ("iv_stopped_mass_bounded", False,
+                        f"step ({ev.sigma}, {ev.tau}), cube {n}: "
+                        f"stopped mass {mass:.6g} > {bound:.6g}")
+    return ("iv_stopped_mass_bounded", True, None)
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + BEYOND_DIAG24)
+def test_stopped_mass_skip_matches_exhaustive_check(matrix):
+    # verify_stopping skips a step of check (iv) when the whole stopped
+    # mass is within the bound: each double's mass sums a subsequence of
+    # the same nonnegative masses in the same order, and rounding is
+    # monotone, so no double can exceed it.  Lowering every kappa by 1 or 2
+    # stops more mass earlier, and C_iv = 1 lowers the bound, so that some
+    # steps fail.  (The Jordan grid of FOUND_MATRICES has norm_power 2,
+    # which stopping_time rejects.)
+    seen = {"skipped": 0, "grouped": 0, "passed": 0, "failed": 0}
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 40)):
+        a = kept[0][0].dilation.det_scale
+        res = stopping_time(S_list, kept, alpha)
+        for shift, C_iv in product((0, -1, -2), (32.0, 1.0)):
+            shifted = dataclasses.replace(
+                res, kappa={i: k + shift for i, k in res.kappa.items()})
+            check = verify_stopping(shifted, S_list, kept, alpha, C_iv=C_iv,
+                                    seed=seed).checks[-1]
+            assert check == _exhaustive_check_iv(shifted, kept, alpha, C_iv), (seed, shift, C_iv)
+            seen["passed" if check[1] else "failed"] += 1
+            for ev in shifted.trace:
+                if ev.kind == "step":
+                    limit = C_iv * alpha * 2.0 ** ev.sigma * a ** ev.tau * (1.0 + 1e-9)
+                    total = sum(lam for i, (_, lam) in enumerate(kept)
+                                if shifted.kappa[i] <= ev.tau)
+                    seen["skipped" if total <= limit else "grouped"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_stopped_mass_check_judges_doubles_not_the_total(diag_dilation):
+    # Two far-apart entries, both stopped at the one recorded step, each
+    # alone in its double there.  Their total exceeds the bound, so the step
+    # is grouped; the verdict is then each double's, within the 1e-9 slack.
+    D, alpha = diag_dilation, 1.0
+    S_list = [GridCube(0, -2, (0, 0), D), GridCube(0, -2, (400, 400), D)]
+    bound = 32.0 * alpha * D.det_scale ** -2
+    cases = [
+        ((0.75 * bound, 0.75 * bound), True, None),
+        ((bound * (1.0 + 5e-10), 0.5 * bound), True, None),
+        ((1.25 * bound, 0.5 * bound), False,
+         f"step (0, -2), cube (0, 0): stopped mass {1.25 * bound:.6g} > {bound:.6g}"),
+    ]
+    for masses, ok, witness in cases:
+        entries = list(zip(S_list, masses))
+        assert sum(masses) > bound * (1.0 + 1e-9)
+        res = dataclasses.replace(stopping_time(S_list, entries, alpha), kappa={0: -2, 1: -2},
+                                  trace=[TraceEvent(kind="step", sigma=0, tau=-2)])
+        check = verify_stopping(res, S_list, entries, alpha, seed=7).checks[-1]
+        assert check == ("iv_stopped_mass_bounded", ok, witness), masses
+        assert check == _exhaustive_check_iv(res, entries, alpha), masses
 
 
 def _dilate_samples(entries, levels, seed):

@@ -120,6 +120,20 @@ def test_quasi_metric_window_exhausted():
         quasi_metric(D, (0.0, 0.0), huge)
 
 
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]], [[4, 1], [1, 3]], [[2, 1], [0, 2]],
+                                    [[2, -2], [2, 2]], [[2, 0, 0], [0, 3, 0], [0, 0, 4]]])
+def test_quasi_metric_matches_the_scan_one_k_at_a_time(matrix):
+    # quasi_metric takes every k of the window from one stacked product;
+    # the reference is the scan over k with one product each
+    D = validate_dilation(matrix)
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1e-2, 1.0, 1e3, 1e8):
+        for x, y in rng.uniform(-scale, scale, size=(60, 2, D.dim)):
+            k = next(k for k in range(-64, 65)
+                     if np.linalg.norm(D.power(-k) @ (y - x)) <= 1.0)
+            assert quasi_metric(D, x, y) == float(np.exp(k)), (x, y)
+
+
 def test_quasi_triangle_constant():
     D = _diag24()
     rng = np.random.default_rng(7)
