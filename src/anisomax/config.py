@@ -4,6 +4,12 @@ One structured-text file per run.  Every parameter referenced by an
 experiment lives here, so the run manifest can record the fully resolved
 configuration.  Dotted overrides ("surface.kind=quartic-flat") patch
 individual keys after the file is read.
+
+Files and override values are parsed by PyYAML's libyaml loader,
+yaml.CSafeLoader, when PyYAML was built with libyaml, and by the
+pure-Python yaml.SafeLoader otherwise.  Both resolve and construct with the
+same safe rules, so a config reads the same under either; the C parser is
+only faster.
 """
 
 import copy
@@ -113,6 +119,12 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _parse(stream):
+    """One YAML document from a string or file: the one place a loader is
+    chosen, libyaml's when PyYAML has it."""
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def _merge(base: dict, patch: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in patch.items():
@@ -132,7 +144,7 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> ExperimentC
     if path is not None:
         try:
             with open(path) as fh:
-                data = yaml.safe_load(fh) or {}
+                data = _parse(fh) or {}
         except OSError as exc:
             raise ConfigInvalidError(f"cannot read config: {exc}")
         except yaml.YAMLError as exc:
@@ -154,7 +166,7 @@ def _apply_override(merged: dict, item: str) -> dict:
         raise ConfigInvalidError(f"override must look like key=value: {item!r}")
     key, _, raw = item.partition("=")
     try:
-        value = yaml.safe_load(raw)
+        value = _parse(raw)
     except yaml.YAMLError:
         value = raw
     patch = {}

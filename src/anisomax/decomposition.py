@@ -67,6 +67,16 @@ STOPPING_SAMPLES = 1000
 # --------------------------------------------------------------- shared math
 
 
+def _left_sum(values):
+    """sum() with its rounding fixed: one add per term, left to right,
+    from 0.  CPython's sum() adds floats this way up to 3.11; from 3.12 it
+    compensates the rounding, which would move last bits."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None) -> dict:
     """Map each index n to the ids, in the given order, whose cube lies in
     the double of (sigma, tau, n).
@@ -80,12 +90,11 @@ def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None) -> d
     group, a double's mass sums a subsequence of the same terms in the same
     order, and round-to-nearest is monotone, so by induction over the terms
     its rounded sum never exceeds the whole's.  The induction is over
-    left-to-right rounding, which is how sum() adds floats up to CPython
-    3.11; from 3.12 sum() compensates its rounding, which the argument
-    does not cover.
+    left-to-right rounding, so this total and every double mass it stands
+    in for are taken with _left_sum.
     """
     groups = {}
-    if not ids or (bound is not None and sum(masses[i] for i in ids) <= bound):
+    if not ids or (bound is not None and _left_sum(masses[i] for i in ids) <= bound):
         return groups
     lo, hi, tol = (part[ids] for part in boxes.boxes(sigma, tau))
     n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
@@ -326,7 +335,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         candidates = _star_groups(boxes, sorted(active), 0, t, masses, alpha * (a ** t))
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
-            residual = sum(masses[i] for i in members)
+            residual = _left_sum(masses[i] for i in members)
             if residual > alpha * (a ** t):
                 s_cube = GridCube(0, t, n, D)
                 s_id = len(selected)
@@ -639,7 +648,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             candidates = _star_groups(boxes, sorted(live), sigma, tau, masses, threshold)
             chosen = []
             for n in sorted(candidates):
-                mass = sum(masses[i] for i in candidates[n])
+                mass = _left_sum(masses[i] for i in candidates[n])
                 if mass > threshold:
                     chosen.append((n, mass))
             trace.append(TraceEvent(kind="step", sigma=sigma, tau=tau))
@@ -842,7 +851,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
         limit = bound * (1.0 + 1e-9)
         groups = _star_groups(boxes, stopped, sigma, tau, masses, limit)
         for n, members in groups.items():
-            mass = sum(masses[i] for i in members)
+            mass = _left_sum(masses[i] for i in members)
             if mass > limit:
                 ok = False
                 witness = (f"step ({sigma}, {tau}), cube {n}: "
@@ -867,7 +876,7 @@ def replay_trace_masses(result: StoppingResult, entries):
     for ev in result.trace:
         if ev.kind == "select":
             members = _star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
-            pairs.append((ev, sum(entries[i][1] for i in members)))
+            pairs.append((ev, _left_sum(entries[i][1] for i in members)))
         elif ev.kind == "classify":
             live.discard(ev.entry)
     return pairs

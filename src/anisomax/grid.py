@@ -12,6 +12,7 @@ columns, so that every elementwise step runs along the N points.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -26,6 +27,15 @@ _TENDRIL_TOL = 1e-9
 # half-width, relative to the pullback box's extent, of the band of
 # distances that the tendril bounds leave to the projector
 _BAND_SLACK = 1e-6
+
+
+@cache
+def _unit_corners(d: int) -> np.ndarray:
+    """The 2^d vertices of [0, 1]^d, (2^d, d) in product order, built once
+    per dimension and shared, so read-only."""
+    corners = np.array(list(product((0.0, 1.0), repeat=d)))
+    corners.flags.writeable = False
+    return corners
 
 
 @dataclass(frozen=True)
@@ -109,8 +119,7 @@ class Parallelepiped:
         return float(abs(np.linalg.det(self.basis)))
 
     def vertices(self) -> np.ndarray:
-        corners = np.array(list(product((0.0, 1.0), repeat=self.dim)))
-        return self.origin + corners @ self.basis.T
+        return self.origin + _unit_corners(self.dim) @ self.basis.T
 
     def diameter(self) -> float:
         """Largest vertex distance, computed once per parallelepiped."""

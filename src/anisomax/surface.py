@@ -11,7 +11,6 @@ k = 0 (the measure nodes unmoved).
 import numpy as np
 from dataclasses import dataclass
 from numpy.polynomial.legendre import leggauss
-from scipy.ndimage import gaussian_filter
 
 from .dilation import DilationStructure, cube_diameter
 from .errors import (
@@ -549,7 +548,14 @@ class KernelField:
 
 
 def autocorrelation_kernel(measure, n_bins: int = 255) -> KernelField:
-    """Histogram density of all pairwise node differences, then smooth."""
+    """Histogram density of all pairwise node differences, then smooth.
+
+    The first call imports scipy.ndimage for the smoothing.  It loads about
+    as many modules as the rest of the package, so the import stays here,
+    off the path of every run that asks for no kernel.
+    """
+    from scipy.ndimage import gaussian_filter
+
     pts = measure.quad_points
     w = measure.quad_weights
     d = pts.shape[1]

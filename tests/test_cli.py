@@ -1,16 +1,21 @@
 """Config loading, experiment runners, and the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 from pytest import approx
 
 from anisomax.atoms import AtomicSum
 from anisomax.cli import main
-from anisomax.config import load_config
+from anisomax.config import DEFAULTS, load_config
 from anisomax import experiments
 from anisomax.decomposition import stopping_time, whitney_decompose
 from anisomax.errors import (
@@ -390,3 +395,135 @@ def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):
                                      excluded=excluded)[2]
             want.append(f"{key},{len(part.terms)},{part.h1_norm()!r},{ratio!r}")
     assert (out / "weak_type.csv").read_text() == "\n".join(want) + "\n"
+
+
+# ------------------------------------------------------------- cold start
+
+
+def test_cli_import_leaves_scipy_ndimage_to_the_kernel():
+    # scipy.ndimage loads about as many modules as the rest of the package
+    # and only autocorrelation_kernel smooths with it, so a CLI process
+    # imports it only once a kernel is asked for
+    code = "\n".join([
+        "import sys",
+        "import anisomax.cli",
+        "from anisomax.surface import autocorrelation_kernel, make_surface, surface_quadrature",
+        "assert 'scipy.ndimage' not in sys.modules, 'loaded by import anisomax.cli'",
+        "autocorrelation_kernel(surface_quadrature(make_surface('circle-arc'), 24), n_bins=63)",
+        "assert 'scipy.ndimage' in sys.modules, 'not loaded by autocorrelation_kernel'",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ----------------------------------------------------------- YAML loaders
+
+needs_libyaml = pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
+                                   reason="PyYAML built without libyaml")
+
+# a full-pipeline config with an explicit atom list, in block and flow
+# style and with the float spellings YAML 1.1 resolves
+PIPELINE_YAML = """\
+matrix:
+  - [4.0, 0.0]
+  - [0.0, 2.0]
+alpha: 16.0
+eps: 2.5e-1
+zeta: .03125
+atoms:
+  list:
+    - {tau: 0, index: [-1, 0], lam: 1.4, profile: bump}
+    - tau: -2
+      index: [5, -3]
+      lam: 1.2
+      profile: bump
+lattice:
+  box: [[-6, 6], [-6, 6]]
+  shape: [384, 384]
+k_range: [-2, 2]
+n_gl: 48
+s_range: [4, 4]
+constants: {c_w: 16., c_stop: 1.0e+2, c_iv: 32.0}
+"""
+
+
+def _resolved(monkeypatch, loader, path=None, overrides=()):
+    """repr of load_config's as_dict(), so floats compare by repr, with
+    yaml.CSafeLoader replaced by loader, or removed when loader is None."""
+    with monkeypatch.context() as m:
+        if loader is None:
+            m.delattr(yaml, "CSafeLoader", raising=False)
+        else:
+            m.setattr(yaml, "CSafeLoader", loader)
+        return repr(load_config(path, overrides=overrides).as_dict())
+
+
+@needs_libyaml
+def test_config_parses_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):
+    streams = []
+
+    class Spy(yaml.CSafeLoader):
+        def __init__(self, stream):
+            streams.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+    path = tmp_path / "run.yaml"
+    path.write_text("eps: 0.2\n")
+    cfg = load_config(path, overrides=["alpha=16.0"])
+    assert len(streams) == 2 and cfg.eps == 0.2 and cfg.alpha == 16.0
+
+
+@needs_libyaml
+@pytest.mark.parametrize("fallback", [yaml.SafeLoader, None], ids=["SafeLoader", "absent"])
+@pytest.mark.parametrize("case", ["defaults-dump", "fast", "masked-pipeline", "atom-list"])
+def test_config_is_the_same_under_either_loader(tmp_path, monkeypatch, case, fallback):
+    path, overrides = None, ()
+    if case == "defaults-dump":
+        path = tmp_path / "defaults.yaml"
+        path.write_text(yaml.safe_dump(DEFAULTS))
+    elif case == "fast":
+        overrides = FAST[1::2]
+    elif case == "masked-pipeline":
+        overrides = MASKED_PIPELINE[1::2]
+    else:
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(PIPELINE_YAML)
+    fast = _resolved(monkeypatch, yaml.CSafeLoader, path, overrides)
+    assert _resolved(monkeypatch, fallback, path, overrides) == fast
+    if case == "atom-list":
+        cfg = load_config(path)
+        assert len(cfg.atoms["list"]) == 2 and cfg.eps == 0.25 and cfg.zeta == 0.03125
+        assert cfg.constants == {"c_w": 16.0, "c_stop": 100.0, "c_iv": 32.0}
+
+
+@needs_libyaml
+@pytest.mark.parametrize("fallback", [yaml.SafeLoader, None], ids=["SafeLoader", "absent"])
+@pytest.mark.parametrize("override", [
+    "lattice.box=[[-2,2],[-2,2]]",
+    "surface.kind=quartic-flat",
+    "alpha=16.0",
+    "out_dir=[unclosed",
+])
+def test_overrides_are_the_same_under_either_loader(monkeypatch, override, fallback):
+    fast = _resolved(monkeypatch, yaml.CSafeLoader, overrides=[override])
+    assert _resolved(monkeypatch, fallback, overrides=[override]) == fast
+    if override.startswith("out_dir"):
+        # not valid YAML, so the raw text is the value
+        assert "'out_dir': '[unclosed'" in fast
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["default", "absent"])
+def test_malformed_yaml_is_a_config_error(tmp_path, monkeypatch, fallback):
+    if fallback:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "broken.yaml"
+    path.write_text("matrix: [[4.0, 0.0], [0.0, 2.0]\neps: 0.2\n")
+    with pytest.raises(ConfigInvalidError, match="not valid YAML"):
+        load_config(path)
+    res = _run(["run", "--experiment", "validate-dilation", "--config", str(path),
+                "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "out").exists()

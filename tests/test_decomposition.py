@@ -2,10 +2,14 @@
 
 import dataclasses
 import gc
+import operator
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.random import default_rng
 from pytest import approx
 
@@ -14,6 +18,7 @@ from anisomax.decomposition import (
     TraceEvent,
     _BoxSet,
     _certified_dilates,
+    _left_sum,
     _merge_nested,
     _star_groups,
     replay_trace_masses,
@@ -49,6 +54,23 @@ def random_instance(D, alpha, n_entries, seed, tau_lo=-6, tau_hi=0, span=6):
         ratio = 10.0 ** rng.uniform(-2.0, 1.3)
         entries.append((cube, alpha * cube.volume * ratio))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# the left fold behind the mass sums and _star_groups' skip
+
+
+def test_left_sum_rounds_each_add():
+    # each 1e-16 is under half an ulp of 1.0 and rounds away; a compensated
+    # sum (Python 3.12's sum()) keeps their total and gives 1.0000000000000002
+    assert _left_sum([1.0, 1e-16, 1e-16]) == 1.0
+    assert _left_sum(v for v in [1.0, 1e-16, 1e-16]) == 1.0
+    assert _left_sum([]) == 0
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=40))
+def test_left_sum_is_the_left_fold(values):
+    assert repr(_left_sum(values)) == repr(reduce(operator.add, values))
 
 
 # ---------------------------------------------------------------------------

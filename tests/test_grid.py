@@ -8,6 +8,8 @@ Frozen reference values:
   rounded-box volume (4 + 16)^2 - (4 - pi) 64 for the 2I tendril calibration
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -23,6 +25,7 @@ from anisomax.grid import (
     GridCube,
     Parallelepiped,
     _ClampedProjector,
+    _unit_corners,
     cube_contains,
     enumerate_cover,
     expand_cube,
@@ -54,6 +57,18 @@ def test_realize_unit_cube():
     lo, hi = p.bbox()
     assert lo == approx(np.zeros(2))
     assert hi == approx(np.ones(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unit_corners_are_the_product_corners_and_read_only(d):
+    # built once per dimension and shared by every Parallelepiped.vertices
+    corners = _unit_corners(d)
+    assert np.array_equal(corners, np.array(list(product((0.0, 1.0), repeat=d))))
+    assert corners.dtype == np.float64 and corners.shape == (2 ** d, d)
+    assert not corners.flags.writeable
+    with pytest.raises(ValueError):
+        corners[0, 0] = 1.0
+    assert _unit_corners(d) is corners
 
 
 def test_realize_scaled_cube():
