@@ -179,6 +179,10 @@ def _apply_override(merged: dict, item: str) -> dict:
     return _merge(merged, patch)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     try:
@@ -193,6 +197,11 @@ def _validate(raw: dict) -> ExperimentConfig:
     if len(cfg.s_range) != 2 or int(cfg.s_range[0]) > int(cfg.s_range[1]) \
             or int(cfg.s_range[0]) < 0:
         raise ConfigInvalidError("s_range must be [lo, hi] with 0 <= lo <= hi")
+    window = cfg.tau_window
+    if window is not None and not (
+            isinstance(window, list) and len(window) == 2
+            and all(map(_is_int, window)) and window[0] <= window[1]):
+        raise ConfigInvalidError("tau_window must be null or [lo, hi] integers with lo <= hi")
     box, shape = cfg.lattice.get("box"), cfg.lattice.get("shape")
     if not box or not shape or len(box) != len(shape):
         raise ConfigInvalidError("lattice needs box and shape of equal dimension")
@@ -208,9 +217,19 @@ def _validate(raw: dict) -> ExperimentConfig:
         raise ConfigInvalidError("dimensions disagree: " + ", ".join(
             f"{name} {d}" for name, d in dims.items()))
     rows = cfg.atoms.get("list")
+    seeds = {"seed": cfg.seed}
+    if cfg.atoms["seed"] is not None:
+        seeds["atoms.seed"] = cfg.atoms["seed"]
+    for pos, row in enumerate(rows or ()):
+        seeds[f"atoms.list[{pos}].seed"] = row.get("seed", 0)
+    for name, value in seeds.items():
+        if not (_is_int(value) and value >= 0):
+            raise ConfigInvalidError(f"{name} must be a nonnegative integer, got {value!r}")
     if rows is None:
         if int(cfg.atoms["count"]) < 0:
             raise ConfigInvalidError("atom count must be nonnegative")
+        if int(cfg.atoms["index_span"]) < 0:
+            raise ConfigInvalidError("atoms.index_span must be nonnegative")
         tl, th = (int(v) for v in cfg.atoms["tau_range"])
         if tl > th:
             raise ConfigInvalidError("atom tau_range must be [lo, hi]")

@@ -180,11 +180,6 @@ class _BoxSet:
     def volume(self) -> np.ndarray:
         return np.array([Q.volume for Q in self.cubes])
 
-    def within(self, host: GridCube, factor: float) -> np.ndarray:
-        """Mask of the cubes inside the host grown by factor: within_each's
-        one-host case."""
-        return self.within_each([host], factor)[:, 0]
-
     def within_each(self, hosts, factor: float) -> np.ndarray:
         """M[k, h]: cubes[k] lies inside hosts[h] grown about its center by
         factor, 1 for the host itself and 2 for its double.
@@ -541,33 +536,28 @@ class TraceEvent:
 class ExceptionalPrimitive:
     """One piece of the exceptional set: a tendril bound or a quadrupled cube.
 
-    volume_term is the number this primitive contributes when the size of the
-    exceptional set is summed: the geometric scale 2^sigma a^tau for tendril
-    bounds and the exact volume 4^d |S| for quadrupled cubes.
+    region is the set itself, a TendrilBound for kind "tendril" and the
+    Parallelepiped 4S for kind "quad".  volume_term is the number this
+    primitive contributes when the size of the exceptional set is summed:
+    the geometric scale 2^sigma a^tau for tendril bounds and the exact
+    volume 4^d |S| for quadrupled cubes.
     """
 
     kind: str
     cube: GridCube
-    tendril: TendrilBound
-    quad: Parallelepiped
+    region: TendrilBound | Parallelepiped
     volume_term: float
 
     def contains_points(self, points) -> np.ndarray:
-        if self.kind == "tendril":
-            return self.tendril.contains_points(points)
-        return self.quad.contains_points(points)
+        return self.region.contains_points(points)
 
     def bbox(self):
-        if self.kind == "tendril":
-            return self.tendril.bbox()
-        return self.quad.bbox()
+        return self.region.bbox()
 
     def covers_dilates(self, verts, spreads) -> np.ndarray:
         """(N, L) mask: cell n grown by spreads[l] B_1 lies inside, with
         room to spare, so contains_points accepts every point of it."""
-        if self.kind == "tendril":
-            return self.tendril.covers_dilates(verts, spreads)
-        return self.quad.covers_dilates(verts, spreads)
+        return self.region.covers_dilates(verts, spreads)
 
 
 @dataclass
@@ -698,14 +688,13 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
         bound = tendril_of(q)
         primitive_of_q[key] = len(exceptional)
         exceptional.append(ExceptionalPrimitive(
-            kind="tendril", cube=q, tendril=bound, quad=None,
-            volume_term=bound.scale,
+            kind="tendril", cube=q, region=bound, volume_term=bound.scale,
         ))
     primitive_of_s = {}
     for k, s_cube in enumerate(S_list):
         primitive_of_s[k] = len(exceptional)
         exceptional.append(ExceptionalPrimitive(
-            kind="quad", cube=s_cube, tendril=None, quad=expand_cube(s_cube, 4.0),
+            kind="quad", cube=s_cube, region=expand_cube(s_cube, 4.0),
             volume_term=(4.0 ** D.dim) * s_cube.volume,
         ))
     for i in range(len(entries)):

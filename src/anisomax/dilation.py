@@ -3,8 +3,8 @@
 A dilation is an invertible real matrix A whose eigenvalues all have modulus
 strictly greater than one.  Powers A^tau scale space anisotropically; this
 module validates a matrix, extracts its scaling data (determinant scale,
-minimal eigenvalue modulus, Jordan block size, slowest direction), and
-provides the induced quasi-metric and cube-diameter asymptotics.
+minimal eigenvalue modulus, Jordan block size of the slowest eigenvalue),
+and provides the cube-diameter asymptotics.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,6 @@ from .errors import (
     DegenerateFitError,
     EigenvalueNotExpandingError,
     NonSquareError,
-    NumericalFailureError,
     WindowExhaustedError,
 )
 
@@ -34,14 +33,10 @@ class DilationStructure:
     det_scale: float
     r_min: float
     block_size: int
-    slow_vector: np.ndarray
-    slow_subspace: np.ndarray
     norm_power: int
     _pow_cache: dict = field(default_factory=dict, repr=False)
     # unit-side cube diameter per tau, for cube_diameter
     _diam_cache: dict = field(default_factory=dict, repr=False)
-    # A^-k for k in [-SCAN_LIMIT, SCAN_LIMIT], stacked, for quasi_metric
-    _scan_cache: np.ndarray = field(default=None, repr=False)
 
     def power(self, k: int) -> np.ndarray:
         """A^k for integer k, cached."""
@@ -110,26 +105,16 @@ def _eigen_groups(eigvals: np.ndarray, tol: float):
     return reps
 
 
-def _slowest_block(A: np.ndarray, eigvals: np.ndarray):
-    """The slow eigenvalue of largest Jordan block, with its block data.
-
-    Among the eigenvalue representatives of minimal modulus, the first with
-    the largest block wins.  Returns (lam, block size, normalized factor,
-    rank_tol).
-    """
+def _slowest_block(A: np.ndarray, eigvals: np.ndarray) -> int:
+    """The largest Jordan block size among the eigenvalues of minimal modulus."""
     moduli = np.abs(eigvals)
     r = float(np.min(moduli))
     group_tol = 1e-8 * max(1.0, float(np.max(moduli)))
     reps = _eigen_groups(eigvals, group_tol)
     slow_reps = [lam for lam in reps if abs(abs(lam) - r) <= 1e-8 * r]
     rank_tol = _RANK_TOL * max(1.0, _operator_norm(A))
-    best = None
-    for lam in slow_reps:
-        m_factor, norm = _jordan_factor(A, lam, rank_tol)
-        n_lam = _block_size(m_factor, norm, rank_tol)
-        if best is None or n_lam > best[1]:
-            best = (lam, n_lam, m_factor)
-    return best + (rank_tol,)
+    return max(_block_size(*_jordan_factor(A, lam, rank_tol), rank_tol)
+               for lam in slow_reps)
 
 
 def validate_dilation(matrix) -> DilationStructure:
@@ -148,16 +133,12 @@ def validate_dilation(matrix) -> DilationStructure:
         raise EigenvalueNotExpandingError(
             f"minimum eigenvalue modulus {np.min(moduli):.6g} is not > 1"
         )
-    lam, block_size, m_factor, rank_tol = _slowest_block(A, eigvals)
-    v, w = _slow_vectors(A, lam, block_size, m_factor, rank_tol)
     return DilationStructure(
         matrix=A,
         dim=d,
         det_scale=float(abs(np.linalg.det(A))),
         r_min=float(np.min(moduli)),
-        block_size=block_size,
-        slow_vector=v,
-        slow_subspace=w,
+        block_size=_slowest_block(A, eigvals),
         norm_power=_norm_power(A),
     )
 
@@ -172,97 +153,6 @@ def _norm_power(A: np.ndarray) -> int:
     raise WindowExhaustedError(
         f"no m <= {SCAN_LIMIT} gives an operator norm of A^-m at most 1/2"
     )
-
-
-def _slow_vectors(A: np.ndarray, lam: complex, n_max: int, m_factor: np.ndarray,
-                  rank_tol: float):
-    """The slowest direction v and its limit span W, stored by
-    validate_dilation as slow_vector and slow_subspace.
-
-    From the block data of _slowest_block: v is a unit vector in the
-    generalized eigenspace of the slow eigenvalue lam with maximal Jordan
-    block size n_max, and W is a matrix whose columns span the 1- or
-    2-dimensional subspace that the normalized backward iterates A^tau v
-    approach.  The approach is checked numerically at tau = -40 and
-    NumericalFailureError is raised if it fails.
-    """
-    d = A.shape[0]
-    full = np.linalg.matrix_power(m_factor, n_max)
-    _, s_vals, vh = np.linalg.svd(full)
-    null_dim = int(np.sum(s_vals <= rank_tol * max(1.0, s_vals[0] if len(s_vals) else 1.0)))
-    if null_dim == 0:
-        raise NumericalFailureError("empty generalized eigenspace; eigen data inconsistent")
-    # Orthonormal basis of the generalized eigenspace G = null(m_factor^n_max).
-    basis = vh[d - null_dim:].T
-
-    depth_test = np.linalg.matrix_power(m_factor, n_max - 1) if n_max > 1 else np.eye(d)
-    proj = basis @ basis.T
-    v = None
-    for i in range(d):
-        cand = proj @ np.eye(d)[:, i]
-        if np.linalg.norm(cand) <= rank_tol:
-            continue
-        cand = cand / np.linalg.norm(cand)
-        if n_max == 1 or np.linalg.norm(depth_test @ cand) > rank_tol:
-            v = cand
-            break
-    if v is None:
-        raise NumericalFailureError("no basis vector projects to full Jordan depth")
-    # Deterministic sign: make the largest-magnitude component positive.
-    lead = int(np.argmax(np.abs(v)))
-    if v[lead] < 0:
-        v = -v
-    v = np.where(np.abs(v) <= 1e-14, 0.0, v)
-    v = v / np.linalg.norm(v)
-
-    if abs(lam.imag) <= rank_tol:
-        # The backward iterates of v align with the true eigenvector of v's
-        # Jordan chain, which is (A - lam I)^(n_max - 1) v up to scale.
-        w_dir = depth_test @ v
-        w_dir = w_dir / np.linalg.norm(w_dir)
-        lead = int(np.argmax(np.abs(w_dir)))
-        if w_dir[lead] < 0:
-            w_dir = -w_dir
-        w_dir = np.where(np.abs(w_dir) <= 1e-12, 0.0, w_dir)
-        W = (w_dir / np.linalg.norm(w_dir)).reshape(d, 1)
-    else:
-        # Complex pair: iterates rotate within the real 2-plane of the pair.
-        ev_vals, ev_vecs = np.linalg.eig(A)
-        idx = int(np.argmin(np.abs(ev_vals - lam)))
-        u = ev_vecs[:, idx]
-        plane = np.stack([u.real, u.imag], axis=1)
-        q, _ = np.linalg.qr(plane)
-        W = q[:, :2]
-
-    iterate = np.linalg.matrix_power(np.linalg.inv(A), 40) @ v
-    iterate = iterate / np.linalg.norm(iterate)
-    residual = iterate - W @ (W.T @ iterate)
-    if np.linalg.norm(residual) >= 0.05:
-        raise NumericalFailureError(
-            f"backward iterates of v do not approach W (residual {np.linalg.norm(residual):.3g})"
-        )
-    return v, W
-
-
-def quasi_metric(D: DilationStructure, x, y) -> float:
-    """exp(k*) where k* is the least integer k with |A^-k (y - x)| <= 1.
-
-    The scan covers k in [-64, 64] with one product: the powers A^-k are
-    stacked once per dilation.  Identical points give 0 exactly and a
-    difference that never contracts into the unit ball raises
-    WindowExhaustedError.
-    """
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    if not np.any(diff):
-        return 0.0
-    if D._scan_cache is None:
-        D._scan_cache = np.stack([D.power(-k) for k in range(-SCAN_LIMIT, SCAN_LIMIT + 1)])
-    norms = np.linalg.norm(D._scan_cache @ diff, axis=1)
-    hits = np.flatnonzero(norms <= 1.0)
-    if not len(hits):
-        raise WindowExhaustedError(
-            "no k in [-64, 64] contracts the difference into the unit ball")
-    return float(np.exp(int(hits[0]) - SCAN_LIMIT))
 
 
 def cube_diameter(D: DilationStructure, tau: int, sigma: int = 0) -> float:

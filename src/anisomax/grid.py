@@ -4,7 +4,9 @@ A grid cube at scale (sigma, tau) is the image under A^tau of the dyadic cube
 2^sigma ([0, 1)^d + index).  Cubes of a fixed scale tile space half-open; for
 containment questions the closed hull is used with a diameter-relative
 tolerance.  Expanded cubes and tendril outer bounds are parallelepipeds plus
-dilated balls, handled exactly through pullback coordinates.
+dilated balls, handled exactly through pullback coordinates: each answers
+membership, of points and of whole dilated cells, and gives an axis-aligned
+box that holds it.
 
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
@@ -17,10 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .dilation import DilationStructure, cube_diameter
-from .errors import BudgetExceededError, InputInvalidError, NotNormalizedError
+from .dilation import DilationStructure
+from .errors import InputInvalidError, NotNormalizedError
 
-_COVER_BUDGET = 10_000_000
 _CONTAIN_TOL = 1e-12
 _TENDRIL_RADIUS = 2.0
 _TENDRIL_TOL = 1e-9
@@ -62,9 +63,6 @@ class GridCube:
     def side(self) -> float:
         return 2.0 ** self.sigma
 
-    def diameter(self) -> float:
-        return cube_diameter(self.dilation, self.tau, self.sigma)
-
     def realize(self) -> "Parallelepiped":
         power = self.dilation.power(self.tau)
         n = np.asarray(self.index, dtype=float)
@@ -95,12 +93,6 @@ class GridCube:
         pulled = np.linalg.solve(self.dilation.matrix, (self.side * c))
         parent_index = tuple(int(np.floor(x)) for x in pulled)
         return GridCube(0, self.tau + 1, parent_index, self.dilation)
-
-    def sigma_parent(self) -> "GridCube":
-        if self.sigma >= 0:
-            raise InputInvalidError("sigma = 0 cubes have no sigma parent")
-        parent_index = tuple(int(np.floor(n / 2)) for n in self.index)
-        return GridCube(self.sigma + 1, self.tau, parent_index, self.dilation)
 
 
 @dataclass(frozen=True)
@@ -184,27 +176,6 @@ def expand_parallelepiped(p: Parallelepiped, factor: float) -> Parallelepiped:
     return Parallelepiped(origin=p.origin - shift, basis=factor * p.basis)
 
 
-# ------------------------------------------------------------------ covering
-
-
-def _axes_for_sat(basis: np.ndarray):
-    """Separating-axis candidates for a parallelepiped against an aligned box."""
-    d = basis.shape[0]
-    axes = [np.eye(d)[:, i] for i in range(d)]
-    try:
-        normals = np.linalg.inv(basis).T
-    except np.linalg.LinAlgError:
-        return axes
-    axes.extend(normals[:, i] for i in range(d))
-    if d == 3:
-        for i in range(3):
-            for j in range(3):
-                cross = np.cross(np.eye(3)[:, i], basis[:, j])
-                if np.linalg.norm(cross) > 1e-14:
-                    axes.append(cross)
-    return axes
-
-
 def _boxes_intersect_open(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool:
     """SAT with strict overlap, so shared boundary faces do not count."""
     for axis in axes:
@@ -214,59 +185,6 @@ def _boxes_intersect_open(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> boo
         if min(pa.max(), pb.max()) - max(pa.min(), pb.min()) <= 1e-12 * span:
             return False
     return True
-
-
-def enumerate_cover(D: DilationStructure, sigma: int, tau: int, box) -> list:
-    """All cubes of R_{sigma, tau} whose half-open realization meets the box.
-
-    The box is a pair (lo, hi) of arrays and is treated half-open, matching
-    the cubes, so a box [0, 1)^d at sigma = tau = 0 is covered by exactly one
-    cube.  An empty box gives an empty list.  The integer candidate window is
-    counted before materializing and BudgetExceededError is raised past 1e7.
-    """
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    if lo.shape != (D.dim,) or hi.shape != (D.dim,):
-        raise InputInvalidError("box endpoints must be d-vectors")
-    if np.any(hi <= lo):
-        return []
-    side = 2.0 ** sigma
-    inv_pow = D.power(-tau)
-    corners = np.array(list(product(*zip(lo, hi))))
-    pulled = corners @ inv_pow.T
-    pb_lo = pulled.min(axis=0)
-    pb_hi = pulled.max(axis=0)
-
-    n_lo = np.floor(pb_lo / side).astype(int) - 1
-    n_hi = np.ceil(pb_hi / side).astype(int) + 1
-    counts = n_hi - n_lo + 1
-    total = int(np.prod(counts.astype(object)))
-    if total > _COVER_BUDGET:
-        raise BudgetExceededError(
-            f"candidate window holds {total} cubes, budget is {_COVER_BUDGET}"
-        )
-
-    diagonal = np.allclose(D.matrix, np.diag(np.diag(D.matrix)))
-    cubes = []
-    if diagonal:
-        # Exact per-axis half-open interval overlap in pullback coordinates.
-        ranges = []
-        for i in range(D.dim):
-            lo_i, hi_i = sorted((pb_lo[i], pb_hi[i]))
-            ns = [n for n in range(n_lo[i], n_hi[i] + 1)
-                  if side * n < hi_i and side * (n + 1) > lo_i]
-            ranges.append(ns)
-        for idx in product(*ranges):
-            cubes.append(GridCube(sigma, tau, idx, D))
-        return cubes
-
-    box_verts = corners
-    axes = _axes_for_sat(D.power(tau) * side)
-    for idx in product(*(range(n_lo[i], n_hi[i] + 1) for i in range(D.dim))):
-        cube = GridCube(sigma, tau, idx, D)
-        if _boxes_intersect_open(cube.vertices(), box_verts, axes):
-            cubes.append(cube)
-    return cubes
 
 
 # ------------------------------------------------------------------ tendrils
@@ -390,15 +308,11 @@ class _PullbackFrame:
 class TendrilBound:
     """Outer bound for the tendril of a cube q: q** + A^(tau+2) B_2(0).
 
-    volume_bound is the closed-form budget 4^d vol(B_2) a^2 2^sigma a^tau and
     scale is the bare geometric factor 2^sigma a^tau used when summing volume
-    terms of exceptional sets.  sample_box is an axis-aligned bounding box of
-    the outer set, used for Monte Carlo volume estimates.
+    terms of exceptional sets.
     """
 
     cube: GridCube
-    sample_box: Parallelepiped
-    volume_bound: float
     scale: float
 
     @property
@@ -439,11 +353,6 @@ class TendrilBound:
         return lo - reach, hi + reach
 
 
-def _unit_ball_volume(d: int) -> float:
-    from math import gamma, pi
-    return pi ** (d / 2.0) / gamma(d / 2.0 + 1.0)
-
-
 def tendril_of(cube: GridCube) -> TendrilBound:
     """Outer bound of the tendril of q, for normalized dilations only."""
     D = cube.dilation
@@ -451,33 +360,5 @@ def tendril_of(cube: GridCube) -> TendrilBound:
         raise NotNormalizedError(
             f"tendril bounds need norm_power 1, dilation has {D.norm_power}"
         )
-    d = D.dim
-    quad = expand_cube(cube, 4.0)
-    ball_radius = _TENDRIL_RADIUS
-    ball_vol = _unit_ball_volume(d) * (ball_radius ** d)
     scale = (2.0 ** cube.sigma) * (D.det_scale ** cube.tau)
-    volume_bound = (4.0 ** d) * ball_vol * (D.det_scale ** 2) * scale
-    rows = D.power(cube.tau + 2)
-    shift = ball_radius * np.sqrt((rows ** 2).sum(axis=1))
-    box_lo, box_hi = quad.bbox()
-    sample_box = Parallelepiped(
-        origin=box_lo - shift,
-        basis=np.diag(box_hi - box_lo + 2.0 * shift),
-    )
-    return TendrilBound(cube=cube, sample_box=sample_box, volume_bound=volume_bound, scale=scale)
-
-
-def tendril_volume_estimate(bound: TendrilBound, n_samples: int, seed: int) -> float:
-    """Monte Carlo volume of the exact outer set q** + A^(tau+2) B_2(0).
-
-    Samples uniformly from the stored bounding box and counts membership; at
-    least 1e3 samples are required.
-    """
-    if n_samples < 1_000:
-        raise InputInvalidError("need at least 1000 samples")
-    rng = np.random.default_rng(seed)
-    lo = bound.sample_box.origin
-    widths = np.diag(bound.sample_box.basis)
-    pts = lo + rng.random((n_samples, len(lo))) * widths
-    frac = float(np.mean(bound.contains_points(pts)))
-    return frac * float(np.prod(widths))
+    return TendrilBound(cube=cube, scale=scale)

@@ -377,7 +377,8 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
 
 
 def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledField:
-    """Pointwise sup over k of |mu_k * f|, with per-cell argmax recorded.
+    """Pointwise sup over k = lo..hi of |mu_k * f|, k_range = (lo, hi),
+    with per-cell argmax recorded.
 
     The ends of the truncated range must contribute less than 1% of the
     field maximum; otherwise a TailNotNegligibleWarning is emitted.  The
@@ -387,16 +388,15 @@ def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledFi
 
 
 def _normalize_k_range(k_range) -> list:
-    if isinstance(k_range, tuple) and len(k_range) == 2 and all(
-            isinstance(v, (int, np.integer)) for v in k_range):
-        lo, hi = int(k_range[0]), int(k_range[1])
-        if lo > hi:
-            raise InputInvalidError("empty k range")
-        return list(range(lo, hi + 1))
-    ks = sorted(int(k) for k in k_range)
-    if not ks:
+    """The k values lo..hi of k_range = (lo, hi), given as a tuple or a list
+    of two integers with lo <= hi."""
+    if not (isinstance(k_range, (tuple, list)) and len(k_range) == 2 and all(
+            isinstance(v, (int, np.integer)) for v in k_range)):
+        raise InputInvalidError(f"k_range must be (lo, hi) integers, got {k_range!r}")
+    lo, hi = int(k_range[0]), int(k_range[1])
+    if lo > hi:
         raise InputInvalidError("empty k range")
-    return ks
+    return list(range(lo, hi + 1))
 
 
 # ------------------------------------------------------- distribution sizes
@@ -559,15 +559,3 @@ def read_field_binary(path) -> SampledField:
     lattice = Lattice(origin=origin, spacing=spacing, shape=shape)
     return SampledField(lattice, values.copy(), {"source": "binary"})
 
-
-def write_field_csv(field: SampledField, path) -> None:
-    """Cell centers and values, one row per cell, repr-exact floats."""
-    lat = field.lattice
-    pts = lat.points()
-    flat = field.values.ravel()
-    header = ",".join(f"x{j + 1}" for j in range(lat.dim)) + ",value"
-    lines = [header]
-    for row, val in zip(pts, flat):
-        lines.append(",".join(repr(float(c)) for c in row) + f",{repr(float(val))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -265,19 +265,6 @@ def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure
     return SurfaceMeasure(surface, y, surface.points(y), w * surface.chi(y))
 
 
-def dilated_measure(measure, D: DilationStructure, k: int) -> SurfaceMeasure:
-    """Pushforward under A^k: nodes move, weights stay."""
-    pts = measure.quad_points @ D.power(k).T
-    return SurfaceMeasure(
-        measure.surface,
-        measure.param_points,
-        pts,
-        measure.quad_weights.copy(),
-        scale=measure.scale,
-        eps=measure.eps,
-    )
-
-
 @dataclass
 class _CapPartition:
     """Shared bump context: plateau caps normalized to sum to chi."""

@@ -102,6 +102,14 @@ def test_config_rejections(tmp_path):
         load_config(None, overrides=["lattice.shape=[0,4]"])
     with pytest.raises(ConfigInvalidError, match="lam_range"):
         load_config(None, overrides=["atoms.lam_range=[2.0,1.0]"])
+    # a short window would crash classify_pieces and an inverted one would
+    # leave its tau loop empty, a vacuous PASS; a negative seed or span
+    # would reach numpy as a ValueError
+    for bad in ("tau_window=[3]", "tau_window=[0,-5]", "tau_window=[0.5,1]",
+                "seed=-1", "atoms.seed=-2", "atoms.index_span=-3",
+                'atoms.list=[{tau: 0, index: [0, 0], lam: 1.0, seed: -4}]'):
+        with pytest.raises(ConfigInvalidError):
+            load_config(None, overrides=[bad])
     with pytest.raises(ConfigInvalidError):
         load_config(None, overrides=["badly formed"])
     bad = tmp_path / "bad.yaml"
@@ -184,6 +192,14 @@ def test_cli_exit_code_config_error(tmp_path):
     assert res.exit_code == 2
     res = _run(["run", "--experiment", "nonsense", "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+def test_cli_short_tau_window_is_a_config_error(tmp_path):
+    res = _run(["run", "--experiment", "surface-classify", "--out", str(tmp_path),
+                "--override", "tau_window=[3]"])
+    assert res.exit_code == 2
+    assert "config error" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_cli_rejects_a_constant_nothing_reads(tmp_path):

@@ -137,7 +137,7 @@ def test_cube_relations_match_parallelepiped_oracle(matrix):
         boxes = _BoxSet([Q, host])
         for factor in (1.0, 2.0):
             inside = cube_contains(expand_cube(host, factor), Q)
-            assert bool(boxes.within(host, factor)[0]) == inside, (Q, host, factor)
+            assert bool(boxes.within_each([host], factor)[0, 0]) == inside, (Q, host, factor)
             hits[factor] += inside
         in_window = host.index in _star_groups(boxes, [0], host.sigma, host.tau)
         assert in_window == cube_contains(expand_cube(host, 2.0), Q), (Q, host)
@@ -785,7 +785,7 @@ def test_dropped_primitive_fails_dilates_check(diag_dilation):
 
     far = GridCube(0, -1, (40, 40), diag_dilation)
     exceptional = list(res.exceptional)
-    exceptional[1] = dataclasses.replace(exceptional[1], cube=far, quad=expand_cube(far, 4.0))
+    exceptional[1] = dataclasses.replace(exceptional[1], cube=far, region=expand_cube(far, 4.0))
     dropped = dataclasses.replace(res, exceptional=exceptional)
     levels = np.array([[-1, -3, -8]] * 2)
     assert _certified_dilates(dropped, _BoxSet(S_list), levels).tolist() == [

@@ -40,7 +40,6 @@ from anisomax.maximal import (
     weak_type_report,
     weak_type_reports,
     write_field_binary,
-    write_field_csv,
 )
 from anisomax.experiments import run_experiment
 from anisomax.surface import make_surface, plateau_profile, surface_quadrature
@@ -495,13 +494,14 @@ def test_k_range_forms():
     lat = make_lattice([(-1.0, 2.0), (-1.0, 2.0)], (96, 96))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
-        a = maximal_field(f, meas, (1, 2), lat)
-        b = maximal_field(f, meas, [2, 1], lat)
-    assert a.values == approx(b.values)
-    with pytest.raises(InputInvalidError):
-        maximal_field(f, meas, (3, 1), lat)
-    with pytest.raises(InputInvalidError):
-        maximal_field(f, meas, [], lat)
+        a = maximal_field(f, meas, (-1, 2), lat)
+        b = maximal_field(f, meas, [-1, 2], lat)
+    # a list is the same (lo, hi) range as a tuple, never a set of k values
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.provenance["argmax_k"], b.provenance["argmax_k"])
+    for bad in ([2, 1], (3, 1), []):
+        with pytest.raises(InputInvalidError):
+            maximal_field(f, meas, bad, lat)
 
 
 # ------------------------------------------------------------ distribution
@@ -735,14 +735,3 @@ def test_binary_truncated_file_is_invalid_input(tmp_path, keep):
     with pytest.raises(InputInvalidError, match="truncated"):
         read_field_binary(path)
 
-
-def test_csv_format(tmp_path):
-    fld = _small_field()
-    path = tmp_path / "field.csv"
-    write_field_csv(fld, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x1,x2,value"
-    assert len(lines) == 65
-    x1, x2, val = lines[1].split(",")
-    assert float(x1) == approx(0.0625)
-    assert float(val) == 3.0

@@ -42,7 +42,6 @@ from anisomax.surface import (
     check_linfty_bound,
     check_pair_bound,
     classify_pieces,
-    dilated_measure,
     excluded_piece_growth,
     gaussian_curvature,
     make_surface,
@@ -216,17 +215,6 @@ def test_quadrature_mass_oracle():
     assert meas.mass == approx(0.7696560773850898, abs=1e-10)
     finer = surface_quadrature(circ, 400)
     assert finer.mass == approx(meas.mass, abs=1e-11)
-
-
-def test_dilated_measure_mass_invariance():
-    D = _normal_perp()
-    circ = make_surface("circle-arc")
-    meas = surface_quadrature(circ, 100)
-    for k in (-3, 2):
-        dil = dilated_measure(meas, D, k)
-        assert dil.mass == meas.mass
-        expected = meas.quad_points @ np.linalg.matrix_power(D.matrix, k).T
-        assert dil.quad_points == approx(expected)
 
 
 # ------------------------------------------------------------------ pieces
