@@ -183,6 +183,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_pair(value) -> bool:
+    """A list of two integers, as the range fields are written."""
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+
+
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     try:
@@ -192,15 +197,12 @@ def _validate(raw: dict) -> ExperimentConfig:
         raise ConfigInvalidError(f"config rejected by its module: {exc}")
     if not (cfg.eps > 0 and cfg.zeta > 0 and cfg.alpha > 0):
         raise ConfigInvalidError("eps, zeta, alpha must be positive")
-    if len(cfg.k_range) != 2 or int(cfg.k_range[0]) > int(cfg.k_range[1]):
-        raise ConfigInvalidError("k_range must be [lo, hi] with lo <= hi")
-    if len(cfg.s_range) != 2 or int(cfg.s_range[0]) > int(cfg.s_range[1]) \
-            or int(cfg.s_range[0]) < 0:
-        raise ConfigInvalidError("s_range must be [lo, hi] with 0 <= lo <= hi")
+    if not (_int_pair(cfg.k_range) and cfg.k_range[0] <= cfg.k_range[1]):
+        raise ConfigInvalidError("k_range must be [lo, hi] integers with lo <= hi")
+    if not (_int_pair(cfg.s_range) and 0 <= cfg.s_range[0] <= cfg.s_range[1]):
+        raise ConfigInvalidError("s_range must be [lo, hi] integers with 0 <= lo <= hi")
     window = cfg.tau_window
-    if window is not None and not (
-            isinstance(window, list) and len(window) == 2
-            and all(map(_is_int, window)) and window[0] <= window[1]):
+    if window is not None and not (_int_pair(window) and window[0] <= window[1]):
         raise ConfigInvalidError("tau_window must be null or [lo, hi] integers with lo <= hi")
     box, shape = cfg.lattice.get("box"), cfg.lattice.get("shape")
     if not box or not shape or len(box) != len(shape):
@@ -208,8 +210,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     for side in box:
         if len(side) != 2 or not float(side[1]) > float(side[0]):
             raise ConfigInvalidError("lattice box sides must have positive length")
-    if any(int(n) <= 0 for n in shape):
-        raise ConfigInvalidError("lattice shape must be positive")
+    if not all(_is_int(n) and n > 0 for n in shape):
+        raise ConfigInvalidError("lattice.shape must be positive integers")
     dims = {"matrix": dim,
             "surface.dim": int(cfg.surface.get("dim", 2)),
             "lattice": len(box)}
@@ -226,8 +228,9 @@ def _validate(raw: dict) -> ExperimentConfig:
         if not (_is_int(value) and value >= 0):
             raise ConfigInvalidError(f"{name} must be a nonnegative integer, got {value!r}")
     if rows is None:
-        if int(cfg.atoms["count"]) < 0:
-            raise ConfigInvalidError("atom count must be nonnegative")
+        count = cfg.atoms["count"]
+        if not (_is_int(count) and count >= 0):
+            raise ConfigInvalidError(f"atoms.count must be a nonnegative integer, got {count!r}")
         if int(cfg.atoms["index_span"]) < 0:
             raise ConfigInvalidError("atoms.index_span must be nonnegative")
         tl, th = (int(v) for v in cfg.atoms["tau_range"])

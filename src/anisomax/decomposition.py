@@ -551,6 +551,14 @@ class ExceptionalPrimitive:
     def contains_points(self, points) -> np.ndarray:
         return self.region.contains_points(points)
 
+    @property
+    def axis_aligned(self) -> bool:
+        """True under a diagonal A, where contains_grid answers."""
+        return self.region.axis_aligned
+
+    def contains_grid(self, axes) -> np.ndarray:
+        return self.region.contains_grid(axes)
+
     def bbox(self):
         return self.region.bbox()
 

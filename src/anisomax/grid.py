@@ -11,6 +11,13 @@ box that holds it.
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
 columns, so that every elementwise step runs along the N points.
+
+Under a diagonal A every such set is axis_aligned: a cube's local
+coordinate j, and a tendril frame's pulled coordinate j, depend on x_j
+alone.  contains_grid then answers for a whole grid of points, given by
+its per-axis coordinates, from per-axis tests combined by an outer AND or
+an outer sum, with the same answers contains_points gives on the grid's
+points.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +44,18 @@ def _unit_corners(d: int) -> np.ndarray:
     corners = np.array(list(product((0.0, 1.0), repeat=d)))
     corners.flags.writeable = False
     return corners
+
+
+def _is_diagonal(matrix: np.ndarray) -> bool:
+    """True when every off-diagonal entry is exactly zero."""
+    return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
+
+
+def _axis_view(values: np.ndarray, j: int, d: int) -> np.ndarray:
+    """The 1-D values as axis j of a d-dimensional grid, for broadcasting."""
+    shape = [1] * d
+    shape[j] = -1
+    return values.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -130,6 +149,33 @@ class Parallelepiped:
             tol = _CONTAIN_TOL * max(1.0, self.diameter())
         local = np.linalg.solve(self.basis, pts.T - self.origin[:, None])
         return np.all((local >= -tol) & (local <= 1.0 + tol), axis=0)
+
+    @property
+    def axis_aligned(self) -> bool:
+        return _is_diagonal(self.basis)
+
+    def contains_grid(self, axes) -> np.ndarray:
+        """contains_points on the grid axes[0] x ... x axes[d-1], in the
+        grid's shape; the basis must be diagonal (axis_aligned).
+
+        Local coordinate j then depends on axis j alone, so the interval
+        test runs once per axis value and the grid's answer is their outer
+        AND.  The local coordinates come from the same solve as in
+        contains_points, one column per axis value (rows padded with
+        zeros), so every comparison sees the same number.
+        """
+        tol = _CONTAIN_TOL * max(1.0, self.diameter())
+        d = self.dim
+        rel = np.zeros((d, max(len(a) for a in axes)))
+        for j, a in enumerate(axes):
+            rel[j, :len(a)] = np.asarray(a, dtype=float) - self.origin[j]
+        local = np.linalg.solve(self.basis, rel)
+        inside = None
+        for j, a in enumerate(axes):
+            u = local[j, :len(a)]
+            ok = _axis_view((u >= -tol) & (u <= 1.0 + tol), j, d)
+            inside = ok if inside is None else inside & ok
+        return inside
 
     def bbox(self):
         verts = self.vertices()
@@ -234,7 +280,9 @@ class _PullbackFrame:
     P at the clamped local coordinates of y is an upper bound.  A point whose
     bounds straddle r within the rounding slack goes to the projector, which
     is built on first use.  The upper bound also settles whole dilated cells
-    at once (covers_dilates).
+    at once (covers_dilates).  When P is an axis-aligned box both bounds are
+    the exact distance, and contains_grid settles a grid of points from
+    per-axis gaps.
     """
 
     def __init__(self, pull: np.ndarray, origin: np.ndarray, basis: np.ndarray,
@@ -283,6 +331,31 @@ class _PullbackFrame:
             if self.projector is None:
                 self.projector = _ClampedProjector(self.origin[:, 0], self.basis)
             inside[band] = self.projector.distance(y.take(band, axis=1).T) <= self.radius
+        return inside
+
+    def contains_grid(self, axes) -> np.ndarray:
+        """contains on the grid of pulled points axes[0] x ... x axes[d-1],
+        in the grid's shape, for a diagonal pull and basis.
+
+        dist(y, P)^2 is then the sum over axes of the squared gap between
+        y_j and P's interval on axis j, summed in the order contains sums
+        it.  Cells at most radius - slack away are inside and cells more
+        than radius + slack away outside, as in contains; only the cells in
+        the band between go to contains itself.
+        """
+        d = len(axes)
+        sq = None
+        for j, y in enumerate(axes):
+            gap = self.box_lo[j, 0] - y
+            np.maximum(gap, y - self.box_hi[j, 0], out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            term = _axis_view(np.square(gap, out=gap), j, d)
+            sq = term if sq is None else sq + term
+        inside = sq <= self.near_sq
+        band = np.nonzero((sq <= self.far_sq) & ~inside)
+        if band[0].size:
+            pulled = np.stack([y[cells] for y, cells in zip(axes, band)])
+            inside[band] = self.contains(pulled)
         return inside
 
     def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
@@ -337,6 +410,22 @@ class TendrilBound:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         frame = self._frame
         return frame.contains(frame.pull @ pts.T)
+
+    @property
+    def axis_aligned(self) -> bool:
+        """True when the pull and the pullback's basis are diagonal, as
+        under a diagonal A."""
+        frame = self._frame
+        return _is_diagonal(frame.pull) and _is_diagonal(frame.basis)
+
+    def contains_grid(self, axes) -> np.ndarray:
+        """contains_points on the grid axes[0] x ... x axes[d-1], in the
+        grid's shape, under a diagonal A (axis_aligned): the pullback of
+        q** is then an axis-aligned box and pulled coordinate j is
+        A^-(tau+2)_jj x_j, the product the matrix pull gives."""
+        frame = self._frame
+        return frame.contains_grid([
+            frame.pull[j, j] * np.asarray(a, dtype=float) for j, a in enumerate(axes)])
 
     def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
         """(N, L) mask: cell n grown by spreads[l] B_1 lies in the bound,

@@ -12,19 +12,25 @@ pointwise sup of |mu_k * f| over a finite k range, with a reported tail
 criterion in place of k in Z.
 
 One engine (_maximal_fields) builds every maximal field: at each k it adds
-each atom's windowed block once into the scratch array of every sub-sum
-that holds the atom, and updates each sup and argmax only on the slices
-written, or on their bounding box when it is smaller.  maximal_field is
-its one-part case; convolve_dilated runs the same per-atom loop for a
-single k.
+each atom's windowed blocks, as they are computed, into the scratch array
+of every sub-sum that holds the atom, and updates each sup and argmax only
+on the slices written, or on their bounding box when it is smaller.  A
+sub-sum holds a scratch array only from its first term to its fold after
+its last, so sub-sums whose terms do not interleave (f's tau groups, whose
+atoms are listed group by group) take turns with one array from a pool;
+the fold works in that array and one bool buffer, allocating nothing the
+size of the lattice.  maximal_field is the engine's one-part case;
+convolve_dilated adds the same blocks for a single k.
 
 Superlevel-set sizes are cell counts times the cell volume, optionally
 skipping the cells of a boolean mask, such as the cells of an exceptional
-set E built once per lattice by _excluded_mask.  Every weak-type ratio comes
+set E built once per lattice by _excluded_mask, from per-axis tests under a
+diagonal A and from the cell centers otherwise.  Every weak-type ratio comes
 from weak_type_report, or from weak_type_reports, which measures f and each
 of its tau groups from one engine run.
 """
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +40,7 @@ import numpy as np
 from .atoms import AtomicSum
 from .dilation import cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
+from .grid import _is_diagonal
 
 MAGIC = b"ANISOFLD"
 THRESHOLD_COUNT = 64
@@ -162,29 +169,23 @@ def _min_atom_diameter(f: AtomicSum) -> float:
     return min(cube_diameter(f.dilation, tau) for tau in taus)
 
 
-def _is_diagonal(matrix: np.ndarray) -> bool:
-    """True when every off-diagonal entry is exactly zero."""
-    return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
-
-
-def _add_scatter(targets, lattice, atom, weights, shifted, first, last) -> tuple:
-    """Each array in targets += sum_i weights_i atom(x - shifted_i).
+def _add_scatter(lattice, atom, weights, shifted, first, last):
+    """Yield (slices, block), block = weights_i atom(x - shifted_i) on the
+    slices of node i's window, one node at a time.
 
     Each node's atom is evaluated once, on the cells of its window, the
     lattice cells whose centers lie in the node's shifted support box.
-    Returns the slices of the box that holds every node window.
     """
     for i in range(len(weights)):
         slices = tuple(slice(a, b + 1) for a, b in zip(first[i], last[i]))
         local = lattice.window_points(slices) - shifted[i]
-        block = weights[i] * atom.evaluate(local).reshape(targets[0][slices].shape)
-        for values in targets:
-            values[slices] += block
-    return tuple(slice(a, b + 1) for a, b in zip(first.min(axis=0), last.max(axis=0)))
+        shape = tuple(b - a + 1 for a, b in zip(first[i], last[i]))
+        yield slices, weights[i] * atom.evaluate(local).reshape(shape)
 
 
-def _add_separable(targets, lattice, atom, weights, shifted, first, last) -> tuple:
-    """Each array in targets += sum_i weights_i atom(x - shifted_i), diagonal A.
+def _add_separable(lattice, atom, weights, shifted, first, last) -> list:
+    """[(slices, block)], block = sum_i weights_i atom(x - shifted_i) on
+    the union of the node windows, under a diagonal A.
 
     The atom is amplitude x prod_j axis_factor(j, u_j), and under a diagonal
     A the local coordinate u_j depends on x_j alone.  G_j[c, i] is the axis-j
@@ -192,7 +193,9 @@ def _add_separable(targets, lattice, atom, weights, shifted, first, last) -> tup
     it and zeroed outside node i's window, so the result is the scatter
     path's up to summation order.  The sum over nodes is one contraction of
     the G_j over the union of the node windows: a Khatri-Rao product of all
-    axes but the last, then one matrix product.  Returns the union's slices.
+    axes but the last, then one matrix product.  The block is computed
+    before the call returns, so the factor matrices are freed before it is
+    added.
     """
     cube = atom.support
     scale = np.diag(cube.dilation.power(-cube.tau))
@@ -204,15 +207,13 @@ def _add_separable(targets, lattice, atom, weights, shifted, first, last) -> tup
         u = (x - shifted[:, j]) * scale[j] - float(cube.index[j])
         in_window = (cells >= first[:, j]) & (cells <= last[:, j])
         factors.append(np.where(in_window, atom.axis_factor(j, u), 0.0))
-    rows = np.ones((1, len(weights)))
-    for g in factors[:-1]:
+    # the Khatri-Rao product starts from G_0 itself, not from 1 x G_0
+    rows = factors[0] if lattice.dim > 1 else np.ones((1, len(weights)))
+    for g in factors[1:-1]:
         rows = (rows[:, None, :] * g[None, :, :]).reshape(-1, len(weights))
     block = rows @ ((weights * atom.amplitude)[:, None] * factors[-1].T)
-    slices = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-    block = block.reshape(targets[0][slices].shape)
-    for values in targets:
-        values[slices] += block
-    return slices
+    return [(tuple(slice(a, b + 1) for a, b in zip(lo, hi)),
+             block.reshape(tuple(hi - lo + 1)))]
 
 
 def _support_boxes(f: AtomicSum, lattice: Lattice) -> list:
@@ -227,51 +228,62 @@ def _support_boxes(f: AtomicSum, lattice: Lattice) -> list:
     return [atom.support.realize().bbox() for atom, _ in f.terms]
 
 
-def _add_terms(f: AtomicSum, measure, k: int, lattice: Lattice, boxes,
-               targets) -> list:
-    """Add each term of mu_k * f into its arrays; targets[i] holds term i's.
+def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
+    """For each term of mu_k * f in order, (region, blocks), or None when
+    the term misses the lattice.
 
     Node p of a term touches only the cells of its window, those whose
     centers lie in the atom's support box (boxes, from _support_boxes)
     shifted by A^k p; nodes whose window misses the lattice are dropped.
-    Under a diagonal A each atom's sum over the nodes is a separable
-    contraction (_add_separable).  Any other A keeps the windowed scatter
+    region is the box holding every live window, and blocks yields
+    (slices, block) pairs whose sum, added in turn, is the term's
+    contribution.  Under a diagonal A that is one separable contraction
+    per atom (_add_separable); any other A keeps the windowed scatter
     (_add_scatter), one atom evaluation per atom and node, which is also
-    the test oracle for the separable path.  Returns (i, slices) for each
-    term i that met the lattice, slices holding every cell it wrote.
+    the test oracle for the separable path.
     """
     D = f.dilation
     w = measure.quad_weights
     shifted = measure.quad_points @ D.power(k).T
     add = _add_separable if _is_diagonal(D.matrix) else _add_scatter
-    touched = []
-    for i, ((atom, lam), (blo, bhi)) in enumerate(zip(f.terms, boxes)):
+    for (atom, lam), (blo, bhi) in zip(f.terms, boxes):
         first, last = lattice.window_bounds(blo + shifted, bhi + shifted)
         live = np.flatnonzero(np.all(first <= last, axis=1))
-        if live.size:
-            touched.append((i, add(targets[i], lattice, atom, lam * w[live],
-                                   shifted[live], first[live], last[live])))
-    return touched
+        if not live.size:
+            yield None
+            continue
+        first, last = first[live], last[live]
+        region = tuple(slice(a, b + 1)
+                       for a, b in zip(first.min(axis=0), last.max(axis=0)))
+        yield region, add(lattice, atom, lam * w[live], shifted[live], first, last)
+
+
+def _add_blocks(blocks, arrays) -> None:
+    """Add each (slices, block) of blocks into every array, as it comes."""
+    for slices, block in blocks:
+        for values in arrays:
+            values[slices] += block
 
 
 def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> SampledField:
     """Field of (mu_k * f)(x) = sum_i w_i f(x - A^k p_i) at cell centers.
 
-    One k of the per-atom loop the maximal field runs (_add_terms), into a
-    single array.
+    The blocks the maximal field adds at one k (_term_blocks), added into
+    a single array.
     """
     values = np.zeros(lattice.shape)
     if not f.terms:
         return SampledField(lattice, values, {"f": _atomic_label(f.terms), "k": k})
-    boxes = _support_boxes(f, lattice)
-    _add_terms(f, measure, k, lattice, boxes, [[values]] * len(f.terms))
+    for term in _term_blocks(f, measure, k, lattice, _support_boxes(f, lattice)):
+        if term is not None:
+            _add_blocks(term[1], [values])
     return SampledField(lattice, values, {
         "f": _atomic_label(f.terms), "measure": _measure_label(measure), "k": k,
     })
 
 
 def _cells(slices) -> int:
-    return int(np.prod([s.stop - s.start for s in slices]))
+    return math.prod(s.stop - s.start for s in slices)
 
 
 def _fold_regions(touched: list) -> list:
@@ -290,46 +302,84 @@ def _fold_regions(touched: list) -> list:
     return touched
 
 
+class _ScratchPool:
+    """The lattice-sized buffers of one engine run.
+
+    free holds zeroed float arrays that sub-sums take at their first term
+    and give back after their fold; flags is the one bool buffer every
+    fold writes its strict-> comparison into.  Arrays that are read before
+    they are written are zero-filled with np.full rather than np.zeros: a
+    fresh page of np.zeros' calloc read first faults twice, once for the
+    shared zero page and again on the first write.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.free = []
+        self.flags = np.empty(shape, dtype=bool)
+
+    def take(self) -> np.ndarray:
+        return self.free.pop() if self.free else np.full(self.shape, 0.0)
+
+
 class _RunningSup:
     """Pointwise sup over k of |mu_k * g| and its argmax, for one sub-sum g.
 
-    At each k the terms of g are added into scratch, and fold(k, touched)
+    At each k the terms of g are added into a scratch array taken from the
+    pool at g's first term that meets the lattice (add), and fold(k)
     updates the sup and the argmax on the slices written (_fold_regions)
-    only, with a strict >, which is idempotent where they overlap; cells
-    outside them hold 0 and could not win.  The regions are zeroed only
-    after all of them are folded, so scratch starts the next k at 0.
+    only, in place: |scratch| into scratch itself, the strict > against
+    the sup into the pool's flags, which is idempotent where slices
+    overlap; cells outside them hold 0 and could not win.  The regions are
+    zeroed only after all of them are folded, and the array goes back to
+    the pool at 0.
     """
 
     def __init__(self, lattice: Lattice, ks):
-        self.scratch = np.zeros(lattice.shape)
-        self.best = np.zeros(lattice.shape)
+        self.scratch = None
+        self.touched = []
+        self.best = np.full(lattice.shape, 0.0)   # see _ScratchPool
         self.ks = ks
-        # argmax holds k - ks[0] in the narrowest type, until field()
-        self.argmax = np.zeros(lattice.shape, np.min_scalar_type(ks[-1] - ks[0]))
+        # k itself, in the narrowest signed type that holds every k; cells
+        # that never rise above 0 keep ks[0]
+        reach = max(abs(ks[0]), abs(ks[-1]))
+        self.argmax = np.full(lattice.shape, ks[0], np.min_scalar_type(-1 - reach))
         self.end_max = {}
 
-    def fold(self, k: int, touched: list) -> None:
-        """Fold |mu_k * g|, written into scratch on the slices touched."""
-        regions = _fold_regions(touched)
+    def add(self, region, pool: _ScratchPool) -> np.ndarray:
+        """The scratch array for a term that writes within region."""
+        if self.scratch is None:
+            self.scratch = pool.take()
+        self.touched.append(region)
+        return self.scratch
+
+    def fold(self, k: int, pool: _ScratchPool) -> None:
+        """Fold |mu_k * g|, written into scratch since the last fold, and
+        give the scratch array back to the pool."""
+        regions = _fold_regions(self.touched)
         peak = 0.0
         for slices in regions:
-            fk = np.abs(self.scratch[slices])
+            fk = self.scratch[slices]
+            np.abs(fk, out=fk)
             top = float(fk.max())
             if not np.isfinite(top):
                 raise InputInvalidError("field values must be finite")
             peak = max(peak, top)
             best = self.best[slices]
-            mask = fk > best
-            best[mask] = fk[mask]
-            self.argmax[slices][mask] = k - self.ks[0]
-        for slices in regions:
-            self.scratch[slices] = 0.0
+            gained = np.greater(fk, best, out=pool.flags[slices])
+            np.copyto(self.argmax[slices], k, where=gained)
+            np.maximum(best, fk, out=best)
+        if self.scratch is not None:
+            for slices in regions:
+                self.scratch[slices] = 0.0
+            pool.free.append(self.scratch)
+            self.scratch = None
+        self.touched = []
         if k in (self.ks[0], self.ks[-1]):
             self.end_max[k] = peak
 
     def field(self, lattice: Lattice, provenance: dict) -> SampledField:
         """The sup as a field, with argmax_k and the range-end tail fractions."""
-        self.scratch = None
         peak = float(self.best.max())
         tails = tuple(self.end_max[k] / peak if peak > 0 else 0.0
                       for k in (self.ks[0], self.ks[-1]))
@@ -337,11 +387,9 @@ class _RunningSup:
             warnings.warn(
                 f"range ends contribute {max(tails):.3f} of the field max",
                 TailNotNegligibleWarning)
-        argmax = self.argmax.astype(int)
-        argmax += self.ks[0]
         return SampledField(lattice, self.best, {
             **provenance, "k_range": (self.ks[0], self.ks[-1]),
-            "argmax_k": argmax, "tail_fractions": tails,
+            "argmax_k": self.argmax, "tail_fractions": tails,
         })
 
 
@@ -350,27 +398,30 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
     """maximal_field of each sub-sum of f in parts, from one pass over k.
 
     parts lists term positions of f, ascending.  At each k every atom's
-    windowed contribution is computed once and added into the scratch
-    array of every part that holds it, so each part's array gets the
-    same blocks, in term order, as a run on that part alone would.
+    windowed blocks are computed once and added into the scratch array of
+    every part that holds the atom, so each part's array gets the same
+    blocks, in term order, as a run on that part alone would.  A part is
+    folded right after its last term, which frees its array for the parts
+    that start later.
     """
     ks = _normalize_k_range(k_range)
     sups = [_RunningSup(lattice, ks) for _ in parts]
     holders = [[] for _ in f.terms]
-    for j, part in enumerate(parts):
+    closing = [[] for _ in f.terms]
+    for sup, part in zip(sups, parts):
         for i in part:
-            holders[i].append(j)
-    targets = [[sups[j].scratch for j in holder] for holder in holders]
+            holders[i].append(sup)
+        if part:
+            closing[max(part)].append(sup)
     boxes = _support_boxes(f, lattice)
+    pool = _ScratchPool(lattice.shape)
     for k in ks:
-        touched = [[] for _ in parts]
-        for i, slices in _add_terms(f, measure, k, lattice, boxes, targets):
-            for j in holders[i]:
-                touched[j].append(slices)
-        for sup, slices in zip(sups, touched):
-            sup.fold(k, slices)
-    # drop the references to the scratch arrays, which field() frees
-    del targets
+        for i, term in enumerate(_term_blocks(f, measure, k, lattice, boxes)):
+            if term is not None:
+                region, blocks = term
+                _add_blocks(blocks, [sup.add(region, pool) for sup in holders[i]])
+            for sup in closing[i]:
+                sup.fold(k, pool)
     return [sup.field(lattice, {
         "f": _atomic_label([f.terms[i] for i in part]),
         "measure": _measure_label(measure)}) for sup, part in zip(sups, parts)]
@@ -378,7 +429,8 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
 
 def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledField:
     """Pointwise sup over k = lo..hi of |mu_k * f|, k_range = (lo, hi),
-    with per-cell argmax recorded.
+    with per-cell argmax recorded (provenance "argmax_k", in the narrowest
+    signed integer type that holds lo and hi).
 
     The ends of the truncated range must contribute less than 1% of the
     field maximum; otherwise a TailNotNegligibleWarning is emitted.  The
@@ -406,8 +458,11 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
     """Cells whose centers lie in any exclude primitive, in the lattice shape.
 
     Each primitive is tested only on the cells of its bbox() padded by one
-    cell, and only on the cells that no earlier primitive captured; the
-    centers are built for those cells alone, in C order.
+    cell.  An axis_aligned primitive (any under a diagonal A) answers for
+    the whole window from the window's per-axis centers (contains_grid).
+    Any other is asked only about the cells that no earlier primitive
+    captured, through contains_points on their centers, built for those
+    cells alone in C order.  Either way each primitive makes one pass.
     """
     mask = np.zeros(lattice.shape, dtype=bool)
     pad = np.asarray(lattice.spacing)
@@ -417,9 +472,13 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
         if slices is None:
             continue
         window = mask[slices]
-        todo = ~window
-        if not todo.any():
+        if window.all():
             continue
+        if primitive.axis_aligned:
+            window |= primitive.contains_grid(
+                [lattice.axis_centers(j)[s] for j, s in enumerate(slices)])
+            continue
+        todo = ~window
         window[todo] = primitive.contains_points(
             _picked_centers(lattice, slices, todo))
     return mask
@@ -442,21 +501,22 @@ def distribution_function(field: SampledField, thresholds, h1: float = None,
 
     excluded is a boolean cell mask in the lattice shape (for an exceptional
     set, from _excluded_mask); its cells are skipped, which never enlarges a
-    superlevel set.  The kept values are sorted once and every threshold is
-    counted by one binary search.
+    superlevel set.  The kept values, one copy of the field's, are sorted in
+    place once and every threshold is counted by one binary search.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise InputInvalidError("thresholds must be a nonempty 1-d sequence")
     if np.any(np.diff(thresholds) < 0):
         raise InputInvalidError("thresholds must be sorted ascending")
-    values = field.values.ravel()
-    if excluded is not None:
+    if excluded is None:
+        kept = field.values.flatten()
+    else:
         excluded = np.asarray(excluded, dtype=bool)
         if excluded.shape != field.lattice.shape:
             raise InputInvalidError("excluded mask shape does not match the lattice")
-        values = values[~excluded.ravel()]
-    kept = np.sort(values)
+        kept = field.values[~excluded]
+    kept.sort()
     above = kept.size - np.searchsorted(kept, thresholds, side="right")
     measures = field.lattice.cell_volume * above
     weak = float(np.max(thresholds * measures))

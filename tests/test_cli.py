@@ -1,5 +1,6 @@
 """Config loading, experiment runners, and the command-line interface."""
 
+import collections
 import json
 import os
 import re
@@ -16,8 +17,8 @@ from pytest import approx
 from anisomax.atoms import AtomicSum
 from anisomax.cli import main
 from anisomax.config import DEFAULTS, load_config
-from anisomax import experiments
-from anisomax.decomposition import stopping_time, whitney_decompose
+from anisomax import experiments, maximal
+from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
 from anisomax.errors import (
     ConfigInvalidError,
     TailNotNegligibleWarning,
@@ -200,6 +201,24 @@ def test_cli_short_tau_window_is_a_config_error(tmp_path):
     assert res.exit_code == 2
     assert "config error" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("override, field", [
+    ("k_range=[-2.5,2]", "k_range"),
+    ("s_range=[4.9,5.2]", "s_range"),
+    ("atoms.count=2.7", "atoms.count"),
+    ("lattice.shape=[64.5,64]", "lattice.shape"),
+])
+def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, field):
+    # int() would truncate these where they are used (k in -2..2, s in
+    # [4, 5], 2 atoms, 64 cells), so they are rejected as tau_window is
+    res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
+                "--override", override])
+    assert res.exit_code == 2
+    assert "config error" in res.output and field in res.output
+    assert "Traceback" not in res.output
+    whole = override.split("=")[0] + "=" + re.sub(r"\.\d+", "", override.split("=")[1])
+    assert load_config(None, overrides=[whole])
 
 
 def test_cli_rejects_a_constant_nothing_reads(tmp_path):
@@ -411,6 +430,58 @@ def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):
                                      excluded=excluded)[2]
             want.append(f"{key},{len(part.terms)},{part.h1_norm()!r},{ratio!r}")
     assert (out / "weak_type.csv").read_text() == "\n".join(want) + "\n"
+
+
+# [[4, 1], [1, 3]] at alpha = 16: the tau = -2 atom selects a cube whose
+# exceptional set covers about a ninth of the lattice; the mask is built
+# from cell centers and the fields by the windowed scatter, end to end
+NON_DIAGONAL_PIPELINE = [
+    "--override", "matrix=[[4.0, 1.0], [1.0, 3.0]]",
+    "--override", "alpha=16.0",
+    "--override", "atoms.list=[{tau: 0, index: [-1, 0], lam: 1.4, profile: bump},"
+                  " {tau: -2, index: [5, -3], lam: 1.2, profile: bump}]",
+    "--override", "lattice.box=[[-6, 6], [-6, 6]]",
+    "--override", "lattice.shape=[448, 448]",
+    "--override", "k_range=[-2, 2]",
+    "--override", "n_gl=32",
+    "--override", "s_range=[4, 4]",
+]
+
+
+def test_cli_full_pipeline_non_diagonal_reruns_identically(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(maximal, "_add_scatter")
+    counting(ExceptionalPrimitive, "contains_points")
+    counting(ExceptionalPrimitive, "contains_grid")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
+                   + NON_DIAGONAL_PIPELINE)
+        assert res.exit_code == 0, res.output
+        assert "RESULT PASS" in res.output
+    assert calls["_add_scatter"] > 0 and calls["contains_points"] > 0
+    assert calls["contains_grid"] == 0
+    total = (outs[0] / "weak_type.csv").read_text().strip().split("\n")[-1]
+    assert total.startswith("all,") and float(total.split(",")[-1]) > 0.0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        first, second = ((out / name).read_bytes() for out in outs)
+        if name == "manifest.json":
+            # the manifests differ only in the output directory they record
+            first, second = (json.loads(text) for text in (first, second))
+            for manifest in (first, second):
+                manifest["config"].pop("out_dir")
+        assert first == second, name
 
 
 # ------------------------------------------------------------- cold start

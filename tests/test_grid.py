@@ -19,6 +19,7 @@ from anisomax.grid import (
     GridCube,
     Parallelepiped,
     _ClampedProjector,
+    _PullbackFrame,
     _unit_corners,
     cube_contains,
     expand_cube,
@@ -358,6 +359,85 @@ def test_coordinate_major_membership_on_any_layout(matrix):
         assert 0 < expect.sum() < len(pts)
         for name, arr in _layouts(pts).items():
             assert np.array_equal(quad.contains_points(arr), expect), name
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The points of the grid axes[0] x ... x axes[d-1], C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def _edge_axes(t, quad, rng, d):
+    """Per-axis coordinates around a tendril bound: random ones over its
+    bbox and beyond, the quad's faces to within a few tolerances, and
+    coordinates whose pulled gap to q**'s box is the radius to within
+    1e-8 of the slack, so that the cells they form with the box's own
+    coordinates sit in the band contains_grid hands to contains."""
+    lo, hi = t.bbox()
+    frame = t._frame
+    radius, slack = frame.radius, frame.slack
+    tol = 1e-12 * max(1.0, quad.diameter())
+    axes = []
+    for j in range(d):
+        span = hi[j] - lo[j]
+        wide = lo[j] - 0.25 * span + rng.random(40) * 1.5 * span
+        faces = quad.origin[j] + quad.basis[j, j] * np.array([0.0, 1.0])
+        faces = (faces[:, None] + np.array([-3.0, -0.5, 0.0, 0.5, 3.0]) * tol).ravel()
+        box = np.array([frame.box_lo[j, 0], frame.box_hi[j, 0]])
+        gaps = radius + slack * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
+        pulled = np.concatenate([box[0] - gaps, box[1] + gaps, box])
+        axes.append(np.concatenate([wide, faces, pulled / frame.pull[j, j]]))
+    return axes
+
+
+@pytest.mark.parametrize("matrix", [[[2.0, 0.0], [0.0, 4.0]],
+                                    [[4.0, 0.0], [0.0, 2.0]],
+                                    np.diag([2.0, 3.0, 4.0]).tolist()])
+def test_grid_membership_matches_points_under_a_diagonal_dilation(matrix, monkeypatch):
+    # Under a diagonal A a tendril bound and a quadrupled cube answer for a
+    # whole grid from per-axis tests; every cell must get contains_points'
+    # answer, including cells on the quad's faces and in the tendril's
+    # rounding band, which contains_grid sends to the frame's contains
+    D = validate_dilation(matrix)
+    d = D.dim
+    rng = np.random.default_rng(61)
+    contains = _PullbackFrame.contains
+    band_cells = []
+
+    def counting(self, y):
+        band_cells.append(y.shape[1])
+        return contains(self, y)
+
+    checked = 0
+    for tau in (-3, -1, 0, 2):
+        cube = GridCube(int(rng.integers(-2, 1)), tau,
+                        tuple(int(v) for v in rng.integers(-4, 5, size=d)), D)
+        t = tendril_of(cube)
+        quad = expand_cube(cube, 4.0)
+        assert t.axis_aligned and quad.axis_aligned
+        axes = _edge_axes(t, quad, rng, d)
+        pts = _grid_points(axes)
+        want_t, want_q = t.contains_points(pts), quad.contains_points(pts)
+        assert 0 < want_t.sum() < len(pts) and 0 < want_q.sum() < len(pts)
+        with monkeypatch.context() as patch:
+            patch.setattr(_PullbackFrame, "contains", counting)
+            got_t = t.contains_grid(axes)
+        got_q = quad.contains_grid(axes)
+        assert got_t.shape == got_q.shape == tuple(len(a) for a in axes)
+        assert np.array_equal(got_t.ravel(), want_t)
+        assert np.array_equal(got_q.ravel(), want_q)
+        checked += len(pts)
+    assert checked > 0
+    # the band branch ran, on a few cells of each tendril's grid only
+    assert len(band_cells) == 4 and all(0 < n < 0.05 * checked for n in band_cells)
+
+
+def test_only_a_diagonal_dilation_is_axis_aligned():
+    for matrix in ([[4.0, 1.0], [1.0, 3.0]], [[2.0, -2.0], [2.0, 2.0]]):
+        cube = GridCube(0, -1, (1, 2), validate_dilation(matrix))
+        assert not tendril_of(cube).axis_aligned
+        assert not expand_cube(cube, 4.0).axis_aligned
+    assert expand_cube(GridCube(0, -1, (1, 2), _diag24()), 4.0).axis_aligned
 
 
 def test_dilates_touching_the_outer_edge_go_to_sampling():

@@ -26,7 +26,7 @@ from anisomax.errors import (
     ResolutionTooCoarseError,
     TailNotNegligibleWarning,
 )
-from anisomax.grid import GridCube
+from anisomax.grid import GridCube, expand_cube, tendril_of
 from anisomax.maximal import (
     Lattice,
     SampledField,
@@ -269,6 +269,19 @@ def test_separable_matches_scatter_in_3d(profile, monkeypatch):
         _assert_same_field(got, _scatter_field(f, meas, k, lat, monkeypatch))
 
 
+@pytest.mark.parametrize("profile", ["haar", "bump"])
+def test_separable_matches_scatter_in_1d(profile, monkeypatch):
+    # one axis: the contraction has no Khatri-Rao factor, only the last axis
+    D = validate_dilation([[2.0]])
+    f = _profile_sum(D, profile, [(0, (0,)), (-1, (3,)), (-2, (-5,))])
+    meas = types.SimpleNamespace(quad_points=np.array([[0.1], [0.35], [-0.4]]),
+                                 quad_weights=np.array([0.5, 0.3, 0.7]))
+    lat = make_lattice([(-3.0, 3.0)], (200,))
+    for k in (-1, 0, 1):
+        got = convolve_dilated(f, meas, k, lat).values
+        _assert_same_field(got, _scatter_field(f, meas, k, lat, monkeypatch))
+
+
 def test_separable_haar_edges_on_cell_centers(monkeypatch):
     # node shifts are multiples of the spacing, so the support edges and
     # the split fall exactly on cell centers: half-open [0, 1) decides them
@@ -487,6 +500,59 @@ def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
     assert not np.array_equal(reports["all"][1].values, groups)
 
 
+def test_contiguous_groups_share_two_scratch_arrays(monkeypatch):
+    # a sub-sum holds a scratch array from its first term to its fold, so
+    # the tau groups of an atom list sorted by tau take turns with one
+    # array beside f's; interleaved groups need one more
+    D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+    nodes = _distinct_weights(_circle_measure(24))
+    # fine enough for the tau = -2 atom
+    lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (208, 144))
+    take = maximal._ScratchPool.take
+    arrays = set()
+
+    def recording(self):
+        got = take(self)
+        arrays.add(id(got))
+        return got
+
+    monkeypatch.setattr(maximal._ScratchPool, "take", recording)
+    contiguous = [(0, (0, 0)), (0, (-2, -1)), (-1, (1, 0)), (-1, (2, 1)), (-2, (3, 2))]
+    interleaved = [(0, (0, 0)), (-1, (1, 0)), (0, (-3, -2)), (-1, (2, 0))]
+    for cubes, want in ((contiguous, 2), (interleaved, 3)):
+        f = _profile_sum(D, "bump", cubes)
+        arrays.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailNotNegligibleWarning)
+            reports = weak_type_reports(f, nodes, (-1, 1), lat, None)
+            assert len(arrays) == want
+            for key, (part, mf, _, _) in reports.items():
+                alone = maximal_field(part, nodes, (-1, 1), lat)
+                assert np.array_equal(mf.values, alone.values)
+                assert np.array_equal(mf.provenance["argmax_k"],
+                                      alone.provenance["argmax_k"])
+        assert len(reports) == len({tau for tau, _ in cubes}) + 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 2.0]],
+                                    [[4.0, 1.0], [1.0, 3.0]]])
+def test_fold_rejects_a_non_finite_term(matrix, bad):
+    # the fold takes |mu_k * f| in place and checks it is finite before it
+    # can reach the sup, on the separable path and on the scatter
+    D = validate_dilation(matrix)
+    f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 0))])
+    arc = _circle_measure(24)
+    weights = arc.quad_weights.copy()
+    weights[len(weights) // 2] = bad
+    nodes = types.SimpleNamespace(quad_points=arc.quad_points, quad_weights=weights)
+    lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (96, 64))
+    with pytest.raises(InputInvalidError, match="field values must be finite") as err, \
+            np.errstate(invalid="ignore"):
+        maximal_field(f, nodes, (-1, 1), lat)
+    assert err.traceback[-1].name == "fold"
+
+
 def test_k_range_forms():
     D = _diag24()
     meas = _circle_measure()
@@ -616,9 +682,10 @@ def test_windowed_mask_matches_brute_force_union(tmp_path):
         [np.count_nonzero(outside > lam) for lam in thresholds]))
 
 
-def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
-                                                              monkeypatch):
-    cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
+def _mask_passes(cfg, monkeypatch):
+    """Run full-pipeline; the sizes of the exclude lists it masks with, and
+    the membership calls each primitive gets while the mask is built,
+    keyed by (primitive, method)."""
     masks, asked = [], collections.Counter()
     building = [False]
 
@@ -630,19 +697,97 @@ def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
         finally:
             building[0] = False
 
-    contains = ExceptionalPrimitive.contains_points
+    def counting(name):
+        method = getattr(ExceptionalPrimitive, name)
 
-    def counting_contains(self, points):
-        if building[0]:
-            asked[id(self)] += 1
-        return contains(self, points)
+        def counted(self, arg):
+            if building[0]:
+                asked[id(self), name] += 1
+            return method(self, arg)
+        return counted
 
     monkeypatch.setattr(experiments, "_excluded_mask", counting_mask)
-    monkeypatch.setattr(ExceptionalPrimitive, "contains_points",
-                        counting_contains)
+    for name in ("contains_points", "contains_grid"):
+        monkeypatch.setattr(ExceptionalPrimitive, name, counting(name))
     assert run_experiment(cfg, "full-pipeline") == 0
+    return masks, asked
+
+
+def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
+                                                              monkeypatch):
+    # one membership pass per primitive, the per-axis one under diag(4, 2)
+    cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
+    masks, asked = _mask_passes(cfg, monkeypatch)
     assert masks == [4]   # one mask per run, shared by every weak-type report
+    assert {name for _, name in asked} == {"contains_grid"}
     assert asked and max(asked.values()) == 1
+
+
+def test_full_pipeline_asks_each_primitive_once_on_the_point_path(tmp_path,
+                                                                  monkeypatch):
+    # under [[4, 1], [1, 3]] the one pass per primitive is on cell centers;
+    # the finer lattice keeps the tau = -2 atoms past the resolution guard
+    cfg = load_config(None, overrides=PIPELINE_OVERRIDES + [
+        "matrix=[[4.0, 1.0], [1.0, 3.0]]", "lattice.shape=[448, 448]"], out_dir=tmp_path)
+    masks, asked = _mask_passes(cfg, monkeypatch)
+    assert masks == [6]
+    assert {name for _, name in asked} == {"contains_points"}
+    assert asked and max(asked.values()) == 1
+
+
+def test_mask_decides_band_cells_like_the_points(monkeypatch):
+    # a lattice whose axis-0 centers include ones within the rounding slack
+    # of the tendril radius: the per-axis mask sends exactly those cells to
+    # the frame's contains and must agree with contains_points everywhere
+    D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+    cube = GridCube(0, -1, (0, 0), D)
+    tendril = ExceptionalPrimitive("tendril", cube, tendril_of(cube), 1.0)
+    quad = ExceptionalPrimitive("quad", cube, expand_cube(cube, 4.0), 1.0)
+    frame = tendril.region._frame
+    # the center of cell 100 on axis 0 pulls to the box's upper edge plus
+    # the radius, to rounding; the slack is 1e-6 of that
+    edge = (frame.box_hi[0, 0] + frame.radius) / frame.pull[0, 0]
+    h = 0.02
+    origin = edge - 100.5 * h
+    lat = make_lattice([(origin, origin + 320 * h), (-3.0, 3.0)], (320, 300))
+    pts = lat.points()
+    brute = tendril.contains_points(pts) | quad.contains_points(pts)
+    assert 0.05 < brute.mean() < 0.95
+    band = []
+    contains = type(frame).contains
+
+    def counting(self, y):
+        band.append(y.shape[1])
+        return contains(self, y)
+
+    def refuse(self, points):
+        raise AssertionError("a point pass under a diagonal A")
+
+    monkeypatch.setattr(type(frame), "contains", counting)
+    monkeypatch.setattr(ExceptionalPrimitive, "contains_points", refuse)
+    mask = _excluded_mask(lat, [tendril, quad])
+    assert np.array_equal(mask.ravel(), brute)
+    assert band and 0 < sum(band) <= 2 * lat.shape[1]
+
+
+def test_non_diagonal_mask_keeps_the_point_path(tmp_path, monkeypatch):
+    cfg = load_config(None, overrides=PIPELINE_OVERRIDES
+                      + ["matrix=[[4.0, 1.0], [1.0, 3.0]]"], out_dir=tmp_path)
+    exceptional = _pipeline_exceptional_set(cfg)
+    assert {p.kind for p in exceptional} == {"tendril", "quad"}
+    assert not any(p.axis_aligned for p in exceptional)
+    lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    pts = lat.points()
+    brute = np.zeros(len(pts), dtype=bool)
+    for primitive in exceptional:
+        brute |= primitive.contains_points(pts)
+    assert 0.0 < brute.mean() < 1.0
+
+    def refuse(self, axes):
+        raise AssertionError("a per-axis pass under a non-diagonal A")
+
+    monkeypatch.setattr(ExceptionalPrimitive, "contains_grid", refuse)
+    assert np.array_equal(_excluded_mask(lat, exceptional).ravel(), brute)
 
 
 # -------------------------------------------------------------- weak type
