@@ -13,34 +13,24 @@ inside a cube's double, and do two cubes overlap.  All three are answered
 from one pullback box, Q's bounding box in the units of the other cube's
 grid, under one tolerance rule.
 
-_BoxSet is the one place those boxes are computed and compared.  It stacks
-a call's cubes once and gives every cube's box in a (sigma, tau) grid as
-(N, d) arrays, computed per call and never cached on the cubes.  Each tau
-is pulled back by one matrix product, and its sigma levels are that
-product's min and max scaled by 2^-sigma, which is exact.  Its masks and
-_star_groups answer the three questions for the whole list at once, and
-within_each and overlap_matrix compare hosts of any mix of levels in one
-broadcast.  The loops read those masks and still sum masses one entry at a
-time, in entry order.
-
-The Whitney sweep, the stopping loop and check (iv) of verify_stopping
-each compare the masses of doubles against a bound, and each passes that
-bound to _star_groups, which skips a step whose whole mass is within it:
-no box is computed and no group built.  The argument is monotone rounding.
-Masses are nonnegative, a double's mass sums a subsequence of the step's
-entries in the same (ascending) order, and round-to-nearest is monotone,
-so by induction over the terms the subsequence's rounded sum never
-exceeds the whole sequence's.  No double can pass a bound the whole does
-not, so a skipped step is one that would have selected or reported
-nothing.
+Value objects carry no derived state; derived geometry lives for one call.
+The cubes, primitives and trace events that results keep are slotted
+values.  _BoxSet, the one place boxes are computed and compared, builds a
+call's vertex stack from the cubes' (sigma, tau, index) rows in one pass
+(grid.cube_vertices), and a sub-list of its cubes is a row selection of it.
+Each tau is pulled back by one matrix product, and its sigma levels are
+that product's min and max scaled by 2^-sigma, which is exact.  Its masks
+and _star_groups answer the three questions for the whole list at once;
+the loops read those masks and still sum masses one entry at a time, in
+entry order, with _left_sum.  The Whitney sweep, the stopping loop and
+check (iv) of verify_stopping pass their bound to _star_groups, which
+skips a step whose whole mass is within it (see there for why that is
+exact).
 
 verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
-the exceptional set, certifies before it samples.  _certified_dilates
-settles from geometry every (entry, level) pair whose whole dilate lies in
-the entry's assigned primitive, with rounding slack to spare; only the
-other pairs are tested at sampled points.  A certified pair is one whose
-samples the primitive would all have accepted, and the random stream is
-drawn in full either way, so every report is the one sampling alone gives.
+the exceptional set, certifies from geometry (_certified_dilates) before it
+samples, and asks each primitive through its frame(), built at most once
+per call (_Frames).
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +46,7 @@ from .errors import (
     NotNormalizedError,
     NumericalFailureError,
 )
-from .grid import GridCube, Parallelepiped, TendrilBound, expand_cube, tendril_of
+from .grid import GridCube, Parallelepiped, TendrilBound, cube_vertices, expand_cube, tendril_of
 
 _LEVEL_BUDGET = 200
 _TOL = 1e-9
@@ -118,19 +108,25 @@ def _scaled_box(lo, hi, scale):
 class _BoxSet:
     """Pullback boxes of one list of cubes, one (N, d) set per grid level.
 
-    A tau's pulled vertices are computed on first use and kept only as long
-    as the box set, which lives for one call: boxes are never cached on the
-    cubes.
-    within, within_each and overlap_matrix answer containment and overlap
-    as boolean arrays over the list.
+    The vertex stack, given or built by cube_vertices, and a tau's pulled
+    vertices, computed on first use, live as long as the box set, which
+    lives for one call; nothing is kept on the cubes.  within_each and
+    overlap_matrix answer containment and overlap as boolean arrays.
     """
 
-    def __init__(self, cubes):
+    def __init__(self, cubes, verts=None):
         self.cubes = list(cubes)
-        # (N, 2^d, d): every cube's vertices
-        self.verts = np.stack([Q.vertices() for Q in self.cubes]) if self.cubes else None
+        self.scale = np.array([(Q.sigma, Q.tau) for Q in self.cubes], dtype=np.int64)
+        self.index = np.array([Q.index for Q in self.cubes], dtype=np.int64)
+        # (N, 2^d, d): every cube's vertices, given or built from the rows
+        self.verts = (cube_vertices(self.cubes[0].dilation, self.scale, self.index)
+                      if verts is None and self.cubes else verts)
         # tau -> per-cube min and max of the vertices pulled back by A^-tau
         self._pulled = {}
+
+    def rows(self, ids) -> "_BoxSet":
+        """The box set of cubes[k] for k in ids: their vertex rows, not a new build."""
+        return _BoxSet([self.cubes[k] for k in ids], self.verts[ids] if ids else None)
 
     def _pull(self, tau: int):
         """The cubes' vertices times A^-tau, reduced to their per-cube min
@@ -167,14 +163,6 @@ class _BoxSet:
         lo, hi = (np.stack(part)[pos] for part in zip(*map(self._pull, taus)))
         scale = np.array([2.0 ** -Q.sigma for Q in hosts])[:, None, None]
         return _scaled_box(lo, hi, scale)
-
-    @cached_property
-    def scale(self) -> np.ndarray:
-        return np.array([(Q.sigma, Q.tau) for Q in self.cubes], dtype=np.int64)
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        return np.array([Q.index for Q in self.cubes], dtype=np.int64)
 
     @cached_property
     def volume(self) -> np.ndarray:
@@ -301,7 +289,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         return WhitneyResult(selected=[], assigned={}, leftover=[], alpha=alpha)
     D = entries[0][0].dilation
     a = D.det_scale
-    total = float(sum(lam for _, lam in entries))
+    total = float(_left_sum(lam for _, lam in entries))
     t_lo = min(cube.tau for cube, _ in entries)
     if total <= 0:
         return WhitneyResult(selected=[], assigned={}, leftover=list(range(len(entries))),
@@ -345,13 +333,12 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
                    key=lambda rec: (-rec[1].tau, rec[1].index))
     children = [[] for _ in nodes]
     roots = []
-    node_boxes = _BoxSet(rec[1] for rec in nodes)
+    node_boxes = boxes.rows([rec[2][0] for rec in nodes])
     inside = node_boxes.within_each(node_boxes.cubes, 1.0)
     for pos in range(len(nodes)):
-        parent = None
-        for cand in np.flatnonzero(inside[pos, :pos]).tolist():
-            if parent is None or nodes[cand][1].volume < nodes[parent][1].volume:
-                parent = cand
+        # the smallest node holding this one, the first of equal volumes
+        parent = min(np.flatnonzero(inside[pos, :pos]).tolist(),
+                     key=lambda cand: nodes[cand][1].volume, default=None)
         (roots if parent is None else children[parent]).append(pos)
 
     # Depth first, children in order: the first node on a chain whose stacked
@@ -395,19 +382,16 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     else:
         raise BudgetExceededError("density guard did not settle within budget")
 
-    live = [s for s in selected if s is not None]
-    remap = {}
-    for s_id, s_cube in enumerate(selected):
-        if s_cube is not None:
-            remap[s_id] = len(remap)
-    assigned = {i: remap[s] for i, s in assigned.items()}
-    return WhitneyResult(selected=live, assigned=assigned,
+    live_ids = [s_id for s_id, s_cube in enumerate(selected) if s_cube is not None]
+    remap = {s_id: k for k, s_id in enumerate(live_ids)}
+    return WhitneyResult(selected=[selected[s_id] for s_id in live_ids],
+                         assigned={i: remap[s] for i, s in assigned.items()},
                          leftover=sorted(active), alpha=alpha)
 
 
 def _mass_of(entries, mask) -> float:
     """Summed mass of the masked entries, in entry order."""
-    return sum(entries[i][1] for i in np.flatnonzero(mask).tolist())
+    return _left_sum(entries[i][1] for i in np.flatnonzero(mask).tolist())
 
 
 def _leftover_nodes(entries, ids) -> list:
@@ -433,9 +417,8 @@ def _merge_nested(selected, assigned):
     for small in range(len(order) - 1, -1, -1):
         small_id = order[small]
         for big, big_id in enumerate(order):
-            if selected[big_id] is None or big == small or selected[small_id] is None:
-                continue
-            if volume[big] < volume[small]:
+            if (selected[big_id] is None or big == small or selected[small_id] is None
+                    or volume[big] < volume[small]):
                 continue
             if inside[small, big]:
                 for i, s in list(assigned.items()):
@@ -460,7 +443,8 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
         ok, witness = False, f"cubes {i} and {j} overlap"
     report.add("disjoint", ok, witness)
 
-    in_double = _BoxSet(cube for cube, _ in entries).within_each(selected, 2.0)
+    entry_boxes = _BoxSet(cube for cube, _ in entries)
+    in_double = entry_boxes.within_each(selected, 2.0)
 
     ok, witness = True, None
     for i, s_id in result.assigned.items():
@@ -478,17 +462,15 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
             break
     report.add("condition1_star_mass", ok, witness)
 
-    total_volume = sum(s.volume for s in selected)
-    total_mass = sum(lam for _, lam in entries)
+    total_volume = _left_sum(s.volume for s in selected)
+    total_mass = _left_sum(lam for _, lam in entries)
     ok = total_volume <= total_mass / alpha * (1.0 + 1e-9)
-    report.add(
-        "condition2_total_volume", ok,
-        None if ok else f"sum |S| = {total_volume:.6g} > {total_mass / alpha:.6g}",
-    )
+    report.add("condition2_total_volume", ok,
+               None if ok else f"sum |S| = {total_volume:.6g} > {total_mass / alpha:.6g}")
 
     ok, witness = True, None
     recs = _leftover_nodes(entries, result.leftover)
-    rec_boxes = _BoxSet(rec[1] for rec in recs)
+    rec_boxes = entry_boxes.rows([rec[2][0] for rec in recs])
     inside = rec_boxes.within_each(rec_boxes.cubes, 1.0)
     meets = rec_boxes.overlap_matrix()
     # a pair overlaps without nesting: the smaller cube (the first on equal
@@ -508,8 +490,7 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
         if chain > worst:
             worst = chain
             if chain > alpha * (1.0 + 1e-9):
-                ok = False
-                witness = f"leftover density {chain:.6g} > alpha at {cube}"
+                ok, witness = False, f"leftover density {chain:.6g} > alpha at {cube}"
     suffix = " (conservative, non-nested leftovers)" if conservative else ""
     report.add("condition3_leftover_density", ok,
                (witness + suffix) if witness else None)
@@ -519,7 +500,7 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
 # ------------------------------------------------------------- stopping time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One event of the stopping-time loop, for replay and verification."""
 
@@ -532,7 +513,7 @@ class TraceEvent:
     action: str = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExceptionalPrimitive:
     """One piece of the exceptional set: a tendril bound or a quadrupled cube.
 
@@ -548,6 +529,10 @@ class ExceptionalPrimitive:
     region: TendrilBound | Parallelepiped
     volume_term: float
 
+    def frame(self):
+        """What one call asks membership of: a tendril's frame, or 4S itself."""
+        return self.region.frame() if self.kind == "tendril" else self.region
+
     def contains_points(self, points) -> np.ndarray:
         return self.region.contains_points(points)
 
@@ -561,11 +546,6 @@ class ExceptionalPrimitive:
 
     def bbox(self):
         return self.region.bbox()
-
-    def covers_dilates(self, verts, spreads) -> np.ndarray:
-        """(N, L) mask: cell n grown by spreads[l] B_1 lies inside, with
-        room to spare, so contains_points accepts every point of it."""
-        return self.region.covers_dilates(verts, spreads)
 
 
 @dataclass
@@ -617,7 +597,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             raise InputInvalidError(f"entry {i} is not inside the double of any S")
 
     a = D.det_scale
-    total = float(sum(lam for _, lam in entries))
+    total = float(_left_sum(lam for _, lam in entries))
     tau_max = max(cube.tau for cube, _ in entries)
     tau_min = min(cube.tau for cube, _ in entries)
     tau0 = tau_max + 1
@@ -629,9 +609,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     unit_diam = cube_diameter(D, 0)
     live = set(range(len(entries)))
     kappa, classification, host, assigned_primitive = {}, {}, {}, {}
-    trace = []
-    dimension_violations = []
-    selected_qs = {}
+    trace, dimension_violations, selected_qs = [], [], {}
 
     for tau in range(tau0 - 1, tau_min - 1, -1):
         sigma = 0
@@ -689,28 +667,17 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                                     entry=i, action=f"kappa {kappa[i]} -> {lift}"))
             kappa[i] = lift
 
-    exceptional = []
-    primitive_of_q = {}
-    for key in sorted(selected_qs):
-        q = selected_qs[key]
-        bound = tendril_of(q)
-        primitive_of_q[key] = len(exceptional)
-        exceptional.append(ExceptionalPrimitive(
-            kind="tendril", cube=q, region=bound, volume_term=bound.scale,
-        ))
-    primitive_of_s = {}
-    for k, s_cube in enumerate(S_list):
-        primitive_of_s[k] = len(exceptional)
-        exceptional.append(ExceptionalPrimitive(
-            kind="quad", cube=s_cube, region=expand_cube(s_cube, 4.0),
-            volume_term=(4.0 ** D.dim) * s_cube.volume,
-        ))
+    # the tendril bounds in scale order, then the quadrupled S cubes
+    q_keys = sorted(selected_qs)
+    exceptional = [ExceptionalPrimitive("tendril", b.cube, b, b.scale)
+                   for b in (tendril_of(selected_qs[key]) for key in q_keys)]
+    exceptional += [ExceptionalPrimitive("quad", S, expand_cube(S, 4.0), (4.0 ** D.dim) * S.volume)
+                    for S in S_list]
+    primitive_of_q = {key: p for p, key in enumerate(q_keys)}
     for i in range(len(entries)):
-        if host[i][0] == "q":
-            _, sigma, tau, n = host[i]
-            assigned_primitive[i] = primitive_of_q[(sigma, tau, n)]
-        else:
-            assigned_primitive[i] = primitive_of_s[host[i][1]]
+        kind, *where = host[i]
+        assigned_primitive[i] = (primitive_of_q[tuple(where)] if kind == "q"
+                                 else len(q_keys) + where[0])
 
     return StoppingResult(
         kappa=kappa, classification=classification, host=host,
@@ -720,25 +687,37 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     )
 
 
+class _Frames(dict):
+    """Primitive index -> its frame(), built on first ask, for one call."""
+
+    def __init__(self, primitives):
+        self.primitives = primitives
+
+    def __missing__(self, p):
+        self[p] = self.primitives[p].frame()
+        return self[p]
+
+
 def _certified_dilates(result: StoppingResult, boxes: _BoxSet,
-                       levels: np.ndarray) -> np.ndarray:
+                       levels: np.ndarray, frames=None) -> np.ndarray:
     """Mask over levels, an (entries, L) integer array: entry i's whole
     dilate Q + A^j B_1 at level j = levels[i, l] lies in its assigned
     primitive.
 
-    Decided from geometry alone (ExceptionalPrimitive.covers_dilates), one
-    call per primitive over its entries' stacked vertices and the distinct
-    levels among them.  A True pair's samples are all accepted by that
+    Decided from geometry alone by covers_dilates of the primitive's frame
+    (frames, built here when not given), one call per primitive over its
+    entries' stacked vertices and the distinct levels among them.  A True pair's samples are all accepted by that
     primitive; a False pair says nothing and is left to sampling.
     """
     D = boxes.cubes[0].dilation
+    frames = _Frames(result.exceptional) if frames is None else frames
     owner = np.array([result.assigned_primitive[i] for i in range(len(boxes.cubes))])
     out = np.zeros(levels.shape, dtype=bool)
     for p in sorted(set(owner.tolist())):
         rows = np.flatnonzero(owner == p)
         uniq = sorted(set(levels[rows].ravel().tolist()))
         spreads = np.stack([D.power(j) for j in uniq])
-        covered = result.exceptional[p].covers_dilates(boxes.verts[rows], spreads)
+        covered = frames[p].covers_dilates(boxes.verts[rows], spreads)
         out[rows] = covered[np.arange(len(rows))[:, None], np.searchsorted(uniq, levels[rows])]
     return out
 
@@ -785,8 +764,8 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     boxes = _BoxSet(cube for cube, _ in entries)
     masses = [lam for _, lam in entries]
 
-    lhs = sum(p.volume_term for p in result.exceptional)
-    rhs = C * (sum(lam for _, lam in entries) / alpha + sum(s.volume for s in S_list))
+    lhs = _left_sum(p.volume_term for p in result.exceptional)
+    rhs = C * (_left_sum(lam for _, lam in entries) / alpha + _left_sum(s.volume for s in S_list))
     report.add("i_volume_sum", lhs <= rhs,
                None if lhs <= rhs else f"{lhs:.6g} > {rhs:.6g}")
 
@@ -794,7 +773,8 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     n = STOPPING_SAMPLES
     kappa = np.array([result.kappa[i] for i in range(len(entries))])
     levels = kappa[:, None] - np.array([1, 3, 8])
-    certified = _certified_dilates(result, boxes, levels)
+    frames = _Frames(result.exceptional)
+    certified = _certified_dilates(result, boxes, levels, frames)
     ball = rng.normal(size=(n, D.dim))
     ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
     ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
@@ -811,14 +791,14 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             if sure:
                 continue
             pts = (x + D.power(j) @ ball).T
-            inside = result.exceptional[result.assigned_primitive[i]].contains_points(pts)
+            inside = frames[result.assigned_primitive[i]].contains_points(pts)
             if not np.all(inside):
                 missing = np.where(~inside)[0]
                 rest = np.zeros(len(missing), dtype=bool)
-                for p_idx, prim in enumerate(result.exceptional):
+                for p_idx in range(len(result.exceptional)):
                     if p_idx == result.assigned_primitive[i]:
                         continue
-                    rest |= prim.contains_points(pts[missing])
+                    rest |= frames[p_idx].contains_points(pts[missing])
                     if np.all(rest):
                         break
                 if not np.all(rest):

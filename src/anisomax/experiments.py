@@ -175,9 +175,9 @@ def _run_whitney(config, out: Path, summary: CheckReport) -> None:
     summary.checks.extend(report.checks)
 
 
-def _pipeline_decomposition(config):
-    """Entries -> Whitney -> kept entries -> stopping, shared by two runs."""
-    entries = config.entries()
+def _pipeline_decomposition(config, f):
+    """f's entries -> Whitney -> kept entries -> stopping, shared by two runs."""
+    entries = [(atom.support, lam) for atom, lam in f.terms]
     alpha = config.alpha
     wres = whitney_decompose(entries, alpha)
     wrep = verify_whitney(wres, entries, alpha, c_w=config.constants["c_w"])
@@ -203,7 +203,8 @@ def _kappa_rows(sres, kept):
 
 
 def _run_stopping(config, out: Path, summary: CheckReport) -> None:
-    entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(config)
+    entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(
+        config, config.atomic_sum())
     summary.add("whitney", wrep.passed,
                 f"{len(wres.selected)} cubes from {len(entries)} entries")
     if sres is None:
@@ -289,7 +290,7 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
     if not f.terms:
         raise ConfigInvalidError("full-pipeline needs a nonempty atom list")
     alpha = config.alpha
-    entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(config)
+    entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(config, f)
     summary.add("whitney", wrep.passed,
                 f"{len(wres.selected)} cubes from {len(entries)} entries")
     exclude = []
@@ -313,10 +314,9 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
         summary.add("stopping", True, "no cubes selected; E is empty")
 
     surface = config.surface_obj()
-    D = config.dilation()
     s0 = config.s_values()[0]
     pieces = partition_measure(surface, s0, config.eps)
-    records = classify_pieces(pieces, surface, D, config.eps, config.zeta,
+    records = classify_pieces(pieces, surface, f.dilation, config.eps, config.zeta,
                               tau_window=config.tau_window)
     _write_csv(out / "pieces.csv",
                ["s", "rho", "min_curvature", "worst_mass_ratio",

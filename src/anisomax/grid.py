@@ -8,6 +8,13 @@ dilated balls, handled exactly through pullback coordinates: each answers
 membership, of points and of whole dilated cells, and gives an axis-aligned
 box that holds it.
 
+Value objects carry no derived state; derived geometry lives for one call.
+The slotted GridCube, Parallelepiped and TendrilBound compute vertices,
+diameters and frames on each call; a caller with many questions for one
+tendril bound builds its frame() once.  One vertex rule (_fold: column sums
+left to right, no BLAS product, so no row's bits depend on the others)
+serves realize() and cube_vertices, which takes (sigma, tau, index) rows.
+
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
 columns, so that every elementwise step runs along the N points.
@@ -46,6 +53,31 @@ def _unit_corners(d: int) -> np.ndarray:
     return corners
 
 
+def _fold(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """basis @ c for every row c of coeffs, (..., d, d) by (..., k, d) to
+    (..., k, d), summed over the columns left to right."""
+    out = coeffs[..., 0, None] * basis[..., None, :, 0]
+    for j in range(1, basis.shape[-1]):
+        out = out + coeffs[..., j, None] * basis[..., None, :, j]
+    return out
+
+
+def _vertices(origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The 2^d vertices origin + basis c, c a corner of [0, 1]^d: (..., 2^d, d)."""
+    return origin[..., None, :] + _fold(basis, _unit_corners(basis.shape[-1]))
+
+
+def cube_vertices(D: DilationStructure, scale: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(N, 2^d, d): row k is GridCube(*scale[k], index[k]).realize().vertices(),
+    bit for bit; scale holds (sigma, tau) rows.  Each row's A^tau is
+    gathered from a stack of the distinct powers."""
+    taus = {}
+    pos = [taus.setdefault(t, len(taus)) for t in scale[:, 1].tolist()]
+    powers = np.array([D.power(t) for t in taus])[pos]
+    basis = (2.0 ** scale[:, 0])[:, None, None] * powers
+    return _vertices(_fold(basis, index[:, None, :].astype(float))[:, 0], basis)
+
+
 def _is_diagonal(matrix: np.ndarray) -> bool:
     """True when every off-diagonal entry is exactly zero."""
     return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
@@ -58,7 +90,7 @@ def _axis_view(values: np.ndarray, j: int, d: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridCube:
     """One cube of the grid at scale (sigma, tau), addressed by integer index."""
 
@@ -83,24 +115,12 @@ class GridCube:
         return 2.0 ** self.sigma
 
     def realize(self) -> "Parallelepiped":
-        power = self.dilation.power(self.tau)
-        n = np.asarray(self.index, dtype=float)
-        origin = power @ (self.side * n)
-        return Parallelepiped(origin=origin, basis=self.side * power)
+        basis = self.side * self.dilation.power(self.tau)
+        origin = _fold(basis, np.asarray([self.index], dtype=float))[0]
+        return Parallelepiped(origin=origin, basis=basis)
 
     def vertices(self) -> np.ndarray:
-        """realize().vertices(), computed once per cube; read-only.
-
-        Only the vertex array is kept, not the parallelepiped: cubes live as
-        long as the entries and results holding them, and a parallelepiped
-        with its three arrays costs about three times the memory.
-        """
-        got = self.__dict__.get("_vertices")
-        if got is None:
-            got = self.realize().vertices()
-            got.flags.writeable = False
-            self.__dict__["_vertices"] = got
-        return got
+        return self.realize().vertices()
 
     def center(self) -> np.ndarray:
         n = np.asarray(self.index, dtype=float)
@@ -114,7 +134,7 @@ class GridCube:
         return GridCube(0, self.tau + 1, parent_index, self.dilation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parallelepiped:
     """Affine image origin + basis [0, 1]^d of the unit cube."""
 
@@ -130,17 +150,13 @@ class Parallelepiped:
         return float(abs(np.linalg.det(self.basis)))
 
     def vertices(self) -> np.ndarray:
-        return self.origin + _unit_corners(self.dim) @ self.basis.T
+        return _vertices(self.origin, self.basis)
 
     def diameter(self) -> float:
-        """Largest vertex distance, computed once per parallelepiped."""
-        got = self.__dict__.get("_diameter")
-        if got is None:
-            verts = self.vertices()
-            diffs = verts[:, None, :] - verts[None, :, :]
-            got = float(np.sqrt((diffs ** 2).sum(-1)).max())
-            self.__dict__["_diameter"] = got
-        return got
+        """Largest vertex distance."""
+        verts = self.vertices()
+        diffs = verts[:, None, :] - verts[None, :, :]
+        return float(np.sqrt((diffs ** 2).sum(-1)).max())
 
     def contains_points(self, points, tol: float = None) -> np.ndarray:
         """Closed-hull membership test with a diameter-relative tolerance."""
@@ -311,6 +327,10 @@ class _PullbackFrame:
         rel -= self.basis @ u
         return np.square(rel, out=rel).sum(axis=0)
 
+    def contains_points(self, points) -> np.ndarray:
+        """Membership of the (N, d) points, pulled here."""
+        return self.contains(self.pull @ np.atleast_2d(np.asarray(points, dtype=float)).T)
+
     def contains(self, y: np.ndarray) -> np.ndarray:
         """Membership of the pulled points y, given coordinate-major as (d, N)."""
         gap = self.box_lo - y
@@ -334,16 +354,18 @@ class _PullbackFrame:
         return inside
 
     def contains_grid(self, axes) -> np.ndarray:
-        """contains on the grid of pulled points axes[0] x ... x axes[d-1],
-        in the grid's shape, for a diagonal pull and basis.
+        """contains_points on the grid axes[0] x ... x axes[d-1], in the
+        grid's shape, for a diagonal pull and basis.
 
-        dist(y, P)^2 is then the sum over axes of the squared gap between
-        y_j and P's interval on axis j, summed in the order contains sums
-        it.  Cells at most radius - slack away are inside and cells more
-        than radius + slack away outside, as in contains; only the cells in
-        the band between go to contains itself.
+        Pulled coordinate j is then pull_jj x_j, the product the matrix pull
+        gives, and dist(y, P)^2 is the sum over axes of the squared gap
+        between y_j and P's interval on axis j, summed in the order contains
+        sums it.  Cells at most radius - slack away are inside and cells
+        more than radius + slack away outside, as in contains; only the
+        cells in the band between go to contains itself.
         """
         d = len(axes)
+        axes = [self.pull[j, j] * np.asarray(a, dtype=float) for j, a in enumerate(axes)]
         sq = None
         for j, y in enumerate(axes):
             gap = self.box_lo[j, 0] - y
@@ -377,27 +399,26 @@ class _PullbackFrame:
         return far[:, None] + reach[None, :] <= self.radius - self.slack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TendrilBound:
     """Outer bound for the tendril of a cube q: q** + A^(tau+2) B_2(0).
 
     scale is the bare geometric factor 2^sigma a^tau used when summing volume
-    terms of exceptional sets.
+    terms of exceptional sets.  Each membership call builds a frame().
     """
 
     cube: GridCube
     scale: float
 
-    @property
-    def _frame(self) -> _PullbackFrame:
-        got = self.__dict__.get("_frame_cache")
-        if got is None:
-            pull = self.cube.dilation.power(-(self.cube.tau + 2))
-            quad = expand_cube(self.cube, 4.0)
-            got = _PullbackFrame(pull, pull @ quad.origin, pull @ quad.basis,
-                                 _TENDRIL_RADIUS + _TENDRIL_TOL)
-            self.__dict__["_frame_cache"] = got
-        return got
+    def _pullback(self):
+        """A^-(tau+2), and the origin and basis of the pullback of q**."""
+        pull = self.cube.dilation.power(-(self.cube.tau + 2))
+        quad = expand_cube(self.cube, 4.0)
+        return pull, pull @ quad.origin, pull @ quad.basis
+
+    def frame(self) -> _PullbackFrame:
+        """A new pullback frame of the bound, for one call's questions."""
+        return _PullbackFrame(*self._pullback(), _TENDRIL_RADIUS + _TENDRIL_TOL)
 
     def contains_points(self, points) -> np.ndarray:
         """Membership in q** + A^(tau+2) B_2(0), exact through pullback.
@@ -407,32 +428,17 @@ class TendrilBound:
         decided by _ClampedProjector; box and clamped-coordinate bounds only
         settle the points whose answer the projector could not change.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        frame = self._frame
-        return frame.contains(frame.pull @ pts.T)
+        return self.frame().contains_points(points)
 
     @property
     def axis_aligned(self) -> bool:
-        """True when the pull and the pullback's basis are diagonal, as
-        under a diagonal A."""
-        frame = self._frame
-        return _is_diagonal(frame.pull) and _is_diagonal(frame.basis)
+        """The pull and the pullback's basis are diagonal, as under a diagonal A."""
+        pull, _, basis = self._pullback()
+        return _is_diagonal(pull) and _is_diagonal(basis)
 
     def contains_grid(self, axes) -> np.ndarray:
-        """contains_points on the grid axes[0] x ... x axes[d-1], in the
-        grid's shape, under a diagonal A (axis_aligned): the pullback of
-        q** is then an axis-aligned box and pulled coordinate j is
-        A^-(tau+2)_jj x_j, the product the matrix pull gives."""
-        frame = self._frame
-        return frame.contains_grid([
-            frame.pull[j, j] * np.asarray(a, dtype=float) for j, a in enumerate(axes)])
-
-    def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
-        """(N, L) mask: cell n grown by spreads[l] B_1 lies in the bound,
-        with the rounding slack to spare, so contains_points accepts every
-        point of it.  verts is (N, V, d), spreads (L, d, d); see
-        _PullbackFrame.covers_dilates."""
-        return self._frame.covers_dilates(verts, spreads)
+        """contains_points on the grid axes[0] x ... x axes[d-1], if axis_aligned."""
+        return self.frame().contains_grid(axes)
 
     def bbox(self):
         """Axis-aligned box holding every point contains_points accepts."""

@@ -10,6 +10,7 @@ k = 0 (the measure nodes unmoved).
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cache
 from numpy.polynomial.legendre import leggauss
 
 from .dilation import DilationStructure, cube_diameter
@@ -237,10 +238,19 @@ class SurfaceMeasure:
         return float(np.sum(self.quad_weights))
 
 
+@cache
+def _leggauss(n: int):
+    """leggauss(n), solved once per order and shared, so read-only."""
+    rule = leggauss(n)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
 def _gauss_panels_1d(lo: float, hi: float, cuts, n_panel: int):
     """Composite Gauss-Legendre nodes, one rule per panel between cuts."""
     edges = [lo] + [c for c in sorted(set(cuts)) if lo < c < hi] + [hi]
-    nodes, weights = leggauss(n_panel)
+    nodes, weights = _leggauss(n_panel)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))

@@ -17,6 +17,7 @@ from pytest import approx
 from anisomax.atoms import AtomicSum
 from anisomax.cli import main
 from anisomax.config import DEFAULTS, load_config
+from anisomax import config as anisomax_config
 from anisomax import experiments, maximal
 from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
 from anisomax.errors import (
@@ -404,6 +405,22 @@ def test_cli_full_pipeline_masks_part_of_the_lattice(tmp_path):
     # superlevel cells remain outside E, so the ratio is measured, not 0
     total = (out / "weak_type.csv").read_text().strip().split("\n")[-1]
     assert total.startswith("all,") and float(total.split(",")[-1]) > 0.0
+
+
+def test_full_pipeline_validates_its_dilation_once(tmp_path, monkeypatch):
+    # the run builds its atomic sum once: the decompositions take their
+    # entries from its terms and classify_pieces takes its dilation
+    cfg = load_config(None, overrides=MASKED_PIPELINE[1::2], out_dir=tmp_path)
+    calls = []
+    validate = anisomax_config.validate_dilation
+
+    def counting(matrix):
+        calls.append(matrix)
+        return validate(matrix)
+
+    monkeypatch.setattr(anisomax_config, "validate_dilation", counting)
+    assert run_experiment(cfg, "full-pipeline") == 0
+    assert len(calls) == 1
 
 
 def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):

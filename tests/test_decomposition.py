@@ -15,10 +15,12 @@ from pytest import approx
 
 from anisomax.decomposition import (
     STOPPING_SAMPLES,
+    ExceptionalPrimitive,
     TraceEvent,
     _BoxSet,
     _certified_dilates,
     _left_sum,
+    _mass_of,
     _merge_nested,
     _star_groups,
     replay_trace_masses,
@@ -35,7 +37,13 @@ from anisomax.errors import (
     NotNormalizedError,
     NumericalFailureError,
 )
-from anisomax.grid import GridCube, _boxes_intersect_open, cube_contains, expand_cube
+from anisomax.grid import (
+    GridCube,
+    _boxes_intersect_open,
+    cube_contains,
+    expand_cube,
+    tendril_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +79,16 @@ def test_left_sum_rounds_each_add():
 @given(st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=40))
 def test_left_sum_is_the_left_fold(values):
     assert repr(_left_sum(values)) == repr(reduce(operator.add, values))
+
+
+def test_mass_of_is_the_left_fold():
+    # the masked masses add one at a time in entry order, as the doubles'
+    # masses in _star_groups' skip argument do
+    masses = [1.0, 1e-16, 3.0, 1e-16, 1e-16]
+    entries = [(None, lam) for lam in masses]
+    mask = np.array([True, True, False, True, True])
+    picked = [lam for lam, keep in zip(masses, mask) if keep]
+    assert repr(_mass_of(entries, mask)) == repr(reduce(operator.add, picked)) == "1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +276,39 @@ def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
         got = boxes.boxes(sigma, tau)
         assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi), (sigma, tau)
         assert np.array_equal(got[2], 1e-9 * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]], [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+                                    [[4, 1], [1, 3]], [[2, 1], [0, 2]], [[2, -2], [2, 2]]])
+def test_box_set_vertices_are_the_realized_vertices_bit_for_bit(matrix):
+    # _BoxSet builds every cube's vertices in one pass over the list; each
+    # row must be the cube's own realize().vertices() whatever the rows
+    # around it, and a row selection must be the build of its sub-list
+    D = validate_dilation(matrix)
+    cubes = [cube for _, entries in found_instances(D, 6) for cube, _ in entries]
+    cubes += [GridCube(sigma, c.tau + 3, tuple(v * 2 ** -sigma + 1 for v in c.index), D)
+              for sigma, c in zip((-1, -2, -3, -5), cubes)]
+    assert {c.sigma for c in cubes} == {0, -1, -2, -3, -5}
+    boxes = _BoxSet(cubes)
+    for k, Q in enumerate(cubes):
+        assert boxes.verts[k].tobytes() == Q.realize().vertices().tobytes(), Q
+    ids = list(range(len(cubes)))[::-3]
+    sub = boxes.rows(ids)
+    assert sub.cubes == [cubes[k] for k in ids]
+    assert sub.verts.tobytes() == _BoxSet(sub.cubes).verts.tobytes()
+
+
+def test_values_kept_by_results_have_no_instance_dict(diag_dilation):
+    # cubes, parallelepipeds, tendril bounds, primitives and trace events
+    # are slotted: nothing derived can be stashed on them
+    cube = GridCube(-1, -2, (3, -1), diag_dilation)
+    quad = expand_cube(cube, 4.0)
+    values = [cube, quad, tendril_of(cube), ExceptionalPrimitive("quad", cube, quad, 1.0),
+              TraceEvent(kind="step", sigma=0, tau=-1)]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "_cache", None)
 
 
 @pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + FOUND_MATRICES)

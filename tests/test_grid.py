@@ -253,20 +253,26 @@ def test_tendril_fast_membership_matches_projector(matrix):
     assert mismatches == 0
 
 
-def test_cube_vertices_are_computed_once_and_read_only():
+def test_cube_geometry_is_computed_per_call():
+    # cubes, parallelepipeds and tendril bounds keep no derived geometry:
+    # each call computes it anew, with the same bits every time
     cube = GridCube(0, -1, (2, -3), _jordan2())
     verts = cube.vertices()
-    assert cube.vertices() is verts
+    again = cube.vertices()
+    assert again is not verts and np.array_equal(again, verts)
     assert np.array_equal(verts, cube.realize().vertices())
-    with pytest.raises(ValueError):
-        verts[0, 0] = 0.0
-    # equality and hashing still see only (sigma, tau, index)
+    # equality and hashing see only (sigma, tau, index)
     twin = GridCube(0, -1, (2, -3), cube.dilation)
     assert twin == cube and hash(twin) == hash(cube)
-    # a parallelepiped keeps its diameter: the same value on every call
     box = expand_cube(cube, 4.0)
     fresh = Parallelepiped(origin=box.origin.copy(), basis=box.basis.copy())
     assert box.diameter() == box.diameter() == fresh.diameter()
+    t = tendril_of(GridCube(0, -1, (2, -3), _diag24()))
+    first, second = t.frame(), t.frame()
+    assert first is not second
+    assert np.array_equal(first.box_lo, second.box_lo) and first.slack == second.slack
+    for value in (cube, box, t):
+        assert not hasattr(value, "__dict__")
 
 
 def _face_distance(p, origin, basis):
@@ -374,7 +380,7 @@ def _edge_axes(t, quad, rng, d):
     1e-8 of the slack, so that the cells they form with the box's own
     coordinates sit in the band contains_grid hands to contains."""
     lo, hi = t.bbox()
-    frame = t._frame
+    frame = t.frame()
     radius, slack = frame.radius, frame.slack
     tol = 1e-12 * max(1.0, quad.diameter())
     axes = []
@@ -451,12 +457,12 @@ def test_dilates_touching_the_outer_edge_go_to_sampling():
     # [0, 1/256], its far side 3/16 off the face x = 5/8
     verts = GridCube(0, -2, (12, 0), D).vertices()
     limit = 2.0 + 1e-9
-    slack = t._frame.slack
+    slack = t.frame().slack
     assert 0.0 < slack < 1e-5
     for gap, expect in ((0.0, False), (0.5 * slack, False), (2.0 * slack, True), (0.5, True)):
         s = limit - gap - 3.0 / 16.0
         spread = D.power(2) @ np.diag([s, 0.0])
-        assert t.covers_dilates(verts[None], spread[None]).tolist() == [[expect]], gap
+        assert t.frame().covers_dilates(verts[None], spread[None]).tolist() == [[expect]], gap
         # the dilate's outermost points are in the set
         tips = verts + spread @ np.array([1.0, 0.0])
         assert np.all(t.contains_points(tips))

@@ -743,7 +743,7 @@ def test_mask_decides_band_cells_like_the_points(monkeypatch):
     cube = GridCube(0, -1, (0, 0), D)
     tendril = ExceptionalPrimitive("tendril", cube, tendril_of(cube), 1.0)
     quad = ExceptionalPrimitive("quad", cube, expand_cube(cube, 4.0), 1.0)
-    frame = tendril.region._frame
+    frame = tendril.region.frame()
     # the center of cell 100 on axis 0 pulls to the box's upper edge plus
     # the radius, to rounding; the slack is 1e-6 of that
     edge = (frame.box_hi[0, 0] + frame.radius) / frame.pull[0, 0]

@@ -16,6 +16,7 @@ Frozen reference values:
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.polynomial.legendre import leggauss
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -36,6 +37,7 @@ from anisomax.surface import (
     _conv_lattice,
     _cube_masses,
     _default_spacing,
+    _leggauss,
     _support_boxes,
     autocorrelation_kernel,
     check_kernel_decay,
@@ -215,6 +217,17 @@ def test_quadrature_mass_oracle():
     assert meas.mass == approx(0.7696560773850898, abs=1e-10)
     finer = surface_quadrature(circ, 400)
     assert finer.mass == approx(meas.mass, abs=1e-11)
+
+
+def test_gauss_legendre_rules_are_solved_once_and_read_only():
+    for n in (8, 12, 24, 50):
+        nodes, weights = _leggauss(n)
+        want_nodes, want_weights = leggauss(n)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert _leggauss(n)[0] is nodes
+        for part in (nodes, weights):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
 
 
 # ------------------------------------------------------------------ pieces
