@@ -15,27 +15,32 @@ grid, under one tolerance rule.
 
 Value objects carry no derived state; derived geometry lives for one call.
 The cubes, primitives and trace events that results keep are slotted
-values.  _BoxSet, the one place boxes are computed and compared, builds a
-call's vertex stack from the cubes' (sigma, tau, index) rows in one pass
-(grid.cube_vertices), and a sub-list of its cubes is a row selection of it.
-Each tau is pulled back by one matrix product, and its sigma levels are
-that product's min and max scaled by 2^-sigma, which is exact.  Its masks
-and _star_groups answer the three questions for the whole list at once;
-the loops read those masks and still sum masses one entry at a time, in
-entry order, with _left_sum.  The Whitney sweep, the stopping loop and
-check (iv) of verify_stopping pass their bound to _star_groups, which
-skips a step whose whole mass is within it (see there for why that is
-exact).
+values; a primitive keeps its cube and builds its region on demand.
+_BoxSet, the one place boxes are computed and compared, builds a call's
+vertex stack from the cubes' (sigma, tau, index) rows in one pass
+(grid.cube_vertices), vertex-major, and a sub-list of its cubes is a row
+selection of it.  Each tau is pulled back by one flat matrix product, the
+taus a question needs together (pull_levels), and its sigma levels are the
+product's min and max scaled by 2^-sigma, which is exact.  Its masks and
+_star_groups answer the three questions for the whole list at once; the
+loops read those masks and still sum masses one entry at a time, in entry
+order, with _left_sum.  The Whitney sweep, the stopping loop and check (iv)
+of verify_stopping pass their bound to _star_groups, which skips a step
+whose whole mass, or the mass of the cubes that fit some double, is within
+it (see there for why that is exact).
 
 verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
-the exceptional set, certifies from geometry (_certified_dilates) before it
-samples, and asks each primitive through its frame(), built at most once
-per call (_Frames).
+the exceptional set, certifies from geometry before it samples
+(_certified_dilates: every tendril-owned entry in one stacked pass over its
+owners' frames, grid.tendrils_cover_dilates), and samples only the pairs
+left, asking each primitive through its frame(), built at most once per
+call (_Frames).  It draws random points only when some pair is left.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
+from functools import cached_property, reduce
+from itertools import compress, product
+from operator import add
 
 import numpy as np
 
@@ -46,7 +51,15 @@ from .errors import (
     NotNormalizedError,
     NumericalFailureError,
 )
-from .grid import GridCube, Parallelepiped, TendrilBound, cube_vertices, expand_cube, tendril_of
+from .grid import (
+    GridCube,
+    Parallelepiped,
+    TendrilBound,
+    cube_vertices,
+    expand_cube,
+    tendril_of,
+    tendrils_cover_dilates,
+)
 
 _LEVEL_BUDGET = 200
 _TOL = 1e-9
@@ -61,81 +74,163 @@ def _left_sum(values):
     """sum() with its rounding fixed: one add per term, left to right,
     from 0.  CPython's sum() adds floats this way up to 3.11; from 3.12 it
     compensates the rounding, which would move last bits."""
-    total = 0
-    for value in values:
-        total += value
-    return total
+    return reduce(add, values, 0)
 
 
-def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None) -> dict:
+def _mass_sum(masses, ids) -> float:
+    """_left_sum of masses[i] for i in ids, in the given order."""
+    return _left_sum(map(masses.__getitem__, ids))
+
+
+def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None,
+                 total=None) -> dict:
     """Map each index n to the ids, in the given order, whose cube lies in
     the double of (sigma, tau, n).
 
     The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so each id's
     indices form a window of per-axis inequalities on its pullback box.
 
-    Given masses (nonnegative, by id) and a bound, the map is left empty,
-    with no box computed, when the ids' masses sum in the given order to at
-    most the bound.  No double's mass can then exceed it: summed over its
-    group, a double's mass sums a subsequence of the same terms in the same
-    order, and round-to-nearest is monotone, so by induction over the terms
-    its rounded sum never exceeds the whole's.  The induction is over
-    left-to-right rounding, so this total and every double mass it stands
-    in for are taken with _left_sum.
+    Given masses (nonnegative, by id) and a bound, the map is left empty
+    when no double's mass can exceed the bound: first, with no box
+    computed, when the ids' masses sum in the given order to at most the
+    bound (total, when given, is that sum, for a caller that asks about one
+    list of ids at many levels), and then when the masses of the ids with a
+    nonempty window, those that fit in some double, do.  Summed over its
+    group, a double's mass sums a subsequence of either list's terms in the
+    same order, and round-to-nearest is monotone, so by induction over the
+    terms its rounded sum never exceeds the list's.  The induction is over
+    left-to-right rounding, so these totals and every double mass they
+    stand in for are taken with _left_sum.
     """
     groups = {}
-    if not ids or (bound is not None and _left_sum(masses[i] for i in ids) <= bound):
+    if not ids:
         return groups
-    lo, hi, tol = (part[ids] for part in boxes.boxes(sigma, tau))
+    if bound is not None:
+        if total is None:
+            total = _mass_sum(masses, ids)
+        if total <= bound:
+            return groups
+    lo, hi, tol = _split_box(boxes._pull(tau).take(ids, axis=1) * 2.0 ** -sigma)
     n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
     n_max = np.floor(lo + 0.5 + tol).astype(np.int64) + 1
-    nonempty = np.all(n_min < n_max, axis=1)
-    for i, ok, first, stop in zip(ids, nonempty.tolist(), n_min.tolist(), n_max.tolist()):
+    nonempty = (n_min < n_max).all(axis=1).tolist()
+    if bound is not None and _mass_sum(masses, compress(ids, nonempty)) <= bound:
+        return groups
+    for i, ok, first, stop in zip(ids, nonempty, n_min.tolist(), n_max.tolist()):
         if ok:
             for n in product(*map(range, first, stop)):
                 groups.setdefault(n, []).append(i)
     return groups
 
 
-def _scaled_box(lo, hi, scale):
-    """(lo, hi, tol): pulled bounds times scale, a power of two, and the
-    rounding allowance of every comparison made on them."""
-    lo = lo * scale
-    hi = hi * scale
-    return lo, hi, _TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+def _split_box(scaled):
+    """(lo, hi, tol): a (min, max) pair stacked on axis -3, already scaled
+    to its grid, and the rounding allowance of every comparison made on
+    them."""
+    size = np.abs(scaled)
+    return (scaled[..., 0, :, :], scaled[..., 1, :, :],
+            _TOL * np.maximum(1.0, size[..., 0, :, :] + size[..., 1, :, :]))
+
+
+def _same_and_equal(hosts: np.ndarray, rows: np.ndarray):
+    """(same, equal), each (H, N): row n of rows has the (sigma, tau) of
+    host row h, and the whole row too."""
+    match = hosts[:, None, :] == rows[None, :, :]
+    same = match[:, :, 0] & match[:, :, 1]
+    equal = same.copy()
+    for j in range(2, match.shape[2]):
+        equal &= match[:, :, j]
+    return same, equal
+
+
+def _cube_rows(cubes) -> np.ndarray:
+    """(N, 2 + d) int64: each cube's (sigma, tau, *index)."""
+    return np.array([(Q.sigma, Q.tau, *Q.index) for Q in cubes], dtype=np.int64)
 
 
 class _BoxSet:
     """Pullback boxes of one list of cubes, one (N, d) set per grid level.
 
-    The vertex stack, given or built by cube_vertices, and a tau's pulled
-    vertices, computed on first use, live as long as the box set, which
-    lives for one call; nothing is kept on the cubes.  within_each and
-    overlap_matrix answer containment and overlap as boolean arrays.
+    The cubes' (sigma, tau, *index) rows and their vertex stack, vertex-major
+    (2^d, N, d) so that every vertex row is one row of a flat (2^d N, d)
+    array, are built once (grid.cube_vertices) or selected from a parent
+    set (rows).  A tau's pulled vertices are one flat matrix product,
+    reduced to their min and max over the leading vertex axis and kept for
+    the box set's life, which is one call; nothing is kept on the cubes.
+    The taus a question needs are pulled together (pull_levels), as one
+    product with a stack of powers, and a row selection takes its rows of
+    its parent's pulls.  within_each and overlap_matrix answer containment
+    and overlap as boolean arrays.
     """
 
-    def __init__(self, cubes, verts=None):
+    def __init__(self, cubes):
         self.cubes = list(cubes)
-        self.scale = np.array([(Q.sigma, Q.tau) for Q in self.cubes], dtype=np.int64)
-        self.index = np.array([Q.index for Q in self.cubes], dtype=np.int64)
-        # (N, 2^d, d): every cube's vertices, given or built from the rows
-        self.verts = (cube_vertices(self.cubes[0].dilation, self.scale, self.index)
-                      if verts is None and self.cubes else verts)
-        # tau -> per-cube min and max of the vertices pulled back by A^-tau
+        # tau -> (2, N, d): the per-cube min and max of the vertices pulled
+        # back by A^-tau
         self._pulled = {}
+        # (parent box set, ids) of a row selection
+        self._parent = None
+        if not self.cubes:  # an empty set answers without boxes
+            self.ident = self.verts = None
+            return
+        self.ident = _cube_rows(self.cubes)
+        self.verts = cube_vertices(self.cubes[0].dilation, self.scale, self.index)
+
+    def __len__(self) -> int:
+        return len(self.cubes)
+
+    @property
+    def scale(self) -> np.ndarray:
+        """(N, 2): each cube's (sigma, tau)."""
+        return self.ident[:, :2]
+
+    @property
+    def index(self) -> np.ndarray:
+        """(N, d): each cube's index."""
+        return self.ident[:, 2:]
 
     def rows(self, ids) -> "_BoxSet":
-        """The box set of cubes[k] for k in ids: their vertex rows, not a new build."""
-        return _BoxSet([self.cubes[k] for k in ids], self.verts[ids] if ids else None)
+        """The box set of cubes[k] for k in ids: their rows, not a new build."""
+        sub = _BoxSet(())
+        if ids:
+            sub.cubes = [self.cubes[k] for k in ids]
+            sub.ident = self.ident.take(ids, axis=0)
+            sub.verts = self.verts.take(ids, axis=1)
+            sub._parent = (self, ids)
+        return sub
 
-    def _pull(self, tau: int):
-        """The cubes' vertices times A^-tau, reduced to their per-cube min
-        and max, each (N, d): one matrix product per tau, kept."""
+    def pull_levels(self, taus) -> None:
+        """Pull back by A^-tau for every tau of taus not pulled yet.
+
+        The vertices times each power are one flat product per tau, taken
+        for all of them at once against the stack of powers (each stacked
+        product is bit for bit the product alone), and reduced to their
+        per-cube min and max over the vertex axis.  A row selection pulls
+        through its parent and keeps its rows.
+        """
+        missing = [t for t in dict.fromkeys(taus) if t not in self._pulled]
+        if not missing:
+            return
+        if self._parent is not None:
+            parent, ids = self._parent
+            parent.pull_levels(missing)
+            for t in missing:
+                self._pulled[t] = parent._pulled[t].take(ids, axis=1)
+            return
+        v, n, d = self.verts.shape
+        powers = self.cubes[0].dilation.powers([-t for t in missing])
+        pulled = (self.verts.reshape(v * n, d) @ powers.transpose(0, 2, 1)).reshape(-1, v, n, d)
+        got = np.empty((len(missing), 2, n, d))
+        np.minimum.reduce(pulled, axis=1, out=got[:, 0])
+        np.maximum.reduce(pulled, axis=1, out=got[:, 1])
+        self._pulled.update(zip(missing, got))
+
+    def _pull(self, tau: int) -> np.ndarray:
+        """(2, N, d): the per-cube min and max of the vertices times A^-tau."""
         got = self._pulled.get(tau)
         if got is None:
-            verts = self.verts @ self.cubes[0].dilation.power(-tau).T
-            got = (verts.min(axis=1), verts.max(axis=1))
-            self._pulled[tau] = got
+            self.pull_levels((tau,))
+            got = self._pulled[tau]
         return got
 
     def boxes(self, sigma: int, tau: int):
@@ -153,16 +248,20 @@ class _BoxSet:
         matrix product and every box is bit for bit the one a product per
         level would give.
         """
-        return _scaled_box(*self._pull(tau), 2.0 ** -sigma)
+        return _split_box(self._pull(tau) * 2.0 ** -sigma)
 
-    def _host_rows(self, hosts):
-        """(lo, hi, tol), each (H, N, d): [h] is boxes() at hosts[h]'s level,
-        scaled from the pulled pair of its tau."""
+    def _host_rows(self, hosts: np.ndarray):
+        """(lo, hi, tol), each (H, N, d): [h] is boxes() at the level of the
+        host row hosts[h] (sigma, tau, ...), scaled from the pulled pair of
+        its tau."""
         taus = {}
-        pos = [taus.setdefault(Q.tau, len(taus)) for Q in hosts]
-        lo, hi = (np.stack(part)[pos] for part in zip(*map(self._pull, taus)))
-        scale = np.array([2.0 ** -Q.sigma for Q in hosts])[:, None, None]
-        return _scaled_box(lo, hi, scale)
+        pos = [taus.setdefault(t, len(taus)) for t in hosts[:, 1].tolist()]
+        self.pull_levels(taus)
+        if len(taus) == 1:
+            pulled = self._pulled[next(iter(taus))][None]
+        else:
+            pulled = np.array([self._pulled[t] for t in taus]).take(pos, axis=0)
+        return _split_box(pulled * np.ldexp(1.0, -hosts[:, 0, None, None, None]))
 
     @cached_property
     def volume(self) -> np.ndarray:
@@ -170,7 +269,8 @@ class _BoxSet:
 
     def within_each(self, hosts, factor: float) -> np.ndarray:
         """M[k, h]: cubes[k] lies inside hosts[h] grown about its center by
-        factor, 1 for the host itself and 2 for its double.
+        factor, 1 for the host itself and 2 for its double.  hosts is a list
+        of cubes, or this box set itself for its own cubes.
 
         A cube of the host's own scale is inside either exactly when it is
         the host; any other cube's pullback box must fit the grown host's
@@ -180,16 +280,30 @@ class _BoxSet:
         one broadcast over (host, cube, axis), element by element as one
         host at a time would compare them.
         """
-        if not self.cubes or not hosts:
+        if not self.cubes or len(hosts) == 0:
             return np.zeros((len(self.cubes), len(hosts)), dtype=bool)
-        lo, hi, tol = self._host_rows(hosts)
-        n = np.array([Q.index for Q in hosts], dtype=np.int64)[:, None, :]
+        if hosts is self:
+            hosts = self.ident
+            (lo, hi, tol), (same, equal) = self._own_rows, self._own_match
+        else:
+            hosts = _cube_rows(hosts)
+            lo, hi, tol = self._host_rows(hosts)
+            same, equal = _same_and_equal(hosts, self.ident)
+        center = hosts[:, None, 2:] + 0.5
         reach = 0.5 * factor
-        out = (lo < n + 0.5 - reach - tol) | (hi > n + 0.5 + reach + tol)
-        levels = np.array([(Q.sigma, Q.tau) for Q in hosts], dtype=np.int64)
-        same = np.all(self.scale[None, :, :] == levels[:, None, :], axis=2)
-        equal = np.all(self.index[None, :, :] == n, axis=2)
-        return np.where(same, equal, ~np.any(out, axis=2)).T
+        out = lo < center - reach - tol
+        out |= hi > center + reach + tol
+        return np.where(same, equal, ~out.any(axis=2)).T
+
+    @cached_property
+    def _own_rows(self):
+        """_host_rows with the cubes themselves as the hosts."""
+        return self._host_rows(self.ident)
+
+    @cached_property
+    def _own_match(self):
+        """_same_and_equal of the cubes against themselves."""
+        return _same_and_equal(self.ident, self.ident)
 
     def overlap_matrix(self) -> np.ndarray:
         """M[k, m]: the interiors of cubes[k] and cubes[m] overlap.
@@ -204,14 +318,13 @@ class _BoxSet:
         """
         if not self.cubes:
             return np.zeros((0, 0), dtype=bool)
-        lo, hi, tol = self._host_rows(self.cubes)
+        lo, hi, tol = self._own_rows
         n = self.index[:, None, :]
         gap = np.minimum(hi, n + 1) - np.maximum(lo, n)
         meets = np.all(gap > tol, axis=2).T
         inner_first = self.volume[:, None] <= self.volume[None, :]
         out = np.where(inner_first, meets, meets.T)
-        same = np.all(self.scale[:, None, :] == self.scale[None, :, :], axis=2)
-        equal = np.all(self.index[:, None, :] == self.index[None, :, :], axis=2)
+        same, equal = self._own_match
         return np.where(same, equal, out)
 
 
@@ -312,13 +425,21 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     boxes = _BoxSet(cube for cube, _ in entries)
     masses = [lam for _, lam in entries]
 
+    # the sorted active ids and their mass total, taken again only after a
+    # selection has absorbed entries
+    active_ids, active_total = [], None
+    boxes.pull_levels(range(t_hi, t_lo - 1, -1))
     for t in range(t_hi, t_lo - 1, -1):
         if not active:
             break
-        candidates = _star_groups(boxes, sorted(active), 0, t, masses, alpha * (a ** t))
+        if len(active_ids) != len(active):
+            active_ids = sorted(active)
+            active_total = _mass_sum(masses, active_ids)
+        candidates = _star_groups(boxes, active_ids, 0, t, masses, alpha * (a ** t),
+                                  active_total)
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
-            residual = _left_sum(masses[i] for i in members)
+            residual = _mass_sum(masses, members)
             if residual > alpha * (a ** t):
                 s_cube = GridCube(0, t, n, D)
                 s_id = len(selected)
@@ -334,10 +455,10 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     children = [[] for _ in nodes]
     roots = []
     node_boxes = boxes.rows([rec[2][0] for rec in nodes])
-    inside = node_boxes.within_each(node_boxes.cubes, 1.0)
+    inside = node_boxes.within_each(node_boxes, 1.0)
     for pos in range(len(nodes)):
         # the smallest node holding this one, the first of equal volumes
-        parent = min(np.flatnonzero(inside[pos, :pos]).tolist(),
+        parent = min((k for k, held in enumerate(inside[pos, :pos].tolist()) if held),
                      key=lambda cand: nodes[cand][1].volume, default=None)
         (roots if parent is None else children[parent]).append(pos)
 
@@ -391,7 +512,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
 
 def _mass_of(entries, mask) -> float:
     """Summed mass of the masked entries, in entry order."""
-    return _left_sum(entries[i][1] for i in np.flatnonzero(mask).tolist())
+    return _left_sum(lam for (_, lam), keep in zip(entries, mask.tolist()) if keep)
 
 
 def _leftover_nodes(entries, ids) -> list:
@@ -411,7 +532,7 @@ def _merge_nested(selected, assigned):
     order = sorted((s_id for s_id, s in enumerate(selected) if s is not None),
                    key=lambda s_id: -selected[s_id].volume)
     boxes = _BoxSet(selected[s_id] for s_id in order)
-    inside = boxes.within_each(boxes.cubes, 1.0)
+    inside = boxes.within_each(boxes, 1.0)
     meets = boxes.overlap_matrix()
     volume = boxes.volume.tolist()
     for small in range(len(order) - 1, -1, -1):
@@ -471,7 +592,7 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
     ok, witness = True, None
     recs = _leftover_nodes(entries, result.leftover)
     rec_boxes = entry_boxes.rows([rec[2][0] for rec in recs])
-    inside = rec_boxes.within_each(rec_boxes.cubes, 1.0)
+    inside = rec_boxes.within_each(rec_boxes, 1.0)
     meets = rec_boxes.overlap_matrix()
     # a pair overlaps without nesting: the smaller cube (the first on equal
     # volumes) is not inside the other
@@ -517,35 +638,39 @@ class TraceEvent:
 class ExceptionalPrimitive:
     """One piece of the exceptional set: a tendril bound or a quadrupled cube.
 
-    region is the set itself, a TendrilBound for kind "tendril" and the
-    Parallelepiped 4S for kind "quad".  volume_term is the number this
-    primitive contributes when the size of the exceptional set is summed:
-    the geometric scale 2^sigma a^tau for tendril bounds and the exact
-    volume 4^d |S| for quadrupled cubes.
+    region() builds the set itself on each call, the TendrilBound of cube
+    for kind "tendril" and the Parallelepiped 4S (S = cube) for kind "quad";
+    a caller with many questions for one primitive asks its frame() once.
+    volume_term is the number this primitive contributes when the size of
+    the exceptional set is summed: the geometric scale 2^sigma a^tau for
+    tendril bounds and the exact volume 4^d |S| for quadrupled cubes.
     """
 
     kind: str
     cube: GridCube
-    region: TendrilBound | Parallelepiped
     volume_term: float
+
+    def region(self) -> TendrilBound | Parallelepiped:
+        return tendril_of(self.cube) if self.kind == "tendril" else expand_cube(self.cube, 4.0)
 
     def frame(self):
         """What one call asks membership of: a tendril's frame, or 4S itself."""
-        return self.region.frame() if self.kind == "tendril" else self.region
+        region = self.region()
+        return region.frame() if self.kind == "tendril" else region
 
     def contains_points(self, points) -> np.ndarray:
-        return self.region.contains_points(points)
+        return self.region().contains_points(points)
 
     @property
     def axis_aligned(self) -> bool:
         """True under a diagonal A, where contains_grid answers."""
-        return self.region.axis_aligned
+        return self.region().axis_aligned
 
     def contains_grid(self, axes) -> np.ndarray:
-        return self.region.contains_grid(axes)
+        return self.region().contains_grid(axes)
 
     def bbox(self):
-        return self.region.bbox()
+        return self.region().bbox()
 
 
 @dataclass
@@ -589,10 +714,10 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
 
     boxes = _BoxSet(cube for cube, _ in entries)
     masses = [lam for _, lam in entries]
-    in_double = boxes.within_each(S_list, 2.0)
+    taus = [cube.tau for cube, _ in entries]
     hosts_of = {}
-    for i in range(len(entries)):
-        hosts_of[i] = np.flatnonzero(in_double[i]).tolist()
+    for i, row in enumerate(boxes.within_each(S_list, 2.0).tolist()):
+        hosts_of[i] = [k for k, inside in enumerate(row) if inside]
         if not hosts_of[i]:
             raise InputInvalidError(f"entry {i} is not inside the double of any S")
 
@@ -611,20 +736,26 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     kappa, classification, host, assigned_primitive = {}, {}, {}, {}
     trace, dimension_violations, selected_qs = [], [], {}
 
+    boxes.pull_levels(range(tau0 - 1, tau_min - 1, -1))
     for tau in range(tau0 - 1, tau_min - 1, -1):
         sigma = 0
+        live_ids = None
         while live:
-            fits = any(
-                cube_diameter(D, t - tau) <= (2.0 ** (sigma + 1)) * unit_diam
-                for t in {entries[i][0].tau for i in live}
-            )
-            if not fits:
+            if live_ids is None or len(live_ids) != len(live):
+                # taken again only when entries have stopped: the sorted live
+                # ids, their mass total, and the smallest diameter of a live
+                # cube in this stage's grid, which a double must reach
+                live_ids = sorted(live)
+                live_total = _mass_sum(masses, live_ids)
+                nearest = min(cube_diameter(D, t - tau) for t in {taus[i] for i in live_ids})
+            if nearest > (2.0 ** (sigma + 1)) * unit_diam:
                 break
             threshold = alpha * (2.0 ** sigma) * (a ** tau)
-            candidates = _star_groups(boxes, sorted(live), sigma, tau, masses, threshold)
+            candidates = _star_groups(boxes, live_ids, sigma, tau, masses, threshold,
+                                      live_total)
             chosen = []
             for n in sorted(candidates):
-                mass = _left_sum(masses[i] for i in candidates[n])
+                mass = _mass_sum(masses, candidates[n])
                 if mass > threshold:
                     chosen.append((n, mass))
             trace.append(TraceEvent(kind="step", sigma=sigma, tau=tau))
@@ -669,10 +800,9 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
 
     # the tendril bounds in scale order, then the quadrupled S cubes
     q_keys = sorted(selected_qs)
-    exceptional = [ExceptionalPrimitive("tendril", b.cube, b, b.scale)
+    exceptional = [ExceptionalPrimitive("tendril", b.cube, b.scale)
                    for b in (tendril_of(selected_qs[key]) for key in q_keys)]
-    exceptional += [ExceptionalPrimitive("quad", S, expand_cube(S, 4.0), (4.0 ** D.dim) * S.volume)
-                    for S in S_list]
+    exceptional += [ExceptionalPrimitive("quad", S, (4.0 ** D.dim) * S.volume) for S in S_list]
     primitive_of_q = {key: p for p, key in enumerate(q_keys)}
     for i in range(len(entries)):
         kind, *where = host[i]
@@ -698,26 +828,38 @@ class _Frames(dict):
         return self[p]
 
 
-def _certified_dilates(result: StoppingResult, boxes: _BoxSet,
-                       levels: np.ndarray, frames=None) -> np.ndarray:
+def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarray) -> np.ndarray:
     """Mask over levels, an (entries, L) integer array: entry i's whole
     dilate Q + A^j B_1 at level j = levels[i, l] lies in its assigned
     primitive.
 
-    Decided from geometry alone by covers_dilates of the primitive's frame
-    (frames, built here when not given), one call per primitive over its
-    entries' stacked vertices and the distinct levels among them.  A True pair's samples are all accepted by that
-    primitive; a False pair says nothing and is left to sampling.
+    Decided from geometry alone.  The entries owned by tendril bounds are
+    decided together by grid.tendrils_cover_dilates, over the stacked frames
+    of their owners; each quad owner asks Parallelepiped.covers_dilates once
+    about its entries and the distinct levels among them.  A True pair's
+    samples are all accepted by that primitive; a False pair says nothing
+    and is left to sampling.
     """
     D = boxes.cubes[0].dilation
-    frames = _Frames(result.exceptional) if frames is None else frames
-    owner = np.array([result.assigned_primitive[i] for i in range(len(boxes.cubes))])
+    primitives = result.exceptional
+    owner = [result.assigned_primitive[i] for i in range(len(boxes.cubes))]
     out = np.zeros(levels.shape, dtype=bool)
-    for p in sorted(set(owner.tolist())):
-        rows = np.flatnonzero(owner == p)
+    tendril = [i for i, p in enumerate(owner) if primitives[p].kind == "tendril"]
+    if tendril:
+        # each owning tendril's row, in first-owner order
+        row_of = {}
+        pos = [row_of.setdefault(owner[i], len(row_of)) for i in tendril]
+        rows = _cube_rows(primitives[p].cube for p in row_of)
+        asked = levels[tendril]
+        spreads = D.powers(asked.ravel().tolist()).reshape(*asked.shape, D.dim, D.dim)
+        out[tendril] = tendrils_cover_dilates(D, rows[:, :2], rows[:, 2:], np.array(pos),
+                                              boxes.verts.take(tendril, axis=1), spreads)
+    for p in sorted({p for p in owner if primitives[p].kind == "quad"}):
+        rows = [i for i, q in enumerate(owner) if q == p]
         uniq = sorted(set(levels[rows].ravel().tolist()))
-        spreads = np.stack([D.power(j) for j in uniq])
-        covered = frames[p].covers_dilates(boxes.verts[rows], spreads)
+        spreads = D.powers(uniq)
+        verts = boxes.verts[:, rows].transpose(1, 0, 2)
+        covered = primitives[p].region().covers_dilates(verts, spreads)
         out[rows] = covered[np.arange(len(rows))[:, None], np.searchsorted(uniq, levels[rows])]
     return out
 
@@ -741,9 +883,12 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     primitive and then, for the points it rejects, against the others; a
     point none accepts is a witness.  A certified pair's points would all
     have been accepted by the assigned primitive, so skipping them cannot
-    change the outcome or the witness.  The random stream is the same with
-    or without the certificate: the unit-ball points first, then one draw
-    per entry in entry order, certified entries included.
+    change the outcome or the witness.  The random stream is the one a
+    check without the certificate draws, the unit-ball points first and then
+    n d uniforms per entry in entry order: the generator is created only
+    when some pair is left to sample, and it advances past the uniforms of
+    each entry whose pairs are all certified, so every sampled entry meets
+    the same points.
 
     Raises InputInvalidError when entries is empty or invalid, when alpha
     is not positive, or when kappa or assigned_primitive misses an entry.
@@ -760,7 +905,6 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     report = CheckReport()
     D = entries[0][0].dilation
     a = D.det_scale
-    rng = np.random.default_rng(seed)
     boxes = _BoxSet(cube for cube, _ in entries)
     masses = [lam for _, lam in entries]
 
@@ -773,19 +917,24 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     n = STOPPING_SAMPLES
     kappa = np.array([result.kappa[i] for i in range(len(entries))])
     levels = kappa[:, None] - np.array([1, 3, 8])
-    frames = _Frames(result.exceptional)
-    certified = _certified_dilates(result, boxes, levels, frames)
-    ball = rng.normal(size=(n, D.dim))
-    ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
-    ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
-    # samples are built as (d, n) columns; pts is their (n, d) view
-    ball = np.ascontiguousarray(ball.T)
-    for i, (cube, _) in enumerate(entries):
-        # drawn even when unused, so later entries meet the same points
+    certified = _certified_dilates(result, boxes, levels)
+    rng = None
+    for i in np.flatnonzero(~certified.all(axis=1)).tolist():
+        if rng is None:
+            rng = np.random.default_rng(seed)
+            ball = rng.normal(size=(n, D.dim))
+            ball = ball / np.linalg.norm(ball, axis=1, keepdims=True)
+            ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
+            # samples are built as (d, n) columns; pts is their (n, d) view
+            ball = np.ascontiguousarray(ball.T)
+            frames = _Frames(result.exceptional)
+            due = 0  # the first entry whose uniforms are not yet drawn
+        if i > due:
+            # past the uniforms of entries due, ..., i - 1, all certified
+            rng.bit_generator.advance((i - due) * n * D.dim)
         u = rng.random((n, D.dim))
-        if certified[i].all():
-            continue
-        base = cube.realize()
+        due = i + 1
+        base = entries[i][0].realize()
         x = base.origin[:, None] + base.basis @ u.T
         for j, sure in zip(levels[i].tolist(), certified[i].tolist()):
             if sure:
@@ -822,13 +971,17 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
 
     ok, witness = True, None
     steps = [(ev.sigma, ev.tau) for ev in result.trace if ev.kind == "step"]
+    stopped_tau = None
     for sigma, tau in steps:
-        stopped = np.flatnonzero(kappa <= tau).tolist()
+        if tau != stopped_tau:
+            # the stopped entries and their total, once per run of one tau
+            stopped_tau, stopped = tau, np.flatnonzero(kappa <= tau).tolist()
+            stopped_total = _mass_sum(masses, stopped)
         bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
         limit = bound * (1.0 + 1e-9)
-        groups = _star_groups(boxes, stopped, sigma, tau, masses, limit)
+        groups = _star_groups(boxes, stopped, sigma, tau, masses, limit, stopped_total)
         for n, members in groups.items():
-            mass = _left_sum(masses[i] for i in members)
+            mass = _mass_sum(masses, members)
             if mass > limit:
                 ok = False
                 witness = (f"step ({sigma}, {tau}), cube {n}: "

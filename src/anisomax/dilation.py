@@ -8,6 +8,7 @@ and provides the cube-diameter asymptotics.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -35,17 +36,60 @@ class DilationStructure:
     block_size: int
     norm_power: int
     _pow_cache: dict = field(default_factory=dict, repr=False)
+    # A^-1, the base of every negative power, computed on first use
+    _inverse: np.ndarray = field(default=None, repr=False)
     # unit-side cube diameter per tau, for cube_diameter
     _diam_cache: dict = field(default_factory=dict, repr=False)
 
     def power(self, k: int) -> np.ndarray:
-        """A^k for integer k, cached."""
-        k = int(k)
+        """A^k for integer k, cached per k asked for.
+
+        Bit for bit np.linalg.matrix_power(A, k), without its argument
+        checks: the same products in the same order (A^-1 from inv, then
+        A A and (A A) A for 2 and 3, else a binary decomposition from the
+        least significant bit).  Only the asked-for powers are kept, not
+        the intermediate ones.
+        """
         got = self._pow_cache.get(k)
         if got is None:
-            got = np.linalg.matrix_power(self.matrix, k)
+            k = int(k)
+            if k == 0:
+                got = np.eye(self.dim)
+            else:
+                if k > 0:
+                    base = self.matrix
+                else:
+                    if self._inverse is None:
+                        self._inverse = np.linalg.inv(self.matrix)
+                    base = self._inverse
+                got = _matrix_power(base, abs(k))
             self._pow_cache[k] = got
         return got
+
+    def powers(self, exponents) -> np.ndarray:
+        """(N, d, d): A^k for each k of exponents, in order, gathered from
+        a stack of the distinct powers."""
+        distinct = {}
+        pos = [distinct.setdefault(k, len(distinct)) for k in exponents]
+        stack = np.array([self.power(k) for k in distinct])
+        return stack if len(distinct) == len(pos) else stack.take(pos, axis=0)
+
+
+def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a^n for n >= 1 by np.linalg.matrix_power's products, in its order."""
+    if n == 1:
+        return a
+    if n == 2:
+        return a @ a
+    if n == 3:
+        return (a @ a) @ a
+    z = result = None
+    while n > 0:
+        z = a if z is None else z @ z
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
 
 
 def _operator_norm(m: np.ndarray) -> float:
@@ -155,25 +199,39 @@ def _norm_power(A: np.ndarray) -> int:
     )
 
 
+@cache
+def _sign_vectors(d: int) -> np.ndarray:
+    """The nonzero u in {-1, 0, 1}^d, (3^d - 1, d) in product order, built
+    once per dimension and shared, so read-only."""
+    signs = np.array([u for u in product((-1.0, 0.0, 1.0), repeat=d) if any(u)])
+    signs.flags.writeable = False
+    return signs
+
+
+def span_diameter(basis: np.ndarray) -> float:
+    """Diameter of origin + basis [0, 1]^d: the longest |basis u| over the
+    vertex differences u in {-1, 0, 1}^d.
+
+    Bit for bit the largest float(np.linalg.norm(basis @ u)) over u: the
+    images are one product (u has entries 0 and 1 in magnitude, so every
+    product is exact), and each squared length is the BLAS dot product
+    that norm takes, one per row of a stacked matmul.
+    """
+    images = _sign_vectors(basis.shape[0]) @ basis.T
+    squares = np.matmul(images[:, None, :], images[:, :, None])
+    return float(np.sqrt(squares.max()))
+
+
 def cube_diameter(D: DilationStructure, tau: int, sigma: int = 0) -> float:
     """Euclidean diameter of a grid cube at scale (sigma, tau).
 
     The cube is the image under A^tau of a dyadic cube of side 2^sigma, so the
-    diameter is 2^sigma times the longest image of a vertex difference
-    u in {-1, 0, 1}^d.  The unit-side diameter is cached per tau on D.
+    diameter is 2^sigma times span_diameter(A^tau).  The unit-side diameter is
+    cached per tau on D.
     """
-    tau = int(tau)
     best = D._diam_cache.get(tau)
     if best is None:
-        power = D.power(tau)
-        best = 0.0
-        for u in product((-1, 0, 1), repeat=D.dim):
-            if all(c == 0 for c in u):
-                continue
-            length = float(np.linalg.norm(power @ np.asarray(u, dtype=float)))
-            if length > best:
-                best = length
-        D._diam_cache[tau] = best
+        best = D._diam_cache[int(tau)] = span_diameter(D.power(tau))
     return (2.0 ** sigma) * best
 
 

@@ -13,7 +13,11 @@ The slotted GridCube, Parallelepiped and TendrilBound compute vertices,
 diameters and frames on each call; a caller with many questions for one
 tendril bound builds its frame() once.  One vertex rule (_fold: column sums
 left to right, no BLAS product, so no row's bits depend on the others)
-serves realize() and cube_vertices, which takes (sigma, tau, index) rows.
+serves realize() and cube_vertices, which takes (sigma, tau, index) rows;
+one diameter rule (dilation.span_diameter) serves Parallelepiped.diameter
+and cube_diameter; one stacked pullback rule (_pullbacks) serves a tendril
+bound's frame and tendrils_cover_dilates, which decides the dilated cells
+of many bounds at once.
 
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
@@ -33,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .dilation import DilationStructure
+from .dilation import DilationStructure, span_diameter
 from .errors import InputInvalidError, NotNormalizedError
 
 _CONTAIN_TOL = 1e-12
@@ -67,15 +71,19 @@ def _vertices(origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return origin[..., None, :] + _fold(basis, _unit_corners(basis.shape[-1]))
 
 
+def _cube_bases(D: DilationStructure, scale: np.ndarray) -> np.ndarray:
+    """(N, d, d): row k is 2^sigma A^tau for (sigma, tau) = scale[k], the
+    basis GridCube.realize gives (times 2^sigma, exactly)."""
+    return np.ldexp(D.powers(scale[:, 1].tolist()), scale[:, 0, None, None])
+
+
 def cube_vertices(D: DilationStructure, scale: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(N, 2^d, d): row k is GridCube(*scale[k], index[k]).realize().vertices(),
-    bit for bit; scale holds (sigma, tau) rows.  Each row's A^tau is
-    gathered from a stack of the distinct powers."""
-    taus = {}
-    pos = [taus.setdefault(t, len(taus)) for t in scale[:, 1].tolist()]
-    powers = np.array([D.power(t) for t in taus])[pos]
-    basis = (2.0 ** scale[:, 0])[:, None, None] * powers
-    return _vertices(_fold(basis, index[:, None, :].astype(float))[:, 0], basis)
+    """(2^d, N, d), vertex-major: [:, k] is GridCube(*scale[k], index[k])
+    .realize().vertices(), bit for bit; scale holds (sigma, tau) rows."""
+    basis = _cube_bases(D, scale)
+    origin = _fold(basis, index[:, None, :].astype(float))[:, 0]
+    # corner rows shaped (2^d, 1, 1, d) fold to (2^d, N, 1, d)
+    return origin + _fold(basis, _unit_corners(D.dim)[:, None, None, :])[:, :, 0]
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
@@ -153,10 +161,8 @@ class Parallelepiped:
         return _vertices(self.origin, self.basis)
 
     def diameter(self) -> float:
-        """Largest vertex distance."""
-        verts = self.vertices()
-        diffs = verts[:, None, :] - verts[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(-1)).max())
+        """Largest vertex distance, by cube_diameter's rule (span_diameter)."""
+        return span_diameter(self.basis)
 
     def contains_points(self, points, tol: float = None) -> np.ndarray:
         """Closed-hull membership test with a diameter-relative tolerance."""
@@ -287,6 +293,28 @@ class _ClampedProjector:
         return best
 
 
+def _pullbacks(D: DilationStructure, scale: np.ndarray, index: np.ndarray):
+    """Per cube row (sigma, tau, index), stacked: A^-(tau+2), and the origin
+    and basis of the pullback of q** = expand_cube(q, 4), each bit for bit
+    the product one cube at a time gives."""
+    basis = _cube_bases(D, scale)
+    origin = _fold(basis, index[:, None, :].astype(float))[:, 0]
+    # expand_parallelepiped's shift, 0.5 (4 - 1) basis 1
+    origin = origin - 1.5 * (basis @ np.ones(D.dim))
+    pull = D.powers((-2 - scale[:, 1]).tolist())
+    return pull, (pull @ origin[:, :, None])[:, :, 0], pull @ (4.0 * basis)
+
+
+def _pullback_box(origin: np.ndarray, basis: np.ndarray):
+    """(box_lo, box_hi, slack) of origin + basis [0, 1]^d, over any leading
+    axes: the axis-aligned box and the rounding slack of the tendril
+    bounds, _BAND_SLACK relative to the box's largest coordinate."""
+    verts = _vertices(origin, basis)
+    box_lo, box_hi = verts.min(axis=-2), verts.max(axis=-2)
+    extent = np.abs(np.concatenate([box_lo, box_hi], axis=-1)).max(axis=-1)
+    return box_lo, box_hi, _BAND_SLACK * np.maximum(1.0, extent)
+
+
 class _PullbackFrame:
     """A tendril bound seen through A^-(tau+2): the set {y : dist(y, P) <= r}.
 
@@ -295,10 +323,10 @@ class _PullbackFrame:
     axis-aligned box of P is a lower bound, and the distance to the point of
     P at the clamped local coordinates of y is an upper bound.  A point whose
     bounds straddle r within the rounding slack goes to the projector, which
-    is built on first use.  The upper bound also settles whole dilated cells
-    at once (covers_dilates).  When P is an axis-aligned box both bounds are
+    is built on first use.  When P is an axis-aligned box both bounds are
     the exact distance, and contains_grid settles a grid of points from
-    per-axis gaps.
+    per-axis gaps.  tendrils_cover_dilates applies the upper bound to whole
+    dilated cells of many bounds at once.
     """
 
     def __init__(self, pull: np.ndarray, origin: np.ndarray, basis: np.ndarray,
@@ -306,9 +334,7 @@ class _PullbackFrame:
         self.pull = pull
         self.basis = basis
         self.inv_basis = np.linalg.inv(basis)
-        box_lo, box_hi = Parallelepiped(origin, basis).bbox()
-        extent = float(np.max(np.abs(np.concatenate([box_lo, box_hi]))))
-        slack = _BAND_SLACK * max(1.0, extent)
+        box_lo, box_hi, slack = _pullback_box(origin, basis)
         # (d, 1) columns, broadcast along the points of a (d, N) array
         self.origin = origin.reshape(-1, 1).copy()
         self.box_lo = box_lo.reshape(-1, 1).copy()
@@ -380,24 +406,6 @@ class _PullbackFrame:
             inside[band] = self.contains(pulled)
         return inside
 
-    def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
-        """(N, L) mask: pull (cell n + spreads[l] B_1) lies within
-        radius - slack of P.
-
-        verts is (N, V, d), the unpulled vertices of N convex cells; spreads
-        is (L, d, d).  dist(., P) is convex, so over a pulled cell it peaks
-        at a vertex, where the clamped-coordinate distance bounds it from
-        above; the pulled ball pull spreads[l] B_1 adds at most the
-        Frobenius norm of pull spreads[l].  A point within radius - slack is
-        one that contains accepts.
-        """
-        n, v, d = verts.shape
-        rel = self.pull @ verts.reshape(-1, d).T
-        rel -= self.origin
-        far = np.sqrt(self._clamped_sq(rel)).reshape(n, v).max(axis=1)
-        reach = np.sqrt(np.square(self.pull @ spreads).sum(axis=(1, 2)))
-        return far[:, None] + reach[None, :] <= self.radius - self.slack
-
 
 @dataclass(frozen=True, slots=True)
 class TendrilBound:
@@ -412,9 +420,9 @@ class TendrilBound:
 
     def _pullback(self):
         """A^-(tau+2), and the origin and basis of the pullback of q**."""
-        pull = self.cube.dilation.power(-(self.cube.tau + 2))
-        quad = expand_cube(self.cube, 4.0)
-        return pull, pull @ quad.origin, pull @ quad.basis
+        q = self.cube
+        rows = _pullbacks(q.dilation, np.array([(q.sigma, q.tau)]), np.array([q.index]))
+        return tuple(part[0] for part in rows)
 
     def frame(self) -> _PullbackFrame:
         """A new pullback frame of the bound, for one call's questions."""
@@ -457,3 +465,34 @@ def tendril_of(cube: GridCube) -> TendrilBound:
         )
     scale = (2.0 ** cube.sigma) * (D.det_scale ** cube.tau)
     return TendrilBound(cube=cube, scale=scale)
+
+
+def tendrils_cover_dilates(D: DilationStructure, scale: np.ndarray, index: np.ndarray,
+                           owner: np.ndarray, verts: np.ndarray,
+                           spreads: np.ndarray) -> np.ndarray:
+    """(E, L) mask: cell e grown by spreads[e, l] B_1 lies in the tendril
+    bound of its owner, the cube of row owner[e] of (scale, index).
+
+    verts is (V, E, d), vertex-major, the vertices of E convex cells;
+    spreads is (E, L, d, d).  In the owner's frame, dist(., P) is convex,
+    so over a pulled cell it peaks at a vertex, where the clamped-coordinate
+    distance bounds it from above; the pulled ball pull spreads[e, l] B_1
+    adds at most the Frobenius norm of pull spreads[e, l].  True only when
+    the sum is within radius - slack, which the frame's contains accepts.
+    Every owner's frame is built in one stacked pass, and every cell is
+    decided in one more, with the numbers a _PullbackFrame per owner gives.
+    """
+    pull, origin, basis = _pullbacks(D, scale, index)
+    _, _, slack = _pullback_box(origin, basis)
+    inv_basis = np.linalg.inv(basis)
+    pull = pull.take(owner, axis=0)
+    # (E, d, V): each cell's pulled vertices as columns, less its origin
+    rel = pull @ verts.transpose(1, 2, 0)
+    rel -= origin.take(owner, axis=0)[:, :, None]
+    u = inv_basis.take(owner, axis=0) @ rel
+    np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+    rel -= basis.take(owner, axis=0) @ u
+    far = np.sqrt(np.square(rel, out=rel).sum(axis=1)).max(axis=1)
+    reach = np.sqrt(np.square(pull[:, None] @ spreads).sum(axis=(2, 3)))
+    limit = (_TENDRIL_RADIUS + _TENDRIL_TOL) - slack.take(owner)
+    return far[:, None] + reach <= limit[:, None]

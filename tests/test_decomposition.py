@@ -2,9 +2,12 @@
 
 import dataclasses
 import gc
+import hashlib
 import operator
+import sys
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from anisomax.decomposition import (
 )
 from anisomax.dilation import validate_dilation
 from anisomax.errors import (
+    AnisoError,
     BudgetExceededError,
     InputInvalidError,
     NotNormalizedError,
@@ -261,29 +265,38 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
 def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
     # boxes() pulls each tau once and scales the pulled min and max by
     # 2^-sigma.  Scaling by a power of two is exact, so every level must
-    # equal, bit for bit, the box of its own product 2^-sigma A^-tau x
+    # equal, bit for bit, the box of its own product 2^-sigma A^-tau x,
+    # whether its tau was pulled alone, with every other tau in one stacked
+    # product (pull_levels), or through the parent of a row selection
     D = validate_dilation(matrix)
     cubes = [cube for _, entries in found_instances(D, 4) for cube, _ in entries]
     cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:4]]
     verts = np.stack([Q.vertices() for Q in cubes])
     boxes = _BoxSet(cubes)
+    together = _BoxSet(cubes)
+    together.pull_levels(range(-6, 3))
+    ids = list(range(len(cubes)))[1::2]
+    picked = _BoxSet(cubes).rows(ids)
     levels = list(product(range(-8, 3), range(-6, 3)))
     # ask in a shuffled order, so a tau is first pulled at any sigma
     for k in default_rng(3).permutation(len(levels)):
         sigma, tau = levels[k]
         pulled = verts @ (2.0 ** -sigma * D.power(-tau)).T
         lo, hi = pulled.min(axis=1), pulled.max(axis=1)
-        got = boxes.boxes(sigma, tau)
-        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi), (sigma, tau)
-        assert np.array_equal(got[2], 1e-9 * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
+        want = (lo, hi, 1e-9 * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
+        for got in (boxes.boxes(sigma, tau), together.boxes(sigma, tau)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (sigma, tau)
+        got = picked.boxes(sigma, tau)
+        assert all(np.array_equal(a, b[ids]) for a, b in zip(got, want)), (sigma, tau)
 
 
 @pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]], [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
                                     [[4, 1], [1, 3]], [[2, 1], [0, 2]], [[2, -2], [2, 2]]])
 def test_box_set_vertices_are_the_realized_vertices_bit_for_bit(matrix):
-    # _BoxSet builds every cube's vertices in one pass over the list; each
-    # row must be the cube's own realize().vertices() whatever the rows
-    # around it, and a row selection must be the build of its sub-list
+    # _BoxSet builds every cube's vertices in one pass over the list,
+    # vertex-major; each cube's column must be its own realize().vertices()
+    # whatever the cubes around it, and a row selection must be the build
+    # of its sub-list
     D = validate_dilation(matrix)
     cubes = [cube for _, entries in found_instances(D, 6) for cube, _ in entries]
     cubes += [GridCube(sigma, c.tau + 3, tuple(v * 2 ** -sigma + 1 for v in c.index), D)
@@ -291,11 +304,13 @@ def test_box_set_vertices_are_the_realized_vertices_bit_for_bit(matrix):
     assert {c.sigma for c in cubes} == {0, -1, -2, -3, -5}
     boxes = _BoxSet(cubes)
     for k, Q in enumerate(cubes):
-        assert boxes.verts[k].tobytes() == Q.realize().vertices().tobytes(), Q
+        assert boxes.verts[:, k].tobytes() == Q.realize().vertices().tobytes(), Q
     ids = list(range(len(cubes)))[::-3]
     sub = boxes.rows(ids)
+    built = _BoxSet(sub.cubes)
     assert sub.cubes == [cubes[k] for k in ids]
-    assert sub.verts.tobytes() == _BoxSet(sub.cubes).verts.tobytes()
+    assert sub.verts.tobytes() == built.verts.tobytes()
+    assert sub.ident.tobytes() == built.ident.tobytes()
 
 
 def test_values_kept_by_results_have_no_instance_dict(diag_dilation):
@@ -303,12 +318,17 @@ def test_values_kept_by_results_have_no_instance_dict(diag_dilation):
     # are slotted: nothing derived can be stashed on them
     cube = GridCube(-1, -2, (3, -1), diag_dilation)
     quad = expand_cube(cube, 4.0)
-    values = [cube, quad, tendril_of(cube), ExceptionalPrimitive("quad", cube, quad, 1.0),
+    values = [cube, quad, tendril_of(cube), ExceptionalPrimitive("quad", cube, 1.0),
               TraceEvent(kind="step", sigma=0, tau=-1)]
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
         with pytest.raises(AttributeError):
             object.__setattr__(value, "_cache", None)
+    # a primitive keeps its cube and builds its region on each call
+    got = ExceptionalPrimitive("quad", cube, 1.0).region()
+    assert got.origin.tobytes() == quad.origin.tobytes()
+    assert got.basis.tobytes() == quad.basis.tobytes()
+    assert ExceptionalPrimitive("tendril", cube, 1.0).region() == tendril_of(cube)
 
 
 @pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + FOUND_MATRICES)
@@ -836,7 +856,7 @@ def test_dropped_primitive_fails_dilates_check(diag_dilation):
 
     far = GridCube(0, -1, (40, 40), diag_dilation)
     exceptional = list(res.exceptional)
-    exceptional[1] = dataclasses.replace(exceptional[1], cube=far, region=expand_cube(far, 4.0))
+    exceptional[1] = dataclasses.replace(exceptional[1], cube=far)
     dropped = dataclasses.replace(res, exceptional=exceptional)
     levels = np.array([[-1, -3, -8]] * 2)
     assert _certified_dilates(dropped, _BoxSet(S_list), levels).tolist() == [
@@ -933,9 +953,30 @@ def _dilate_samples(entries, levels, seed):
             yield i, k, x + ball @ D.power(j).T
 
 
+def _covers_by_frames(result, kept, levels):
+    """The certificate one entry and level at a time, through the owner's
+    own frame: for a tendril, the clamped-coordinate bound at the pulled
+    vertices plus the Frobenius norm of the pulled spread, within radius -
+    slack; for a quad, its covers_dilates."""
+    D = kept[0][0].dilation
+    out = np.zeros(levels.shape, dtype=bool)
+    for i, (cube, _) in enumerate(kept):
+        prim = result.exceptional[result.assigned_primitive[i]]
+        frame = prim.frame()
+        spreads = np.stack([D.power(j) for j in levels[i].tolist()])
+        if prim.kind == "quad":
+            out[i] = frame.covers_dilates(cube.vertices()[None], spreads)[0]
+            continue
+        far = np.sqrt(frame._clamped_sq(frame.pull @ cube.vertices().T - frame.origin)).max()
+        reach = np.sqrt(np.square(frame.pull @ spreads).sum(axis=(1, 2)))
+        out[i] = far + reach <= frame.radius - frame.slack
+    return out
+
+
 @pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + BEYOND_DIAG24)
 def test_certified_dilates_are_covered(matrix):
-    # Soundness of the certificate: whenever it accepts a pair, the
+    # Soundness of the certificate: it decides every pair as the owner's own
+    # frame does (_covers_by_frames), and whenever it accepts a pair, the
     # assigned primitive accepts the pair's samples, the cube's vertices,
     # and the vertices pushed by A^j along the axes, A^j's singular
     # directions and 256 fixed directions.  At alpha the entries stop
@@ -956,6 +997,8 @@ def test_certified_dilates_are_covered(matrix):
             kappa = np.array([res.kappa[i] for i in range(len(kept))]) + shift
             levels = kappa[:, None] - np.array([1, 3, 8])
             certified = _certified_dilates(res, boxes, levels)
+            # the stacked pass decides as each owner's frame would
+            assert np.array_equal(certified, _covers_by_frames(res, kept, levels))
             for i, k, pts in _dilate_samples(kept, levels, seed):
                 prim = res.exceptional[res.assigned_primitive[i]]
                 counts[prim.kind, shift][bool(certified[i, k])] += 1
@@ -976,6 +1019,52 @@ def test_certified_dilates_are_covered(matrix):
         sampled, sure = counts[kind, 0]
         assert sure > 4 * sampled, counts
         assert min(counts[kind, 4]) > 0, counts
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + BEYOND_DIAG24)
+def test_sampling_every_pair_gives_the_certified_report(matrix, monkeypatch):
+    # the certificate only skips pairs whose samples would all be accepted,
+    # and the random stream advances past the skipped entries' draws, so a
+    # check that samples every pair reports the same outcome and witness;
+    # a call whose pairs are all certified creates no generator.  kappa + 4
+    # leaves pairs to sampling; the last entry's kappa + 5 or + 6 grows its
+    # dilates past the exceptional set, so some of its points escape after
+    # certified entries, and the witness counts them, so it moves with the
+    # points; a kappa forced to -100 fails check (iii) as well
+    import anisomax.decomposition as decomposition
+
+    certify = decomposition._certified_dilates
+    made = []
+    default_rng_ = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed)
+                        or default_rng_(seed))
+    seen = {"no generator": 0, "generator": 0, "escape after a certified entry": 0}
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 20)):
+        res = stopping_time(S_list, kept, alpha)
+        last = len(kept) - 1
+        variants = [res, dataclasses.replace(res, kappa={i: k + 4 for i, k in res.kappa.items()}),
+                    dataclasses.replace(res, kappa={**res.kappa, last: -100})]
+        variants += [dataclasses.replace(res, kappa={**res.kappa, last: res.kappa[last] + grow})
+                     for grow in (5, 6)]
+        for variant in variants:
+            made.clear()
+            report = verify_stopping(variant, S_list, kept, alpha, seed=seed)
+            kappa = np.array([variant.kappa[i] for i in range(len(kept))])
+            levels = kappa[:, None] - np.array([1, 3, 8])
+            settled = certify(variant, _BoxSet(cube for cube, _ in kept), levels).all(axis=1)
+            assert made == ([] if settled.all() else [seed])
+            seen["no generator" if settled.all() else "generator"] += 1
+            monkeypatch.setattr(decomposition, "_certified_dilates",
+                                lambda result, boxes, levels: np.zeros(levels.shape, bool))
+            assert verify_stopping(variant, S_list, kept, alpha, seed=seed).checks == report.checks
+            monkeypatch.setattr(decomposition, "_certified_dilates", certify)
+            witness = report.checks[1][2]
+            if witness is not None:
+                i = int(witness.split(",")[0].split()[1])
+                escaped = int(witness.split(": ")[1].split(" of ")[0])
+                seen["escape after a certified entry"] += (
+                    escaped < STOPPING_SAMPLES and bool(settled[:i].any()))
+    assert min(seen.values()) >= 5, seen
 
 
 def test_replay_reproduces_recorded_masses(diag_dilation):
@@ -1058,3 +1147,110 @@ def test_dilation_covariance_shifts_kappa(diag_dilation):
             assert res_up.kappa[i] == res.kappa[i] + 1
             assert res_up.classification[i] == res.classification[i]
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# golden digests: every output of the decompositions, as recorded
+
+GOLDEN_FILE = Path(__file__).parent / "data" / "decomposition_golden.txt"
+GOLDEN_MATRICES = {
+    "diag(2,4)": [[2, 0], [0, 4]],
+    "diag(4,2)": [[4, 0], [0, 2]],
+    "[[4,1],[1,3]]": FOUND_MATRICES[0],
+    "[[2,1],[0,2]]": FOUND_MATRICES[1],
+    "[[2,-2],[2,2]]": FOUND_MATRICES[2],
+    "diag(2,3,4)": FOUND_MATRICES[3],
+    "diag(2,17)": [[2, 0], [0, 17]],
+}
+GOLDEN_COUNT = 100
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of the package error it raised."""
+    try:
+        return call()
+    except AnisoError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _stopping_outputs(res):
+    return ("stopping", sorted(res.kappa.items()), sorted(res.classification.items()),
+            sorted(res.host.items()), sorted(res.assigned_primitive.items()),
+            [(p.kind, p.cube.sigma, p.cube.tau, p.cube.index, p.volume_term)
+             for p in res.exceptional],
+            [(ev.kind, ev.sigma, ev.tau, ev.index, ev.entry, ev.mass, ev.action)
+             for ev in res.trace],
+            res.tau0, res.dimension_violations, res.alpha)
+
+
+def golden_digests(matrix):
+    """One digest per found_instances instance of every output: the Whitney
+    selection and its checks, then on the covered entries the stopping
+    result (kappa, hosts, primitives, trace), the replayed masses and the
+    checks of verify_stopping, plain and with the last entry's kappa forced
+    to -100; each with its witnesses, or the error a call raised."""
+    D = validate_dilation(matrix)
+    for seed, (alpha, entries) in enumerate(found_instances(D, GOLDEN_COUNT)):
+        rec = []
+        wres = _outcome(lambda: whitney_decompose(entries, alpha))
+        if isinstance(wres, tuple):
+            rec.append(wres)
+        else:
+            rec.append(("whitney", [(S.sigma, S.tau, S.index) for S in wres.selected],
+                        sorted(wres.assigned.items()), wres.leftover))
+            rec.append(_outcome(lambda: verify_whitney(wres, entries, alpha).checks))
+        if not isinstance(wres, tuple) and wres.selected:
+            S_list = wres.selected
+            kept = [entries[i] for i in sorted(wres.assigned)]
+            sres = _outcome(lambda: stopping_time(S_list, kept, alpha))
+            if isinstance(sres, tuple):
+                rec.append(sres)
+            else:
+                rec.append(_stopping_outputs(sres))
+                rec.append([(ev.index, mass) for ev, mass in replay_trace_masses(sres, kept)])
+                rec.append(_outcome(lambda: verify_stopping(
+                    sres, S_list, kept, alpha, seed=seed).checks))
+                mutated = dataclasses.replace(sres, kappa={**sres.kappa, len(kept) - 1: -100})
+                rec.append(_outcome(lambda: verify_stopping(
+                    mutated, S_list, kept, alpha, seed=seed).checks))
+        yield hashlib.sha256(repr(rec).encode()).hexdigest()[:16]
+
+
+def _read_golden():
+    recorded = {}
+    for line in GOLDEN_FILE.read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, digests = line.split(" ", 1)
+            recorded[name] = digests.split()
+    return recorded
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MATRICES))
+def test_decomposition_outputs_match_the_golden_digests(name):
+    # a faster path must reproduce every output bit for bit, witnesses,
+    # traces and raised errors included
+    recorded = _read_golden()[name]
+    got = list(golden_digests(GOLDEN_MATRICES[name]))
+    assert len(got) == len(recorded) == GOLDEN_COUNT
+    changed = [k for k, (a, b) in enumerate(zip(got, recorded)) if a != b]
+    assert not changed, f"{name}: instances {changed[:10]} changed"
+
+
+def record_golden():
+    lines = [
+        "# Digests of every decomposition output on found_instances, one line per",
+        f"# matrix, one 16-hex digest per instance ({GOLDEN_COUNT} each); see",
+        "# golden_digests in tests/test_decomposition.py.  Re-record only when an",
+        "# output is meant to change, and say why in CHANGES.md:",
+        "#     PYTHONPATH=src python tests/test_decomposition.py --record-golden",
+    ]
+    lines += [f"{name} {' '.join(golden_digests(matrix))}"
+              for name, matrix in GOLDEN_MATRICES.items()]
+    GOLDEN_FILE.parent.mkdir(exist_ok=True)
+    GOLDEN_FILE.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record-golden"]:
+        sys.exit("usage: python tests/test_decomposition.py --record-golden")
+    record_golden()

@@ -8,13 +8,17 @@ Frozen reference values:
   [[2, -2], [2, 2]]: det_scale 8, r_min 2 sqrt(2), block_size 1, norm_power 1
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
+from numpy.random import default_rng
 from pytest import approx
 
 from anisomax.dilation import (
     cube_diameter,
     fit_diameter_exponent,
+    span_diameter,
     validate_dilation,
 )
 from anisomax.errors import (
@@ -106,6 +110,57 @@ def test_diameter_reference_values():
     assert cube_diameter(D, 0) == approx(np.sqrt(2.0))
     assert cube_diameter(D, -1) == approx(np.sqrt(5.0) / 4.0)
     assert cube_diameter(_double(), -3) == approx(np.sqrt(2.0) / 8.0)
+
+
+# expanding matrices, the first one whose inverse powers round differently
+# when chained: A^-1 times A^-(k-1) differs from matrix_power at k = -4, -7,
+# -8 and below under [[4, 1], [1, 3]]
+POWER_MATRICES = [
+    [[4.0, 1.0], [1.0, 3.0]],
+    [[2.0, 1.0], [0.0, 2.0]],
+    [[2.0, -2.0], [2.0, 2.0]],
+    [[1.7, 0.3], [-0.4, 2.9]],
+    [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]],
+    [[3.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]],
+    [[2.1, -0.7, 0.4], [0.5, 1.9, -1.3], [0.2, 0.8, 2.6]],
+]
+
+
+@pytest.mark.parametrize("matrix", POWER_MATRICES)
+def test_power_is_matrix_power_bit_for_bit(matrix):
+    # power takes matrix_power's products in its order without its argument
+    # checks; asked in a shuffled order, so a power meets every cache state
+    D = validate_dilation(matrix)
+    for k in default_rng(7).permutation(np.arange(-16, 17)).tolist():
+        want = np.linalg.matrix_power(D.matrix, k)
+        assert D.power(k).tobytes() == want.tobytes(), k
+        assert D.power(np.int64(k)) is D.power(k)
+    # only the powers asked for are kept
+    assert sorted(D._pow_cache) == list(range(-16, 17))
+
+
+def _diameter_by_vectors(basis):
+    """The reference rule: the largest norm of basis u, one u at a time."""
+    best = 0.0
+    for u in product((-1, 0, 1), repeat=basis.shape[0]):
+        if any(u):
+            best = max(best, float(np.linalg.norm(basis @ np.asarray(u, dtype=float))))
+    return best
+
+
+def test_span_diameter_is_the_per_vector_norm_bit_for_bit():
+    # the stacked images and dot products give each |basis u| as norm gives
+    # it; a plain (images ** 2).sum differs in the last bit on about one
+    # matrix in ten
+    rng = default_rng(11)
+    for trial in range(1500):
+        d = 2 + trial % 2
+        basis = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-4, 4, size=(d, d))
+        assert span_diameter(basis) == _diameter_by_vectors(basis), basis
+    for matrix in POWER_MATRICES:
+        D = validate_dilation(matrix)
+        for tau in range(-8, 9):
+            assert cube_diameter(D, tau) == _diameter_by_vectors(D.power(tau)), (matrix, tau)
 
 
 def test_diameter_strictly_increasing():

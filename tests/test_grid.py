@@ -25,6 +25,7 @@ from anisomax.grid import (
     expand_cube,
     expand_parallelepiped,
     tendril_of,
+    tendrils_cover_dilates,
 )
 
 
@@ -447,7 +448,8 @@ def test_only_a_diagonal_dilation_is_axis_aligned():
 
 
 def test_dilates_touching_the_outer_edge_go_to_sampling():
-    # covers_dilates accepts a dilate only while it stays the rounding slack
+    # the certificates (tendrils_cover_dilates, Parallelepiped.covers_dilates)
+    # accept a dilate only while it stays the rounding slack
     # inside the set.  Under diag(2, 4) every number below is exact: the
     # rank-one spread A^2 diag(s, 0) (tendril) or diag(4 s, 0) (quad)
     # pushes the cube out along x by exactly s, so gap 0 touches the edge.
@@ -462,7 +464,9 @@ def test_dilates_touching_the_outer_edge_go_to_sampling():
     for gap, expect in ((0.0, False), (0.5 * slack, False), (2.0 * slack, True), (0.5, True)):
         s = limit - gap - 3.0 / 16.0
         spread = D.power(2) @ np.diag([s, 0.0])
-        assert t.frame().covers_dilates(verts[None], spread[None]).tolist() == [[expect]], gap
+        covered = tendrils_cover_dilates(D, np.array([[0, 0]]), np.array([[0, 0]]),
+                                         np.array([0]), verts[:, None, :], spread[None, None])
+        assert covered.tolist() == [[expect]], gap
         # the dilate's outermost points are in the set
         tips = verts + spread @ np.array([1.0, 0.0])
         assert np.all(t.contains_points(tips))

@@ -26,7 +26,7 @@ from anisomax.errors import (
     ResolutionTooCoarseError,
     TailNotNegligibleWarning,
 )
-from anisomax.grid import GridCube, expand_cube, tendril_of
+from anisomax.grid import GridCube, tendril_of
 from anisomax.maximal import (
     Lattice,
     SampledField,
@@ -741,9 +741,9 @@ def test_mask_decides_band_cells_like_the_points(monkeypatch):
     # the frame's contains and must agree with contains_points everywhere
     D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
     cube = GridCube(0, -1, (0, 0), D)
-    tendril = ExceptionalPrimitive("tendril", cube, tendril_of(cube), 1.0)
-    quad = ExceptionalPrimitive("quad", cube, expand_cube(cube, 4.0), 1.0)
-    frame = tendril.region.frame()
+    tendril = ExceptionalPrimitive("tendril", cube, tendril_of(cube).scale)
+    quad = ExceptionalPrimitive("quad", cube, 1.0)
+    frame = tendril.frame()
     # the center of cell 100 on axis 0 pulls to the box's upper edge plus
     # the radius, to rounding; the slack is 1e-6 of that
     edge = (frame.box_hi[0, 0] + frame.radius) / frame.pull[0, 0]
