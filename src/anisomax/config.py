@@ -13,6 +13,7 @@ only faster.
 """
 
 import copy
+import math
 from dataclasses import asdict, dataclass
 
 import yaml
@@ -188,6 +189,11 @@ def _int_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
 
 
+def _positive(value) -> bool:
+    """A positive finite number: nan and inf pass no bound downstream."""
+    return 0 < float(value) < math.inf
+
+
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     try:
@@ -195,8 +201,8 @@ def _validate(raw: dict) -> ExperimentConfig:
         cfg.surface_obj()
     except AnisoError as exc:
         raise ConfigInvalidError(f"config rejected by its module: {exc}")
-    if not (cfg.eps > 0 and cfg.zeta > 0 and cfg.alpha > 0):
-        raise ConfigInvalidError("eps, zeta, alpha must be positive")
+    if not (_positive(cfg.eps) and _positive(cfg.zeta) and _positive(cfg.alpha)):
+        raise ConfigInvalidError("eps, zeta, alpha must be positive and finite")
     if not (_int_pair(cfg.k_range) and cfg.k_range[0] <= cfg.k_range[1]):
         raise ConfigInvalidError("k_range must be [lo, hi] integers with lo <= hi")
     if not (_int_pair(cfg.s_range) and 0 <= cfg.s_range[0] <= cfg.s_range[1]):
@@ -237,13 +243,14 @@ def _validate(raw: dict) -> ExperimentConfig:
         if tl > th:
             raise ConfigInvalidError("atom tau_range must be [lo, hi]")
         ll, lh = (float(v) for v in cfg.atoms["lam_range"])
-        if not 0 < ll <= lh:
-            raise ConfigInvalidError("atom lam_range must be [lo, hi] with 0 < lo <= hi")
-    elif any(not float(row["lam"]) > 0 for row in rows):
-        raise ConfigInvalidError("every atoms.list row needs lam > 0")
+        if not (_positive(ll) and _positive(lh) and ll <= lh):
+            raise ConfigInvalidError(
+                "atom lam_range must be [lo, hi] with 0 < lo <= hi, both finite")
+    elif not all(_positive(row["lam"]) for row in rows):
+        raise ConfigInvalidError("every atoms.list row needs a finite lam > 0")
     for name, value in cfg.constants.items():
-        if not float(value) > 0:
-            raise ConfigInvalidError(f"constant {name} must be positive")
+        if not _positive(value):
+            raise ConfigInvalidError(f"constant {name} must be positive and finite")
     if cfg.n_gl < 4 or cfg.n_bins < 8:
         raise ConfigInvalidError("n_gl and n_bins too small to quadrature")
     return cfg

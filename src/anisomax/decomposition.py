@@ -8,38 +8,33 @@ output.  stopping_time runs a two-parameter refinement loop over scales
 assembles an exceptional set out of tendril bounds and quadrupled cubes;
 verify_stopping re-checks its four defining conditions.
 
-Both reduce to three questions about grid cubes: is Q inside a cube, is Q
-inside a cube's double, and do two cubes overlap.  All three are answered
-from one pullback box, Q's bounding box in the units of the other cube's
-grid, under one tolerance rule.
+Inside, a cube is a (sigma, tau, *index) row of ints and a mass an item of
+a list.  _entries validates the (GridCube, lam) entries a call takes and
+turns them into (D, box set, masses) in one pass; GridCubes are built again
+only for what results keep (WhitneyResult.selected and
+ExceptionalPrimitive.cube).  A row's volume, tau-parent, origin and basis
+follow grid's row rules, the ones GridCube calls.
 
-Value objects carry no derived state; derived geometry lives for one call.
-The cubes, primitives and trace events that results keep are slotted
-values; a primitive keeps its cube and builds its region on demand.
-_BoxSet, the one place boxes are computed and compared, builds a call's
-vertex stack from the cubes' (sigma, tau, index) rows in one pass
-(grid.cube_vertices), vertex-major, and a sub-list of its cubes is a row
-selection of it.  Each tau is pulled back by one flat matrix product, the
-taus a question needs together (pull_levels), and its sigma levels are the
-product's min and max scaled by 2^-sigma, which is exact.  Its masks and
-_star_groups answer the three questions for the whole list at once; the
-loops read those masks and still sum masses one entry at a time, in entry
-order, with _left_sum.  The Whitney sweep, the stopping loop and check (iv)
-of verify_stopping pass their bound to _star_groups, which skips a step
-whose whole mass, or the mass of the cubes that fit some double, is within
-it (see there for why that is exact).
+Every cube relation (inside a cube, inside its double, overlap) is read
+from one pullback box, a cube's bounding box in the units of the other
+cube's grid, under one tolerance rule.  _BoxSet builds its rows' vertices
+in one pass, pulls each tau back by one matrix product (the taus a
+question needs together) and scales it exactly by 2^-sigma; its masks and
+_star_groups answer for a whole list at once.  Masses are still summed one
+entry at a time, in entry order, with _left_sum, and a step whose whole
+mass is within its bound is skipped (_star_groups says why that is exact).
 
 verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
 the exceptional set, certifies from geometry before it samples
-(_certified_dilates: every tendril-owned entry in one stacked pass over its
-owners' frames, grid.tendrils_cover_dilates), and samples only the pairs
-left, asking each primitive through its frame(), built at most once per
-call (_Frames).  It draws random points only when some pair is left.
+(_certified_dilates, every tendril-owned entry in one stacked pass).  It
+draws random points only when some pair is left, and asks each primitive
+through its frame(), built at most once per call.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress, product
+from math import inf
 from operator import add
 
 import numpy as np
@@ -55,8 +50,11 @@ from .grid import (
     GridCube,
     Parallelepiped,
     TendrilBound,
+    cube_frames,
     cube_vertices,
     expand_cube,
+    row_tau_parent,
+    row_volume,
     tendril_of,
     tendrils_cover_dilates,
 )
@@ -80,6 +78,11 @@ def _left_sum(values):
 def _mass_sum(masses, ids) -> float:
     """_left_sum of masses[i] for i in ids, in the given order."""
     return _left_sum(map(masses.__getitem__, ids))
+
+
+def _mass_of(masses, mask) -> float:
+    """_left_sum of the masked masses, in entry order."""
+    return _left_sum(compress(masses, mask.tolist()))
 
 
 def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None,
@@ -143,71 +146,86 @@ def _same_and_equal(hosts: np.ndarray, rows: np.ndarray):
     return same, equal
 
 
+def _row_array(rows) -> np.ndarray:
+    """(N, 2 + d) int64 of (sigma, tau, *index) rows; (0, 2) for none."""
+    return np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), dtype=np.int64)
+
+
 def _cube_rows(cubes) -> np.ndarray:
-    """(N, 2 + d) int64: each cube's (sigma, tau, *index)."""
-    return np.array([(Q.sigma, Q.tau, *Q.index) for Q in cubes], dtype=np.int64)
+    """_row_array of GridCubes."""
+    return _row_array([(Q.sigma, Q.tau, *Q.index) for Q in cubes])
+
+
+def _entries(entries, alpha=None):
+    """(D, boxes, masses) of (GridCube, lam) entries on the sigma = 0 grid:
+    their dilation (None when there are none), the _BoxSet of their rows,
+    and their masses as given.
+
+    Raises InputInvalidError when alpha, if given, is not positive and
+    finite, or when a cube is off sigma = 0, a mass is negative or not
+    finite, or the entries do not share one dilation.
+    """
+    if alpha is not None and not 0 < alpha < inf:
+        raise InputInvalidError(f"alpha must be positive and finite, got {alpha!r}")
+    D = entries[0][0].dilation if entries else None
+    for cube, lam in entries:
+        if cube.sigma != 0:
+            raise InputInvalidError("mass entries must live on sigma = 0 cubes")
+        if not 0 <= lam < inf:
+            raise InputInvalidError(f"masses must be nonnegative and finite, got {lam!r}")
+        if cube.dilation is not D:
+            raise InputInvalidError("entries must share one dilation structure")
+    return D, _BoxSet(D, _cube_rows(cube for cube, _ in entries)), [lam for _, lam in entries]
 
 
 class _BoxSet:
-    """Pullback boxes of one list of cubes, one (N, d) set per grid level.
+    """Pullback boxes of one call's cube rows, one (N, d) set per grid level.
 
-    The cubes' (sigma, tau, *index) rows and their vertex stack, vertex-major
-    (2^d, N, d) so that every vertex row is one row of a flat (2^d N, d)
-    array, are built once (grid.cube_vertices) or selected from a parent
-    set (rows).  A tau's pulled vertices are one flat matrix product,
-    reduced to their min and max over the leading vertex axis and kept for
-    the box set's life, which is one call; nothing is kept on the cubes.
-    The taus a question needs are pulled together (pull_levels), as one
-    product with a stack of powers, and a row selection takes its rows of
-    its parent's pulls.  within_each and overlap_matrix answer containment
-    and overlap as boolean arrays.
+    ident holds the (sigma, tau, *index) rows, (N, 2 + d) int64, and verts
+    their vertices, vertex-major (2^d, N, d), built once (grid.cube_vertices)
+    or taken from a parent set by a row selection (rows).  A tau's pull is
+    one flat (2^d N, d) product, reduced to its per-row min and max and kept
+    for the call.  within_each and overlap_matrix answer containment and
+    overlap as boolean arrays.
     """
 
-    def __init__(self, cubes):
-        self.cubes = list(cubes)
+    def __init__(self, D, ident: np.ndarray, verts=None, parent=None):
+        self.D = D
+        self.ident = ident
+        if verts is None and len(ident):
+            verts = cube_vertices(D, self.scale, self.index)
+        self.verts = verts
         # tau -> (2, N, d): the per-cube min and max of the vertices pulled
         # back by A^-tau
         self._pulled = {}
         # (parent box set, ids) of a row selection
-        self._parent = None
-        if not self.cubes:  # an empty set answers without boxes
-            self.ident = self.verts = None
-            return
-        self.ident = _cube_rows(self.cubes)
-        self.verts = cube_vertices(self.cubes[0].dilation, self.scale, self.index)
+        self._parent = parent
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.ident)
 
     @property
     def scale(self) -> np.ndarray:
-        """(N, 2): each cube's (sigma, tau)."""
+        """(N, 2): each row's (sigma, tau)."""
         return self.ident[:, :2]
 
     @property
     def index(self) -> np.ndarray:
-        """(N, d): each cube's index."""
+        """(N, d): each row's index."""
         return self.ident[:, 2:]
 
     def rows(self, ids) -> "_BoxSet":
-        """The box set of cubes[k] for k in ids: their rows, not a new build."""
-        sub = _BoxSet(())
-        if ids:
-            sub.cubes = [self.cubes[k] for k in ids]
-            sub.ident = self.ident.take(ids, axis=0)
-            sub.verts = self.verts.take(ids, axis=1)
-            sub._parent = (self, ids)
-        return sub
+        """The box set of rows ids: their rows and vertices, not a new build."""
+        if not ids:
+            return _BoxSet(self.D, self.ident[:0])
+        return _BoxSet(self.D, self.ident.take(ids, axis=0), self.verts.take(ids, axis=1),
+                       (self, ids))
 
     def pull_levels(self, taus) -> None:
-        """Pull back by A^-tau for every tau of taus not pulled yet.
-
-        The vertices times each power are one flat product per tau, taken
-        for all of them at once against the stack of powers (each stacked
-        product is bit for bit the product alone), and reduced to their
-        per-cube min and max over the vertex axis.  A row selection pulls
-        through its parent and keeps its rows.
-        """
+        """Pull back by A^-tau for every tau of taus not pulled yet: one
+        product against the stack of their powers (each stacked product is
+        bit for bit the product alone), reduced to per-row min and max.  A
+        row selection pulls through its parent and keeps its rows."""
         missing = [t for t in dict.fromkeys(taus) if t not in self._pulled]
         if not missing:
             return
@@ -218,7 +236,7 @@ class _BoxSet:
                 self._pulled[t] = parent._pulled[t].take(ids, axis=1)
             return
         v, n, d = self.verts.shape
-        powers = self.cubes[0].dilation.powers([-t for t in missing])
+        powers = self.D.powers([-t for t in missing])
         pulled = (self.verts.reshape(v * n, d) @ powers.transpose(0, 2, 1)).reshape(-1, v, n, d)
         got = np.empty((len(missing), 2, n, d))
         np.minimum.reduce(pulled, axis=1, out=got[:, 0])
@@ -234,19 +252,17 @@ class _BoxSet:
         return got
 
     def boxes(self, sigma: int, tau: int):
-        """The cubes' bounding boxes in the units of the (sigma, tau) grid.
+        """The rows' bounding boxes in the units of the (sigma, tau) grid.
 
         The coordinates are 2^-sigma A^-tau x, in which the grid cube of
         index n is [n, n + 1)^d.  A box is exact because a cube is the convex
         hull of its vertices.  Returns (lo, hi, tol), each of shape (N, d),
-        row k for cubes[k]; tol is the rounding allowance of every comparison
+        row k for row k; tol is the rounding allowance of every comparison
         made on that row and axis.
 
-        Each tau is pulled once (_pull), and a level's box is the pulled min
-        and max times 2^-sigma.  Scaling by a power of two is exact and
-        commutes with min and max, so the sigma levels of one tau share one
-        matrix product and every box is bit for bit the one a product per
-        level would give.
+        A level's box is its tau's pulled min and max times 2^-sigma, which
+        is exact and commutes with min and max: bit for bit the box of a
+        product per level.
         """
         return _split_box(self._pull(tau) * 2.0 ** -sigma)
 
@@ -265,28 +281,26 @@ class _BoxSet:
 
     @cached_property
     def volume(self) -> np.ndarray:
-        return np.array([Q.volume for Q in self.cubes])
+        """Each row's grid.row_volume."""
+        return np.array([row_volume(self.D, row) for row in self.ident.tolist()])
 
     def within_each(self, hosts, factor: float) -> np.ndarray:
-        """M[k, h]: cubes[k] lies inside hosts[h] grown about its center by
-        factor, 1 for the host itself and 2 for its double.  hosts is a list
-        of cubes, or this box set itself for its own cubes.
+        """M[k, h]: row k lies inside host row hosts[h] grown about its
+        center by factor, 1 for the host itself and 2 for its double.  hosts
+        is an (H, 2 + d) int array of rows, or this box set itself.
 
         A cube of the host's own scale is inside either exactly when it is
         the host; any other cube's pullback box must fit the grown host's
-        [n + 1/2 - factor/2, n + 1/2 + factor/2]^d.  Each host's rows are
-        gathered from the boxes of its level, each level one scaling of its
-        tau's pulled product, so hosts of any mix of levels are compared in
-        one broadcast over (host, cube, axis), element by element as one
-        host at a time would compare them.
+        [n + 1/2 - factor/2, n + 1/2 + factor/2]^d.  Hosts of any mix of
+        levels are compared in one broadcast over (host, cube, axis), each
+        on the boxes of its own level, as one host at a time would be.
         """
-        if not self.cubes or len(hosts) == 0:
-            return np.zeros((len(self.cubes), len(hosts)), dtype=bool)
+        if not len(self) or not len(hosts):
+            return np.zeros((len(self), len(hosts)), dtype=bool)
         if hosts is self:
             hosts = self.ident
             (lo, hi, tol), (same, equal) = self._own_rows, self._own_match
         else:
-            hosts = _cube_rows(hosts)
             lo, hi, tol = self._host_rows(hosts)
             same, equal = _same_and_equal(hosts, self.ident)
         center = hosts[:, None, 2:] + 0.5
@@ -306,17 +320,17 @@ class _BoxSet:
         return _same_and_equal(self.ident, self.ident)
 
     def overlap_matrix(self) -> np.ndarray:
-        """M[k, m]: the interiors of cubes[k] and cubes[m] overlap.
+        """M[k, m]: the interiors of the cubes of rows k and m overlap.
 
-        The smaller cube's pullback box (cubes[k]'s on equal volumes) is
+        The smaller cube's pullback box (row k's on equal volumes) is
         tested against the larger cube in the larger cube's grid.  That is
         exact when the grids nest (diagonal A); otherwise it may err towards
         overlap.  Two cubes of one scale overlap exactly when they are equal.
-        Column m tests every cube no larger than cubes[m] in cubes[m]'s grid,
+        Column m tests every cube no larger than row m's in row m's grid,
         on rows gathered as within_each gathers them; an entry whose row cube
         is the larger one is read from the transpose.
         """
-        if not self.cubes:
+        if not len(self):
             return np.zeros((0, 0), dtype=bool)
         lo, hi, tol = self._own_rows
         n = self.index[:, None, :]
@@ -371,19 +385,6 @@ class CheckReport:
         return "\n".join(out) + "\n"
 
 
-def _validate_entries(entries):
-    if not entries:
-        return
-    D = entries[0][0].dilation
-    for cube, lam in entries:
-        if cube.sigma != 0:
-            raise InputInvalidError("mass entries must live on sigma = 0 cubes")
-        if lam < 0:
-            raise InputInvalidError("masses must be nonnegative")
-        if cube.dilation is not D:
-            raise InputInvalidError("entries must share one dilation structure")
-
-
 def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     """Select disjoint cubes S whose doubles carry the concentrated mass.
 
@@ -395,15 +396,12 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     pass merges nested selections.  All three defining conditions should be
     re-checked with verify_whitney on every instance.
     """
-    if alpha <= 0:
-        raise InputInvalidError("alpha must be positive")
-    _validate_entries(entries)
+    D, boxes, masses = _entries(entries, alpha)
     if not entries:
         return WhitneyResult(selected=[], assigned={}, leftover=[], alpha=alpha)
-    D = entries[0][0].dilation
     a = D.det_scale
-    total = float(_left_sum(lam for _, lam in entries))
-    t_lo = min(cube.tau for cube, _ in entries)
+    total = float(_left_sum(masses))
+    t_lo = int(boxes.scale[:, 1].min())
     if total <= 0:
         return WhitneyResult(selected=[], assigned={}, leftover=list(range(len(entries))),
                              alpha=alpha)
@@ -420,10 +418,8 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         )
 
     active = set(range(len(entries)))
-    selected = []
-    assigned = {}
-    boxes = _BoxSet(cube for cube, _ in entries)
-    masses = [lam for _, lam in entries]
+    # selected rows (sigma, tau, *index), None once merged into another
+    selected, assigned = [], {}
 
     # the sorted active ids and their mass total, taken again only after a
     # selection has absorbed entries
@@ -441,25 +437,25 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
             members = [i for i in candidates[n] if i in active]
             residual = _mass_sum(masses, members)
             if residual > alpha * (a ** t):
-                s_cube = GridCube(0, t, n, D)
                 s_id = len(selected)
-                selected.append(s_cube)
+                selected.append((0, t, *n))
                 for i in members:
                     assigned[i] = s_id
                     active.discard(i)
 
     # Density repair: leftover chains whose stacked density exceeds alpha are
     # capped by selecting the shallowest offending cube of each chain.
-    nodes = sorted(_leftover_nodes(entries, sorted(active)),
-                   key=lambda rec: (-rec[1].tau, rec[1].index))
+    nodes = sorted(_leftover_nodes(boxes, masses, sorted(active)),
+                   key=lambda rec: (-rec[1][1], rec[1][2:]))
     children = [[] for _ in nodes]
     roots = []
     node_boxes = boxes.rows([rec[2][0] for rec in nodes])
     inside = node_boxes.within_each(node_boxes, 1.0)
+    volume = node_boxes.volume.tolist()
     for pos in range(len(nodes)):
         # the smallest node holding this one, the first of equal volumes
         parent = min((k for k, held in enumerate(inside[pos, :pos].tolist()) if held),
-                     key=lambda cand: nodes[cand][1].volume, default=None)
+                     key=volume.__getitem__, default=None)
         (roots if parent is None else children[parent]).append(pos)
 
     # Depth first, children in order: the first node on a chain whose stacked
@@ -467,11 +463,11 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     stack = [(pos, 0.0) for pos in reversed(roots)]
     while stack:
         pos, prefix = stack.pop()
-        mass, cube, _ = nodes[pos]
-        dens = prefix + mass / cube.volume
+        mass, row, _ = nodes[pos]
+        dens = prefix + mass / volume[pos]
         if dens > alpha:
             s_id = len(selected)
-            selected.append(cube)
+            selected.append(row)
             subtree = [pos]
             while subtree:
                 sub = subtree.pop()
@@ -482,56 +478,54 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         else:
             stack.extend((child, dens) for child in reversed(children[pos]))
 
-    _merge_nested(selected, assigned)
+    _merge_nested(D, selected, assigned)
 
     # Bounded-density guard: a selected double should not carry more than
     # 16 alpha times the cube volume.  Offenders are merged upward.
     for _ in range(_LEVEL_BUDGET):
         worst = None
-        live_ids = [s_id for s_id, s_cube in enumerate(selected) if s_cube is not None]
-        held = boxes.within_each([selected[s_id] for s_id in live_ids], 2.0)
+        live_ids = [s_id for s_id, row in enumerate(selected) if row is not None]
+        held = boxes.within_each(_row_array([selected[s_id] for s_id in live_ids]), 2.0)
         for col, s_id in enumerate(live_ids):
-            full = _mass_of(entries, held[:, col])
-            excess = full - 16.0 * alpha * selected[s_id].volume
+            full = _mass_of(masses, held[:, col])
+            excess = full - 16.0 * alpha * row_volume(D, selected[s_id])
             if excess > _TOL * max(1.0, full) and (worst is None or excess > worst[1]):
                 worst = (s_id, excess)
         if worst is None:
             break
         s_id = worst[0]
-        selected[s_id] = selected[s_id].tau_parent()
-        _merge_nested(selected, assigned)
+        selected[s_id] = row_tau_parent(D, selected[s_id])
+        _merge_nested(D, selected, assigned)
     else:
         raise BudgetExceededError("density guard did not settle within budget")
 
-    live_ids = [s_id for s_id, s_cube in enumerate(selected) if s_cube is not None]
+    live_ids = [s_id for s_id, row in enumerate(selected) if row is not None]
     remap = {s_id: k for k, s_id in enumerate(live_ids)}
-    return WhitneyResult(selected=[selected[s_id] for s_id in live_ids],
-                         assigned={i: remap[s] for i, s in assigned.items()},
-                         leftover=sorted(active), alpha=alpha)
+    return WhitneyResult(
+        selected=[GridCube(sigma, tau, tuple(index), D)
+                  for sigma, tau, *index in (selected[s_id] for s_id in live_ids)],
+        assigned={i: remap[s] for i, s in assigned.items()},
+        leftover=sorted(active), alpha=alpha)
 
 
-def _mass_of(entries, mask) -> float:
-    """Summed mass of the masked entries, in entry order."""
-    return _left_sum(lam for (_, lam), keep in zip(entries, mask.tolist()) if keep)
-
-
-def _leftover_nodes(entries, ids) -> list:
-    """Group the ids' entries by cube (tau, index), in first-seen order:
-    one [mass, cube, ids] per cube, its masses summed in the given order."""
-    by_cube = {}
+def _leftover_nodes(boxes, masses, ids) -> list:
+    """Group the ids by row, in first-seen order: one [mass, row, ids] per
+    distinct row, its masses summed in the given order."""
+    rows = boxes.ident.tolist()
+    by_row = {}
     for i in ids:
-        cube, lam = entries[i]
-        rec = by_cube.setdefault((cube.tau, cube.index), [0.0, cube, []])
-        rec[0] += lam
+        row = tuple(rows[i])
+        rec = by_row.setdefault(row, [0.0, row, []])
+        rec[0] += masses[i]
         rec[2].append(i)
-    return list(by_cube.values())
+    return list(by_row.values())
 
 
-def _merge_nested(selected, assigned):
-    """Drop selected cubes contained in other selected cubes, reassigning."""
-    order = sorted((s_id for s_id, s in enumerate(selected) if s is not None),
-                   key=lambda s_id: -selected[s_id].volume)
-    boxes = _BoxSet(selected[s_id] for s_id in order)
+def _merge_nested(D, selected, assigned):
+    """Drop selected rows contained in other selected rows, reassigning."""
+    order = sorted((s_id for s_id, row in enumerate(selected) if row is not None),
+                   key=lambda s_id: -row_volume(D, selected[s_id]))
+    boxes = _BoxSet(D, _row_array([selected[s_id] for s_id in order]))
     inside = boxes.within_each(boxes, 1.0)
     meets = boxes.overlap_matrix()
     volume = boxes.volume.tolist()
@@ -554,18 +548,20 @@ def _merge_nested(selected, assigned):
 
 def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16.0) -> CheckReport:
     """Re-check disjointness and the three defining conditions with witnesses."""
+    _, entry_boxes, masses = _entries(entries, alpha)
     report = CheckReport()
     selected = result.selected
+    s_rows = _cube_rows(selected)
+    s_boxes = _BoxSet(selected[0].dilation if selected else None, s_rows)
 
     ok, witness = True, None
-    pairs = np.argwhere(np.triu(_BoxSet(selected).overlap_matrix(), 1))
+    pairs = np.argwhere(np.triu(s_boxes.overlap_matrix(), 1))
     if len(pairs):
         i, j = pairs[0].tolist()
         ok, witness = False, f"cubes {i} and {j} overlap"
     report.add("disjoint", ok, witness)
 
-    entry_boxes = _BoxSet(cube for cube, _ in entries)
-    in_double = entry_boxes.within_each(selected, 2.0)
+    in_double = entry_boxes.within_each(s_rows, 2.0)
 
     ok, witness = True, None
     for i, s_id in result.assigned.items():
@@ -575,22 +571,23 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
     report.add("assignment", ok, witness)
 
     ok, witness = True, None
-    for s_id, s_cube in enumerate(selected):
-        full = _mass_of(entries, in_double[:, s_id])
-        bound = c_w * alpha * s_cube.volume
+    s_volume = s_boxes.volume.tolist()
+    for s_id, volume in enumerate(s_volume):
+        full = _mass_of(masses, in_double[:, s_id])
+        bound = c_w * alpha * volume
         if full > bound * (1.0 + 1e-9):
             ok, witness = False, f"host {s_id}: mass {full:.6g} > {bound:.6g}"
             break
     report.add("condition1_star_mass", ok, witness)
 
-    total_volume = _left_sum(s.volume for s in selected)
-    total_mass = _left_sum(lam for _, lam in entries)
+    total_volume = _left_sum(s_volume)
+    total_mass = _left_sum(masses)
     ok = total_volume <= total_mass / alpha * (1.0 + 1e-9)
     report.add("condition2_total_volume", ok,
                None if ok else f"sum |S| = {total_volume:.6g} > {total_mass / alpha:.6g}")
 
     ok, witness = True, None
-    recs = _leftover_nodes(entries, result.leftover)
+    recs = _leftover_nodes(entry_boxes, masses, result.leftover)
     rec_boxes = entry_boxes.rows([rec[2][0] for rec in recs])
     inside = rec_boxes.within_each(rec_boxes, 1.0)
     meets = rec_boxes.overlap_matrix()
@@ -601,17 +598,19 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16
     conservative = bool(np.any(np.triu(meets & ~nested, 1)))
     if conservative:
         inside = inside | meets.T
+    volume = volume.tolist()
     worst = 0.0
-    for k, (_, cube, _) in enumerate(recs):
+    for k, (_, row, _) in enumerate(recs):
         chain = 0.0
         for m in range(len(recs)):
             if m == k or inside[k, m]:
-                other_mass, other, _ = recs[m]
-                chain += other_mass / other.volume
+                chain += recs[m][0] / volume[m]
         if chain > worst:
             worst = chain
             if chain > alpha * (1.0 + 1e-9):
-                ok, witness = False, f"leftover density {chain:.6g} > alpha at {cube}"
+                # the cube named as GridCube's repr names it
+                ok, witness = False, (f"leftover density {chain:.6g} > alpha at GridCube("
+                                      f"sigma={row[0]}, tau={row[1]}, index={row[2:]})")
     suffix = " (conservative, non-nested leftovers)" if conservative else ""
     report.add("condition3_leftover_density", ok,
                (witness + suffix) if witness else None)
@@ -700,31 +699,29 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     their own stage stop against their hosting S.  A final repair pass lifts
     kappa to tau(S) + 1 over every S whose double holds the entry.
     """
-    if alpha <= 0:
-        raise InputInvalidError("alpha must be positive")
-    _validate_entries(entries)
+    D, boxes, masses = _entries(entries, alpha)
     if not entries:
         raise InputInvalidError("stopping_time needs at least one entry")
-    D = entries[0][0].dilation
     if D.norm_power != 1:
         raise NotNormalizedError("stopping_time needs a dilation with norm_power 1")
     for s_cube in S_list:
         if s_cube.sigma != 0:
             raise InputInvalidError("S cubes must live on the sigma = 0 grid")
 
-    boxes = _BoxSet(cube for cube, _ in entries)
-    masses = [lam for _, lam in entries]
-    taus = [cube.tau for cube, _ in entries]
+    s_rows = _cube_rows(S_list)
+    # each S's (tau, *index), and its tau
+    s_keys = [tuple(row[1:]) for row in s_rows.tolist()]
+    s_taus = [key[0] for key in s_keys]
+    taus = boxes.scale[:, 1].tolist()
     hosts_of = {}
-    for i, row in enumerate(boxes.within_each(S_list, 2.0).tolist()):
+    for i, row in enumerate(boxes.within_each(s_rows, 2.0).tolist()):
         hosts_of[i] = [k for k, inside in enumerate(row) if inside]
         if not hosts_of[i]:
             raise InputInvalidError(f"entry {i} is not inside the double of any S")
 
     a = D.det_scale
-    total = float(_left_sum(lam for _, lam in entries))
-    tau_max = max(cube.tau for cube, _ in entries)
-    tau_min = min(cube.tau for cube, _ in entries)
+    total = float(_left_sum(masses))
+    tau_min, tau_max = min(taus), max(taus)
     tau0 = tau_max + 1
     while alpha * (a ** tau0) <= total:
         tau0 += 1
@@ -734,7 +731,8 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     unit_diam = cube_diameter(D, 0)
     live = set(range(len(entries)))
     kappa, classification, host, assigned_primitive = {}, {}, {}, {}
-    trace, dimension_violations, selected_qs = [], [], {}
+    # the selected q, as (sigma, tau, index) row keys
+    trace, dimension_violations, selected_qs = [], [], set()
 
     boxes.pull_levels(range(tau0 - 1, tau_min - 1, -1))
     for tau in range(tau0 - 1, tau_min - 1, -1):
@@ -760,8 +758,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                     chosen.append((n, mass))
             trace.append(TraceEvent(kind="step", sigma=sigma, tau=tau))
             for n, mass in chosen:
-                q = GridCube(sigma, tau, n, D)
-                selected_qs[(sigma, tau, n)] = q
+                selected_qs.add((sigma, tau, n))
                 trace.append(TraceEvent(kind="select", sigma=sigma, tau=tau,
                                         index=n, mass=mass))
             # chosen ascends, so the first chosen double holding a live
@@ -777,31 +774,31 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                     trace.append(TraceEvent(kind="classify", sigma=sigma, tau=tau,
                                             index=n, entry=i, action="C1"))
             sigma -= 1
-        finishing = [i for i in sorted(live) if entries[i][0].tau == tau]
+        finishing = [i for i in sorted(live) if taus[i] == tau]
         for i in finishing:
             hosts = hosts_of[i]
-            host_taus = {S_list[k].tau for k in hosts}
+            host_taus = {s_taus[k] for k in hosts}
             if len(host_taus) > 1:
                 dimension_violations.append((i, sorted(host_taus)))
-            best = min(hosts, key=lambda k: (S_list[k].tau, S_list[k].index))
+            best = min(hosts, key=s_keys.__getitem__)
             live.discard(i)
-            kappa[i] = S_list[best].tau + 1
+            kappa[i] = s_taus[best] + 1
             classification[i] = "C2"
             host[i] = ("S", best)
             trace.append(TraceEvent(kind="classify", sigma=0, tau=tau,
-                                    index=S_list[best].index, entry=i, action="C2"))
+                                    index=s_keys[best][1:], entry=i, action="C2"))
 
     for i in range(len(entries)):
-        lift = max(S_list[k].tau + 1 for k in hosts_of[i])
+        lift = max(s_taus[k] + 1 for k in hosts_of[i])
         if lift > kappa[i]:
-            trace.append(TraceEvent(kind="repair", sigma=0, tau=entries[i][0].tau,
+            trace.append(TraceEvent(kind="repair", sigma=0, tau=taus[i],
                                     entry=i, action=f"kappa {kappa[i]} -> {lift}"))
             kappa[i] = lift
 
     # the tendril bounds in scale order, then the quadrupled S cubes
     q_keys = sorted(selected_qs)
     exceptional = [ExceptionalPrimitive("tendril", b.cube, b.scale)
-                   for b in (tendril_of(selected_qs[key]) for key in q_keys)]
+                   for b in (tendril_of(GridCube(*key, D)) for key in q_keys)]
     exceptional += [ExceptionalPrimitive("quad", S, (4.0 ** D.dim) * S.volume) for S in S_list]
     primitive_of_q = {key: p for p, key in enumerate(q_keys)}
     for i in range(len(entries)):
@@ -817,17 +814,6 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     )
 
 
-class _Frames(dict):
-    """Primitive index -> its frame(), built on first ask, for one call."""
-
-    def __init__(self, primitives):
-        self.primitives = primitives
-
-    def __missing__(self, p):
-        self[p] = self.primitives[p].frame()
-        return self[p]
-
-
 def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarray) -> np.ndarray:
     """Mask over levels, an (entries, L) integer array: entry i's whole
     dilate Q + A^j B_1 at level j = levels[i, l] lies in its assigned
@@ -840,9 +826,9 @@ def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarra
     samples are all accepted by that primitive; a False pair says nothing
     and is left to sampling.
     """
-    D = boxes.cubes[0].dilation
+    D = boxes.D
     primitives = result.exceptional
-    owner = [result.assigned_primitive[i] for i in range(len(boxes.cubes))]
+    owner = [result.assigned_primitive[i] for i in range(len(boxes))]
     out = np.zeros(levels.shape, dtype=bool)
     tendril = [i for i, p in enumerate(owner) if primitives[p].kind == "tendril"]
     if tendril:
@@ -891,11 +877,10 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     the same points.
 
     Raises InputInvalidError when entries is empty or invalid, when alpha
-    is not positive, or when kappa or assigned_primitive misses an entry.
+    is not positive and finite, or when kappa or assigned_primitive misses
+    an entry.
     """
-    if alpha <= 0:
-        raise InputInvalidError("alpha must be positive")
-    _validate_entries(entries)
+    D, boxes, masses = _entries(entries, alpha)
     if not entries:
         raise InputInvalidError("verify_stopping needs at least one entry")
     for name in ("kappa", "assigned_primitive"):
@@ -903,13 +888,11 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
         if missing:
             raise InputInvalidError(f"{name} has no value for entry {min(missing)}")
     report = CheckReport()
-    D = entries[0][0].dilation
     a = D.det_scale
-    boxes = _BoxSet(cube for cube, _ in entries)
-    masses = [lam for _, lam in entries]
+    s_rows = _cube_rows(S_list)
 
     lhs = _left_sum(p.volume_term for p in result.exceptional)
-    rhs = C * (_left_sum(lam for _, lam in entries) / alpha + _left_sum(s.volume for s in S_list))
+    rhs = C * (_left_sum(masses) / alpha + _left_sum(s.volume for s in S_list))
     report.add("i_volume_sum", lhs <= rhs,
                None if lhs <= rhs else f"{lhs:.6g} > {rhs:.6g}")
 
@@ -927,27 +910,28 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
             # samples are built as (d, n) columns; pts is their (n, d) view
             ball = np.ascontiguousarray(ball.T)
-            frames = _Frames(result.exceptional)
+            # primitive index -> its frame(), built on first ask
+            frame = cache(lambda p: result.exceptional[p].frame())
+            origin, basis = cube_frames(D, boxes.scale, boxes.index)
             due = 0  # the first entry whose uniforms are not yet drawn
         if i > due:
             # past the uniforms of entries due, ..., i - 1, all certified
             rng.bit_generator.advance((i - due) * n * D.dim)
         u = rng.random((n, D.dim))
         due = i + 1
-        base = entries[i][0].realize()
-        x = base.origin[:, None] + base.basis @ u.T
+        x = origin[i][:, None] + basis[i] @ u.T
         for j, sure in zip(levels[i].tolist(), certified[i].tolist()):
             if sure:
                 continue
             pts = (x + D.power(j) @ ball).T
-            inside = frames[result.assigned_primitive[i]].contains_points(pts)
+            inside = frame(result.assigned_primitive[i]).contains_points(pts)
             if not np.all(inside):
                 missing = np.where(~inside)[0]
                 rest = np.zeros(len(missing), dtype=bool)
                 for p_idx in range(len(result.exceptional)):
                     if p_idx == result.assigned_primitive[i]:
                         continue
-                    rest |= frames[p_idx].contains_points(pts[missing])
+                    rest |= frame(p_idx).contains_points(pts[missing])
                     if np.all(rest):
                         break
                 if not np.all(rest):
@@ -960,9 +944,8 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     report.add("ii_dilates_covered", ok, witness)
 
     ok, witness = True, None
-    s_tau = np.array([s_cube.tau for s_cube in S_list])
-    bad = np.argwhere(boxes.within_each(S_list, 2.0)
-                      & (kappa[:, None] <= s_tau[None, :]))
+    bad = np.argwhere(boxes.within_each(s_rows, 2.0)
+                      & (kappa[:, None] <= s_rows[None, :, 1]))
     if len(bad):
         i, k = bad[0].tolist()
         ok = False
@@ -1000,13 +983,13 @@ def replay_trace_masses(result: StoppingResult, entries):
     Returns a list of (event, recomputed mass) pairs for every select event;
     a correct trace reproduces its recorded masses exactly.
     """
-    boxes = _BoxSet(cube for cube, _ in entries)
+    _, boxes, masses = _entries(entries)
     live = set(range(len(entries)))
     pairs = []
     for ev in result.trace:
         if ev.kind == "select":
             members = _star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
-            pairs.append((ev, _left_sum(entries[i][1] for i in members)))
+            pairs.append((ev, _mass_sum(masses, members)))
         elif ev.kind == "classify":
             live.discard(ev.entry)
     return pairs

@@ -8,16 +8,18 @@ dilated balls, handled exactly through pullback coordinates: each answers
 membership, of points and of whole dilated cells, and gives an axis-aligned
 box that holds it.
 
-Value objects carry no derived state; derived geometry lives for one call.
-The slotted GridCube, Parallelepiped and TendrilBound compute vertices,
-diameters and frames on each call; a caller with many questions for one
-tendril bound builds its frame() once.  One vertex rule (_fold: column sums
-left to right, no BLAS product, so no row's bits depend on the others)
-serves realize() and cube_vertices, which takes (sigma, tau, index) rows;
-one diameter rule (dilation.span_diameter) serves Parallelepiped.diameter
-and cube_diameter; one stacked pullback rule (_pullbacks) serves a tendril
-bound's frame and tendrils_cover_dilates, which decides the dilated cells
-of many bounds at once.
+A cube is a slotted GridCube in the public API and a (sigma, tau, *index)
+int row in batched code.  Each quantity has one row rule, which GridCube
+calls: row_volume (the scalar power, in Python floats), row_tau_parent, and
+cube_frames, the origin and basis of many rows, summed over the basis
+columns left to right (_fold, no BLAS product, so no row's bits depend on
+the others) as realize() sums them for one.  cube_vertices and the tendril
+pullbacks (_pullbacks, for a bound's frame and for tendrils_cover_dilates,
+which decides the dilated cells of many bounds at once) build on
+cube_frames; one diameter rule (dilation.span_diameter) serves
+Parallelepiped.diameter and cube_diameter.  Value objects carry no derived
+state: a caller with many questions for one tendril bound builds its
+frame() once.
 
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
@@ -71,19 +73,35 @@ def _vertices(origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return origin[..., None, :] + _fold(basis, _unit_corners(basis.shape[-1]))
 
 
-def _cube_bases(D: DilationStructure, scale: np.ndarray) -> np.ndarray:
-    """(N, d, d): row k is 2^sigma A^tau for (sigma, tau) = scale[k], the
-    basis GridCube.realize gives (times 2^sigma, exactly)."""
-    return np.ldexp(D.powers(scale[:, 1].tolist()), scale[:, 0, None, None])
+def cube_frames(D: DilationStructure, scale: np.ndarray, index: np.ndarray):
+    """(origin, basis), (N, d) and (N, d, d): row k is the origin and basis
+    of GridCube(*scale[k], index[k]).realize(), bit for bit; scale holds
+    (sigma, tau) rows.  The basis 2^sigma A^tau is scaled exactly."""
+    basis = np.ldexp(D.powers(scale[:, 1].tolist()), scale[:, 0, None, None])
+    return _fold(basis, index[:, None, :].astype(float))[:, 0], basis
 
 
 def cube_vertices(D: DilationStructure, scale: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(2^d, N, d), vertex-major: [:, k] is GridCube(*scale[k], index[k])
-    .realize().vertices(), bit for bit; scale holds (sigma, tau) rows."""
-    basis = _cube_bases(D, scale)
-    origin = _fold(basis, index[:, None, :].astype(float))[:, 0]
+    .realize().vertices(), bit for bit."""
+    origin, basis = cube_frames(D, scale, index)
     # corner rows shaped (2^d, 1, 1, d) fold to (2^d, N, 1, d)
     return origin + _fold(basis, _unit_corners(D.dim)[:, None, None, :])[:, :, 0]
+
+
+def row_volume(D: DilationStructure, row) -> float:
+    """The volume 2^(d sigma) a^tau of the cube row (sigma, tau, ...), in
+    Python floats: numpy's vector power can differ from the scalar one in
+    the last bit, so rows are taken one at a time, as Python ints."""
+    return (2.0 ** (D.dim * row[0])) * (D.det_scale ** row[1])
+
+
+def row_tau_parent(D: DilationStructure, row) -> tuple:
+    """The row (0, tau + 1, *index) of the cube of R_{0, tau+1} containing
+    the center of the cube row (sigma, tau, *index)."""
+    sigma, tau, *index = row
+    pulled = np.linalg.solve(D.matrix, (2.0 ** sigma) * (np.asarray(index, dtype=float) + 0.5))
+    return (0, tau + 1, *(int(np.floor(x)) for x in pulled))
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
@@ -115,8 +133,7 @@ class GridCube:
 
     @property
     def volume(self) -> float:
-        d = self.dilation.dim
-        return (2.0 ** (d * self.sigma)) * (self.dilation.det_scale ** self.tau)
+        return row_volume(self.dilation, (self.sigma, self.tau))
 
     @property
     def side(self) -> float:
@@ -136,10 +153,8 @@ class GridCube:
 
     def tau_parent(self) -> "GridCube":
         """The cube of R_{0, tau+1} containing this cube's center."""
-        c = np.asarray(self.index, dtype=float) + 0.5
-        pulled = np.linalg.solve(self.dilation.matrix, (self.side * c))
-        parent_index = tuple(int(np.floor(x)) for x in pulled)
-        return GridCube(0, self.tau + 1, parent_index, self.dilation)
+        _, tau, *index = row_tau_parent(self.dilation, (self.sigma, self.tau, *self.index))
+        return GridCube(0, tau, tuple(index), self.dilation)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,8 +312,7 @@ def _pullbacks(D: DilationStructure, scale: np.ndarray, index: np.ndarray):
     """Per cube row (sigma, tau, index), stacked: A^-(tau+2), and the origin
     and basis of the pullback of q** = expand_cube(q, 4), each bit for bit
     the product one cube at a time gives."""
-    basis = _cube_bases(D, scale)
-    origin = _fold(basis, index[:, None, :].astype(float))[:, 0]
+    origin, basis = cube_frames(D, scale, index)
     # expand_parallelepiped's shift, 0.5 (4 - 1) basis 1
     origin = origin - 1.5 * (basis @ np.ones(D.dim))
     pull = D.powers((-2 - scale[:, 1]).tolist())

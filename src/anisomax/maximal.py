@@ -143,7 +143,6 @@ class DistributionReport:
     thresholds: np.ndarray
     measures: np.ndarray
     weak_ratio: float
-    h1: float = None
 
 
 # -------------------------------------------------------------- convolution
@@ -495,7 +494,7 @@ def _picked_centers(lattice: Lattice, slices, picked) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def distribution_function(field: SampledField, thresholds, h1: float = None,
+def distribution_function(field: SampledField, thresholds,
                           excluded=None) -> DistributionReport:
     """Cell-count sizes of the superlevel sets {field > lambda}.
 
@@ -520,8 +519,7 @@ def distribution_function(field: SampledField, thresholds, h1: float = None,
     above = kept.size - np.searchsorted(kept, thresholds, side="right")
     measures = field.lattice.cell_volume * above
     weak = float(np.max(thresholds * measures))
-    return DistributionReport(thresholds=thresholds, measures=measures,
-                              weak_ratio=weak, h1=h1)
+    return DistributionReport(thresholds=thresholds, measures=measures, weak_ratio=weak)
 
 
 def _positive_norm(f: AtomicSum) -> float:
@@ -536,7 +534,7 @@ def _weak_type(mf: SampledField, h1: float, excluded):
     if peak <= 0:
         return mf, None, 0.0
     thresholds = np.geomspace(THRESHOLD_FLOOR * peak, peak, THRESHOLD_COUNT)
-    report = distribution_function(mf, thresholds, h1=h1, excluded=excluded)
+    report = distribution_function(mf, thresholds, excluded=excluded)
     return mf, report, report.weak_ratio / h1
 
 

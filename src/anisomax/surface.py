@@ -381,20 +381,6 @@ def partition_measure(surface: GraphSurface, s: int, eps: float,
     return pieces
 
 
-@dataclass
-class PieceClassification:
-    """Flat record of the exclusion test outcomes for one piece."""
-
-    s: int
-    rho: int
-    center: np.ndarray
-    min_curvature: float
-    worst_mass_ratio: float
-    worst_tau: int
-    in_I1: bool
-    in_I2: bool
-
-
 def _fine_grid(lo: np.ndarray, hi: np.ndarray, total: int):
     p = lo.size
     n = max(2, int(round(total ** (1.0 / p))))
@@ -424,7 +410,11 @@ def _cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
                     eps: float, zeta: float, tau_window=None) -> list:
-    """Flag each piece for low curvature (I1) and cube-mass excess (I2)."""
+    """Flag each piece for low curvature (I1) and cube-mass excess (I2).
+
+    The outcome is written onto the pieces (in_I1, in_I2, min_curvature,
+    worst_mass_ratio, worst_tau), and the classified pieces are returned.
+    """
     if not pieces:
         return []
     s = pieces[0].s
@@ -436,7 +426,6 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
     a = D.det_scale
     curvature_cut = 2.0 ** (-eps * s)
 
-    records = []
     for piece in pieces:
         kvals = np.abs(gaussian_curvature(surface, piece.param_points))
         min_k = float(np.min(kvals))
@@ -479,12 +468,7 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
         piece.in_I2 = bool(worst_ratio > 1.0)
         piece.worst_mass_ratio = worst_ratio
         piece.worst_tau = worst_tau
-        records.append(PieceClassification(
-            s=s, rho=piece.rho, center=piece.center, min_curvature=min_k,
-            worst_mass_ratio=worst_ratio, worst_tau=worst_tau,
-            in_I1=piece.in_I1, in_I2=piece.in_I2,
-        ))
-    return records
+    return pieces
 
 
 @dataclass

@@ -196,6 +196,27 @@ def test_cli_exit_code_config_error(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("override", [
+    "eps=.inf", "zeta=.nan", "alpha=.inf", "alpha=.nan", "constants.c_w=.inf",
+    "constants.c_iv=.nan", "atoms.lam_range=[0.1, .inf]", "atoms.lam_range=[.nan, 1.0]",
+    "atoms.list=[{tau: 0, index: [0, 0], lam: .inf}]",
+    "atoms.list=[{tau: 0, index: [0, 0], lam: .nan}]",
+])
+def test_non_finite_numbers_are_config_errors(override):
+    # nan fails every comparison and inf passes every lower bound, so each
+    # would reach the decompositions or the fits as a number no check holds
+    with pytest.raises(ConfigInvalidError, match="finite"):
+        load_config(None, overrides=[override])
+
+
+def test_cli_infinite_alpha_is_a_config_error(tmp_path):
+    # it used to reach whitney_decompose and die there with an OverflowError
+    res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
+                "--override", "alpha=.inf"])
+    assert res.exit_code == 2
+    assert "positive and finite" in res.output
+
+
 def test_cli_short_tau_window_is_a_config_error(tmp_path):
     res = _run(["run", "--experiment", "surface-classify", "--out", str(tmp_path),
                 "--override", "tau_window=[3]"])

@@ -22,6 +22,7 @@ from anisomax.decomposition import (
     TraceEvent,
     _BoxSet,
     _certified_dilates,
+    _cube_rows,
     _left_sum,
     _mass_of,
     _merge_nested,
@@ -45,7 +46,10 @@ from anisomax.grid import (
     GridCube,
     _boxes_intersect_open,
     cube_contains,
+    cube_frames,
     expand_cube,
+    row_tau_parent,
+    row_volume,
     tendril_of,
 )
 
@@ -53,6 +57,11 @@ from anisomax.grid import (
 @pytest.fixture(scope="module")
 def diag_dilation():
     return validate_dilation(np.array([[2.0, 0.0], [0.0, 4.0]]))
+
+
+def _box_set(cubes):
+    """The _BoxSet of a list of GridCubes, built from their rows."""
+    return _BoxSet(cubes[0].dilation, _cube_rows(cubes))
 
 
 def random_instance(D, alpha, n_entries, seed, tau_lo=-6, tau_hi=0, span=6):
@@ -89,10 +98,9 @@ def test_mass_of_is_the_left_fold():
     # the masked masses add one at a time in entry order, as the doubles'
     # masses in _star_groups' skip argument do
     masses = [1.0, 1e-16, 3.0, 1e-16, 1e-16]
-    entries = [(None, lam) for lam in masses]
     mask = np.array([True, True, False, True, True])
     picked = [lam for lam, keep in zip(masses, mask) if keep]
-    assert repr(_mass_of(entries, mask)) == repr(reduce(operator.add, picked)) == "1.0"
+    assert repr(_mass_of(masses, mask)) == repr(reduce(operator.add, picked)) == "1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +108,7 @@ def test_mass_of_is_the_left_fold():
 
 
 def _star_window(Q, sigma, tau):
-    return list(_star_groups(_BoxSet([Q]), [0], sigma, tau))
+    return list(_star_groups(_box_set([Q]), [0], sigma, tau))
 
 
 def test_star_window_same_level_is_singleton(diag_dilation):
@@ -130,15 +138,21 @@ PREDICATE_MATRICES = [
 ]
 
 
-def _interiors_meet(a, b):
+def _interiors_meet(pa, pb):
     """Separating-axis oracle: do the two closed parallelepipeds share interior?"""
-    pa, pb = a.realize(), b.realize()
     axes = list(np.linalg.inv(pa.basis)) + list(np.linalg.inv(pb.basis))
     if pa.dim == 3:
-        axes += [np.cross(pa.basis[:, i], pb.basis[:, j])
-                 for i in range(3) for j in range(3)]
+        # the cross product of every edge direction of pa with every one of pb
+        axes += list(np.cross(pa.basis.T[:, None], pb.basis.T[None, :]).reshape(9, 3))
     axes = [axis for axis in axes if np.linalg.norm(axis) > 1e-14]
     return _boxes_intersect_open(pa.vertices(), pb.vertices(), axes)
+
+
+def _holds(outer, verts) -> np.ndarray:
+    """cube_contains of each inner cube, given their realized vertices as
+    (N, 2^d, d), in one membership call."""
+    n, v, d = verts.shape
+    return outer.contains_points(verts.reshape(n * v, d)).reshape(n, v).all(axis=1)
 
 
 @pytest.mark.parametrize("matrix", PREDICATE_MATRICES)
@@ -156,14 +170,15 @@ def test_cube_relations_match_parallelepiped_oracle(matrix):
         near = np.linalg.solve(D.power(int(taus[1])), Q.center()) / 2.0 ** sigmas[1]
         index = tuple(int(np.floor(v)) + int(rng.integers(-1, 2)) for v in near)
         host = GridCube(int(sigmas[1]), int(taus[1]), index, D)
-        boxes = _BoxSet([Q, host])
+        boxes = _box_set([Q, host])
         for factor in (1.0, 2.0):
             inside = cube_contains(expand_cube(host, factor), Q)
-            assert bool(boxes.within_each([host], factor)[0, 0]) == inside, (Q, host, factor)
+            assert bool(boxes.within_each(_cube_rows([host]), factor)[0, 0]) == inside, \
+                (Q, host, factor)
             hits[factor] += inside
         in_window = host.index in _star_groups(boxes, [0], host.sigma, host.tau)
         assert in_window == cube_contains(expand_cube(host, 2.0), Q), (Q, host)
-        meet = _interiors_meet(Q, host)
+        meet = _interiors_meet(Q.realize(), host.realize())
         hits["overlap"] += meet
         meets = boxes.overlap_matrix()
         if diagonal:
@@ -213,7 +228,8 @@ def _near_indices(Q, sigma, tau):
 def test_batched_relations_match_parallelepiped_oracles(matrix):
     # _star_groups and the box-set masks answer containment and overlap for
     # a whole list of cubes at once; entry by entry they must agree with the
-    # vertex test cube_contains and the separating-axis _interiors_meet
+    # vertex test cube_contains and the separating-axis _interiors_meet.
+    # Each cube, host and double is realized once per instance.
     D = validate_dilation(matrix)
     diagonal = np.allclose(D.matrix, np.diag(np.diag(D.matrix)))
     checked = {"members": 0, "outsiders": 0, "within": 0, "pairs": 0}
@@ -221,21 +237,25 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
         cubes = [cube for cube, _ in entries]
         cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D)
                   for c in cubes[:3]]
-        boxes = _BoxSet(cubes)
+        realized = [Q.realize() for Q in cubes]
+        verts = np.stack([p.vertices() for p in realized])
+        boxes = _box_set(cubes)
         ids = list(range(len(cubes)))[::-1]
         for sigma, tau in ((0, -3), (0, 0), (0, 1), (-1, -1), (-2, 0)):
             groups = _star_groups(boxes, ids, sigma, tau)
+            near = {}
+            for i in ids:
+                for n in _near_indices(cubes[i], sigma, tau):
+                    near.setdefault(n, []).append(i)
+            doubles = {n: expand_cube(GridCube(sigma, tau, n, D), 2.0) for n in {*groups, *near}}
             for n, members in groups.items():
                 # members keep the order of ids, and every one is inside
                 assert members == [i for i in ids if i in members], (sigma, tau, n)
-                double = expand_cube(GridCube(sigma, tau, n, D), 2.0)
-                assert all(cube_contains(double, cubes[i]) for i in members)
+                assert _holds(doubles[n], verts[members]).all()
                 checked["members"] += len(members)
             # and every cube inside a double is in that double's group
-            for i in ids:
-                for n in _near_indices(cubes[i], sigma, tau):
-                    double = expand_cube(GridCube(sigma, tau, n, D), 2.0)
-                    held = cube_contains(double, cubes[i])
+            for n, near_ids in near.items():
+                for i, held in zip(near_ids, _holds(doubles[n], verts[near_ids]).tolist()):
                     assert (i in groups.get(n, [])) == held, (sigma, tau, n, i)
                     checked["outsiders"] += not held
         parents = [c.tau_parent() for c in cubes if c.sigma == 0]
@@ -244,15 +264,15 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
         quarters = [GridCube(-1, p.tau, tuple(2 * v for v in p.index), D) for p in parents[:4]]
         hosts = cubes + parents + quarters
         for factor in (1.0, 2.0):
-            inside = boxes.within_each(hosts, factor)
+            inside = boxes.within_each(_cube_rows(hosts), factor)
             for h, host in enumerate(hosts):
                 grown = expand_cube(host, factor)
-                assert inside[:, h].tolist() == [cube_contains(grown, Q) for Q in cubes]
+                assert inside[:, h].tolist() == _holds(grown, verts).tolist()
                 checked["within"] += int(inside[:, h].sum())
         meets = boxes.overlap_matrix()
         for k, a in enumerate(cubes):
             for m in range(k + 1, len(cubes)):
-                meet = _interiors_meet(a, cubes[m])
+                meet = _interiors_meet(realized[k], realized[m])
                 if diagonal:
                     assert meets[k, m] == meets[m, k] == meet, (a, cubes[m])
                 elif meet:
@@ -272,11 +292,11 @@ def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
     cubes = [cube for _, entries in found_instances(D, 4) for cube, _ in entries]
     cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:4]]
     verts = np.stack([Q.vertices() for Q in cubes])
-    boxes = _BoxSet(cubes)
-    together = _BoxSet(cubes)
+    boxes = _box_set(cubes)
+    together = _box_set(cubes)
     together.pull_levels(range(-6, 3))
     ids = list(range(len(cubes)))[1::2]
-    picked = _BoxSet(cubes).rows(ids)
+    picked = _box_set(cubes).rows(ids)
     levels = list(product(range(-8, 3), range(-6, 3)))
     # ask in a shuffled order, so a tau is first pulled at any sigma
     for k in default_rng(3).permutation(len(levels)):
@@ -302,15 +322,38 @@ def test_box_set_vertices_are_the_realized_vertices_bit_for_bit(matrix):
     cubes += [GridCube(sigma, c.tau + 3, tuple(v * 2 ** -sigma + 1 for v in c.index), D)
               for sigma, c in zip((-1, -2, -3, -5), cubes)]
     assert {c.sigma for c in cubes} == {0, -1, -2, -3, -5}
-    boxes = _BoxSet(cubes)
+    boxes = _box_set(cubes)
     for k, Q in enumerate(cubes):
         assert boxes.verts[:, k].tobytes() == Q.realize().vertices().tobytes(), Q
     ids = list(range(len(cubes)))[::-3]
     sub = boxes.rows(ids)
-    built = _BoxSet(sub.cubes)
-    assert sub.cubes == [cubes[k] for k in ids]
+    built = _box_set([cubes[k] for k in ids])
     assert sub.verts.tobytes() == built.verts.tobytes()
     assert sub.ident.tobytes() == built.ident.tobytes()
+
+
+@pytest.mark.parametrize("matrix", PREDICATE_MATRICES + [[[2, 0], [0, 17]]])
+def test_row_rules_are_the_cube_rules_bit_for_bit(matrix):
+    # the decompositions compute on (sigma, tau, *index) rows, GridCube on
+    # its fields: volume, tau-parent, origin and basis must agree bit for
+    # bit at every sigma in [-5, 0] and tau in [-60, 60].  A volume is the
+    # scalar power in Python floats, row by row, also in a box set: numpy's
+    # vector power differs from it in the last bit on some (a, tau)
+    D = validate_dilation(matrix)
+    rng = default_rng(11)
+    cubes = [GridCube(sigma, tau, tuple(int(v) for v in rng.integers(-40, 41, size=D.dim)), D)
+             for sigma in range(-5, 1) for tau in range(-60, 61)]
+    rows = _cube_rows(cubes)
+    volume = _box_set(cubes).volume.tolist()
+    origin, basis = cube_frames(D, rows[:, :2], rows[:, 2:])
+    for k, (Q, row) in enumerate(zip(cubes, rows.tolist())):
+        scalar = (2.0 ** (D.dim * Q.sigma)) * (D.det_scale ** Q.tau)
+        assert row_volume(D, row).hex() == Q.volume.hex() == volume[k].hex() == scalar.hex(), Q
+        parent = Q.tau_parent()
+        assert row_tau_parent(D, row) == (parent.sigma, parent.tau, *parent.index), Q
+        realized = Q.realize()
+        assert origin[k].tobytes() == realized.origin.tobytes(), Q
+        assert basis[k].tobytes() == realized.basis.tobytes(), Q
 
 
 def test_values_kept_by_results_have_no_instance_dict(diag_dilation):
@@ -341,7 +384,7 @@ def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
         cubes = [cube for cube, _ in entries]
         cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:3]]
         hosts = cubes + [c.tau_parent() for c in cubes if c.sigma == 0]
-        boxes = _BoxSet(cubes)
+        boxes = _box_set(cubes)
         scale, index = boxes.scale, boxes.index
         for factor in (1.0, 2.0):
             reach = 0.5 * factor
@@ -352,7 +395,8 @@ def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
                 out = (lo < n + 0.5 - reach - tol) | (hi > n + 0.5 + reach + tol)
                 same = (scale[:, 0] == host.sigma) & (scale[:, 1] == host.tau)
                 loop.append(np.where(same, np.all(index == n, axis=1), ~np.any(out, axis=1)))
-            assert np.array_equal(boxes.within_each(hosts, factor), np.stack(loop, axis=1))
+            assert np.array_equal(boxes.within_each(_cube_rows(hosts), factor),
+                                  np.stack(loop, axis=1))
         meets = np.zeros((len(cubes), len(cubes)), dtype=bool)
         for m, outer in enumerate(cubes):
             lo, hi, tol = boxes.boxes(outer.sigma, outer.tau)
@@ -488,12 +532,11 @@ def test_density_repair_selects_sibling_chains_in_order(diag_dilation):
 
 
 def test_merge_nested_folds_contained_selections(diag_dilation):
-    big = GridCube(0, 0, (0, 0), diag_dilation)
-    inner = GridCube(0, -1, (1, 3), diag_dilation)
-    apart = GridCube(0, -1, (4, 4), diag_dilation)
+    # selections are (sigma, tau, *index) rows
+    big, inner, apart = (0, 0, 0, 0), (0, -1, 1, 3), (0, -1, 4, 4)
     selected = [inner, big, apart]
     assigned = {0: 0, 1: 1, 2: 0, 3: 2}
-    _merge_nested(selected, assigned)
+    _merge_nested(diag_dilation, selected, assigned)
     assert selected == [None, big, apart]
     assert assigned == {0: 1, 1: 1, 2: 1, 3: 2}
 
@@ -502,10 +545,10 @@ def test_merge_nested_rejects_overlap_without_nesting():
     # under a shear a finer cube can straddle a coarser cube's boundary
     D = validate_dilation([[4, 1], [1, 3]])
     big, straddling = GridCube(0, 0, (0, 0), D), GridCube(0, -1, (0, 0), D)
-    assert _interiors_meet(big, straddling)
+    assert _interiors_meet(big.realize(), straddling.realize())
     assert not cube_contains(expand_cube(big, 1.0), straddling)
     with pytest.raises(NumericalFailureError):
-        _merge_nested([big, straddling], {})
+        _merge_nested(D, [(0, 0, 0, 0), (0, -1, 0, 0)], {})
 
 
 def test_whitney_decompose_leaves_no_reference_cycle(diag_dilation):
@@ -702,6 +745,49 @@ def test_verify_stopping_rejects_kappa_missing_an_entry(diag_dilation):
         verify_stopping(res, S_list, entries + [(R, 1.0)], 1.0)
 
 
+def _every_entry_call(D):
+    """Each public call that reads entries, as a function of (entries,
+    alpha), on one valid stopping result."""
+    S_list, entries, res = _one_entry_stopping(D)
+    wres = whitney_decompose(entries, 1.0)
+    return [
+        lambda e, alpha: whitney_decompose(e, alpha),
+        lambda e, alpha: verify_whitney(wres, e, alpha),
+        lambda e, alpha: stopping_time(S_list, e, alpha),
+        lambda e, alpha: verify_stopping(res, S_list, e, alpha),
+        lambda e, alpha: replay_trace_masses(res, e),
+    ]
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_every_entry_call_rejects_a_bad_mass(diag_dilation, lam):
+    # a nan mass used to raise ValueError in whitney_decompose and an
+    # infinite one OverflowError; verify_whitney and the replay checked
+    # nothing
+    entries = [(GridCube(0, -1, (2, -3), diag_dilation), lam)]
+    for call in _every_entry_call(diag_dilation):
+        with pytest.raises(InputInvalidError, match="masses must be nonnegative and finite"):
+            call(entries, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0])
+def test_every_alpha_call_rejects_a_bad_alpha(diag_dilation, alpha):
+    # stopping_time accepted a nan alpha; the replay takes no alpha
+    S_list, entries, _ = _one_entry_stopping(diag_dilation)
+    for call in _every_entry_call(diag_dilation)[:-1]:
+        with pytest.raises(InputInvalidError, match="alpha must be positive and finite"):
+            call(entries, alpha)
+
+
+def test_entries_of_two_dilations_are_rejected(diag_dilation):
+    other = validate_dilation([[4, 0], [0, 2]])
+    entries = [(GridCube(0, -1, (2, -3), diag_dilation), 1.0),
+               (GridCube(0, -1, (2, -3), other), 1.0)]
+    for call in _every_entry_call(diag_dilation):
+        with pytest.raises(InputInvalidError, match="share one dilation"):
+            call(entries, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # stopping time: pipeline instances and verification
 
@@ -859,7 +945,7 @@ def test_dropped_primitive_fails_dilates_check(diag_dilation):
     exceptional[1] = dataclasses.replace(exceptional[1], cube=far)
     dropped = dataclasses.replace(res, exceptional=exceptional)
     levels = np.array([[-1, -3, -8]] * 2)
-    assert _certified_dilates(dropped, _BoxSet(S_list), levels).tolist() == [
+    assert _certified_dilates(dropped, _box_set(S_list), levels).tolist() == [
         [True] * 3, [False] * 3]
     rep = verify_stopping(dropped, S_list, entries, alpha, seed=7)
     assert rep.failures() == [
@@ -870,7 +956,7 @@ def _exhaustive_check_iv(result, entries, alpha, C_iv=32.0):
     """Check (iv) without the skip: every recorded step groups the stopped
     entries by double, whatever their total."""
     a = entries[0][0].dilation.det_scale
-    boxes = _BoxSet(cube for cube, _ in entries)
+    boxes = _box_set([cube for cube, _ in entries])
     for ev in result.trace:
         if ev.kind != "step":
             continue
@@ -991,7 +1077,7 @@ def test_certified_dilates_are_covered(matrix):
     # (primitive kind, kappa shift) -> [sampled, certified] pairs
     counts = {key: [0, 0] for key in product(("tendril", "quad"), (0, 4))}
     for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 24)):
-        boxes = _BoxSet(cube for cube, _ in kept)
+        boxes = _box_set([cube for cube, _ in kept])
         for scale, shift in product((1.0, 1e6), (0, 4)):
             res = stopping_time(S_list, kept, scale * alpha)
             kappa = np.array([res.kappa[i] for i in range(len(kept))]) + shift
@@ -1051,7 +1137,7 @@ def test_sampling_every_pair_gives_the_certified_report(matrix, monkeypatch):
             report = verify_stopping(variant, S_list, kept, alpha, seed=seed)
             kappa = np.array([variant.kappa[i] for i in range(len(kept))])
             levels = kappa[:, None] - np.array([1, 3, 8])
-            settled = certify(variant, _BoxSet(cube for cube, _ in kept), levels).all(axis=1)
+            settled = certify(variant, _box_set([cube for cube, _ in kept]), levels).all(axis=1)
             assert made == ([] if settled.all() else [seed])
             seen["no generator" if settled.all() else "generator"] += 1
             monkeypatch.setattr(decomposition, "_certified_dilates",
@@ -1065,6 +1151,35 @@ def test_sampling_every_pair_gives_the_certified_report(matrix, monkeypatch):
                 seen["escape after a certified entry"] += (
                     escaped < STOPPING_SAMPLES and bool(settled[:i].any()))
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("matrix", BEYOND_DIAG24)
+def test_dilate_witness_matches_sampling_the_realized_cubes(matrix):
+    # check (ii) draws each sampled entry's points from its row's origin and
+    # basis; sampling every pair from each entry's realized cube, on the same
+    # random stream, must find the same first escaping pair and count.  The
+    # last entry's kappa + 5 or + 6 grows its dilates past the exceptional set
+    seen = 0
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 12)):
+        res = stopping_time(S_list, kept, alpha)
+        last = len(kept) - 1
+        for grow in (5, 6):
+            variant = dataclasses.replace(res, kappa={**res.kappa, last: res.kappa[last] + grow})
+            kappa = np.array([variant.kappa[i] for i in range(len(kept))])
+            levels = kappa[:, None] - np.array([1, 3, 8])
+            want = None
+            for i, k, pts in _dilate_samples(kept, levels, seed):
+                held = np.zeros(len(pts), dtype=bool)
+                for prim in variant.exceptional:
+                    held |= prim.contains_points(pts)
+                if not held.all():
+                    want = (f"entry {i}, level {levels[i, k]}: "
+                            f"{int(np.sum(~held))} of {STOPPING_SAMPLES} samples escape")
+                    break
+            check = verify_stopping(variant, S_list, kept, alpha, seed=seed).checks[1]
+            assert check == ("ii_dilates_covered", want is None, want), (seed, grow)
+            seen += want is not None
+    assert seen >= 5, seen
 
 
 def test_replay_reproduces_recorded_masses(diag_dilation):
