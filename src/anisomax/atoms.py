@@ -59,8 +59,8 @@ class Atom:
         the split axis, and 1 (haar) or the hat (bump, plateau) elsewhere.
         """
         u = np.asarray(u, dtype=float)
-        inside = (u >= 0.0) & (u < 1.0)
         if self.profile == "haar":
+            inside = (u >= 0.0) & (u < 1.0)
             if j == self.axis:
                 return np.where(inside, np.where(u < 0.5, 1.0, -1.0), 0.0)
             return inside.astype(float)

@@ -178,6 +178,12 @@ def _entries(entries, alpha=None):
     return D, _BoxSet(D, _cube_rows(cube for cube, _ in entries)), [lam for _, lam in entries]
 
 
+def _share_dilation(cubes, D, what: str) -> None:
+    """Raise InputInvalidError unless every cube has the entries' dilation D."""
+    if any(Q.dilation is not D for Q in cubes):
+        raise InputInvalidError(f"{what} must share the entries' dilation structure")
+
+
 class _BoxSet:
     """Pullback boxes of one call's cube rows, one (N, d) set per grid level.
 
@@ -547,12 +553,17 @@ def _merge_nested(D, selected, assigned):
 
 
 def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16.0) -> CheckReport:
-    """Re-check disjointness and the three defining conditions with witnesses."""
-    _, entry_boxes, masses = _entries(entries, alpha)
-    report = CheckReport()
+    """Re-check disjointness and the three defining conditions with witnesses.
+
+    Raises InputInvalidError when the entries or alpha are invalid, or when
+    a selected cube does not share the entries' dilation.
+    """
+    D, entry_boxes, masses = _entries(entries, alpha)
     selected = result.selected
+    _share_dilation(selected, D, "selected cubes")
+    report = CheckReport()
     s_rows = _cube_rows(selected)
-    s_boxes = _BoxSet(selected[0].dilation if selected else None, s_rows)
+    s_boxes = _BoxSet(D, s_rows)
 
     ok, witness = True, None
     pairs = np.argwhere(np.triu(s_boxes.overlap_matrix(), 1))
@@ -690,14 +701,15 @@ class StoppingResult:
 def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     """Run the two-parameter stopping loop over scales (sigma, tau).
 
-    S_list holds pairwise disjoint sigma = 0 cubes; every entry cube must sit
-    inside the double of at least one of them.  Stages run from tau0 - 1 down
-    to the finest entry level.  Within a stage, sigma descends while at least
-    one live entry still fits inside a double at that scale; all doubles whose
-    live mass exceeds alpha 2^sigma a^tau are selected simultaneously, and the
-    entries inside them stop with kappa = tau + 1.  Entries that survive to
-    their own stage stop against their hosting S.  A final repair pass lifts
-    kappa to tau(S) + 1 over every S whose double holds the entry.
+    S_list holds pairwise disjoint sigma = 0 cubes under the entries'
+    dilation; every entry cube must sit inside the double of at least one of
+    them.  Stages run from tau0 - 1 down to the finest entry level.  Within
+    a stage, sigma descends while at least one live entry still fits inside
+    a double at that scale; all doubles whose live mass exceeds
+    alpha 2^sigma a^tau are selected simultaneously, and the entries inside
+    them stop with kappa = tau + 1.  Entries that survive to their own stage
+    stop against their hosting S.  A final repair pass lifts kappa to
+    tau(S) + 1 over every S whose double holds the entry.
     """
     D, boxes, masses = _entries(entries, alpha)
     if not entries:
@@ -707,6 +719,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     for s_cube in S_list:
         if s_cube.sigma != 0:
             raise InputInvalidError("S cubes must live on the sigma = 0 grid")
+    _share_dilation(S_list, D, "S cubes")
 
     s_rows = _cube_rows(S_list)
     # each S's (tau, *index), and its tau
@@ -877,12 +890,13 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     the same points.
 
     Raises InputInvalidError when entries is empty or invalid, when alpha
-    is not positive and finite, or when kappa or assigned_primitive misses
-    an entry.
+    is not positive and finite, when an S cube does not share the entries'
+    dilation, or when kappa or assigned_primitive misses an entry.
     """
     D, boxes, masses = _entries(entries, alpha)
     if not entries:
         raise InputInvalidError("verify_stopping needs at least one entry")
+    _share_dilation(S_list, D, "S cubes")
     for name in ("kappa", "assigned_primitive"):
         missing = set(range(len(entries))) - getattr(result, name).keys()
         if missing:

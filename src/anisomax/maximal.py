@@ -4,10 +4,13 @@ The measure is a node cloud with weights (a full quadrature measure or a
 single partition piece).  Convolving an atomic sum with its dilate by A^k
 adds one copy of the atom profile per displaced measure node, on the
 lattice cells of that node's window (the support cube's box, shifted).
-Under a diagonal A every profile is a product of 1-D factors, so each
-atom's sum over the nodes is one separable contraction of per-axis factor
-matrices; any other A keeps the windowed scatter, one atom evaluation per
-atom and node, which is also the test oracle.  The maximal field is the
+At each k one window pass over the stacked (atoms, nodes) boxes finds
+every node window.  Under a diagonal A every profile is a product of 1-D
+factors, so each atom's sum over the nodes is one separable contraction of
+per-axis factor matrices, whose factors are evaluated only on the (cell,
+node) entries inside the windows, each factor kind in one call over all
+atoms; any other A keeps the windowed scatter, one atom evaluation per atom
+and node, which is also the test oracle.  The maximal field is the
 pointwise sup of |mu_k * f| over a finite k range, with a reported tail
 criterion in place of k in Z.
 
@@ -102,11 +105,6 @@ class Lattice:
             return None
         return tuple(slice(int(a), int(b) + 1) for a, b in zip(first, last))
 
-    def window_points(self, slices) -> np.ndarray:
-        axes = [self.axis_centers(j)[slices[j]] for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
 
 def make_lattice(box, shape) -> Lattice:
     """Lattice over the axis-aligned box with the given cell counts."""
@@ -168,63 +166,106 @@ def _min_atom_diameter(f: AtomicSum) -> float:
     return min(cube_diameter(f.dilation, tau) for tau in taus)
 
 
-def _add_scatter(lattice, atom, weights, shifted, first, last):
+def _add_scatter(centers, atom, weights, shifted, first, last):
     """Yield (slices, block), block = weights_i atom(x - shifted_i) on the
     slices of node i's window, one node at a time.
 
     Each node's atom is evaluated once, on the cells of its window, the
-    lattice cells whose centers lie in the node's shifted support box.
+    lattice cells whose centers (centers, per axis) lie in the node's
+    shifted support box.
     """
     for i in range(len(weights)):
         slices = tuple(slice(a, b + 1) for a, b in zip(first[i], last[i]))
-        local = lattice.window_points(slices) - shifted[i]
-        shape = tuple(b - a + 1 for a, b in zip(first[i], last[i]))
-        yield slices, weights[i] * atom.evaluate(local).reshape(shape)
+        mesh = np.meshgrid(*[c[s] for c, s in zip(centers, slices)], indexing="ij")
+        local = np.column_stack([m.ravel() for m in mesh]) - shifted[i]
+        yield slices, weights[i] * atom.evaluate(local).reshape(mesh[0].shape)
 
 
-def _add_separable(lattice, atom, weights, shifted, first, last) -> list:
-    """[(slices, block)], block = sum_i weights_i atom(x - shifted_i) on
-    the union of the node windows, under a diagonal A.
+def _axis_entries(f: AtomicSum, centers, shifted, atoms, nodes, first, last) -> list:
+    """Per axis j, (cells, factors, bounds, counts) over the live (atom, node)
+    pairs of one k, pair p being node nodes[p] of term atoms[p] with window
+    first[p]..last[p], atom-major.
+
+    Pair p's counts[p] entries are bounds[p]:bounds[p + 1]: its window's
+    cells, ascending, and there that atom's axis_factor(j, u), u computed as
+    Atom.evaluate computes it.  A factor depends on its atom only through
+    the profile and whether j is the split axis, so each such kind is
+    evaluated in one call over all its atoms' entries.
+    """
+    supports = [atom.support for atom, _ in f.terms]
+    scale = np.array([np.diag(Q.dilation.power(-Q.tau)) for Q in supports])
+    index = np.array([Q.index for Q in supports], dtype=float)
+    out = []
+    for j, x in enumerate(centers):
+        counts = last[:, j] - first[:, j] + 1
+        bounds = np.zeros(len(counts) + 1, dtype=int)
+        np.cumsum(counts, out=bounds[1:])
+        cells = np.repeat(first[:, j] - bounds[:-1], counts)
+        cells += np.arange(bounds[-1])
+        u = x[cells]
+        u -= np.repeat(shifted[nodes, j], counts)
+        u *= np.repeat(scale[atoms, j], counts)
+        u -= np.repeat(index[atoms, j], counts)
+        kinds = {}
+        kind = [kinds.setdefault((atom.profile, j == atom.axis), len(kinds))
+                for atom, _ in f.terms]
+        if len(kinds) == 1:
+            factors = f.terms[0][0].axis_factor(j, u)
+        else:
+            factors = np.empty_like(u)
+            of_pair = np.array(kind)[atoms]
+            for g in range(len(kinds)):
+                picked = np.repeat(of_pair == g, counts)
+                factors[picked] = f.terms[kind.index(g)][0].axis_factor(j, u[picked])
+        out.append((cells, factors, bounds, counts))
+    return out
+
+
+def _add_separable(atom, weights, entries, pairs: slice, lo, hi) -> np.ndarray:
+    """sum_i weights_i atom(x - shifted_i) on the union lo..hi of the node
+    windows, under a diagonal A.
 
     The atom is amplitude x prod_j axis_factor(j, u_j), and under a diagonal
     A the local coordinate u_j depends on x_j alone.  G_j[c, i] is the axis-j
-    factor at cell c for node i, with u_j computed as Atom.evaluate computes
-    it and zeroed outside node i's window, so the result is the scatter
+    factor at cell c for node i: entries (_axis_entries) holds it only on
+    the (cell, node) entries inside node i's window, for the term's live
+    pairs, and it is scattered into zeros, so the result is the scatter
     path's up to summation order.  The sum over nodes is one contraction of
     the G_j over the union of the node windows: a Khatri-Rao product of all
     axes but the last, then one matrix product.  The block is computed
     before the call returns, so the factor matrices are freed before it is
     added.
     """
-    cube = atom.support
-    scale = np.diag(cube.dilation.power(-cube.tau))
-    lo, hi = first.min(axis=0), last.max(axis=0)
+    n = len(weights)
     factors = []
-    for j in range(lattice.dim):
-        cells = np.arange(lo[j], hi[j] + 1)[:, None]
-        x = lattice.axis_centers(j)[lo[j]:hi[j] + 1, None]
-        u = (x - shifted[:, j]) * scale[j] - float(cube.index[j])
-        in_window = (cells >= first[:, j]) & (cells <= last[:, j])
-        factors.append(np.where(in_window, atom.axis_factor(j, u), 0.0))
+    for (cells, values, bounds, counts), a, b in zip(entries, lo, hi):
+        e = slice(bounds[pairs.start], bounds[pairs.stop])
+        g = np.zeros((b - a + 1, n))
+        g[cells[e] - a, np.repeat(np.arange(n), counts[pairs])] = values[e]
+        factors.append(g)
     # the Khatri-Rao product starts from G_0 itself, not from 1 x G_0
-    rows = factors[0] if lattice.dim > 1 else np.ones((1, len(weights)))
+    rows = factors[0] if len(factors) > 1 else np.ones((1, n))
     for g in factors[1:-1]:
-        rows = (rows[:, None, :] * g[None, :, :]).reshape(-1, len(weights))
-    block = rows @ ((weights * atom.amplitude)[:, None] * factors[-1].T)
-    return [(tuple(slice(a, b + 1) for a, b in zip(lo, hi)),
-             block.reshape(tuple(hi - lo + 1)))]
+        rows = (rows[:, None, :] * g[None, :, :]).reshape(-1, n)
+    # weighting the last factor in place: its transpose's layout, and so
+    # the matrix product, is that of a weighted copy
+    last = factors[-1]
+    last *= weights * atom.amplitude
+    return (rows @ last.T).reshape(tuple(hi - lo + 1))
 
 
-def _support_boxes(f: AtomicSum, lattice: Lattice) -> list:
-    """Each atom's support bbox, once the lattice passes the resolution guard."""
+def _support_boxes(f: AtomicSum, lattice: Lattice):
+    """Every atom's support bbox, stacked as (lo, hi) of shape (atoms, d),
+    once the lattice passes the resolution guard."""
     if not f.terms:
-        return []
+        return np.empty((0, lattice.dim)), np.empty((0, lattice.dim))
     min_diam = _min_atom_diameter(f)
     if max(lattice.spacing) > min_diam / 8.0:
         raise ResolutionTooCoarseError(
             f"lattice spacing {max(lattice.spacing):.4g} exceeds an eighth "
             f"of the smallest atom diameter {min_diam:.4g}")
-    return [atom.support.realize().bbox() for atom, _ in f.terms]
+    lo, hi = zip(*(atom.support.realize().bbox() for atom, _ in f.terms))
+    return np.array(lo), np.array(hi)
 
 
 def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
@@ -234,27 +275,40 @@ def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
     Node p of a term touches only the cells of its window, those whose
     centers lie in the atom's support box (boxes, from _support_boxes)
     shifted by A^k p; nodes whose window misses the lattice are dropped.
-    region is the box holding every live window, and blocks yields
-    (slices, block) pairs whose sum, added in turn, is the term's
-    contribution.  Under a diagonal A that is one separable contraction
-    per atom (_add_separable); any other A keeps the windowed scatter
-    (_add_scatter), one atom evaluation per atom and node, which is also
-    the test oracle for the separable path.
+    Every atom's node windows come from one window_bounds pass over the
+    stacked (atoms, nodes, d) boxes.  region is the box holding every live
+    window, and blocks yields (slices, block) pairs whose sum, added in
+    turn, is the term's contribution.  Under a diagonal A that is one
+    separable contraction per atom (_add_separable); any other A keeps the
+    windowed scatter (_add_scatter), one atom evaluation per atom and node,
+    which is also the test oracle for the separable path.
     """
     D = f.dilation
     w = measure.quad_weights
     shifted = measure.quad_points @ D.power(k).T
-    add = _add_separable if _is_diagonal(D.matrix) else _add_scatter
-    for (atom, lam), (blo, bhi) in zip(f.terms, boxes):
-        first, last = lattice.window_bounds(blo + shifted, bhi + shifted)
-        live = np.flatnonzero(np.all(first <= last, axis=1))
-        if not live.size:
+    blo, bhi = boxes
+    first, last = lattice.window_bounds(blo[:, None] + shifted, bhi[:, None] + shifted)
+    atoms, nodes = np.nonzero(np.all(first <= last, axis=2))
+    first, last = first[atoms, nodes], last[atoms, nodes]
+    starts = np.searchsorted(atoms, np.arange(len(f.terms) + 1))
+    centers = [lattice.axis_centers(j) for j in range(lattice.dim)]
+    separable = _is_diagonal(D.matrix)
+    if separable:
+        entries = _axis_entries(f, centers, shifted, atoms, nodes, first, last)
+    for t, (atom, lam) in enumerate(f.terms):
+        pairs = slice(starts[t], starts[t + 1])
+        if pairs.start == pairs.stop:
             yield None
             continue
-        first, last = first[live], last[live]
-        region = tuple(slice(a, b + 1)
-                       for a, b in zip(first.min(axis=0), last.max(axis=0)))
-        yield region, add(lattice, atom, lam * w[live], shifted[live], first, last)
+        lo, hi = first[pairs].min(axis=0), last[pairs].max(axis=0)
+        region = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        weights = lam * w[nodes[pairs]]
+        if separable:
+            blocks = [(region, _add_separable(atom, weights, entries, pairs, lo, hi))]
+        else:
+            blocks = _add_scatter(centers, atom, weights, shifted[nodes[pairs]],
+                                  first[pairs], last[pairs])
+        yield region, blocks
 
 
 def _add_blocks(blocks, arrays) -> None:
@@ -367,7 +421,7 @@ class _RunningSup:
             best = self.best[slices]
             gained = np.greater(fk, best, out=pool.flags[slices])
             np.copyto(self.argmax[slices], k, where=gained)
-            np.maximum(best, fk, out=best)
+            np.copyto(best, fk, where=gained)
         if self.scratch is not None:
             for slices in regions:
                 self.scratch[slices] = 0.0

@@ -425,6 +425,15 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
     tau_lo, tau_hi = int(tau_window[0]), int(tau_window[1])
     a = D.det_scale
     curvature_cut = 2.0 ** (-eps * s)
+    # per tau, finest first: the mass threshold and the measure of the cube's
+    # parameter window, the projection of an A^tau cell onto the graph
+    # coordinates; no grid cube at that level can hold more mass than the
+    # density cap times this window
+    levels = []
+    for tau in range(tau_hi, tau_lo - 1, -1):
+        threshold = (2.0 ** (zeta * s)) * a ** tau / cube_diameter(D, tau)
+        window = float(np.prod(np.sum(np.abs(D.power(tau)[:-1, :]), axis=1)))
+        levels.append((tau, threshold, window))
 
     for piece in pieces:
         kvals = np.abs(gaussian_curvature(surface, piece.param_points))
@@ -441,13 +450,7 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
         sup_bump = float(np.max(bump_vals)) if bump_vals.size else 0.0
         pts = surface.points(y)
         worst_ratio, worst_tau = 0.0, None
-        for tau in range(tau_hi, tau_lo - 1, -1):
-            threshold = (2.0 ** (zeta * s)) * a ** tau / cube_diameter(D, tau)
-            # No grid cube at this level can hold more mass than the density
-            # cap times the measure of the cube's parameter window, which is
-            # the projection of an A^tau cell onto the graph coordinates.
-            power = D.power(tau)
-            window = float(np.prod(np.sum(np.abs(power[:-1, :]), axis=1)))
+        for tau, threshold, window in levels:
             analytic = sup_bump * window
             if analytic <= threshold:
                 ratio = analytic / threshold

@@ -788,6 +788,28 @@ def test_entries_of_two_dilations_are_rejected(diag_dilation):
             call(entries, 1.0)
 
 
+def test_cubes_of_another_dilation_than_the_entries_are_rejected(diag_dilation):
+    # an S cube under diag(4, 2) beside a diag(2, 4) entry: its row was read
+    # under the entries' dilation, and both verifiers passed the result
+    other = validate_dilation([[4, 0], [0, 2]])
+    S_list, entries, res = _one_entry_stopping(diag_dilation)
+    wres = whitney_decompose(entries, 1.0)
+    S = GridCube(0, 0, (0, 0), other)
+    entry = [(GridCube(0, -1, (0, 0), diag_dilation), 1.0)]
+    with pytest.raises(InputInvalidError, match="S cubes must share the entries' dilation"):
+        stopping_time([S], entry, 1.0)
+    with pytest.raises(InputInvalidError, match="S cubes must share the entries' dilation"):
+        verify_stopping(res, [S], entries, 1.0)
+    foreign = dataclasses.replace(wres, selected=[S])
+    with pytest.raises(InputInvalidError,
+                       match="selected cubes must share the entries' dilation"):
+        verify_whitney(foreign, entries, 1.0)
+    # an equal matrix validated twice is another structure, as for entries
+    twin = GridCube(0, 0, (0, 0), validate_dilation([[2, 0], [0, 4]]))
+    with pytest.raises(InputInvalidError, match="S cubes must share"):
+        stopping_time([twin], entry, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # stopping time: pipeline instances and verification
 

@@ -9,8 +9,11 @@ Frozen reference values:
 """
 
 import collections
+import hashlib
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,12 +243,27 @@ def _profile_sum(D, profile, cubes, seed=3):
     return AtomicSum(terms=terms, dilation=D)
 
 
-@pytest.mark.parametrize("profile", ["haar", "bump", "plateau"])
+def _mixed_sum(D):
+    """Haar, bump and plateau atoms split along different axes, so that
+    every axis sees several factor kinds."""
+    f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 2)), (0, (-2, -1))])
+    f.terms.append((make_atom(GridCube(0, 0, (1, -2), D), "haar", seed=1), 0.6))
+    f.terms.append((make_atom(GridCube(0, -1, (-3, 1), D), "haar", seed=5), 1.1))
+    Q = GridCube(0, -1, (2, -1), D)
+    f.terms.append((Atom(support=Q, profile="plateau", axis=1,
+                         amplitude=1.0 / Q.volume), 0.9))
+    return f
+
+
+@pytest.mark.parametrize("profile", ["haar", "bump", "plateau", "mixed"])
 @pytest.mark.parametrize("matrix", [[[2.0, 0.0], [0.0, 4.0]],
                                     [[4.0, 0.0], [0.0, 2.0]]])
 def test_separable_matches_scatter(profile, matrix, monkeypatch):
     D = validate_dilation(matrix)
-    f = _profile_sum(D, profile, [(0, (0, 0)), (0, (-2, 1)), (-1, (3, -2))])
+    if profile == "mixed":
+        f = _mixed_sum(D)
+    else:
+        f = _profile_sum(D, profile, [(0, (0, 0)), (0, (-2, 1)), (-1, (3, -2))])
     arc = _circle_measure(48)
     meas = _distinct_weights(arc)
     lat = make_lattice([(-3.0, 3.0), (-3.0, 3.0)], (160, 160))
@@ -342,6 +360,56 @@ def test_separable_nodes_leaving_the_lattice(monkeypatch):
         assert 0 < live.sum() < len(live)
         got = convolve_dilated(f, meas, k, lat).values
         _assert_same_field(got, _scatter_field(f, meas, k, lat, monkeypatch))
+
+
+def test_separable_evaluates_factors_on_window_entries_only(monkeypatch):
+    # one window pass per k finds every atom's node windows, and each axis
+    # factor kind is evaluated in one call, on exactly the (cell, node)
+    # entries of the live nodes' windows rather than on the union boxes
+    D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+    f = _mixed_sum(D)
+    assert {(a.profile, a.axis) for a, _ in f.terms} >= {
+        ("bump", 0), ("bump", 1), ("haar", 0), ("haar", 1)}
+    meas = _distinct_weights(_circle_measure(48))
+    lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (208, 144))
+    calls = collections.Counter()
+    sizes = collections.Counter()
+    axis_factor, window_bounds = Atom.axis_factor, Lattice.window_bounds
+
+    def factor(self, j, u):
+        calls[j] += 1
+        sizes[j] += np.size(u)
+        return axis_factor(self, j, u)
+
+    def bounds(self, lo, hi):
+        calls["window_bounds"] += 1
+        return window_bounds(self, lo, hi)
+
+    monkeypatch.setattr(Atom, "axis_factor", factor)
+    monkeypatch.setattr(Lattice, "window_bounds", bounds)
+    for k in (0, 2):
+        calls.clear()
+        sizes.clear()
+        convolve_dilated(f, meas, k, lat)
+        shifted = meas.quad_points @ D.power(k).T
+        entries, union = collections.Counter(), collections.Counter()
+        for atom, _ in f.terms:
+            lo, hi = atom.support.realize().bbox()
+            first, last = window_bounds(lat, lo + shifted, hi + shifted)
+            live = np.all(first <= last, axis=1)
+            first, last = first[live], last[live]
+            for j in range(2):
+                entries[j] += int(np.sum(last[:, j] - first[:, j] + 1))
+                union[j] += (last[:, j].max() - first[:, j].min() + 1) * live.sum()
+        assert calls["window_bounds"] == 1
+        for j in range(2):
+            kinds = {(a.profile, j == a.axis) for a, _ in f.terms}
+            assert calls[j] == len(kinds)
+            assert sizes[j] == entries[j]
+        if k == 2:
+            # the dilated arc spreads the windows: the union boxes hold
+            # several times the window entries
+            assert union[0] + union[1] > 3 * (entries[0] + entries[1])
 
 
 def test_non_diagonal_dilation_takes_the_scatter(monkeypatch):
@@ -851,6 +919,123 @@ def test_weak_type_rejects_zero_norm():
         weak_type_report(weightless, _circle_measure(), (0, 1), lat)
 
 
+# ------------------------------------------------- golden digests, as recorded
+
+
+GOLDEN_FILE = Path(__file__).parent / "data" / "maximal_golden.txt"
+
+
+def _shifted_arc(n_gl, offset):
+    """The circle arc's nodes moved by offset, with distinct weights."""
+    arc = _distinct_weights(_circle_measure(n_gl))
+    return types.SimpleNamespace(quad_points=arc.quad_points + offset,
+                                 quad_weights=arc.quad_weights)
+
+
+def _golden_case(name):
+    """(atomic sum, measure, k_range, lattice) of one golden case.
+
+    Each measure sits off the origin, so at the upper k some node windows
+    lie partly or wholly off the lattice.
+    """
+    if name == "diag(4,2) bump":
+        # the pipeline shape: bump atoms at taus 0, -1, -2
+        D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+        f = _profile_sum(D, "bump", [(0, (0, 0)), (0, (-2, -1)), (-1, (1, 0)),
+                                     (-1, (2, 1)), (-2, (3, 2))])
+        return f, _shifted_arc(32, [0.75, 0.5]), (-1, 3), make_lattice(
+            [(-3.0, 3.0), (-2.0, 2.0)], (208, 144))
+    if name == "diag(2,4) haar":
+        # the weak-type shape: haar atoms over three taus
+        D = _diag24()
+        f = _profile_sum(D, "haar", [(0, (0, 0)), (0, (-2, 1)), (-1, (1, -2)),
+                                     (-1, (-1, 0)), (-2, (2, 3))])
+        return f, _shifted_arc(32, [-0.5, 0.25]), (-2, 2), make_lattice(
+            [(-3.0, 3.0), (-3.0, 3.0)], (192, 192))
+    if name == "[[4,1],[1,3]] bump":
+        # the windowed scatter
+        D = validate_dilation([[4.0, 1.0], [1.0, 3.0]])
+        f = _profile_sum(D, "bump", [(0, (0, 0)), (0, (-1, 1)), (-1, (1, 0))])
+        return f, _shifted_arc(16, [0.5, -0.25]), (-1, 2), make_lattice(
+            [(-3.0, 3.0), (-3.0, 3.0)], (96, 96))
+    if name == "diag(2,3,4) haar+bump":
+        D = validate_dilation(np.diag([2.0, 3.0, 4.0]))
+        f = _profile_sum(D, "bump", [(0, (0, 0, 0)), (0, (-1, 1, -2))])
+        f.terms.append((make_atom(GridCube(0, 0, (1, -1, 0), D), "haar", seed=7), 0.8))
+        para = _distinct_weights(surface_quadrature(make_surface("paraboloid", dim=3), 8))
+        nodes = types.SimpleNamespace(quad_points=para.quad_points + [0.5, -0.25, 0.25],
+                                      quad_weights=para.quad_weights)
+        return f, nodes, (-1, 1), make_lattice([(-3.0, 3.0)] * 3, (32, 36, 40))
+    if name == "diag(2) haar+bump":
+        D = validate_dilation([[2.0]])
+        f = _profile_sum(D, "bump", [(0, (0,)), (-1, (3,)), (-2, (-5,))])
+        f.terms.append((make_atom(GridCube(0, -1, (1,), D), "haar", seed=2), 1.3))
+        nodes = types.SimpleNamespace(quad_points=np.array([[0.1], [0.35], [-0.4], [1.2]]),
+                                      quad_weights=np.array([0.5, 0.3, 0.7, 0.2]))
+        return f, nodes, (-1, 3), make_lattice([(-3.0, 3.0)], (200,))
+    raise KeyError(name)
+
+
+GOLDEN_CASES = ("diag(4,2) bump", "diag(2,4) haar", "[[4,1],[1,3]] bump",
+                "diag(2,3,4) haar+bump", "diag(2) haar+bump")
+
+
+def _field_digest(fld):
+    h = hashlib.sha256(fld.values.tobytes())
+    argmax = fld.provenance.get("argmax_k")
+    if argmax is not None:
+        h.update(argmax.dtype.str.encode() + argmax.tobytes())
+        h.update(repr(fld.provenance["tail_fractions"]).encode())
+    return h.hexdigest()[:16]
+
+
+def golden_digests(name):
+    """Digests of the case's convolve_dilated field at each k, its
+    maximal_field, and every weak_type_reports field (each tau group,
+    then f): values, argmax_k bytes and tail fractions."""
+    f, measure, (lo, hi), lat = _golden_case(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        fields = [convolve_dilated(f, measure, k, lat) for k in range(lo, hi + 1)]
+        fields.append(maximal_field(f, measure, (lo, hi), lat))
+        reports = weak_type_reports(f, measure, (lo, hi), lat, None)
+        fields += [mf for _, mf, _, _ in reports.values()]
+    return [_field_digest(fld) for fld in fields]
+
+
+def _read_golden():
+    recorded = {}
+    for line in GOLDEN_FILE.read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, digests = line.split(": ", 1)
+            recorded[name] = digests.split()
+    return recorded
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_maximal_outputs_match_the_golden_digests(name):
+    # a faster engine must reproduce every field, argmax and tail
+    # fraction bit for bit, on the separable path and on the scatter
+    recorded = _read_golden()[name]
+    got = golden_digests(name)
+    assert len(got) == len(recorded)
+    changed = [k for k, (a, b) in enumerate(zip(got, recorded)) if a != b]
+    assert not changed, f"{name}: fields {changed} changed"
+
+
+def record_golden():
+    lines = [
+        "# Digests of the maximal engine's outputs, one line per case of",
+        "# _golden_case in tests/test_maximal.py: convolve_dilated at each k,",
+        "# maximal_field, then every weak_type_reports field.  Re-record only",
+        "# when an output is meant to change, and say why in CHANGES.md:",
+        "#     PYTHONPATH=src python tests/test_maximal.py --record-golden",
+    ]
+    lines += [f"{name}: {' '.join(golden_digests(name))}" for name in GOLDEN_CASES]
+    GOLDEN_FILE.parent.mkdir(exist_ok=True)
+    GOLDEN_FILE.write_text("\n".join(lines) + "\n")
+
+
 # ----------------------------------------------------------------- export
 
 
@@ -880,3 +1065,8 @@ def test_binary_truncated_file_is_invalid_input(tmp_path, keep):
     with pytest.raises(InputInvalidError, match="truncated"):
         read_field_binary(path)
 
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record-golden"]:
+        sys.exit("usage: python tests/test_maximal.py --record-golden")
+    record_golden()

@@ -20,8 +20,9 @@ from numpy.polynomial.legendre import leggauss
 from hypothesis import strategies as st
 from pytest import approx
 
+from anisomax import surface
 from anisomax.atoms import Atom, AtomicSum, make_atom
-from anisomax.dilation import validate_dilation
+from anisomax.dilation import cube_diameter, validate_dilation
 from anisomax.errors import (
     BudgetExceededError,
     DegenerateFitError,
@@ -337,6 +338,24 @@ def test_classify_monotone_exclusion():
         if was_in:
             assert now_in
     assert sum(loose) >= sum(tight)
+
+
+def test_classify_sizes_each_tau_once(monkeypatch):
+    # the mass threshold and the parameter window depend on tau alone, so
+    # one classification of many pieces asks for each tau's diameter once
+    quart = make_surface("quartic-flat")
+    D = _transversal()
+    pieces = partition_measure(quart, s=8, eps=EPS)
+    assert len(pieces) > 1
+    asked = []
+
+    def counting(D, tau):
+        asked.append(tau)
+        return cube_diameter(D, tau)
+
+    monkeypatch.setattr(surface, "cube_diameter", counting)
+    classify_pieces(pieces, quart, D, eps=EPS, zeta=ZETA, tau_window=(-6, 0))
+    assert asked == list(range(0, -7, -1))
 
 
 def test_classify_input_validation():
