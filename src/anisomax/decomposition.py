@@ -24,11 +24,17 @@ _star_groups answer for a whole list at once.  Masses are still summed one
 entry at a time, in entry order, with _left_sum, and a step whose whole
 mass is within its bound is skipped (_star_groups says why that is exact).
 
+An exceptional primitive keeps only (kind, cube, volume_term); its region,
+a grid.TendrilBound or the Parallelepiped 4S, is built on demand by the
+caller that asks it questions.  stopping_time writes every volume_term,
+and exceptional_volume sums them against the bound of check (i), for
+verify_stopping and for full-pipeline's exceptional_volume line alike.
+
 verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
 the exceptional set, certifies from geometry before it samples
 (_certified_dilates, every tendril-owned entry in one stacked pass).  It
 draws random points only when some pair is left, and asks each primitive
-through its frame(), built at most once per call.
+through its region(), built at most once per call.
 """
 
 from dataclasses import dataclass, field
@@ -650,10 +656,11 @@ class ExceptionalPrimitive:
 
     region() builds the set itself on each call, the TendrilBound of cube
     for kind "tendril" and the Parallelepiped 4S (S = cube) for kind "quad";
-    a caller with many questions for one primitive asks its frame() once.
-    volume_term is the number this primitive contributes when the size of
-    the exceptional set is summed: the geometric scale 2^sigma a^tau for
-    tendril bounds and the exact volume 4^d |S| for quadrupled cubes.
+    a caller with many questions for one primitive builds its region() once
+    and asks that.  volume_term is the number this primitive contributes
+    when the size of the exceptional set is summed (exceptional_volume):
+    stopping_time writes the geometric scale 2^sigma a^tau for tendril
+    bounds and the exact volume 4^d |S| for quadrupled cubes.
     """
 
     kind: str
@@ -663,24 +670,8 @@ class ExceptionalPrimitive:
     def region(self) -> TendrilBound | Parallelepiped:
         return tendril_of(self.cube) if self.kind == "tendril" else expand_cube(self.cube, 4.0)
 
-    def frame(self):
-        """What one call asks membership of: a tendril's frame, or 4S itself."""
-        region = self.region()
-        return region.frame() if self.kind == "tendril" else region
-
     def contains_points(self, points) -> np.ndarray:
         return self.region().contains_points(points)
-
-    @property
-    def axis_aligned(self) -> bool:
-        """True under a diagonal A, where contains_grid answers."""
-        return self.region().axis_aligned
-
-    def contains_grid(self, axes) -> np.ndarray:
-        return self.region().contains_grid(axes)
-
-    def bbox(self):
-        return self.region().bbox()
 
 
 @dataclass
@@ -810,8 +801,9 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
 
     # the tendril bounds in scale order, then the quadrupled S cubes
     q_keys = sorted(selected_qs)
-    exceptional = [ExceptionalPrimitive("tendril", b.cube, b.scale)
-                   for b in (tendril_of(GridCube(*key, D)) for key in q_keys)]
+    exceptional = [ExceptionalPrimitive("tendril", GridCube(sigma, tau, n, D),
+                                        (2.0 ** sigma) * (a ** tau))
+                   for sigma, tau, n in q_keys]
     exceptional += [ExceptionalPrimitive("quad", S, (4.0 ** D.dim) * S.volume) for S in S_list]
     primitive_of_q = {key: p for p, key in enumerate(q_keys)}
     for i in range(len(entries)):
@@ -833,11 +825,11 @@ def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarra
     primitive.
 
     Decided from geometry alone.  The entries owned by tendril bounds are
-    decided together by grid.tendrils_cover_dilates, over the stacked frames
-    of their owners; each quad owner asks Parallelepiped.covers_dilates once
-    about its entries and the distinct levels among them.  A True pair's
-    samples are all accepted by that primitive; a False pair says nothing
-    and is left to sampling.
+    decided together by grid.tendrils_cover_dilates, over the stacked
+    pullbacks of their owners; each quad owner asks
+    Parallelepiped.covers_dilates once about its entries and the distinct
+    levels among them.  A True pair's samples are all accepted by that
+    primitive; a False pair says nothing and is left to sampling.
     """
     D = boxes.D
     primitives = result.exceptional
@@ -863,13 +855,25 @@ def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarra
     return out
 
 
+def exceptional_volume(result: StoppingResult, S_list, entries, alpha: float,
+                       C: float = 100.0):
+    """Check (i)'s pair (total, bound): the volume_terms of the exceptional
+    primitives summed, and C (alpha^-1 sum lam + sum |S|).  Every sum is
+    taken with _left_sum, in list order."""
+    total = _left_sum(p.volume_term for p in result.exceptional)
+    bound = C * (_left_sum(lam for _, lam in entries) / alpha
+                 + _left_sum(S.volume for S in S_list))
+    return total, bound
+
+
 def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
                     C: float = 100.0, C_iv: float = 32.0, seed: int = 0) -> CheckReport:
     """Re-check the four defining conditions of the stopping construction.
 
     (i) the summed volume terms of the exceptional primitives are controlled
-    by C (alpha^-1 sum lam + sum |S|); (ii) dilates of each entry at levels
-    kappa - 1, kappa - 3 and kappa - 8 land inside the exceptional set;
+    by C (alpha^-1 sum lam + sum |S|), both sums read from
+    exceptional_volume; (ii) dilates of each entry at levels kappa - 1,
+    kappa - 3 and kappa - 8 land inside the exceptional set;
     (iii) kappa exceeds tau(S) for every S whose double holds the entry;
     (iv) at every recorded step (sigma, tau), mass already stopped
     (kappa <= tau) stacks to at most C_iv alpha 2^sigma a^tau inside any
@@ -905,8 +909,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     a = D.det_scale
     s_rows = _cube_rows(S_list)
 
-    lhs = _left_sum(p.volume_term for p in result.exceptional)
-    rhs = C * (_left_sum(masses) / alpha + _left_sum(s.volume for s in S_list))
+    lhs, rhs = exceptional_volume(result, S_list, entries, alpha, C)
     report.add("i_volume_sum", lhs <= rhs,
                None if lhs <= rhs else f"{lhs:.6g} > {rhs:.6g}")
 
@@ -924,8 +927,8 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             ball = ball * (rng.random((n, 1)) ** (1.0 / D.dim))
             # samples are built as (d, n) columns; pts is their (n, d) view
             ball = np.ascontiguousarray(ball.T)
-            # primitive index -> its frame(), built on first ask
-            frame = cache(lambda p: result.exceptional[p].frame())
+            # primitive index -> its region(), built on first ask
+            region = cache(lambda p: result.exceptional[p].region())
             origin, basis = cube_frames(D, boxes.scale, boxes.index)
             due = 0  # the first entry whose uniforms are not yet drawn
         if i > due:
@@ -938,14 +941,14 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             if sure:
                 continue
             pts = (x + D.power(j) @ ball).T
-            inside = frame(result.assigned_primitive[i]).contains_points(pts)
+            inside = region(result.assigned_primitive[i]).contains_points(pts)
             if not np.all(inside):
                 missing = np.where(~inside)[0]
                 rest = np.zeros(len(missing), dtype=bool)
                 for p_idx in range(len(result.exceptional)):
                     if p_idx == result.assigned_primitive[i]:
                         continue
-                    rest |= frame(p_idx).contains_points(pts[missing])
+                    rest |= region(p_idx).contains_points(pts[missing])
                     if np.all(rest):
                         break
                 if not np.all(rest):

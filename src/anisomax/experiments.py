@@ -19,6 +19,7 @@ from . import __version__
 from .decomposition import (
     STOPPING_SAMPLES,
     CheckReport,
+    exceptional_volume,
     stopping_time,
     verify_stopping,
     verify_whitney,
@@ -301,13 +302,11 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
                    [(p.kind, p.volume_term) for p in sres.exceptional])
         summary.add("stopping", srep.passed,
                     "; ".join(n for n, _ in srep.failures()) or "all checks hold")
-        e_volume = sum(p.volume_term for p in sres.exceptional)
-        bound = config.constants["c_stop"] * (
-            sum(lam for _, lam in kept) / alpha
-            + sum(S.volume for S in wres.selected))
+        e_volume, bound = exceptional_volume(sres, wres.selected, kept, alpha,
+                                             config.constants["c_stop"])
         summary.add("exceptional_volume", e_volume <= bound,
                     f"sum={e_volume!r} vs bound={bound!r}")
-        exclude = sres.exceptional
+        exclude = [p.region() for p in sres.exceptional]
     else:
         _write_csv(out / "kappa_hist.csv", ["kappa", "count"], [])
         _write_csv(out / "exceptional_volume.csv", ["kind", "volume_term"], [])

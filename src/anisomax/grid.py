@@ -14,19 +14,20 @@ calls: row_volume (the scalar power, in Python floats), row_tau_parent, and
 cube_frames, the origin and basis of many rows, summed over the basis
 columns left to right (_fold, no BLAS product, so no row's bits depend on
 the others) as realize() sums them for one.  cube_vertices and the tendril
-pullbacks (_pullbacks, for a bound's frame and for tendrils_cover_dilates,
+pullbacks (_pullbacks, for one TendrilBound and for tendrils_cover_dilates,
 which decides the dilated cells of many bounds at once) build on
 cube_frames; one diameter rule (dilation.span_diameter) serves
-Parallelepiped.diameter and cube_diameter.  Value objects carry no derived
-state: a caller with many questions for one tendril bound builds its
-frame() once.
+Parallelepiped.diameter and cube_diameter.  GridCube and Parallelepiped
+carry no derived state.  A TendrilBound(cube) computes its pullback once,
+when built, and keeps it: it is built per call, by the caller that asks it
+questions, and never kept by a result.
 
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
 columns, so that every elementwise step runs along the N points.
 
 Under a diagonal A every such set is axis_aligned: a cube's local
-coordinate j, and a tendril frame's pulled coordinate j, depend on x_j
+coordinate j, and a tendril bound's pulled coordinate j, depend on x_j
 alone.  contains_grid then answers for a whole grid of points, given by
 its per-axis coordinates, from per-axis tests combined by an outer AND or
 an outer sum, with the same answers contains_points gives on the grid's
@@ -179,11 +180,10 @@ class Parallelepiped:
         """Largest vertex distance, by cube_diameter's rule (span_diameter)."""
         return span_diameter(self.basis)
 
-    def contains_points(self, points, tol: float = None) -> np.ndarray:
+    def contains_points(self, points) -> np.ndarray:
         """Closed-hull membership test with a diameter-relative tolerance."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if tol is None:
-            tol = _CONTAIN_TOL * max(1.0, self.diameter())
+        tol = _CONTAIN_TOL * max(1.0, self.diameter())
         local = np.linalg.solve(self.basis, pts.T - self.origin[:, None])
         return np.all((local >= -tol) & (local <= 1.0 + tol), axis=0)
 
@@ -329,22 +329,33 @@ def _pullback_box(origin: np.ndarray, basis: np.ndarray):
     return box_lo, box_hi, _BAND_SLACK * np.maximum(1.0, extent)
 
 
-class _PullbackFrame:
-    """A tendril bound seen through A^-(tau+2): the set {y : dist(y, P) <= r}.
+class TendrilBound:
+    """Outer bound for the tendril of a cube q: q** + A^(tau+2) B_2(0).
 
-    P = origin + basis [0, 1]^d is the pullback of q**.  Two exact bounds on
-    dist(y, P) settle most points without the projector: the distance to the
-    axis-aligned box of P is a lower bound, and the distance to the point of
-    P at the clamped local coordinates of y is an upper bound.  A point whose
-    bounds straddle r within the rounding slack goes to the projector, which
-    is built on first use.  When P is an axis-aligned box both bounds are
-    the exact distance, and contains_grid settles a grid of points from
-    per-axis gaps.  tendrils_cover_dilates applies the upper bound to whole
-    dilated cells of many bounds at once.
+    Seen through pull = A^-(tau+2) it is the set {y : dist(y, P) <= r},
+    where P = origin + basis [0, 1]^d is the pullback of q** = expand_cube(q,
+    4) and r = 2 + 1e-9.  The constructor computes the pullback, its box and
+    its rounding slack; a bound is built per call and dropped with it.
+
+    Two exact bounds on dist(y, P) settle most points without the projector:
+    the distance to the axis-aligned box of P is a lower bound, and the
+    distance to the point of P at the clamped local coordinates of y is an
+    upper bound.  A point whose bounds straddle r within the rounding slack
+    goes to the projector, which is built on first use.  When P is an
+    axis-aligned box both bounds are the exact distance, and contains_grid
+    settles a grid of points from per-axis gaps.  tendrils_cover_dilates
+    applies the upper bound to whole dilated cells of many bounds at once.
     """
 
-    def __init__(self, pull: np.ndarray, origin: np.ndarray, basis: np.ndarray,
-                 radius: float):
+    __slots__ = ("cube", "pull", "basis", "inv_basis", "origin", "box_lo", "box_hi",
+                 "slack", "far_sq", "near_sq", "projector")
+    radius = _TENDRIL_RADIUS + _TENDRIL_TOL
+
+    def __init__(self, cube: GridCube):
+        self.cube = cube
+        rows = _pullbacks(cube.dilation, np.array([(cube.sigma, cube.tau)]),
+                          np.array([cube.index]))
+        pull, origin, basis = (part[0] for part in rows)
         self.pull = pull
         self.basis = basis
         self.inv_basis = np.linalg.inv(basis)
@@ -353,10 +364,9 @@ class _PullbackFrame:
         self.origin = origin.reshape(-1, 1).copy()
         self.box_lo = box_lo.reshape(-1, 1).copy()
         self.box_hi = box_hi.reshape(-1, 1).copy()
-        self.radius = radius
         self.slack = slack
-        self.far_sq = (radius + slack) ** 2
-        self.near_sq = (radius - slack) ** 2
+        self.far_sq = (self.radius + slack) ** 2
+        self.near_sq = (self.radius - slack) ** 2
         self.projector = None
 
     def _clamped_sq(self, rel: np.ndarray) -> np.ndarray:
@@ -368,7 +378,14 @@ class _PullbackFrame:
         return np.square(rel, out=rel).sum(axis=0)
 
     def contains_points(self, points) -> np.ndarray:
-        """Membership of the (N, d) points, pulled here."""
+        """Membership of the (N, d) points in q** + A^(tau+2) B_2(0), exact
+        through pullback.
+
+        A point x is in the set exactly when A^-(tau+2) x is within Euclidean
+        distance 2 (plus 1e-9) of P.  That distance is decided by
+        _ClampedProjector; box and clamped-coordinate bounds only settle the
+        points whose answer the projector could not change.
+        """
         return self.contains(self.pull @ np.atleast_2d(np.asarray(points, dtype=float)).T)
 
     def contains(self, y: np.ndarray) -> np.ndarray:
@@ -393,9 +410,14 @@ class _PullbackFrame:
             inside[band] = self.projector.distance(y.take(band, axis=1).T) <= self.radius
         return inside
 
+    @property
+    def axis_aligned(self) -> bool:
+        """The pull and P's basis are diagonal, as under a diagonal A."""
+        return _is_diagonal(self.pull) and _is_diagonal(self.basis)
+
     def contains_grid(self, axes) -> np.ndarray:
         """contains_points on the grid axes[0] x ... x axes[d-1], in the
-        grid's shape, for a diagonal pull and basis.
+        grid's shape, if axis_aligned.
 
         Pulled coordinate j is then pull_jj x_j, the product the matrix pull
         gives, and dist(y, P)^2 is the sum over axes of the squared gap
@@ -420,52 +442,10 @@ class _PullbackFrame:
             inside[band] = self.contains(pulled)
         return inside
 
-
-@dataclass(frozen=True, slots=True)
-class TendrilBound:
-    """Outer bound for the tendril of a cube q: q** + A^(tau+2) B_2(0).
-
-    scale is the bare geometric factor 2^sigma a^tau used when summing volume
-    terms of exceptional sets.  Each membership call builds a frame().
-    """
-
-    cube: GridCube
-    scale: float
-
-    def _pullback(self):
-        """A^-(tau+2), and the origin and basis of the pullback of q**."""
-        q = self.cube
-        rows = _pullbacks(q.dilation, np.array([(q.sigma, q.tau)]), np.array([q.index]))
-        return tuple(part[0] for part in rows)
-
-    def frame(self) -> _PullbackFrame:
-        """A new pullback frame of the bound, for one call's questions."""
-        return _PullbackFrame(*self._pullback(), _TENDRIL_RADIUS + _TENDRIL_TOL)
-
-    def contains_points(self, points) -> np.ndarray:
-        """Membership in q** + A^(tau+2) B_2(0), exact through pullback.
-
-        A point x is in the set exactly when A^-(tau+2) x is within Euclidean
-        distance 2 (plus 1e-9) of the pullback of q**.  That distance is
-        decided by _ClampedProjector; box and clamped-coordinate bounds only
-        settle the points whose answer the projector could not change.
-        """
-        return self.frame().contains_points(points)
-
-    @property
-    def axis_aligned(self) -> bool:
-        """The pull and the pullback's basis are diagonal, as under a diagonal A."""
-        pull, _, basis = self._pullback()
-        return _is_diagonal(pull) and _is_diagonal(basis)
-
-    def contains_grid(self, axes) -> np.ndarray:
-        """contains_points on the grid axes[0] x ... x axes[d-1], if axis_aligned."""
-        return self.frame().contains_grid(axes)
-
     def bbox(self):
         """Axis-aligned box holding every point contains_points accepts."""
         rows = self.cube.dilation.power(self.cube.tau + 2)
-        reach = (_TENDRIL_RADIUS + _TENDRIL_TOL) * np.sqrt((rows ** 2).sum(axis=1))
+        reach = self.radius * np.sqrt((rows ** 2).sum(axis=1))
         lo, hi = expand_cube(self.cube, 4.0).bbox()
         return lo - reach, hi + reach
 
@@ -477,8 +457,7 @@ def tendril_of(cube: GridCube) -> TendrilBound:
         raise NotNormalizedError(
             f"tendril bounds need norm_power 1, dilation has {D.norm_power}"
         )
-    scale = (2.0 ** cube.sigma) * (D.det_scale ** cube.tau)
-    return TendrilBound(cube=cube, scale=scale)
+    return TendrilBound(cube)
 
 
 def tendrils_cover_dilates(D: DilationStructure, scale: np.ndarray, index: np.ndarray,
@@ -488,13 +467,13 @@ def tendrils_cover_dilates(D: DilationStructure, scale: np.ndarray, index: np.nd
     bound of its owner, the cube of row owner[e] of (scale, index).
 
     verts is (V, E, d), vertex-major, the vertices of E convex cells;
-    spreads is (E, L, d, d).  In the owner's frame, dist(., P) is convex,
+    spreads is (E, L, d, d).  Pulled back by the owner, dist(., P) is convex,
     so over a pulled cell it peaks at a vertex, where the clamped-coordinate
     distance bounds it from above; the pulled ball pull spreads[e, l] B_1
     adds at most the Frobenius norm of pull spreads[e, l].  True only when
-    the sum is within radius - slack, which the frame's contains accepts.
-    Every owner's frame is built in one stacked pass, and every cell is
-    decided in one more, with the numbers a _PullbackFrame per owner gives.
+    the sum is within radius - slack, which the bound's contains accepts.
+    Every owner's pullback is built in one stacked pass, and every cell is
+    decided in one more, with the numbers a TendrilBound per owner gives.
     """
     pull, origin, basis = _pullbacks(D, scale, index)
     _, _, slack = _pullback_box(origin, basis)

@@ -508,31 +508,33 @@ def _normalize_k_range(k_range) -> list:
 
 
 def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
-    """Cells whose centers lie in any exclude primitive, in the lattice shape.
+    """Cells whose centers lie in any exclude region, in the lattice shape.
 
-    Each primitive is tested only on the cells of its bbox() padded by one
-    cell.  An axis_aligned primitive (any under a diagonal A) answers for
-    the whole window from the window's per-axis centers (contains_grid).
-    Any other is asked only about the cells that no earlier primitive
-    captured, through contains_points on their centers, built for those
-    cells alone in C order.  Either way each primitive makes one pass.
+    exclude holds grid regions (TendrilBound, Parallelepiped), such as the
+    region() of each exceptional primitive, built once by the caller.  Each
+    is tested only on the cells of its bbox() padded by one cell.  An
+    axis_aligned region (any under a diagonal A) answers for the whole
+    window from the window's per-axis centers (contains_grid).  Any other
+    is asked only about the cells that no earlier region captured, through
+    contains_points on their centers, built for those cells alone in C
+    order.  Either way each region makes one pass.
     """
     mask = np.zeros(lattice.shape, dtype=bool)
     pad = np.asarray(lattice.spacing)
-    for primitive in exclude or ():
-        lo, hi = primitive.bbox()
+    for region in exclude or ():
+        lo, hi = region.bbox()
         slices = lattice.window(lo - pad, hi + pad)
         if slices is None:
             continue
         window = mask[slices]
         if window.all():
             continue
-        if primitive.axis_aligned:
-            window |= primitive.contains_grid(
+        if region.axis_aligned:
+            window |= region.contains_grid(
                 [lattice.axis_centers(j)[s] for j, s in enumerate(slices)])
             continue
         todo = ~window
-        window[todo] = primitive.contains_points(
+        window[todo] = region.contains_points(
             _picked_centers(lattice, slices, todo))
     return mask
 

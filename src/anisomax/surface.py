@@ -60,7 +60,6 @@ class GraphSurface:
     grad: callable
     hess: callable
     chi_radius: float = CHI_RADIUS
-    deriv_bound: float = 0.0
 
     def chi(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -130,7 +129,8 @@ def _poly_callables(coeffs: dict, p: int):
 
 
 def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
-    """Build a catalog surface and measure its derivative bound."""
+    """Build a catalog surface; raise InputInvalidError if it leaves the
+    unit ball on the probe grid."""
     if kind not in CATALOG:
         raise InputInvalidError(f"unknown surface kind {kind!r}")
     if dim < 2:
@@ -185,7 +185,6 @@ def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
         psi, grad, hess = _poly_callables(coeffs, p)
 
     surface = GraphSurface(kind, dim, psi, grad, hess)
-    surface.deriv_bound = _measure_deriv_bound(surface)
     ambient = surface.points(_probe_grid(p, surface.chi_radius))
     radius = float(np.max(np.linalg.norm(ambient, axis=1)))
     if radius > 1.0:
@@ -197,21 +196,6 @@ def _probe_grid(p: int, radius: float, n: int = _PROBE_POINTS) -> np.ndarray:
     axes = [np.linspace(-radius, radius, n)] * p
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
-
-
-def _measure_deriv_bound(surface: GraphSurface, h: float = 1e-4) -> float:
-    y = _probe_grid(surface.dim - 1, surface.chi_radius)
-    sup = max(
-        float(np.max(np.abs(surface.psi(y)))),
-        float(np.max(np.abs(surface.grad(y)))),
-        float(np.max(np.abs(surface.hess(y)))),
-    )
-    for j in range(surface.dim - 1):
-        step = np.zeros(surface.dim - 1)
-        step[j] = h
-        third = (surface.hess(y + step) - surface.hess(y - step)) / (2.0 * h)
-        sup = max(sup, float(np.max(np.abs(third))))
-    return sup
 
 
 def gaussian_curvature(surface: GraphSurface, y) -> np.ndarray:

@@ -19,13 +19,14 @@ from anisomax.cli import main
 from anisomax.config import DEFAULTS, load_config
 from anisomax import config as anisomax_config
 from anisomax import experiments, maximal
-from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
+from anisomax.decomposition import stopping_time, whitney_decompose
 from anisomax.errors import (
     ConfigInvalidError,
     TailNotNegligibleWarning,
     WindowExhaustedError,
 )
 from anisomax.experiments import run_experiment
+from anisomax.grid import Parallelepiped, TendrilBound
 from anisomax.maximal import _excluded_mask, make_lattice, weak_type_report
 from anisomax.surface import surface_quadrature
 
@@ -411,7 +412,7 @@ def _masked_pipeline_lattice():
     kept = [entries[i] for i in sorted(wres.assigned)]
     exceptional = stopping_time(wres.selected, kept, cfg.alpha).exceptional
     lattice = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
-    return cfg, lattice, _excluded_mask(lattice, exceptional)
+    return cfg, lattice, _excluded_mask(lattice, [p.region() for p in exceptional])
 
 
 def test_cli_full_pipeline_masks_part_of_the_lattice(tmp_path):
@@ -498,8 +499,9 @@ def test_cli_full_pipeline_non_diagonal_reruns_identically(tmp_path, monkeypatch
         monkeypatch.setattr(owner, name, counted)
 
     counting(maximal, "_add_scatter")
-    counting(ExceptionalPrimitive, "contains_points")
-    counting(ExceptionalPrimitive, "contains_grid")
+    counting(TendrilBound, "contains_points")
+    counting(TendrilBound, "contains_grid")
+    counting(Parallelepiped, "contains_grid")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]

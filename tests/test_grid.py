@@ -18,8 +18,8 @@ from anisomax.grid import (
     _BAND_SLACK,
     GridCube,
     Parallelepiped,
+    TendrilBound,
     _ClampedProjector,
-    _PullbackFrame,
     _unit_corners,
     cube_contains,
     expand_cube,
@@ -129,12 +129,6 @@ def test_tau_parent_contains_child():
 def test_tendril_requires_normalized():
     with pytest.raises(NotNormalizedError):
         tendril_of(GridCube(0, 0, (0, 0), _jordan2()))
-
-
-def test_tendril_volume_bound_formula():
-    D = _diag24()
-    t = tendril_of(GridCube(-1, -2, (0, 0), D))
-    assert t.scale == approx((2.0 ** -1) * (8.0 ** -2))
 
 
 def _volume_estimate(bound, n_samples: int, seed: int) -> float:
@@ -255,8 +249,9 @@ def test_tendril_fast_membership_matches_projector(matrix):
 
 
 def test_cube_geometry_is_computed_per_call():
-    # cubes, parallelepipeds and tendril bounds keep no derived geometry:
-    # each call computes it anew, with the same bits every time
+    # cubes and parallelepipeds keep no derived geometry: each call
+    # computes it anew, with the same bits every time.  A tendril bound
+    # computes its pullback when built, the same bits for every build
     cube = GridCube(0, -1, (2, -3), _jordan2())
     verts = cube.vertices()
     again = cube.vertices()
@@ -269,9 +264,11 @@ def test_cube_geometry_is_computed_per_call():
     fresh = Parallelepiped(origin=box.origin.copy(), basis=box.basis.copy())
     assert box.diameter() == box.diameter() == fresh.diameter()
     t = tendril_of(GridCube(0, -1, (2, -3), _diag24()))
-    first, second = t.frame(), t.frame()
-    assert first is not second
-    assert np.array_equal(first.box_lo, second.box_lo) and first.slack == second.slack
+    rebuilt = tendril_of(t.cube)
+    assert rebuilt is not t and rebuilt.cube == t.cube
+    for name in ("pull", "basis", "inv_basis", "origin", "box_lo", "box_hi"):
+        assert getattr(rebuilt, name).tobytes() == getattr(t, name).tobytes(), name
+    assert rebuilt.slack == t.slack
     for value in (cube, box, t):
         assert not hasattr(value, "__dict__")
 
@@ -381,8 +378,7 @@ def _edge_axes(t, quad, rng, d):
     1e-8 of the slack, so that the cells they form with the box's own
     coordinates sit in the band contains_grid hands to contains."""
     lo, hi = t.bbox()
-    frame = t.frame()
-    radius, slack = frame.radius, frame.slack
+    radius, slack = t.radius, t.slack
     tol = 1e-12 * max(1.0, quad.diameter())
     axes = []
     for j in range(d):
@@ -390,10 +386,10 @@ def _edge_axes(t, quad, rng, d):
         wide = lo[j] - 0.25 * span + rng.random(40) * 1.5 * span
         faces = quad.origin[j] + quad.basis[j, j] * np.array([0.0, 1.0])
         faces = (faces[:, None] + np.array([-3.0, -0.5, 0.0, 0.5, 3.0]) * tol).ravel()
-        box = np.array([frame.box_lo[j, 0], frame.box_hi[j, 0]])
+        box = np.array([t.box_lo[j, 0], t.box_hi[j, 0]])
         gaps = radius + slack * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
         pulled = np.concatenate([box[0] - gaps, box[1] + gaps, box])
-        axes.append(np.concatenate([wide, faces, pulled / frame.pull[j, j]]))
+        axes.append(np.concatenate([wide, faces, pulled / t.pull[j, j]]))
     return axes
 
 
@@ -404,11 +400,11 @@ def test_grid_membership_matches_points_under_a_diagonal_dilation(matrix, monkey
     # Under a diagonal A a tendril bound and a quadrupled cube answer for a
     # whole grid from per-axis tests; every cell must get contains_points'
     # answer, including cells on the quad's faces and in the tendril's
-    # rounding band, which contains_grid sends to the frame's contains
+    # rounding band, which contains_grid sends to the bound's contains
     D = validate_dilation(matrix)
     d = D.dim
     rng = np.random.default_rng(61)
-    contains = _PullbackFrame.contains
+    contains = TendrilBound.contains
     band_cells = []
 
     def counting(self, y):
@@ -427,7 +423,7 @@ def test_grid_membership_matches_points_under_a_diagonal_dilation(matrix, monkey
         want_t, want_q = t.contains_points(pts), quad.contains_points(pts)
         assert 0 < want_t.sum() < len(pts) and 0 < want_q.sum() < len(pts)
         with monkeypatch.context() as patch:
-            patch.setattr(_PullbackFrame, "contains", counting)
+            patch.setattr(TendrilBound, "contains", counting)
             got_t = t.contains_grid(axes)
         got_q = quad.contains_grid(axes)
         assert got_t.shape == got_q.shape == tuple(len(a) for a in axes)
@@ -459,7 +455,7 @@ def test_dilates_touching_the_outer_edge_go_to_sampling():
     # [0, 1/256], its far side 3/16 off the face x = 5/8
     verts = GridCube(0, -2, (12, 0), D).vertices()
     limit = 2.0 + 1e-9
-    slack = t.frame().slack
+    slack = t.slack
     assert 0.0 < slack < 1e-5
     for gap, expect in ((0.0, False), (0.5 * slack, False), (2.0 * slack, True), (0.5, True)):
         s = limit - gap - 3.0 / 16.0

@@ -22,14 +22,14 @@ from pytest import approx
 from anisomax import experiments, maximal
 from anisomax.atoms import Atom, AtomicSum, compose_dilation, make_atom
 from anisomax.config import load_config
-from anisomax.decomposition import ExceptionalPrimitive, stopping_time, whitney_decompose
+from anisomax.decomposition import stopping_time, whitney_decompose
 from anisomax.dilation import cube_diameter, validate_dilation
 from anisomax.errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
     TailNotNegligibleWarning,
 )
-from anisomax.grid import GridCube, tendril_of
+from anisomax.grid import GridCube, Parallelepiped, TendrilBound, expand_cube, tendril_of
 from anisomax.maximal import (
     Lattice,
     SampledField,
@@ -716,23 +716,24 @@ PIPELINE_OVERRIDES = [
 
 
 def _pipeline_exceptional_set(cfg):
+    """The region() of every exceptional primitive of the pipeline."""
     entries = cfg.entries()
     wres = whitney_decompose(entries, cfg.alpha)
     kept = [entries[i] for i in sorted(wres.assigned)]
-    return stopping_time(wres.selected, kept, cfg.alpha).exceptional
+    return [p.region() for p in stopping_time(wres.selected, kept, cfg.alpha).exceptional]
 
 
 def test_windowed_mask_matches_brute_force_union(tmp_path):
     cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
     exceptional = _pipeline_exceptional_set(cfg)
-    assert {p.kind for p in exceptional} == {"tendril", "quad"}
+    assert {type(r) for r in exceptional} == {TendrilBound, Parallelepiped}
     lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
     pts = lat.points()
     brute = np.zeros(len(pts), dtype=bool)
-    for primitive in exceptional:
-        brute |= primitive.contains_points(pts)
-        lo, hi = primitive.bbox()
-        inside = pts[primitive.contains_points(pts)]
+    for region in exceptional:
+        brute |= region.contains_points(pts)
+        lo, hi = region.bbox()
+        inside = pts[region.contains_points(pts)]
         assert np.all((inside >= lo) & (inside <= hi))
     assert 0.05 < brute.mean() < 0.5   # the lattice extends beyond E
     mask = _excluded_mask(lat, exceptional)
@@ -752,8 +753,8 @@ def test_windowed_mask_matches_brute_force_union(tmp_path):
 
 def _mask_passes(cfg, monkeypatch):
     """Run full-pipeline; the sizes of the exclude lists it masks with, and
-    the membership calls each primitive gets while the mask is built,
-    keyed by (primitive, method)."""
+    the membership calls each region gets while the mask is built, keyed
+    by (region, method)."""
     masks, asked = [], collections.Counter()
     building = [False]
 
@@ -765,8 +766,8 @@ def _mask_passes(cfg, monkeypatch):
         finally:
             building[0] = False
 
-    def counting(name):
-        method = getattr(ExceptionalPrimitive, name)
+    def counting(owner, name):
+        method = getattr(owner, name)
 
         def counted(self, arg):
             if building[0]:
@@ -775,15 +776,16 @@ def _mask_passes(cfg, monkeypatch):
         return counted
 
     monkeypatch.setattr(experiments, "_excluded_mask", counting_mask)
-    for name in ("contains_points", "contains_grid"):
-        monkeypatch.setattr(ExceptionalPrimitive, name, counting(name))
+    for owner in (TendrilBound, Parallelepiped):
+        for name in ("contains_points", "contains_grid"):
+            monkeypatch.setattr(owner, name, counting(owner, name))
     assert run_experiment(cfg, "full-pipeline") == 0
     return masks, asked
 
 
 def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
                                                               monkeypatch):
-    # one membership pass per primitive, the per-axis one under diag(4, 2)
+    # one membership pass per region, the per-axis one under diag(4, 2)
     cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
     masks, asked = _mask_passes(cfg, monkeypatch)
     assert masks == [4]   # one mask per run, shared by every weak-type report
@@ -793,7 +795,7 @@ def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
 
 def test_full_pipeline_asks_each_primitive_once_on_the_point_path(tmp_path,
                                                                   monkeypatch):
-    # under [[4, 1], [1, 3]] the one pass per primitive is on cell centers;
+    # under [[4, 1], [1, 3]] the one pass per region is on cell centers;
     # the finer lattice keeps the tau = -2 atoms past the resolution guard
     cfg = load_config(None, overrides=PIPELINE_OVERRIDES + [
         "matrix=[[4.0, 1.0], [1.0, 3.0]]", "lattice.shape=[448, 448]"], out_dir=tmp_path)
@@ -806,15 +808,14 @@ def test_full_pipeline_asks_each_primitive_once_on_the_point_path(tmp_path,
 def test_mask_decides_band_cells_like_the_points(monkeypatch):
     # a lattice whose axis-0 centers include ones within the rounding slack
     # of the tendril radius: the per-axis mask sends exactly those cells to
-    # the frame's contains and must agree with contains_points everywhere
+    # the bound's contains and must agree with contains_points everywhere
     D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
     cube = GridCube(0, -1, (0, 0), D)
-    tendril = ExceptionalPrimitive("tendril", cube, tendril_of(cube).scale)
-    quad = ExceptionalPrimitive("quad", cube, 1.0)
-    frame = tendril.frame()
+    tendril = tendril_of(cube)
+    quad = expand_cube(cube, 4.0)
     # the center of cell 100 on axis 0 pulls to the box's upper edge plus
     # the radius, to rounding; the slack is 1e-6 of that
-    edge = (frame.box_hi[0, 0] + frame.radius) / frame.pull[0, 0]
+    edge = (tendril.box_hi[0, 0] + tendril.radius) / tendril.pull[0, 0]
     h = 0.02
     origin = edge - 100.5 * h
     lat = make_lattice([(origin, origin + 320 * h), (-3.0, 3.0)], (320, 300))
@@ -822,7 +823,7 @@ def test_mask_decides_band_cells_like_the_points(monkeypatch):
     brute = tendril.contains_points(pts) | quad.contains_points(pts)
     assert 0.05 < brute.mean() < 0.95
     band = []
-    contains = type(frame).contains
+    contains = TendrilBound.contains
 
     def counting(self, y):
         band.append(y.shape[1])
@@ -831,8 +832,9 @@ def test_mask_decides_band_cells_like_the_points(monkeypatch):
     def refuse(self, points):
         raise AssertionError("a point pass under a diagonal A")
 
-    monkeypatch.setattr(type(frame), "contains", counting)
-    monkeypatch.setattr(ExceptionalPrimitive, "contains_points", refuse)
+    monkeypatch.setattr(TendrilBound, "contains", counting)
+    for owner in (TendrilBound, Parallelepiped):
+        monkeypatch.setattr(owner, "contains_points", refuse)
     mask = _excluded_mask(lat, [tendril, quad])
     assert np.array_equal(mask.ravel(), brute)
     assert band and 0 < sum(band) <= 2 * lat.shape[1]
@@ -842,19 +844,20 @@ def test_non_diagonal_mask_keeps_the_point_path(tmp_path, monkeypatch):
     cfg = load_config(None, overrides=PIPELINE_OVERRIDES
                       + ["matrix=[[4.0, 1.0], [1.0, 3.0]]"], out_dir=tmp_path)
     exceptional = _pipeline_exceptional_set(cfg)
-    assert {p.kind for p in exceptional} == {"tendril", "quad"}
-    assert not any(p.axis_aligned for p in exceptional)
+    assert {type(r) for r in exceptional} == {TendrilBound, Parallelepiped}
+    assert not any(r.axis_aligned for r in exceptional)
     lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
     pts = lat.points()
     brute = np.zeros(len(pts), dtype=bool)
-    for primitive in exceptional:
-        brute |= primitive.contains_points(pts)
+    for region in exceptional:
+        brute |= region.contains_points(pts)
     assert 0.0 < brute.mean() < 1.0
 
     def refuse(self, axes):
         raise AssertionError("a per-axis pass under a non-diagonal A")
 
-    monkeypatch.setattr(ExceptionalPrimitive, "contains_grid", refuse)
+    for owner in (TendrilBound, Parallelepiped):
+        monkeypatch.setattr(owner, "contains_grid", refuse)
     assert np.array_equal(_excluded_mask(lat, exceptional).ravel(), brute)
 
 

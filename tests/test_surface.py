@@ -31,7 +31,6 @@ from anisomax.errors import (
 )
 from anisomax.grid import GridCube
 from anisomax.surface import (
-    CATALOG,
     GraphSurface,
     KernelField,
     SurfaceMeasure,
@@ -172,17 +171,6 @@ def test_surfaces_stay_in_unit_ball():
     # a steep polynomial escapes the ball and is rejected outright
     with pytest.raises(InputInvalidError):
         make_surface("custom-polynomial", coeffs={(1,): 3.0})
-
-
-def test_deriv_bound_recorded():
-    # the bound is recorded for inspection, not clamped to 1; the circle
-    # value is sup |psi'''| = 3 * 0.48 / (1 - 0.48^2)^{5/2}
-    circ = make_surface("circle-arc")
-    assert circ.deriv_bound == approx(2.77141, abs=1e-3)
-    par = make_surface("paraboloid", dim=2)
-    assert par.deriv_bound == approx(1.0)
-    for kind in CATALOG[:3]:
-        assert make_surface(kind).deriv_bound > 0.0
 
 
 # ------------------------------------------------------------- chi and mass
