@@ -53,9 +53,10 @@ DEFAULTS = {
 
 def _coeff_key(key) -> tuple:
     """Monomial key: a list in YAML, or a comma-joined string like "4,0"."""
-    if isinstance(key, (list, tuple)):
-        return tuple(int(v) for v in key)
-    return tuple(int(v) for v in str(key).split(","))
+    parts = key if isinstance(key, (list, tuple)) else str(key).split(",")
+    if not all(_is_int(v) or str(v).strip().removeprefix("-").isdecimal() for v in parts):
+        raise ConfigInvalidError(f"surface.coeffs key {key!r} must hold integer exponents")
+    return tuple(int(v) for v in parts)
 
 
 @dataclass
@@ -83,7 +84,7 @@ class ExperimentConfig:
 
     def surface_obj(self):
         kind = self.surface["kind"]
-        dim = int(self.surface.get("dim", 2))
+        dim = self.surface.get("dim", 2)
         coeffs = self.surface.get("coeffs")
         if coeffs is not None:
             coeffs = {_coeff_key(key): float(c) for key, c in coeffs.items()}
@@ -96,17 +97,17 @@ class ExperimentConfig:
         if spec.get("list") is not None:
             terms = []
             for row in spec["list"]:
-                cube = GridCube(0, int(row["tau"]), tuple(int(v) for v in row["index"]), D)
+                cube = GridCube(0, row["tau"], tuple(row["index"]), D)
                 atom = make_atom(cube, row.get("profile", "haar"),
                                  seed=int(row.get("seed", 0)))
                 terms.append((atom, float(row["lam"])))
             return AtomicSum(terms=terms, dilation=D)
         seed = spec["seed"] if spec["seed"] is not None else self.seed
-        lo, hi = (int(v) for v in spec["tau_range"])
+        lo, hi = spec["tau_range"]
         return random_atomic_sum(
             D, int(spec["count"]), range(lo, hi + 1),
             tuple(float(v) for v in spec["lam_range"]), int(seed),
-            profile=spec["profile"], index_span=int(spec["index_span"]))
+            profile=spec["profile"], index_span=spec["index_span"])
 
     def entries(self):
         """The mass instance (cube, lambda) seen by the decompositions."""
@@ -196,6 +197,11 @@ def _positive(value) -> bool:
 
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
+    # int() would truncate 2.5 and leave the manifest a value the run never used
+    for name, value in (("surface.dim", cfg.surface.get("dim", 2)),
+                        ("n_gl", cfg.n_gl), ("n_bins", cfg.n_bins)):
+        if not _is_int(value):
+            raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
     try:
         dim = cfg.dilation().dim
         cfg.surface_obj()
@@ -219,7 +225,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     if not all(_is_int(n) and n > 0 for n in shape):
         raise ConfigInvalidError("lattice.shape must be positive integers")
     dims = {"matrix": dim,
-            "surface.dim": int(cfg.surface.get("dim", 2)),
+            "surface.dim": cfg.surface.get("dim", 2),
             "lattice": len(box)}
     if len(set(dims.values())) > 1:
         raise ConfigInvalidError("dimensions disagree: " + ", ".join(
@@ -230,6 +236,9 @@ def _validate(raw: dict) -> ExperimentConfig:
         seeds["atoms.seed"] = cfg.atoms["seed"]
     for pos, row in enumerate(rows or ()):
         seeds[f"atoms.list[{pos}].seed"] = row.get("seed", 0)
+        index = row.get("index")
+        if not (isinstance(index, list) and all(map(_is_int, [row.get("tau"), *index]))):
+            raise ConfigInvalidError(f"atoms.list[{pos}] tau and index must be integers")
     for name, value in seeds.items():
         if not (_is_int(value) and value >= 0):
             raise ConfigInvalidError(f"{name} must be a nonnegative integer, got {value!r}")
@@ -237,11 +246,11 @@ def _validate(raw: dict) -> ExperimentConfig:
         count = cfg.atoms["count"]
         if not (_is_int(count) and count >= 0):
             raise ConfigInvalidError(f"atoms.count must be a nonnegative integer, got {count!r}")
-        if int(cfg.atoms["index_span"]) < 0:
-            raise ConfigInvalidError("atoms.index_span must be nonnegative")
-        tl, th = (int(v) for v in cfg.atoms["tau_range"])
-        if tl > th:
-            raise ConfigInvalidError("atom tau_range must be [lo, hi]")
+        span, taus = cfg.atoms["index_span"], cfg.atoms["tau_range"]
+        if not (_is_int(span) and span >= 0):
+            raise ConfigInvalidError(f"atoms.index_span must be a nonnegative integer, got {span!r}")
+        if not (_int_pair(taus) and taus[0] <= taus[1]):
+            raise ConfigInvalidError("atoms.tau_range must be [lo, hi] integers with lo <= hi")
         ll, lh = (float(v) for v in cfg.atoms["lam_range"])
         if not (_positive(ll) and _positive(lh) and ll <= lh):
             raise ConfigInvalidError(

@@ -1,11 +1,13 @@
 """Graph hypersurfaces with cutoff densities, cap partitions, and kernel checks.
 
 A surface is the graph of a smooth map psi over the first d-1 coordinates,
-weighted by a plateau cutoff chi.  The measure is split into overlapping caps
-whose bumps sum back to chi, caps are classified by curvature and by mass
-concentration against grid cubes, and convolution-type bounds are checked on
-a maximal.Lattice, with the fields computed by maximal.convolve_dilated at
-k = 0 (the measure nodes unmoved).
+weighted by a plateau cutoff chi; every polynomial graph, catalog or custom,
+is a coefficient table under one rule.  The measure is split into caps whose
+bumps, each from the caps that reach its points, sum back to chi; caps are
+classified by curvature and by cube-mass concentration on a maximal.Lattice
+over each cap, and convolution-type bounds are checked on a maximal.Lattice,
+with the fields computed by maximal.convolve_dilated at k = 0 (the measure
+nodes unmoved).
 """
 
 import numpy as np
@@ -20,10 +22,12 @@ from .errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
 )
-from .maximal import Lattice, _min_atom_diameter, convolve_dilated
+from .maximal import Lattice, _min_atom_diameter, convolve_dilated, make_lattice
 
 CHI_RADIUS = 0.48
 CATALOG = ("circle-arc", "paraboloid", "quartic-flat", "custom-polynomial")
+# catalog polynomials sum_j c y_j^degree, one monomial per axis: (degree, c)
+_AXIS_POWERS = {"paraboloid": (2, 0.5), "quartic-flat": (4, 1.0)}
 _PIECE_BUDGET = 1_000_000
 _PROBE_POINTS = 33
 # largest pulled coordinate whose floor is still an exact cube key
@@ -78,7 +82,7 @@ def _poly_callables(coeffs: dict, p: int):
         if len(mono) != p or any(k < 0 for k in mono):
             raise InputInvalidError(f"bad monomial {mono} for {p} variables")
         if sum(mono) > _MAX_POLY_DEGREE:
-            raise InputInvalidError("polynomial degree above 6 not supported")
+            raise InputInvalidError(f"polynomial degree above {_MAX_POLY_DEGREE} not supported")
         terms.append((mono, float(c)))
 
     def psi(y):
@@ -130,7 +134,8 @@ def _poly_callables(coeffs: dict, p: int):
 
 def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
     """Build a catalog surface; raise InputInvalidError if it leaves the
-    unit ball on the probe grid."""
+    unit ball on the probe grid.  Polynomial kinds are coefficient tables
+    {exponents: coefficient}, evaluated and differentiated by _poly_callables."""
     if kind not in CATALOG:
         raise InputInvalidError(f"unknown surface kind {kind!r}")
     if dim < 2:
@@ -152,35 +157,11 @@ def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
             t = np.atleast_2d(y)[:, 0]
             return ((1.0 - t * t) ** -1.5)[:, None, None]
 
-    elif kind == "paraboloid":
-
-        def psi(y):
-            return 0.5 * np.sum(np.atleast_2d(y) ** 2, axis=1)
-
-        def grad(y):
-            return np.atleast_2d(y).copy()
-
-        def hess(y):
-            m = np.atleast_2d(y).shape[0]
-            return np.broadcast_to(np.eye(p), (m, p, p)).copy()
-
-    elif kind == "quartic-flat":
-
-        def psi(y):
-            return np.sum(np.atleast_2d(y) ** 4, axis=1)
-
-        def grad(y):
-            return 4.0 * np.atleast_2d(y) ** 3
-
-        def hess(y):
-            y = np.atleast_2d(y)
-            out = np.zeros((y.shape[0], p, p))
-            for j in range(p):
-                out[:, j, j] = 12.0 * y[:, j] ** 2
-            return out
-
     else:
-        if coeffs is None:
+        if kind in _AXIS_POWERS:
+            degree, c = _AXIS_POWERS[kind]
+            coeffs = {tuple(degree * (j == i) for j in range(p)): c for i in range(p)}
+        elif coeffs is None:
             raise InputInvalidError("custom-polynomial needs coefficients")
         psi, grad, hess = _poly_callables(coeffs, p)
 
@@ -268,9 +249,17 @@ class _CapPartition:
     surface: GraphSurface
 
     def raw(self, y: np.ndarray) -> np.ndarray:
+        # only caps reaching the points' box are evaluated; any other has
+        # |u| >= 1 on some axis, where the plateau is exactly 0, and keeps its
+        # zero column so that row sums add the same values in the same order
         y = np.atleast_2d(y)
-        u = (y[:, None, :] - self.centers[None, :, :]) / self.r_cap
-        return np.prod(plateau_profile(u), axis=2)
+        out = np.zeros((y.shape[0], self.centers.shape[0]))
+        lo = (y.min(axis=0, initial=np.inf) - self.centers) / self.r_cap
+        hi = (y.max(axis=0, initial=-np.inf) - self.centers) / self.r_cap
+        near = np.flatnonzero(np.all((lo < 1.0) & (hi > -1.0), axis=1))
+        u = (y[:, None, :] - self.centers[None, near, :]) / self.r_cap
+        out[:, near] = np.prod(plateau_profile(u), axis=2)
+        return out
 
     def bump(self, y: np.ndarray, rho: int) -> np.ndarray:
         y = np.atleast_2d(y)
@@ -365,16 +354,6 @@ def partition_measure(surface: GraphSurface, s: int, eps: float,
     return pieces
 
 
-def _fine_grid(lo: np.ndarray, hi: np.ndarray, total: int):
-    p = lo.size
-    n = max(2, int(round(total ** (1.0 / p))))
-    axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(n) + 0.5) / n for j in range(p)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    cell = float(np.prod((hi - lo) / n))
-    return pts, cell
-
-
 def _cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Summed mass per distinct key row, rows in lexicographic key order.
 
@@ -409,6 +388,10 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
     tau_lo, tau_hi = int(tau_window[0]), int(tau_window[1])
     a = D.det_scale
     curvature_cut = 2.0 ** (-eps * s)
+    # cell-centred fine samples over each cap's box; the side count is 4096,
+    # 64 or 16 for p = 1, 2, 3, a power of two, so the lattice's centers
+    # lo + (h/n) x equal lo + h x / n bit for bit
+    fine_side = max(2, int(round(FINE_POINTS ** (1.0 / (surface.dim - 1)))))
     # per tau, finest first: the mass threshold and the measure of the cube's
     # parameter window, the projection of an A^tau cell onto the graph
     # coordinates; no grid cube at that level can hold more mass than the
@@ -427,10 +410,12 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
         piece.in_I1 = bool(min_k < curvature_cut * (1.0 - 1e-9))
         piece.min_curvature = min_k
 
-        y, cell = _fine_grid(piece.center - piece.partition.r_cap,
-                             piece.center + piece.partition.r_cap, FINE_POINTS)
+        r_cap = piece.partition.r_cap
+        fine = make_lattice(np.column_stack([piece.center - r_cap, piece.center + r_cap]),
+                            fine_side)
+        y = fine.points()
         bump_vals = piece.bump(y)
-        masses = bump_vals * cell
+        masses = bump_vals * fine.cell_volume
         sup_bump = float(np.max(bump_vals)) if bump_vals.size else 0.0
         pts = surface.points(y)
         worst_ratio, worst_tau = 0.0, None

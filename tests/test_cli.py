@@ -231,10 +231,21 @@ def test_cli_short_tau_window_is_a_config_error(tmp_path):
     ("s_range=[4.9,5.2]", "s_range"),
     ("atoms.count=2.7", "atoms.count"),
     ("lattice.shape=[64.5,64]", "lattice.shape"),
+    ("n_gl=100.5", "n_gl"),
+    ("n_gl=40.0", "n_gl"),
+    ("n_bins=100.5", "n_bins"),
+    ("surface.dim=2.5", "surface.dim"),
+    ("surface.coeffs={'4.5': 1.0}", "surface.coeffs"),
+    ("atoms.index_span=2.5", "atoms.index_span"),
+    ("atoms.tau_range=[-2.5,0]", "atoms.tau_range"),
+    ("atoms.list=[{tau: -1.5, index: [0, 0], lam: 1.0}]", "atoms.list[0]"),
+    ("atoms.list=[{tau: 0, index: [0.5, 0], lam: 1.0}]", "atoms.list[0]"),
 ])
 def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, field):
     # int() would truncate these where they are used (k in -2..2, s in
-    # [4, 5], 2 atoms, 64 cells), so they are rejected as tau_window is
+    # [4, 5], 2 atoms, 64 cells, a tau of -1), leaving the manifest a value
+    # the run did not use, or they die in numpy with exit 1 (n_gl, n_bins,
+    # a coefficient key), so each is rejected as tau_window is
     res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
                 "--override", override])
     assert res.exit_code == 2

@@ -147,6 +147,53 @@ def test_custom_polynomial_matches_quartic():
     assert gaussian_curvature(custom, y) == approx(gaussian_curvature(quart, y))
 
 
+def _closed_form_surface(kind, dim):
+    """The catalog polynomials written out by hand: the oracle of the one
+    polynomial rule that make_surface builds them through."""
+    p = dim - 1
+    if kind == "paraboloid":
+        def psi(y):
+            return 0.5 * np.sum(np.atleast_2d(y) ** 2, axis=1)
+
+        def grad(y):
+            return np.atleast_2d(y).copy()
+
+        def hess(y):
+            return np.broadcast_to(np.eye(p), (np.atleast_2d(y).shape[0], p, p)).copy()
+    else:
+        def psi(y):
+            return np.sum(np.atleast_2d(y) ** 4, axis=1)
+
+        def grad(y):
+            return 4.0 * np.atleast_2d(y) ** 3
+
+        def hess(y):
+            y = np.atleast_2d(y)
+            out = np.zeros((y.shape[0], p, p))
+            for j in range(p):
+                out[:, j, j] = 12.0 * y[:, j] ** 2
+            return out
+    return GraphSurface(kind, dim, psi, grad, hess)
+
+
+@pytest.mark.parametrize("kind", ["paraboloid", "quartic-flat"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_catalog_polynomials_match_closed_forms_bit_for_bit(kind, dim):
+    # a negative coordinate whose power underflows is left out: the hand
+    # form keeps the sign of that zero gradient, the sum from 0.0 does not,
+    # and the gradient only ever enters squared
+    rng = np.random.default_rng(dim)
+    y = rng.uniform(-0.48, 0.48, size=(2000, dim - 1))
+    y[0] = 0.0
+    y[1] = 1e-170
+    surf, oracle = make_surface(kind, dim), _closed_form_surface(kind, dim)
+    for name in ("psi", "grad", "hess"):
+        got, want = getattr(surf, name)(y), getattr(oracle, name)(y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert gaussian_curvature(surf, y).tobytes() == \
+        gaussian_curvature(oracle, y).tobytes()
+
+
 def test_surface_input_validation():
     with pytest.raises(InputInvalidError):
         make_surface("torus")
@@ -264,6 +311,38 @@ def test_partition_mass_invariance():
     assert abs(sum(p.mass for p in pieces3) - exact) < 1e-6
 
 
+def _all_caps_raw(partition, y):
+    u = (y[:, None, :] - partition.centers[None, :, :]) / partition.r_cap
+    return np.prod(plateau_profile(u), axis=2)
+
+
+@pytest.mark.parametrize("kind,dim,s", [("circle-arc", 2, 4), ("circle-arc", 2, 8),
+                                        ("quartic-flat", 2, 13), ("paraboloid", 3, 4)])
+def test_near_caps_match_all_caps_bit_for_bit(kind, dim, s):
+    # raw evaluates only the caps that reach the points; every other column
+    # must be the exact 0 of the plateau, so bumps and masses keep their bytes
+    surf = make_surface(kind, dim)
+    pieces = partition_measure(surf, s=s, eps=EPS)
+    partition = pieces[0].partition
+    rng = np.random.default_rng(s)
+    samples = [p.param_points for p in pieces[::max(1, len(pieces) // 12)]]
+    samples.append(rng.uniform(-0.55, 0.55, size=(500, dim - 1)))
+    # small boxes whose edges fall inside some cap's taper
+    for lo in rng.uniform(-0.5, 0.4, size=(20, dim - 1)):
+        side = rng.uniform(0.25, 2.0) * partition.r_cap
+        samples.append(rng.uniform(lo, lo + side, size=(50, dim - 1)))
+    for y in samples:
+        raw = _all_caps_raw(partition, y)
+        assert partition.raw(y).tobytes() == raw.tobytes()
+        total = np.sum(raw, axis=1)
+        live = total > 0.0
+        for rho in range(0, len(pieces), max(1, len(pieces) // 5)):
+            want = np.zeros(len(y))
+            want[live] = raw[live, rho] * surf.chi(y)[live] / total[live]
+            assert partition.bump(y, rho).tobytes() == want.tobytes()
+    assert partition.raw(np.zeros((0, dim - 1))).shape == (0, len(pieces))
+
+
 def test_partition_budget_guard():
     circ = make_surface("circle-arc")
     with pytest.raises(BudgetExceededError):
@@ -353,6 +432,38 @@ def test_classify_input_validation():
     mixed = partition_measure(circ, s=0, eps=EPS) + partition_measure(circ, s=4, eps=EPS)
     with pytest.raises(InputInvalidError):
         classify_pieces(mixed, circ, D, eps=EPS, zeta=ZETA)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_classify_grid_is_the_cell_centred_formula(dim, monkeypatch):
+    # the fine grid is a Lattice over the cap's box; its centers and cell
+    # volume are those of lo + (hi - lo)(i + 1/2)/n bit for bit
+    p = dim - 1
+    surf = make_surface("paraboloid", dim)
+    D = validate_dilation(np.diag([5.0, 4.0, 3.0, 2.0][4 - dim:]))
+    centers = np.array([[0.1] * p, [-0.2 / 3.0] * p])
+    partition = surface._CapPartition(centers, 0.13, surf)
+    pieces = [surface.SurfacePiece(
+        s=0, rho=rho, center=c, radius=1.0, eps=EPS, surface=surf,
+        partition=partition, param_points=c[None, :], quad_points=surf.points(c),
+        gl_weights=np.ones(1), bump_values=np.ones(1)) for rho, c in enumerate(centers)]
+    make_lattice, made = surface.make_lattice, []
+
+    def recording(box, shape):
+        made.append(make_lattice(box, shape))
+        return made[-1]
+
+    monkeypatch.setattr(surface, "make_lattice", recording)
+    classify_pieces(pieces, surf, D, eps=EPS, zeta=ZETA)
+    assert len(made) == len(pieces)
+    for piece, lattice in zip(pieces, made):
+        lo, hi = piece.center - 0.13, piece.center + 0.13
+        n = max(2, int(round(surface.FINE_POINTS ** (1.0 / p))))
+        axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(n) + 0.5) / n for j in range(p)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([m.ravel() for m in mesh])
+        assert lattice.points().tobytes() == pts.tobytes()
+        assert lattice.cell_volume == float(np.prod((hi - lo) / n))
 
 
 def _unique_oracle(keys, masses):
