@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DilationStructure
+from .dilation import DilationStructure, _left_sum
 from .errors import InputInvalidError
 from .grid import GridCube
 
@@ -112,7 +112,7 @@ class AtomicSum:
                 raise InputInvalidError("all atoms must share the sum's dilation")
 
     def h1_norm(self) -> float:
-        return float(sum(lam for _, lam in self.terms))
+        return float(_left_sum(lam for _, lam in self.terms))
 
     def evaluate(self, points) -> np.ndarray:
         """Pointwise values, vectorized with one pullback per tau level."""

@@ -44,8 +44,6 @@ DEFAULTS = {
     "s_range": [4, 16],
     "tau_window": None,
     "n_gl": 200,
-    "n_bins": 255,
-    "constants": {"c_w": 16.0, "c_stop": 100.0, "c_iv": 32.0},
     "out_dir": "runs",
     "seed": 7,
 }
@@ -74,8 +72,6 @@ class ExperimentConfig:
     s_range: list
     tau_window: object
     n_gl: int
-    n_bins: int
-    constants: dict
     out_dir: str
     seed: int
 
@@ -198,8 +194,7 @@ def _positive(value) -> bool:
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     # int() would truncate 2.5 and leave the manifest a value the run never used
-    for name, value in (("surface.dim", cfg.surface.get("dim", 2)),
-                        ("n_gl", cfg.n_gl), ("n_bins", cfg.n_bins)):
+    for name, value in (("surface.dim", cfg.surface.get("dim", 2)), ("n_gl", cfg.n_gl)):
         if not _is_int(value):
             raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
     try:
@@ -257,9 +252,6 @@ def _validate(raw: dict) -> ExperimentConfig:
                 "atom lam_range must be [lo, hi] with 0 < lo <= hi, both finite")
     elif not all(_positive(row["lam"]) for row in rows):
         raise ConfigInvalidError("every atoms.list row needs a finite lam > 0")
-    for name, value in cfg.constants.items():
-        if not _positive(value):
-            raise ConfigInvalidError(f"constant {name} must be positive and finite")
-    if cfg.n_gl < 4 or cfg.n_bins < 8:
-        raise ConfigInvalidError("n_gl and n_bins too small to quadrature")
+    if cfg.n_gl < 4:
+        raise ConfigInvalidError("n_gl too small to quadrature")
     return cfg

@@ -38,14 +38,13 @@ through its region(), built at most once per call.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import compress, product
 from math import inf
-from operator import add
 
 import numpy as np
 
-from .dilation import cube_diameter
+from .dilation import _left_sum, cube_diameter
 from .errors import (
     BudgetExceededError,
     InputInvalidError,
@@ -69,16 +68,17 @@ _LEVEL_BUDGET = 200
 _TOL = 1e-9
 # unit-ball points per entry and level in verify_stopping's check (ii)
 STOPPING_SAMPLES = 1000
+# the constructions' constants: a selected double carries at most C_W alpha
+# |S| (the density guard and verify_whitney's condition 1), the exceptional
+# set's volume is at most C_STOP (alpha^-1 sum lam + sum |S|) (check (i)),
+# and stopped mass stacks to at most C_IV alpha 2^sigma a^tau in any double
+# (check (iv))
+C_W = 16.0
+C_STOP = 100.0
+C_IV = 32.0
 
 
 # --------------------------------------------------------------- shared math
-
-
-def _left_sum(values):
-    """sum() with its rounding fixed: one add per term, left to right,
-    from 0.  CPython's sum() adds floats this way up to 3.11; from 3.12 it
-    compensates the rounding, which would move last bits."""
-    return reduce(add, values, 0)
 
 
 def _mass_sum(masses, ids) -> float:
@@ -493,14 +493,14 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
     _merge_nested(D, selected, assigned)
 
     # Bounded-density guard: a selected double should not carry more than
-    # 16 alpha times the cube volume.  Offenders are merged upward.
+    # C_W alpha times the cube volume.  Offenders are merged upward.
     for _ in range(_LEVEL_BUDGET):
         worst = None
         live_ids = [s_id for s_id, row in enumerate(selected) if row is not None]
         held = boxes.within_each(_row_array([selected[s_id] for s_id in live_ids]), 2.0)
         for col, s_id in enumerate(live_ids):
             full = _mass_of(masses, held[:, col])
-            excess = full - 16.0 * alpha * row_volume(D, selected[s_id])
+            excess = full - C_W * alpha * row_volume(D, selected[s_id])
             if excess > _TOL * max(1.0, full) and (worst is None or excess > worst[1]):
                 worst = (s_id, excess)
         if worst is None:
@@ -558,7 +558,7 @@ def _merge_nested(D, selected, assigned):
                 )
 
 
-def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = 16.0) -> CheckReport:
+def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = C_W) -> CheckReport:
     """Re-check disjointness and the three defining conditions with witnesses.
 
     Raises InputInvalidError when the entries or alpha are invalid, or when
@@ -856,7 +856,7 @@ def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarra
 
 
 def exceptional_volume(result: StoppingResult, S_list, entries, alpha: float,
-                       C: float = 100.0):
+                       C: float = C_STOP):
     """Check (i)'s pair (total, bound): the volume_terms of the exceptional
     primitives summed, and C (alpha^-1 sum lam + sum |S|).  Every sum is
     taken with _left_sum, in list order."""
@@ -867,7 +867,7 @@ def exceptional_volume(result: StoppingResult, S_list, entries, alpha: float,
 
 
 def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
-                    C: float = 100.0, C_iv: float = 32.0, seed: int = 0) -> CheckReport:
+                    C: float = C_STOP, C_iv: float = C_IV, seed: int = 0) -> CheckReport:
     """Re-check the four defining conditions of the stopping construction.
 
     (i) the summed volume terms of the exceptional primitives are controlled

@@ -8,8 +8,9 @@ and provides the cube-diameter asymptotics.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -23,6 +24,15 @@ from .errors import (
 _EXPAND_TOL = 1e-9
 _RANK_TOL = 1e-7
 SCAN_LIMIT = 64
+
+
+def _left_sum(values):
+    """sum() with its rounding fixed: one add per term, left to right,
+    from 0.  CPython's sum() adds floats this way up to 3.11; from 3.12 it
+    compensates the rounding, which would move last bits.  Every float sum
+    whose bits reach an output (masses, volumes, the atomic-sum norm) is
+    taken with it."""
+    return reduce(add, values, 0)
 
 
 @dataclass

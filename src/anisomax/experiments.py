@@ -17,6 +17,9 @@ import scipy
 
 from . import __version__
 from .decomposition import (
+    C_IV,
+    C_STOP,
+    C_W,
     STOPPING_SAMPLES,
     CheckReport,
     exceptional_volume,
@@ -25,7 +28,7 @@ from .decomposition import (
     verify_whitney,
     whitney_decompose,
 )
-from .dilation import SCAN_LIMIT, cube_diameter, fit_diameter_exponent
+from .dilation import SCAN_LIMIT, _left_sum, cube_diameter, fit_diameter_exponent
 from .errors import ConfigInvalidError, TailNotNegligibleWarning
 from .maximal import (
     THRESHOLD_COUNT,
@@ -41,6 +44,7 @@ from .surface import (
     DECAY_N_SHELLS,
     DECAY_SLOPE_CUT,
     FINE_POINTS,
+    KERNEL_BINS,
     KERNEL_SMOOTH_CELLS,
     PIECE_BOUND_FACTOR,
     PIECE_GL_NODES,
@@ -66,10 +70,14 @@ EXPERIMENT_NAMES = (
 DIAMETER_FIT_TAU = (-40, -10)
 
 MODULE_CONSTANTS = {
+    "c_iv": C_IV,
+    "c_stop": C_STOP,
+    "c_w": C_W,
     "classify_fine_points": FINE_POINTS,
     "decay_n_shells": DECAY_N_SHELLS,
     "decay_slope_cut": DECAY_SLOPE_CUT,
     "diameter_fit_tau": list(DIAMETER_FIT_TAU),
+    "kernel_bins": KERNEL_BINS,
     "kernel_smooth_cells": KERNEL_SMOOTH_CELLS,
     "maximal_tail_fraction": TAIL_FRACTION,
     "maximal_threshold_count": THRESHOLD_COUNT,
@@ -162,12 +170,10 @@ def _run_whitney(config, out: Path, summary: CheckReport) -> None:
     entries = config.entries()
     alpha = config.alpha
     result = whitney_decompose(entries, alpha)
-    report = verify_whitney(result, entries, alpha,
-                            c_w=config.constants["c_w"])
-    rows = []
-    for sid, S in enumerate(result.selected):
-        mass = sum(entries[i][1] for i, j in result.assigned.items() if j == sid)
-        rows.append((S.tau, _index_str(S.index), S.volume, mass))
+    report = verify_whitney(result, entries, alpha)
+    rows = [(S.tau, _index_str(S.index), S.volume,
+             _left_sum(entries[i][1] for i, j in result.assigned.items() if j == sid))
+            for sid, S in enumerate(result.selected)]
     _write_csv(out / "selected.csv",
                ["tau", "index", "volume", "assigned_mass"], rows)
     summary.add("selection", True,
@@ -181,15 +187,12 @@ def _pipeline_decomposition(config, f):
     entries = [(atom.support, lam) for atom, lam in f.terms]
     alpha = config.alpha
     wres = whitney_decompose(entries, alpha)
-    wrep = verify_whitney(wres, entries, alpha, c_w=config.constants["c_w"])
+    wrep = verify_whitney(wres, entries, alpha)
     if not wres.selected:
         return entries, wres, wrep, None, None, []
     kept = [entries[i] for i in sorted(wres.assigned)]
     sres = stopping_time(wres.selected, kept, alpha)
-    srep = verify_stopping(sres, wres.selected, kept, alpha,
-                           C=config.constants["c_stop"],
-                           C_iv=config.constants["c_iv"],
-                           seed=config.seed)
+    srep = verify_stopping(sres, wres.selected, kept, alpha, seed=config.seed)
     return entries, wres, wrep, sres, srep, kept
 
 
@@ -254,7 +257,7 @@ def _run_surface_classify(config, out: Path, summary: CheckReport) -> None:
 def _run_kernel_decay(config, out: Path, summary: CheckReport) -> None:
     surface = config.surface_obj()
     measure = surface_quadrature(surface, config.n_gl)
-    kernel = autocorrelation_kernel(measure, n_bins=config.n_bins)
+    kernel = autocorrelation_kernel(measure)
     report = check_kernel_decay(kernel)
     _write_csv(out / "shells.csv", ["radius", "maximum"],
                list(zip(report.radii, report.maxima)))
@@ -280,7 +283,7 @@ def _run_maximal_weak_type(config, out: Path, summary: CheckReport) -> None:
                ["threshold", "size", "product"], rows)
     write_field_binary(mf, out / "maximal_field.bin")
     tails = mf.provenance["tail_fractions"]
-    summary.add("weak_type_ratio", ratio <= config.constants["c_stop"],
+    summary.add("weak_type_ratio", ratio <= C_STOP,
                 f"ratio={ratio!r} over {THRESHOLD_COUNT} thresholds")
     summary.add("range_tails", True,
                 f"end fractions {tails[0]!r}, {tails[1]!r}")
@@ -302,8 +305,7 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
                    [(p.kind, p.volume_term) for p in sres.exceptional])
         summary.add("stopping", srep.passed,
                     "; ".join(n for n, _ in srep.failures()) or "all checks hold")
-        e_volume, bound = exceptional_volume(sres, wres.selected, kept, alpha,
-                                             config.constants["c_stop"])
+        e_volume, bound = exceptional_volume(sres, wres.selected, kept, alpha)
         summary.add("exceptional_volume", e_volume <= bound,
                     f"sum={e_volume!r} vs bound={bound!r}")
         exclude = [p.region() for p in sres.exceptional]
@@ -330,7 +332,7 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
     lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
     excluded = _excluded_mask(lattice, exclude)
     k_range = tuple(int(v) for v in config.k_range)
-    cap = config.constants["c_stop"] / alpha
+    cap = C_STOP / alpha
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
         reports = weak_type_reports(f, measure, k_range, lattice,

@@ -22,10 +22,12 @@ sub-sum holds a scratch array only from its first term to its fold after
 its last, so sub-sums whose terms do not interleave (f's tau groups, whose
 atoms are listed group by group) take turns with one array from a pool;
 the fold works in that array and one bool buffer, allocating nothing the
-size of the lattice.  maximal_field is the engine's one-part case;
+size of the lattice.  The sub-sums' sups share one block, and their argmax
+arrays another.  maximal_field is the engine's one-part case;
 convolve_dilated adds the same blocks for a single k.
 
-Superlevel-set sizes are cell counts times the cell volume, optionally
+Superlevel-set sizes are cell counts times the cell volume, counted in a
+sorted copy of only the cells above the lowest threshold, optionally
 skipping the cells of a boolean mask, such as the cells of an exceptional
 set E built once per lattice by _excluded_mask, from per-axis tests under a
 diagonal A and from the cell centers otherwise.  Every weak-type ratio comes
@@ -356,7 +358,8 @@ def _fold_regions(touched: list) -> list:
 
 
 class _ScratchPool:
-    """The lattice-sized buffers of one engine run.
+    """The lattice-sized scratch buffers of one engine run (the sups and
+    argmax arrays are blocks of their own, allocated by _maximal_fields).
 
     free holds zeroed float arrays that sub-sums take at their first term
     and give back after their fold; flags is the one bool buffer every
@@ -378,25 +381,23 @@ class _ScratchPool:
 class _RunningSup:
     """Pointwise sup over k of |mu_k * g| and its argmax, for one sub-sum g.
 
-    At each k the terms of g are added into a scratch array taken from the
-    pool at g's first term that meets the lattice (add), and fold(k)
-    updates the sup and the argmax on the slices written (_fold_regions)
-    only, in place: |scratch| into scratch itself, the strict > against
-    the sup into the pool's flags, which is idempotent where slices
-    overlap; cells outside them hold 0 and could not win.  The regions are
-    zeroed only after all of them are folded, and the array goes back to
-    the pool at 0.
+    best and argmax are g's views of the engine's sup and argmax blocks
+    (_maximal_fields), at 0 and ks[0] to start.  At each k the terms of g
+    are added into a scratch array taken from the pool at g's first term
+    that meets the lattice (add), and fold(k) updates the sup and the
+    argmax on the slices written (_fold_regions) only, in place: |scratch|
+    into scratch itself, the strict > against the sup into the pool's
+    flags, which is idempotent where slices overlap; cells outside them
+    hold 0 and could not win.  The regions are zeroed only after all of
+    them are folded, and the array goes back to the pool at 0.
     """
 
-    def __init__(self, lattice: Lattice, ks):
+    def __init__(self, best: np.ndarray, argmax: np.ndarray, ks):
         self.scratch = None
         self.touched = []
-        self.best = np.full(lattice.shape, 0.0)   # see _ScratchPool
+        self.best = best
+        self.argmax = argmax
         self.ks = ks
-        # k itself, in the narrowest signed type that holds every k; cells
-        # that never rise above 0 keep ks[0]
-        reach = max(abs(ks[0]), abs(ks[-1]))
-        self.argmax = np.full(lattice.shape, ks[0], np.min_scalar_type(-1 - reach))
         self.end_max = {}
 
     def add(self, region, pool: _ScratchPool) -> np.ndarray:
@@ -456,9 +457,21 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
     blocks, in term order, as a run on that part alone would.  A part is
     folded right after its last term, which frees its array for the parts
     that start later.
+
+    Every part's sup is a view of one (parts, *shape) block, and every
+    part's argmax_k of another, so a returned field keeps every part's sup
+    and argmax alive.  One large block is allocated and freed as a whole:
+    freeing it raises glibc's adaptive mmap and trim thresholds above the
+    run's working set, where lattice-sized arrays freed one by one would
+    hand the heap back to the system after every run, to be faulted in
+    again by the next.
     """
     ks = _normalize_k_range(k_range)
-    sups = [_RunningSup(lattice, ks) for _ in parts]
+    best = np.full((len(parts), *lattice.shape), 0.0)   # see _ScratchPool
+    # k itself, in the narrowest signed type that holds every k; cells that
+    # never rise above 0 keep ks[0]
+    argmax = np.full(best.shape, ks[0], np.min_scalar_type(-1 - max(map(abs, ks))))
+    sups = [_RunningSup(b, a, ks) for b, a in zip(best, argmax)]
     holders = [[] for _ in f.terms]
     closing = [[] for _ in f.terms]
     for sup, part in zip(sups, parts):
@@ -556,21 +569,23 @@ def distribution_function(field: SampledField, thresholds,
 
     excluded is a boolean cell mask in the lattice shape (for an exceptional
     set, from _excluded_mask); its cells are skipped, which never enlarges a
-    superlevel set.  The kept values, one copy of the field's, are sorted in
-    place once and every threshold is counted by one binary search.
+    superlevel set.  Only the kept cells above the lowest threshold are
+    copied; the copy is sorted in place once and every threshold is counted
+    by one binary search.  The thresholds ascend, so every cell above one
+    of them is in the copy and each count is exact.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise InputInvalidError("thresholds must be a nonempty 1-d sequence")
-    if np.any(np.diff(thresholds) < 0):
-        raise InputInvalidError("thresholds must be sorted ascending")
-    if excluded is None:
-        kept = field.values.flatten()
-    else:
+    if not (np.all(np.isfinite(thresholds)) and np.all(np.diff(thresholds) >= 0)):
+        raise InputInvalidError("thresholds must be finite and sorted ascending")
+    picked = field.values > thresholds[0]
+    if excluded is not None:
         excluded = np.asarray(excluded, dtype=bool)
         if excluded.shape != field.lattice.shape:
             raise InputInvalidError("excluded mask shape does not match the lattice")
-        kept = field.values[~excluded]
+        picked &= ~excluded
+    kept = field.values[picked]
     kept.sort()
     above = kept.size - np.searchsorted(kept, thresholds, side="right")
     measures = field.lattice.cell_volume * above

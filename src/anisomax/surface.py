@@ -35,6 +35,8 @@ _KEY_LIMIT = 2.0 ** 53
 _MAX_POLY_DEGREE = 6
 FINE_POINTS = 4096
 KERNEL_SMOOTH_CELLS = 1.0
+# histogram bins per axis of autocorrelation_kernel
+KERNEL_BINS = 255
 DECAY_N_SHELLS = 12
 DECAY_SLOPE_CUT = -0.7
 # the constant C of the sup, L1 and pair bounds of the kernel-bound checks
@@ -500,7 +502,7 @@ class KernelField:
         return np.sqrt(sum(m * m for m in mesh))
 
 
-def autocorrelation_kernel(measure, n_bins: int = 255) -> KernelField:
+def autocorrelation_kernel(measure, n_bins: int = KERNEL_BINS) -> KernelField:
     """Histogram density of all pairwise node differences, then smooth.
 
     The first call imports scipy.ndimage for the smoothing.  It loads about

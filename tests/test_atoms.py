@@ -131,6 +131,16 @@ def test_atomic_sum_norm_and_eval():
     assert f.evaluate(pts) == approx(direct)
 
 
+def test_atomic_sum_norm_is_the_left_fold():
+    # h1 divides every weak-type ratio and is printed in weak_type.csv, so it
+    # is summed as one left fold on any Python; from 3.12 sum() compensates
+    # and would give 1.0000000000000002e16
+    D = _diag24()
+    atom = make_atom(GridCube(0, 0, (0, 0), D), "haar", seed=1)
+    f = AtomicSum(terms=[(atom, 1e16), (atom, 1.0), (atom, 1.0)], dilation=D)
+    assert repr(f.h1_norm()) == repr(1e16)
+
+
 def test_atomic_sum_rejects_negative_weight():
     D = _diag24()
     atom = make_atom(GridCube(0, 0, (0, 0), D), "haar", seed=1)

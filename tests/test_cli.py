@@ -163,10 +163,14 @@ def test_cli_validate_dilation(tmp_path):
     assert manifest["config"]["eps"] == approx(0.25)
     assert "numpy" in manifest["versions"]
     assert manifest["module_constants"] == {
+        "c_iv": 32.0,
+        "c_stop": 100.0,
+        "c_w": 16.0,
         "classify_fine_points": 4096,
         "decay_n_shells": 12,
         "decay_slope_cut": -0.7,
         "diameter_fit_tau": [-40, -10],
+        "kernel_bins": 255,
         "kernel_smooth_cells": 1.0,
         "maximal_tail_fraction": 0.01,
         "maximal_threshold_count": 64,
@@ -198,8 +202,8 @@ def test_cli_exit_code_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("override", [
-    "eps=.inf", "zeta=.nan", "alpha=.inf", "alpha=.nan", "constants.c_w=.inf",
-    "constants.c_iv=.nan", "atoms.lam_range=[0.1, .inf]", "atoms.lam_range=[.nan, 1.0]",
+    "eps=.inf", "zeta=.nan", "alpha=.inf", "alpha=.nan",
+    "atoms.lam_range=[0.1, .inf]", "atoms.lam_range=[.nan, 1.0]",
     "atoms.list=[{tau: 0, index: [0, 0], lam: .inf}]",
     "atoms.list=[{tau: 0, index: [0, 0], lam: .nan}]",
 ])
@@ -233,7 +237,6 @@ def test_cli_short_tau_window_is_a_config_error(tmp_path):
     ("lattice.shape=[64.5,64]", "lattice.shape"),
     ("n_gl=100.5", "n_gl"),
     ("n_gl=40.0", "n_gl"),
-    ("n_bins=100.5", "n_bins"),
     ("surface.dim=2.5", "surface.dim"),
     ("surface.coeffs={'4.5': 1.0}", "surface.coeffs"),
     ("atoms.index_span=2.5", "atoms.index_span"),
@@ -244,8 +247,8 @@ def test_cli_short_tau_window_is_a_config_error(tmp_path):
 def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, field):
     # int() would truncate these where they are used (k in -2..2, s in
     # [4, 5], 2 atoms, 64 cells, a tau of -1), leaving the manifest a value
-    # the run did not use, or they die in numpy with exit 1 (n_gl, n_bins,
-    # a coefficient key), so each is rejected as tau_window is
+    # the run did not use, or they die in numpy with exit 1 (n_gl, a
+    # coefficient key), so each is rejected as tau_window is
     res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
                 "--override", override])
     assert res.exit_code == 2
@@ -260,8 +263,33 @@ def test_cli_rejects_a_constant_nothing_reads(tmp_path):
     res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
                 "--override", "constants.c_pair=64"])
     assert res.exit_code == 2
-    assert "unknown config key: constants.c_pair" in res.output
+    assert "unknown config key: constants" in res.output
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("source", ["override", "yaml"])
+@pytest.mark.parametrize("override", [
+    "constants.c_w=16.0", "constants.c_w=.inf", "constants.c_iv=.nan",
+    "n_bins=255", "n_bins=100.5",
+])
+def test_cli_rejects_a_removed_constant_as_unknown(tmp_path, override, source):
+    # C_W, C_STOP, C_IV and KERNEL_BINS are module constants, recorded in
+    # the manifest's module_constants; a config that sets one, to its own
+    # value or to any other, is refused before anything runs
+    key, _, value = override.partition("=")
+    top, *sub = key.split(".")
+    out = tmp_path / "out"
+    args = ["run", "--experiment", "whitney", "--out", str(out)]
+    if source == "override":
+        args += ["--override", override]
+    else:
+        path = tmp_path / "run.yaml"
+        path.write_text(f"{top}: {{{sub[0]}: {value}}}\n" if sub else f"{top}: {value}\n")
+        args += ["--config", str(path)]
+    res = _run(args)
+    assert res.exit_code == 2
+    assert f"unknown config key: {top}" in res.output
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_exit_code_dimension_mismatch(tmp_path):
@@ -567,7 +595,7 @@ PIPELINE_YAML = """\
 matrix:
   - [4.0, 0.0]
   - [0.0, 2.0]
-alpha: 16.0
+alpha: 16.
 eps: 2.5e-1
 zeta: .03125
 atoms:
@@ -583,7 +611,6 @@ lattice:
 k_range: [-2, 2]
 n_gl: 48
 s_range: [4, 4]
-constants: {c_w: 16., c_stop: 1.0e+2, c_iv: 32.0}
 """
 
 
@@ -634,7 +661,7 @@ def test_config_is_the_same_under_either_loader(tmp_path, monkeypatch, case, fal
     if case == "atom-list":
         cfg = load_config(path)
         assert len(cfg.atoms["list"]) == 2 and cfg.eps == 0.25 and cfg.zeta == 0.03125
-        assert cfg.constants == {"c_w": 16.0, "c_stop": 100.0, "c_iv": 32.0}
+        assert cfg.alpha == 16.0
 
 
 @needs_libyaml

@@ -17,13 +17,13 @@ from numpy.random import default_rng
 from pytest import approx
 
 from anisomax.decomposition import (
+    C_STOP,
     STOPPING_SAMPLES,
     ExceptionalPrimitive,
     TraceEvent,
     _BoxSet,
     _certified_dilates,
     _cube_rows,
-    _left_sum,
     _mass_of,
     _merge_nested,
     _star_groups,
@@ -35,7 +35,7 @@ from anisomax.decomposition import (
     whitney_decompose,
     WhitneyResult,
 )
-from anisomax.dilation import validate_dilation
+from anisomax.dilation import _left_sum, validate_dilation
 from anisomax.errors import (
     AnisoError,
     BudgetExceededError,
@@ -920,10 +920,6 @@ def test_exceptional_volume_is_check_i():
     assert failing > 0
 
 
-# the constant C of check (i) (verify_stopping, full-pipeline's c_stop)
-CHECK_I_C = 100.0
-
-
 def _region_areas(region, cells):
     """The area of the cells, on a cells^d grid over region.bbox() and on
     one of halved spacing, whose centers region.contains_points accepts."""
@@ -959,7 +955,7 @@ def test_tendril_region_area_within_check_i_constant():
         coarse, fine = _region_areas(region, 100)
         ratios.append((fine - abs(fine - coarse)) / p.volume_term)
     assert len(ratios) >= 10
-    assert max(ratios) <= CHECK_I_C, f"area / volume_term up to {max(ratios):.4g}"
+    assert max(ratios) <= C_STOP, f"area / volume_term up to {max(ratios):.4g}"
 
 
 def test_classification_partitions_entries(diag_dilation):

@@ -660,6 +660,10 @@ def test_distribution_trivials():
         distribution_function(fld, [2.0, 0.5])
     with pytest.raises(InputInvalidError):
         distribution_function(fld, [])
+    # nan passes the order check and inf bounds nothing: neither is a level
+    for bad in ([np.nan, 1.0, 5.0], [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(InputInvalidError, match="finite"):
+            distribution_function(fld, bad)
 
 
 def test_distribution_exclusion_never_grows():
@@ -684,14 +688,24 @@ def test_distribution_counts_match_per_threshold_passes():
     values = rng.choice(np.concatenate([thresholds, rng.random(50)]), lat.shape)
     fld = SampledField(lat, values)
     before = fld.values.copy()
-    for excluded in (None, rng.random(lat.shape) < 0.3,
-                     np.ones(lat.shape, dtype=bool)):
+    cases = [(thresholds, excluded) for excluded in (
+        None, rng.random(lat.shape) < 0.3, np.ones(lat.shape, dtype=bool))]
+    cases += [
+        # a negative lowest threshold: every cell lies above it
+        (np.array([-0.5, 0.25, 1.0]), None),
+        # a field entirely at or below the lowest threshold
+        (np.array([2.0, 3.0]), None),
+        # a mask that leaves no cell above the lowest threshold
+        (thresholds[2:], values > thresholds[2]),
+    ]
+    for levels, excluded in cases:
         kept = values if excluded is None else values[~excluded]
         brute = np.array([lat.cell_volume * np.count_nonzero(kept > lam)
-                          for lam in thresholds])
-        report = distribution_function(fld, thresholds, excluded=excluded)
+                          for lam in levels])
+        report = distribution_function(fld, levels, excluded=excluded)
         assert np.array_equal(report.measures, brute)
-        assert report.weak_ratio == float(np.max(thresholds * brute))
+        assert report.weak_ratio == float(np.max(levels * brute))
+    assert brute.sum() == 0 and values.max() == 2.0
     assert np.array_equal(fld.values, before)   # the field is not sorted in place
 
 
