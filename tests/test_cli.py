@@ -193,6 +193,43 @@ def test_cli_whitney_empty_atoms(tmp_path):
         "tau,index,volume,assigned_mass\n"
 
 
+# recorded before the empty case shared the main path's write calls
+NOTHING_SELECTED = {
+    "stopping": ({
+        "summary.txt": "PASS whitney: 0 cubes from 3 entries\n"
+                       "PASS stopping: no cubes selected; nothing to stop\n"
+                       "RESULT PASS\n",
+        "kappa.csv": "entry,tau,index,lam,kappa,class\n",
+        "kappa_hist.csv": "kappa,count\n",
+        "exceptional.csv": "kind,volume_term\n",
+    }, 0),
+    "full-pipeline": ({
+        "summary.txt": "PASS whitney: 0 cubes from 3 entries\n"
+                       "PASS stopping: no cubes selected; E is empty\n"
+                       "PASS piece_split: s=4: 0 of 7 pieces kept\n"
+                       "FAIL weak_type_outside_E: overall ratio=0.48087131459210103 "
+                       "vs cap=0.0001\n"
+                       "RESULT FAIL\n",
+        "kappa_hist.csv": "kappa,count\n",
+        "exceptional_volume.csv": "kind,volume_term\n",
+    }, 1),
+}
+
+
+@pytest.mark.parametrize("experiment", list(NOTHING_SELECTED))
+def test_cli_nothing_selected_writes_the_recorded_outputs(tmp_path, experiment):
+    # alpha above every entry's mass selects no Whitney cube, so nothing is
+    # stopped: the summary says so and the stopping CSVs hold headers only
+    expected, status = NOTHING_SELECTED[experiment]
+    out = tmp_path / experiment
+    res = _run(["run", "--experiment", experiment, "--out", str(out), *FAST,
+                "--override", "alpha=1000000.0"])
+    assert res.exit_code == status
+    assert res.output == expected["summary.txt"]
+    for name, text in expected.items():
+        assert (out / name).read_text() == text, name
+
+
 def test_cli_exit_code_config_error(tmp_path):
     res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
                 "--override", "matrix=[[1,0],[0,1]]"])

@@ -13,6 +13,11 @@ Frozen reference values:
   [5, 5, 5, 5, 7, 7, 9], giving eta = 0.1883
 """
 
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,7 @@ from anisomax import surface
 from anisomax.atoms import Atom, AtomicSum, make_atom
 from anisomax.dilation import cube_diameter, validate_dilation
 from anisomax.errors import (
+    AnisoError,
     BudgetExceededError,
     DegenerateFitError,
     InputInvalidError,
@@ -725,3 +731,119 @@ def test_linfty_bound_rejects_a_measure_without_cap_exponent():
     with pytest.raises(InputInvalidError, match="cap exponent"):
         check_linfty_bound(_haar_sum(D, (0, 0), -1), measure,
                            sigma=0, zeta=ZETA, s=0)
+
+
+# ------------------------------------------------- golden digests, as recorded
+
+
+GOLDEN_FILE = Path(__file__).parent / "data" / "surface_golden.txt"
+GOLDEN_CASES = ("circle-arc s=0", "circle-arc s=4", "quartic-flat s=4",
+                "paraboloid d=3 s=4")
+
+
+def _golden_case(name):
+    """(surface, dilation, s, atomic sums a and b, every nth piece checked)."""
+    if name == "paraboloid d=3 s=4":
+        D = validate_dilation(np.diag([4.0, 3.0, 2.0]))
+        a = AtomicSum(terms=[
+            (make_atom(GridCube(0, 0, (0, 0, 0), D), "haar", seed=1), 1.0),
+            (make_atom(GridCube(0, 0, (-1, 1, 0), D), "bump", seed=2), 0.5)],
+            dilation=D)
+        return make_surface("paraboloid", dim=3), D, 4, a, _haar_sum(D, (1, 0, 0), 0), 20
+    kind, s = name.split(" s=")
+    D = _transversal()
+    a = AtomicSum(terms=[
+        (make_atom(GridCube(0, -1, (0, 0), D), "haar", seed=1), 1.0),
+        (make_atom(GridCube(0, 0, (1, -1), D), "bump", seed=2), 0.5)],
+        dilation=D)
+    return make_surface(kind), D, int(s), a, _haar_sum(D, (2, 0), -1), 1
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of the package error it raised."""
+    try:
+        return call()
+    except AnisoError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _kernel_outputs(measure, n_bins):
+    kernel = autocorrelation_kernel(measure, n_bins)
+    decay = _outcome(lambda: dataclasses.astuple(check_kernel_decay(kernel)))
+    return [kernel.values.tobytes(), kernel.half_width, kernel.spacing,
+            kernel.mass_squared, decay]
+
+
+def golden_digests(name):
+    """Digests of the case's partition_measure nodes and weights, the
+    classify_pieces fields, the autocorrelation kernel and its decay shells
+    (full measure, then the first piece), and the check_linfty_bound and
+    check_pair_bound reports on every nth piece; each with the error a call
+    raised, if any."""
+    surf, D, s, a, b, every = _golden_case(name)
+    pieces = partition_measure(surf, s=s, eps=EPS)
+    partition = [_digest(
+        [p.param_points.tobytes(), p.quad_points.tobytes(), p.quad_weights.tobytes(),
+         p.center.tobytes(), p.rho, p.s, p.eps, p.scale, p.mass]) for p in pieces]
+    classify_pieces(pieces, surf, D, eps=EPS, zeta=ZETA)
+    classes = [(p.in_I1, p.in_I2, p.excluded, p.min_curvature, p.worst_mass_ratio,
+                p.worst_tau) for p in pieces]
+    # a 255^3 histogram of every node pair is too large for a test in d = 3
+    n_bins = surface.KERNEL_BINS if surf.dim == 2 else 63
+    kernels = [_outcome(lambda: _kernel_outputs(surface_quadrature(surf, 32), n_bins)),
+               _outcome(lambda: _kernel_outputs(pieces[0], n_bins))]
+    checked = pieces[::every]
+    linfty = [_outcome(lambda: dataclasses.astuple(
+        check_linfty_bound(a, p, sigma=0, zeta=ZETA, s=s))) for p in checked]
+    pair = [_outcome(lambda: dataclasses.astuple(
+        check_pair_bound(a, b, p, sigma_prime=-1, eps=EPS, s=s))) for p in checked]
+    return [_digest(partition), _digest(classes), _digest(kernels[:1]),
+            _digest(kernels[1:]), _digest(linfty), _digest(pair)]
+
+
+def _read_golden():
+    recorded = {}
+    for line in GOLDEN_FILE.read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, digests = line.split(": ", 1)
+            recorded[name] = digests.split()
+    return recorded
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_surface_outputs_match_the_golden_digests(name):
+    # a reshaped piece or check must reproduce every node, weight,
+    # classification, kernel and report bit for bit
+    recorded = _read_golden()[name]
+    got = golden_digests(name)
+    assert len(got) == len(recorded)
+    changed = [k for k, (a, b) in enumerate(zip(got, recorded)) if a != b]
+    assert not changed, f"{name}: outputs {changed} changed"
+
+
+def record_golden():
+    lines = [
+        "# Digests of the surface module's outputs, one line per case of",
+        "# _golden_case in tests/test_surface.py: partition_measure nodes and",
+        "# weights, classify_pieces fields, the autocorrelation kernel and its",
+        "# decay shells of the full measure and of the first piece, then the",
+        "# check_linfty_bound and check_pair_bound reports.  Re-record only",
+        "# when an output is meant to change, and say why in CHANGES.md:",
+        "#     PYTHONPATH=src python tests/test_surface.py --record-golden",
+    ]
+    lines += [f"{name}: {' '.join(golden_digests(name))}" for name in GOLDEN_CASES]
+    GOLDEN_FILE.parent.mkdir(exist_ok=True)
+    GOLDEN_FILE.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record-golden"]:
+        sys.exit("usage: python tests/test_surface.py --record-golden")
+    record_golden()
