@@ -148,21 +148,6 @@ class DistributionReport:
 # -------------------------------------------------------------- convolution
 
 
-def _measure_label(measure) -> str:
-    label = getattr(getattr(measure, "surface", None), "catalog_id", "measure")
-    rho = getattr(measure, "rho", None)
-    if rho is not None:
-        label = f"{label}/piece{rho}"
-    return label
-
-
-def _atomic_label(terms) -> str:
-    taus = sorted(atom.support.tau for atom, _ in terms)
-    if not taus:
-        return "0 atoms"
-    return f"{len(taus)} atoms, tau in [{taus[0]},{taus[-1]}]"
-
-
 def _min_atom_diameter(f: AtomicSum) -> float:
     taus = {atom.support.tau for atom, _ in f.terms}
     return min(cube_diameter(f.dilation, tau) for tau in taus)
@@ -327,14 +312,11 @@ def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> Sampled
     a single array.
     """
     values = np.zeros(lattice.shape)
-    if not f.terms:
-        return SampledField(lattice, values, {"f": _atomic_label(f.terms), "k": k})
-    for term in _term_blocks(f, measure, k, lattice, _support_boxes(f, lattice)):
-        if term is not None:
-            _add_blocks(term[1], [values])
-    return SampledField(lattice, values, {
-        "f": _atomic_label(f.terms), "measure": _measure_label(measure), "k": k,
-    })
+    if f.terms:
+        for term in _term_blocks(f, measure, k, lattice, _support_boxes(f, lattice)):
+            if term is not None:
+                _add_blocks(term[1], [values])
+    return SampledField(lattice, values)
 
 
 def _cells(slices) -> int:
@@ -432,7 +414,7 @@ class _RunningSup:
         if k in (self.ks[0], self.ks[-1]):
             self.end_max[k] = peak
 
-    def field(self, lattice: Lattice, provenance: dict) -> SampledField:
+    def field(self, lattice: Lattice) -> SampledField:
         """The sup as a field, with argmax_k and the range-end tail fractions."""
         peak = float(self.best.max())
         tails = tuple(self.end_max[k] / peak if peak > 0 else 0.0
@@ -442,7 +424,7 @@ class _RunningSup:
                 f"range ends contribute {max(tails):.3f} of the field max",
                 TailNotNegligibleWarning)
         return SampledField(lattice, self.best, {
-            **provenance, "k_range": (self.ks[0], self.ks[-1]),
+            "k_range": (self.ks[0], self.ks[-1]),
             "argmax_k": self.argmax, "tail_fractions": tails,
         })
 
@@ -488,9 +470,7 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
                 _add_blocks(blocks, [sup.add(region, pool) for sup in holders[i]])
             for sup in closing[i]:
                 sup.fold(k, pool)
-    return [sup.field(lattice, {
-        "f": _atomic_label([f.terms[i] for i in part]),
-        "measure": _measure_label(measure)}) for sup, part in zip(sups, parts)]
+    return [sup.field(lattice) for sup in sups]
 
 
 def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledField:
@@ -686,5 +666,5 @@ def read_field_binary(path) -> SampledField:
         count = int(np.prod(shape))
         values = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").reshape(shape)
     lattice = Lattice(origin=origin, spacing=spacing, shape=shape)
-    return SampledField(lattice, values.copy(), {"source": "binary"})
+    return SampledField(lattice, values.copy())
 

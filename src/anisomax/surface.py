@@ -3,16 +3,20 @@
 A surface is the graph of a smooth map psi over the first d-1 coordinates,
 weighted by a plateau cutoff chi; every polynomial graph, catalog or custom,
 is a coefficient table under one rule.  The measure is split into caps whose
-bumps, each from the caps that reach its points, sum back to chi; caps are
-classified by curvature and by cube-mass concentration on a maximal.Lattice
-over each cap, and convolution-type bounds are checked on a maximal.Lattice,
-with the fields computed by maximal.convolve_dilated at k = 0 (the measure
-nodes unmoved).
+bumps, each from the caps that reach its points, sum back to chi.  A cap is
+itself a measure: SurfacePiece is a SurfaceMeasure whose weights carry the
+cap's bump, both built by one node rule.  Caps are classified by curvature
+and by cube-mass concentration on a maximal.Lattice over each cap, and the
+two convolution-type bounds share one setup: a maximal.Lattice around the
+supports moved by the nodes, with the fields computed by
+maximal.convolve_dilated at k = 0 (the measure nodes unmoved).  The
+autocorrelation kernel keeps its own KernelField, a centered cubic grid that
+callers also build by hand.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from numpy.polynomial.legendre import leggauss
 
 from .dilation import DilationStructure, cube_diameter
@@ -191,7 +195,13 @@ def gaussian_curvature(surface: GraphSurface, y) -> np.ndarray:
 
 @dataclass
 class SurfaceMeasure:
-    """Quadrature discretization of the chi-weighted surface measure."""
+    """Quadrature discretization of a surface measure: the chi-weighted
+    measure itself (surface_quadrature) or one cap of it (SurfacePiece).
+
+    scale is the measure's length scale, 1 for the whole measure and the
+    cap radius 2^(-eps s) for a cap; eps is the cap exponent, 0 for the
+    whole measure.
+    """
 
     surface: GraphSurface
     param_points: np.ndarray
@@ -225,21 +235,24 @@ def _gauss_panels_1d(lo: float, hi: float, cuts, n_panel: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _tensor_from_axes(axes, wts):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    wmesh = np.meshgrid(*wts, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+def _weighted_nodes(surface: GraphSurface, panels, density):
+    """(param_points, quad_points, quad_weights) of the tensor rule over the
+    per-axis Gauss panels, each (nodes, weights), with the weights times
+    density at the nodes: chi for the whole measure, a cap's bump for a
+    piece."""
+    mesh = np.meshgrid(*[x for x, _ in panels], indexing="ij")
+    wmesh = np.meshgrid(*[w for _, w in panels], indexing="ij")
+    y = np.column_stack([m.ravel() for m in mesh])
     w = np.prod(np.column_stack([m.ravel() for m in wmesh]), axis=1)
-    return pts, w
+    return y, surface.points(y), w * density(y)
 
 
 def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
     """Full-measure nodes: composite Gauss-Legendre weighted by chi."""
-    p = surface.dim - 1
     r = surface.chi_radius
-    x, w1 = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r), max(8, n_gl // 4))
-    y, w = _tensor_from_axes([x] * p, [w1] * p)
-    return SurfaceMeasure(surface, y, surface.points(y), w * surface.chi(y))
+    panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r), max(8, n_gl // 4))
+    return SurfaceMeasure(surface, *_weighted_nodes(
+        surface, [panels] * (surface.dim - 1), surface.chi))
 
 
 @dataclass
@@ -274,21 +287,15 @@ class _CapPartition:
         return out
 
 
-@dataclass
-class SurfacePiece:
-    """One cap of the measure partition with its own quadrature."""
+@dataclass(kw_only=True)
+class SurfacePiece(SurfaceMeasure):
+    """One cap of the measure partition: the measure weighted by the cap's
+    bump, on its own quadrature, with the cap's classification."""
 
     s: int
     rho: int
     center: np.ndarray
-    radius: float
-    eps: float
-    surface: GraphSurface
     partition: _CapPartition
-    param_points: np.ndarray
-    quad_points: np.ndarray
-    gl_weights: np.ndarray
-    bump_values: np.ndarray
     in_I1: bool = False
     in_I2: bool = False
     min_curvature: float = None
@@ -297,18 +304,6 @@ class SurfacePiece:
 
     def bump(self, y) -> np.ndarray:
         return self.partition.bump(y, self.rho)
-
-    @property
-    def quad_weights(self) -> np.ndarray:
-        return self.gl_weights * self.bump_values
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.quad_weights))
-
-    @property
-    def scale(self) -> float:
-        return self.radius
 
     @property
     def excluded(self) -> bool:
@@ -336,23 +331,17 @@ def partition_measure(surface: GraphSurface, s: int, eps: float,
                 0.5 * surface.chi_radius, surface.chi_radius)
     pieces = []
     for rho, c in enumerate(centers):
-        axes, wts = [], []
+        panels = []
         for j in range(p):
             # The normalizer sum of plateau caps has features at quarter-cap
             # scale, so integrate per panel between the transition points.
             cuts = [c[j] - 0.5 * r_cap, c[j], c[j] + 0.5 * r_cap]
             cuts += [t for t in chi_cuts if c[j] - r_cap < t < c[j] + r_cap]
-            x, w1 = _gauss_panels_1d(c[j] - r_cap, c[j] + r_cap, cuts,
-                                     max(8, n_gl // 2))
-            axes.append(x)
-            wts.append(w1)
-        y, w = _tensor_from_axes(axes, wts)
-        bump = partition.bump(y, rho)
-        pieces.append(SurfacePiece(
-            s=s, rho=rho, center=c, radius=radius, eps=eps, surface=surface,
-            partition=partition, param_points=y, quad_points=surface.points(y),
-            gl_weights=w, bump_values=bump,
-        ))
+            panels.append(_gauss_panels_1d(c[j] - r_cap, c[j] + r_cap, cuts,
+                                           max(8, n_gl // 2)))
+        nodes = _weighted_nodes(surface, panels, partial(partition.bump, rho=rho))
+        pieces.append(SurfacePiece(surface, *nodes, scale=radius, eps=eps,
+                                   s=s, rho=rho, center=c, partition=partition))
     return pieces
 
 
@@ -569,30 +558,34 @@ def check_kernel_decay(kernel: KernelField, r_max: float = None) -> KernelDecayR
                              ok=slope <= DECAY_SLOPE_CUT)
 
 
-def _support_boxes(*atomics) -> np.ndarray:
-    """Box around the atom supports of each atomic sum, shape (n, 2, d)."""
-    out = []
-    for atomic in atomics:
-        boxes = np.array([atom.support.realize().bbox() for atom, _ in atomic.terms])
-        out.append((boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)))
-    return np.array(out)
+def _piece_convolutions(atomics, piece: SurfaceMeasure, spacing: float = None):
+    """The setup of both piece-bound checks: each atomic sum's support box,
+    shape (n, 2, d), the fields mu_rho * f of the sums f on one lattice, and
+    that lattice's cell volume.
 
-
-def _conv_lattice(boxes, measure_points, spacing, pad) -> Lattice:
-    """Lattice of side spacing holding every support box moved by every node."""
-    lo = boxes[:, 0].min(axis=0) + measure_points.min(axis=0) - pad
-    hi = boxes[:, 1].max(axis=0) + measure_points.max(axis=0) + pad
+    The lattice has side spacing, by default a sixteenth of the smallest
+    atom diameter (half what convolve_dilated allows), and holds every
+    support box moved by every node of the piece, padded by two cells; it
+    may have at most 4e6 cells.
+    """
+    if spacing is None:
+        spacing = min(_min_atom_diameter(f) for f in atomics) / 16.0
+    boxes = []
+    for f in atomics:
+        corners = np.array([atom.support.realize().bbox() for atom, _ in f.terms])
+        boxes.append((corners[:, 0].min(axis=0), corners[:, 1].max(axis=0)))
+    boxes = np.array(boxes)
+    nodes = piece.quad_points
+    lo = boxes[:, 0].min(axis=0) + nodes.min(axis=0) - 2.0 * spacing
+    hi = boxes[:, 1].max(axis=0) + nodes.max(axis=0) + 2.0 * spacing
     counts = np.maximum(2, np.ceil((hi - lo) / spacing).astype(int))
     if np.prod(counts.astype(float)) > 4e6:
         raise BudgetExceededError("convolution lattice too large")
-    return Lattice(origin=tuple(float(v) for v in lo),
-                   spacing=(float(spacing),) * lo.size,
-                   shape=tuple(int(n) for n in counts))
-
-
-def _default_spacing(atomic):
-    """A sixteenth of the smallest atom diameter, half what convolve_dilated allows."""
-    return _min_atom_diameter(atomic) / 16.0
+    lattice = Lattice(origin=tuple(float(v) for v in lo),
+                      spacing=(float(spacing),) * lo.size,
+                      shape=tuple(int(n) for n in counts))
+    fields = [convolve_dilated(f, piece, 0, lattice) for f in atomics]
+    return boxes, fields, spacing ** lo.size
 
 
 @dataclass
@@ -615,21 +608,17 @@ def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int,
     if lam_q <= 0.0:
         raise InputInvalidError("the atomic sum must carry positive mass")
     eps = piece.eps
-    if eps is None or eps <= 0.0:
+    if eps <= 0.0:
         raise InputInvalidError(
             "the L1 bound needs a cap exponent eps > 0: pass a piece of "
             "partition_measure, not the full measure")
-    if spacing is None:
-        spacing = _default_spacing(atomic)
-    lattice = _conv_lattice(_support_boxes(atomic), piece.quad_points, spacing,
-                            pad=2.0 * spacing)
-    vals = convolve_dilated(atomic, piece, 0, lattice).values
+    _, (field,), cell = _piece_convolutions([atomic], piece, spacing)
     d = piece.quad_points.shape[1]
-    sup = float(np.max(np.abs(vals)))
-    l1 = float(np.sum(np.abs(vals))) * spacing ** d
+    sup = float(np.max(np.abs(field.values)))
+    l1 = float(np.sum(np.abs(field.values))) * cell
     sup_core = 2.0 ** (-sigma + zeta * s) * lam_q
     l1_core = 2.0 ** ((zeta + eps * (1 - d)) * s) * lam_q
-    excluded = getattr(piece, "excluded", False)
+    excluded = piece.excluded
     rationale = ""
     if excluded:
         flags = []
@@ -662,18 +651,12 @@ def check_pair_bound(atomic_a, atomic_b, piece, sigma_prime: int, eps: float,
                      s: int, dist: float = None, spacing: float = None) -> PairBoundReport:
     """Inner product of two convolved atom sums against the pair bound."""
     lam_a, lam_b = atomic_a.h1_norm(), atomic_b.h1_norm()
-    if spacing is None:
-        spacing = min(_default_spacing(atomic_a), _default_spacing(atomic_b))
-    boxes = _support_boxes(atomic_a, atomic_b)
+    boxes, (f1, f2), cell = _piece_convolutions([atomic_a, atomic_b], piece, spacing)
     if dist is None:
         centers = boxes.mean(axis=1)
         dist = float(np.linalg.norm(centers[0] - centers[1]))
-
+    inner = float(np.sum(f1.values * f2.values)) * cell
     d = piece.quad_points.shape[1]
-    lattice = _conv_lattice(boxes, piece.quad_points, spacing, pad=2.0 * spacing)
-    f1 = convolve_dilated(atomic_a, piece, 0, lattice).values
-    f2 = convolve_dilated(atomic_b, piece, 0, lattice).values
-    inner = float(np.sum(f1 * f2)) * spacing ** d
     core = 2.0 ** (sigma_prime + eps * s * (5 - d)) * lam_a * lam_b / dist ** 2
     C = PIECE_BOUND_FACTOR
     return PairBoundReport(

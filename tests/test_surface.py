@@ -40,11 +40,10 @@ from anisomax.surface import (
     GraphSurface,
     KernelField,
     SurfaceMeasure,
-    _conv_lattice,
+    SurfacePiece,
     _cube_masses,
-    _default_spacing,
     _leggauss,
-    _support_boxes,
+    _piece_convolutions,
     autocorrelation_kernel,
     check_kernel_decay,
     check_linfty_bound,
@@ -279,15 +278,15 @@ def test_partition_piece_counts():
     circ = make_surface("circle-arc")
     coarse = partition_measure(circ, s=0, eps=EPS)
     assert len(coarse) == 3
-    assert coarse[0].radius == approx(1.0)
+    assert coarse[0].scale == approx(1.0)
     assert coarse[0].partition.r_cap == approx(1.0 / (2.0 * np.sqrt(2.0)))
     finer = partition_measure(circ, s=8, eps=EPS)
     assert len(finer) == 11
     assert len(finer) <= 64 * 2 ** (EPS * 8)
     for piece in finer:
         assert piece.s == 8
-        assert piece.radius == approx(2.0 ** (-EPS * 8))
-        assert piece.scale == approx(piece.radius)
+        assert piece.scale == approx(2.0 ** (-EPS * 8))
+        assert piece.eps == EPS
 
 
 def test_partition_of_unity():
@@ -449,10 +448,10 @@ def test_classify_grid_is_the_cell_centred_formula(dim, monkeypatch):
     D = validate_dilation(np.diag([5.0, 4.0, 3.0, 2.0][4 - dim:]))
     centers = np.array([[0.1] * p, [-0.2 / 3.0] * p])
     partition = surface._CapPartition(centers, 0.13, surf)
-    pieces = [surface.SurfacePiece(
-        s=0, rho=rho, center=c, radius=1.0, eps=EPS, surface=surf,
-        partition=partition, param_points=c[None, :], quad_points=surf.points(c),
-        gl_weights=np.ones(1), bump_values=np.ones(1)) for rho, c in enumerate(centers)]
+    pieces = [SurfacePiece(
+        surface=surf, param_points=c[None, :], quad_points=surf.points(c),
+        quad_weights=np.ones(1), scale=1.0, eps=EPS, s=0, rho=rho, center=c,
+        partition=partition) for rho, c in enumerate(centers)]
     make_lattice, made = surface.make_lattice, []
 
     def recording(box, shape):
@@ -701,9 +700,9 @@ def test_kernel_checks_match_brute_force(matrix):
         dilation=D)
     b = _haar_sum(D, (2, 0), -1)
 
-    h = _default_spacing(a)
-    lat = _conv_lattice(_support_boxes(a), piece.quad_points, h, 2.0 * h)
-    field = _brute_convolution(a, piece, lat.points())
+    _, (fld,), _ = _piece_convolutions([a], piece)
+    h = fld.lattice.spacing[0]
+    field = _brute_convolution(a, piece, fld.lattice.points())
     peak = float(np.max(np.abs(field)))
     assert peak > 0.0
     rep = check_linfty_bound(a, piece, sigma=0, zeta=ZETA, s=0)
@@ -711,10 +710,10 @@ def test_kernel_checks_match_brute_force(matrix):
     assert rep.l1_norm == approx(np.sum(np.abs(field)) * h * h, rel=0,
                                  abs=1e-12 * peak * field.size * h * h)
 
-    h = min(_default_spacing(a), _default_spacing(b))
-    lat = _conv_lattice(_support_boxes(a, b), piece.quad_points, h, 2.0 * h)
-    fa = _brute_convolution(a, piece, lat.points())
-    fb = _brute_convolution(b, piece, lat.points())
+    _, (fld, _), _ = _piece_convolutions([a, b], piece)
+    h = fld.lattice.spacing[0]
+    fa = _brute_convolution(a, piece, fld.lattice.points())
+    fb = _brute_convolution(b, piece, fld.lattice.points())
     scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
     rep = check_pair_bound(a, b, piece, sigma_prime=-1, eps=EPS, s=0)
     assert abs(rep.inner) > 1e-6 * scale * h * h
