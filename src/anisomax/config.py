@@ -187,8 +187,11 @@ def _int_pair(value) -> bool:
 
 
 def _positive(value) -> bool:
-    """A positive finite number: nan and inf pass no bound downstream."""
-    return 0 < float(value) < math.inf
+    """A positive finite int or float: nan and inf pass no bound downstream,
+    and float() would pass a string (YAML 1.1 reads 1e6 as one) or a bool
+    that the run then uses as it is."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
 
 
 def _validate(raw: dict) -> ExperimentConfig:
@@ -202,8 +205,10 @@ def _validate(raw: dict) -> ExperimentConfig:
         cfg.surface_obj()
     except AnisoError as exc:
         raise ConfigInvalidError(f"config rejected by its module: {exc}")
-    if not (_positive(cfg.eps) and _positive(cfg.zeta) and _positive(cfg.alpha)):
-        raise ConfigInvalidError("eps, zeta, alpha must be positive and finite")
+    for name, value in (("eps", cfg.eps), ("zeta", cfg.zeta), ("alpha", cfg.alpha)):
+        if not _positive(value):
+            raise ConfigInvalidError(
+                f"{name} must be a number, positive and finite, got {value!r}")
     if not (_int_pair(cfg.k_range) and cfg.k_range[0] <= cfg.k_range[1]):
         raise ConfigInvalidError("k_range must be [lo, hi] integers with lo <= hi")
     if not (_int_pair(cfg.s_range) and 0 <= cfg.s_range[0] <= cfg.s_range[1]):
@@ -246,12 +251,18 @@ def _validate(raw: dict) -> ExperimentConfig:
             raise ConfigInvalidError(f"atoms.index_span must be a nonnegative integer, got {span!r}")
         if not (_int_pair(taus) and taus[0] <= taus[1]):
             raise ConfigInvalidError("atoms.tau_range must be [lo, hi] integers with lo <= hi")
-        ll, lh = (float(v) for v in cfg.atoms["lam_range"])
-        if not (_positive(ll) and _positive(lh) and ll <= lh):
+        lams = cfg.atoms["lam_range"]
+        if not (isinstance(lams, list) and len(lams) == 2 and all(map(_positive, lams))
+                and lams[0] <= lams[1]):
             raise ConfigInvalidError(
-                "atom lam_range must be [lo, hi] with 0 < lo <= hi, both finite")
-    elif not all(_positive(row["lam"]) for row in rows):
-        raise ConfigInvalidError("every atoms.list row needs a finite lam > 0")
+                "atoms.lam_range must be [lo, hi] numbers with 0 < lo <= hi, "
+                f"both finite, got {lams!r}")
+    else:
+        for pos, row in enumerate(rows):
+            if not _positive(row.get("lam")):
+                raise ConfigInvalidError(
+                    f"atoms.list[{pos}].lam must be a finite number with lam > 0, "
+                    f"got {row.get('lam')!r}")
     if cfg.n_gl < 4:
         raise ConfigInvalidError("n_gl too small to quadrature")
     return cfg

@@ -251,6 +251,43 @@ def test_non_finite_numbers_are_config_errors(override):
         load_config(None, overrides=[override])
 
 
+@pytest.mark.parametrize("override, field", [
+    ("alpha=1e6", "alpha"),
+    ("alpha=true", "alpha"),
+    ("eps=1e-1", "eps"),
+    ('zeta="0.03"', "zeta"),
+    ("zeta=true", "zeta"),
+    ("atoms.lam_range=[1e-1, 2.0]", "atoms.lam_range"),
+    ("atoms.lam_range=[true, 2.0]", "atoms.lam_range"),
+    ("atoms.lam_range=0.5", "atoms.lam_range"),
+    ("atoms.list=[{tau: 0, index: [0, 0], lam: 1e-1}]", "atoms.list[0].lam"),
+    ("atoms.list=[{tau: 0, index: [0, 0], lam: 1.0}, {tau: 0, index: [1, 0], lam: true}]",
+     "atoms.list[1].lam"),
+    ("atoms.list=[{tau: 0, index: [0, 0]}]", "atoms.list[0].lam"),
+])
+def test_number_fields_reject_strings_and_bools(override, field):
+    # YAML 1.1 reads 1e6 (no dot) as a string; float() accepted it and the
+    # string reached the run, and True ran as 1
+    with pytest.raises(ConfigInvalidError) as info:
+        load_config(None, overrides=[override])
+    assert field in str(info.value)
+
+
+@pytest.mark.parametrize("experiment, override", [
+    ("stopping", "alpha=1e6"),
+    ("full-pipeline", "alpha=1e6"),
+    ("surface-classify", "eps=1e-1"),
+])
+def test_cli_string_number_is_a_config_error(tmp_path, experiment, override):
+    # each used to die in the run with a TypeError traceback (exit 1)
+    res = _run(["run", "--experiment", experiment, "--out", str(tmp_path), *FAST,
+                "--override", override])
+    assert res.exit_code == 2
+    assert "config error" in res.output and override.split("=")[0] in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_infinite_alpha_is_a_config_error(tmp_path):
     # it used to reach whitney_decompose and die there with an OverflowError
     res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
