@@ -56,6 +56,11 @@ TAIL_FRACTION = 0.01
 # ------------------------------------------------------------------ lattice
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not a count or a k."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Axis-aligned sample grid; values live at cell centers."""
@@ -67,8 +72,14 @@ class Lattice:
     def __post_init__(self):
         if not (len(self.origin) == len(self.spacing) == len(self.shape)):
             raise InputInvalidError("lattice origin, spacing, shape disagree")
-        if any(h <= 0 for h in self.spacing) or any(n <= 0 for n in self.shape):
-            raise InputInvalidError("lattice spacing and shape must be positive")
+        if not all(_is_integer(n) and n > 0 for n in self.shape):
+            raise InputInvalidError(
+                f"lattice shape must be positive integers, got {self.shape!r}")
+        # a corrupt field file header reads as nan or inf
+        if not (all(0 < h < math.inf for h in self.spacing)
+                and all(math.isfinite(v) for v in self.origin)):
+            raise InputInvalidError("lattice spacing must be positive and finite, "
+                                    "and the origin finite")
 
     @property
     def dim(self) -> int:
@@ -111,14 +122,17 @@ class Lattice:
 def make_lattice(box, shape) -> Lattice:
     """Lattice over the axis-aligned box with the given cell counts."""
     box = [(float(lo), float(hi)) for lo, hi in box]
-    if isinstance(shape, int):
+    if np.ndim(shape) == 0:
         shape = (shape,) * len(box)
+    # int() would truncate 64.5 cells to 64 and read True as 1
+    if not all(map(_is_integer, shape)):
+        raise InputInvalidError(f"lattice shape must be integers, got {shape!r}")
     shape = tuple(int(n) for n in shape)
     if len(shape) != len(box):
         raise InputInvalidError("box and shape dimensions disagree")
     for lo, hi in box:
-        if not hi > lo:
-            raise InputInvalidError("box sides must have positive length")
+        if not -math.inf < lo < hi < math.inf:
+            raise InputInvalidError("box sides must be finite with positive length")
     origin = tuple(lo for lo, _ in box)
     spacing = tuple((hi - lo) / n for (lo, hi), n in zip(box, shape))
     return Lattice(origin=origin, spacing=spacing, shape=shape)
@@ -489,7 +503,7 @@ def _normalize_k_range(k_range) -> list:
     """The k values lo..hi of k_range = (lo, hi), given as a tuple or a list
     of two integers with lo <= hi."""
     if not (isinstance(k_range, (tuple, list)) and len(k_range) == 2 and all(
-            isinstance(v, (int, np.integer)) for v in k_range)):
+            map(_is_integer, k_range))):
         raise InputInvalidError(f"k_range must be (lo, hi) integers, got {k_range!r}")
     lo, hi = int(k_range[0]), int(k_range[1])
     if lo > hi:

@@ -10,6 +10,7 @@ Frozen reference values:
 
 import collections
 import hashlib
+import struct
 import sys
 import types
 import warnings
@@ -85,6 +86,34 @@ def test_lattice_basic():
         make_lattice([(1.0, 0.0)], 4)
     with pytest.raises(InputInvalidError):
         Lattice(origin=(0.0,), spacing=(0.5, 0.5), shape=(2,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_lattice([(0.0, 1.0), (0.0, 1.0)], (64.5, 64)),
+    lambda: make_lattice([(0.0, 1.0), (0.0, 1.0)], (True, 3)),
+    lambda: make_lattice([(0.0, 1.0), (0.0, 1.0)], True),
+    lambda: make_lattice([(0.0, 1.0), (0.0, 1.0)], 4.0),
+    lambda: make_lattice([(0.0, np.inf), (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice([(-np.inf, 0.0), (0.0, 1.0)], (4, 4)),
+    lambda: Lattice(origin=(0.0, np.nan), spacing=(0.5, 0.5), shape=(2, 2)),
+    lambda: Lattice(origin=(np.inf, 0.0), spacing=(0.5, 0.5), shape=(2, 2)),
+    lambda: Lattice(origin=(0.0, 0.0), spacing=(np.nan, 0.5), shape=(2, 2)),
+    lambda: Lattice(origin=(0.0, 0.0), spacing=(0.5, np.inf), shape=(2, 2)),
+    lambda: Lattice(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(2.0, 2)),
+], ids=["half-cell", "bool-count", "bool-shape", "float-shape", "infinite-side",
+        "minus-infinite-side", "nan-origin", "infinite-origin", "nan-spacing",
+        "infinite-spacing", "float-count"])
+def test_lattice_rejects_non_integer_counts_and_non_finite_geometry(make):
+    # 64.5 used to be truncated to 64 cells and True read as 1; nan or inf
+    # geometry gave cell centers no window test can trust
+    with pytest.raises(InputInvalidError):
+        make()
+
+
+def test_lattice_accepts_numpy_integer_counts():
+    lat = make_lattice([(0.0, 1.0), (0.0, 2.0)], (np.int64(4), np.int32(8)))
+    assert lat.shape == (4, 8) and all(type(n) is int for n in lat.shape)
+    assert make_lattice([(0.0, 1.0)] * 2, np.int64(3)).shape == (3, 3)
 
 
 def test_sampled_field_validation():
@@ -631,7 +660,8 @@ def test_k_range_forms():
     # a list is the same (lo, hi) range as a tuple, never a set of k values
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.provenance["argmax_k"], b.provenance["argmax_k"])
-    for bad in ([2, 1], (3, 1), []):
+    # a bool is not a k: (False, True) used to run as k in 0..1
+    for bad in ([2, 1], (3, 1), [], (False, True), (0, True), [np.True_, 2]):
         with pytest.raises(InputInvalidError):
             maximal_field(f, meas, bad, lat)
 
@@ -1068,6 +1098,22 @@ def test_binary_roundtrip(tmp_path):
     bad.write_bytes(b"NOTAFLD0" + b"\x00" * 32)
     with pytest.raises(InputInvalidError):
         read_field_binary(bad)
+
+
+@pytest.mark.parametrize("part, value", [
+    ("spacing", np.nan), ("spacing", np.inf),
+    ("origin", np.nan), ("origin", -np.inf)])
+def test_binary_corrupt_geometry_is_invalid_input(tmp_path, part, value):
+    # the header's doubles after magic, dim and the two counts: origin, then
+    # spacing; a corrupt one used to come back as a lattice of nan centers
+    path = tmp_path / "field.bin"
+    write_field_binary(_small_field(), path)
+    data = bytearray(path.read_bytes())
+    at = len(maximal.MAGIC) + 4 + 2 * 4 + (16 if part == "spacing" else 0)
+    data[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputInvalidError, match="finite"):
+        read_field_binary(path)
 
 
 @pytest.mark.parametrize("keep", [-8, 10])
