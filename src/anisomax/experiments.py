@@ -56,16 +56,6 @@ from .surface import (
     surface_quadrature,
 )
 
-EXPERIMENT_NAMES = (
-    "validate-dilation",
-    "whitney",
-    "stopping",
-    "surface-classify",
-    "kernel-decay",
-    "maximal-weak-type",
-    "full-pipeline",
-)
-
 # first and last tau of the diameter-growth fit in validate-dilation
 DIAMETER_FIT_TAU = (-40, -10)
 
@@ -196,14 +186,19 @@ def _pipeline_decomposition(config, f):
     return entries, wres, wrep, sres, srep, kept
 
 
-def _kappa_rows(sres, kept):
+def _stopping_rows(sres, kept):
+    """Per-entry kappa rows, the kappa histogram and the exceptional
+    primitives' volume terms of a stopping result; all empty when no
+    Whitney cube was selected (sres is None)."""
+    if sres is None:
+        return [], [], []
     per_entry = []
     for i, (cube, lam) in enumerate(kept):
         per_entry.append((i, cube.tau, _index_str(cube.index), lam,
                           sres.kappa[i], sres.classification[i]))
     values = sorted(set(sres.kappa.values()))
     hist = [(k, sum(1 for v in sres.kappa.values() if v == k)) for k in values]
-    return per_entry, hist
+    return per_entry, hist, [(p.kind, p.volume_term) for p in sres.exceptional]
 
 
 def _run_stopping(config, out: Path, summary: CheckReport) -> None:
@@ -211,20 +206,15 @@ def _run_stopping(config, out: Path, summary: CheckReport) -> None:
         config, config.atomic_sum())
     summary.add("whitney", wrep.passed,
                 f"{len(wres.selected)} cubes from {len(entries)} entries")
-    if sres is None:
-        _write_csv(out / "kappa.csv",
-                   ["entry", "tau", "index", "lam", "kappa", "class"], [])
-        _write_csv(out / "kappa_hist.csv", ["kappa", "count"], [])
-        _write_csv(out / "exceptional.csv", ["kind", "volume_term"], [])
-        summary.add("stopping", True, "no cubes selected; nothing to stop")
-        return
-    per_entry, hist = _kappa_rows(sres, kept)
+    per_entry, hist, volumes = _stopping_rows(sres, kept)
     _write_csv(out / "kappa.csv",
                ["entry", "tau", "index", "lam", "kappa", "class"], per_entry)
     _write_csv(out / "kappa_hist.csv", ["kappa", "count"], hist)
-    _write_csv(out / "exceptional.csv", ["kind", "volume_term"],
-               [(p.kind, p.volume_term) for p in sres.exceptional])
-    summary.checks.extend(srep.checks)
+    _write_csv(out / "exceptional.csv", ["kind", "volume_term"], volumes)
+    if sres is None:
+        summary.add("stopping", True, "no cubes selected; nothing to stop")
+    else:
+        summary.checks.extend(srep.checks)
 
 
 def _run_surface_classify(config, out: Path, summary: CheckReport) -> None:
@@ -297,22 +287,19 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
     entries, wres, wrep, sres, srep, kept = _pipeline_decomposition(config, f)
     summary.add("whitney", wrep.passed,
                 f"{len(wres.selected)} cubes from {len(entries)} entries")
+    _, hist, volumes = _stopping_rows(sres, kept)
+    _write_csv(out / "kappa_hist.csv", ["kappa", "count"], hist)
+    _write_csv(out / "exceptional_volume.csv", ["kind", "volume_term"], volumes)
     exclude = []
-    if sres is not None:
-        per_entry, hist = _kappa_rows(sres, kept)
-        _write_csv(out / "kappa_hist.csv", ["kappa", "count"], hist)
-        _write_csv(out / "exceptional_volume.csv", ["kind", "volume_term"],
-                   [(p.kind, p.volume_term) for p in sres.exceptional])
+    if sres is None:
+        summary.add("stopping", True, "no cubes selected; E is empty")
+    else:
         summary.add("stopping", srep.passed,
                     "; ".join(n for n, _ in srep.failures()) or "all checks hold")
         e_volume, bound = exceptional_volume(sres, wres.selected, kept, alpha)
         summary.add("exceptional_volume", e_volume <= bound,
                     f"sum={e_volume!r} vs bound={bound!r}")
         exclude = [p.region() for p in sres.exceptional]
-    else:
-        _write_csv(out / "kappa_hist.csv", ["kappa", "count"], [])
-        _write_csv(out / "exceptional_volume.csv", ["kind", "volume_term"], [])
-        summary.add("stopping", True, "no cubes selected; E is empty")
 
     surface = config.surface_obj()
     s0 = config.s_values()[0]
@@ -354,3 +341,4 @@ _RUNNERS = {
     "maximal-weak-type": _run_maximal_weak_type,
     "full-pipeline": _run_full_pipeline,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
