@@ -129,22 +129,6 @@ class AtomicSum:
         return out
 
 
-def compose_dilation(atom: Atom, j: int) -> Atom:
-    """Push the atom forward through A^j and rescale by a^-j.
-
-    The image of an atom on Q under x -> a^-j atom(A^-j x) is an atom on the
-    cube at tau + j with the same index, axis, and profile.
-    """
-    Q = atom.support
-    shifted = GridCube(0, Q.tau + j, Q.index, Q.dilation)
-    return Atom(
-        support=shifted,
-        profile=atom.profile,
-        axis=atom.axis,
-        amplitude=atom.amplitude * (Q.dilation.det_scale ** (-j)),
-    )
-
-
 def random_atomic_sum(D: DilationStructure, count: int, tau_range, lam_range,
                       seed: int, profile: str = "haar", index_span: int = 8) -> AtomicSum:
     """Seeded random atomic sum used by experiments and tests."""

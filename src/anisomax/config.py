@@ -186,12 +186,16 @@ def _int_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
 
 
-def _positive(value) -> bool:
-    """A positive finite int or float: nan and inf pass no bound downstream,
-    and float() would pass a string (YAML 1.1 reads 1e6 as one) or a bool
-    that the run then uses as it is."""
+def _number(value) -> bool:
+    """A finite int or float: nan and inf pass no bound downstream, and
+    float() would pass a string (YAML 1.1 reads 1e6 as one) or a bool that
+    the run then uses as it is."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
+            and math.isfinite(value))
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0
 
 
 def _validate(raw: dict) -> ExperimentConfig:
@@ -200,6 +204,12 @@ def _validate(raw: dict) -> ExperimentConfig:
     for name, value in (("surface.dim", cfg.surface.get("dim", 2)), ("n_gl", cfg.n_gl)):
         if not _is_int(value):
             raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
+    matrix = cfg.matrix
+    if not (isinstance(matrix, list) and all(
+            isinstance(row, list) and len(row) == len(matrix) and all(map(_number, row))
+            for row in matrix)):
+        raise ConfigInvalidError(
+            f"matrix must be square rows of finite numbers, got {matrix!r}")
     try:
         dim = cfg.dilation().dim
         cfg.surface_obj()
@@ -217,10 +227,14 @@ def _validate(raw: dict) -> ExperimentConfig:
     if window is not None and not (_int_pair(window) and window[0] <= window[1]):
         raise ConfigInvalidError("tau_window must be null or [lo, hi] integers with lo <= hi")
     box, shape = cfg.lattice.get("box"), cfg.lattice.get("shape")
-    if not box or not shape or len(box) != len(shape):
-        raise ConfigInvalidError("lattice needs box and shape of equal dimension")
+    if not (box and shape and isinstance(box, list) and isinstance(shape, list)
+            and len(box) == len(shape)):
+        raise ConfigInvalidError("lattice needs box and shape lists of equal dimension")
     for side in box:
-        if len(side) != 2 or not float(side[1]) > float(side[0]):
+        if not (isinstance(side, list) and len(side) == 2 and all(map(_number, side))):
+            raise ConfigInvalidError(
+                f"lattice.box must hold [lo, hi] sides of finite numbers, got {side!r}")
+        if not side[1] > side[0]:
             raise ConfigInvalidError("lattice box sides must have positive length")
     if not all(_is_int(n) and n > 0 for n in shape):
         raise ConfigInvalidError("lattice.shape must be positive integers")

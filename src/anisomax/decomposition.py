@@ -169,7 +169,9 @@ def _entries(entries, alpha=None):
 
     Raises InputInvalidError when alpha, if given, is not positive and
     finite, or when a cube is off sigma = 0, a mass is negative or not
-    finite, or the entries do not share one dilation.
+    finite, or the entries do not share one dilation.  Sharing is identity,
+    which means an equal matrix: validate_dilation gives one structure per
+    matrix while it is referenced.
     """
     if alpha is not None and not 0 < alpha < inf:
         raise InputInvalidError(f"alpha must be positive and finite, got {alpha!r}")
@@ -992,21 +994,3 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     report.add("iv_stopped_mass_bounded", ok, witness)
 
     return report
-
-
-def replay_trace_masses(result: StoppingResult, entries):
-    """Recompute each select event's mass from scratch by replaying the trace.
-
-    Returns a list of (event, recomputed mass) pairs for every select event;
-    a correct trace reproduces its recorded masses exactly.
-    """
-    _, boxes, masses = _entries(entries)
-    live = set(range(len(entries)))
-    pairs = []
-    for ev in result.trace:
-        if ev.kind == "select":
-            members = _star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
-            pairs.append((ev, _mass_sum(masses, members)))
-        elif ev.kind == "classify":
-            live.discard(ev.entry)
-    return pairs

@@ -5,8 +5,17 @@ strictly greater than one.  Powers A^tau scale space anisotropically; this
 module validates a matrix, extracts its scaling data (determinant scale,
 minimal eigenvalue modulus, Jordan block size of the slowest eigenvalue),
 and provides the cube-diameter asymptotics.
+
+A process holds one structure per matrix while the structure is referenced:
+validate_dilation returns the live structure of an equal matrix, so the
+analysis runs once and every holder shares A^-1, the powers and the cube
+diameters computed so far.  Every derived field is a pure function of the
+matrix, and power(k) is bit for bit matrix_power in any cache order, so
+sharing changes no result.  The shared arrays are read-only.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
@@ -25,6 +34,12 @@ _EXPAND_TOL = 1e-9
 _RANK_TOL = 1e-7
 SCAN_LIMIT = 64
 
+# (shape, float64 bytes) of a matrix -> its live structure; an entry goes
+# when the last reference to its structure does.  The lock makes the look-up
+# and the store one step, so two threads never keep two structures.
+_STRUCTURES = weakref.WeakValueDictionary()
+_STRUCTURES_LOCK = threading.Lock()
+
 
 def _left_sum(values):
     """sum() with its rounding fixed: one add per term, left to right,
@@ -37,7 +52,11 @@ def _left_sum(values):
 
 @dataclass
 class DilationStructure:
-    """Validated dilation matrix together with derived scaling data."""
+    """Validated dilation matrix together with derived scaling data.
+
+    Build through validate_dilation, which shares one structure per matrix:
+    matrix, the inverse and every power are read-only arrays.
+    """
 
     matrix: np.ndarray
     dim: int
@@ -58,7 +77,7 @@ class DilationStructure:
         checks: the same products in the same order (A^-1 from inv, then
         A A and (A A) A for 2 and 3, else a binary decomposition from the
         least significant bit).  Only the asked-for powers are kept, not
-        the intermediate ones.
+        the intermediate ones, and each is read-only.
         """
         got = self._pow_cache.get(k)
         if got is None:
@@ -71,8 +90,10 @@ class DilationStructure:
                 else:
                     if self._inverse is None:
                         self._inverse = np.linalg.inv(self.matrix)
+                        self._inverse.flags.writeable = False
                     base = self._inverse
                 got = _matrix_power(base, abs(k))
+            got.flags.writeable = False
             self._pow_cache[k] = got
         return got
 
@@ -174,10 +195,30 @@ def _slowest_block(A: np.ndarray, eigvals: np.ndarray) -> int:
 def validate_dilation(matrix) -> DilationStructure:
     """Validate an expanding matrix and compute its scaling structure.
 
+    One structure per matrix while it is referenced: a matrix whose float64
+    entries and shape equal those of a live structure's, bit for bit (so
+    -0.0 is not 0.0), gets that structure, powers and diameters included.
+    Otherwise the matrix is analyzed and a new structure kept for the next
+    call.  The structure's matrix is a private read-only C-ordered copy, so
+    a later write to the argument does not reach it, and a write to it, its
+    inverse or a power raises ValueError.
+
     Raises NonSquareError for a non-square input and
-    EigenvalueNotExpandingError when any eigenvalue modulus is <= 1 + 1e-9.
+    EigenvalueNotExpandingError when any eigenvalue modulus is <= 1 + 1e-9;
+    an input that raises is not kept, so it raises on every call.
     """
-    A = np.asarray(matrix, dtype=float)
+    A = np.array(matrix, dtype=float, order="C")
+    key = (A.shape, A.tobytes())
+    with _STRUCTURES_LOCK:
+        D = _STRUCTURES.get(key)
+        if D is None:
+            A.flags.writeable = False
+            D = _STRUCTURES[key] = _analyze(A)
+    return D
+
+
+def _analyze(A: np.ndarray) -> DilationStructure:
+    """The structure of a float64 matrix, or the error that rejects it."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {A.shape}")
     d = A.shape[0]

@@ -13,7 +13,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .decomposition import (
@@ -108,6 +107,10 @@ def _index_str(index) -> str:
 
 
 def _write_manifest(out: Path, config, experiment: str) -> None:
+    # the one reader of scipy here: a process that writes no manifest (a
+    # benchmark op that calls the decompositions) never loads it
+    import scipy
+
     manifest = {
         "experiment": experiment,
         "seed": config.seed,

@@ -242,11 +242,6 @@ class Parallelepiped:
         return np.all((lo - rows >= slack) & (hi + rows <= 1.0 - slack), axis=2)
 
 
-def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
-    """True when every vertex of the inner cube lies in the closed outer hull."""
-    return bool(np.all(outer.contains_points(inner.vertices())))
-
-
 def expand_cube(cube: GridCube, factor: float) -> Parallelepiped:
     """Dilate the cube about its center by the given factor."""
     if factor <= 0:
@@ -257,17 +252,6 @@ def expand_cube(cube: GridCube, factor: float) -> Parallelepiped:
 def expand_parallelepiped(p: Parallelepiped, factor: float) -> Parallelepiped:
     shift = 0.5 * (factor - 1.0) * (p.basis @ np.ones(p.dim))
     return Parallelepiped(origin=p.origin - shift, basis=factor * p.basis)
-
-
-def _boxes_intersect_open(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool:
-    """SAT with strict overlap, so shared boundary faces do not count."""
-    for axis in axes:
-        pa = verts_a @ axis
-        pb = verts_b @ axis
-        span = max(pa.max() - pa.min(), pb.max() - pb.min(), 1e-300)
-        if min(pa.max(), pb.max()) - max(pa.min(), pb.min()) <= 1e-12 * span:
-            return False
-    return True
 
 
 # ------------------------------------------------------------------ tendrils

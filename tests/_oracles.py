@@ -1,0 +1,61 @@
+"""Reference rules the tests check the library against.
+
+Each is a slow, direct statement of what a fast path computes: no run of
+the package calls them, so they live beside the tests that read them.
+"""
+
+import numpy as np
+
+from anisomax.atoms import Atom
+from anisomax.decomposition import StoppingResult, _entries, _mass_sum, _star_groups
+from anisomax.grid import GridCube, Parallelepiped
+
+
+def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
+    """True when every vertex of the inner cube lies in the closed outer hull."""
+    return bool(np.all(outer.contains_points(inner.vertices())))
+
+
+def boxes_intersect_open(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool:
+    """SAT with strict overlap, so shared boundary faces do not count."""
+    for axis in axes:
+        pa = verts_a @ axis
+        pb = verts_b @ axis
+        span = max(pa.max() - pa.min(), pb.max() - pb.min(), 1e-300)
+        if min(pa.max(), pb.max()) - max(pa.min(), pb.min()) <= 1e-12 * span:
+            return False
+    return True
+
+
+def replay_trace_masses(result: StoppingResult, entries):
+    """Recompute each select event's mass from scratch by replaying the trace.
+
+    Returns a list of (event, recomputed mass) pairs for every select event;
+    a correct trace reproduces its recorded masses exactly.
+    """
+    _, boxes, masses = _entries(entries)
+    live = set(range(len(entries)))
+    pairs = []
+    for ev in result.trace:
+        if ev.kind == "select":
+            members = _star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
+            pairs.append((ev, _mass_sum(masses, members)))
+        elif ev.kind == "classify":
+            live.discard(ev.entry)
+    return pairs
+
+
+def compose_dilation(atom: Atom, j: int) -> Atom:
+    """Push the atom forward through A^j and rescale by a^-j.
+
+    The image of an atom on Q under x -> a^-j atom(A^-j x) is an atom on the
+    cube at tau + j with the same index, axis, and profile.
+    """
+    Q = atom.support
+    shifted = GridCube(0, Q.tau + j, Q.index, Q.dilation)
+    return Atom(
+        support=shifted,
+        profile=atom.profile,
+        axis=atom.axis,
+        amplitude=atom.amplitude * (Q.dilation.det_scale ** (-j)),
+    )

@@ -15,13 +15,14 @@ from pytest import approx
 from anisomax.atoms import (
     Atom,
     AtomicSum,
-    compose_dilation,
     make_atom,
     random_atomic_sum,
 )
 from anisomax.dilation import validate_dilation
 from anisomax.errors import InputInvalidError
 from anisomax.grid import GridCube
+
+from _oracles import compose_dilation
 
 
 def _diag24():

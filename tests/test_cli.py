@@ -3,17 +3,21 @@
 import collections
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 import yaml
 from click.testing import CliRunner
 from pytest import approx
 
+from anisomax import __version__
 from anisomax.atoms import AtomicSum
 from anisomax.cli import main
 from anisomax.config import DEFAULTS, load_config
@@ -161,7 +165,10 @@ def test_cli_validate_dilation(tmp_path):
     assert manifest["experiment"] == "validate-dilation"
     assert manifest["seed"] == 7
     assert manifest["config"]["eps"] == approx(0.25)
-    assert "numpy" in manifest["versions"]
+    # the manifest writer imports scipy only to read its version
+    assert manifest["versions"] == {"anisomax": __version__, "numpy": numpy.__version__,
+                                    "python": platform.python_version(),
+                                    "scipy": scipy.__version__}
     assert manifest["module_constants"] == {
         "c_iv": 32.0,
         "c_stop": 100.0,
@@ -284,6 +291,30 @@ def test_cli_string_number_is_a_config_error(tmp_path, experiment, override):
                 "--override", override])
     assert res.exit_code == 2
     assert "config error" in res.output and override.split("=")[0] in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("override, field", [
+    ("lattice.box=[[-4, 4e0], [-4, 4]]", "lattice.box"),
+    ("lattice.box=[[-4, true], [-4, 4]]", "lattice.box"),
+    ("lattice.box=[[-.inf, 4], [-4, 4]]", "lattice.box"),
+    ("lattice.box=[-4, 4]", "lattice.box"),
+    ("matrix=[[2e0, 0], [0, 4]]", "matrix"),
+    ("matrix=[[true, 0], [0, 4]]", "matrix"),
+    ("matrix=[[.nan, 0], [0, 4]]", "matrix"),
+    ("matrix=[[2, 0], [0]]", "matrix"),
+])
+def test_cli_geometry_number_is_a_config_error(tmp_path, override, field):
+    # float() and validate_dilation's float array took the string '4e0' or
+    # '2e0' and True as numbers, so the manifest recorded them as given;
+    # True in the matrix failed as "eigenvalue 1 is not > 1", a nan matrix
+    # died in numpy's LinAlgError, a ragged one and a bare side in a
+    # traceback (exit 1), and an infinite side loaded
+    res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
+                "--override", override])
+    assert res.exit_code == 2
+    assert "config error" in res.output and f"{field} must" in res.output
     assert "Traceback" not in res.output
     assert not (tmp_path / "manifest.json").exists()
 
@@ -643,12 +674,13 @@ def test_cli_full_pipeline_non_diagonal_reruns_identically(tmp_path, monkeypatch
 def test_cli_import_leaves_scipy_ndimage_to_the_kernel():
     # scipy.ndimage loads about as many modules as the rest of the package
     # and only autocorrelation_kernel smooths with it, so a CLI process
-    # imports it only once a kernel is asked for
+    # imports it only once a kernel is asked for; scipy itself is left to
+    # the manifest writer, which reads its version
     code = "\n".join([
         "import sys",
         "import anisomax.cli",
         "from anisomax.surface import autocorrelation_kernel, make_surface, surface_quadrature",
-        "assert 'scipy.ndimage' not in sys.modules, 'loaded by import anisomax.cli'",
+        "assert 'scipy' not in sys.modules, 'loaded by import anisomax.cli'",
         "autocorrelation_kernel(surface_quadrature(make_surface('circle-arc'), 24), n_bins=63)",
         "assert 'scipy.ndimage' in sys.modules, 'not loaded by autocorrelation_kernel'",
     ])

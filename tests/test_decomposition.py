@@ -28,7 +28,6 @@ from anisomax.decomposition import (
     _merge_nested,
     _star_groups,
     exceptional_volume,
-    replay_trace_masses,
     stopping_time,
     verify_stopping,
     verify_whitney,
@@ -45,14 +44,14 @@ from anisomax.errors import (
 )
 from anisomax.grid import (
     GridCube,
-    _boxes_intersect_open,
-    cube_contains,
     cube_frames,
     expand_cube,
     row_tau_parent,
     row_volume,
     tendril_of,
 )
+
+from _oracles import boxes_intersect_open, cube_contains, replay_trace_masses
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +145,7 @@ def _interiors_meet(pa, pb):
         # the cross product of every edge direction of pa with every one of pb
         axes += list(np.cross(pa.basis.T[:, None], pb.basis.T[None, :]).reshape(9, 3))
     axes = [axis for axis in axes if np.linalg.norm(axis) > 1e-14]
-    return _boxes_intersect_open(pa.vertices(), pb.vertices(), axes)
+    return boxes_intersect_open(pa.vertices(), pb.vertices(), axes)
 
 
 def _holds(outer, verts) -> np.ndarray:
@@ -809,10 +808,12 @@ def test_cubes_of_another_dilation_than_the_entries_are_rejected(diag_dilation):
     with pytest.raises(InputInvalidError,
                        match="selected cubes must share the entries' dilation"):
         verify_whitney(foreign, entries, 1.0)
-    # an equal matrix validated twice is another structure, as for entries
+    # an equal matrix validated twice is the same structure, so its S cube is
+    # accepted and gives the original's result
     twin = GridCube(0, 0, (0, 0), validate_dilation([[2, 0], [0, 4]]))
-    with pytest.raises(InputInvalidError, match="S cubes must share"):
-        stopping_time([twin], entry, 1.0)
+    assert twin.dilation is diag_dilation
+    original = stopping_time([GridCube(0, 0, (0, 0), diag_dilation)], entry, 1.0)
+    assert repr(stopping_time([twin], entry, 1.0)) == repr(original)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ Frozen reference values:
   [[2, -2], [2, 2]]: det_scale 8, r_min 2 sqrt(2), block_size 1, norm_power 1
 """
 
+import gc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -102,6 +104,69 @@ def test_normalization_power_matches_field():
     assert np.linalg.norm(D.power(-2), 2) <= 0.5
 
 
+# -------------------------------------------------- one structure per matrix
+
+
+@pytest.mark.parametrize("given", [
+    [[2, 0], [0, 4]],
+    [[2.0, 0.0], [0.0, 4.0]],
+    np.array([[2.0, 0.0], [0.0, 4.0]]),
+    np.asfortranarray([[2.0, 0.0], [0.0, 4.0]]),
+])
+def test_an_equal_matrix_gets_the_same_structure(given):
+    D = _diag24()
+    assert validate_dilation(given) is D
+
+
+def test_different_matrices_get_different_structures():
+    D = _diag24()
+    assert validate_dilation([[4.0, 0.0], [0.0, 2.0]]) is not D
+    assert validate_dilation([[2.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 2.0]]) is not D
+    # -0.0 == 0.0, but its powers may carry other signs, so it is another key
+    negative_zero = validate_dilation([[2.0, -0.0], [0.0, 4.0]])
+    assert negative_zero is not D
+    assert np.signbit(negative_zero.matrix[0, 1]) and not np.signbit(D.matrix[0, 1])
+
+
+def test_the_structure_does_not_alias_its_argument():
+    # a write to a float64 argument must not move the matrix away from the
+    # det_scale it was analyzed with
+    A = np.array([[2.0, 1.0], [0.0, 3.0]])
+    D = validate_dilation(A)
+    A[0, 0] = 9.0
+    assert D.matrix[0, 0] == 2.0
+    assert D.det_scale == approx(6.0)
+    assert validate_dilation([[2.0, 1.0], [0.0, 3.0]]) is D
+
+
+def test_shared_arrays_are_read_only():
+    D = _jordan2()
+    for array in (D.matrix, D.power(3), D.power(0), D.power(-2), D.power(-1), D._inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        D.power(2)[...] *= 2.0
+
+
+def test_an_unreferenced_structure_is_collected():
+    D = validate_dilation([[3.0, 1.0], [0.0, 5.0]])
+    ref = weakref.ref(D)
+    D.power(-3)
+    del D
+    gc.collect()
+    assert ref() is None
+    again = validate_dilation([[3.0, 1.0], [0.0, 5.0]])
+    assert again.power(-3).tobytes() == np.linalg.matrix_power(again.matrix, -3).tobytes()
+
+
+def test_a_rejected_matrix_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(EigenvalueNotExpandingError):
+            validate_dilation([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(NonSquareError):
+            validate_dilation([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
 # ------------------------------------------------------------ cube diameters
 
 
@@ -131,12 +196,15 @@ def test_power_is_matrix_power_bit_for_bit(matrix):
     # power takes matrix_power's products in its order without its argument
     # checks; asked in a shuffled order, so a power meets every cache state
     D = validate_dilation(matrix)
-    for k in default_rng(7).permutation(np.arange(-16, 17)).tolist():
+    # the structure is shared, so an earlier test may have cached powers
+    before = set(D._pow_cache)
+    asked = default_rng(7).permutation(np.arange(-16, 17)).tolist()
+    for k in asked:
         want = np.linalg.matrix_power(D.matrix, k)
         assert D.power(k).tobytes() == want.tobytes(), k
         assert D.power(np.int64(k)) is D.power(k)
     # only the powers asked for are kept
-    assert sorted(D._pow_cache) == list(range(-16, 17))
+    assert set(D._pow_cache) - before == set(asked) - before
 
 
 def _diameter_by_vectors(basis):

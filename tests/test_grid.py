@@ -21,12 +21,13 @@ from anisomax.grid import (
     TendrilBound,
     _ClampedProjector,
     _unit_corners,
-    cube_contains,
     expand_cube,
     expand_parallelepiped,
     tendril_of,
     tendrils_cover_dilates,
 )
+
+from _oracles import cube_contains
 
 
 def _diag24():
