@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DegenerateFitError,
     EigenvalueNotExpandingError,
+    InputInvalidError,
     NonSquareError,
     WindowExhaustedError,
 )
@@ -203,11 +204,19 @@ def validate_dilation(matrix) -> DilationStructure:
     a later write to the argument does not reach it, and a write to it, its
     inverse or a power raises ValueError.
 
-    Raises NonSquareError for a non-square input and
-    EigenvalueNotExpandingError when any eigenvalue modulus is <= 1 + 1e-9;
-    an input that raises is not kept, so it raises on every call.
+    Raises NonSquareError for an input that is not a nonempty square
+    matrix (ragged rows included), InputInvalidError for an entry that is
+    not a finite real number, and EigenvalueNotExpandingError when any
+    eigenvalue modulus is <= 1 + 1e-9; an input that raises is not kept,
+    so it raises on every call.
     """
-    A = np.array(matrix, dtype=float, order="C")
+    try:
+        A = np.array(matrix, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:
+        # an object array keeps the nesting without converting the entries
+        shape = np.array(matrix, dtype=object).shape
+        error = InputInvalidError if len(shape) == 2 and shape[0] == shape[1] else NonSquareError
+        raise error(f"expected a square matrix of real numbers: {exc}") from exc
     key = (A.shape, A.tobytes())
     with _STRUCTURES_LOCK:
         D = _STRUCTURES.get(key)
@@ -219,8 +228,10 @@ def validate_dilation(matrix) -> DilationStructure:
 
 def _analyze(A: np.ndarray) -> DilationStructure:
     """The structure of a float64 matrix, or the error that rejects it."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise NonSquareError(f"expected a nonempty square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InputInvalidError("matrix entries must be finite")
     d = A.shape[0]
     eigvals = np.linalg.eigvals(A)
     moduli = np.abs(eigvals)

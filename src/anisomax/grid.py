@@ -9,8 +9,9 @@ membership, of points and of whole dilated cells, and gives an axis-aligned
 box that holds it.
 
 A cube is a slotted GridCube in the public API and a (sigma, tau, *index)
-int row in batched code.  Each quantity has one row rule, which GridCube
-calls: row_volume (the scalar power, in Python floats), row_tau_parent, and
+int row in batched code.  Each quantity has one row rule: row_volume (the
+scalar power, in Python floats), which GridCube calls, row_tau_parent,
+which the Whitney guard calls, and
 cube_frames, the origin and basis of many rows, summed over the basis
 columns left to right (_fold, no BLAS product, so no row's bits depend on
 the others) as realize() sums them for one.  cube_vertices and the tendril
@@ -147,15 +148,6 @@ class GridCube:
 
     def vertices(self) -> np.ndarray:
         return self.realize().vertices()
-
-    def center(self) -> np.ndarray:
-        n = np.asarray(self.index, dtype=float)
-        return self.dilation.power(self.tau) @ (self.side * (n + 0.5))
-
-    def tau_parent(self) -> "GridCube":
-        """The cube of R_{0, tau+1} containing this cube's center."""
-        _, tau, *index = row_tau_parent(self.dilation, (self.sigma, self.tau, *self.index))
-        return GridCube(0, tau, tuple(index), self.dilation)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,19 +4,20 @@ A surface is the graph of a smooth map psi over the first d-1 coordinates,
 weighted by a plateau cutoff chi; every polynomial graph, catalog or custom,
 is a coefficient table under one rule.  The measure is split into caps whose
 bumps, each from the caps that reach its points, sum back to chi.  A cap is
-itself a measure: SurfacePiece is a SurfaceMeasure whose weights carry the
-cap's bump, both built by one node rule.  Caps are classified by curvature
-and by cube-mass concentration on a maximal.Lattice over each cap, and the
-two convolution-type bounds share one setup: a maximal.Lattice around the
-supports moved by the nodes, with the fields computed by
-maximal.convolve_dilated at k = 0 (the measure nodes unmoved).  The
+geometry, not nodes: SurfacePiece.measure() builds, per call, the measure
+weighted by its bump, on the tensor rule surface_quadrature also uses.  Caps
+are classified by curvature on that rule's points and by cube-mass
+concentration on a maximal.Lattice over each cap, and the two
+convolution-type bounds share one setup, the one place a cap becomes nodes:
+a maximal.Lattice around the supports moved by the nodes, with the fields
+computed by maximal.convolve_dilated at k = 0 (the nodes unmoved).  The
 autocorrelation kernel keeps its own KernelField, a centered cubic grid that
 callers also build by hand.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from numpy.polynomial.legendre import leggauss
 
 from .dilation import DilationStructure, cube_diameter
@@ -45,7 +46,8 @@ DECAY_N_SHELLS = 12
 DECAY_SLOPE_CUT = -0.7
 # the constant C of the sup, L1 and pair bounds of the kernel-bound checks
 PIECE_BOUND_FACTOR = 64.0
-# Gauss-Legendre nodes per axis of each cap's quadrature in partition_measure
+# each cap's Gauss rule (SurfacePiece._rule) puts PIECE_GL_NODES // 2 nodes
+# in every panel of an axis
 PIECE_GL_NODES = 24
 
 
@@ -196,7 +198,8 @@ def gaussian_curvature(surface: GraphSurface, y) -> np.ndarray:
 @dataclass
 class SurfaceMeasure:
     """Quadrature discretization of a surface measure: the chi-weighted
-    measure itself (surface_quadrature) or one cap of it (SurfacePiece).
+    measure itself (surface_quadrature) or one cap of it
+    (SurfacePiece.measure()).
 
     scale is the measure's length scale, 1 for the whole measure and the
     cap radius 2^(-eps s) for a cap; eps is the cap exponent, 0 for the
@@ -235,24 +238,23 @@ def _gauss_panels_1d(lo: float, hi: float, cuts, n_panel: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _weighted_nodes(surface: GraphSurface, panels, density):
-    """(param_points, quad_points, quad_weights) of the tensor rule over the
-    per-axis Gauss panels, each (nodes, weights), with the weights times
-    density at the nodes: chi for the whole measure, a cap's bump for a
-    piece."""
+def _tensor_rule(panels):
+    """(param_points, weights) of the tensor rule over the per-axis Gauss
+    panels, each (nodes, weights): points in C order of the axes, weights
+    the products of the axis weights."""
     mesh = np.meshgrid(*[x for x, _ in panels], indexing="ij")
     wmesh = np.meshgrid(*[w for _, w in panels], indexing="ij")
     y = np.column_stack([m.ravel() for m in mesh])
     w = np.prod(np.column_stack([m.ravel() for m in wmesh]), axis=1)
-    return y, surface.points(y), w * density(y)
+    return y, w
 
 
 def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
     """Full-measure nodes: composite Gauss-Legendre weighted by chi."""
     r = surface.chi_radius
     panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r), max(8, n_gl // 4))
-    return SurfaceMeasure(surface, *_weighted_nodes(
-        surface, [panels] * (surface.dim - 1), surface.chi))
+    y, w = _tensor_rule([panels] * (surface.dim - 1))
+    return SurfaceMeasure(surface, y, surface.points(y), w * surface.chi(y))
 
 
 @dataclass
@@ -288,14 +290,17 @@ class _CapPartition:
 
 
 @dataclass(kw_only=True)
-class SurfacePiece(SurfaceMeasure):
-    """One cap of the measure partition: the measure weighted by the cap's
-    bump, on its own quadrature, with the cap's classification."""
+class SurfacePiece:
+    """One cap of the measure partition with its classification: geometry
+    only, as param_points and measure() build the cap's rule on each call."""
 
+    surface: GraphSurface
     s: int
     rho: int
     center: np.ndarray
     partition: _CapPartition
+    scale: float
+    eps: float
     in_I1: bool = False
     in_I2: bool = False
     min_curvature: float = None
@@ -309,14 +314,37 @@ class SurfacePiece(SurfaceMeasure):
     def excluded(self) -> bool:
         return self.in_I1 or self.in_I2
 
+    def _rule(self):
+        """(param_points, weights) of the cap's Gauss rule over its box."""
+        r_cap = self.partition.r_cap
+        chi_r = self.surface.chi_radius
+        chi_cuts = (-chi_r, -0.5 * chi_r, 0.5 * chi_r, chi_r)
+        panels = []
+        for c in self.center:
+            # The normalizer sum of plateau caps has features at quarter-cap
+            # scale, so integrate per panel between the transition points.
+            cuts = [c - 0.5 * r_cap, c, c + 0.5 * r_cap]
+            cuts += [t for t in chi_cuts if c - r_cap < t < c + r_cap]
+            panels.append(_gauss_panels_1d(c - r_cap, c + r_cap, cuts,
+                                           PIECE_GL_NODES // 2))
+        return _tensor_rule(panels)
 
-def partition_measure(surface: GraphSurface, s: int, eps: float,
-                      n_gl: int = PIECE_GL_NODES) -> list:
-    """Split the measure into caps of ambient diameter about 2^(-eps s)."""
+    @property
+    def param_points(self) -> np.ndarray:
+        return self._rule()[0]
+
+    def measure(self) -> SurfaceMeasure:
+        """The measure weighted by the cap's bump, on the cap's rule."""
+        y, w = self._rule()
+        return SurfaceMeasure(self.surface, y, self.surface.points(y),
+                              w * self.bump(y), scale=self.scale, eps=self.eps)
+
+
+def partition_measure(surface: GraphSurface, s: int, eps: float) -> list:
+    """Lay out the caps of ambient diameter about 2^(-eps s) that split the
+    measure; no cap builds nodes here."""
     if s < 0 or not 0.0 < eps < 1.0:
         raise InputInvalidError("need s >= 0 and 0 < eps < 1")
-    if n_gl < 8:
-        raise InputInvalidError("at least 8 quadrature nodes per axis")
     p = surface.dim - 1
     radius = 2.0 ** (-eps * s)
     r_cap = radius / (2.0 * np.sqrt(2.0 * p))
@@ -326,23 +354,9 @@ def partition_measure(surface: GraphSurface, s: int, eps: float,
     grids = np.meshgrid(*([np.arange(-m_side, m_side + 1)] * p), indexing="ij")
     centers = r_cap * np.column_stack([g.ravel() for g in grids]).astype(float)
     partition = _CapPartition(centers, r_cap, surface)
-
-    chi_cuts = (-surface.chi_radius, -0.5 * surface.chi_radius,
-                0.5 * surface.chi_radius, surface.chi_radius)
-    pieces = []
-    for rho, c in enumerate(centers):
-        panels = []
-        for j in range(p):
-            # The normalizer sum of plateau caps has features at quarter-cap
-            # scale, so integrate per panel between the transition points.
-            cuts = [c[j] - 0.5 * r_cap, c[j], c[j] + 0.5 * r_cap]
-            cuts += [t for t in chi_cuts if c[j] - r_cap < t < c[j] + r_cap]
-            panels.append(_gauss_panels_1d(c[j] - r_cap, c[j] + r_cap, cuts,
-                                           max(8, n_gl // 2)))
-        nodes = _weighted_nodes(surface, panels, partial(partition.bump, rho=rho))
-        pieces.append(SurfacePiece(surface, *nodes, scale=radius, eps=eps,
-                                   s=s, rho=rho, center=c, partition=partition))
-    return pieces
+    return [SurfacePiece(surface=surface, s=s, rho=rho, center=c,
+                         partition=partition, scale=radius, eps=eps)
+            for rho, c in enumerate(centers)]
 
 
 def _cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -558,10 +572,11 @@ def check_kernel_decay(kernel: KernelField, r_max: float = None) -> KernelDecayR
                              ok=slope <= DECAY_SLOPE_CUT)
 
 
-def _piece_convolutions(atomics, piece: SurfaceMeasure, spacing: float = None):
+def _piece_convolutions(atomics, piece, spacing: float = None):
     """The setup of both piece-bound checks: each atomic sum's support box,
     shape (n, 2, d), the fields mu_rho * f of the sums f on one lattice, and
-    that lattice's cell volume.
+    that lattice's cell volume.  A piece's measure() is built here; a
+    SurfaceMeasure is used as it is.
 
     The lattice has side spacing, by default a sixteenth of the smallest
     atom diameter (half what convolve_dilated allows), and holds every
@@ -575,7 +590,8 @@ def _piece_convolutions(atomics, piece: SurfaceMeasure, spacing: float = None):
         corners = np.array([atom.support.realize().bbox() for atom, _ in f.terms])
         boxes.append((corners[:, 0].min(axis=0), corners[:, 1].max(axis=0)))
     boxes = np.array(boxes)
-    nodes = piece.quad_points
+    measure = piece.measure() if isinstance(piece, SurfacePiece) else piece
+    nodes = measure.quad_points
     lo = boxes[:, 0].min(axis=0) + nodes.min(axis=0) - 2.0 * spacing
     hi = boxes[:, 1].max(axis=0) + nodes.max(axis=0) + 2.0 * spacing
     counts = np.maximum(2, np.ceil((hi - lo) / spacing).astype(int))
@@ -584,7 +600,7 @@ def _piece_convolutions(atomics, piece: SurfaceMeasure, spacing: float = None):
     lattice = Lattice(origin=tuple(float(v) for v in lo),
                       spacing=(float(spacing),) * lo.size,
                       shape=tuple(int(n) for n in counts))
-    fields = [convolve_dilated(f, piece, 0, lattice) for f in atomics]
+    fields = [convolve_dilated(f, measure, 0, lattice) for f in atomics]
     return boxes, fields, spacing ** lo.size
 
 
@@ -613,7 +629,7 @@ def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int,
             "the L1 bound needs a cap exponent eps > 0: pass a piece of "
             "partition_measure, not the full measure")
     _, (field,), cell = _piece_convolutions([atomic], piece, spacing)
-    d = piece.quad_points.shape[1]
+    d = piece.surface.dim
     sup = float(np.max(np.abs(field.values)))
     l1 = float(np.sum(np.abs(field.values))) * cell
     sup_core = 2.0 ** (-sigma + zeta * s) * lam_q
@@ -656,7 +672,7 @@ def check_pair_bound(atomic_a, atomic_b, piece, sigma_prime: int, eps: float,
         centers = boxes.mean(axis=1)
         dist = float(np.linalg.norm(centers[0] - centers[1]))
     inner = float(np.sum(f1.values * f2.values)) * cell
-    d = piece.quad_points.shape[1]
+    d = piece.surface.dim
     core = 2.0 ** (sigma_prime + eps * s * (5 - d)) * lam_a * lam_b / dist ** 2
     C = PIECE_BOUND_FACTOR
     return PairBoundReport(

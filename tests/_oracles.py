@@ -1,6 +1,7 @@
 """Reference rules the tests check the library against.
 
-Each is a slow, direct statement of what a fast path computes: no run of
+Each is a slow, direct statement of what a fast path computes, or, as
+cube_center and tau_parent, a cube question that only tests ask: no run of
 the package calls them, so they live beside the tests that read them.
 """
 
@@ -8,12 +9,25 @@ import numpy as np
 
 from anisomax.atoms import Atom
 from anisomax.decomposition import StoppingResult, _entries, _mass_sum, _star_groups
-from anisomax.grid import GridCube, Parallelepiped
+from anisomax.grid import GridCube, Parallelepiped, row_tau_parent
 
 
 def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
     """True when every vertex of the inner cube lies in the closed outer hull."""
     return bool(np.all(outer.contains_points(inner.vertices())))
+
+
+def cube_center(cube: GridCube) -> np.ndarray:
+    """The center A^tau 2^sigma (index + 1/2) of the cube."""
+    n = np.asarray(cube.index, dtype=float)
+    return cube.dilation.power(cube.tau) @ (cube.side * (n + 0.5))
+
+
+def tau_parent(cube: GridCube) -> GridCube:
+    """The cube of R_{0, tau+1} containing the cube's center, by the row rule
+    grid.row_tau_parent that the Whitney guard uses."""
+    _, tau, *index = row_tau_parent(cube.dilation, (cube.sigma, cube.tau, *cube.index))
+    return GridCube(0, tau, tuple(index), cube.dilation)
 
 
 def boxes_intersect_open(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool:

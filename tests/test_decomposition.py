@@ -51,7 +51,13 @@ from anisomax.grid import (
     tendril_of,
 )
 
-from _oracles import boxes_intersect_open, cube_contains, replay_trace_masses
+from _oracles import (
+    boxes_intersect_open,
+    cube_center,
+    cube_contains,
+    replay_trace_masses,
+    tau_parent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +173,7 @@ def test_cube_relations_match_parallelepiped_oracle(matrix):
         Q = GridCube(int(sigmas[0]), int(taus[0]),
                      tuple(int(v) for v in rng.integers(-3, 4, size=D.dim)), D)
         # a host near Q, so that containment holds on a fair share of pairs
-        near = np.linalg.solve(D.power(int(taus[1])), Q.center()) / 2.0 ** sigmas[1]
+        near = np.linalg.solve(D.power(int(taus[1])), cube_center(Q)) / 2.0 ** sigmas[1]
         index = tuple(int(np.floor(v)) + int(rng.integers(-1, 2)) for v in near)
         host = GridCube(int(sigmas[1]), int(taus[1]), index, D)
         boxes = _box_set([Q, host])
@@ -219,7 +225,7 @@ def _near_indices(Q, sigma, tau):
     """Every index n whose double could hold Q: Q's center pulled back into
     the (sigma, tau) grid lies in the double's [n - 1/2, n + 3/2]^d."""
     D = Q.dilation
-    c = np.linalg.solve(D.power(tau), Q.center()) / 2.0 ** sigma
+    c = np.linalg.solve(D.power(tau), cube_center(Q)) / 2.0 ** sigma
     return product(*(range(int(np.ceil(v - 1.5 - 1e-9)), int(np.floor(v + 0.5 + 1e-9)) + 1)
                      for v in c))
 
@@ -258,7 +264,7 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
                 for i, held in zip(near_ids, _holds(doubles[n], verts[near_ids]).tolist()):
                     assert (i in groups.get(n, [])) == held, (sigma, tau, n, i)
                     checked["outsiders"] += not held
-        parents = [c.tau_parent() for c in cubes if c.sigma == 0]
+        parents = [tau_parent(c) for c in cubes if c.sigma == 0]
         # sigma = -1 quarters of the parents: one within_each call meets
         # hosts of mixed (sigma, tau) levels, some holding their cube
         quarters = [GridCube(-1, p.tau, tuple(2 * v for v in p.index), D) for p in parents[:4]]
@@ -349,7 +355,7 @@ def test_row_rules_are_the_cube_rules_bit_for_bit(matrix):
     for k, (Q, row) in enumerate(zip(cubes, rows.tolist())):
         scalar = (2.0 ** (D.dim * Q.sigma)) * (D.det_scale ** Q.tau)
         assert row_volume(D, row).hex() == Q.volume.hex() == volume[k].hex() == scalar.hex(), Q
-        parent = Q.tau_parent()
+        parent = tau_parent(Q)
         assert row_tau_parent(D, row) == (parent.sigma, parent.tau, *parent.index), Q
         realized = Q.realize()
         assert origin[k].tobytes() == realized.origin.tobytes(), Q
@@ -387,7 +393,7 @@ def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
     for _, entries in found_instances(D, 10):
         cubes = [cube for cube, _ in entries]
         cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:3]]
-        hosts = cubes + [c.tau_parent() for c in cubes if c.sigma == 0]
+        hosts = cubes + [tau_parent(c) for c in cubes if c.sigma == 0]
         boxes = _box_set(cubes)
         scale, index = boxes.scale, boxes.index
         for factor in (1.0, 2.0):

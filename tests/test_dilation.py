@@ -18,6 +18,7 @@ from numpy.random import default_rng
 from pytest import approx
 
 from anisomax.dilation import (
+    _STRUCTURES,
     cube_diameter,
     fit_diameter_exponent,
     span_diameter,
@@ -26,6 +27,7 @@ from anisomax.dilation import (
 from anisomax.errors import (
     DegenerateFitError,
     EigenvalueNotExpandingError,
+    InputInvalidError,
     NonSquareError,
 )
 
@@ -165,6 +167,23 @@ def test_a_rejected_matrix_raises_on_every_call():
             validate_dilation([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(NonSquareError):
             validate_dilation([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([[2.0, 0.0], [0.0]], NonSquareError),
+    (np.zeros((0, 0)), NonSquareError),
+    ([[np.nan, 0.0], [0.0, 4.0]], InputInvalidError),
+    ([[np.inf, 0.0], [0.0, 4.0]], InputInvalidError),
+    ([["a", 0.0], [0.0, 4.0]], InputInvalidError),
+])
+def test_malformed_matrices_raise_package_errors_and_are_not_kept(matrix, error):
+    # ragged rows, an empty matrix and entries that are not finite numbers
+    # must not escape as numpy's ValueError or LinAlgError
+    kept = set(_STRUCTURES.keys())
+    for _ in range(3):
+        with pytest.raises(error):
+            validate_dilation(matrix)
+    assert set(_STRUCTURES.keys()) == kept
 
 
 # ------------------------------------------------------------ cube diameters

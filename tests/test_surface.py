@@ -16,6 +16,7 @@ Frozen reference values:
 import dataclasses
 import hashlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,15 +306,38 @@ def test_partition_mass_invariance():
     meas = surface_quadrature(circ, 200)
     for s in (0, 8):
         pieces = partition_measure(circ, s=s, eps=EPS)
-        total = sum(p.mass for p in pieces)
+        total = sum(p.measure().mass for p in pieces)
         assert abs(total - meas.mass) < 1e-6
     # in d = 3 the chi weight is a product, so the exact mass is the
     # square of the 1-d chi mass; the coarse full-measure quadrature is
     # less accurate than the partition itself here
     par = make_surface("paraboloid", dim=3)
-    pieces3 = partition_measure(par, s=2, eps=EPS, n_gl=16)
+    pieces3 = partition_measure(par, s=2, eps=EPS)
     exact = 0.7696560773850898 ** 2
-    assert abs(sum(p.mass for p in pieces3) - exact) < 1e-6
+    assert abs(sum(p.measure().mass for p in pieces3) - exact) < 1e-6
+
+
+def test_a_partition_holds_no_nodes():
+    # the 81 caps of a 3-D partition at s = 4 are geometry alone; with
+    # their bump-weighted nodes they held about 13.5 MB
+    par = make_surface("paraboloid", dim=3)
+    tracemalloc.start()
+    try:
+        pieces = partition_measure(par, s=4, eps=EPS)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pieces) == 81
+    assert held < 1_000_000
+
+
+def test_measure_is_built_per_call_on_the_param_points():
+    piece = partition_measure(make_surface("paraboloid", dim=3), s=2, eps=EPS)[4]
+    first, second = piece.measure(), piece.measure()
+    assert first is not second and first.quad_points is not second.quad_points
+    assert first.param_points.tobytes() == piece.param_points.tobytes()
+    assert first.quad_weights.tobytes() == second.quad_weights.tobytes()
+    assert (first.scale, first.eps) == (piece.scale, piece.eps)
 
 
 def _all_caps_raw(partition, y):
@@ -430,6 +454,22 @@ def test_classify_sizes_each_tau_once(monkeypatch):
     assert asked == list(range(0, -7, -1))
 
 
+def test_classification_builds_no_cap_measure(monkeypatch):
+    # I1 reads the cap rule's parameter points and I2 a lattice over the
+    # cap; neither needs the bump-weighted nodes
+    def refuse(piece):
+        raise AssertionError("a cap measure was built")
+
+    monkeypatch.setattr(SurfacePiece, "measure", refuse)
+    quart = make_surface("quartic-flat")
+    pieces = partition_measure(quart, s=8, eps=EPS)
+    classify_pieces(pieces, quart, _transversal(), eps=EPS, zeta=ZETA)
+    assert sum(p.in_I1 for p in pieces) == 5
+    report = excluded_piece_growth(quart, _transversal(), eps=EPS, zeta=ZETA,
+                                   s_values=range(4, 13, 2))
+    assert report.counts == [5, 5, 5, 5, 7]
+
+
 def test_classify_input_validation():
     circ = make_surface("circle-arc")
     D = _transversal()
@@ -448,10 +488,8 @@ def test_classify_grid_is_the_cell_centred_formula(dim, monkeypatch):
     D = validate_dilation(np.diag([5.0, 4.0, 3.0, 2.0][4 - dim:]))
     centers = np.array([[0.1] * p, [-0.2 / 3.0] * p])
     partition = surface._CapPartition(centers, 0.13, surf)
-    pieces = [SurfacePiece(
-        surface=surf, param_points=c[None, :], quad_points=surf.points(c),
-        quad_weights=np.ones(1), scale=1.0, eps=EPS, s=0, rho=rho, center=c,
-        partition=partition) for rho, c in enumerate(centers)]
+    pieces = [SurfacePiece(surface=surf, s=0, rho=rho, center=c, partition=partition,
+                           scale=1.0, eps=EPS) for rho, c in enumerate(centers)]
     make_lattice, made = surface.make_lattice, []
 
     def recording(box, shape):
@@ -702,7 +740,7 @@ def test_kernel_checks_match_brute_force(matrix):
 
     _, (fld,), _ = _piece_convolutions([a], piece)
     h = fld.lattice.spacing[0]
-    field = _brute_convolution(a, piece, fld.lattice.points())
+    field = _brute_convolution(a, piece.measure(), fld.lattice.points())
     peak = float(np.max(np.abs(field)))
     assert peak > 0.0
     rep = check_linfty_bound(a, piece, sigma=0, zeta=ZETA, s=0)
@@ -712,8 +750,8 @@ def test_kernel_checks_match_brute_force(matrix):
 
     _, (fld, _), _ = _piece_convolutions([a, b], piece)
     h = fld.lattice.spacing[0]
-    fa = _brute_convolution(a, piece, fld.lattice.points())
-    fb = _brute_convolution(b, piece, fld.lattice.points())
+    fa = _brute_convolution(a, piece.measure(), fld.lattice.points())
+    fb = _brute_convolution(b, piece.measure(), fld.lattice.points())
     scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
     rep = check_pair_bound(a, b, piece, sigma_prime=-1, eps=EPS, s=0)
     assert abs(rep.inner) > 1e-6 * scale * h * h
@@ -781,23 +819,25 @@ def _kernel_outputs(measure, n_bins):
 
 
 def golden_digests(name):
-    """Digests of the case's partition_measure nodes and weights, the
-    classify_pieces fields, the autocorrelation kernel and its decay shells
+    """Digests of the nodes and weights of each partition_measure piece's
+    measure(), the classify_pieces fields, the autocorrelation kernel and its decay shells
     (full measure, then the first piece), and the check_linfty_bound and
     check_pair_bound reports on every nth piece; each with the error a call
     raised, if any."""
     surf, D, s, a, b, every = _golden_case(name)
     pieces = partition_measure(surf, s=s, eps=EPS)
+    measures = [p.measure() for p in pieces]
     partition = [_digest(
-        [p.param_points.tobytes(), p.quad_points.tobytes(), p.quad_weights.tobytes(),
-         p.center.tobytes(), p.rho, p.s, p.eps, p.scale, p.mass]) for p in pieces]
+        [m.param_points.tobytes(), m.quad_points.tobytes(), m.quad_weights.tobytes(),
+         p.center.tobytes(), p.rho, p.s, p.eps, p.scale, m.mass])
+        for p, m in zip(pieces, measures)]
     classify_pieces(pieces, surf, D, eps=EPS, zeta=ZETA)
     classes = [(p.in_I1, p.in_I2, p.excluded, p.min_curvature, p.worst_mass_ratio,
                 p.worst_tau) for p in pieces]
     # a 255^3 histogram of every node pair is too large for a test in d = 3
     n_bins = surface.KERNEL_BINS if surf.dim == 2 else 63
     kernels = [_outcome(lambda: _kernel_outputs(surface_quadrature(surf, 32), n_bins)),
-               _outcome(lambda: _kernel_outputs(pieces[0], n_bins))]
+               _outcome(lambda: _kernel_outputs(measures[0], n_bins))]
     checked = pieces[::every]
     linfty = [_outcome(lambda: dataclasses.astuple(
         check_linfty_bound(a, p, sigma=0, zeta=ZETA, s=s))) for p in checked]
