@@ -32,9 +32,11 @@ verify_stopping and for full-pipeline's exceptional_volume line alike.
 
 verify_stopping's check (ii), that each entry's dilates Q + A^j B_1 lie in
 the exceptional set, certifies from geometry before it samples
-(_certified_dilates, every tendril-owned entry in one stacked pass).  It
-draws random points only when some pair is left, and asks each primitive
-through its region(), built at most once per call.
+(_certified_dilates, every tendril-owned entry in one stacked pass).  A
+quadrupled cube owns few entries and certifies none; its pairs are sampled
+like every pair the certificate leaves.  The check draws random points only
+when some pair is left, and asks each primitive through its region(), built
+at most once per call.
 """
 
 from dataclasses import dataclass, field
@@ -197,13 +199,13 @@ class _BoxSet:
 
     ident holds the (sigma, tau, *index) rows, (N, 2 + d) int64, and verts
     their vertices, vertex-major (2^d, N, d), built once (grid.cube_vertices)
-    or taken from a parent set by a row selection (rows).  A tau's pull is
+    or taken from another set by a row selection (rows).  A tau's pull is
     one flat (2^d N, d) product, reduced to its per-row min and max and kept
     for the call.  within_each and overlap_matrix answer containment and
     overlap as boolean arrays.
     """
 
-    def __init__(self, D, ident: np.ndarray, verts=None, parent=None):
+    def __init__(self, D, ident: np.ndarray, verts=None):
         self.D = D
         self.ident = ident
         if verts is None and len(ident):
@@ -212,8 +214,6 @@ class _BoxSet:
         # tau -> (2, N, d): the per-cube min and max of the vertices pulled
         # back by A^-tau
         self._pulled = {}
-        # (parent box set, ids) of a row selection
-        self._parent = parent
 
     def __len__(self) -> int:
         return len(self.ident)
@@ -229,25 +229,18 @@ class _BoxSet:
         return self.ident[:, 2:]
 
     def rows(self, ids) -> "_BoxSet":
-        """The box set of rows ids: their rows and vertices, not a new build."""
+        """The box set of rows ids: their rows and vertices, not a new build.
+        It pulls its own levels, bit for bit the rows of this set's."""
         if not ids:
             return _BoxSet(self.D, self.ident[:0])
-        return _BoxSet(self.D, self.ident.take(ids, axis=0), self.verts.take(ids, axis=1),
-                       (self, ids))
+        return _BoxSet(self.D, self.ident.take(ids, axis=0), self.verts.take(ids, axis=1))
 
     def pull_levels(self, taus) -> None:
         """Pull back by A^-tau for every tau of taus not pulled yet: one
         product against the stack of their powers (each stacked product is
-        bit for bit the product alone), reduced to per-row min and max.  A
-        row selection pulls through its parent and keeps its rows."""
+        bit for bit the product alone), reduced to per-row min and max."""
         missing = [t for t in dict.fromkeys(taus) if t not in self._pulled]
         if not missing:
-            return
-        if self._parent is not None:
-            parent, ids = self._parent
-            parent.pull_levels(missing)
-            for t in missing:
-                self._pulled[t] = parent._pulled[t].take(ids, axis=1)
             return
         v, n, d = self.verts.shape
         powers = self.D.powers([-t for t in missing])
@@ -826,12 +819,11 @@ def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarra
     dilate Q + A^j B_1 at level j = levels[i, l] lies in its assigned
     primitive.
 
-    Decided from geometry alone.  The entries owned by tendril bounds are
-    decided together by grid.tendrils_cover_dilates, over the stacked
-    pullbacks of their owners; each quad owner asks
-    Parallelepiped.covers_dilates once about its entries and the distinct
-    levels among them.  A True pair's samples are all accepted by that
-    primitive; a False pair says nothing and is left to sampling.
+    Decided from geometry alone, for the entries owned by tendril bounds:
+    grid.tendrils_cover_dilates decides them together, over the stacked
+    pullbacks of their owners.  A True pair's samples are all accepted by
+    that primitive; a False pair says nothing and is left to sampling, as is
+    every pair of an entry owned by a quadrupled cube.
     """
     D = boxes.D
     primitives = result.exceptional
@@ -847,13 +839,6 @@ def _certified_dilates(result: StoppingResult, boxes: _BoxSet, levels: np.ndarra
         spreads = D.powers(asked.ravel().tolist()).reshape(*asked.shape, D.dim, D.dim)
         out[tendril] = tendrils_cover_dilates(D, rows[:, :2], rows[:, 2:], np.array(pos),
                                               boxes.verts.take(tendril, axis=1), spreads)
-    for p in sorted({p for p in owner if primitives[p].kind == "quad"}):
-        rows = [i for i, q in enumerate(owner) if q == p]
-        uniq = sorted(set(levels[rows].ravel().tolist()))
-        spreads = D.powers(uniq)
-        verts = boxes.verts[:, rows].transpose(1, 0, 2)
-        covered = primitives[p].region().covers_dilates(verts, spreads)
-        out[rows] = covered[np.arange(len(rows))[:, None], np.searchsorted(uniq, levels[rows])]
     return out
 
 

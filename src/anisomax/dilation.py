@@ -206,12 +206,17 @@ def validate_dilation(matrix) -> DilationStructure:
 
     Raises NonSquareError for an input that is not a nonempty square
     matrix (ragged rows included), InputInvalidError for an entry that is
-    not a finite real number, and EigenvalueNotExpandingError when any
-    eigenvalue modulus is <= 1 + 1e-9; an input that raises is not kept,
-    so it raises on every call.
+    not a finite real number (a complex input, even with zero imaginary
+    parts, and text that spells a number included), and
+    EigenvalueNotExpandingError when any eigenvalue modulus is <= 1 + 1e-9;
+    an input that raises is not kept, so it raises on every call.
     """
     try:
-        A = np.array(matrix, dtype=float, order="C")
+        raw = np.asarray(matrix)
+        if raw.dtype.kind in "cSU" or (raw.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, complex, np.complexfloating)) for v in raw.flat)):
+            raise TypeError(f"entries of type {raw.dtype} are not real numbers")
+        A = np.array(raw, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         # an object array keeps the nesting without converting the entries
         shape = np.array(matrix, dtype=object).shape

@@ -3,10 +3,15 @@
 A grid cube at scale (sigma, tau) is the image under A^tau of the dyadic cube
 2^sigma ([0, 1)^d + index).  Cubes of a fixed scale tile space half-open; for
 containment questions the closed hull is used with a diameter-relative
-tolerance.  Expanded cubes and tendril outer bounds are parallelepipeds plus
-dilated balls, handled exactly through pullback coordinates: each answers
-membership, of points and of whole dilated cells, and gives an axis-aligned
-box that holds it.
+tolerance.  An expanded cube is a Parallelepiped, and a tendril outer
+bound a parallelepiped plus a dilated ball, handled exactly through
+pullback coordinates.  Both answer membership of points (contains_points)
+and give an axis-aligned box that holds them (bbox).  A quadrupled cube of
+the exceptional set answers nothing else: the mask asks it about the cell
+centers no tendril bound holds, and check (ii) about its samples.  Tendril
+bounds also answer for whole dilated cells (tendrils_cover_dilates, check
+(ii)'s certificate) and, under a diagonal A, for whole grids
+(contains_grid, the mask).
 
 A cube is a slotted GridCube in the public API and a (sigma, tau, *index)
 int row in batched code.  Each quantity has one row rule: row_volume (the
@@ -27,10 +32,9 @@ Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
 columns, so that every elementwise step runs along the N points.
 
-Under a diagonal A every such set is axis_aligned: a cube's local
-coordinate j, and a tendril bound's pulled coordinate j, depend on x_j
-alone.  contains_grid then answers for a whole grid of points, given by
-its per-axis coordinates, from per-axis tests combined by an outer AND or
+Under a diagonal A a tendril bound is axis_aligned: its pulled coordinate
+j depends on x_j alone.  contains_grid then answers for a whole grid of
+points, given by its per-axis coordinates, from per-axis gaps combined by
 an outer sum, with the same answers contains_points gives on the grid's
 points.
 """
@@ -179,59 +183,9 @@ class Parallelepiped:
         local = np.linalg.solve(self.basis, pts.T - self.origin[:, None])
         return np.all((local >= -tol) & (local <= 1.0 + tol), axis=0)
 
-    @property
-    def axis_aligned(self) -> bool:
-        return _is_diagonal(self.basis)
-
-    def contains_grid(self, axes) -> np.ndarray:
-        """contains_points on the grid axes[0] x ... x axes[d-1], in the
-        grid's shape; the basis must be diagonal (axis_aligned).
-
-        Local coordinate j then depends on axis j alone, so the interval
-        test runs once per axis value and the grid's answer is their outer
-        AND.  The local coordinates come from the same solve as in
-        contains_points, one column per axis value (rows padded with
-        zeros), so every comparison sees the same number.
-        """
-        tol = _CONTAIN_TOL * max(1.0, self.diameter())
-        d = self.dim
-        rel = np.zeros((d, max(len(a) for a in axes)))
-        for j, a in enumerate(axes):
-            rel[j, :len(a)] = np.asarray(a, dtype=float) - self.origin[j]
-        local = np.linalg.solve(self.basis, rel)
-        inside = None
-        for j, a in enumerate(axes):
-            u = local[j, :len(a)]
-            ok = _axis_view((u >= -tol) & (u <= 1.0 + tol), j, d)
-            inside = ok if inside is None else inside & ok
-        return inside
-
     def bbox(self):
         verts = self.vertices()
         return verts.min(axis=0), verts.max(axis=0)
-
-    def covers_dilates(self, verts: np.ndarray, spreads: np.ndarray) -> np.ndarray:
-        """(N, L) mask: cell n grown by spreads[l] B_1 lies in the hull.
-
-        verts is (N, V, d), the vertices of N convex cells; spreads is
-        (L, d, d).  A local coordinate of cell + M B_1 is affine on the cell
-        plus the ball, so it ranges at most over the cell's vertex range
-        widened by the norm of the matching row of basis^-1 M.  True only
-        when every such range lies in [slack, 1 - slack], which
-        contains_points then accepts for every point of the set.  slack
-        follows the tendril bounds' rule, _BAND_SLACK relative to the
-        extent of the hull in these local coordinates.
-        """
-        n, v, d = verts.shape
-        offset = np.linalg.solve(self.basis, self.origin)
-        extent = float(max(np.abs(offset).max(), np.abs(offset + 1.0).max()))
-        slack = _BAND_SLACK * max(1.0, extent)
-        local = np.linalg.solve(self.basis, verts.reshape(-1, d).T - self.origin[:, None])
-        local = local.reshape(d, n, v)
-        lo = local.min(axis=2).T[:, None, :]
-        hi = local.max(axis=2).T[:, None, :]
-        rows = np.sqrt(np.square(np.linalg.inv(self.basis) @ spreads).sum(axis=2))
-        return np.all((lo - rows >= slack) & (hi + rows <= 1.0 - slack), axis=2)
 
 
 def expand_cube(cube: GridCube, factor: float) -> Parallelepiped:

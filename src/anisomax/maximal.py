@@ -29,10 +29,12 @@ convolve_dilated adds the same blocks for a single k.
 Superlevel-set sizes are cell counts times the cell volume, counted in a
 sorted copy of only the cells above the lowest threshold, optionally
 skipping the cells of a boolean mask, such as the cells of an exceptional
-set E built once per lattice by _excluded_mask, from per-axis tests under a
-diagonal A and from the cell centers otherwise.  Every weak-type ratio comes
-from weak_type_report, or from weak_type_reports, which measures f and each
-of its tau groups from one engine run.
+set E built once per lattice by _excluded_mask: a tendril bound decides its
+window from per-axis tests under a diagonal A, and every other region, a
+quadrupled cube always, from the centers of the cells not yet in the mask.
+Every weak-type ratio comes from weak_type_report, or from
+weak_type_reports, which measures f and each of its tau groups from one
+engine run.
 """
 
 import math
@@ -45,7 +47,7 @@ import numpy as np
 from .atoms import AtomicSum
 from .dilation import cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
-from .grid import _is_diagonal
+from .grid import TendrilBound, _is_diagonal
 
 MAGIC = b"ANISOFLD"
 THRESHOLD_COUNT = 64
@@ -520,11 +522,12 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
     exclude holds grid regions (TendrilBound, Parallelepiped), such as the
     region() of each exceptional primitive, built once by the caller.  Each
     is tested only on the cells of its bbox() padded by one cell.  An
-    axis_aligned region (any under a diagonal A) answers for the whole
-    window from the window's per-axis centers (contains_grid).  Any other
-    is asked only about the cells that no earlier region captured, through
-    contains_points on their centers, built for those cells alone in C
-    order.  Either way each region makes one pass.
+    axis_aligned tendril bound (any under a diagonal A) answers for the
+    whole window from the window's per-axis centers (contains_grid).  Any
+    other region, a quadrupled cube included, is asked only about the cells
+    that no earlier region captured, through contains_points on their
+    centers, built for those cells alone in C order.  Either way each region
+    makes one pass.
     """
     mask = np.zeros(lattice.shape, dtype=bool)
     pad = np.asarray(lattice.spacing)
@@ -536,7 +539,7 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
         window = mask[slices]
         if window.all():
             continue
-        if region.axis_aligned:
+        if isinstance(region, TendrilBound) and region.axis_aligned:
             window |= region.contains_grid(
                 [lattice.axis_centers(j)[s] for j, s in enumerate(slices)])
             continue

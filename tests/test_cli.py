@@ -30,7 +30,7 @@ from anisomax.errors import (
     WindowExhaustedError,
 )
 from anisomax.experiments import run_experiment
-from anisomax.grid import Parallelepiped, TendrilBound
+from anisomax.grid import TendrilBound
 from anisomax.maximal import _excluded_mask, make_lattice, weak_type_report
 from anisomax.surface import surface_quadrature
 
@@ -645,7 +645,6 @@ def test_cli_full_pipeline_non_diagonal_reruns_identically(tmp_path, monkeypatch
     counting(maximal, "_add_scatter")
     counting(TendrilBound, "contains_points")
     counting(TendrilBound, "contains_grid")
-    counting(Parallelepiped, "contains_grid")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
@@ -666,6 +665,65 @@ def test_cli_full_pipeline_non_diagonal_reruns_identically(tmp_path, monkeypatch
             for manifest in (first, second):
                 manifest["config"].pop("out_dir")
         assert first == second, name
+
+
+# diag(4, 3, 2) on a paraboloid at alpha = 1: the two heavy tau = 0 atoms at
+# z index -10 select two cubes, whose tendril bounds cover the lower part of
+# the [-4, 4]^3 lattice (their quadrupled cubes lie below it); the field of
+# the two light atoms near the origin reaches outside E
+PIPELINE_3D = [
+    "--override", "matrix=[[4,0,0],[0,3,0],[0,0,2]]",
+    "--override", "surface.kind=paraboloid",
+    "--override", "surface.dim=3",
+    "--override", "lattice.box=[[-4,4],[-4,4],[-4,4]]",
+    "--override", "lattice.shape=[40,40,40]",
+    "--override", "alpha=1.0",
+    "--override", "atoms.list=[{tau: 0, index: [0, 0, 0], lam: 1.0, profile: bump},"
+                  " {tau: 0, index: [-1, 1, 0], lam: 0.7, profile: bump},"
+                  " {tau: 0, index: [0, 0, -10], lam: 2.0, profile: bump},"
+                  " {tau: 0, index: [0, 1, -10], lam: 1.5, profile: bump}]",
+    "--override", "k_range=[-2, 2]",
+    "--override", "n_gl=16",
+    "--override", "s_range=[4, 4]",
+]
+
+# the outputs of PIPELINE_3D, recorded when a quadrupled cube still had a
+# per-axis mask test and a check (ii) certificate of its own
+PIPELINE_3D_OUTPUTS = {
+    "summary.txt": (
+        "PASS whitney: 2 cubes from 4 entries\n"
+        "PASS stopping: all checks hold\n"
+        "PASS exceptional_volume: sum=130.0 vs bound=550.0\n"
+        "PASS piece_split: s=4: 49 of 81 pieces kept\n"
+        "PASS weak_type_outside_E: overall ratio=0.002755463080760361 vs cap=100.0\n"
+        "RESULT PASS\n"),
+    "weak_type.csv": (
+        "tau,atoms,h1,ratio\n"
+        "0,4,5.2,0.002755463080760361\n"
+        "all,4,5.2,0.002755463080760361\n"),
+    "exceptional_volume.csv": (
+        "kind,volume_term\n"
+        "tendril,1.0\n"
+        "tendril,1.0\n"
+        "quad,64.0\n"
+        "quad,64.0\n"),
+}
+
+
+def test_cli_full_pipeline_3d_writes_the_recorded_outputs(tmp_path):
+    cfg = load_config(None, overrides=PIPELINE_3D[1::2])
+    entries = cfg.entries()
+    wres = whitney_decompose(entries, cfg.alpha)
+    kept = [entries[i] for i in sorted(wres.assigned)]
+    exceptional = stopping_time(wres.selected, kept, cfg.alpha).exceptional
+    lattice = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    coverage = _excluded_mask(lattice, [p.region() for p in exceptional]).mean()
+    assert 0.0 < coverage < 1.0
+    out = tmp_path / "fp"
+    res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)] + PIPELINE_3D)
+    assert res.exit_code == 0, res.output
+    for name, text in PIPELINE_3D_OUTPUTS.items():
+        assert (out / name).read_text() == text, name
 
 
 # ------------------------------------------------------------- cold start

@@ -293,7 +293,7 @@ def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
     # 2^-sigma.  Scaling by a power of two is exact, so every level must
     # equal, bit for bit, the box of its own product 2^-sigma A^-tau x,
     # whether its tau was pulled alone, with every other tau in one stacked
-    # product (pull_levels), or through the parent of a row selection
+    # product (pull_levels), or by a row selection, which pulls its own rows
     D = validate_dilation(matrix)
     cubes = [cube for _, entries in found_instances(D, 4) for cube, _ in entries]
     cubes += [GridCube(-1, c.tau, tuple(2 * v + 1 for v in c.index), D) for c in cubes[:4]]
@@ -1046,9 +1046,9 @@ def test_kappa_decrement_fails_stopped_mass_check(diag_dilation):
 def test_dropped_primitive_fails_dilates_check(diag_dilation):
     # Two light entries, each stopped against its own S.  With entry 1's
     # quadrupled cube swapped for a far one, only 4 S_0 still covers part
-    # of entry 1's dilates.  Entry 0 is certified and never sampled, but its
-    # draw is still taken, so entry 1 meets the points a sample-only check
-    # drew: the witness is the one recorded before the certificate existed.
+    # of entry 1's dilates.  A quad certifies no pair, so both entries are
+    # sampled, and entry 1 meets the points a sample-only check drew: the
+    # witness is the one recorded before any certificate existed.
     alpha = 1e9
     S_list = [GridCube(0, -1, (2, -3), diag_dilation),
               GridCube(0, -1, (4, -3), diag_dilation)]
@@ -1062,8 +1062,7 @@ def test_dropped_primitive_fails_dilates_check(diag_dilation):
     exceptional[1] = dataclasses.replace(exceptional[1], cube=far)
     dropped = dataclasses.replace(res, exceptional=exceptional)
     levels = np.array([[-1, -3, -8]] * 2)
-    assert _certified_dilates(dropped, _box_set(S_list), levels).tolist() == [
-        [True] * 3, [False] * 3]
+    assert _certified_dilates(dropped, _box_set(S_list), levels).tolist() == [[False] * 3] * 2
     rep = verify_stopping(dropped, S_list, entries, alpha, seed=7)
     assert rep.failures() == [
         ("ii_dilates_covered", "entry 1, level -1: 502 of 1000 samples escape")]
@@ -1160,16 +1159,15 @@ def _covers_by_regions(result, kept, levels):
     """The certificate one entry and level at a time, through the owner's
     own region(): for a tendril, the clamped-coordinate bound at the pulled
     vertices plus the Frobenius norm of the pulled spread, within radius -
-    slack; for a quad, its covers_dilates."""
+    slack; a quad certifies nothing."""
     D = kept[0][0].dilation
     out = np.zeros(levels.shape, dtype=bool)
     for i, (cube, _) in enumerate(kept):
         prim = result.exceptional[result.assigned_primitive[i]]
+        if prim.kind == "quad":
+            continue
         region = prim.region()
         spreads = np.stack([D.power(j) for j in levels[i].tolist()])
-        if prim.kind == "quad":
-            out[i] = region.covers_dilates(cube.vertices()[None], spreads)[0]
-            continue
         far = np.sqrt(region._clamped_sq(region.pull @ cube.vertices().T - region.origin)).max()
         reach = np.sqrt(np.square(region.pull @ spreads).sum(axis=(1, 2)))
         out[i] = far + reach <= region.radius - region.slack
@@ -1184,8 +1182,9 @@ def test_certified_dilates_are_covered(matrix):
     # and the vertices pushed by A^j along the axes, A^j's singular
     # directions and 256 fixed directions.  At alpha the entries stop
     # against tendril bounds; at 1e6 alpha nothing is selected and every
-    # entry stops against its quadrupled S.  kappa + 4 grows the dilates
-    # until a share of the pairs falls to sampling.
+    # entry stops against its quadrupled S, whose pairs all go to sampling.
+    # kappa + 4 grows the dilates until a share of the tendril pairs falls
+    # to sampling.
     D = validate_dilation(matrix)
     d = D.dim
     rng = default_rng(53)
@@ -1216,12 +1215,13 @@ def test_certified_dilates_are_covered(matrix):
                 assert np.all(prim.contains_points(pts)), where
                 assert np.all(prim.contains_points(verts)), where
                 assert np.all(prim.contains_points(pushed)), where
-    # most plain pairs are settled by geometry, and kappa + 4 leaves a
-    # share to sampling
-    for kind in ("tendril", "quad"):
-        sampled, sure = counts[kind, 0]
-        assert sure > 4 * sampled, counts
-        assert min(counts[kind, 4]) > 0, counts
+    # most plain tendril pairs are settled by geometry, and kappa + 4
+    # leaves a share to sampling; no quad pair is settled
+    sampled, sure = counts["tendril", 0]
+    assert sure > 4 * sampled, counts
+    assert min(counts["tendril", 4]) > 0, counts
+    assert counts["quad", 0][0] > 0 and counts["quad", 4][0] > 0, counts
+    assert counts["quad", 0][1] == counts["quad", 4][1] == 0, counts
 
 
 @pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + BEYOND_DIAG24)
@@ -1267,6 +1267,35 @@ def test_sampling_every_pair_gives_the_certified_report(matrix, monkeypatch):
                 escaped = int(witness.split(": ")[1].split(" of ")[0])
                 seen["escape after a certified entry"] += (
                     escaped < STOPPING_SAMPLES and bool(settled[:i].any()))
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]], [[2, 0, 0], [0, 3, 0], [0, 0, 4]]])
+def test_sampling_every_quad_pair_gives_the_report(matrix, monkeypatch):
+    # at 1e6 alpha every entry stops against its quadrupled S (as in
+    # test_certified_dilates_are_covered); check (ii) must report the same
+    # outcome and witness whether or not any pair is settled before
+    # sampling.  kappa + 4 and the last entry's kappa + 5 or + 6 grow the
+    # dilates until points escape
+    import anisomax.decomposition as decomposition
+
+    seen = {"passed": 0, "witness": 0}
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 16)):
+        alpha *= 1e6
+        res = stopping_time(S_list, kept, alpha)
+        assert {res.exceptional[p].kind for p in res.assigned_primitive.values()} == {"quad"}
+        last = len(kept) - 1
+        variants = [res, dataclasses.replace(res, kappa={i: k + 4 for i, k in res.kappa.items()})]
+        variants += [dataclasses.replace(res, kappa={**res.kappa, last: res.kappa[last] + grow})
+                     for grow in (5, 6)]
+        for variant in variants:
+            report = verify_stopping(variant, S_list, kept, alpha, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(decomposition, "_certified_dilates",
+                              lambda result, boxes, levels: np.zeros(levels.shape, bool))
+                sampled = verify_stopping(variant, S_list, kept, alpha, seed=seed)
+            assert sampled.checks == report.checks, seed
+            seen["passed" if report.checks[1][1] else "witness"] += 1
     assert min(seen.values()) >= 5, seen
 
 

@@ -9,6 +9,7 @@ Frozen reference values:
 """
 
 import gc
+import warnings
 import weakref
 from itertools import product
 
@@ -175,14 +176,29 @@ def test_a_rejected_matrix_raises_on_every_call():
     ([[np.nan, 0.0], [0.0, 4.0]], InputInvalidError),
     ([[np.inf, 0.0], [0.0, 4.0]], InputInvalidError),
     ([["a", 0.0], [0.0, 4.0]], InputInvalidError),
+    (np.array([[2.0 + 1.0j, 0.0], [0.0, 4.75]]), InputInvalidError),
+    (np.array([[2.0 + 0.0j, 0.0], [0.0, 4.75]]), InputInvalidError),
+    (np.array([[2.0, 0.0], [0.0, 4.75]], dtype=np.complex64), InputInvalidError),
+    ([[2.0 + 0.0j, 0.0], [0.0, 4.75]], InputInvalidError),
+    ([[np.complex128(2.0), 0.0], [0.0, 4.75]], InputInvalidError),
+    ([["2", 0], [0, "4.75"]], InputInvalidError),
+    (np.array([["2", "0"], ["0", "4.75"]]), InputInvalidError),
+    (np.array([["2", 0], [0, "4.75"]], dtype=object), InputInvalidError),
+    ([[b"2", 0], [0, b"4.75"]], InputInvalidError),
 ])
 def test_malformed_matrices_raise_package_errors_and_are_not_kept(matrix, error):
-    # ragged rows, an empty matrix and entries that are not finite numbers
-    # must not escape as numpy's ValueError or LinAlgError
+    # ragged rows, an empty matrix and entries that are not finite real
+    # numbers must not escape as numpy's ValueError or LinAlgError.  A
+    # complex input (zero imaginary parts included) is not read as its real
+    # part, nor text as the number it spells, though numpy converts both:
+    # no ComplexWarning, and diag(2, 4.75), kept by no other test, is not
+    # interned
     kept = set(_STRUCTURES.keys())
-    for _ in range(3):
-        with pytest.raises(error):
-            validate_dilation(matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            with pytest.raises(error):
+                validate_dilation(matrix)
     assert set(_STRUCTURES.keys()) == kept
 
 

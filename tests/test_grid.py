@@ -15,7 +15,6 @@ from pytest import approx
 from anisomax.dilation import validate_dilation
 from anisomax.errors import InputInvalidError, NotNormalizedError
 from anisomax.grid import (
-    _BAND_SLACK,
     GridCube,
     Parallelepiped,
     TendrilBound,
@@ -372,25 +371,22 @@ def _grid_points(axes) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _edge_axes(t, quad, rng, d):
+def _edge_axes(t, rng, d):
     """Per-axis coordinates around a tendril bound: random ones over its
-    bbox and beyond, the quad's faces to within a few tolerances, and
-    coordinates whose pulled gap to q**'s box is the radius to within
-    1e-8 of the slack, so that the cells they form with the box's own
-    coordinates sit in the band contains_grid hands to contains."""
+    bbox and beyond, and coordinates whose pulled gap to q**'s box is the
+    radius to within 1e-8 of the slack, so that the cells they form with
+    the box's own coordinates sit in the band contains_grid hands to
+    contains."""
     lo, hi = t.bbox()
     radius, slack = t.radius, t.slack
-    tol = 1e-12 * max(1.0, quad.diameter())
     axes = []
     for j in range(d):
         span = hi[j] - lo[j]
         wide = lo[j] - 0.25 * span + rng.random(40) * 1.5 * span
-        faces = quad.origin[j] + quad.basis[j, j] * np.array([0.0, 1.0])
-        faces = (faces[:, None] + np.array([-3.0, -0.5, 0.0, 0.5, 3.0]) * tol).ravel()
         box = np.array([t.box_lo[j, 0], t.box_hi[j, 0]])
         gaps = radius + slack * np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
         pulled = np.concatenate([box[0] - gaps, box[1] + gaps, box])
-        axes.append(np.concatenate([wide, faces, pulled / t.pull[j, j]]))
+        axes.append(np.concatenate([wide, pulled / t.pull[j, j]]))
     return axes
 
 
@@ -398,10 +394,10 @@ def _edge_axes(t, quad, rng, d):
                                     [[4.0, 0.0], [0.0, 2.0]],
                                     np.diag([2.0, 3.0, 4.0]).tolist()])
 def test_grid_membership_matches_points_under_a_diagonal_dilation(matrix, monkeypatch):
-    # Under a diagonal A a tendril bound and a quadrupled cube answer for a
-    # whole grid from per-axis tests; every cell must get contains_points'
-    # answer, including cells on the quad's faces and in the tendril's
-    # rounding band, which contains_grid sends to the bound's contains
+    # Under a diagonal A a tendril bound answers for a whole grid from
+    # per-axis tests; every cell must get contains_points' answer, including
+    # cells in the rounding band, which contains_grid sends to the bound's
+    # contains
     D = validate_dilation(matrix)
     d = D.dim
     rng = np.random.default_rng(61)
@@ -417,19 +413,16 @@ def test_grid_membership_matches_points_under_a_diagonal_dilation(matrix, monkey
         cube = GridCube(int(rng.integers(-2, 1)), tau,
                         tuple(int(v) for v in rng.integers(-4, 5, size=d)), D)
         t = tendril_of(cube)
-        quad = expand_cube(cube, 4.0)
-        assert t.axis_aligned and quad.axis_aligned
-        axes = _edge_axes(t, quad, rng, d)
+        assert t.axis_aligned
+        axes = _edge_axes(t, rng, d)
         pts = _grid_points(axes)
-        want_t, want_q = t.contains_points(pts), quad.contains_points(pts)
-        assert 0 < want_t.sum() < len(pts) and 0 < want_q.sum() < len(pts)
+        want = t.contains_points(pts)
+        assert 0 < want.sum() < len(pts)
         with monkeypatch.context() as patch:
             patch.setattr(TendrilBound, "contains", counting)
-            got_t = t.contains_grid(axes)
-        got_q = quad.contains_grid(axes)
-        assert got_t.shape == got_q.shape == tuple(len(a) for a in axes)
-        assert np.array_equal(got_t.ravel(), want_t)
-        assert np.array_equal(got_q.ravel(), want_q)
+            got = t.contains_grid(axes)
+        assert got.shape == tuple(len(a) for a in axes)
+        assert np.array_equal(got.ravel(), want)
         checked += len(pts)
     assert checked > 0
     # the band branch ran, on a few cells of each tendril's grid only
@@ -440,16 +433,14 @@ def test_only_a_diagonal_dilation_is_axis_aligned():
     for matrix in ([[4.0, 1.0], [1.0, 3.0]], [[2.0, -2.0], [2.0, 2.0]]):
         cube = GridCube(0, -1, (1, 2), validate_dilation(matrix))
         assert not tendril_of(cube).axis_aligned
-        assert not expand_cube(cube, 4.0).axis_aligned
-    assert expand_cube(GridCube(0, -1, (1, 2), _diag24()), 4.0).axis_aligned
+    assert tendril_of(GridCube(0, -1, (1, 2), _diag24())).axis_aligned
 
 
 def test_dilates_touching_the_outer_edge_go_to_sampling():
-    # the certificates (tendrils_cover_dilates, Parallelepiped.covers_dilates)
-    # accept a dilate only while it stays the rounding slack
-    # inside the set.  Under diag(2, 4) every number below is exact: the
-    # rank-one spread A^2 diag(s, 0) (tendril) or diag(4 s, 0) (quad)
-    # pushes the cube out along x by exactly s, so gap 0 touches the edge.
+    # the certificate (tendrils_cover_dilates) accepts a dilate only while
+    # it stays the rounding slack inside the set.  Under diag(2, 4) every
+    # number below is exact: the rank-one spread A^2 diag(s, 0) pushes the
+    # cube out along x by exactly s, so gap 0 touches the edge.
     D = _diag24()
     t = tendril_of(GridCube(0, 0, (0, 0), D))
     # q** pulls to [-3/8, 5/8] x [-3/32, 5/32]; Q pulls to [3/4, 13/16] x
@@ -471,13 +462,3 @@ def test_dilates_touching_the_outer_edge_go_to_sampling():
             edge = tips[verts[:, 0] == verts[:, 0].max()]
     # at gap 0 they touch the edge: 1e-8 further out (pulled) is outside
     assert not np.any(t.contains_points(edge + [4e-8, 0.0]))
-
-    # 4 S is [-3/2, 5/2]^2, local coordinates (x + 3/2) / 4; Q's local x is
-    # [3/4, 7/8], so a push of 1/8 reaches the face
-    quad = expand_cube(GridCube(0, 0, (0, 0), D), 4.0)
-    verts = GridCube(0, -1, (3, 0), D).vertices()
-    for gap, expect in ((0.0, False), (0.5 * _BAND_SLACK, False),
-                        (2.0 * _BAND_SLACK, True), (0.1, True)):
-        spread = np.diag([4.0 * (0.125 - gap), 0.0])
-        assert quad.covers_dilates(verts[None], spread[None]).tolist() == [[expect]], gap
-        assert np.all(quad.contains_points(verts + spread @ np.array([1.0, 0.0])))

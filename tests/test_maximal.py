@@ -798,7 +798,7 @@ def test_windowed_mask_matches_brute_force_union(tmp_path):
 def _mask_passes(cfg, monkeypatch):
     """Run full-pipeline; the sizes of the exclude lists it masks with, and
     the membership calls each region gets while the mask is built, keyed
-    by (region, method)."""
+    by (region, its type's name, method)."""
     masks, asked = [], collections.Counter()
     building = [False]
 
@@ -815,26 +815,29 @@ def _mask_passes(cfg, monkeypatch):
 
         def counted(self, arg):
             if building[0]:
-                asked[id(self), name] += 1
+                asked[id(self), type(self).__name__, name] += 1
             return method(self, arg)
         return counted
 
     monkeypatch.setattr(experiments, "_excluded_mask", counting_mask)
-    for owner in (TendrilBound, Parallelepiped):
-        for name in ("contains_points", "contains_grid"):
-            monkeypatch.setattr(owner, name, counting(owner, name))
+    for owner, name in ((TendrilBound, "contains_points"), (TendrilBound, "contains_grid"),
+                        (Parallelepiped, "contains_points")):
+        monkeypatch.setattr(owner, name, counting(owner, name))
     assert run_experiment(cfg, "full-pipeline") == 0
     return masks, asked
 
 
 def test_full_pipeline_asks_each_primitive_once_for_the_mask(tmp_path,
                                                               monkeypatch):
-    # one membership pass per region, the per-axis one under diag(4, 2)
+    # at most one membership pass per region: under diag(4, 2) each tendril
+    # bound makes the per-axis one; both quadrupled cubes lie in cells the
+    # tendrils already hold, so neither is asked (a quad asks contains_points
+    # about the cells left, test_mask_decides_band_cells_like_the_points)
     cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
     masks, asked = _mask_passes(cfg, monkeypatch)
     assert masks == [4]   # one mask per run, shared by every weak-type report
-    assert {name for _, name in asked} == {"contains_grid"}
-    assert asked and max(asked.values()) == 1
+    assert {(kind, name) for _, kind, name in asked} == {("TendrilBound", "contains_grid")}
+    assert len(asked) == 2 and max(asked.values()) == 1
 
 
 def test_full_pipeline_asks_each_primitive_once_on_the_point_path(tmp_path,
@@ -845,14 +848,15 @@ def test_full_pipeline_asks_each_primitive_once_on_the_point_path(tmp_path,
         "matrix=[[4.0, 1.0], [1.0, 3.0]]", "lattice.shape=[448, 448]"], out_dir=tmp_path)
     masks, asked = _mask_passes(cfg, monkeypatch)
     assert masks == [6]
-    assert {name for _, name in asked} == {"contains_points"}
+    assert {name for _, _, name in asked} == {"contains_points"}
     assert asked and max(asked.values()) == 1
 
 
 def test_mask_decides_band_cells_like_the_points(monkeypatch):
     # a lattice whose axis-0 centers include ones within the rounding slack
     # of the tendril radius: the per-axis mask sends exactly those cells to
-    # the bound's contains and must agree with contains_points everywhere
+    # the bound's contains and must agree with contains_points everywhere;
+    # the quad is asked about the cells the tendril left
     D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
     cube = GridCube(0, -1, (0, 0), D)
     tendril = tendril_of(cube)
@@ -874,11 +878,10 @@ def test_mask_decides_band_cells_like_the_points(monkeypatch):
         return contains(self, y)
 
     def refuse(self, points):
-        raise AssertionError("a point pass under a diagonal A")
+        raise AssertionError("a tendril's point pass under a diagonal A")
 
     monkeypatch.setattr(TendrilBound, "contains", counting)
-    for owner in (TendrilBound, Parallelepiped):
-        monkeypatch.setattr(owner, "contains_points", refuse)
+    monkeypatch.setattr(TendrilBound, "contains_points", refuse)
     mask = _excluded_mask(lat, [tendril, quad])
     assert np.array_equal(mask.ravel(), brute)
     assert band and 0 < sum(band) <= 2 * lat.shape[1]
@@ -889,7 +892,7 @@ def test_non_diagonal_mask_keeps_the_point_path(tmp_path, monkeypatch):
                       + ["matrix=[[4.0, 1.0], [1.0, 3.0]]"], out_dir=tmp_path)
     exceptional = _pipeline_exceptional_set(cfg)
     assert {type(r) for r in exceptional} == {TendrilBound, Parallelepiped}
-    assert not any(r.axis_aligned for r in exceptional)
+    assert not any(r.axis_aligned for r in exceptional if isinstance(r, TendrilBound))
     lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
     pts = lat.points()
     brute = np.zeros(len(pts), dtype=bool)
@@ -900,9 +903,45 @@ def test_non_diagonal_mask_keeps_the_point_path(tmp_path, monkeypatch):
     def refuse(self, axes):
         raise AssertionError("a per-axis pass under a non-diagonal A")
 
-    for owner in (TendrilBound, Parallelepiped):
-        monkeypatch.setattr(owner, "contains_grid", refuse)
+    monkeypatch.setattr(TendrilBound, "contains_grid", refuse)
     assert np.array_equal(_excluded_mask(lat, exceptional).ravel(), brute)
+
+
+@pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 2.0]],
+                                    np.diag([4.0, 3.0, 2.0]).tolist()])
+def test_mask_of_tendrils_and_quads_is_the_union_of_their_points(matrix):
+    # E in stopping_time's order, tendril bounds first and then quadrupled
+    # cubes, under a diagonal A: each on-lattice quad holds cells no tendril
+    # does, and the lattice's centers fall on the quads' faces (-3 + i h
+    # with h a power of two).  The mask is the union of contains_points
+    # over the cell centers, cell for cell.
+    D = validate_dilation(matrix)
+    d = D.dim
+    n = 96 if d == 2 else 48
+    h = 6.0 / n
+    lat = make_lattice([(-3.0 - 0.5 * h, 3.0 - 0.5 * h)] * d, (n,) * d)
+    pts = lat.points()
+    tendrils = [tendril_of(GridCube(0, -3, (2,) + (-3,) * (d - 1), D)),
+                tendril_of(GridCube(-1, -2, (-6,) + (4,) * (d - 1), D))]
+    quads = [expand_cube(GridCube(0, -1, (-6,) + (-2,) * (d - 1), D), 4.0),
+             expand_cube(GridCube(0, 0, (1,) * d, D), 4.0),
+             expand_cube(GridCube(0, 0, (40,) * d, D), 4.0)]
+    held = np.zeros(len(pts), dtype=bool)
+    for region in tendrils:
+        held |= region.contains_points(pts)
+    brute = held.copy()
+    for quad in quads[:2]:
+        inside = quad.contains_points(pts)
+        assert np.any(inside & ~held) and np.any(inside & held)
+        # some cell centers lie on a face of the quad
+        local = np.linalg.solve(quad.basis, (pts - quad.origin).T)
+        assert np.any(inside & np.any((local == 0.0) | (local == 1.0), axis=0))
+        brute |= inside
+    assert not np.any(quads[2].contains_points(pts))
+    assert 0.05 < brute.mean() < 0.95
+    mask = _excluded_mask(lat, tendrils + quads)
+    assert mask.shape == lat.shape
+    assert np.array_equal(mask.ravel(), brute)
 
 
 # -------------------------------------------------------------- weak type
