@@ -41,6 +41,10 @@ SCAN_LIMIT = 64
 _STRUCTURES = weakref.WeakValueDictionary()
 _STRUCTURES_LOCK = threading.Lock()
 
+# entries numpy converts to float64 that are not real numbers: a bool shares
+# 0's or 1's float bytes, so it would find that matrix's structure
+_NOT_REAL = (bool, np.bool_, str, bytes, complex, np.complexfloating)
+
 
 def _left_sum(values):
     """sum() with its rounding fixed: one add per term, left to right,
@@ -206,15 +210,17 @@ def validate_dilation(matrix) -> DilationStructure:
 
     Raises NonSquareError for an input that is not a nonempty square
     matrix (ragged rows included), InputInvalidError for an entry that is
-    not a finite real number (a complex input, even with zero imaginary
-    parts, and text that spells a number included), and
+    not a finite real number (a bool, a complex input, even with zero
+    imaginary parts, and text that spells a number included), and
     EigenvalueNotExpandingError when any eigenvalue modulus is <= 1 + 1e-9;
     an input that raises is not kept, so it raises on every call.
     """
     try:
-        raw = np.asarray(matrix)
-        if raw.dtype.kind in "cSU" or (raw.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes, complex, np.complexfloating)) for v in raw.flat)):
+        # a list is scanned as the Python objects it holds: numpy would read
+        # its bools as 0 and 1, and text as the numbers it spells
+        raw = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
+        if raw.dtype.kind in "bcSU" or (raw.dtype.kind == "O" and any(
+                isinstance(v, _NOT_REAL) for v in raw.flat)):
             raise TypeError(f"entries of type {raw.dtype} are not real numbers")
         A = np.array(raw, dtype=float, order="C")
     except (TypeError, ValueError) as exc:

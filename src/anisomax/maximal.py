@@ -16,15 +16,16 @@ criterion in place of k in Z.
 
 One engine (_maximal_fields) builds every maximal field: at each k it adds
 each atom's windowed blocks, as they are computed, into the scratch array
-of every sub-sum that holds the atom, and updates each sup and argmax only
-on the slices written, or on their bounding box when it is smaller.  A
-sub-sum holds a scratch array only from its first term to its fold after
-its last, so sub-sums whose terms do not interleave (f's tau groups, whose
-atoms are listed group by group) take turns with one array from a pool;
-the fold works in that array and one bool buffer, allocating nothing the
-size of the lattice.  The sub-sums' sups share one block, and their argmax
-arrays another.  maximal_field is the engine's one-part case;
-convolve_dilated adds the same blocks for a single k.
+of every sub-sum that holds the atom, and raises each sup only on the
+slices written, or on their bounding box when it is smaller.  A sub-sum
+holds a scratch array only from its first term to its fold after its
+last, so sub-sums whose terms do not interleave (f's tau groups, whose
+atoms are listed group by group) take turns with one array from a free
+list; the fold works in that array, allocating nothing the size of the
+lattice, and keeps the per-k peak the tail fractions are read from.  The
+sub-sums' sups share one block, 8 bytes per cell each.  maximal_field is
+the engine's one-part case; convolve_dilated adds the same blocks for a
+single k.
 
 Superlevel-set sizes are cell counts times the cell volume, counted in a
 sorted copy of only the cells above the lowest threshold, optionally
@@ -212,14 +213,11 @@ def _axis_entries(f: AtomicSum, centers, shifted, atoms, nodes, first, last) -> 
         kinds = {}
         kind = [kinds.setdefault((atom.profile, j == atom.axis), len(kinds))
                 for atom, _ in f.terms]
-        if len(kinds) == 1:
-            factors = f.terms[0][0].axis_factor(j, u)
-        else:
-            factors = np.empty_like(u)
-            of_pair = np.array(kind)[atoms]
-            for g in range(len(kinds)):
-                picked = np.repeat(of_pair == g, counts)
-                factors[picked] = f.terms[kind.index(g)][0].axis_factor(j, u[picked])
+        factors = np.empty_like(u)
+        of_pair = np.array(kind)[atoms]
+        for g in range(len(kinds)):
+            picked = np.repeat(of_pair == g, counts)
+            factors[picked] = f.terms[kind.index(g)][0].axis_factor(j, u[picked])
         out.append((cells, factors, bounds, counts))
     return out
 
@@ -355,59 +353,41 @@ def _fold_regions(touched: list) -> list:
     return touched
 
 
-class _ScratchPool:
-    """The lattice-sized scratch buffers of one engine run (the sups and
-    argmax arrays are blocks of their own, allocated by _maximal_fields).
-
-    free holds zeroed float arrays that sub-sums take at their first term
-    and give back after their fold; flags is the one bool buffer every
-    fold writes its strict-> comparison into.  Arrays that are read before
-    they are written are zero-filled with np.full rather than np.zeros: a
-    fresh page of np.zeros' calloc read first faults twice, once for the
-    shared zero page and again on the first write.
-    """
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.free = []
-        self.flags = np.empty(shape, dtype=bool)
-
-    def take(self) -> np.ndarray:
-        return self.free.pop() if self.free else np.full(self.shape, 0.0)
-
-
 class _RunningSup:
-    """Pointwise sup over k of |mu_k * g| and its argmax, for one sub-sum g.
+    """Pointwise sup over k of |mu_k * g|, for one sub-sum g.
 
-    best and argmax are g's views of the engine's sup and argmax blocks
-    (_maximal_fields), at 0 and ks[0] to start.  At each k the terms of g
-    are added into a scratch array taken from the pool at g's first term
-    that meets the lattice (add), and fold(k) updates the sup and the
-    argmax on the slices written (_fold_regions) only, in place: |scratch|
-    into scratch itself, the strict > against the sup into the pool's
-    flags, which is idempotent where slices overlap; cells outside them
-    hold 0 and could not win.  The regions are zeroed only after all of
-    them are folded, and the array goes back to the pool at 0.
+    best is g's view of the engine's sup block (_maximal_fields), 0 to
+    start.  At each k the terms of g are added into a scratch array taken
+    from the engine's free list at g's first term that meets the lattice
+    (add), and fold(k) raises the sup on the slices written (_fold_regions)
+    only, in place: |scratch| into scratch itself, then one np.maximum into
+    best, which is idempotent where slices overlap; cells outside them hold
+    0 and could not raise it.  The regions are zeroed only after all of
+    them are folded, and the array goes back to the free list.  peaks holds
+    max |mu_k * g| per k, so the field's peak and its tails need no pass
+    over the lattice.
     """
 
-    def __init__(self, best: np.ndarray, argmax: np.ndarray, ks):
+    def __init__(self, best: np.ndarray, ks):
         self.scratch = None
         self.touched = []
         self.best = best
-        self.argmax = argmax
-        self.ks = ks
-        self.end_max = {}
+        self.peaks = dict.fromkeys(ks, 0.0)
 
-    def add(self, region, pool: _ScratchPool) -> np.ndarray:
+    def add(self, region, free: list) -> np.ndarray:
         """The scratch array for a term that writes within region."""
         if self.scratch is None:
-            self.scratch = pool.take()
+            # np.full rather than np.zeros for an array read before it is
+            # written: a fresh page of np.zeros' calloc read first faults
+            # twice, once for the shared zero page and again on the first
+            # write
+            self.scratch = free.pop() if free else np.full(self.best.shape, 0.0)
         self.touched.append(region)
         return self.scratch
 
-    def fold(self, k: int, pool: _ScratchPool) -> None:
+    def fold(self, k: int, free: list) -> None:
         """Fold |mu_k * g|, written into scratch since the last fold, and
-        give the scratch array back to the pool."""
+        give the scratch array back to the free list."""
         regions = _fold_regions(self.touched)
         peak = 0.0
         for slices in regions:
@@ -418,30 +398,27 @@ class _RunningSup:
                 raise InputInvalidError("field values must be finite")
             peak = max(peak, top)
             best = self.best[slices]
-            gained = np.greater(fk, best, out=pool.flags[slices])
-            np.copyto(self.argmax[slices], k, where=gained)
-            np.copyto(best, fk, where=gained)
+            np.maximum(best, fk, out=best)
         if self.scratch is not None:
             for slices in regions:
                 self.scratch[slices] = 0.0
-            pool.free.append(self.scratch)
+            free.append(self.scratch)
             self.scratch = None
         self.touched = []
-        if k in (self.ks[0], self.ks[-1]):
-            self.end_max[k] = peak
+        self.peaks[k] = peak
 
     def field(self, lattice: Lattice) -> SampledField:
-        """The sup as a field, with argmax_k and the range-end tail fractions."""
-        peak = float(self.best.max())
-        tails = tuple(self.end_max[k] / peak if peak > 0 else 0.0
-                      for k in (self.ks[0], self.ks[-1]))
+        """The sup as a field, with the range-end tail fractions."""
+        ks = list(self.peaks)
+        peak = max(self.peaks.values())
+        tails = tuple(self.peaks[k] / peak if peak > 0 else 0.0
+                      for k in (ks[0], ks[-1]))
         if max(tails) > TAIL_FRACTION:
             warnings.warn(
                 f"range ends contribute {max(tails):.3f} of the field max",
                 TailNotNegligibleWarning)
         return SampledField(lattice, self.best, {
-            "k_range": (self.ks[0], self.ks[-1]),
-            "argmax_k": self.argmax, "tail_fractions": tails,
+            "k_range": (ks[0], ks[-1]), "tail_fractions": tails,
         })
 
 
@@ -456,20 +433,16 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
     folded right after its last term, which frees its array for the parts
     that start later.
 
-    Every part's sup is a view of one (parts, *shape) block, and every
-    part's argmax_k of another, so a returned field keeps every part's sup
-    and argmax alive.  One large block is allocated and freed as a whole:
-    freeing it raises glibc's adaptive mmap and trim thresholds above the
-    run's working set, where lattice-sized arrays freed one by one would
-    hand the heap back to the system after every run, to be faulted in
-    again by the next.
+    Every part's sup is a view of one (parts, *shape) block, so a returned
+    field keeps every part's sup alive.  One large block is allocated and
+    freed as a whole: freeing it raises glibc's adaptive mmap and trim
+    thresholds above the run's working set, where lattice-sized arrays
+    freed one by one would hand the heap back to the system after every
+    run, to be faulted in again by the next.
     """
     ks = _normalize_k_range(k_range)
-    best = np.full((len(parts), *lattice.shape), 0.0)   # see _ScratchPool
-    # k itself, in the narrowest signed type that holds every k; cells that
-    # never rise above 0 keep ks[0]
-    argmax = np.full(best.shape, ks[0], np.min_scalar_type(-1 - max(map(abs, ks))))
-    sups = [_RunningSup(b, a, ks) for b, a in zip(best, argmax)]
+    best = np.full((len(parts), *lattice.shape), 0.0)   # see _RunningSup.add
+    sups = [_RunningSup(b, ks) for b in best]
     holders = [[] for _ in f.terms]
     closing = [[] for _ in f.terms]
     for sup, part in zip(sups, parts):
@@ -478,21 +451,19 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
         if part:
             closing[max(part)].append(sup)
     boxes = _support_boxes(f, lattice)
-    pool = _ScratchPool(lattice.shape)
+    free = []
     for k in ks:
         for i, term in enumerate(_term_blocks(f, measure, k, lattice, boxes)):
             if term is not None:
                 region, blocks = term
-                _add_blocks(blocks, [sup.add(region, pool) for sup in holders[i]])
+                _add_blocks(blocks, [sup.add(region, free) for sup in holders[i]])
             for sup in closing[i]:
-                sup.fold(k, pool)
+                sup.fold(k, free)
     return [sup.field(lattice) for sup in sups]
 
 
 def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledField:
-    """Pointwise sup over k = lo..hi of |mu_k * f|, k_range = (lo, hi),
-    with per-cell argmax recorded (provenance "argmax_k", in the narrowest
-    signed integer type that holds lo and hi).
+    """Pointwise sup over k = lo..hi of |mu_k * f|, k_range = (lo, hi).
 
     The ends of the truncated range must contribute less than 1% of the
     field maximum; otherwise a TailNotNegligibleWarning is emitted.  The

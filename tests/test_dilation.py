@@ -185,14 +185,20 @@ def test_a_rejected_matrix_raises_on_every_call():
     (np.array([["2", "0"], ["0", "4.75"]]), InputInvalidError),
     (np.array([["2", 0], [0, "4.75"]], dtype=object), InputInvalidError),
     ([[b"2", 0], [0, b"4.75"]], InputInvalidError),
+    ([[2.0, False], [0.0, 4.75]], InputInvalidError),
+    ([[2.0, 0.0], [np.False_, 4.75]], InputInvalidError),
+    ([[True, 0.0], [0.0, 4.75]], InputInvalidError),
+    (np.array([[2.0, False], [0.0, 4.75]], dtype=object), InputInvalidError),
+    (np.array([[2.0, np.False_], [0.0, 4.75]], dtype=object), InputInvalidError),
+    (np.array([[True, False], [False, True]]), InputInvalidError),
 ])
 def test_malformed_matrices_raise_package_errors_and_are_not_kept(matrix, error):
     # ragged rows, an empty matrix and entries that are not finite real
     # numbers must not escape as numpy's ValueError or LinAlgError.  A
     # complex input (zero imaginary parts included) is not read as its real
-    # part, nor text as the number it spells, though numpy converts both:
-    # no ComplexWarning, and diag(2, 4.75), kept by no other test, is not
-    # interned
+    # part, nor text as the number it spells, nor a bool as 0 or 1, though
+    # numpy converts all three: no ComplexWarning, and diag(2, 4.75), kept
+    # by no other test, is not interned
     kept = set(_STRUCTURES.keys())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -200,6 +206,22 @@ def test_malformed_matrices_raise_package_errors_and_are_not_kept(matrix, error)
             with pytest.raises(error):
                 validate_dilation(matrix)
     assert set(_STRUCTURES.keys()) == kept
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, False], [0, 4]],
+    [[2, np.False_], [0, 4]],
+    np.array([[2, False], [0, 4]], dtype=object),
+])
+def test_a_bool_entry_does_not_find_the_structure_of_its_number(matrix):
+    # False has 0.0's float bytes, so read as a number it would hand back
+    # the interned diag(2, 4) instead of raising
+    D = _diag24()
+    kept = set(_STRUCTURES.keys())
+    with pytest.raises(InputInvalidError, match="not real numbers"):
+        validate_dilation(matrix)
+    assert set(_STRUCTURES.keys()) == kept
+    assert validate_dilation([[2, 0], [0, 4]]) is D
 
 
 # ------------------------------------------------------------ cube diameters
