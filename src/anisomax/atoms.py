@@ -8,6 +8,7 @@ rejected by make_atom.
 """
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -99,15 +100,16 @@ def make_atom(Q: GridCube, profile: str, seed: int) -> Atom:
 
 @dataclass
 class AtomicSum:
-    """Finite combination sum_i lambda_i a_i with nonnegative weights."""
+    """Finite combination sum_i lambda_i a_i with nonnegative finite weights."""
 
     terms: list
     dilation: DilationStructure
 
     def __post_init__(self):
         for atom, lam in self.terms:
-            if lam < 0:
-                raise InputInvalidError("atomic weights must be nonnegative")
+            if not 0 <= lam < inf:
+                raise InputInvalidError(
+                    f"atomic weights must be nonnegative and finite, got {lam!r}")
             if atom.support.dilation is not self.dilation:
                 raise InputInvalidError("all atoms must share the sum's dilation")
 

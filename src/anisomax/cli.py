@@ -42,17 +42,14 @@ def main():
               help="Which named experiment to run.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Output directory (overrides config and environment).")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Replaces the config seed.")
 @click.option("--override", "overrides", multiple=True, metavar="KEY=VALUE",
               help="Dotted config override, repeatable.")
-def run(config_path, experiment, out_dir, seed, overrides):
+def run(config_path, experiment, out_dir, overrides):
     """Run one experiment and write manifest, CSVs, and summary."""
     if out_dir is None:
         out_dir = os.environ.get(OUT_ENV) or None
     try:
-        config = load_config(config_path, overrides=overrides, seed=seed,
-                             out_dir=out_dir)
+        config = load_config(config_path, overrides=overrides, out_dir=out_dir)
         status = run_experiment(config, experiment)
     except (ConfigInvalidError, InputInvalidError, ResolutionTooCoarseError,
             DegenerateFitError, NotNormalizedError) as exc:

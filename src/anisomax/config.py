@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import yaml
 
 from .atoms import AtomicSum, make_atom, random_atomic_sum
-from .dilation import DilationStructure, validate_dilation
+from .dilation import DilationStructure, _is_integer, validate_dilation
 from .errors import AnisoError, ConfigInvalidError
 from .grid import GridCube
 from .surface import make_surface
@@ -34,7 +34,6 @@ DEFAULTS = {
         "count": 12,
         "tau_range": [-3, 0],
         "lam_range": [0.1, 2.0],
-        "seed": None,
         "profile": "haar",
         "index_span": 6,
         "list": None,
@@ -42,7 +41,6 @@ DEFAULTS = {
     "lattice": {"box": [[-4.0, 4.0], [-4.0, 4.0]], "shape": [512, 512]},
     "k_range": [-4, 4],
     "s_range": [4, 16],
-    "tau_window": None,
     "n_gl": 200,
     "out_dir": "runs",
     "seed": 7,
@@ -52,7 +50,7 @@ DEFAULTS = {
 def _coeff_key(key) -> tuple:
     """Monomial key: a list in YAML, or a comma-joined string like "4,0"."""
     parts = key if isinstance(key, (list, tuple)) else str(key).split(",")
-    if not all(_is_int(v) or str(v).strip().removeprefix("-").isdecimal() for v in parts):
+    if not all(_is_integer(v) or str(v).strip().removeprefix("-").isdecimal() for v in parts):
         raise ConfigInvalidError(f"surface.coeffs key {key!r} must hold integer exponents")
     return tuple(int(v) for v in parts)
 
@@ -70,7 +68,6 @@ class ExperimentConfig:
     lattice: dict
     k_range: list
     s_range: list
-    tau_window: object
     n_gl: int
     out_dir: str
     seed: int
@@ -98,11 +95,10 @@ class ExperimentConfig:
                                  seed=int(row.get("seed", 0)))
                 terms.append((atom, float(row["lam"])))
             return AtomicSum(terms=terms, dilation=D)
-        seed = spec["seed"] if spec["seed"] is not None else self.seed
         lo, hi = spec["tau_range"]
         return random_atomic_sum(
             D, int(spec["count"]), range(lo, hi + 1),
-            tuple(float(v) for v in spec["lam_range"]), int(seed),
+            tuple(float(v) for v in spec["lam_range"]), int(self.seed),
             profile=spec["profile"], index_span=spec["index_span"])
 
     def entries(self):
@@ -177,13 +173,9 @@ def _apply_override(merged: dict, item: str) -> dict:
     return _merge(merged, patch)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_pair(value) -> bool:
     """A list of two integers, as the range fields are written."""
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value))
 
 
 def _number(value) -> bool:
@@ -202,7 +194,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     # int() would truncate 2.5 and leave the manifest a value the run never used
     for name, value in (("surface.dim", cfg.surface.get("dim", 2)), ("n_gl", cfg.n_gl)):
-        if not _is_int(value):
+        if not _is_integer(value):
             raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
     matrix = cfg.matrix
     if not (isinstance(matrix, list) and all(
@@ -223,9 +215,6 @@ def _validate(raw: dict) -> ExperimentConfig:
         raise ConfigInvalidError("k_range must be [lo, hi] integers with lo <= hi")
     if not (_int_pair(cfg.s_range) and 0 <= cfg.s_range[0] <= cfg.s_range[1]):
         raise ConfigInvalidError("s_range must be [lo, hi] integers with 0 <= lo <= hi")
-    window = cfg.tau_window
-    if window is not None and not (_int_pair(window) and window[0] <= window[1]):
-        raise ConfigInvalidError("tau_window must be null or [lo, hi] integers with lo <= hi")
     box, shape = cfg.lattice.get("box"), cfg.lattice.get("shape")
     if not (box and shape and isinstance(box, list) and isinstance(shape, list)
             and len(box) == len(shape)):
@@ -236,7 +225,7 @@ def _validate(raw: dict) -> ExperimentConfig:
                 f"lattice.box must hold [lo, hi] sides of finite numbers, got {side!r}")
         if not side[1] > side[0]:
             raise ConfigInvalidError("lattice box sides must have positive length")
-    if not all(_is_int(n) and n > 0 for n in shape):
+    if not all(_is_integer(n) and n > 0 for n in shape):
         raise ConfigInvalidError("lattice.shape must be positive integers")
     dims = {"matrix": dim,
             "surface.dim": cfg.surface.get("dim", 2),
@@ -246,22 +235,20 @@ def _validate(raw: dict) -> ExperimentConfig:
             f"{name} {d}" for name, d in dims.items()))
     rows = cfg.atoms.get("list")
     seeds = {"seed": cfg.seed}
-    if cfg.atoms["seed"] is not None:
-        seeds["atoms.seed"] = cfg.atoms["seed"]
     for pos, row in enumerate(rows or ()):
         seeds[f"atoms.list[{pos}].seed"] = row.get("seed", 0)
         index = row.get("index")
-        if not (isinstance(index, list) and all(map(_is_int, [row.get("tau"), *index]))):
+        if not (isinstance(index, list) and all(map(_is_integer, [row.get("tau"), *index]))):
             raise ConfigInvalidError(f"atoms.list[{pos}] tau and index must be integers")
     for name, value in seeds.items():
-        if not (_is_int(value) and value >= 0):
+        if not (_is_integer(value) and value >= 0):
             raise ConfigInvalidError(f"{name} must be a nonnegative integer, got {value!r}")
     if rows is None:
         count = cfg.atoms["count"]
-        if not (_is_int(count) and count >= 0):
+        if not (_is_integer(count) and count >= 0):
             raise ConfigInvalidError(f"atoms.count must be a nonnegative integer, got {count!r}")
         span, taus = cfg.atoms["index_span"], cfg.atoms["tau_range"]
-        if not (_is_int(span) and span >= 0):
+        if not (_is_integer(span) and span >= 0):
             raise ConfigInvalidError(f"atoms.index_span must be a nonnegative integer, got {span!r}")
         if not (_int_pair(taus) and taus[0] <= taus[1]):
             raise ConfigInvalidError("atoms.tau_range must be [lo, hi] integers with lo <= hi")

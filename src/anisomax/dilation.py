@@ -8,9 +8,9 @@ and provides the cube-diameter asymptotics.
 
 A process holds one structure per matrix while the structure is referenced:
 validate_dilation returns the live structure of an equal matrix, so the
-analysis runs once and every holder shares A^-1, the powers and the cube
+analysis runs once and every holder shares the powers and the cube
 diameters computed so far.  Every derived field is a pure function of the
-matrix, and power(k) is bit for bit matrix_power in any cache order, so
+matrix, and power(k) is np.linalg.matrix_power in any cache order, so
 sharing changes no result.  The shared arrays are read-only.
 """
 
@@ -46,6 +46,14 @@ _STRUCTURES_LOCK = threading.Lock()
 _NOT_REAL = (bool, np.bool_, str, bytes, complex, np.complexfloating)
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not a count, an exponent or an
+    index.  The one integer rule of the package's inputs; a plain int,
+    the common case, is settled by its type alone."""
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
+
+
 def _left_sum(values):
     """sum() with its rounding fixed: one add per term, left to right,
     from 0.  CPython's sum() adds floats this way up to 3.11; from 3.12 it
@@ -60,7 +68,7 @@ class DilationStructure:
     """Validated dilation matrix together with derived scaling data.
 
     Build through validate_dilation, which shares one structure per matrix:
-    matrix, the inverse and every power are read-only arrays.
+    matrix and every power are read-only arrays.
     """
 
     matrix: np.ndarray
@@ -70,36 +78,20 @@ class DilationStructure:
     block_size: int
     norm_power: int
     _pow_cache: dict = field(default_factory=dict, repr=False)
-    # A^-1, the base of every negative power, computed on first use
-    _inverse: np.ndarray = field(default=None, repr=False)
     # unit-side cube diameter per tau, for cube_diameter
     _diam_cache: dict = field(default_factory=dict, repr=False)
 
     def power(self, k: int) -> np.ndarray:
-        """A^k for integer k, cached per k asked for.
-
-        Bit for bit np.linalg.matrix_power(A, k), without its argument
-        checks: the same products in the same order (A^-1 from inv, then
-        A A and (A A) A for 2 and 3, else a binary decomposition from the
-        least significant bit).  Only the asked-for powers are kept, not
-        the intermediate ones, and each is read-only.
-        """
+        """A^k for integer k: np.linalg.matrix_power, cached read-only per
+        k asked for.  Raises InputInvalidError for a k that is not an
+        integer (a bool included), checked when k is not cached."""
         got = self._pow_cache.get(k)
         if got is None:
-            k = int(k)
-            if k == 0:
-                got = np.eye(self.dim)
-            else:
-                if k > 0:
-                    base = self.matrix
-                else:
-                    if self._inverse is None:
-                        self._inverse = np.linalg.inv(self.matrix)
-                        self._inverse.flags.writeable = False
-                    base = self._inverse
-                got = _matrix_power(base, abs(k))
+            if not _is_integer(k):
+                raise InputInvalidError(f"matrix powers need an integer exponent, got {k!r}")
+            got = np.linalg.matrix_power(self.matrix, int(k))
             got.flags.writeable = False
-            self._pow_cache[k] = got
+            self._pow_cache[int(k)] = got
         return got
 
     def powers(self, exponents) -> np.ndarray:
@@ -109,23 +101,6 @@ class DilationStructure:
         pos = [distinct.setdefault(k, len(distinct)) for k in exponents]
         stack = np.array([self.power(k) for k in distinct])
         return stack if len(distinct) == len(pos) else stack.take(pos, axis=0)
-
-
-def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
-    """a^n for n >= 1 by np.linalg.matrix_power's products, in its order."""
-    if n == 1:
-        return a
-    if n == 2:
-        return a @ a
-    if n == 3:
-        return (a @ a) @ a
-    z = result = None
-    while n > 0:
-        z = a if z is None else z @ z
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else result @ z
-    return result
 
 
 def _operator_norm(m: np.ndarray) -> float:
@@ -161,7 +136,9 @@ def _block_size(m_factor: np.ndarray, norm: float, rank_tol: float) -> int:
     for j in range(1, d + 1):
         power = power @ m_factor
         scale = _operator_norm(power)
-        if scale == 0.0:
+        if scale <= rank_tol:
+            # zero up to rounding: divided by its own norm it would read as
+            # full rank
             rank = 0
         else:
             rank = int(np.linalg.matrix_rank(power / scale, tol=rank_tol))
@@ -191,7 +168,9 @@ def _slowest_block(A: np.ndarray, eigvals: np.ndarray) -> int:
     r = float(np.min(moduli))
     group_tol = 1e-8 * max(1.0, float(np.max(moduli)))
     reps = _eigen_groups(eigvals, group_tol)
-    slow_reps = [lam for lam in reps if abs(abs(lam) - r) <= 1e-8 * r]
+    # the grouping's own tolerance: a representative of the slowest group
+    # may sit as far from the smallest computed modulus as grouping allows
+    slow_reps = [lam for lam in reps if abs(abs(lam) - r) <= group_tol * max(1.0, abs(lam))]
     rank_tol = _RANK_TOL * max(1.0, _operator_norm(A))
     return max(_block_size(*_jordan_factor(A, lam, rank_tol), rank_tol)
                for lam in slow_reps)
@@ -205,8 +184,14 @@ def validate_dilation(matrix) -> DilationStructure:
     -0.0 is not 0.0), gets that structure, powers and diameters included.
     Otherwise the matrix is analyzed and a new structure kept for the next
     call.  The structure's matrix is a private read-only C-ordered copy, so
-    a later write to the argument does not reach it, and a write to it, its
-    inverse or a power raises ValueError.
+    a later write to the argument does not reach it, and a write to it or
+    to a power raises ValueError.
+
+    block_size is the largest Jordan block among the eigenvalues of least
+    modulus, those the eigenvalue grouping (relative tolerance 1e-8 of the
+    largest modulus) puts within its tolerance of the least modulus; a
+    power of a Jordan factor whose norm is at most the rank tolerance
+    counts as zero.
 
     Raises NonSquareError for an input that is not a nonempty square
     matrix (ragged rows included), InputInvalidError for an entry that is

@@ -228,9 +228,8 @@ def _run_surface_classify(config, out: Path, summary: CheckReport) -> None:
     counts = []
     for s in s_values:
         pieces = partition_measure(surface, s, config.eps)
-        records = classify_pieces(pieces, surface, D, config.eps, config.zeta,
-                                  tau_window=config.tau_window)
-        excluded = sum(1 for r in records if r.in_I1 or r.in_I2)
+        records = classify_pieces(pieces, surface, D, config.eps, config.zeta)
+        excluded = sum(1 for r in records if r.excluded)
         counts.append(excluded)
         summary.add(f"scale_s{s}", True,
                     f"{len(records)} pieces, {excluded} excluded")
@@ -307,14 +306,13 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
     surface = config.surface_obj()
     s0 = config.s_values()[0]
     pieces = partition_measure(surface, s0, config.eps)
-    records = classify_pieces(pieces, surface, f.dilation, config.eps, config.zeta,
-                              tau_window=config.tau_window)
+    records = classify_pieces(pieces, surface, f.dilation, config.eps, config.zeta)
     _write_csv(out / "pieces.csv",
                ["s", "rho", "min_curvature", "worst_mass_ratio",
                 "in_I1", "in_I2"],
                [(r.s, r.rho, r.min_curvature, r.worst_mass_ratio,
                  int(r.in_I1), int(r.in_I2)) for r in records])
-    usable = sum(1 for r in records if not (r.in_I1 or r.in_I2))
+    usable = sum(1 for r in records if not r.excluded)
     summary.add("piece_split", True,
                 f"s={s0}: {usable} of {len(records)} pieces kept")
 

@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .dilation import DilationStructure, span_diameter
+from .dilation import DilationStructure, _is_integer, span_diameter
 from .errors import InputInvalidError, NotNormalizedError
 
 _CONTAIN_TOL = 1e-12
@@ -132,6 +132,11 @@ class GridCube:
     dilation: DilationStructure = field(compare=False, hash=False, repr=False)
 
     def __post_init__(self):
+        if not (_is_integer(self.sigma) and _is_integer(self.tau)
+                and all(map(_is_integer, self.index))):
+            raise InputInvalidError(
+                f"sigma, tau and index must be integers, got {self.sigma!r}, "
+                f"{self.tau!r}, {self.index!r}")
         if self.sigma > 0:
             raise InputInvalidError(f"sigma must be <= 0, got {self.sigma}")
         if len(self.index) != self.dilation.dim:
@@ -417,5 +422,5 @@ def tendrils_cover_dilates(D: DilationStructure, scale: np.ndarray, index: np.nd
     rel -= basis.take(owner, axis=0) @ u
     far = np.sqrt(np.square(rel, out=rel).sum(axis=1)).max(axis=1)
     reach = np.sqrt(np.square(pull[:, None] @ spreads).sum(axis=(2, 3)))
-    limit = (_TENDRIL_RADIUS + _TENDRIL_TOL) - slack.take(owner)
+    limit = TendrilBound.radius - slack.take(owner)
     return far[:, None] + reach <= limit[:, None]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import AtomicSum
-from .dilation import cube_diameter
+from .dilation import _is_integer, cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
 from .grid import TendrilBound, _is_diagonal
 
@@ -57,11 +57,6 @@ TAIL_FRACTION = 0.01
 
 
 # ------------------------------------------------------------------ lattice
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is not a count or a k."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from numpy.polynomial.legendre import leggauss
 
-from .dilation import DilationStructure, cube_diameter
+from .dilation import DilationStructure, _is_integer, cube_diameter
 from .errors import (
     BudgetExceededError,
     DegenerateFitError,
@@ -84,57 +84,55 @@ class GraphSurface:
 
 
 def _poly_callables(coeffs: dict, p: int):
-    terms = []
+    """psi, grad and hess of sum c y^mono over the validated table of
+    (exponents, coefficient, factor) terms.  A derivative in y_i drops the
+    terms without y_i, lowers exponent i by one and multiplies the integer
+    factor by it, so each entry of grad and hess is a table of its own; one
+    loop evaluates every table, multiplying a coefficient by its factor
+    once."""
+    table = []
     for mono, c in coeffs.items():
         mono = tuple(int(k) for k in mono)
         if len(mono) != p or any(k < 0 for k in mono):
             raise InputInvalidError(f"bad monomial {mono} for {p} variables")
         if sum(mono) > _MAX_POLY_DEGREE:
             raise InputInvalidError(f"polynomial degree above {_MAX_POLY_DEGREE} not supported")
-        terms.append((mono, float(c)))
+        table.append((mono, float(c), 1))
 
-    def psi(y):
-        y = np.atleast_2d(y)
-        out = np.zeros(y.shape[0])
-        for mono, c in terms:
-            t = np.full(y.shape[0], c)
+    def derive(terms, i):
+        return [(mono[:i] + (mono[i] - 1,) + mono[i + 1:], c, factor * mono[i])
+                for mono, c, factor in terms if mono[i]]
+
+    grads = [derive(table, i) for i in range(p)]
+    hessians = [[derive(terms, j) for j in range(p)] for terms in grads]
+
+    def evaluate(terms, y, out):
+        """Add the table's terms at the points y to out, in table order."""
+        for mono, c, factor in terms:
+            t = np.full(y.shape[0], c * factor)
             for j, k in enumerate(mono):
                 if k:
                     t = t * y[:, j] ** k
             out += t
         return out
 
+    def psi(y):
+        y = np.atleast_2d(y)
+        return evaluate(table, y, np.zeros(y.shape[0]))
+
     def grad(y):
         y = np.atleast_2d(y)
         out = np.zeros_like(y)
-        for mono, c in terms:
-            for i, ki in enumerate(mono):
-                if ki == 0:
-                    continue
-                t = np.full(y.shape[0], c * ki)
-                for j, k in enumerate(mono):
-                    kk = k - 1 if j == i else k
-                    if kk:
-                        t = t * y[:, j] ** kk
-                out[:, i] += t
+        for i, terms in enumerate(grads):
+            evaluate(terms, y, out[:, i])
         return out
 
     def hess(y):
         y = np.atleast_2d(y)
-        out = np.zeros((y.shape[0], y.shape[1], y.shape[1]))
-        for mono, c in terms:
-            for i, ki in enumerate(mono):
-                for j, kj in enumerate(mono):
-                    drop = {i: 1, j: 1} if i != j else {i: 2}
-                    factor = ki * (kj if i != j else ki - 1)
-                    if factor == 0:
-                        continue
-                    t = np.full(y.shape[0], c * factor)
-                    for m, k in enumerate(mono):
-                        kk = k - drop.get(m, 0)
-                        if kk:
-                            t = t * y[:, m] ** kk
-                    out[:, i, j] += t
+        out = np.zeros((y.shape[0], p, p))
+        for i, row in enumerate(hessians):
+            for j, terms in enumerate(row):
+                evaluate(terms, y, out[:, i, j])
         return out
 
     return psi, grad, hess
@@ -343,8 +341,8 @@ class SurfacePiece:
 def partition_measure(surface: GraphSurface, s: int, eps: float) -> list:
     """Lay out the caps of ambient diameter about 2^(-eps s) that split the
     measure; no cap builds nodes here."""
-    if s < 0 or not 0.0 < eps < 1.0:
-        raise InputInvalidError("need s >= 0 and 0 < eps < 1")
+    if not (_is_integer(s) and s >= 0 and 0.0 < eps < 1.0):
+        raise InputInvalidError(f"need an integer s >= 0 and 0 < eps < 1, got {s!r}, {eps!r}")
     p = surface.dim - 1
     radius = 2.0 ** (-eps * s)
     r_cap = radius / (2.0 * np.sqrt(2.0 * p))
@@ -377,20 +375,21 @@ def _cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 
 def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
-                    eps: float, zeta: float, tau_window=None) -> list:
+                    eps: float, zeta: float) -> list:
     """Flag each piece for low curvature (I1) and cube-mass excess (I2).
 
-    The outcome is written onto the pieces (in_I1, in_I2, min_curvature,
-    worst_mass_ratio, worst_tau), and the classified pieces are returned.
+    I2 compares cube masses with their thresholds at every tau from 0 down
+    to -s - 8.  The outcome is written onto the pieces (in_I1, in_I2,
+    min_curvature, worst_mass_ratio, worst_tau), and the classified pieces
+    are returned.  Raises InputInvalidError when a pulled point reaches
+    2^53, past exact integer cube keys, as it does from tau = -28 on under
+    diag(2, 4).
     """
     if not pieces:
         return []
     s = pieces[0].s
     if any(piece.s != s for piece in pieces):
         raise InputInvalidError("pieces must share the same scale s")
-    if tau_window is None:
-        tau_window = (-s - 8, 0)
-    tau_lo, tau_hi = int(tau_window[0]), int(tau_window[1])
     a = D.det_scale
     curvature_cut = 2.0 ** (-eps * s)
     # cell-centred fine samples over each cap's box; the side count is 4096,
@@ -402,7 +401,7 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
     # coordinates; no grid cube at that level can hold more mass than the
     # density cap times this window
     levels = []
-    for tau in range(tau_hi, tau_lo - 1, -1):
+    for tau in range(0, -s - 9, -1):
         threshold = (2.0 ** (zeta * s)) * a ** tau / cube_diameter(D, tau)
         window = float(np.prod(np.sum(np.abs(D.power(tau)[:-1, :]), axis=1)))
         levels.append((tau, threshold, window))
@@ -436,8 +435,8 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
             # cast overflows past 2^63: the cube keys would be garbage
             if not np.all(np.abs(pulled) < _KEY_LIMIT):
                 raise InputInvalidError(
-                    f"tau {tau}: pulled coordinates reach 2^53, past exact "
-                    "integer cube keys; narrow tau_window")
+                    f"s = {s}, tau {tau}: pulled coordinates reach 2^53, past "
+                    "exact integer cube keys")
             cube_mass = _cube_masses(np.floor(pulled).astype(np.int64), masses)
             ratio = min(float(np.max(cube_mass)), analytic) / threshold
             if ratio > worst_ratio:
@@ -544,10 +543,12 @@ class KernelDecayReport:
     ok: bool
 
 
-def check_kernel_decay(kernel: KernelField, r_max: float = None) -> KernelDecayReport:
-    """Log-log slope of the shell maxima of |field| over one decade."""
-    if r_max is None:
-        r_max = 0.8 * kernel.half_width
+def check_kernel_decay(kernel: KernelField) -> KernelDecayReport:
+    """Log-log slope of the shell maxima of |field| over one decade of radii,
+    up to 0.8 half_width.  Raises DegenerateFitError when the decade's
+    lower end, kept at least 3 cells out, reaches its upper one, or fewer
+    than 3 shells hold a nonzero maximum."""
+    r_max = 0.8 * kernel.half_width
     r_min = max(r_max / 10.0, 3.0 * kernel.spacing)
     if r_min >= r_max:
         raise DegenerateFitError("empty radius range")

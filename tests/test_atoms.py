@@ -149,6 +149,15 @@ def test_atomic_sum_rejects_negative_weight():
         AtomicSum(terms=[(atom, -0.5)], dilation=D)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_atomic_sum_rejects_weights_that_are_not_finite(lam):
+    # h1_norm() would be nan or inf, as the decompositions' entries refuse
+    D = _diag24()
+    atom = make_atom(GridCube(0, 0, (0, 0), D), "haar", seed=1)
+    with pytest.raises(InputInvalidError, match="nonnegative and finite"):
+        AtomicSum(terms=[(atom, 1.0), (atom, lam)], dilation=D)
+
+
 def test_compose_dilation_covariance():
     D = _diag24()
     atom = make_atom(GridCube(0, -1, (1, 2), D), "bump", seed=5)

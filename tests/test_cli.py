@@ -109,11 +109,8 @@ def test_config_rejections(tmp_path):
         load_config(None, overrides=["lattice.shape=[0,4]"])
     with pytest.raises(ConfigInvalidError, match="lam_range"):
         load_config(None, overrides=["atoms.lam_range=[2.0,1.0]"])
-    # a short window would crash classify_pieces and an inverted one would
-    # leave its tau loop empty, a vacuous PASS; a negative seed or span
-    # would reach numpy as a ValueError
-    for bad in ("tau_window=[3]", "tau_window=[0,-5]", "tau_window=[0.5,1]",
-                "seed=-1", "atoms.seed=-2", "atoms.index_span=-3",
+    # a negative seed or span would reach numpy as a ValueError
+    for bad in ("seed=-1", "atoms.index_span=-3",
                 'atoms.list=[{tau: 0, index: [0, 0], lam: 1.0, seed: -4}]'):
         with pytest.raises(ConfigInvalidError):
             load_config(None, overrides=[bad])
@@ -327,12 +324,24 @@ def test_cli_infinite_alpha_is_a_config_error(tmp_path):
     assert "positive and finite" in res.output
 
 
-def test_cli_short_tau_window_is_a_config_error(tmp_path):
+@pytest.mark.parametrize("override", ["tau_window=[-40,-20]", "atoms.seed=3"])
+def test_cli_removed_keys_are_unknown(tmp_path, override):
+    # the I2 window is always (-s - 8, 0) and a draw always uses seed, so
+    # neither is a key a config may set
     res = _run(["run", "--experiment", "surface-classify", "--out", str(tmp_path),
-                "--override", "tau_window=[3]"])
+                "--override", override])
     assert res.exit_code == 2
-    assert "config error" in res.output
+    assert "unknown config key: " + override.split("=")[0] in res.output
     assert "Traceback" not in res.output
+
+
+def test_cli_has_no_seed_flag(tmp_path):
+    # --override seed=N sets the seed, under the config's own check
+    res = CliRunner().invoke(main, ["run", "--experiment", "stopping", "--out",
+                                    str(tmp_path), "--seed", "21"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--seed" in res.output
+    assert not tmp_path.joinpath("summary.txt").exists()
 
 
 @pytest.mark.parametrize("override, field", [
@@ -353,7 +362,7 @@ def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, field
     # int() would truncate these where they are used (k in -2..2, s in
     # [4, 5], 2 atoms, 64 cells, a tau of -1), leaving the manifest a value
     # the run did not use, or they die in numpy with exit 1 (n_gl, a
-    # coefficient key), so each is rejected as tau_window is
+    # coefficient key), so each is rejected
     res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
                 "--override", override])
     assert res.exit_code == 2
@@ -453,20 +462,20 @@ def test_cli_exit_code_budget(tmp_path):
 
 
 def test_cli_exit_code_cube_keys_past_exact_floats(tmp_path):
+    # at s = 20 the I2 window reaches tau = -28, where the first cap's
+    # pulled coordinates pass 2^53 under diag(2,4)
     res = _run(["run", "--experiment", "surface-classify",
-                "--out", str(tmp_path), "--override", "s_range=[0,4]",
-                "--override", "tau_window=[-40,-20]"])
+                "--out", str(tmp_path), "--override", "s_range=[20,20]"])
     assert res.exit_code == 2
-    assert "2^53" in res.output
+    assert "s = 20, tau -28" in res.output and "2^53" in res.output
     assert "PASS" not in res.output
 
 
 def test_cli_surface_classify_growth_fits_the_printed_counts(tmp_path):
-    # the growth line must fit the counts of the scale lines, which honour
-    # tau_window, not a second classification under the default window
+    # the growth line must fit the counts of the scale lines, not those of a
+    # second classification
     res = _run(["run", "--experiment", "surface-classify",
-                "--out", str(tmp_path), "--override", "s_range=[0,4]",
-                "--override", "tau_window=[0,0]"])
+                "--out", str(tmp_path), "--override", "s_range=[0,4]"])
     assert res.exit_code == 0, res.output
     printed = [int(v) for v in re.findall(r"(\d+) excluded", res.output)]
     assert len(printed) == 5
@@ -493,13 +502,13 @@ def test_cli_seeded_reruns_are_byte_identical(tmp_path):
     a, b, c = (tmp_path / name for name in ("one", "two", "three"))
     for out in (a, b):
         res = _run(["run", "--experiment", "stopping", "--out", str(out),
-                    "--seed", "21"])
+                    "--override", "seed=21"])
         assert res.exit_code == 0
     for name in ("kappa.csv", "kappa_hist.csv", "exceptional.csv",
                  "summary.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     res = _run(["run", "--experiment", "stopping", "--out", str(c),
-                "--seed", "22"])
+                "--override", "seed=22"])
     assert res.exit_code == 0
     assert (a / "kappa.csv").read_bytes() != (c / "kappa.csv").read_bytes()
 

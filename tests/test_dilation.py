@@ -99,6 +99,70 @@ def test_planar_complex_pair_structure(matrix, det, r_min, norm_power):
     assert D.norm_power == norm_power
 
 
+@pytest.mark.parametrize("matrix, block_size", [
+    # eigenvalues 3, 2, 2 with one block of size 2; the computed copies of 2
+    # lie 4.2e-8 apart, so the slowest group's representative is not the
+    # smallest computed modulus
+    ([[3.0, 2.0, 1.0], [0.0, 3.0, 1.0], [0.0, -1.0, 1.0]], 2),
+    # [[C, I], [0, C]], C = [[2, -1], [1, 2]]: 2 +- i, each in one block of
+    # size 2; the square of the real quadratic factor is zero up to
+    # rounding (norm 8.9e-16), not a full-rank power
+    ([[2, -1, 1, 0], [1, 2, 0, 1], [0, 0, 2, -1], [0, 0, 1, 2]], 2),
+    ([[2.0, 0.0], [0.0, 4.0]], 1),
+    ([[2.0, 1.0], [0.0, 2.0]], 2),
+    ([[2.0, -2.0], [2.0, 2.0]], 1),
+    ([[4.0, 1.0], [1.0, 3.0]], 1),
+    ([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], 3),
+    (np.diag([5.0, 4.0, 3.0, 2.0]).tolist(), 1),
+])
+def test_block_size_of_the_slowest_eigenvalue(matrix, block_size):
+    assert validate_dilation(matrix).block_size == block_size
+
+
+def _exact_jordan_matrix(rng):
+    """A = P J P^-1 in integers: J has eigenvalues 2 and 3 in blocks that
+    sum to d in 2..4, and P is a product of elementary integer shears, so
+    P^-1 is too.  Returns A and the largest block size at eigenvalue
+    min(J)."""
+    d = int(rng.integers(2, 5))
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(int(rng.integers(1, d - sum(sizes) + 1)))
+    eigs = [int(rng.choice([2, 3])) for _ in sizes]
+    J = np.zeros((d, d), dtype=np.int64)
+    start = 0
+    for size, lam in zip(sizes, eigs):
+        for i in range(start, start + size):
+            J[i, i] = lam
+            if i + 1 < start + size:
+                J[i, i + 1] = 1
+        start += size
+    P, P_inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+    for _ in range(d):
+        i, j = rng.choice(d, size=2, replace=False)
+        c = int(rng.choice([-2, -1, 1, 2]))
+        E, E_inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+        E[i, j], E_inv[i, j] = c, -c
+        P, P_inv = P @ E, E_inv @ P_inv
+    slowest = min(eigs)
+    return P @ J @ P_inv, max(s for s, lam in zip(sizes, eigs) if lam == slowest)
+
+
+def test_exact_integer_jordan_matrices_are_analyzed():
+    # every |eigenvalue| > 1, defective blocks included, is a dilation; the
+    # slowest group once lost its representative to a tighter filter than
+    # the grouping's and the analysis raised a bare ValueError
+    rng = default_rng(1)
+    right = 0
+    for _ in range(300):
+        A, block = _exact_jordan_matrix(rng)
+        D = validate_dilation(A.tolist())
+        assert 1 <= D.block_size <= D.dim
+        right += D.block_size == block
+    # blocks of size 3 and 4 can still read short (see CHANGES.md)
+    assert right >= 260
+
+
 def test_normalization_power_matches_field():
     # norm_power is the smallest m >= 1 with operator norm of A^-m at most 1/2
     D = _jordan2()
@@ -144,7 +208,7 @@ def test_the_structure_does_not_alias_its_argument():
 
 def test_shared_arrays_are_read_only():
     D = _jordan2()
-    for array in (D.matrix, D.power(3), D.power(0), D.power(-2), D.power(-1), D._inverse):
+    for array in (D.matrix, D.power(3), D.power(1), D.power(0), D.power(-2), D.power(-1)):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
@@ -262,6 +326,15 @@ def test_power_is_matrix_power_bit_for_bit(matrix):
         assert D.power(np.int64(k)) is D.power(k)
     # only the powers asked for are kept
     assert set(D._pow_cache) - before == set(asked) - before
+
+
+@pytest.mark.parametrize("k", [0.5, -0.5, 2.0000001, "2", None])
+def test_a_power_that_is_not_an_integer_raises(k):
+    # int(k) would truncate 0.5 and -0.5 to A^0 = I
+    D = validate_dilation([[3.0, 1.0], [0.0, 7.0]])
+    with pytest.raises(InputInvalidError, match="integer exponent"):
+        D.power(k)
+    assert np.array_equal(D.power(np.int32(-1)), np.linalg.inv(D.matrix))
 
 
 def _diameter_by_vectors(basis):

@@ -86,6 +86,28 @@ def test_positive_sigma_rejected():
         GridCube(1, 0, (0, 0), _diag24())
 
 
+@pytest.mark.parametrize("sigma, tau, index", [
+    (0, 0.5, (0, 0)),
+    (-0.5, 0, (0, 0)),
+    (0, 0, (0.5, 0)),
+    (0, 0, (0, 1.0)),
+    (False, 0, (0, 0)),
+    (0, True, (0, 0)),
+    (0, 0, (np.bool_(True), 0)),
+])
+def test_non_integer_scale_or_index_rejected(sigma, tau, index):
+    # GridCube(0, 0.5, ...) had volume 2.83 while realize() took A^0
+    with pytest.raises(InputInvalidError, match="must be integers"):
+        GridCube(sigma, tau, index, _diag24())
+
+
+def test_numpy_integer_scale_and_index_accepted():
+    D = _diag24()
+    cube = GridCube(np.int64(0), np.int32(-1), (np.int64(2), np.int8(-3)), D)
+    assert cube == GridCube(0, -1, (2, -3), D)
+    assert cube.volume == GridCube(0, -1, (2, -3), D).volume
+
+
 def test_expand_unit_cube():
     D = _diag24()
     star = expand_cube(GridCube(0, 0, (0, 0), D), 2.0)

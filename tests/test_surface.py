@@ -372,6 +372,13 @@ def test_near_caps_match_all_caps_bit_for_bit(kind, dim, s):
     assert partition.raw(np.zeros((0, dim - 1))).shape == (0, len(pieces))
 
 
+@pytest.mark.parametrize("s, eps", [(-1, EPS), (4.5, EPS), (4.0, EPS), (True, EPS), (4, 1.0)])
+def test_partition_rejects_a_bad_scale_or_eps(s, eps):
+    # a fractional s would size the caps at 4.5 and classify them at 4
+    with pytest.raises(InputInvalidError, match="integer s >= 0"):
+        partition_measure(make_surface("circle-arc"), s=s, eps=eps)
+
+
 def test_partition_budget_guard():
     circ = make_surface("circle-arc")
     with pytest.raises(BudgetExceededError):
@@ -450,8 +457,8 @@ def test_classify_sizes_each_tau_once(monkeypatch):
         return cube_diameter(D, tau)
 
     monkeypatch.setattr(surface, "cube_diameter", counting)
-    classify_pieces(pieces, quart, D, eps=EPS, zeta=ZETA, tau_window=(-6, 0))
-    assert asked == list(range(0, -7, -1))
+    classify_pieces(pieces, quart, D, eps=EPS, zeta=ZETA)
+    assert asked == list(range(0, -17, -1))
 
 
 def test_classification_builds_no_cap_measure(monkeypatch):
@@ -542,14 +549,16 @@ def test_cube_masses_single_point_and_ties():
 
 def test_classify_rejects_cube_keys_past_exact_floats():
     # under diag(2,4) the pulled coordinates pass 2^53 from tau = -28 on,
-    # where float cube keys stop being exact (and int64 keys wrap at 2^63)
+    # where float cube keys stop being exact (and int64 keys wrap at 2^63);
+    # the window (-s - 8, 0) first reaches -28 at s = 20
     circ = make_surface("circle-arc")
-    pieces = partition_measure(circ, s=0, eps=EPS)
-    with pytest.raises(InputInvalidError, match="2\\^53"):
-        classify_pieces(pieces, circ, _normal_perp(), eps=EPS, zeta=ZETA,
-                        tau_window=(-40, -20))
-    classify_pieces(pieces, circ, _normal_perp(), eps=EPS, zeta=ZETA,
-                    tau_window=(-27, -20))
+    pieces = partition_measure(circ, s=20, eps=EPS)
+    with pytest.raises(InputInvalidError, match="s = 20, tau -28: .* 2\\^53"):
+        classify_pieces(pieces, circ, _normal_perp(), eps=EPS, zeta=ZETA)
+    # at s = 19 the window stops at tau = -27, where this cap's cube keys
+    # reach 2^51 and are still exact
+    second = partition_measure(circ, s=19, eps=EPS)[1:2]
+    classify_pieces(second, circ, _normal_perp(), eps=EPS, zeta=ZETA)
 
 
 def test_growth_quartic_eta():
@@ -602,8 +611,12 @@ def test_kernel_decay_circle_band():
     report = check_kernel_decay(kern)
     assert -1.3 <= report.slope <= -0.7
     assert report.ok
-    with pytest.raises(DegenerateFitError):
-        check_kernel_decay(kern, r_max=0.02)
+    # on 6 x 6 cells of a third of half_width the decade's lower end, kept
+    # 3 cells out, passes its upper one at 0.8 half_width
+    coarse = KernelField(values=np.ones((6, 6)), half_width=0.3, spacing=0.1,
+                         dim=2, mass_squared=1.0)
+    with pytest.raises(DegenerateFitError, match="empty radius range"):
+        check_kernel_decay(coarse)
 
 
 def test_kernel_decay_constant_control():
