@@ -33,6 +33,9 @@ from .errors import (
 
 _EXPAND_TOL = 1e-9
 _RANK_TOL = 1e-7
+# eigenvalues within _CLUSTER_SCALE eps^(1/d) of each other, relative, are
+# one eigenvalue split by rounding (_eigen_clusters)
+_CLUSTER_SCALE = 8.0
 SCAN_LIMIT = 64
 
 # (shape, float64 bytes) of a matrix -> its live structure; an entry goes
@@ -84,11 +87,13 @@ class DilationStructure:
     def power(self, k: int) -> np.ndarray:
         """A^k for integer k: np.linalg.matrix_power, cached read-only per
         k asked for.  Raises InputInvalidError for a k that is not an
-        integer (a bool included), checked when k is not cached."""
+        integer (a bool included), whatever the cache holds: 2.0 and True
+        hash as the cached 2 and 1 do."""
+        # a plain int, the common case, skips the call
+        if type(k) is not int and not _is_integer(k):
+            raise InputInvalidError(f"matrix powers need an integer exponent, got {k!r}")
         got = self._pow_cache.get(k)
         if got is None:
-            if not _is_integer(k):
-                raise InputInvalidError(f"matrix powers need an integer exponent, got {k!r}")
             got = np.linalg.matrix_power(self.matrix, int(k))
             got.flags.writeable = False
             self._pow_cache[int(k)] = got
@@ -148,32 +153,44 @@ def _block_size(m_factor: np.ndarray, norm: float, rank_tol: float) -> int:
     return d
 
 
-def _eigen_groups(eigvals: np.ndarray, tol: float):
-    """Group eigenvalues into conjugate-pair representatives (Im >= 0)."""
-    reps = []
+def _eigen_clusters(eigvals: np.ndarray, radius: float) -> list:
+    """Centres of the eigenvalue clusters, one per conjugate pair (Im >= 0).
+
+    eigvals returns a Jordan block of size m as a cluster of radius about
+    eps^(1/m) around its eigenvalue, so the eigenvalues, conjugates folded
+    into Im >= 0, are grouped by single linkage: two within radius x
+    max(1, |lambda|) of each other share a cluster.  A centre is its
+    cluster's mean, real when the mean lies within the radius of the real
+    axis.
+    """
+    clusters = []
     for lam in eigvals:
-        lam = complex(lam)
-        if lam.imag < -tol:
-            lam = lam.conjugate()
-        if lam.imag < tol:
-            lam = complex(lam.real, 0.0)
-        if not any(abs(lam - r) <= tol * max(1.0, abs(r)) for r in reps):
-            reps.append(lam)
-    return reps
+        lam = complex(lam.real, abs(lam.imag))
+        members = [lam]
+        near = [c for c in clusters if any(
+            abs(lam - mu) <= radius * max(1.0, abs(lam), abs(mu)) for mu in c)]
+        for c in near:
+            clusters.remove(c)
+            members += c
+        clusters.append(members)
+    centres = []
+    for members in clusters:
+        mean = sum(members) / len(members)
+        if abs(mean.imag) <= radius * max(1.0, abs(mean)):
+            mean = complex(mean.real, 0.0)
+        centres.append(mean)
+    return centres
 
 
 def _slowest_block(A: np.ndarray, eigvals: np.ndarray) -> int:
     """The largest Jordan block size among the eigenvalues of minimal modulus."""
-    moduli = np.abs(eigvals)
-    r = float(np.min(moduli))
-    group_tol = 1e-8 * max(1.0, float(np.max(moduli)))
-    reps = _eigen_groups(eigvals, group_tol)
-    # the grouping's own tolerance: a representative of the slowest group
-    # may sit as far from the smallest computed modulus as grouping allows
-    slow_reps = [lam for lam in reps if abs(abs(lam) - r) <= group_tol * max(1.0, abs(lam))]
+    radius = _CLUSTER_SCALE * np.finfo(float).eps ** (1.0 / A.shape[0])
+    centres = _eigen_clusters(eigvals, radius)
+    r = min(abs(c) for c in centres)
+    slow = [c for c in centres if abs(c) - r <= radius * max(1.0, abs(c))]
     rank_tol = _RANK_TOL * max(1.0, _operator_norm(A))
     return max(_block_size(*_jordan_factor(A, lam, rank_tol), rank_tol)
-               for lam in slow_reps)
+               for lam in slow)
 
 
 def validate_dilation(matrix) -> DilationStructure:
@@ -188,10 +205,12 @@ def validate_dilation(matrix) -> DilationStructure:
     to a power raises ValueError.
 
     block_size is the largest Jordan block among the eigenvalues of least
-    modulus, those the eigenvalue grouping (relative tolerance 1e-8 of the
-    largest modulus) puts within its tolerance of the least modulus; a
-    power of a Jordan factor whose norm is at most the rank tolerance
-    counts as zero.
+    modulus.  The computed eigenvalues are first clustered at radius
+    8 eps^(1/d), relative, where a block of size m <= d splits by about
+    eps^(1/m), and each cluster is read at its mean; the slowest clusters
+    are those whose centres lie within the same radius of the least
+    centre modulus.  A power of a Jordan factor whose norm is at most the
+    rank tolerance counts as zero.
 
     Raises NonSquareError for an input that is not a nonempty square
     matrix (ragged rows included), InputInvalidError for an entry that is

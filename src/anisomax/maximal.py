@@ -14,18 +14,17 @@ and node, which is also the test oracle.  The maximal field is the
 pointwise sup of |mu_k * f| over a finite k range, with a reported tail
 criterion in place of k in Z.
 
-One engine (_maximal_fields) builds every maximal field: at each k it adds
-each atom's windowed blocks, as they are computed, into the scratch array
-of every sub-sum that holds the atom, and raises each sup only on the
-slices written, or on their bounding box when it is smaller.  A sub-sum
-holds a scratch array only from its first term to its fold after its
-last, so sub-sums whose terms do not interleave (f's tau groups, whose
-atoms are listed group by group) take turns with one array from a free
-list; the fold works in that array, allocating nothing the size of the
-lattice, and keeps the per-k peak the tail fractions are read from.  The
-sub-sums' sups share one block, 8 bytes per cell each.  maximal_field is
-the engine's one-part case; convolve_dilated adds the same blocks for a
-single k.
+One engine (_maximal_fields) builds every maximal field.  At each k it
+first learns every term's region, then splits each sub-sum's terms into
+groups whose bounding boxes (hulls) are disjoint.  A lone term on the
+separable path folds its one block straight into the sup; every other
+group sums its blocks in a buffer the shape of its hull and folds that.
+Each atom's blocks are computed once and reach every sub-sum that holds
+the atom.  No array the size of the lattice is allocated but the sub-sums'
+sups, one block of 8 bytes per cell each, and no k folds more cells per
+sub-sum than the lattice holds.  The fold keeps the per-k peak the tail
+fractions are read from.  maximal_field is the engine's one-part case;
+convolve_dilated adds the same blocks for a single k.
 
 Superlevel-set sizes are cell counts times the cell volume, counted in a
 sorted copy of only the cells above the lowest threshold, optionally
@@ -265,19 +264,20 @@ def _support_boxes(f: AtomicSum, lattice: Lattice):
 
 
 def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
-    """For each term of mu_k * f in order, (region, blocks), or None when
-    the term misses the lattice.
+    """(regions, blocks) for the terms of mu_k * f: regions[t] is the box
+    holding every live window of term t, or None when the term misses the
+    lattice, and blocks(t) yields (slices, block) pairs whose sum, added in
+    turn, is the term's contribution.
 
     Node p of a term touches only the cells of its window, those whose
     centers lie in the atom's support box (boxes, from _support_boxes)
     shifted by A^k p; nodes whose window misses the lattice are dropped.
     Every atom's node windows come from one window_bounds pass over the
-    stacked (atoms, nodes, d) boxes.  region is the box holding every live
-    window, and blocks yields (slices, block) pairs whose sum, added in
-    turn, is the term's contribution.  Under a diagonal A that is one
-    separable contraction per atom (_add_separable); any other A keeps the
-    windowed scatter (_add_scatter), one atom evaluation per atom and node,
-    which is also the test oracle for the separable path.
+    stacked (atoms, nodes, d) boxes, so every region is known before any
+    block is computed.  Under a diagonal A a term's one block covers its
+    region, from one separable contraction (_add_separable); any other A
+    keeps the windowed scatter (_add_scatter), one block per node, which is
+    also the test oracle for the separable path.
     """
     D = f.dilation
     w = measure.quad_weights
@@ -287,31 +287,25 @@ def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
     atoms, nodes = np.nonzero(np.all(first <= last, axis=2))
     first, last = first[atoms, nodes], last[atoms, nodes]
     starts = np.searchsorted(atoms, np.arange(len(f.terms) + 1))
+    pairs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    spans = [(first[p].min(axis=0), last[p].max(axis=0)) if p.start < p.stop else None
+             for p in pairs]
+    regions = [None if span is None else tuple(slice(a, b + 1) for a, b in zip(*span))
+               for span in spans]
     centers = [lattice.axis_centers(j) for j in range(lattice.dim)]
     separable = _is_diagonal(D.matrix)
     if separable:
         entries = _axis_entries(f, centers, shifted, atoms, nodes, first, last)
-    for t, (atom, lam) in enumerate(f.terms):
-        pairs = slice(starts[t], starts[t + 1])
-        if pairs.start == pairs.stop:
-            yield None
-            continue
-        lo, hi = first[pairs].min(axis=0), last[pairs].max(axis=0)
-        region = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-        weights = lam * w[nodes[pairs]]
+
+    def blocks(t):
+        atom, lam = f.terms[t]
+        p = pairs[t]
+        weights = lam * w[nodes[p]]
         if separable:
-            blocks = [(region, _add_separable(atom, weights, entries, pairs, lo, hi))]
-        else:
-            blocks = _add_scatter(centers, atom, weights, shifted[nodes[pairs]],
-                                  first[pairs], last[pairs])
-        yield region, blocks
+            return [(regions[t], _add_separable(atom, weights, entries, p, *spans[t]))]
+        return _add_scatter(centers, atom, weights, shifted[nodes[p]], first[p], last[p])
 
-
-def _add_blocks(blocks, arrays) -> None:
-    """Add each (slices, block) of blocks into every array, as it comes."""
-    for slices, block in blocks:
-        for values in arrays:
-            values[slices] += block
+    return regions, blocks
 
 
 def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> SampledField:
@@ -322,85 +316,68 @@ def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> Sampled
     """
     values = np.zeros(lattice.shape)
     if f.terms:
-        for term in _term_blocks(f, measure, k, lattice, _support_boxes(f, lattice)):
-            if term is not None:
-                _add_blocks(term[1], [values])
+        regions, blocks = _term_blocks(f, measure, k, lattice, _support_boxes(f, lattice))
+        for t, region in enumerate(regions):
+            if region is not None:
+                for slices, block in blocks(t):
+                    values[slices] += block
     return SampledField(lattice, values)
 
 
-def _cells(slices) -> int:
-    return math.prod(s.stop - s.start for s in slices)
+def _meet(a, b) -> bool:
+    """Whether the boxes a and b, tuples of slices, share a cell."""
+    return all(s.start < r.stop and r.start < s.stop for s, r in zip(a, b))
 
 
-def _fold_regions(touched: list) -> list:
-    """The slices touched, or their bounding box when it holds fewer cells.
+def _disjoint_groups(terms, regions) -> list:
+    """terms split into (members, hull) groups whose hulls, the bounding
+    boxes of their members' regions, are pairwise disjoint.
 
-    Either way no more cells are walked than the lattice holds, however
-    many atoms' slices overlap.
+    Each term joins the groups its region meets, and the grown group keeps
+    taking in every group its hull meets until it meets none, so regions
+    that do not meet can still share a group through its hull.  Members
+    ascend, so a group's blocks are added in term order.
     """
-    if len(touched) < 2:
-        return touched
-    hull = tuple(slice(min(s[j].start for s in touched),
-                       max(s[j].stop for s in touched))
-                 for j in range(len(touched[0])))
-    if _cells(hull) <= sum(_cells(s) for s in touched):
-        return [hull]
-    return touched
+    groups = []
+    for t in terms:
+        members, hull = [t], regions[t]
+        while met := [g for g in groups if _meet(g[1], hull)]:
+            for g in met:
+                groups.remove(g)
+                members += g[0]
+                hull = tuple(slice(min(s.start, r.start), max(s.stop, r.stop))
+                             for s, r in zip(hull, g[1]))
+        groups.append((sorted(members), hull))
+    return groups
 
 
 class _RunningSup:
     """Pointwise sup over k of |mu_k * g|, for one sub-sum g.
 
     best is g's view of the engine's sup block (_maximal_fields), 0 to
-    start.  At each k the terms of g are added into a scratch array taken
-    from the engine's free list at g's first term that meets the lattice
-    (add), and fold(k) raises the sup on the slices written (_fold_regions)
-    only, in place: |scratch| into scratch itself, then one np.maximum into
-    best, which is idempotent where slices overlap; cells outside them hold
-    0 and could not raise it.  The regions are zeroed only after all of
-    them are folded, and the array goes back to the free list.  peaks holds
-    max |mu_k * g| per k, so the field's peak and its tails need no pass
-    over the lattice.
+    start, and fold raises it on one box at a time.  A k's groups of g
+    (_disjoint_groups) cover disjoint boxes, and every cell of g outside
+    them holds 0 and could not raise the sup.  peaks holds max |mu_k * g|
+    per k, so the field's peak and its tails need no pass over the lattice.
     """
 
     def __init__(self, best: np.ndarray, ks):
-        self.scratch = None
-        self.touched = []
         self.best = best
         self.peaks = dict.fromkeys(ks, 0.0)
 
-    def add(self, region, free: list) -> np.ndarray:
-        """The scratch array for a term that writes within region."""
-        if self.scratch is None:
-            # np.full rather than np.zeros for an array read before it is
-            # written: a fresh page of np.zeros' calloc read first faults
-            # twice, once for the shared zero page and again on the first
-            # write
-            self.scratch = free.pop() if free else np.full(self.best.shape, 0.0)
-        self.touched.append(region)
-        return self.scratch
-
-    def fold(self, k: int, free: list) -> None:
-        """Fold |mu_k * g|, written into scratch since the last fold, and
-        give the scratch array back to the free list."""
-        regions = _fold_regions(self.touched)
-        peak = 0.0
-        for slices in regions:
-            fk = self.scratch[slices]
-            np.abs(fk, out=fk)
-            top = float(fk.max())
-            if not np.isfinite(top):
-                raise InputInvalidError("field values must be finite")
-            peak = max(peak, top)
-            best = self.best[slices]
-            np.maximum(best, fk, out=best)
-        if self.scratch is not None:
-            for slices in regions:
-                self.scratch[slices] = 0.0
-            free.append(self.scratch)
-            self.scratch = None
-        self.touched = []
-        self.peaks[k] = peak
+    @staticmethod
+    def fold(sups, k: int, slices, values: np.ndarray) -> None:
+        """Raise each sup of sups on slices by |values|: values, one group's
+        sum of mu_k * g on those cells, is made absolute in place, once,
+        and checked finite, then one np.maximum writes into each best."""
+        np.abs(values, out=values)
+        top = float(values.max())
+        if not np.isfinite(top):
+            raise InputInvalidError("field values must be finite")
+        for sup in sups:
+            sup.peaks[k] = max(sup.peaks[k], top)
+            best = sup.best[slices]
+            np.maximum(best, values, out=best)
 
     def field(self, lattice: Lattice) -> SampledField:
         """The sup as a field, with the range-end tail fractions."""
@@ -417,16 +394,39 @@ class _RunningSup:
         })
 
 
+class _Buffer:
+    """One group's sum of mu_k * g, folded into sup: zeros the shape of
+    the group's hull from its first block on, each block added at its
+    offset in the hull."""
+
+    def __init__(self, sup: _RunningSup, hull):
+        self.sup = sup
+        self.hull = hull
+        self.values = None
+
+    def add(self, slices, block: np.ndarray) -> None:
+        if self.values is None:
+            self.values = np.zeros(tuple(h.stop - h.start for h in self.hull))
+        self.values[tuple(slice(s.start - h.start, s.stop - h.start)
+                          for s, h in zip(slices, self.hull))] += block
+
+
 def _maximal_fields(f: AtomicSum, parts, measure, k_range,
                     lattice: Lattice) -> list:
     """maximal_field of each sub-sum of f in parts, from one pass over k.
 
-    parts lists term positions of f, ascending.  At each k every atom's
-    windowed blocks are computed once and added into the scratch array of
-    every part that holds the atom, so each part's array gets the same
-    blocks, in term order, as a run on that part alone would.  A part is
-    folded right after its last term, which frees its array for the parts
-    that start later.
+    parts lists term positions of f, ascending.  At each k every term's
+    region comes first (_term_blocks), and each part splits its live terms
+    into groups whose hulls are disjoint (_disjoint_groups).  A group of
+    one term on the separable path folds that term's one block as it is;
+    every other group adds its blocks into a buffer the shape of its hull
+    (_Buffer) and folds it after its last term.  Each atom's blocks are
+    computed once and go into the buffers of every part that holds the
+    atom before a direct fold makes them absolute.  So each cell sums the
+    same blocks, in term order, from 0.0, as a run on that part alone
+    would; a direct fold, which skips the 0.0, differs only in the sign of
+    a zero, and the fold's abs removes it.  No array the size of the
+    lattice is allocated but the sup block.
 
     Every part's sup is a view of one (parts, *shape) block, so a returned
     field keeps every part's sup alive.  One large block is allocated and
@@ -436,24 +436,38 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
     run, to be faulted in again by the next.
     """
     ks = _normalize_k_range(k_range)
-    best = np.full((len(parts), *lattice.shape), 0.0)   # see _RunningSup.add
+    # np.full, not np.zeros: a fresh page of calloc read before it is
+    # written faults twice
+    best = np.full((len(parts), *lattice.shape), 0.0)
     sups = [_RunningSup(b, ks) for b in best]
-    holders = [[] for _ in f.terms]
-    closing = [[] for _ in f.terms]
-    for sup, part in zip(sups, parts):
-        for i in part:
-            holders[i].append(sup)
-        if part:
-            closing[max(part)].append(sup)
     boxes = _support_boxes(f, lattice)
-    free = []
+    separable = _is_diagonal(f.dilation.matrix)
     for k in ks:
-        for i, term in enumerate(_term_blocks(f, measure, k, lattice, boxes)):
-            if term is not None:
-                region, blocks = term
-                _add_blocks(blocks, [sup.add(region, free) for sup in holders[i]])
-            for sup in closing[i]:
-                sup.fold(k, free)
+        regions, blocks = _term_blocks(f, measure, k, lattice, boxes)
+        direct = [[] for _ in f.terms]     # sups that fold term t's block as it is
+        adds = [[] for _ in f.terms]       # buffers that take term t's blocks
+        closing = [[] for _ in f.terms]    # buffers folded after term t
+        for sup, part in zip(sups, parts):
+            live = [t for t in part if regions[t] is not None]
+            for members, hull in _disjoint_groups(live, regions):
+                if separable and len(members) == 1:
+                    direct[members[0]].append(sup)
+                    continue
+                buffer = _Buffer(sup, hull)
+                for t in members:
+                    adds[t].append(buffer)
+                closing[members[-1]].append(buffer)
+        for t, region in enumerate(regions):
+            if region is None:
+                continue
+            for slices, block in blocks(t):
+                for buffer in adds[t]:
+                    buffer.add(slices, block)
+                if direct[t]:
+                    _RunningSup.fold(direct[t], k, slices, block)
+            for buffer in closing[t]:
+                _RunningSup.fold([buffer.sup], k, buffer.hull, buffer.values)
+                buffer.values = None
     return [sup.field(lattice) for sup in sups]
 
 

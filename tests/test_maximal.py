@@ -10,6 +10,8 @@ Frozen reference values:
 
 import collections
 import hashlib
+import itertools
+import math
 import struct
 import sys
 import tracemalloc
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from anisomax import experiments, maximal
@@ -540,23 +544,55 @@ def _full_lattice_sup(f, measure, ks, lattice):
     return best, (ends[0] / peak, ends[-1] / peak)
 
 
+def _group_kind(members, regions, separable) -> str:
+    """direct: a lone term folded as it is, on the separable path;
+    buffered: a lone term in a buffer, on the scatter; overlapping: terms
+    joined through regions that meet; merged: a group holding a term whose
+    region meets no other member's, joined through the group's hull."""
+    if len(members) == 1:
+        return "direct" if separable else "buffered"
+    for t in members:
+        if not any(maximal._meet(regions[t], regions[u]) for u in members if u != t):
+            return "merged"
+    return "overlapping"
+
+
+def _recorded_groups(monkeypatch, separable) -> set:
+    """The kinds of the groups the engine folds in, added to the returned
+    set as it runs, once each grouping is checked: the groups split the
+    live terms, each lists its members ascending with their regions'
+    bounding box as its hull, and no two hulls share a cell."""
+    kinds = set()
+    groups_of = maximal._disjoint_groups
+
+    def recording(terms, regions):
+        groups = groups_of(terms, regions)
+        assert sorted(t for members, _ in groups for t in members) == sorted(terms)
+        for members, hull in groups:
+            assert members == sorted(members)
+            assert hull == tuple(
+                slice(min(regions[t][j].start for t in members),
+                      max(regions[t][j].stop for t in members))
+                for j in range(len(hull)))
+            kinds.add(_group_kind(members, regions, separable))
+        for (_, a), (_, b) in itertools.combinations(groups, 2):
+            assert not maximal._meet(a, b)
+        return groups
+
+    monkeypatch.setattr(maximal, "_disjoint_groups", recording)
+    return kinds
+
+
 @pytest.mark.parametrize("matrix", [[[4.0, 0.0], [0.0, 2.0]],
                                     [[4.0, 1.0], [1.0, 3.0]]])
 def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
     # diag(4, 2) takes the separable path, [[4, 1], [1, 3]] the scatter
     D = validate_dilation(matrix)
-    # the fold walks the atoms' own slices at some k and their bounding
-    # box at others; both must give the full-lattice result
-    choices = set()
-    fold_regions = maximal._fold_regions
-
-    def recording(touched):
-        regions = fold_regions(touched)
-        if len(touched) > 1:
-            choices.add("hull" if regions != touched else "slices")
-        return regions
-
-    monkeypatch.setattr(maximal, "_fold_regions", recording)
+    # a lone term folds as it is on the separable path and in a buffer on
+    # the scatter; overlapping terms share a buffer; all must give the
+    # full-lattice result
+    separable = maximal._is_diagonal(D.matrix)
+    kinds = _recorded_groups(monkeypatch, separable)
     f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 0)), (0, (-3, -2)),
                                  (-1, (2, 0))])
     arc = _circle_measure(24)
@@ -577,6 +613,7 @@ def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
         reports = weak_type_reports(f, nodes, (ks[0], ks[-1]), lat, None)
+        assert kinds == {"direct" if separable else "buffered", "overlapping"}
         assert list(reports) == [-1, 0, "all"]
         for key, (part, mf, _, ratio) in reports.items():
             assert len(part.terms) == (4 if key == "all" else 2)
@@ -588,50 +625,89 @@ def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
             assert mf.provenance["tail_fractions"] == tails
             assert tails[1] == 0.0
             assert ratio == weak_type_report(part, nodes, (ks[0], ks[-1]), lat)[2]
-    assert choices == {"hull", "slices"}
     # the total is not the sup of the group fields: the groups overlap
     groups = np.maximum(reports[-1][1].values, reports[0][1].values)
     assert not np.array_equal(reports["all"][1].values, groups)
 
 
-def test_contiguous_groups_share_two_scratch_arrays(monkeypatch):
-    # a sub-sum holds a scratch array from its first term to its fold, so
-    # the tau groups of an atom list sorted by tau take turns with one
-    # array beside f's; interleaved groups need one more
+def test_groups_fold_in_buffers_the_size_of_their_hulls(monkeypatch):
+    # each part folds its terms in groups whose hulls are disjoint, so no
+    # buffer is larger than the lattice and no k folds a cell of a part
+    # twice; the tau groups of an atom list, sorted by tau or interleaved,
+    # take the same groupings, and a term whose region meets no other can
+    # still join a group through the group's hull
     D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
     nodes = _distinct_weights(_circle_measure(24))
     # fine enough for the tau = -2 atom
     lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (208, 144))
-    add = maximal._RunningSup.add
-    arrays = set()
-
-    def recording(self, region, free):
-        got = add(self, region, free)
-        arrays.add(id(got))
-        return got
-
-    monkeypatch.setattr(maximal._RunningSup, "add", recording)
     contiguous = [(0, (0, 0)), (0, (-2, -1)), (-1, (1, 0)), (-1, (2, 1)), (-2, (3, 2))]
     interleaved = [(0, (0, 0)), (-1, (1, 0)), (0, (-3, -2)), (-1, (2, 0))]
-    for cubes, want in ((contiguous, 2), (interleaved, 3)):
+    # two unit cubes meeting at a corner, and a tau -1 cube in the empty
+    # corner of their hull, clear of both at k = -2 and -1
+    cornered = [(0, (0, 0)), (0, (1, 1)), (-1, (5, 0))]
+    for cubes, ks, want in ((contiguous, (-1, 1), {"direct", "overlapping"}),
+                            (interleaved, (-1, 1), {"direct", "overlapping"}),
+                            (cornered, (-2, 1), {"direct", "overlapping", "merged"})):
         f = _profile_sum(D, "bump", cubes)
-        arrays.clear()
-        with warnings.catch_warnings():
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            kinds = _recorded_groups(patch, True)
             warnings.simplefilter("ignore", TailNotNegligibleWarning)
-            reports = weak_type_reports(f, nodes, (-1, 1), lat, None)
-            assert len(arrays) == want
+            reports = weak_type_reports(f, nodes, ks, lat, None)
+            assert kinds == want
             for key, (part, mf, _, _) in reports.items():
-                alone = maximal_field(part, nodes, (-1, 1), lat)
+                alone = maximal_field(part, nodes, ks, lat)
                 assert np.array_equal(mf.values, alone.values)
                 assert mf.provenance["tail_fractions"] == alone.provenance["tail_fractions"]
+                best, tails = _full_lattice_sup(part, nodes, range(ks[0], ks[1] + 1), lat)
+                assert np.array_equal(mf.values, best)
+                assert mf.provenance["tail_fractions"] == tails
         assert len(reports) == len({tau for tau, _ in cubes}) + 1
 
 
-def test_returned_fields_keep_one_float_per_cell_and_part():
-    # a maximal field is its sup: the fields weak_type_reports returns keep
-    # one (parts, *shape) float block alive and nothing else the size of the
-    # lattice.  One pipeline op's inputs, as the CI fault guard builds them:
-    # diag(4,2), 8 bump atoms over three taus, 512^2 cells, 32 nodes
+ENGINE_MATRICES = ([[4.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 4.0]],
+                   [[4.0, 1.0], [1.0, 3.0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=st.sampled_from(ENGINE_MATRICES),
+       atoms=st.lists(st.tuples(st.integers(-2, 0), st.sampled_from(["haar", "bump"]),
+                                st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                st.tuples(st.integers(0, 3), st.integers(0, 3))),
+                      min_size=1, max_size=8),
+       ks=st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(sorted))
+# two unit cubes meeting at a corner and a tau -1 cube in the empty corner
+# of their hull: a group merged by its hull at k = -2 and -1
+@example(matrix=ENGINE_MATRICES[0], ks=[-2, 1],
+         atoms=[(0, "bump", (0, 0), (0, 0)), (0, "bump", (1, 1), (0, 0)),
+                (-1, "bump", (1, 0), (1, 0))])
+def test_engine_fields_equal_full_lattice_passes(matrix, atoms, ks):
+    # each atom sits at a unit cell p: its cube is A^tau (index + [0,1]^2)
+    # with index = A^-tau p, plus a jitter for tau < 0, so atoms share a
+    # cell (overlapping groups), sit apart (lone terms) or fill the empty
+    # corner of two cubes meeting at a corner (groups merged by their hull)
+    D = validate_dilation(matrix)
+    terms = []
+    for n, (tau, profile, point, jitter) in enumerate(atoms):
+        index = D.power(-tau).astype(int) @ point + (jitter if tau < 0 else 0)
+        atom = make_atom(GridCube(0, tau, tuple(int(i) for i in index), D), profile, seed=n)
+        terms.append((atom, 0.5 + 0.25 * n))
+    f = AtomicSum(terms=terms, dilation=D)
+    # the box holds every cube; the resolution guard sets the cell count
+    cells = math.ceil(7.0 * 8 / maximal._min_atom_diameter(f))
+    lat = make_lattice([(-3.0, 4.0), (-3.0, 4.0)], (cells, cells))
+    arc = _circle_measure(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        reports = weak_type_reports(f, arc, tuple(ks), lat, None)
+    for key, (part, mf, _, _) in reports.items():
+        best, tails = _full_lattice_sup(part, arc, range(ks[0], ks[1] + 1), lat)
+        assert np.array_equal(mf.values, best)
+        assert mf.provenance["tail_fractions"] == tails
+
+
+def _fault_guard_case():
+    """One pipeline op's inputs, as the CI fault guard builds them:
+    diag(4,2), 8 bump atoms over three taus, 512^2 cells, 32 nodes."""
     rows = [(0, -1, 0), (0, 1, -1), (0, 0, 1), (-1, -2, -3), (-1, 2, 2), (-1, -1, 4),
             (-2, 5, -3), (-2, -5, 4)]
     atoms = ", ".join(f"{{tau: {t}, index: [{i}, {j}], lam: 1.0, profile: bump}}"
@@ -639,19 +715,42 @@ def test_returned_fields_keep_one_float_per_cell_and_part():
     cfg = load_config(None, overrides=[
         "matrix=[[4.0, 0.0], [0.0, 2.0]]", f"atoms.list=[{atoms}]",
         "lattice.box=[[-6, 6], [-6, 6]]", "lattice.shape=[512, 512]", "n_gl=32"])
-    f = cfg.atomic_sum()
     lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
     measure = surface_quadrature(cfg.surface_obj(), cfg.n_gl)
+    return cfg.atomic_sum(), measure, tuple(cfg.k_range), lat
+
+
+def _traced_reports(f, measure, k_range, lat):
+    """weak_type_reports under tracemalloc, with the bytes still held after
+    it returns and the run's peak."""
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TailNotNegligibleWarning)
-            reports = weak_type_reports(f, measure, tuple(cfg.k_range), lat, None)
-        held = tracemalloc.get_traced_memory()[0]
+            reports = weak_type_reports(f, measure, k_range, lat, None)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return reports, held, peak
+
+
+def test_returned_fields_keep_one_float_per_cell_and_part():
+    # a maximal field is its sup: the fields weak_type_reports returns keep
+    # one (parts, *shape) float block alive and nothing else the size of the
+    # lattice
+    reports, held, _ = _traced_reports(*_fault_guard_case())
     assert len(reports) == 4
     assert held / (len(reports) * 512 * 512) <= 8.5
+
+
+def test_engine_peak_stays_near_its_sup_block():
+    # beside the 8 B per cell and part of the sup block, the engine holds
+    # only buffers the size of its groups' hulls: its peak on the fault
+    # guard's case reads 10.1 B per cell and part, where a lattice-sized
+    # scratch array per sub-sum in use read 12.8
+    reports, _, peak = _traced_reports(*_fault_guard_case())
+    assert len(reports) == 4
+    assert peak / (len(reports) * 512 * 512) <= 11.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
