@@ -47,6 +47,10 @@ DEFAULTS = {
 }
 
 
+# the keys an atoms.list row may set
+_ROW_KEYS = {"tau", "index", "lam", "profile", "seed"}
+
+
 def _coeff_key(key) -> tuple:
     """Monomial key: a list in YAML, or a comma-joined string like "4,0"."""
     parts = key if isinstance(key, (list, tuple)) else str(key).split(",")
@@ -77,7 +81,7 @@ class ExperimentConfig:
 
     def surface_obj(self):
         kind = self.surface["kind"]
-        dim = self.surface.get("dim", 2)
+        dim = self.surface["dim"]
         coeffs = self.surface.get("coeffs")
         if coeffs is not None:
             coeffs = {_coeff_key(key): float(c) for key, c in coeffs.items()}
@@ -125,7 +129,9 @@ def _merge(base: dict, patch: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigInvalidError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigInvalidError(f"{where} must be a mapping, got {value!r}")
             out[key] = _merge(base[key], value, where)
         else:
             out[key] = copy.deepcopy(value)
@@ -193,7 +199,7 @@ def _positive(value) -> bool:
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     # int() would truncate 2.5 and leave the manifest a value the run never used
-    for name, value in (("surface.dim", cfg.surface.get("dim", 2)), ("n_gl", cfg.n_gl)):
+    for name, value in (("surface.dim", cfg.surface["dim"]), ("n_gl", cfg.n_gl)):
         if not _is_integer(value):
             raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
     matrix = cfg.matrix
@@ -202,6 +208,9 @@ def _validate(raw: dict) -> ExperimentConfig:
             for row in matrix)):
         raise ConfigInvalidError(
             f"matrix must be square rows of finite numbers, got {matrix!r}")
+    coeffs = cfg.surface["coeffs"]
+    if not (coeffs is None or isinstance(coeffs, dict)):
+        raise ConfigInvalidError(f"surface.coeffs must be a mapping, got {coeffs!r}")
     try:
         dim = cfg.dilation().dim
         cfg.surface_obj()
@@ -228,14 +237,19 @@ def _validate(raw: dict) -> ExperimentConfig:
     if not all(_is_integer(n) and n > 0 for n in shape):
         raise ConfigInvalidError("lattice.shape must be positive integers")
     dims = {"matrix": dim,
-            "surface.dim": cfg.surface.get("dim", 2),
+            "surface.dim": cfg.surface["dim"],
             "lattice": len(box)}
     if len(set(dims.values())) > 1:
         raise ConfigInvalidError("dimensions disagree: " + ", ".join(
             f"{name} {d}" for name, d in dims.items()))
     rows = cfg.atoms.get("list")
+    if not (rows is None or isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ConfigInvalidError(f"atoms.list must be a list of mappings, got {rows!r}")
     seeds = {"seed": cfg.seed}
     for pos, row in enumerate(rows or ()):
+        unknown = [key for key in row if key not in _ROW_KEYS]
+        if unknown:
+            raise ConfigInvalidError(f"unknown config key: atoms.list[{pos}].{unknown[0]}")
         seeds[f"atoms.list[{pos}].seed"] = row.get("seed", 0)
         index = row.get("index")
         if not (isinstance(index, list) and all(map(_is_integer, [row.get("tau"), *index]))):

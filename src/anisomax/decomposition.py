@@ -93,51 +93,54 @@ def _mass_of(masses, mask) -> float:
     return _left_sum(compress(masses, mask.tolist()))
 
 
-def _star_groups(boxes, ids, sigma: int, tau: int, masses=None, bound=None,
-                 total=None) -> dict:
+def _level_mass(alpha: float, a: float, t: int) -> float:
+    """alpha a^t in Python floats, inf where a^t leaves the float range:
+    that threshold exceeds every finite total, so a ladder climbing past
+    it stops there."""
+    try:
+        return alpha * (a ** t)
+    except OverflowError:
+        return inf
+
+
+def _star_groups(boxes, ids, sigma: int, tau: int, bound=None, total=None) -> dict:
     """Map each index n to the ids, in the given order, whose cube lies in
     the double of (sigma, tau, n).
 
     The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so each id's
     indices form a window of per-axis inequalities on its pullback box.
 
-    Given masses (nonnegative, by id) and a bound, the map is left empty
-    when no double's mass can exceed the bound: first, with no box
-    computed, when the ids' masses sum in the given order to at most the
-    bound (total, when given, is that sum, for a caller that asks about one
-    list of ids at many levels), and then when the masses of the ids with a
-    nonempty window, those that fit in some double, do.  Summed over its
-    group, a double's mass sums a subsequence of either list's terms in the
+    Given a bound and total, the ids' masses (nonnegative) summed in the
+    given order, the map is left empty, with no box computed, when total is
+    at most the bound: no double's mass can exceed it.  Summed over its
+    group, a double's mass sums a subsequence of the list's terms in the
     same order, and round-to-nearest is monotone, so by induction over the
     terms its rounded sum never exceeds the list's.  The induction is over
-    left-to-right rounding, so these totals and every double mass they
-    stand in for are taken with _left_sum.
+    left-to-right rounding, so the total and every double mass it stands in
+    for are taken with _left_sum.
     """
     groups = {}
-    if not ids:
+    if not ids or (bound is not None and total <= bound):
         return groups
-    if bound is not None:
-        if total is None:
-            total = _mass_sum(masses, ids)
-        if total <= bound:
-            return groups
     lo, hi, tol = _split_box(boxes._pull(tau).take(ids, axis=1) * 2.0 ** -sigma)
     n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
     n_max = np.floor(lo + 0.5 + tol).astype(np.int64) + 1
-    nonempty = (n_min < n_max).all(axis=1).tolist()
-    if bound is not None and _mass_sum(masses, compress(ids, nonempty)) <= bound:
-        return groups
-    for i, ok, first, stop in zip(ids, nonempty, n_min.tolist(), n_max.tolist()):
-        if ok:
-            for n in product(*map(range, first, stop)):
-                groups.setdefault(n, []).append(i)
+    for i, first, stop in zip(ids, n_min.tolist(), n_max.tolist()):
+        for n in product(*map(range, first, stop)):
+            groups.setdefault(n, []).append(i)
     return groups
 
 
 def _split_box(scaled):
     """(lo, hi, tol): a (min, max) pair stacked on axis -3, already scaled
     to its grid, and the rounding allowance of every comparison made on
-    them."""
+    them.
+
+    In the coordinates 2^-sigma A^-tau x of the (sigma, tau) grid, the cube
+    of index n is [n, n + 1)^d, and a cube's pullback box, the min and max
+    of its pulled vertices, is exact because a cube is the convex hull of
+    its vertices.
+    """
     size = np.abs(scaled)
     return (scaled[..., 0, :, :], scaled[..., 1, :, :],
             _TOL * np.maximum(1.0, size[..., 0, :, :] + size[..., 1, :, :]))
@@ -258,32 +261,16 @@ class _BoxSet:
             got = self._pulled[tau]
         return got
 
-    def boxes(self, sigma: int, tau: int):
-        """The rows' bounding boxes in the units of the (sigma, tau) grid.
-
-        The coordinates are 2^-sigma A^-tau x, in which the grid cube of
-        index n is [n, n + 1)^d.  A box is exact because a cube is the convex
-        hull of its vertices.  Returns (lo, hi, tol), each of shape (N, d),
-        row k for row k; tol is the rounding allowance of every comparison
-        made on that row and axis.
-
-        A level's box is its tau's pulled min and max times 2^-sigma, which
-        is exact and commutes with min and max: bit for bit the box of a
-        product per level.
-        """
-        return _split_box(self._pull(tau) * 2.0 ** -sigma)
-
     def _host_rows(self, hosts: np.ndarray):
-        """(lo, hi, tol), each (H, N, d): [h] is boxes() at the level of the
-        host row hosts[h] (sigma, tau, ...), scaled from the pulled pair of
-        its tau."""
+        """(lo, hi, tol), each (H, N, d): [h] is the rows' pullback boxes in
+        the units of the grid of host row hosts[h] (sigma, tau, ...), its
+        tau's pulled pair times 2^-sigma.  That scaling is exact and commutes
+        with min and max, so every box is bit for bit the box of a product
+        per level."""
         taus = {}
         pos = [taus.setdefault(t, len(taus)) for t in hosts[:, 1].tolist()]
         self.pull_levels(taus)
-        if len(taus) == 1:
-            pulled = self._pulled[next(iter(taus))][None]
-        else:
-            pulled = np.array([self._pulled[t] for t in taus]).take(pos, axis=0)
+        pulled = np.array([self._pulled[t] for t in taus]).take(pos, axis=0)
         return _split_box(pulled * np.ldexp(1.0, -hosts[:, 0, None, None, None]))
 
     @cached_property
@@ -413,16 +400,13 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         return WhitneyResult(selected=[], assigned={}, leftover=list(range(len(entries))),
                              alpha=alpha)
     # Highest level at which any selection is possible: total > alpha a^t.
-    t_hi = int(np.ceil(np.log(total / alpha) / np.log(a))) - 1
-    while total > alpha * (a ** (t_hi + 1)):
+    t_hi = t_lo - 1
+    while total > _level_mass(alpha, a, t_hi + 1):
         t_hi += 1
-    while t_hi >= t_lo and total <= alpha * (a ** t_hi):
-        t_hi -= 1
-    t_hi = max(t_hi, t_lo - 1)
-    if t_hi - t_lo > _LEVEL_BUDGET:
-        raise BudgetExceededError(
-            f"selection ladder spans {t_hi - t_lo} levels, budget is {_LEVEL_BUDGET}"
-        )
+        if t_hi - t_lo > _LEVEL_BUDGET:
+            raise BudgetExceededError(
+                f"selection ladder spans {t_hi - t_lo} levels, budget is {_LEVEL_BUDGET}"
+            )
 
     active = set(range(len(entries)))
     # selected rows (sigma, tau, *index), None once merged into another
@@ -438,8 +422,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         if len(active_ids) != len(active):
             active_ids = sorted(active)
             active_total = _mass_sum(masses, active_ids)
-        candidates = _star_groups(boxes, active_ids, 0, t, masses, alpha * (a ** t),
-                                  active_total)
+        candidates = _star_groups(boxes, active_ids, 0, t, alpha * (a ** t), active_total)
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
             residual = _mass_sum(masses, members)
@@ -722,7 +705,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     total = float(_left_sum(masses))
     tau_min, tau_max = min(taus), max(taus)
     tau0 = tau_max + 1
-    while alpha * (a ** tau0) <= total:
+    while _level_mass(alpha, a, tau0) <= total:
         tau0 += 1
         if tau0 - tau_max > _LEVEL_BUDGET:
             raise BudgetExceededError("tau0 search exceeded the level budget")
@@ -748,8 +731,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             if nearest > (2.0 ** (sigma + 1)) * unit_diam:
                 break
             threshold = alpha * (2.0 ** sigma) * (a ** tau)
-            candidates = _star_groups(boxes, live_ids, sigma, tau, masses, threshold,
-                                      live_total)
+            candidates = _star_groups(boxes, live_ids, sigma, tau, threshold, live_total)
             chosen = []
             for n in sorted(candidates):
                 mass = _mass_sum(masses, candidates[n])
@@ -966,7 +948,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             stopped_total = _mass_sum(masses, stopped)
         bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
         limit = bound * (1.0 + 1e-9)
-        groups = _star_groups(boxes, stopped, sigma, tau, masses, limit, stopped_total)
+        groups = _star_groups(boxes, stopped, sigma, tau, limit, stopped_total)
         for n, members in groups.items():
             mass = _mass_sum(masses, members)
             if mass > limit:

@@ -299,17 +299,16 @@ def span_diameter(basis: np.ndarray) -> float:
     return float(np.sqrt(squares.max()))
 
 
-def cube_diameter(D: DilationStructure, tau: int, sigma: int = 0) -> float:
-    """Euclidean diameter of a grid cube at scale (sigma, tau).
+def cube_diameter(D: DilationStructure, tau: int) -> float:
+    """Euclidean diameter of a unit-side grid cube at level tau.
 
-    The cube is the image under A^tau of a dyadic cube of side 2^sigma, so the
-    diameter is 2^sigma times span_diameter(A^tau).  The unit-side diameter is
-    cached per tau on D.
+    The cube is the image under A^tau of a unit cube, so the diameter is
+    span_diameter(A^tau), cached per tau on D.
     """
     best = D._diam_cache.get(tau)
     if best is None:
         best = D._diam_cache[int(tau)] = span_diameter(D.power(tau))
-    return (2.0 ** sigma) * best
+    return best
 
 
 def fit_diameter_exponent(D: DilationStructure, tau_range) -> float:

@@ -5,10 +5,12 @@ A grid cube at scale (sigma, tau) is the image under A^tau of the dyadic cube
 containment questions the closed hull is used with a diameter-relative
 tolerance.  An expanded cube is a Parallelepiped, and a tendril outer
 bound a parallelepiped plus a dilated ball, handled exactly through
-pullback coordinates.  Both answer membership of points (contains_points)
-and give an axis-aligned box that holds them (bbox).  A quadrupled cube of
-the exceptional set answers nothing else: the mask asks it about the cell
-centers no tendril bound holds, and check (ii) about its samples.  Tendril
+pullback coordinates: one bound, the distance to the pullback's box,
+rejects the far points, and the exact projector decides the rest.  Both
+answer membership of points (contains_points) and give an axis-aligned
+box that holds them (bbox).  A quadrupled cube of the exceptional set
+answers nothing else: the mask asks it about the cell centers no tendril
+bound holds, and check (ii) about its samples.  Tendril
 bounds also answer for whole dilated cells (tendrils_cover_dilates, check
 (ii)'s certificate) and, under a diagonal A, for whole grids
 (contains_grid, the mask).
@@ -272,17 +274,16 @@ class TendrilBound:
     4) and r = 2 + 1e-9.  The constructor computes the pullback, its box and
     its rounding slack; a bound is built per call and dropped with it.
 
-    Two exact bounds on dist(y, P) settle most points without the projector:
-    the distance to the axis-aligned box of P is a lower bound, and the
-    distance to the point of P at the clamped local coordinates of y is an
-    upper bound.  A point whose bounds straddle r within the rounding slack
-    goes to the projector, which is built on first use.  When P is an
-    axis-aligned box both bounds are the exact distance, and contains_grid
-    settles a grid of points from per-axis gaps.  tendrils_cover_dilates
-    applies the upper bound to whole dilated cells of many bounds at once.
+    The distance to the axis-aligned box of P, a lower bound on dist(y, P),
+    rejects most points without the projector; every point it leaves goes
+    to the projector, which is built on first use and decides it exactly.
+    When P is an axis-aligned box the lower bound is the exact distance, and
+    contains_grid settles a grid of points from per-axis gaps.
+    tendrils_cover_dilates bounds dist(y, P) from above at the clamped local
+    coordinates of y, for whole dilated cells of many bounds at once.
     """
 
-    __slots__ = ("cube", "pull", "basis", "inv_basis", "origin", "box_lo", "box_hi",
+    __slots__ = ("cube", "pull", "basis", "origin", "box_lo", "box_hi",
                  "slack", "far_sq", "near_sq", "projector")
     radius = _TENDRIL_RADIUS + _TENDRIL_TOL
 
@@ -293,7 +294,6 @@ class TendrilBound:
         pull, origin, basis = (part[0] for part in rows)
         self.pull = pull
         self.basis = basis
-        self.inv_basis = np.linalg.inv(basis)
         box_lo, box_hi, slack = _pullback_box(origin, basis)
         # (d, 1) columns, broadcast along the points of a (d, N) array
         self.origin = origin.reshape(-1, 1).copy()
@@ -304,22 +304,14 @@ class TendrilBound:
         self.near_sq = (self.radius - slack) ** 2
         self.projector = None
 
-    def _clamped_sq(self, rel: np.ndarray) -> np.ndarray:
-        """Squared upper bounds on dist(y, P), from rel = y - origin as (d, N);
-        rel is overwritten."""
-        u = self.inv_basis @ rel
-        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
-        rel -= self.basis @ u
-        return np.square(rel, out=rel).sum(axis=0)
-
     def contains_points(self, points) -> np.ndarray:
         """Membership of the (N, d) points in q** + A^(tau+2) B_2(0), exact
         through pullback.
 
         A point x is in the set exactly when A^-(tau+2) x is within Euclidean
         distance 2 (plus 1e-9) of P.  That distance is decided by
-        _ClampedProjector; box and clamped-coordinate bounds only settle the
-        points whose answer the projector could not change.
+        _ClampedProjector; the box bound only settles the points whose
+        answer the projector could not change.
         """
         return self.contains(self.pull @ np.atleast_2d(np.asarray(points, dtype=float)).T)
 
@@ -332,17 +324,11 @@ class TendrilBound:
         cand = np.flatnonzero(np.square(gap, out=gap).sum(axis=0) <= self.far_sq)
         if cand.size == 0:
             return inside
+        if self.projector is None:
+            self.projector = _ClampedProjector(self.origin[:, 0], self.basis)
         # take, not fancy indexing: on a (d, N) array, y[:, cand] is an
         # order of magnitude slower
-        rel = y.take(cand, axis=1)
-        rel -= self.origin
-        near = self._clamped_sq(rel) <= self.near_sq
-        inside[cand] = near
-        band = cand[~near]
-        if band.size:
-            if self.projector is None:
-                self.projector = _ClampedProjector(self.origin[:, 0], self.basis)
-            inside[band] = self.projector.distance(y.take(band, axis=1).T) <= self.radius
+        inside[cand] = self.projector.distance(y.take(cand, axis=1).T) <= self.radius
         return inside
 
     @property
@@ -357,9 +343,10 @@ class TendrilBound:
         Pulled coordinate j is then pull_jj x_j, the product the matrix pull
         gives, and dist(y, P)^2 is the sum over axes of the squared gap
         between y_j and P's interval on axis j, summed in the order contains
-        sums it.  Cells at most radius - slack away are inside and cells
-        more than radius + slack away outside, as in contains; only the
-        cells in the band between go to contains itself.
+        sums it.  Cells at most radius - slack away are inside, as the
+        projector finds them, and cells more than radius + slack away
+        outside, as in contains; only the cells in the band between go to
+        contains itself.
         """
         d = len(axes)
         axes = [self.pull[j, j] * np.asarray(a, dtype=float) for j, a in enumerate(axes)]

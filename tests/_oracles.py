@@ -9,7 +9,7 @@ import numpy as np
 
 from anisomax.atoms import Atom
 from anisomax.decomposition import StoppingResult, _entries, _mass_sum, _star_groups
-from anisomax.grid import GridCube, Parallelepiped, row_tau_parent
+from anisomax.grid import GridCube, Parallelepiped, TendrilBound, row_tau_parent
 
 
 def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
@@ -39,6 +39,16 @@ def boxes_intersect_open(verts_a: np.ndarray, verts_b: np.ndarray, axes) -> bool
         if min(pa.max(), pb.max()) - max(pa.min(), pb.min()) <= 1e-12 * span:
             return False
     return True
+
+
+def clamped_sq(region: TendrilBound, rel: np.ndarray) -> np.ndarray:
+    """Squared upper bounds on dist(y, P) for the tendril bound's pulled
+    q** P, from rel = y - origin as (d, N): the squared distance to the
+    point of P at the clamped local coordinates of y.  rel is overwritten."""
+    u = np.linalg.inv(region.basis) @ rel
+    np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+    rel -= region.basis @ u
+    return np.square(rel, out=rel).sum(axis=0)
 
 
 def replay_trace_masses(result: StoppingResult, entries):

@@ -316,6 +316,31 @@ def test_cli_geometry_number_is_a_config_error(tmp_path, override, field):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("atoms=5", "atoms must be a mapping"),
+    ("lattice=5", "lattice must be a mapping"),
+    ("surface=5", "surface must be a mapping"),
+    ("atoms.list=5", "atoms.list must be a list of mappings"),
+    ("atoms.list=[1,2]", "atoms.list must be a list of mappings"),
+    ("surface.coeffs=5", "surface.coeffs must be a mapping"),
+    ("atoms.list=[{tau: 0, index: [0, 0], lam: 1.0, extra: 1}]",
+     "unknown config key: atoms.list[0].extra"),
+    ("atoms.list=[{tau: 0, index: [0, 0], lam: 1.0}, "
+     "{tau: 0, index: [1, 0], lam: 1.0, profil: bump}]",
+     "unknown config key: atoms.list[1].profil"),
+])
+def test_cli_config_of_the_wrong_shape_is_a_config_error(tmp_path, override, message):
+    # a section or an atom list of the wrong type used to end in a
+    # TypeError or AttributeError traceback (exit 1), and a row key the
+    # run does not read ran: a misspelt profile ran a haar atom
+    res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
+                "--override", override])
+    assert res.exit_code == 2
+    assert "config error" in res.output and message in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_infinite_alpha_is_a_config_error(tmp_path):
     # it used to reach whitney_decompose and die there with an OverflowError
     res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),

@@ -26,6 +26,7 @@ from anisomax.decomposition import (
     _cube_rows,
     _mass_of,
     _merge_nested,
+    _split_box,
     _star_groups,
     exceptional_volume,
     stopping_time,
@@ -53,6 +54,7 @@ from anisomax.grid import (
 
 from _oracles import (
     boxes_intersect_open,
+    clamped_sq,
     cube_center,
     cube_contains,
     replay_trace_masses,
@@ -289,7 +291,7 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
 
 @pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]]] + FOUND_MATRICES)
 def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
-    # boxes() pulls each tau once and scales the pulled min and max by
+    # a box set pulls each tau once and scales the pulled min and max by
     # 2^-sigma.  Scaling by a power of two is exact, so every level must
     # equal, bit for bit, the box of its own product 2^-sigma A^-tau x,
     # whether its tau was pulled alone, with every other tau in one stacked
@@ -310,9 +312,10 @@ def test_box_levels_are_bit_identical_to_a_product_per_level(matrix):
         pulled = verts @ (2.0 ** -sigma * D.power(-tau)).T
         lo, hi = pulled.min(axis=1), pulled.max(axis=1)
         want = (lo, hi, 1e-9 * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
-        for got in (boxes.boxes(sigma, tau), together.boxes(sigma, tau)):
+        for box_set in (boxes, together):
+            got = _split_box(box_set._pull(tau) * 2.0 ** -sigma)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (sigma, tau)
-        got = picked.boxes(sigma, tau)
+        got = _split_box(picked._pull(tau) * 2.0 ** -sigma)
         assert all(np.array_equal(a, b[ids]) for a, b in zip(got, want)), (sigma, tau)
 
 
@@ -380,7 +383,7 @@ def test_values_kept_by_results_have_no_instance_dict(diag_dilation):
     tendril = ExceptionalPrimitive("tendril", cube, 1.0)
     got, want = tendril.region(), tendril_of(cube)
     assert got is not tendril.region() and got.cube == want.cube == cube
-    for name in ("pull", "basis", "inv_basis", "origin", "box_lo", "box_hi"):
+    for name in ("pull", "basis", "origin", "box_lo", "box_hi"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -388,7 +391,7 @@ def test_values_kept_by_results_have_no_instance_dict(diag_dilation):
 def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
     # within_each and overlap_matrix compare every host at once on rows
     # gathered from each host's level; the reference takes one host at a
-    # time on boxes(host.sigma, host.tau), and the masks must be equal
+    # time on its level's box, and the masks must be equal
     D = validate_dilation(matrix)
     for _, entries in found_instances(D, 10):
         cubes = [cube for cube, _ in entries]
@@ -400,7 +403,7 @@ def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
             reach = 0.5 * factor
             loop = []
             for host in hosts:
-                lo, hi, tol = boxes.boxes(host.sigma, host.tau)
+                lo, hi, tol = _split_box(boxes._pull(host.tau) * 2.0 ** -host.sigma)
                 n = np.asarray(host.index)
                 out = (lo < n + 0.5 - reach - tol) | (hi > n + 0.5 + reach + tol)
                 same = (scale[:, 0] == host.sigma) & (scale[:, 1] == host.tau)
@@ -409,7 +412,7 @@ def test_broadcast_relations_equal_the_host_by_host_loop(matrix):
                                   np.stack(loop, axis=1))
         meets = np.zeros((len(cubes), len(cubes)), dtype=bool)
         for m, outer in enumerate(cubes):
-            lo, hi, tol = boxes.boxes(outer.sigma, outer.tau)
+            lo, hi, tol = _split_box(boxes._pull(outer.tau) * 2.0 ** -outer.sigma)
             gap = np.minimum(hi, index[m] + 1) - np.maximum(lo, index[m])
             meets[:, m] = np.all(gap > tol, axis=1)
         inner_first = boxes.volume[:, None] <= boxes.volume[None, :]
@@ -598,6 +601,21 @@ def test_budget_guard_on_extreme_mass_ratio(diag_dilation):
     Q = GridCube(0, 0, (0, 0), diag_dilation)
     with pytest.raises(BudgetExceededError):
         whitney_decompose([(Q, 1.0)], alpha=1e-200)
+    # mass / alpha past the float range: the ladder spends its level budget
+    # before a^t overflows, as it does at any finite ratio
+    with pytest.raises(BudgetExceededError):
+        whitney_decompose([(Q, 1e10)], alpha=1e-300)
+    # under diag(10, 10), a = 100 and 100.0 ** 155 overflows inside the
+    # budget: that level's threshold exceeds every finite total, so the
+    # Whitney ladder and stopping_time's tau0 climb both stop below it
+    D = validate_dilation([[10, 0], [0, 10]])
+    entries = [(GridCube(0, 0, (0, 0), D), 1e9)]
+    res = whitney_decompose(entries, 1e-300)
+    assert [S.tau for S in res.selected] == [154]
+    assert verify_whitney(res, entries, 1e-300).passed
+    stop = stopping_time(res.selected, entries, 1e-300)
+    assert stop.tau0 == 155
+    assert verify_stopping(stop, res.selected, entries, 1e-300).passed
 
 
 def test_verifier_catches_undersized_selection(diag_dilation):
@@ -1168,7 +1186,7 @@ def _covers_by_regions(result, kept, levels):
             continue
         region = prim.region()
         spreads = np.stack([D.power(j) for j in levels[i].tolist()])
-        far = np.sqrt(region._clamped_sq(region.pull @ cube.vertices().T - region.origin)).max()
+        far = np.sqrt(clamped_sq(region, region.pull @ cube.vertices().T - region.origin)).max()
         reach = np.sqrt(np.square(region.pull @ spreads).sum(axis=(1, 2)))
         out[i] = far + reach <= region.radius - region.slack
     return out
