@@ -14,7 +14,7 @@ import numpy as np
 
 from .dilation import DilationStructure, _left_sum
 from .errors import InputInvalidError
-from .grid import GridCube
+from .grid import GridCube, det_power
 
 PROFILES = ("haar", "bump")
 CONTROL_PROFILES = ("plateau",)
@@ -94,7 +94,7 @@ def make_atom(Q: GridCube, profile: str, seed: int) -> Atom:
         )
     rng = np.random.default_rng(seed)
     axis = int(rng.integers(Q.dilation.dim))
-    amplitude = Q.dilation.det_scale ** (-Q.tau)
+    amplitude = det_power(Q.dilation.det_scale, -Q.tau)
     return Atom(support=Q, profile=profile, axis=axis, amplitude=amplitude)
 
 

@@ -59,6 +59,7 @@ from .grid import (
     TendrilBound,
     cube_frames,
     cube_vertices,
+    det_power,
     expand_cube,
     row_tau_parent,
     row_volume,
@@ -422,11 +423,12 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         if len(active_ids) != len(active):
             active_ids = sorted(active)
             active_total = _mass_sum(masses, active_ids)
-        candidates = _star_groups(boxes, active_ids, 0, t, alpha * (a ** t), active_total)
+        level = alpha * det_power(a, t)
+        candidates = _star_groups(boxes, active_ids, 0, t, level, active_total)
         for n in sorted(candidates):
             members = [i for i in candidates[n] if i in active]
             residual = _mass_sum(masses, members)
-            if residual > alpha * (a ** t):
+            if residual > level:
                 s_id = len(selected)
                 selected.append((0, t, *n))
                 for i in members:
@@ -730,7 +732,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                 nearest = min(cube_diameter(D, t - tau) for t in {taus[i] for i in live_ids})
             if nearest > (2.0 ** (sigma + 1)) * unit_diam:
                 break
-            threshold = alpha * (2.0 ** sigma) * (a ** tau)
+            threshold = alpha * (2.0 ** sigma) * det_power(a, tau)
             candidates = _star_groups(boxes, live_ids, sigma, tau, threshold, live_total)
             chosen = []
             for n in sorted(candidates):
@@ -779,7 +781,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
     # the tendril bounds in scale order, then the quadrupled S cubes
     q_keys = sorted(selected_qs)
     exceptional = [ExceptionalPrimitive("tendril", GridCube(sigma, tau, n, D),
-                                        (2.0 ** sigma) * (a ** tau))
+                                        (2.0 ** sigma) * det_power(a, tau))
                    for sigma, tau, n in q_keys]
     exceptional += [ExceptionalPrimitive("quad", S, (4.0 ** D.dim) * S.volume) for S in S_list]
     primitive_of_q = {key: p for p, key in enumerate(q_keys)}
@@ -946,7 +948,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             # the stopped entries and their total, once per run of one tau
             stopped_tau, stopped = tau, np.flatnonzero(kappa <= tau).tolist()
             stopped_total = _mass_sum(masses, stopped)
-        bound = C_iv * alpha * (2.0 ** sigma) * (a ** tau)
+        bound = C_iv * alpha * (2.0 ** sigma) * det_power(a, tau)
         limit = bound * (1.0 + 1e-9)
         groups = _star_groups(boxes, stopped, sigma, tau, limit, stopped_total)
         for n, members in groups.items():

@@ -17,8 +17,8 @@ bounds also answer for whole dilated cells (tendrils_cover_dilates, check
 
 A cube is a slotted GridCube in the public API and a (sigma, tau, *index)
 int row in batched code.  Each quantity has one row rule: row_volume (the
-scalar power, in Python floats), which GridCube calls, row_tau_parent,
-which the Whitney guard calls, and
+scalar power det_power: Python floats, BudgetExceededError past them),
+which GridCube calls, row_tau_parent, which the Whitney guard calls, and
 cube_frames, the origin and basis of many rows, summed over the basis
 columns left to right (_fold, no BLAS product, so no row's bits depend on
 the others) as realize() sums them for one.  cube_vertices and the tendril
@@ -48,7 +48,7 @@ from itertools import product
 import numpy as np
 
 from .dilation import DilationStructure, _is_integer, span_diameter
-from .errors import InputInvalidError, NotNormalizedError
+from .errors import BudgetExceededError, InputInvalidError, NotNormalizedError
 
 _CONTAIN_TOL = 1e-12
 _TENDRIL_RADIUS = 2.0
@@ -97,11 +97,19 @@ def cube_vertices(D: DilationStructure, scale: np.ndarray, index: np.ndarray) ->
     return origin + _fold(basis, _unit_corners(D.dim)[:, None, None, :])[:, :, 0]
 
 
+def det_power(a: float, tau: int) -> float:
+    """a^tau in Python floats; BudgetExceededError past the float range."""
+    try:
+        return a ** tau
+    except OverflowError:
+        raise BudgetExceededError(f"{a!r} ** {tau} leaves the float range") from None
+
+
 def row_volume(D: DilationStructure, row) -> float:
     """The volume 2^(d sigma) a^tau of the cube row (sigma, tau, ...), in
     Python floats: numpy's vector power can differ from the scalar one in
     the last bit, so rows are taken one at a time, as Python ints."""
-    return (2.0 ** (D.dim * row[0])) * (D.det_scale ** row[1])
+    return (2.0 ** (D.dim * row[0])) * det_power(D.det_scale, row[1])
 
 
 def row_tau_parent(D: DilationStructure, row) -> tuple:

@@ -58,6 +58,12 @@ TAIL_FRACTION = 0.01
 # ------------------------------------------------------------------ lattice
 
 
+def grid_points(axes) -> np.ndarray:
+    """The (N, len(axes)) points of the tensor grid over axes, in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Axis-aligned sample grid; values live at cell centers."""
@@ -91,9 +97,7 @@ class Lattice:
 
     def points(self) -> np.ndarray:
         """All cell centers, C order, matching values.ravel()."""
-        axes = [self.axis_centers(j) for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return grid_points([self.axis_centers(j) for j in range(self.dim)])
 
     def window_bounds(self, lo, hi):
         """First and last index, per axis, of the cells centered in [lo, hi].
@@ -174,9 +178,9 @@ def _add_scatter(centers, atom, weights, shifted, first, last):
     """
     for i in range(len(weights)):
         slices = tuple(slice(a, b + 1) for a, b in zip(first[i], last[i]))
-        mesh = np.meshgrid(*[c[s] for c, s in zip(centers, slices)], indexing="ij")
-        local = np.column_stack([m.ravel() for m in mesh]) - shifted[i]
-        yield slices, weights[i] * atom.evaluate(local).reshape(mesh[0].shape)
+        axes = [c[s] for c, s in zip(centers, slices)]
+        local = grid_points(axes) - shifted[i]
+        yield slices, weights[i] * atom.evaluate(local).reshape([len(x) for x in axes])
 
 
 def _axis_entries(f: AtomicSum, centers, shifted, atoms, nodes, first, last) -> list:

@@ -27,7 +27,7 @@ from .errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
 )
-from .maximal import Lattice, _min_atom_diameter, convolve_dilated, make_lattice
+from .maximal import Lattice, _min_atom_diameter, convolve_dilated, grid_points, make_lattice
 
 CHI_RADIUS = 0.48
 CATALOG = ("circle-arc", "paraboloid", "quartic-flat", "custom-polynomial")
@@ -53,13 +53,10 @@ PIECE_GL_NODES = 24
 
 def plateau_profile(u: np.ndarray) -> np.ndarray:
     """Smooth plateau: 1 on |u| <= 1/2, supported on |u| < 1."""
-    u = np.abs(np.asarray(u, dtype=float))
-    out = np.zeros_like(u)
-    out[u <= 0.5] = 1.0
-    taper = (u > 0.5) & (u < 1.0)
-    t = 2.0 * u[taper] - 1.0
-    out[taper] = np.exp(1.0 - 1.0 / (1.0 - t * t))
-    return out
+    # t is 0 on the plateau and 1 from |u| = 1 on, for inf and nan too (fmin drops a nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        t = np.fmax(np.fmin(2.0 * np.abs(np.asarray(u, dtype=float)) - 1.0, 1.0), 0.0)
+        return np.exp(1.0 - 1.0 / (1.0 - t * t))
 
 
 @dataclass
@@ -172,17 +169,12 @@ def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
         psi, grad, hess = _poly_callables(coeffs, p)
 
     surface = GraphSurface(kind, dim, psi, grad, hess)
-    ambient = surface.points(_probe_grid(p, surface.chi_radius))
+    r = surface.chi_radius
+    ambient = surface.points(grid_points([np.linspace(-r, r, _PROBE_POINTS)] * p))
     radius = float(np.max(np.linalg.norm(ambient, axis=1)))
     if radius > 1.0:
         raise InputInvalidError(f"surface leaves the unit ball (radius {radius:.3f})")
     return surface
-
-
-def _probe_grid(p: int, radius: float, n: int = _PROBE_POINTS) -> np.ndarray:
-    axes = [np.linspace(-radius, radius, n)] * p
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
 
 
 def gaussian_curvature(surface: GraphSurface, y) -> np.ndarray:
@@ -240,11 +232,8 @@ def _tensor_rule(panels):
     """(param_points, weights) of the tensor rule over the per-axis Gauss
     panels, each (nodes, weights): points in C order of the axes, weights
     the products of the axis weights."""
-    mesh = np.meshgrid(*[x for x, _ in panels], indexing="ij")
-    wmesh = np.meshgrid(*[w for _, w in panels], indexing="ij")
-    y = np.column_stack([m.ravel() for m in mesh])
-    w = np.prod(np.column_stack([m.ravel() for m in wmesh]), axis=1)
-    return y, w
+    return (grid_points([x for x, _ in panels]),
+            np.prod(grid_points([w for _, w in panels]), axis=1))
 
 
 def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
@@ -277,14 +266,10 @@ class _CapPartition:
         return out
 
     def bump(self, y: np.ndarray, rho: int) -> np.ndarray:
-        y = np.atleast_2d(y)
         raw = self.raw(y)
         total = np.sum(raw, axis=1)
-        chi = self.surface.chi(y)
-        out = np.zeros(y.shape[0])
-        live = total > 0.0
-        out[live] = raw[live, rho] * chi[live] / total[live]
-        return out
+        return np.divide(raw[:, rho] * self.surface.chi(y), total,
+                         out=np.zeros(len(raw)), where=total > 0.0)
 
 
 @dataclass(kw_only=True)
@@ -349,8 +334,7 @@ def partition_measure(surface: GraphSurface, s: int, eps: float) -> list:
     m_side = int(np.ceil(surface.chi_radius / r_cap - 0.5))
     if (2 * m_side + 1) ** p > _PIECE_BUDGET:
         raise BudgetExceededError("cap count exceeds the piece budget")
-    grids = np.meshgrid(*([np.arange(-m_side, m_side + 1)] * p), indexing="ij")
-    centers = r_cap * np.column_stack([g.ravel() for g in grids]).astype(float)
+    centers = r_cap * grid_points([np.arange(-m_side, m_side + 1)] * p).astype(float)
     partition = _CapPartition(centers, r_cap, surface)
     return [SurfacePiece(surface=surface, s=s, rho=rho, center=c,
                          partition=partition, scale=radius, eps=eps)
@@ -360,15 +344,16 @@ def partition_measure(surface: GraphSurface, s: int, eps: float) -> list:
 def _cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Summed mass per distinct key row, rows in lexicographic key order.
 
-    Sorting the rows with column 0 as the primary key and cutting where a
-    row differs from its predecessor gives the grouping of
-    np.unique(keys, axis=0); bincount then adds each group's masses in
-    point order.
+    Sorting the rows with column 0 as the primary key and cutting where
+    any one sorted key column differs from its predecessor gives the
+    grouping of np.unique(keys, axis=0), with no sorted copy of the rows;
+    bincount then adds each group's masses in point order.
     """
     order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    starts = np.arange(len(keys)) == 0
+    for column in keys.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
     labels = np.empty(len(keys), dtype=np.intp)
     labels[order] = np.cumsum(starts) - 1
     return np.bincount(labels, weights=masses)

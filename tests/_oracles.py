@@ -3,6 +3,9 @@
 Each is a slow, direct statement of what a fast path computes, or, as
 cube_center and tau_parent, a cube question that only tests ask: no run of
 the package calls them, so they live beside the tests that read them.
+plateau_branches and unique_cube_masses are the branch-by-branch plateau
+and the row-wise cube grouping that surface.plateau_profile and
+surface._cube_masses replaced.
 """
 
 import numpy as np
@@ -83,3 +86,22 @@ def compose_dilation(atom: Atom, j: int) -> Atom:
         axis=atom.axis,
         amplitude=atom.amplitude * (Q.dilation.det_scale ** (-j)),
     )
+
+
+def plateau_branches(u) -> np.ndarray:
+    """The plateau by its three branches: 1 on |u| <= 1/2, the taper
+    exp(1 - 1/(1 - t^2)), t = 2|u| - 1, on 1/2 < |u| < 1, and 0 elsewhere,
+    nan included."""
+    u = np.abs(np.asarray(u, dtype=float))
+    out = np.zeros_like(u)
+    out[u <= 0.5] = 1.0
+    taper = (u > 0.5) & (u < 1.0)
+    t = 2.0 * u[taper] - 1.0
+    out[taper] = np.exp(1.0 - 1.0 / (1.0 - t * t))
+    return out
+
+
+def unique_cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Summed mass per distinct key row, by np.unique over the rows."""
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return np.bincount(inverse.ravel(), weights=masses)

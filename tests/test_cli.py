@@ -1,6 +1,7 @@
 """Config loading, experiment runners, and the command-line interface."""
 
 import collections
+import importlib
 import json
 import os
 import platform
@@ -185,6 +186,19 @@ def test_cli_validate_dilation(tmp_path):
         "power_scan_window": 64,
         "stopping_samples": 1000,
     }
+
+
+@pytest.mark.parametrize("module,name", [
+    ("decomposition", "C_W"), ("decomposition", "C_STOP"), ("decomposition", "C_IV"),
+    ("surface", "KERNEL_BINS"), ("surface", "PIECE_BOUND_FACTOR"),
+])
+def test_readme_quotes_the_module_constants(module, name):
+    # the README copies these values by hand; each copy must be the code's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.findall(rf"`(?:{module}\.)?{name}` = ([0-9.]+)", readme)
+    assert quoted, f"README does not quote {name}"
+    value = getattr(importlib.import_module(f"anisomax.{module}"), name)
+    assert all(float(q) == value for q in quoted), (name, quoted, value)
 
 
 def test_cli_whitney_empty_atoms(tmp_path):
@@ -484,6 +498,18 @@ def test_cli_exit_code_budget(tmp_path):
     res = _run(["run", "--experiment", "surface-classify",
                 "--out", str(tmp_path), "--override", "s_range=[80,84]"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("matrix", ["[[2.0, 0.0], [0.0, 4.0]]", "[[10.0, 0.0], [0.0, 10.0]]"])
+def test_cli_exit_code_mass_ratio_past_the_float_range(tmp_path, matrix):
+    # under diag(2, 4) the Whitney ladder spends its level budget; under
+    # diag(10, 10) it selects tau 154 and the density guard lifts that cube
+    # to tau 155, whose volume 100^155 overflows
+    res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
+                "--override", f"matrix={matrix}", "--override", "alpha=1.0e-300",
+                "--override", "atoms.list=[{tau: 0, index: [0, 0], lam: 1.0e+10}]"])
+    assert res.exit_code == 3, res.output
+    assert "budget exceeded" in res.output
 
 
 def test_cli_exit_code_cube_keys_past_exact_floats(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 from pytest import approx
 
+from anisomax.atoms import make_atom
 from anisomax.decomposition import (
     C_STOP,
     STOPPING_SAMPLES,
@@ -46,6 +47,7 @@ from anisomax.errors import (
 from anisomax.grid import (
     GridCube,
     cube_frames,
+    det_power,
     expand_cube,
     row_tau_parent,
     row_volume,
@@ -616,6 +618,25 @@ def test_budget_guard_on_extreme_mass_ratio(diag_dilation):
     stop = stopping_time(res.selected, entries, 1e-300)
     assert stop.tau0 == 155
     assert verify_stopping(stop, res.selected, entries, 1e-300).passed
+    # at mass 1e10 the density guard lifts the tau-154 selection to its tau
+    # parent at 155, whose volume 100^155 has no float value
+    with pytest.raises(BudgetExceededError, match=r"\*\* 155 leaves the float range"):
+        whitney_decompose([(GridCube(0, 0, (0, 0), D), 1e10)], 1e-300)
+
+
+def test_powers_past_the_float_range_exceed_the_budget():
+    # every row rule's a^tau: a cube's volume, an atom's amplitude and the
+    # stopping thresholds, all through grid.det_power
+    D = validate_dilation([[10, 0], [0, 10]])
+    assert GridCube(0, 154, (0, 0), D).volume == D.det_scale ** 154
+    assert row_volume(D, (-1, 154)) == 0.25 * D.det_scale ** 154
+    with pytest.raises(BudgetExceededError):
+        GridCube(0, 155, (0, 0), D).volume
+    with pytest.raises(BudgetExceededError):
+        row_volume(D, (0, 155, 0, 0))
+    with pytest.raises(BudgetExceededError):
+        make_atom(GridCube(0, -155, (0, 0), D), "haar", 0)
+    assert det_power(D.det_scale, -400) == 0.0
 
 
 def test_verifier_catches_undersized_selection(diag_dilation):

@@ -25,6 +25,7 @@ from anisomax.grid import (
     tendril_of,
     tendrils_cover_dilates,
 )
+from anisomax.maximal import grid_points
 
 from _oracles import cube_contains, tau_parent
 
@@ -387,12 +388,6 @@ def test_coordinate_major_membership_on_any_layout(matrix):
             assert np.array_equal(quad.contains_points(arr), expect), name
 
 
-def _grid_points(axes) -> np.ndarray:
-    """The points of the grid axes[0] x ... x axes[d-1], C order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 def _edge_axes(t, rng, d):
     """Per-axis coordinates around a tendril bound: random ones over its
     bbox and beyond, and coordinates whose pulled gap to q**'s box is the
@@ -437,7 +432,7 @@ def test_grid_membership_matches_points_under_a_diagonal_dilation(matrix, monkey
         t = tendril_of(cube)
         assert t.axis_aligned
         axes = _edge_axes(t, rng, d)
-        pts = _grid_points(axes)
+        pts = grid_points(axes)
         want = t.contains_points(pts)
         assert 0 < want.sum() < len(pts)
         with monkeypatch.context() as patch:

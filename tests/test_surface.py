@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.polynomial.legendre import leggauss
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from pytest import approx
 
 from anisomax import surface
@@ -37,6 +39,7 @@ from anisomax.errors import (
     ResolutionTooCoarseError,
 )
 from anisomax.grid import GridCube
+from anisomax.maximal import grid_points
 from anisomax.surface import (
     GraphSurface,
     KernelField,
@@ -57,6 +60,8 @@ from anisomax.surface import (
     plateau_profile,
     surface_quadrature,
 )
+
+from _oracles import plateau_branches, unique_cube_masses
 
 EPS = 0.25
 ZETA = EPS / 8.0
@@ -244,6 +249,34 @@ def test_plateau_profile_bounds(u):
     val = plateau_profile(np.array([u]))[0]
     assert 0.0 <= val <= 1.0
     assert val == approx(plateau_profile(np.array([-u]))[0])
+
+
+# the branch edges 1/2 and 1, their float neighbours, the largest float,
+# whose 2|u| overflows, and the non-finite
+_PLATEAU_EDGES = [v for e in (0.5, 1.0)
+                  for v in (e, np.nextafter(e, 0.0), np.nextafter(e, 2.0))]
+_PLATEAU_SPECIAL = sorted({s * v for v in _PLATEAU_EDGES + [np.finfo(float).max]
+                           for s in (1.0, -1.0)}) + [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                    elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                       st.floats(-1.5, 1.5),
+                                       st.sampled_from(_PLATEAU_SPECIAL))))
+def test_plateau_profile_is_the_three_branches_byte_for_byte(u):
+    got = plateau_profile(u)
+    assert got.shape == u.shape
+    assert got.tobytes() == plateau_branches(u).tobytes()
+
+
+def test_plateau_profile_edges_byte_for_byte():
+    u = np.array(_PLATEAU_SPECIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert plateau_profile(u).tobytes() == plateau_branches(u).tobytes()
+    assert np.all(plateau_profile(u)[np.abs(u) <= 0.5] == 1.0)
+    assert not np.any(plateau_profile(u)[~(np.abs(u) < 1.0)])
 
 
 def test_chi_factorizes():
@@ -516,11 +549,6 @@ def test_classify_grid_is_the_cell_centred_formula(dim, monkeypatch):
         assert lattice.cell_volume == float(np.prod((hi - lo) / n))
 
 
-def _unique_oracle(keys, masses):
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return np.bincount(inverse.ravel(), weights=masses)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cube_masses_match_unique_oracle(dim):
     # negative keys, and keys spanning more than 2^32 on an axis, where a
@@ -533,7 +561,7 @@ def test_cube_masses_match_unique_oracle(dim):
     keys = keys.astype(np.int64)
     masses = rng.random(n)
     got = _cube_masses(keys, masses)
-    want = _unique_oracle(keys, masses)
+    want = unique_cube_masses(keys, masses)
     assert np.ptp(keys[:, 0]) > 2 ** 32
     assert np.array_equal(got, want)
 
@@ -544,7 +572,29 @@ def test_cube_masses_single_point_and_ties():
     # rows equal in column 0 must still split on column 1
     keys = np.array([[0, 1], [0, -1], [0, 1], [-1, 1]], dtype=np.int64)
     masses = np.array([1.0, 2.0, 4.0, 8.0])
-    assert np.array_equal(_cube_masses(keys, masses), _unique_oracle(keys, masses))
+    assert np.array_equal(_cube_masses(keys, masses), unique_cube_masses(keys, masses))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), n=st.integers(1, 300))
+def test_cube_masses_are_the_row_grouping_byte_for_byte(data, dim, n):
+    # keys from a few values per column, so rows tie, and often on a prefix
+    span = data.draw(st.integers(0, 3))
+    keys = data.draw(hnp.arrays(np.int64, (n, dim), elements=st.integers(-span, span)))
+    masses = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    got = _cube_masses(keys, masses)
+    assert got.tobytes() == unique_cube_masses(keys, masses).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(axes=st.lists(hnp.arrays(np.float64, st.integers(1, 5),
+                                elements=st.floats(-10.0, 10.0)),
+                     min_size=1, max_size=4))
+def test_grid_points_is_the_raveled_meshgrid(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = np.column_stack([m.ravel() for m in mesh])
+    assert grid_points(axes).tobytes() == want.tobytes()
+    assert grid_points(axes).shape == want.shape
 
 
 def test_classify_rejects_cube_keys_past_exact_floats():
