@@ -50,7 +50,16 @@ class Atom:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         D = self.support.dilation
         local = pts @ D.power(-self.support.tau).T - np.asarray(self.support.index, dtype=float)
-        return self._evaluate_local(local)
+        inside = np.all((local >= 0.0) & (local < 1.0), axis=1)
+        vals = np.zeros(local.shape[0])
+        if not np.any(inside):
+            return vals
+        u = local[inside]
+        shape = self.axis_factor(0, u[:, 0])
+        for j in range(1, u.shape[1]):
+            shape = shape * self.axis_factor(j, u[:, j])
+        vals[inside] = self.amplitude * shape
+        return vals
 
     def axis_factor(self, j: int, u) -> np.ndarray:
         """The profile's 1-D factor along axis j at local coordinates u.
@@ -68,18 +77,6 @@ class Atom:
         if self.profile == "bump" and j == self.axis:
             return _smooth_hat(2.0 * u) - _smooth_hat(2.0 * u - 1.0)
         return _smooth_hat(u)
-
-    def _evaluate_local(self, local: np.ndarray) -> np.ndarray:
-        inside = np.all((local >= 0.0) & (local < 1.0), axis=1)
-        vals = np.zeros(local.shape[0])
-        if not np.any(inside):
-            return vals
-        u = local[inside]
-        shape = self.axis_factor(0, u[:, 0])
-        for j in range(1, u.shape[1]):
-            shape = shape * self.axis_factor(j, u[:, j])
-        vals[inside] = self.amplitude * shape
-        return vals
 
 
 def make_atom(Q: GridCube, profile: str, seed: int) -> Atom:
@@ -117,17 +114,10 @@ class AtomicSum:
         return float(_left_sum(lam for _, lam in self.terms))
 
     def evaluate(self, points) -> np.ndarray:
-        """Pointwise values, vectorized with one pullback per tau level."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        by_tau = {}
+        """Pointwise values: lambda_i a_i(points) added in term order."""
+        out = np.zeros(np.atleast_2d(points).shape[0])
         for atom, lam in self.terms:
-            by_tau.setdefault(atom.support.tau, []).append((atom, lam))
-        for tau, group in by_tau.items():
-            pulled = pts @ self.dilation.power(-tau).T
-            for atom, lam in group:
-                local = pulled - np.asarray(atom.support.index, dtype=float)
-                out += lam * atom._evaluate_local(local)
+            out += lam * atom.evaluate(points)
         return out
 
 

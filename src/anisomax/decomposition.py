@@ -41,12 +41,12 @@ at most once per call.
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import compress, product
+from itertools import product
 from math import inf
 
 import numpy as np
 
-from .dilation import _left_sum, cube_diameter
+from .dilation import _is_integer, _left_sum, cube_diameter
 from .errors import (
     BudgetExceededError,
     InputInvalidError,
@@ -89,18 +89,13 @@ def _mass_sum(masses, ids) -> float:
     return _left_sum(map(masses.__getitem__, ids))
 
 
-def _mass_of(masses, mask) -> float:
-    """_left_sum of the masked masses, in entry order."""
-    return _left_sum(compress(masses, mask.tolist()))
-
-
 def _level_mass(alpha: float, a: float, t: int) -> float:
     """alpha a^t in Python floats, inf where a^t leaves the float range:
     that threshold exceeds every finite total, so a ladder climbing past
     it stops there."""
     try:
-        return alpha * (a ** t)
-    except OverflowError:
+        return alpha * det_power(a, t)
+    except BudgetExceededError:
         return inf
 
 
@@ -196,6 +191,13 @@ def _share_dilation(cubes, D, what: str) -> None:
     """Raise InputInvalidError unless every cube has the entries' dilation D."""
     if any(Q.dilation is not D for Q in cubes):
         raise InputInvalidError(f"{what} must share the entries' dilation structure")
+
+
+def _check_ids(ids, count: int, what: str) -> None:
+    """Raise InputInvalidError naming the first id not an integer in range(count)."""
+    for i in ids:
+        if not (_is_integer(i) and 0 <= i < count):
+            raise InputInvalidError(f"{what} {i!r} is outside range({count})")
 
 
 class _BoxSet:
@@ -479,7 +481,7 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
         live_ids = [s_id for s_id, row in enumerate(selected) if row is not None]
         held = boxes.within_each(_row_array([selected[s_id] for s_id in live_ids]), 2.0)
         for col, s_id in enumerate(live_ids):
-            full = _mass_of(masses, held[:, col])
+            full = _mass_sum(masses, np.flatnonzero(held[:, col]).tolist())
             excess = full - C_W * alpha * row_volume(D, selected[s_id])
             if excess > _TOL * max(1.0, full) and (worst is None or excess > worst[1]):
                 worst = (s_id, excess)
@@ -541,12 +543,20 @@ def _merge_nested(D, selected, assigned):
 def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = C_W) -> CheckReport:
     """Re-check disjointness and the three defining conditions with witnesses.
 
-    Raises InputInvalidError when the entries or alpha are invalid, or when
-    a selected cube does not share the entries' dilation.
+    Raises InputInvalidError when the entries or alpha are invalid, when
+    a selected cube does not share the entries' dilation, or when the ids
+    do not assign or leave over each entry once, each host a selected cube.
     """
     D, entry_boxes, masses = _entries(entries, alpha)
     selected = result.selected
     _share_dilation(selected, D, "selected cubes")
+    ids = [*result.assigned, *result.leftover]
+    _check_ids(ids, len(entries), "entry id")
+    _check_ids(result.assigned.values(), len(selected), "host")
+    times = np.bincount(np.array(ids, dtype=np.intp), minlength=len(entries))
+    if np.any(times != 1):
+        i = int(np.argmax(times != 1))
+        raise InputInvalidError(f"entry {i} is assigned or left over {times[i]} times, not once")
     report = CheckReport()
     s_rows = _cube_rows(selected)
     s_boxes = _BoxSet(D, s_rows)
@@ -570,7 +580,7 @@ def verify_whitney(result: WhitneyResult, entries, alpha: float, c_w: float = C_
     ok, witness = True, None
     s_volume = s_boxes.volume.tolist()
     for s_id, volume in enumerate(s_volume):
-        full = _mass_of(masses, in_double[:, s_id])
+        full = _mass_sum(masses, np.flatnonzero(in_double[:, s_id]).tolist())
         bound = c_w * alpha * volume
         if full > bound * (1.0 + 1e-9):
             ok, witness = False, f"host {s_id}: mass {full:.6g} > {bound:.6g}"
@@ -837,6 +847,18 @@ def exceptional_volume(result: StoppingResult, S_list, entries, alpha: float,
     return total, bound
 
 
+def _escaped(regions, pts) -> int:
+    """How many of the (n, d) points pts no region holds: one covering loop,
+    each region, in order, asked only about the points no earlier one took."""
+    left, asked = np.arange(len(pts)), pts
+    for region in regions:
+        left = left[~region.contains_points(asked)]
+        if not left.size:
+            break
+        asked = pts[left]
+    return left.size
+
+
 def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
                     C: float = C_STOP, C_iv: float = C_IV, seed: int = 0) -> CheckReport:
     """Re-check the four defining conditions of the stopping construction.
@@ -853,20 +875,20 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
     Check (ii) certifies, then samples.  A pair (entry, level j) whose whole
     dilate Q + A^j B_1 provably lies in the entry's assigned primitive is
     settled by _certified_dilates.  Every other pair is tested at
-    STOPPING_SAMPLES points of Q + A^j B_1, first against the assigned
-    primitive and then, for the points it rejects, against the others; a
-    point none accepts is a witness.  A certified pair's points would all
-    have been accepted by the assigned primitive, so skipping them cannot
-    change the outcome or the witness.  The random stream is the one a
-    check without the certificate draws, the unit-ball points first and then
-    n d uniforms per entry in entry order: the generator is created only
-    when some pair is left to sample, and it advances past the uniforms of
-    each entry whose pairs are all certified, so every sampled entry meets
-    the same points.
+    STOPPING_SAMPLES points of Q + A^j B_1 by _escaped, the assigned
+    primitive first; the points no primitive holds are the witness.  A
+    certified pair's points would all have been accepted by the assigned
+    primitive, so skipping them cannot change the outcome or the witness.
+    The random stream is the one a check without the certificate draws,
+    the unit-ball points first and then n d uniforms per entry in entry
+    order: the generator is created only when some pair is left to sample,
+    and it advances past the uniforms of each entry whose pairs are all
+    certified, so every sampled entry meets the same points.
 
     Raises InputInvalidError when entries is empty or invalid, when alpha
     is not positive and finite, when an S cube does not share the entries'
-    dilation, or when kappa or assigned_primitive misses an entry.
+    dilation, when kappa or assigned_primitive misses an entry, or when an
+    assigned primitive is not a position in result.exceptional.
     """
     D, boxes, masses = _entries(entries, alpha)
     if not entries:
@@ -876,6 +898,7 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
         missing = set(range(len(entries))) - getattr(result, name).keys()
         if missing:
             raise InputInvalidError(f"{name} has no value for entry {min(missing)}")
+    _check_ids(result.assigned_primitive.values(), len(result.exceptional), "primitive")
     report = CheckReport()
     a = D.det_scale
     s_rows = _cube_rows(S_list)
@@ -908,25 +931,15 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
         u = rng.random((n, D.dim))
         due = i + 1
         x = origin[i][:, None] + basis[i] @ u.T
+        owner = result.assigned_primitive[i]
+        order = [owner] + [p for p in range(len(result.exceptional)) if p != owner]
         for j, sure in zip(levels[i].tolist(), certified[i].tolist()):
             if sure:
                 continue
-            pts = (x + D.power(j) @ ball).T
-            inside = region(result.assigned_primitive[i]).contains_points(pts)
-            if not np.all(inside):
-                missing = np.where(~inside)[0]
-                rest = np.zeros(len(missing), dtype=bool)
-                for p_idx in range(len(result.exceptional)):
-                    if p_idx == result.assigned_primitive[i]:
-                        continue
-                    rest |= region(p_idx).contains_points(pts[missing])
-                    if np.all(rest):
-                        break
-                if not np.all(rest):
-                    ok = False
-                    witness = (f"entry {i}, level {j}: "
-                               f"{int(np.sum(~rest))} of {n} samples escape")
-                    break
+            escaped = _escaped(map(region, order), (x + D.power(j) @ ball).T)
+            if escaped:
+                ok, witness = False, f"entry {i}, level {j}: {escaped} of {n} samples escape"
+                break
         if not ok:
             break
     report.add("ii_dilates_covered", ok, witness)

@@ -19,16 +19,16 @@ A cube is a slotted GridCube in the public API and a (sigma, tau, *index)
 int row in batched code.  Each quantity has one row rule: row_volume (the
 scalar power det_power: Python floats, BudgetExceededError past them),
 which GridCube calls, row_tau_parent, which the Whitney guard calls, and
-cube_frames, the origin and basis of many rows, summed over the basis
-columns left to right (_fold, no BLAS product, so no row's bits depend on
-the others) as realize() sums them for one.  cube_vertices and the tendril
-pullbacks (_pullbacks, for one TendrilBound and for tendrils_cover_dilates,
-which decides the dilated cells of many bounds at once) build on
-cube_frames; one diameter rule (dilation.span_diameter) serves
-Parallelepiped.diameter and cube_diameter.  GridCube and Parallelepiped
-carry no derived state.  A TendrilBound(cube) computes its pullback once,
-when built, and keeps it: it is built per call, by the caller that asks it
-questions, and never kept by a result.
+cube_frames, the origin and basis of many rows or, for realize(), of one,
+summed over the basis columns left to right (_fold, no BLAS product, so
+no row's bits depend on the others).  cube_vertices and the tendril
+pullbacks (_pullbacks, for one TendrilBound and for
+tendrils_cover_dilates) build on it, and one growth rule (_expanded) and
+one diameter rule (dilation.span_diameter) serve cubes and parallelepipeds
+alike.  GridCube and Parallelepiped carry no derived state.  A
+TendrilBound(cube) computes its pullback once, when built, and keeps it:
+it is built per call, by the caller that asks it questions, and never
+kept by a result.
 
 Layout: public point arrays are (N, d), one point per row, in any memory
 order.  The membership kernels work coordinate-major inside, on (d, N)
@@ -83,8 +83,8 @@ def _vertices(origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def cube_frames(D: DilationStructure, scale: np.ndarray, index: np.ndarray):
     """(origin, basis), (N, d) and (N, d, d): row k is the origin and basis
-    of GridCube(*scale[k], index[k]).realize(), bit for bit; scale holds
-    (sigma, tau) rows.  The basis 2^sigma A^tau is scaled exactly."""
+    of GridCube(*scale[k], index[k]); scale holds (sigma, tau) rows.  The
+    basis 2^sigma A^tau is scaled exactly."""
     basis = np.ldexp(D.powers(scale[:, 1].tolist()), scale[:, 0, None, None])
     return _fold(basis, index[:, None, :].astype(float))[:, 0], basis
 
@@ -156,14 +156,10 @@ class GridCube:
     def volume(self) -> float:
         return row_volume(self.dilation, (self.sigma, self.tau))
 
-    @property
-    def side(self) -> float:
-        return 2.0 ** self.sigma
-
     def realize(self) -> "Parallelepiped":
-        basis = self.side * self.dilation.power(self.tau)
-        origin = _fold(basis, np.asarray([self.index], dtype=float))[0]
-        return Parallelepiped(origin=origin, basis=basis)
+        origin, basis = cube_frames(self.dilation, np.array([(self.sigma, self.tau)]),
+                                    np.array([self.index]))
+        return Parallelepiped(origin=origin[0], basis=basis[0])
 
     def vertices(self) -> np.ndarray:
         return self.realize().vertices()
@@ -211,8 +207,13 @@ def expand_cube(cube: GridCube, factor: float) -> Parallelepiped:
 
 
 def expand_parallelepiped(p: Parallelepiped, factor: float) -> Parallelepiped:
-    shift = 0.5 * (factor - 1.0) * (p.basis @ np.ones(p.dim))
-    return Parallelepiped(origin=p.origin - shift, basis=factor * p.basis)
+    return Parallelepiped(*_expanded(p.origin, p.basis, factor))
+
+
+def _expanded(origin: np.ndarray, basis: np.ndarray, factor: float):
+    """origin + basis [0, 1]^d grown about its center, over any leading axes."""
+    shift = 0.5 * (factor - 1.0) * (basis @ np.ones(basis.shape[-1]))
+    return origin - shift, factor * basis
 
 
 # ------------------------------------------------------------------ tendrils
@@ -257,11 +258,9 @@ def _pullbacks(D: DilationStructure, scale: np.ndarray, index: np.ndarray):
     """Per cube row (sigma, tau, index), stacked: A^-(tau+2), and the origin
     and basis of the pullback of q** = expand_cube(q, 4), each bit for bit
     the product one cube at a time gives."""
-    origin, basis = cube_frames(D, scale, index)
-    # expand_parallelepiped's shift, 0.5 (4 - 1) basis 1
-    origin = origin - 1.5 * (basis @ np.ones(D.dim))
+    origin, basis = _expanded(*cube_frames(D, scale, index), 4.0)
     pull = D.powers((-2 - scale[:, 1]).tolist())
-    return pull, (pull @ origin[:, :, None])[:, :, 0], pull @ (4.0 * basis)
+    return pull, (pull @ origin[:, :, None])[:, :, 0], pull @ basis
 
 
 def _pullback_box(origin: np.ndarray, basis: np.ndarray):

@@ -47,7 +47,7 @@ import numpy as np
 from .atoms import AtomicSum
 from .dilation import _is_integer, cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
-from .grid import TendrilBound, _is_diagonal
+from .grid import TendrilBound, _axis_view, _is_diagonal
 
 MAGIC = b"ANISOFLD"
 THRESHOLD_COUNT = 64
@@ -535,13 +535,10 @@ def _excluded_mask(lattice: Lattice, exclude) -> np.ndarray:
 
 def _picked_centers(lattice: Lattice, slices, picked) -> np.ndarray:
     """Centers of the window cells where the boolean array picked holds, C order."""
-    columns = []
-    for j in range(lattice.dim):
-        axis = [1] * lattice.dim
-        axis[j] = -1
-        centers = lattice.axis_centers(j)[slices[j]].reshape(axis)
-        columns.append(np.broadcast_to(centers, picked.shape)[picked])
-    return np.column_stack(columns)
+    return np.column_stack([
+        np.broadcast_to(_axis_view(lattice.axis_centers(j)[s], j, lattice.dim),
+                        picked.shape)[picked]
+        for j, s in enumerate(slices)])
 
 
 def distribution_function(field: SampledField, thresholds,

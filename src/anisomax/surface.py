@@ -11,8 +11,8 @@ concentration on a maximal.Lattice over each cap, and the two
 convolution-type bounds share one setup, the one place a cap becomes nodes:
 a maximal.Lattice around the supports moved by the nodes, with the fields
 computed by maximal.convolve_dilated at k = 0 (the nodes unmoved).  The
-autocorrelation kernel keeps its own KernelField, a centered cubic grid that
-callers also build by hand.
+autocorrelation kernel is a KernelField, values on a centered cubic
+maximal.Lattice that callers also build by hand.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
     InputInvalidError,
     ResolutionTooCoarseError,
 )
+from .grid import det_power
 from .maximal import Lattice, _min_atom_diameter, convolve_dilated, grid_points, make_lattice
 
 CHI_RADIUS = 0.48
@@ -61,18 +62,17 @@ def plateau_profile(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GraphSurface:
-    """Graph of psi over [-chi_radius, chi_radius]^{d-1} with cutoff chi."""
+    """Graph of psi over [-CHI_RADIUS, CHI_RADIUS]^{d-1} with cutoff chi."""
 
     catalog_id: str
     dim: int
     psi: callable
     grad: callable
     hess: callable
-    chi_radius: float = CHI_RADIUS
 
     def chi(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        return np.prod(plateau_profile(y / self.chi_radius), axis=1)
+        return np.prod(plateau_profile(y / CHI_RADIUS), axis=1)
 
     def points(self, y: np.ndarray) -> np.ndarray:
         """Ambient points (y, psi(y))."""
@@ -169,8 +169,7 @@ def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
         psi, grad, hess = _poly_callables(coeffs, p)
 
     surface = GraphSurface(kind, dim, psi, grad, hess)
-    r = surface.chi_radius
-    ambient = surface.points(grid_points([np.linspace(-r, r, _PROBE_POINTS)] * p))
+    ambient = surface.points(grid_points([np.linspace(-CHI_RADIUS, CHI_RADIUS, _PROBE_POINTS)] * p))
     radius = float(np.max(np.linalg.norm(ambient, axis=1)))
     if radius > 1.0:
         raise InputInvalidError(f"surface leaves the unit ball (radius {radius:.3f})")
@@ -238,7 +237,9 @@ def _tensor_rule(panels):
 
 def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
     """Full-measure nodes: composite Gauss-Legendre weighted by chi."""
-    r = surface.chi_radius
+    if not (_is_integer(n_gl) and n_gl >= 4):
+        raise InputInvalidError(f"n_gl must be an integer >= 4, got {n_gl!r}")
+    r = CHI_RADIUS
     panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r), max(8, n_gl // 4))
     y, w = _tensor_rule([panels] * (surface.dim - 1))
     return SurfaceMeasure(surface, y, surface.points(y), w * surface.chi(y))
@@ -300,8 +301,7 @@ class SurfacePiece:
     def _rule(self):
         """(param_points, weights) of the cap's Gauss rule over its box."""
         r_cap = self.partition.r_cap
-        chi_r = self.surface.chi_radius
-        chi_cuts = (-chi_r, -0.5 * chi_r, 0.5 * chi_r, chi_r)
+        chi_cuts = (-CHI_RADIUS, -0.5 * CHI_RADIUS, 0.5 * CHI_RADIUS, CHI_RADIUS)
         panels = []
         for c in self.center:
             # The normalizer sum of plateau caps has features at quarter-cap
@@ -331,7 +331,7 @@ def partition_measure(surface: GraphSurface, s: int, eps: float) -> list:
     p = surface.dim - 1
     radius = 2.0 ** (-eps * s)
     r_cap = radius / (2.0 * np.sqrt(2.0 * p))
-    m_side = int(np.ceil(surface.chi_radius / r_cap - 0.5))
+    m_side = int(np.ceil(CHI_RADIUS / r_cap - 0.5))
     if (2 * m_side + 1) ** p > _PIECE_BUDGET:
         raise BudgetExceededError("cap count exceeds the piece budget")
     centers = r_cap * grid_points([np.arange(-m_side, m_side + 1)] * p).astype(float)
@@ -387,7 +387,7 @@ def classify_pieces(pieces: list, surface: GraphSurface, D: DilationStructure,
     # density cap times this window
     levels = []
     for tau in range(0, -s - 9, -1):
-        threshold = (2.0 ** (zeta * s)) * a ** tau / cube_diameter(D, tau)
+        threshold = (2.0 ** (zeta * s)) * det_power(a, tau) / cube_diameter(D, tau)
         window = float(np.prod(np.sum(np.abs(D.power(tau)[:-1, :]), axis=1)))
         levels.append((tau, threshold, window))
 
@@ -477,16 +477,14 @@ class KernelField:
 
     @property
     def cell_volume(self) -> float:
+        # the values' normalizer; lattice.cell_volume can round apart in 3-D
         return self.spacing ** self.dim
 
-    def axis_centers(self) -> np.ndarray:
-        n = self.values.shape[0]
-        return -self.half_width + (np.arange(n) + 0.5) * self.spacing
-
-    def radii(self) -> np.ndarray:
-        c = self.axis_centers()
-        mesh = np.meshgrid(*([c] * self.dim), indexing="ij")
-        return np.sqrt(sum(m * m for m in mesh))
+    @property
+    def lattice(self) -> Lattice:
+        """The cubic grid of the values, from -half_width."""
+        return Lattice(origin=(-self.half_width,) * self.dim,
+                       spacing=(self.spacing,) * self.dim, shape=self.values.shape)
 
 
 def autocorrelation_kernel(measure, n_bins: int = KERNEL_BINS) -> KernelField:
@@ -496,6 +494,8 @@ def autocorrelation_kernel(measure, n_bins: int = KERNEL_BINS) -> KernelField:
     as many modules as the rest of the package, so the import stays here,
     off the path of every run that asks for no kernel.
     """
+    if not (_is_integer(n_bins) and n_bins >= 1):
+        raise InputInvalidError(f"n_bins must be an integer >= 1, got {n_bins!r}")
     from scipy.ndimage import gaussian_filter
 
     pts = measure.quad_points
@@ -538,7 +538,7 @@ def check_kernel_decay(kernel: KernelField) -> KernelDecayReport:
     if r_min >= r_max:
         raise DegenerateFitError("empty radius range")
 
-    radii = kernel.radii().ravel()
+    radii = np.linalg.norm(kernel.lattice.points(), axis=1)
     mags = np.abs(kernel.values).ravel()
     shell_r = np.geomspace(r_min, r_max, DECAY_N_SHELLS)
     g = np.sqrt(shell_r[1] / shell_r[0])

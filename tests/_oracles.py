@@ -5,12 +5,15 @@ cube_center and tau_parent, a cube question that only tests ask: no run of
 the package calls them, so they live beside the tests that read them.
 plateau_branches and unique_cube_masses are the branch-by-branch plateau
 and the row-wise cube grouping that surface.plateau_profile and
-surface._cube_masses replaced.
+surface._cube_masses replaced; two_loop_escaped, per_tau_sum and
+meshgrid_radii are the check-(ii) count, the atomic-sum values and the
+kernel radii as they were computed before decomposition._escaped,
+AtomicSum.evaluate's sum over Atom.evaluate and KernelField.lattice.
 """
 
 import numpy as np
 
-from anisomax.atoms import Atom
+from anisomax.atoms import Atom, AtomicSum
 from anisomax.decomposition import StoppingResult, _entries, _mass_sum, _star_groups
 from anisomax.grid import GridCube, Parallelepiped, TendrilBound, row_tau_parent
 
@@ -23,7 +26,7 @@ def cube_contains(outer: Parallelepiped, inner: GridCube) -> bool:
 def cube_center(cube: GridCube) -> np.ndarray:
     """The center A^tau 2^sigma (index + 1/2) of the cube."""
     n = np.asarray(cube.index, dtype=float)
-    return cube.dilation.power(cube.tau) @ (cube.side * (n + 0.5))
+    return cube.dilation.power(cube.tau) @ ((2.0 ** cube.sigma) * (n + 0.5))
 
 
 def tau_parent(cube: GridCube) -> GridCube:
@@ -105,3 +108,45 @@ def unique_cube_masses(keys: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Summed mass per distinct key row, by np.unique over the rows."""
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
     return np.bincount(inverse.ravel(), weights=masses)
+
+
+def two_loop_escaped(regions, pts) -> int:
+    """decomposition._escaped by two loops: the first region asked about
+    every point, then each other region about every point the first
+    rejects, until all are held."""
+    regions = iter(regions)
+    missing = np.flatnonzero(~next(regions).contains_points(pts))
+    rest = np.zeros(len(missing), dtype=bool)
+    for region in regions:
+        if np.all(rest):
+            break
+        rest |= region.contains_points(pts[missing])
+    return int(np.sum(~rest))
+
+
+def per_tau_sum(f: AtomicSum, points) -> np.ndarray:
+    """The atomic sum's values with one pullback per tau level, the terms
+    added tau group by tau group, each atom the product of its axis
+    factors."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros(len(pts))
+    by_tau = {}
+    for atom, lam in f.terms:
+        by_tau.setdefault(atom.support.tau, []).append((atom, lam))
+    for tau, group in by_tau.items():
+        pulled = pts @ f.dilation.power(-tau).T
+        for atom, lam in group:
+            local = pulled - np.asarray(atom.support.index, dtype=float)
+            shape = atom.axis_factor(0, local[:, 0])
+            for j in range(1, local.shape[1]):
+                shape = shape * atom.axis_factor(j, local[:, j])
+            out += lam * atom.amplitude * shape
+    return out
+
+
+def meshgrid_radii(kernel) -> np.ndarray:
+    """The distance of every kernel cell center from 0, in C order, from
+    the centers -half_width + (n + 1/2) spacing on a meshgrid."""
+    c = -kernel.half_width + (np.arange(kernel.values.shape[0]) + 0.5) * kernel.spacing
+    mesh = np.meshgrid(*([c] * kernel.dim), indexing="ij")
+    return np.sqrt(sum(m * m for m in mesh)).ravel()

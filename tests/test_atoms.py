@@ -22,7 +22,7 @@ from anisomax.dilation import validate_dilation
 from anisomax.errors import InputInvalidError
 from anisomax.grid import GridCube
 
-from _oracles import compose_dilation
+from _oracles import compose_dilation, per_tau_sum
 
 
 def _diag24():
@@ -130,6 +130,27 @@ def test_atomic_sum_norm_and_eval():
     pts = rng.uniform(-1.0, 2.0, size=(200, 2))
     direct = 0.25 * a1.evaluate(pts) + 1.5 * a2.evaluate(pts)
     assert f.evaluate(pts) == approx(direct)
+
+
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 4]], [[4, 1], [1, 3]],
+                                    [[2, 0, 0], [0, 3, 0], [0, 0, 4]]])
+def test_atomic_sum_adds_its_atoms_in_term_order(matrix):
+    # the values are lambda_i a_i(x) added term by term, bit for bit, and
+    # within 1e-12 of the peak of the per-tau grouping they replaced, whose
+    # order of addition differs where taus interleave
+    D = validate_dilation(matrix)
+    for seed in range(4):
+        # every support holds the origin's corner, so the terms stack
+        f = random_atomic_sum(D, 40, range(-2, 1), (0.1, 2.0), seed, profile="bump",
+                              index_span=0)
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2000, D.dim))
+        direct = np.zeros(len(pts))
+        for atom, lam in f.terms:
+            direct += lam * atom.evaluate(pts)
+        got = f.evaluate(pts)
+        assert got.tobytes() == direct.tobytes()
+        grouped = per_tau_sum(f, pts)
+        assert np.abs(got - grouped).max() <= 1e-12 * np.abs(grouped).max()
 
 
 def test_atomic_sum_norm_is_the_left_fold():

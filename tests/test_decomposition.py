@@ -25,7 +25,7 @@ from anisomax.decomposition import (
     _BoxSet,
     _certified_dilates,
     _cube_rows,
-    _mass_of,
+    _mass_sum,
     _merge_nested,
     _split_box,
     _star_groups,
@@ -61,6 +61,7 @@ from _oracles import (
     cube_contains,
     replay_trace_masses,
     tau_parent,
+    two_loop_escaped,
 )
 
 
@@ -104,13 +105,15 @@ def test_left_sum_is_the_left_fold(values):
     assert repr(_left_sum(values)) == repr(reduce(operator.add, values))
 
 
-def test_mass_of_is_the_left_fold():
-    # the masked masses add one at a time in entry order, as the doubles'
-    # masses in _star_groups' skip argument do
+def test_mass_sum_of_a_mask_is_the_left_fold():
+    # the masked masses, as the Whitney guard and condition 1 pick them, add
+    # one at a time in entry order, as the doubles' masses in _star_groups'
+    # skip argument do
     masses = [1.0, 1e-16, 3.0, 1e-16, 1e-16]
     mask = np.array([True, True, False, True, True])
     picked = [lam for lam, keep in zip(masses, mask) if keep]
-    assert repr(_mass_of(masses, mask)) == repr(reduce(operator.add, picked)) == "1.0"
+    got = _mass_sum(masses, np.flatnonzero(mask).tolist())
+    assert repr(got) == repr(reduce(operator.add, picked)) == "1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +797,55 @@ def test_verify_stopping_rejects_kappa_missing_an_entry(diag_dilation):
         verify_stopping(res, S_list, entries + [(R, 1.0)], 1.0)
 
 
+def _unit_and_child(D):
+    """A unit cube of mass 5 beside a lighter cube of its double, at alpha 1."""
+    return [(GridCube(0, 0, (0, 0), D), 5.0), (GridCube(0, -1, (1, 0), D), 0.5)]
+
+
+@pytest.mark.parametrize("assigned, leftover, named", [
+    ({}, [], "entry 0 is assigned or left over 0 times"),
+    ({0: 0}, [], "entry 1 is assigned or left over 0 times"),
+    ({0: 0, 1: 0}, [1], "entry 1 is assigned or left over 2 times"),
+    ({0: 0}, [1, 1], "entry 1 is assigned or left over 2 times"),
+    ({0: 0, 1: 0, 7: 0}, [], "entry id 7 is outside range"),
+    ({-1: 0, 1: 0}, [0], "entry id -1 is outside range"),
+    ({0: 0}, [1, 9], "entry id 9 is outside range"),
+])
+def test_verify_whitney_refuses_ids_that_do_not_partition_the_entries(
+        diag_dilation, assigned, leftover, named):
+    # mass 5 on a unit cube at alpha 1 has to be selected, yet the empty
+    # result passed every check; entry 7 and leftover 9 raised IndexError,
+    # and entry -1 wrapped around and passed
+    entries = _unit_and_child(diag_dilation)
+    wres = whitney_decompose(entries, 1.0)
+    assert wres.assigned == {0: 0, 1: 0} and verify_whitney(wres, entries, 1.0).passed
+    bad = WhitneyResult(wres.selected if assigned else [], assigned, leftover, 1.0)
+    with pytest.raises(InputInvalidError, match=named):
+        verify_whitney(bad, entries, 1.0)
+
+
+@pytest.mark.parametrize("host", [1, 5, -1])
+def test_verify_whitney_refuses_a_host_outside_the_selection(diag_dilation, host):
+    # host 5 raised IndexError, and -1 read the last selected cube
+    entries = _unit_and_child(diag_dilation)
+    wres = whitney_decompose(entries, 1.0)
+    bad = dataclasses.replace(wres, assigned={0: 0, 1: host})
+    with pytest.raises(InputInvalidError, match=f"host {host} is outside range"):
+        verify_whitney(bad, entries, 1.0)
+
+
+def test_verify_stopping_refuses_a_primitive_outside_the_exceptional_set(diag_dilation):
+    # primitive 99 raised IndexError, and -1 read the last primitive and
+    # passed
+    S_list, entries, res = _one_entry_stopping(diag_dilation)
+    count = len(res.exceptional)
+    for primitive in (99, -1, count):
+        bad = dataclasses.replace(res, assigned_primitive={0: primitive})
+        with pytest.raises(InputInvalidError,
+                           match=rf"primitive {primitive} is outside range\({count}\)"):
+            verify_stopping(bad, S_list, entries, 1.0)
+
+
 def _every_entry_call(D):
     """Each public call that reads entries, as a function of (entries,
     alpha), on one valid stopping result."""
@@ -1365,6 +1417,42 @@ def test_dilate_witness_matches_sampling_the_realized_cubes(matrix):
             assert check == ("ii_dilates_covered", want is None, want), (seed, grow)
             seen += want is not None
     assert seen >= 5, seen
+
+
+@pytest.mark.parametrize("matrix", [[[4, 0], [0, 2]], [[4, 1], [1, 3]]])
+def test_one_covering_loop_gives_the_two_loop_report(matrix, monkeypatch):
+    # check (ii) once asked the assigned primitive about every sample and
+    # each other primitive about all the samples the assigned one rejected;
+    # one covering loop asks each only about what is left, with the same
+    # reports, witnesses included, on results mutated to fail: kappa + 2,
+    # the last entry's kappa + 5 or -100, entry 0's primitive swapped for a
+    # far quadrupled cube
+    import anisomax.decomposition as decomposition
+
+    seen = {"passed": 0, "witness": 0}
+    for seed, (alpha, S_list, kept) in enumerate(found_pipeline_instances(matrix, 24)):
+        res = stopping_time(S_list, kept, alpha)
+        last = len(kept) - 1
+        owner = res.exceptional[res.assigned_primitive[0]]
+        far = GridCube(0, owner.cube.tau, tuple(v + 400 for v in owner.cube.index),
+                       owner.cube.dilation)
+        swapped = list(res.exceptional)
+        swapped[res.assigned_primitive[0]] = ExceptionalPrimitive("quad", far, owner.volume_term)
+        variants = [
+            res,
+            dataclasses.replace(res, kappa={i: k + 2 for i, k in res.kappa.items()}),
+            dataclasses.replace(res, kappa={**res.kappa, last: res.kappa[last] + 5}),
+            dataclasses.replace(res, kappa={**res.kappa, last: -100}),
+            dataclasses.replace(res, exceptional=swapped),
+        ]
+        for variant in variants:
+            report = verify_stopping(variant, S_list, kept, alpha, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(decomposition, "_escaped", two_loop_escaped)
+                twin = verify_stopping(variant, S_list, kept, alpha, seed=seed)
+            assert report.checks == twin.checks, seed
+            seen["passed" if report.checks[1][1] else "witness"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_replay_reproduces_recorded_masses(diag_dilation):

@@ -61,7 +61,7 @@ from anisomax.surface import (
     surface_quadrature,
 )
 
-from _oracles import plateau_branches, unique_cube_masses
+from _oracles import meshgrid_radii, plateau_branches, unique_cube_masses
 
 EPS = 0.25
 ZETA = EPS / 8.0
@@ -653,6 +653,37 @@ def test_autocorrelation_resolution_guard():
     meas = surface_quadrature(circ, 200)
     with pytest.raises(ResolutionTooCoarseError):
         autocorrelation_kernel(meas, n_bins=8)
+
+
+@pytest.mark.parametrize("n_bins", [0, -5, 2.5, True, 63.0])
+def test_autocorrelation_kernel_takes_a_positive_integer_bin_count(n_bins):
+    # 0 raised ZeroDivisionError, -5 ValueError, and 2.5 and True read as
+    # a resolution too coarse
+    meas = surface_quadrature(make_surface("circle-arc"), 24)
+    with pytest.raises(InputInvalidError, match=r"n_bins must be an integer >= 1, got "):
+        autocorrelation_kernel(meas, n_bins)
+    assert autocorrelation_kernel(meas, np.int64(63)).values.shape == (63, 63)
+
+
+@pytest.mark.parametrize("n_gl", [0, -4, 3, 2.5, 100.0, True])
+def test_surface_quadrature_takes_an_integer_node_count_of_at_least_4(n_gl):
+    # 0, -4 and 2.5 built 8-node panels without complaint, and 100.0 raised
+    # TypeError; 4 is the config's floor
+    circ = make_surface("circle-arc")
+    with pytest.raises(InputInvalidError, match=r"n_gl must be an integer >= 4, got "):
+        surface_quadrature(circ, n_gl)
+    assert len(surface_quadrature(circ, np.int64(4)).quad_weights) == 32
+
+
+@given(st.integers(1, 3), st.integers(1, 40),
+       st.floats(1e-3, 1e3), st.floats(1e-4, 1e2))
+def test_kernel_lattice_radii_are_the_meshgrid_radii(dim, n, half_width, spacing):
+    # check_kernel_decay reads the radii off the kernel's Lattice: the same
+    # bytes as the meshgrid of centers the kernel once built for itself
+    kernel = KernelField(values=np.zeros((n,) * dim), half_width=half_width,
+                         spacing=spacing, dim=dim, mass_squared=1.0)
+    radii = np.linalg.norm(kernel.lattice.points(), axis=1)
+    assert radii.tobytes() == meshgrid_radii(kernel).tobytes()
 
 
 def test_kernel_decay_circle_band():
