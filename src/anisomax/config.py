@@ -22,7 +22,7 @@ from .atoms import AtomicSum, make_atom, random_atomic_sum
 from .dilation import DilationStructure, _is_integer, validate_dilation
 from .errors import AnisoError, ConfigInvalidError
 from .grid import GridCube
-from .surface import make_surface
+from .surface import QUADRATURE_PANEL_FLOOR, QUADRATURE_PANELS, make_surface, quadrature_nodes
 
 DEFAULTS = {
     "matrix": [[2.0, 0.0], [0.0, 4.0]],
@@ -278,6 +278,12 @@ def _validate(raw: dict) -> ExperimentConfig:
                 raise ConfigInvalidError(
                     f"atoms.list[{pos}].lam must be a finite number with lam > 0, "
                     f"got {row.get('lam')!r}")
-    if cfg.n_gl < 4:
-        raise ConfigInvalidError("n_gl too small to quadrature")
+    # the manifest records n_gl, so it must be the node count the run uses
+    nodes = quadrature_nodes(cfg.n_gl)
+    if nodes != cfg.n_gl:
+        raise ConfigInvalidError(
+            f"n_gl={cfg.n_gl} would build {nodes} nodes per axis: surface_quadrature "
+            f"takes max({QUADRATURE_PANEL_FLOOR}, n_gl // {QUADRATURE_PANELS}) Gauss "
+            f"nodes on each of {QUADRATURE_PANELS} panels, so n_gl must be a multiple "
+            f"of {QUADRATURE_PANELS} and at least {QUADRATURE_PANELS * QUADRATURE_PANEL_FLOOR}")
     return cfg

@@ -133,7 +133,11 @@ def run_experiment(config, experiment: str, out_dir=None) -> int:
         raise ConfigInvalidError(
             f"unknown experiment {experiment!r}; choose from {EXPERIMENT_NAMES}")
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalidError(
+            f"cannot create the output directory {str(out)!r}: {exc.strerror}")
     runner = _RUNNERS[experiment]
     summary = CheckReport()
     runner(config, out, summary)

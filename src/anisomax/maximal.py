@@ -14,16 +14,19 @@ and node, which is also the test oracle.  The maximal field is the
 pointwise sup of |mu_k * f| over a finite k range, with a reported tail
 criterion in place of k in Z.
 
-One engine (_maximal_fields) builds every maximal field.  At each k it
-first learns every term's region, then splits each sub-sum's terms into
-groups whose bounding boxes (hulls) are disjoint.  A lone term on the
-separable path folds its one block straight into the sup; every other
-group sums its blocks in a buffer the shape of its hull and folds that.
-Each atom's blocks are computed once and reach every sub-sum that holds
-the atom.  No array the size of the lattice is allocated but the sub-sums'
-sups, one block of 8 bytes per cell each, and no k folds more cells per
-sub-sum than the lattice holds.  The fold keeps the per-k peak the tail
-fractions are read from.  maximal_field is the engine's one-part case;
+One engine (_maximal_fields) builds every maximal field.  It first finds
+every k's node windows, so each sub-sum's hull, the bounding box of the
+cells its terms reach over the k range, is known before its sup is made:
+a sup can be nonzero only there, and it holds only those cells, carved
+from one block of 8 bytes per lattice cell and sub-sum.  At each k the
+engine splits each sub-sum's terms into groups whose hulls are disjoint.
+A lone term on the separable path folds its one block straight into the
+sup; every other group sums its blocks in a buffer the shape of its hull
+and folds that.  Each atom's blocks are computed once and reach every
+sub-sum that holds the atom.  The engine allocates no other array the
+size of the lattice, and no k folds more cells per sub-sum than its hull
+holds.  The fold keeps the per-k peak the tail fractions are read from.
+maximal_field is the engine's one-part case, placed on the whole lattice;
 convolve_dilated adds the same blocks for a single k.
 
 Superlevel-set sizes are cell counts times the cell volume, counted in a
@@ -34,13 +37,14 @@ window from per-axis tests under a diagonal A, and every other region, a
 quadrupled cube always, from the centers of the cells not yet in the mask.
 Every weak-type ratio comes from weak_type_report, or from
 weak_type_reports, which measures f and each of its tau groups from one
-engine run.
+engine run, each on its hull's cells.
 """
 
 import math
 import struct
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +122,12 @@ class Lattice:
         if np.any(first > last):
             return None
         return tuple(slice(int(a), int(b) + 1) for a, b in zip(first, last))
+
+    def sub(self, box) -> "Lattice":
+        """The lattice of the cells in box, a tuple of index slices."""
+        return Lattice(
+            origin=tuple(o + h * s.start for o, h, s in zip(self.origin, self.spacing, box)),
+            spacing=self.spacing, shape=_extent(box))
 
 
 def make_lattice(box, shape) -> Lattice:
@@ -220,9 +230,9 @@ def _axis_entries(f: AtomicSum, centers, shifted, atoms, nodes, first, last) -> 
     return out
 
 
-def _add_separable(atom, weights, entries, pairs: slice, lo, hi) -> np.ndarray:
-    """sum_i weights_i atom(x - shifted_i) on the union lo..hi of the node
-    windows, under a diagonal A.
+def _add_separable(atom, weights, entries, pairs: slice, region) -> np.ndarray:
+    """sum_i weights_i atom(x - shifted_i) on region, the box of slices
+    holding the node windows, under a diagonal A.
 
     The atom is amplitude x prod_j axis_factor(j, u_j), and under a diagonal
     A the local coordinate u_j depends on x_j alone.  G_j[c, i] is the axis-j
@@ -237,10 +247,10 @@ def _add_separable(atom, weights, entries, pairs: slice, lo, hi) -> np.ndarray:
     """
     n = len(weights)
     factors = []
-    for (cells, values, bounds, counts), a, b in zip(entries, lo, hi):
+    for (cells, values, bounds, counts), s in zip(entries, region):
         e = slice(bounds[pairs.start], bounds[pairs.stop])
-        g = np.zeros((b - a + 1, n))
-        g[cells[e] - a, np.repeat(np.arange(n), counts[pairs])] = values[e]
+        g = np.zeros((s.stop - s.start, n))
+        g[cells[e] - s.start, np.repeat(np.arange(n), counts[pairs])] = values[e]
         factors.append(g)
     # the Khatri-Rao product starts from G_0 itself, not from 1 x G_0
     rows = factors[0] if len(factors) > 1 else np.ones((1, n))
@@ -250,7 +260,7 @@ def _add_separable(atom, weights, entries, pairs: slice, lo, hi) -> np.ndarray:
     # the matrix product, is that of a weighted copy
     last = factors[-1]
     last *= weights * atom.amplitude
-    return (rows @ last.T).reshape(tuple(hi - lo + 1))
+    return (rows @ last.T).reshape(_extent(region))
 
 
 def _support_boxes(f: AtomicSum, lattice: Lattice):
@@ -267,37 +277,61 @@ def _support_boxes(f: AtomicSum, lattice: Lattice):
     return np.array(lo), np.array(hi)
 
 
-def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
-    """(regions, blocks) for the terms of mu_k * f: regions[t] is the box
-    holding every live window of term t, or None when the term misses the
-    lattice, and blocks(t) yields (slices, block) pairs whose sum, added in
-    turn, is the term's contribution.
+class _Windows(NamedTuple):
+    """The live node windows of mu_k * f at one k (_node_windows).
 
-    Node p of a term touches only the cells of its window, those whose
-    centers lie in the atom's support box (boxes, from _support_boxes)
-    shifted by A^k p; nodes whose window misses the lattice are dropped.
-    Every atom's node windows come from one window_bounds pass over the
-    stacked (atoms, nodes, d) boxes, so every region is known before any
-    block is computed.  Under a diagonal A a term's one block covers its
-    region, from one separable contraction (_add_separable); any other A
-    keeps the windowed scatter (_add_scatter), one block per node, which is
-    also the test oracle for the separable path.
+    Pair p is node nodes[p], displaced to shifted[nodes[p]] = A^k p_i, of
+    term atoms[p], with window first[p]..last[p], atom-major; pairs[t] is
+    term t's slice of the pairs, and regions[t] the box of slices holding
+    its windows, or None when the term misses the lattice.
     """
-    D = f.dilation
-    w = measure.quad_weights
-    shifted = measure.quad_points @ D.power(k).T
+
+    shifted: np.ndarray
+    atoms: np.ndarray
+    nodes: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    pairs: list
+    regions: list
+
+
+def _node_windows(f: AtomicSum, measure, k: int, lattice: Lattice, boxes) -> _Windows:
+    """Every live node window of mu_k * f, from one window_bounds pass.
+
+    Node i of a term touches only the cells of its window, those whose
+    centers lie in the atom's support box (boxes, from _support_boxes)
+    shifted by A^k p_i; pairs whose window misses the lattice are dropped.
+    One pass over the stacked (atoms, nodes, d) boxes finds them all, so
+    every term's region is known before any block is computed.
+    """
+    shifted = measure.quad_points @ f.dilation.power(k).T
     blo, bhi = boxes
     first, last = lattice.window_bounds(blo[:, None] + shifted, bhi[:, None] + shifted)
     atoms, nodes = np.nonzero(np.all(first <= last, axis=2))
     first, last = first[atoms, nodes], last[atoms, nodes]
     starts = np.searchsorted(atoms, np.arange(len(f.terms) + 1))
     pairs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-    spans = [(first[p].min(axis=0), last[p].max(axis=0)) if p.start < p.stop else None
-             for p in pairs]
-    regions = [None if span is None else tuple(slice(a, b + 1) for a, b in zip(*span))
-               for span in spans]
+    regions = [None if p.start == p.stop else tuple(
+        slice(a, b + 1) for a, b in zip(first[p].min(axis=0).tolist(),
+                                        last[p].max(axis=0).tolist()))
+        for p in pairs]
+    return _Windows(shifted, atoms, nodes, first, last, pairs, regions)
+
+
+def _term_blocks(f: AtomicSum, measure, lattice: Lattice, windows: _Windows):
+    """blocks(t), for the terms of mu_k * f at the k of windows: it yields
+    (slices, block) pairs whose sum, added in turn, is term t's
+    contribution, on the cells of its region.
+
+    Under a diagonal A a term's one block covers its region, from one
+    separable contraction (_add_separable); any other A keeps the windowed
+    scatter (_add_scatter), one block per node, which is also the test
+    oracle for the separable path.
+    """
+    shifted, atoms, nodes, first, last, pairs, regions = windows
+    w = measure.quad_weights
     centers = [lattice.axis_centers(j) for j in range(lattice.dim)]
-    separable = _is_diagonal(D.matrix)
+    separable = _is_diagonal(f.dilation.matrix)
     if separable:
         entries = _axis_entries(f, centers, shifted, atoms, nodes, first, last)
 
@@ -306,10 +340,10 @@ def _term_blocks(f: AtomicSum, measure, k: int, lattice: Lattice, boxes):
         p = pairs[t]
         weights = lam * w[nodes[p]]
         if separable:
-            return [(regions[t], _add_separable(atom, weights, entries, p, *spans[t]))]
+            return [(regions[t], _add_separable(atom, weights, entries, p, regions[t]))]
         return _add_scatter(centers, atom, weights, shifted[nodes[p]], first[p], last[p])
 
-    return regions, blocks
+    return blocks
 
 
 def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> SampledField:
@@ -320,17 +354,36 @@ def convolve_dilated(f: AtomicSum, measure, k: int, lattice: Lattice) -> Sampled
     """
     values = np.zeros(lattice.shape)
     if f.terms:
-        regions, blocks = _term_blocks(f, measure, k, lattice, _support_boxes(f, lattice))
-        for t, region in enumerate(regions):
+        windows = _node_windows(f, measure, k, lattice, _support_boxes(f, lattice))
+        blocks = _term_blocks(f, measure, lattice, windows)
+        for t, region in enumerate(windows.regions):
             if region is not None:
                 for slices, block in blocks(t):
                     values[slices] += block
     return SampledField(lattice, values)
 
 
+def _extent(box) -> tuple:
+    """The shape of the box, a tuple of slices."""
+    return tuple(s.stop - s.start for s in box)
+
+
 def _meet(a, b) -> bool:
     """Whether the boxes a and b, tuples of slices, share a cell."""
     return all(s.start < r.stop and r.start < s.stop for s, r in zip(a, b))
+
+
+def _hull(*boxes):
+    """The bounding box of the boxes, tuples of slices, or None for none."""
+    if not boxes:
+        return None
+    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                 for axis in zip(*boxes))
+
+
+def _within(slices, box) -> tuple:
+    """slices, a box inside box, at its offset in box."""
+    return tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(slices, box))
 
 
 def _disjoint_groups(terms, regions) -> list:
@@ -349,23 +402,26 @@ def _disjoint_groups(terms, regions) -> list:
             for g in met:
                 groups.remove(g)
                 members += g[0]
-                hull = tuple(slice(min(s.start, r.start), max(s.stop, r.stop))
-                             for s, r in zip(hull, g[1]))
+                hull = _hull(hull, g[1])
         groups.append((sorted(members), hull))
     return groups
 
 
 class _RunningSup:
-    """Pointwise sup over k of |mu_k * g|, for one sub-sum g.
+    """Pointwise sup over k of |mu_k * g|, for one sub-sum g, on g's hull.
 
-    best is g's view of the engine's sup block (_maximal_fields), 0 to
-    start, and fold raises it on one box at a time.  A k's groups of g
-    (_disjoint_groups) cover disjoint boxes, and every cell of g outside
-    them holds 0 and could not raise the sup.  peaks holds max |mu_k * g|
-    per k, so the field's peak and its tails need no pass over the lattice.
+    hull is the bounding box of the regions of g's terms over the whole k
+    range, or None when no term of g reaches the lattice at any k; every
+    cell outside it is 0 at every k and could not raise the sup.  best,
+    carved from the engine's block (_maximal_fields), holds the sup on the
+    hull's cells, 0 to start, and fold raises it on one box at a time, at
+    the box's offset in the hull.  A k's groups of g (_disjoint_groups)
+    cover disjoint boxes.  peaks holds max |mu_k * g| per k, so the field's
+    peak and its tails need no pass over the cells.
     """
 
-    def __init__(self, best: np.ndarray, ks):
+    def __init__(self, hull, best, ks):
+        self.hull = hull
         self.best = best
         self.peaks = dict.fromkeys(ks, 0.0)
 
@@ -380,11 +436,11 @@ class _RunningSup:
             raise InputInvalidError("field values must be finite")
         for sup in sups:
             sup.peaks[k] = max(sup.peaks[k], top)
-            best = sup.best[slices]
+            best = sup.best[_within(slices, sup.hull)]
             np.maximum(best, values, out=best)
 
-    def field(self, lattice: Lattice) -> SampledField:
-        """The sup as a field, with the range-end tail fractions."""
+    def provenance(self) -> dict:
+        """The k range and the range-end tail fractions of the sup."""
         ks = list(self.peaks)
         peak = max(self.peaks.values())
         tails = tuple(self.peaks[k] / peak if peak > 0 else 0.0
@@ -393,9 +449,7 @@ class _RunningSup:
             warnings.warn(
                 f"range ends contribute {max(tails):.3f} of the field max",
                 TailNotNegligibleWarning)
-        return SampledField(lattice, self.best, {
-            "k_range": (ks[0], ks[-1]), "tail_fractions": tails,
-        })
+        return {"k_range": (ks[0], ks[-1]), "tail_fractions": tails}
 
 
 class _Buffer:
@@ -410,44 +464,57 @@ class _Buffer:
 
     def add(self, slices, block: np.ndarray) -> None:
         if self.values is None:
-            self.values = np.zeros(tuple(h.stop - h.start for h in self.hull))
-        self.values[tuple(slice(s.start - h.start, s.stop - h.start)
-                          for s, h in zip(slices, self.hull))] += block
+            self.values = np.zeros(_extent(self.hull))
+        self.values[_within(slices, self.hull)] += block
 
 
 def _maximal_fields(f: AtomicSum, parts, measure, k_range,
                     lattice: Lattice) -> list:
-    """maximal_field of each sub-sum of f in parts, from one pass over k.
+    """The running sup (_RunningSup) of each sub-sum of f in parts, from
+    one pass over k.
 
-    parts lists term positions of f, ascending.  At each k every term's
-    region comes first (_term_blocks), and each part splits its live terms
-    into groups whose hulls are disjoint (_disjoint_groups).  A group of
-    one term on the separable path folds that term's one block as it is;
-    every other group adds its blocks into a buffer the shape of its hull
+    parts lists term positions of f, ascending.  Every k's node windows
+    come first (_node_windows), one window pass per k, so each part's hull,
+    the bounding box of its terms' regions over all k, is known before any
+    sup is allocated.  At each k each part splits its live terms into
+    groups whose hulls are disjoint (_disjoint_groups).  A group of one
+    term on the separable path folds that term's one block as it is; every
+    other group adds its blocks into a buffer the shape of its hull
     (_Buffer) and folds it after its last term.  Each atom's blocks are
     computed once and go into the buffers of every part that holds the
     atom before a direct fold makes them absolute.  So each cell sums the
     same blocks, in term order, from 0.0, as a run on that part alone
     would; a direct fold, which skips the 0.0, differs only in the sign of
-    a zero, and the fold's abs removes it.  No array the size of the
-    lattice is allocated but the sup block.
+    a zero, and the fold's abs removes it.
 
-    Every part's sup is a view of one (parts, *shape) block, so a returned
-    field keeps every part's sup alive.  One large block is allocated and
-    freed as a whole: freeing it raises glibc's adaptive mmap and trim
-    thresholds above the run's working set, where lattice-sized arrays
-    freed one by one would hand the heap back to the system after every
-    run, to be faulted in again by the next.
+    Every part's sup is carved, in its hull's shape, from the start of one
+    (parts, *shape) block, one after another, and only the carved cells are
+    zeroed and written; a hull is never larger than the lattice, so the
+    block holds them all.  A returned sup keeps the block alive.  The block
+    is allocated with np.empty and freed as a whole: freeing it raises
+    glibc's adaptive mmap and trim thresholds above the run's working set,
+    where lattice-sized arrays freed one by one would hand the heap back to
+    the system after every run, to be faulted in again by the next; and
+    np.empty touches no page the carved sups do not use.
     """
     ks = _normalize_k_range(k_range)
-    # np.full, not np.zeros: a fresh page of calloc read before it is
-    # written faults twice
-    best = np.full((len(parts), *lattice.shape), 0.0)
-    sups = [_RunningSup(b, ks) for b in best]
     boxes = _support_boxes(f, lattice)
+    windows = [_node_windows(f, measure, k, lattice, boxes) for k in ks]
+    sup_block = np.empty((len(parts), *lattice.shape)).reshape(-1)
+    sups, used = [], 0
+    for part in parts:
+        hull = _hull(*(w.regions[t] for w in windows for t in part
+                       if w.regions[t] is not None))
+        best = None
+        if hull is not None:
+            shape = _extent(hull)
+            best = sup_block[used:used + math.prod(shape)].reshape(shape)
+            best.fill(0.0)
+            used += best.size
+        sups.append(_RunningSup(hull, best, ks))
     separable = _is_diagonal(f.dilation.matrix)
-    for k in ks:
-        regions, blocks = _term_blocks(f, measure, k, lattice, boxes)
+    for k, w in zip(ks, windows):
+        regions, blocks = w.regions, _term_blocks(f, measure, lattice, w)
         direct = [[] for _ in f.terms]     # sups that fold term t's block as it is
         adds = [[] for _ in f.terms]       # buffers that take term t's blocks
         closing = [[] for _ in f.terms]    # buffers folded after term t
@@ -472,17 +539,26 @@ def _maximal_fields(f: AtomicSum, parts, measure, k_range,
             for buffer in closing[t]:
                 _RunningSup.fold([buffer.sup], k, buffer.hull, buffer.values)
                 buffer.values = None
-    return [sup.field(lattice) for sup in sups]
+    return sups
 
 
 def maximal_field(f: AtomicSum, measure, k_range, lattice: Lattice) -> SampledField:
-    """Pointwise sup over k = lo..hi of |mu_k * f|, k_range = (lo, hi).
+    """Pointwise sup over k = lo..hi of |mu_k * f|, k_range = (lo, hi), on
+    the whole lattice.
 
     The ends of the truncated range must contribute less than 1% of the
     field maximum; otherwise a TailNotNegligibleWarning is emitted.  The
     measured end fractions are stored in the provenance either way.
     """
-    return _maximal_fields(f, [range(len(f.terms))], measure, k_range, lattice)[0]
+    (sup,) = _maximal_fields(f, [range(len(f.terms))], measure, k_range, lattice)
+    values = sup.best
+    # a hull the size of the lattice is the lattice, carved in its layout,
+    # so only a smaller one is placed into zeros
+    if values is None or values.shape != lattice.shape:
+        values = np.zeros(lattice.shape)
+        if sup.hull is not None:
+            values[sup.hull] = sup.best
+    return SampledField(lattice, values, sup.provenance())
 
 
 def _normalize_k_range(k_range) -> list:
@@ -558,10 +634,8 @@ def distribution_function(field: SampledField, thresholds,
     if not (np.all(np.isfinite(thresholds)) and np.all(np.diff(thresholds) >= 0)):
         raise InputInvalidError("thresholds must be finite and sorted ascending")
     picked = field.values > thresholds[0]
+    excluded = _cell_mask(excluded, field.lattice)
     if excluded is not None:
-        excluded = np.asarray(excluded, dtype=bool)
-        if excluded.shape != field.lattice.shape:
-            raise InputInvalidError("excluded mask shape does not match the lattice")
         picked &= ~excluded
     kept = field.values[picked]
     kept.sort()
@@ -569,6 +643,16 @@ def distribution_function(field: SampledField, thresholds,
     measures = field.lattice.cell_volume * above
     weak = float(np.max(thresholds * measures))
     return DistributionReport(thresholds=thresholds, measures=measures, weak_ratio=weak)
+
+
+def _cell_mask(excluded, lattice: Lattice):
+    """excluded as a boolean array in the lattice shape, or None."""
+    if excluded is None:
+        return None
+    excluded = np.asarray(excluded, dtype=bool)
+    if excluded.shape != lattice.shape:
+        raise InputInvalidError("excluded mask shape does not match the lattice")
+    return excluded
 
 
 def _positive_norm(f: AtomicSum) -> float:
@@ -604,11 +688,17 @@ def weak_type_reports(f: AtomicSum, measure, k_range, lattice: Lattice,
     """weak_type_report of each tau group of f and of f, from one field run.
 
     Keys are the taus of f, ascending, then "all" for f itself; each value
-    is (atomic sum, maximal field, report, ratio), equal to what
-    weak_type_report gives on that sum alone.  mu_k * f is the sum of the
-    group fields at each k, so one _maximal_fields run convolves each atom
-    once per k and feeds the group's array and f's.
+    is (atomic sum, maximal field, report, ratio), with the report and ratio
+    equal to what weak_type_report gives on that sum alone.  mu_k * f is
+    the sum of the group fields at each k, so one _maximal_fields run
+    convolves each atom once per k and feeds the group's sup and f's.  A
+    returned field covers its hull's sub-lattice (Lattice.sub), the cells
+    the sum's dilates reach over the k range, and is measured there with
+    the mask cut to the hull: every cell outside it is 0.0, which no
+    positive threshold counts.  A sum whose atoms reach no cell at any k
+    has no field: its field and report are None and its ratio 0.
     """
+    excluded = _cell_mask(excluded, lattice)
     positions = {}
     for i, (atom, _) in enumerate(f.terms):
         positions.setdefault(atom.support.tau, []).append(i)
@@ -616,11 +706,18 @@ def weak_type_reports(f: AtomicSum, measure, k_range, lattice: Lattice,
     parts = [AtomicSum([f.terms[i] for i in positions[tau]], f.dilation)
              for tau in taus] + [f]
     norms = [_positive_norm(part) for part in parts]
-    fields = _maximal_fields(
+    sups = _maximal_fields(
         f, [positions[tau] for tau in taus] + [range(len(f.terms))],
         measure, k_range, lattice)
-    return {key: (part,) + _weak_type(mf, h1, excluded) for key, part, mf, h1
-            in zip(taus + ["all"], parts, fields, norms)}
+    reports = {}
+    for key, part, sup, h1 in zip(taus + ["all"], parts, sups, norms):
+        if sup.hull is None:
+            reports[key] = (part, None, None, 0.0)
+            continue
+        mf = SampledField(lattice.sub(sup.hull), sup.best, sup.provenance())
+        mask = None if excluded is None else excluded[sup.hull]
+        reports[key] = (part,) + _weak_type(mf, h1, mask)
+    return reports
 
 
 def weak_type_ratio(f: AtomicSum, measure, k_range, lattice: Lattice,

@@ -47,6 +47,10 @@ DECAY_N_SHELLS = 12
 DECAY_SLOPE_CUT = -0.7
 # the constant C of the sup, L1 and pair bounds of the kernel-bound checks
 PIECE_BOUND_FACTOR = 64.0
+# surface_quadrature cuts each axis into QUADRATURE_PANELS Gauss panels of
+# at least QUADRATURE_PANEL_FLOOR nodes each (quadrature_nodes)
+QUADRATURE_PANELS = 4
+QUADRATURE_PANEL_FLOOR = 8
 # each cap's Gauss rule (SurfacePiece._rule) puts PIECE_GL_NODES // 2 nodes
 # in every panel of an axis
 PIECE_GL_NODES = 24
@@ -235,12 +239,22 @@ def _tensor_rule(panels):
             np.prod(grid_points([w for _, w in panels]), axis=1))
 
 
+def quadrature_nodes(n_gl: int) -> int:
+    """Gauss nodes per axis of surface_quadrature's rule for n_gl:
+    QUADRATURE_PANELS panels of max(QUADRATURE_PANEL_FLOOR, n_gl //
+    QUADRATURE_PANELS) nodes each, so n_gl itself only for a multiple of
+    the panel count that is at least the floor's total."""
+    return QUADRATURE_PANELS * max(QUADRATURE_PANEL_FLOOR, n_gl // QUADRATURE_PANELS)
+
+
 def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
-    """Full-measure nodes: composite Gauss-Legendre weighted by chi."""
+    """Full-measure nodes: composite Gauss-Legendre weighted by chi, with
+    quadrature_nodes(n_gl) nodes per axis."""
     if not (_is_integer(n_gl) and n_gl >= 4):
         raise InputInvalidError(f"n_gl must be an integer >= 4, got {n_gl!r}")
     r = CHI_RADIUS
-    panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r), max(8, n_gl // 4))
+    panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r),
+                              quadrature_nodes(n_gl) // QUADRATURE_PANELS)
     y, w = _tensor_rule([panels] * (surface.dim - 1))
     return SurfaceMeasure(surface, y, surface.points(y), w * surface.chi(y))
 

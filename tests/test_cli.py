@@ -342,11 +342,17 @@ def test_cli_geometry_number_is_a_config_error(tmp_path, override, field):
     ("atoms.list=[{tau: 0, index: [0, 0], lam: 1.0}, "
      "{tau: 0, index: [1, 0], lam: 1.0, profil: bump}]",
      "unknown config key: atoms.list[1].profil"),
+    ("n_gl=16", "n_gl=16 would build 32 nodes per axis: surface_quadrature takes "
+     "max(8, n_gl // 4) Gauss nodes on each of 4 panels"),
+    ("n_gl=34", "n_gl=34 would build 32 nodes per axis"),
+    ("n_gl=35", "n_gl=35 would build 32 nodes per axis"),
 ])
 def test_cli_config_of_the_wrong_shape_is_a_config_error(tmp_path, override, message):
     # a section or an atom list of the wrong type used to end in a
     # TypeError or AttributeError traceback (exit 1), and a row key the
-    # run does not read ran: a misspelt profile ran a haar atom
+    # run does not read ran: a misspelt profile ran a haar atom; an n_gl
+    # the quadrature rule rounds ran the 32-node rule while the manifest
+    # recorded the n_gl asked for
     res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
                 "--override", override])
     assert res.exit_code == 2
@@ -549,6 +555,24 @@ def test_cli_out_dir_precedence(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_cli_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, source):
+    # an existing file as the output directory used to end in a
+    # FileExistsError traceback from mkdir (exit 1, "an assertion failed")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    args = ["run", "--experiment", "validate-dilation"]
+    if source == "flag":
+        res = _run(args + ["--out", str(taken)])
+    else:
+        res = _run(args, env={"ANISOMAX_OUT": str(taken)})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("config error: cannot create the output directory")
+    assert str(taken) in res.stderr and res.stderr.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_cli_seeded_reruns_are_byte_identical(tmp_path):
     a, b, c = (tmp_path / name for name in ("one", "two", "three"))
     for out in (a, b):
@@ -743,7 +767,7 @@ PIPELINE_3D = [
                   " {tau: 0, index: [0, 0, -10], lam: 2.0, profile: bump},"
                   " {tau: 0, index: [0, 1, -10], lam: 1.5, profile: bump}]",
     "--override", "k_range=[-2, 2]",
-    "--override", "n_gl=16",
+    "--override", "n_gl=32",
     "--override", "s_range=[4, 4]",
 ]
 

@@ -544,6 +544,21 @@ def _full_lattice_sup(f, measure, ks, lattice):
     return best, (ends[0] / peak, ends[-1] / peak)
 
 
+def _hull_of(mf, lattice):
+    """The index box of the lattice that mf, a weak_type_reports field on
+    its hull's sub-lattice, covers."""
+    assert mf.lattice.spacing == lattice.spacing
+    start = np.rint(np.subtract(mf.lattice.origin, lattice.origin) / lattice.spacing)
+    return tuple(slice(a, a + n) for a, n in zip(start.astype(int).tolist(), mf.values.shape))
+
+
+def _placed(mf, lattice) -> np.ndarray:
+    """mf's values at its hull in a lattice-shaped array of zeros."""
+    values = np.zeros(lattice.shape)
+    values[_hull_of(mf, lattice)] = mf.values
+    return values
+
+
 def _group_kind(members, regions, separable) -> str:
     """direct: a lone term folded as it is, on the separable path;
     buffered: a lone term in a buffer, on the scatter; overlapping: terms
@@ -620,13 +635,13 @@ def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
             alone = maximal_field(part, nodes, (ks[0], ks[-1]), lat)
             best, tails = _full_lattice_sup(part, nodes, ks, lat)
             for other in (alone.values, best):
-                assert np.array_equal(mf.values, other)
+                assert np.array_equal(_placed(mf, lat), other)
             assert alone.provenance["tail_fractions"] == tails
             assert mf.provenance["tail_fractions"] == tails
             assert tails[1] == 0.0
             assert ratio == weak_type_report(part, nodes, (ks[0], ks[-1]), lat)[2]
     # the total is not the sup of the group fields: the groups overlap
-    groups = np.maximum(reports[-1][1].values, reports[0][1].values)
+    groups = np.maximum(_placed(reports[-1][1], lat), _placed(reports[0][1], lat))
     assert not np.array_equal(reports["all"][1].values, groups)
 
 
@@ -656,10 +671,10 @@ def test_groups_fold_in_buffers_the_size_of_their_hulls(monkeypatch):
             assert kinds == want
             for key, (part, mf, _, _) in reports.items():
                 alone = maximal_field(part, nodes, ks, lat)
-                assert np.array_equal(mf.values, alone.values)
+                assert np.array_equal(_placed(mf, lat), alone.values)
                 assert mf.provenance["tail_fractions"] == alone.provenance["tail_fractions"]
                 best, tails = _full_lattice_sup(part, nodes, range(ks[0], ks[1] + 1), lat)
-                assert np.array_equal(mf.values, best)
+                assert np.array_equal(_placed(mf, lat), best)
                 assert mf.provenance["tail_fractions"] == tails
         assert len(reports) == len({tau for tau, _ in cubes}) + 1
 
@@ -700,8 +715,13 @@ def test_engine_fields_equal_full_lattice_passes(matrix, atoms, ks):
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
         reports = weak_type_reports(f, arc, tuple(ks), lat, None)
     for key, (part, mf, _, _) in reports.items():
+        # each field covers its hull's sub-lattice: placed there, it is the
+        # full-lattice sup bit for bit, and that sup is exactly 0.0 outside
         best, tails = _full_lattice_sup(part, arc, range(ks[0], ks[1] + 1), lat)
-        assert np.array_equal(mf.values, best)
+        assert _placed(mf, lat).tobytes() == best.tobytes()
+        outside = np.ones(lat.shape, dtype=bool)
+        outside[_hull_of(mf, lat)] = False
+        assert np.all(best[outside] == 0.0)
         assert mf.provenance["tail_fractions"] == tails
 
 
@@ -751,6 +771,52 @@ def test_engine_peak_stays_near_its_sup_block():
     reports, _, peak = _traced_reports(*_fault_guard_case())
     assert len(reports) == 4
     assert peak / (len(reports) * 512 * 512) <= 11.0
+
+
+def test_sups_hold_the_cells_of_their_hulls():
+    # each part's sup is carved in its hull's shape, the cells its terms
+    # reach over the k range: on the fault guard's case the four sups hold
+    # 1.19 lattice planes of cells, where a lattice-sized sup each held 4
+    f, measure, k_range, lat = _fault_guard_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        reports = weak_type_reports(f, measure, k_range, lat, None)
+    assert len(reports) == 4
+    cells = sum(mf.values.size for _, mf, _, _ in reports.values())
+    assert cells / math.prod(lat.shape) <= 1.25
+
+
+def test_a_group_that_reaches_no_cell_has_no_field():
+    # the tau -1 cube sits at (50, 50), far off the lattice, so its group
+    # reaches no cell at any k: its report is None and its ratio 0, as a
+    # vanishing field's, and it is given no field and no cells of the sup
+    # block; the other group's field is the whole sum's
+    D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+    f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (200, 100))])
+    arc = _circle_measure(24)
+    lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (96, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailNotNegligibleWarning)
+        reports = weak_type_reports(f, arc, (-1, 1), lat, None)
+        part, mf, report, ratio = reports[-1]
+        assert (mf, report, ratio) == (None, None, 0.0)
+        assert weak_type_report(part, arc, (-1, 1), lat)[1:] == (None, 0.0)
+        alone = reports[0][1]
+        assert np.array_equal(reports["all"][1].values, alone.values)
+        assert reports["all"][1].lattice == alone.lattice
+    assert alone.values.size < math.prod(lat.shape)
+
+
+def test_weak_type_reports_rejects_a_mask_of_another_shape():
+    # a larger mask would slice to every hull without an error, so the
+    # shape is checked against the lattice before any field is built
+    D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
+    f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 0))])
+    lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (96, 64))
+    for shape in ((64, 96), (96, 63), (97, 65), (96 * 64,)):
+        with pytest.raises(InputInvalidError, match="excluded mask shape"):
+            weak_type_reports(f, _circle_measure(24), (-1, 1), lat,
+                              np.zeros(shape, dtype=bool))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1206,7 +1272,10 @@ def golden_digests(name):
         fields = [convolve_dilated(f, measure, k, lat) for k in range(lo, hi + 1)]
         fields.append(maximal_field(f, measure, (lo, hi), lat))
         reports = weak_type_reports(f, measure, (lo, hi), lat, None)
-        fields += [mf for _, mf, _, _ in reports.values()]
+        # each field covers its hull's sub-lattice; hashed at its hull in
+        # the lattice, it has the bytes of the whole-lattice field
+        fields += [SampledField(lat, _placed(mf, lat), mf.provenance)
+                   for _, mf, _, _ in reports.values()]
     return [_field_digest(fld) for fld in fields]
 
 
