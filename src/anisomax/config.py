@@ -22,7 +22,7 @@ from .atoms import AtomicSum, make_atom, random_atomic_sum
 from .dilation import DilationStructure, _is_integer, validate_dilation
 from .errors import AnisoError, ConfigInvalidError
 from .grid import GridCube
-from .surface import QUADRATURE_PANEL_FLOOR, QUADRATURE_PANELS, make_surface, quadrature_nodes
+from .surface import check_node_count, make_surface
 
 DEFAULTS = {
     "matrix": [[2.0, 0.0], [0.0, 4.0]],
@@ -214,6 +214,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     try:
         dim = cfg.dilation().dim
         cfg.surface_obj()
+        # the manifest records n_gl, so it must be the node count the run uses
+        check_node_count(cfg.n_gl)
     except AnisoError as exc:
         raise ConfigInvalidError(f"config rejected by its module: {exc}")
     for name, value in (("eps", cfg.eps), ("zeta", cfg.zeta), ("alpha", cfg.alpha)):
@@ -278,12 +280,4 @@ def _validate(raw: dict) -> ExperimentConfig:
                 raise ConfigInvalidError(
                     f"atoms.list[{pos}].lam must be a finite number with lam > 0, "
                     f"got {row.get('lam')!r}")
-    # the manifest records n_gl, so it must be the node count the run uses
-    nodes = quadrature_nodes(cfg.n_gl)
-    if nodes != cfg.n_gl:
-        raise ConfigInvalidError(
-            f"n_gl={cfg.n_gl} would build {nodes} nodes per axis: surface_quadrature "
-            f"takes max({QUADRATURE_PANEL_FLOOR}, n_gl // {QUADRATURE_PANELS}) Gauss "
-            f"nodes on each of {QUADRATURE_PANELS} panels, so n_gl must be a multiple "
-            f"of {QUADRATURE_PANELS} and at least {QUADRATURE_PANELS * QUADRATURE_PANEL_FLOOR}")
     return cfg

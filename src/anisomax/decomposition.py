@@ -19,10 +19,10 @@ Every cube relation (inside a cube, inside its double, overlap) is read
 from one pullback box, a cube's bounding box in the units of the other
 cube's grid, under one tolerance rule.  _BoxSet builds its rows' vertices
 in one pass, pulls each tau back by one matrix product (the taus a
-question needs together) and scales it exactly by 2^-sigma; its masks and
-_star_groups answer for a whole list at once.  Masses are still summed one
-entry at a time, in entry order, with _left_sum, and a step whose whole
-mass is within its bound is skipped (_star_groups says why that is exact).
+question needs together) and scales it exactly by 2^-sigma.  Its masks and
+_heavy_doubles, the one "mass in a double over a level" test, answer for a
+whole list at once.  Masses are summed one entry at a time, in entry order,
+with _left_sum; a step whose whole mass is within its bound computes no box.
 
 An exceptional primitive keeps only (kind, cube, volume_term); its region,
 a grid.TendrilBound or the Parallelepiped 4S, is built on demand by the
@@ -99,32 +99,33 @@ def _level_mass(alpha: float, a: float, t: int) -> float:
         return inf
 
 
-def _star_groups(boxes, ids, sigma: int, tau: int, bound=None, total=None) -> dict:
-    """Map each index n to the ids, in the given order, whose cube lies in
-    the double of (sigma, tau, n).
+def _heavy_doubles(boxes, masses, ids, total, sigma: int, tau: int, bound) -> dict:
+    """Map each index n whose double in the (sigma, tau) grid holds more
+    than bound of the ids' masses to (members, mass): the ids, in the given
+    order, whose cube lies in the double of (sigma, tau, n), and their
+    masses left-folded in that order (_mass_sum).  Doubles come in the
+    order the ids first reach them.
 
     The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so each id's
     indices form a window of per-axis inequalities on its pullback box.
 
-    Given a bound and total, the ids' masses (nonnegative) summed in the
-    given order, the map is left empty, with no box computed, when total is
-    at most the bound: no double's mass can exceed it.  Summed over its
-    group, a double's mass sums a subsequence of the list's terms in the
-    same order, and round-to-nearest is monotone, so by induction over the
-    terms its rounded sum never exceeds the list's.  The induction is over
-    left-to-right rounding, so the total and every double mass it stands in
-    for are taken with _left_sum.
+    total is the ids' masses (nonnegative) left-folded in the given order.
+    When it is at most the bound, no box is computed and the map is empty:
+    a double's mass left-folds a subsequence of the same terms in the same
+    order, and round-to-nearest is monotone, so by induction over the terms
+    its rounded sum never exceeds the total.
     """
-    groups = {}
-    if not ids or (bound is not None and total <= bound):
-        return groups
+    if total <= bound:
+        return {}
     lo, hi, tol = _split_box(boxes._pull(tau).take(ids, axis=1) * 2.0 ** -sigma)
     n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
     n_max = np.floor(lo + 0.5 + tol).astype(np.int64) + 1
+    groups = {}
     for i, first, stop in zip(ids, n_min.tolist(), n_max.tolist()):
         for n in product(*map(range, first, stop)):
             groups.setdefault(n, []).append(i)
-    return groups
+    sums = {n: (members, _mass_sum(masses, members)) for n, members in groups.items()}
+    return {n: group for n, group in sums.items() if group[1] > bound}
 
 
 def _split_box(scaled):
@@ -163,18 +164,18 @@ def _cube_rows(cubes) -> np.ndarray:
     return _row_array([(Q.sigma, Q.tau, *Q.index) for Q in cubes])
 
 
-def _entries(entries, alpha=None):
+def _entries(entries, alpha: float):
     """(D, boxes, masses) of (GridCube, lam) entries on the sigma = 0 grid:
     their dilation (None when there are none), the _BoxSet of their rows,
     and their masses as given.
 
-    Raises InputInvalidError when alpha, if given, is not positive and
-    finite, or when a cube is off sigma = 0, a mass is negative or not
-    finite, or the entries do not share one dilation.  Sharing is identity,
-    which means an equal matrix: validate_dilation gives one structure per
-    matrix while it is referenced.
+    Raises InputInvalidError when alpha is not positive and finite, or when
+    a cube is off sigma = 0, a mass is negative or not finite, or the
+    entries do not share one dilation.  Sharing is identity, which means an
+    equal matrix: validate_dilation gives one structure per matrix while it
+    is referenced.
     """
-    if alpha is not None and not 0 < alpha < inf:
+    if not 0 < alpha < inf:
         raise InputInvalidError(f"alpha must be positive and finite, got {alpha!r}")
     D = entries[0][0].dilation if entries else None
     for cube, lam in entries:
@@ -426,11 +427,11 @@ def whitney_decompose(entries, alpha: float) -> WhitneyResult:
             active_ids = sorted(active)
             active_total = _mass_sum(masses, active_ids)
         level = alpha * det_power(a, t)
-        candidates = _star_groups(boxes, active_ids, 0, t, level, active_total)
-        for n in sorted(candidates):
-            members = [i for i in candidates[n] if i in active]
-            residual = _mass_sum(masses, members)
-            if residual > level:
+        # a double that is not heavy cannot pass the level with fewer members
+        heavy = _heavy_doubles(boxes, masses, active_ids, active_total, 0, t, level)
+        for n in sorted(heavy):
+            members = [i for i in heavy[n][0] if i in active]
+            if _mass_sum(masses, members) > level:
                 s_id = len(selected)
                 selected.append((0, t, *n))
                 for i in members:
@@ -743,21 +744,17 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             if nearest > (2.0 ** (sigma + 1)) * unit_diam:
                 break
             threshold = alpha * (2.0 ** sigma) * det_power(a, tau)
-            candidates = _star_groups(boxes, live_ids, sigma, tau, threshold, live_total)
-            chosen = []
-            for n in sorted(candidates):
-                mass = _mass_sum(masses, candidates[n])
-                if mass > threshold:
-                    chosen.append((n, mass))
+            heavy = _heavy_doubles(boxes, masses, live_ids, live_total, sigma, tau, threshold)
+            chosen = sorted(heavy)
             trace.append(TraceEvent(kind="step", sigma=sigma, tau=tau))
-            for n, mass in chosen:
+            for n in chosen:
                 selected_qs.add((sigma, tau, n))
                 trace.append(TraceEvent(kind="select", sigma=sigma, tau=tau,
-                                        index=n, mass=mass))
+                                        index=n, mass=heavy[n][1]))
             # chosen ascends, so the first chosen double holding a live
             # entry is the one that stops it
-            for n, _ in chosen:
-                for i in candidates[n]:
+            for n in chosen:
+                for i in heavy[n][0]:
                     if i not in live:
                         continue
                     live.discard(i)
@@ -963,15 +960,11 @@ def verify_stopping(result: StoppingResult, S_list, entries, alpha: float,
             stopped_total = _mass_sum(masses, stopped)
         bound = C_iv * alpha * (2.0 ** sigma) * det_power(a, tau)
         limit = bound * (1.0 + 1e-9)
-        groups = _star_groups(boxes, stopped, sigma, tau, limit, stopped_total)
-        for n, members in groups.items():
-            mass = _mass_sum(masses, members)
-            if mass > limit:
-                ok = False
-                witness = (f"step ({sigma}, {tau}), cube {n}: "
-                           f"stopped mass {mass:.6g} > {bound:.6g}")
-                break
-        if not ok:
+        heavy = _heavy_doubles(boxes, masses, stopped, stopped_total, sigma, tau, limit)
+        if heavy:
+            n, (_, mass) = next(iter(heavy.items()))
+            ok, witness = False, (f"step ({sigma}, {tau}), cube {n}: "
+                                  f"stopped mass {mass:.6g} > {bound:.6g}")
             break
     report.add("iv_stopped_mass_bounded", ok, witness)
 

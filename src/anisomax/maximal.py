@@ -79,6 +79,8 @@ class Lattice:
     def __post_init__(self):
         if not (len(self.origin) == len(self.spacing) == len(self.shape)):
             raise InputInvalidError("lattice origin, spacing, shape disagree")
+        if not self.shape:
+            raise InputInvalidError("a lattice needs at least one dimension")
         if not all(_is_integer(n) and n > 0 for n in self.shape):
             raise InputInvalidError(
                 f"lattice shape must be positive integers, got {self.shape!r}")

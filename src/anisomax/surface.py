@@ -48,7 +48,7 @@ DECAY_SLOPE_CUT = -0.7
 # the constant C of the sup, L1 and pair bounds of the kernel-bound checks
 PIECE_BOUND_FACTOR = 64.0
 # surface_quadrature cuts each axis into QUADRATURE_PANELS Gauss panels of
-# at least QUADRATURE_PANEL_FLOOR nodes each (quadrature_nodes)
+# at least QUADRATURE_PANEL_FLOOR nodes each (check_node_count)
 QUADRATURE_PANELS = 4
 QUADRATURE_PANEL_FLOOR = 8
 # each cap's Gauss rule (SurfacePiece._rule) puts PIECE_GL_NODES // 2 nodes
@@ -239,22 +239,26 @@ def _tensor_rule(panels):
             np.prod(grid_points([w for _, w in panels]), axis=1))
 
 
-def quadrature_nodes(n_gl: int) -> int:
-    """Gauss nodes per axis of surface_quadrature's rule for n_gl:
-    QUADRATURE_PANELS panels of max(QUADRATURE_PANEL_FLOOR, n_gl //
-    QUADRATURE_PANELS) nodes each, so n_gl itself only for a multiple of
-    the panel count that is at least the floor's total."""
-    return QUADRATURE_PANELS * max(QUADRATURE_PANEL_FLOOR, n_gl // QUADRATURE_PANELS)
+def check_node_count(n_gl) -> None:
+    """Raise InputInvalidError unless n_gl is an integer that
+    surface_quadrature's rule, stated in the message, builds exactly."""
+    if not _is_integer(n_gl):
+        raise InputInvalidError(f"n_gl must be an integer, got {n_gl!r}")
+    nodes = QUADRATURE_PANELS * max(QUADRATURE_PANEL_FLOOR, n_gl // QUADRATURE_PANELS)
+    if nodes != n_gl:
+        raise InputInvalidError(
+            f"n_gl={n_gl} would build {nodes} nodes per axis: surface_quadrature "
+            f"takes max({QUADRATURE_PANEL_FLOOR}, n_gl // {QUADRATURE_PANELS}) Gauss "
+            f"nodes on each of {QUADRATURE_PANELS} panels, so n_gl must be a multiple "
+            f"of {QUADRATURE_PANELS} and at least {QUADRATURE_PANELS * QUADRATURE_PANEL_FLOOR}")
 
 
 def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
     """Full-measure nodes: composite Gauss-Legendre weighted by chi, with
-    quadrature_nodes(n_gl) nodes per axis."""
-    if not (_is_integer(n_gl) and n_gl >= 4):
-        raise InputInvalidError(f"n_gl must be an integer >= 4, got {n_gl!r}")
+    n_gl nodes per axis (check_node_count)."""
+    check_node_count(n_gl)
     r = CHI_RADIUS
-    panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r),
-                              quadrature_nodes(n_gl) // QUADRATURE_PANELS)
+    panels = _gauss_panels_1d(-r, r, (-0.5 * r, 0.0, 0.5 * r), n_gl // QUADRATURE_PANELS)
     y, w = _tensor_rule([panels] * (surface.dim - 1))
     return SurfaceMeasure(surface, y, surface.points(y), w * surface.chi(y))
 

@@ -3,6 +3,8 @@
 Each is a slow, direct statement of what a fast path computes, or, as
 cube_center and tau_parent, a cube question that only tests ask: no run of
 the package calls them, so they live beside the tests that read them.
+star_groups is the unbounded double grouping that
+decomposition._heavy_doubles filters by mass.
 plateau_branches and unique_cube_masses are the branch-by-branch plateau
 and the row-wise cube grouping that surface.plateau_profile and
 surface._cube_masses replaced; two_loop_escaped, per_tau_sum and
@@ -11,10 +13,12 @@ kernel radii as they were computed before decomposition._escaped,
 AtomicSum.evaluate's sum over Atom.evaluate and KernelField.lattice.
 """
 
+from itertools import product
+
 import numpy as np
 
 from anisomax.atoms import Atom, AtomicSum
-from anisomax.decomposition import StoppingResult, _entries, _mass_sum, _star_groups
+from anisomax.decomposition import StoppingResult, _entries, _mass_sum, _split_box
 from anisomax.grid import GridCube, Parallelepiped, TendrilBound, row_tau_parent
 
 
@@ -57,18 +61,38 @@ def clamped_sq(region: TendrilBound, rel: np.ndarray) -> np.ndarray:
     return np.square(rel, out=rel).sum(axis=0)
 
 
+def star_groups(boxes, ids, sigma: int, tau: int) -> dict:
+    """Map each index n to the ids, in the given order, whose cube lies in
+    the double of (sigma, tau, n), with no bound: the relation that
+    decomposition._heavy_doubles filters by mass.
+
+    The double of cube n is [n - 1/2, n + 3/2]^d in grid units, so each id's
+    indices form a window of per-axis inequalities on its pullback box.
+    """
+    groups = {}
+    if not ids:
+        return groups
+    lo, hi, tol = _split_box(boxes._pull(tau).take(ids, axis=1) * 2.0 ** -sigma)
+    n_min = np.ceil(hi - 1.5 - tol).astype(np.int64)
+    n_max = np.floor(lo + 0.5 + tol).astype(np.int64) + 1
+    for i, first, stop in zip(ids, n_min.tolist(), n_max.tolist()):
+        for n in product(*map(range, first, stop)):
+            groups.setdefault(n, []).append(i)
+    return groups
+
+
 def replay_trace_masses(result: StoppingResult, entries):
     """Recompute each select event's mass from scratch by replaying the trace.
 
     Returns a list of (event, recomputed mass) pairs for every select event;
     a correct trace reproduces its recorded masses exactly.
     """
-    _, boxes, masses = _entries(entries)
+    _, boxes, masses = _entries(entries, result.alpha)
     live = set(range(len(entries)))
     pairs = []
     for ev in result.trace:
         if ev.kind == "select":
-            members = _star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
+            members = star_groups(boxes, sorted(live), ev.sigma, ev.tau).get(ev.index, [])
             pairs.append((ev, _mass_sum(masses, members)))
         elif ev.kind == "classify":
             live.discard(ev.entry)

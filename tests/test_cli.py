@@ -823,7 +823,7 @@ def test_cli_import_leaves_scipy_ndimage_to_the_kernel():
         "import anisomax.cli",
         "from anisomax.surface import autocorrelation_kernel, make_surface, surface_quadrature",
         "assert 'scipy' not in sys.modules, 'loaded by import anisomax.cli'",
-        "autocorrelation_kernel(surface_quadrature(make_surface('circle-arc'), 24), n_bins=63)",
+        "autocorrelation_kernel(surface_quadrature(make_surface('circle-arc'), 32), n_bins=63)",
         "assert 'scipy.ndimage' in sys.modules, 'not loaded by autocorrelation_kernel'",
     ])
     src = Path(__file__).resolve().parents[1] / "src"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 from pytest import approx
@@ -25,10 +25,10 @@ from anisomax.decomposition import (
     _BoxSet,
     _certified_dilates,
     _cube_rows,
+    _heavy_doubles,
     _mass_sum,
     _merge_nested,
     _split_box,
-    _star_groups,
     exceptional_volume,
     stopping_time,
     verify_stopping,
@@ -60,6 +60,7 @@ from _oracles import (
     cube_center,
     cube_contains,
     replay_trace_masses,
+    star_groups,
     tau_parent,
     two_loop_escaped,
 )
@@ -89,7 +90,7 @@ def random_instance(D, alpha, n_entries, seed, tau_lo=-6, tau_hi=0, span=6):
 
 
 # ---------------------------------------------------------------------------
-# the left fold behind the mass sums and _star_groups' skip
+# the left fold behind the mass sums and _heavy_doubles' skip
 
 
 def test_left_sum_rounds_each_add():
@@ -107,7 +108,7 @@ def test_left_sum_is_the_left_fold(values):
 
 def test_mass_sum_of_a_mask_is_the_left_fold():
     # the masked masses, as the Whitney guard and condition 1 pick them, add
-    # one at a time in entry order, as the doubles' masses in _star_groups'
+    # one at a time in entry order, as the doubles' masses in _heavy_doubles'
     # skip argument do
     masses = [1.0, 1e-16, 3.0, 1e-16, 1e-16]
     mask = np.array([True, True, False, True, True])
@@ -121,7 +122,7 @@ def test_mass_sum_of_a_mask_is_the_left_fold():
 
 
 def _star_window(Q, sigma, tau):
-    return list(_star_groups(_box_set([Q]), [0], sigma, tau))
+    return list(star_groups(_box_set([Q]), [0], sigma, tau))
 
 
 def test_star_window_same_level_is_singleton(diag_dilation):
@@ -189,7 +190,7 @@ def test_cube_relations_match_parallelepiped_oracle(matrix):
             assert bool(boxes.within_each(_cube_rows([host]), factor)[0, 0]) == inside, \
                 (Q, host, factor)
             hits[factor] += inside
-        in_window = host.index in _star_groups(boxes, [0], host.sigma, host.tau)
+        in_window = host.index in star_groups(boxes, [0], host.sigma, host.tau)
         assert in_window == cube_contains(expand_cube(host, 2.0), Q), (Q, host)
         meet = _interiors_meet(Q.realize(), host.realize())
         hits["overlap"] += meet
@@ -228,6 +229,66 @@ def found_instances(D, count):
         yield alpha, entries
 
 
+HEAVY_MATRICES = [
+    [[2, 0], [0, 4]],
+    [[4, 0], [0, 2]],
+    [[4, 1], [1, 3]],
+    [[2, -2], [2, 2]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+]
+
+
+def _left_fold(masses, members) -> float:
+    return reduce(operator.add, (masses[i] for i in members))
+
+
+def _heavy_oracle(boxes, masses, ids, sigma, tau, bound) -> dict:
+    """star_groups kept where the left-folded mass exceeds the bound, each
+    with its mass."""
+    groups = star_groups(boxes, ids, sigma, tau)
+    return {n: (members, _left_fold(masses, members)) for n, members in groups.items()
+            if _mass_sum(masses, members) > bound}
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=st.sampled_from(HEAVY_MATRICES), sigma=st.integers(-3, 0),
+       tau=st.integers(-4, 1), seed=st.integers(0, 2 ** 32 - 1),
+       share=st.floats(0.0, 1.0, exclude_max=True))
+def test_heavy_doubles_are_the_star_groups_over_the_bound(matrix, sigma, tau, seed, share):
+    # entries drawn as found_instances draws them; the ids are a subset in
+    # any order, and the bound a share of their total
+    D = validate_dilation(matrix)
+    rng = default_rng(seed)
+    cubes = [GridCube(0, int(rng.integers(-4, 1)),
+                      tuple(int(v) for v in rng.integers(-3, 4, size=D.dim)), D)
+             for _ in range(int(rng.integers(1, 15)))]
+    masses = [Q.volume * float(10.0 ** rng.uniform(-2.0, 1.3)) for Q in cubes]
+    ids = rng.permutation(len(cubes))[:int(rng.integers(1, len(cubes) + 1))].tolist()
+    total = _mass_sum(masses, ids)
+
+    def heavy(bound, boxes=None):
+        boxes = _box_set(cubes) if boxes is None else boxes
+        got = _heavy_doubles(boxes, masses, ids, total, sigma, tau, bound)
+        return [(n, members, mass.hex()) for n, (members, mass) in got.items()]
+
+    def oracle(bound):
+        want = _heavy_oracle(_box_set(cubes), masses, ids, sigma, tau, bound)
+        return [(n, members, mass.hex()) for n, (members, mass) in want.items()]
+
+    assert heavy(share * total) == oracle(share * total)
+    # a double whose mass equals the bound is not heavy (no double holds a
+    # cube coarser than its grid's doubles)
+    groups = star_groups(_box_set(cubes), ids, sigma, tau)
+    for n in list(groups)[:3]:
+        level = _mass_sum(masses, groups[n])
+        assert heavy(level) == oracle(level)
+        assert n not in [key for key, _, _ in heavy(level)]
+    # a total within the bound computes no box
+    for bound in (total, 2.0 * total):
+        boxes = _box_set(cubes)
+        assert heavy(bound, boxes) == [] and boxes._pulled == {}
+
+
 def _near_indices(Q, sigma, tau):
     """Every index n whose double could hold Q: Q's center pulled back into
     the (sigma, tau) grid lies in the double's [n - 1/2, n + 3/2]^d."""
@@ -239,7 +300,7 @@ def _near_indices(Q, sigma, tau):
 
 @pytest.mark.parametrize("matrix", FOUND_MATRICES)
 def test_batched_relations_match_parallelepiped_oracles(matrix):
-    # _star_groups and the box-set masks answer containment and overlap for
+    # star_groups and the box-set masks answer containment and overlap for
     # a whole list of cubes at once; entry by entry they must agree with the
     # vertex test cube_contains and the separating-axis _interiors_meet.
     # Each cube, host and double is realized once per instance.
@@ -255,7 +316,7 @@ def test_batched_relations_match_parallelepiped_oracles(matrix):
         boxes = _box_set(cubes)
         ids = list(range(len(cubes)))[::-1]
         for sigma, tau in ((0, -3), (0, 0), (0, 1), (-1, -1), (-2, 0)):
-            groups = _star_groups(boxes, ids, sigma, tau)
+            groups = star_groups(boxes, ids, sigma, tau)
             near = {}
             for i in ids:
                 for n in _near_indices(cubes[i], sigma, tau):
@@ -1169,7 +1230,7 @@ def _exhaustive_check_iv(result, entries, alpha, C_iv=32.0):
             continue
         stopped = [i for i in range(len(entries)) if result.kappa[i] <= ev.tau]
         bound = C_iv * alpha * (2.0 ** ev.sigma) * (a ** ev.tau)
-        for n, members in _star_groups(boxes, stopped, ev.sigma, ev.tau).items():
+        for n, members in star_groups(boxes, stopped, ev.sigma, ev.tau).items():
             mass = sum(entries[i][1] for i in members)
             if mass > bound * (1.0 + 1e-9):
                 return ("iv_stopped_mass_bounded", False,

@@ -107,12 +107,15 @@ def test_lattice_basic():
     lambda: Lattice(origin=(0.0, 0.0), spacing=(np.nan, 0.5), shape=(2, 2)),
     lambda: Lattice(origin=(0.0, 0.0), spacing=(0.5, np.inf), shape=(2, 2)),
     lambda: Lattice(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(2.0, 2)),
+    lambda: make_lattice([], []),
+    lambda: Lattice(origin=(), spacing=(), shape=()),
 ], ids=["half-cell", "bool-count", "bool-shape", "float-shape", "infinite-side",
         "minus-infinite-side", "nan-origin", "infinite-origin", "nan-spacing",
-        "infinite-spacing", "float-count"])
+        "infinite-spacing", "float-count", "no-axes", "zero-dim"])
 def test_lattice_rejects_non_integer_counts_and_non_finite_geometry(make):
     # 64.5 used to be truncated to 64 cells and True read as 1; nan or inf
-    # geometry gave cell centers no window test can trust
+    # geometry gave cell centers no window test can trust; a lattice of no
+    # axes was built, with one 0-d cell
     with pytest.raises(InputInvalidError):
         make()
 
@@ -314,7 +317,7 @@ def test_separable_matches_scatter(profile, matrix, monkeypatch):
 def test_separable_matches_scatter_in_3d(profile, monkeypatch):
     D = validate_dilation(np.diag([2.0, 3.0, 4.0]))
     f = _profile_sum(D, profile, [(0, (0, 0, 0)), (0, (-1, 1, -2))])
-    meas = _distinct_weights(surface_quadrature(make_surface("paraboloid", dim=3), 8))
+    meas = _distinct_weights(surface_quadrature(make_surface("paraboloid", dim=3), 32))
     lat = make_lattice([(-3.0, 3.0)] * 3, (32, 36, 40))
     for k in (-1, 0):
         got = convolve_dilated(f, meas, k, lat).values
@@ -610,7 +613,7 @@ def test_engine_fields_equal_separate_runs(matrix, monkeypatch):
     kinds = _recorded_groups(monkeypatch, separable)
     f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 0)), (0, (-3, -2)),
                                  (-1, (2, 0))])
-    arc = _circle_measure(24)
+    arc = _circle_measure(32)
     # the arc moved off the origin, so every window leaves the lattice
     # once A^k is large enough
     nodes = types.SimpleNamespace(quad_points=arc.quad_points + [0.75, 0.5],
@@ -652,7 +655,7 @@ def test_groups_fold_in_buffers_the_size_of_their_hulls(monkeypatch):
     # take the same groupings, and a term whose region meets no other can
     # still join a group through the group's hull
     D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
-    nodes = _distinct_weights(_circle_measure(24))
+    nodes = _distinct_weights(_circle_measure(32))
     # fine enough for the tau = -2 atom
     lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (208, 144))
     contiguous = [(0, (0, 0)), (0, (-2, -1)), (-1, (1, 0)), (-1, (2, 1)), (-2, (3, 2))]
@@ -710,7 +713,7 @@ def test_engine_fields_equal_full_lattice_passes(matrix, atoms, ks):
     # the box holds every cube; the resolution guard sets the cell count
     cells = math.ceil(7.0 * 8 / maximal._min_atom_diameter(f))
     lat = make_lattice([(-3.0, 4.0), (-3.0, 4.0)], (cells, cells))
-    arc = _circle_measure(16)
+    arc = _circle_measure(32)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
         reports = weak_type_reports(f, arc, tuple(ks), lat, None)
@@ -793,7 +796,7 @@ def test_a_group_that_reaches_no_cell_has_no_field():
     # block; the other group's field is the whole sum's
     D = validate_dilation([[4.0, 0.0], [0.0, 2.0]])
     f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (200, 100))])
-    arc = _circle_measure(24)
+    arc = _circle_measure(32)
     lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (96, 64))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
@@ -815,7 +818,7 @@ def test_weak_type_reports_rejects_a_mask_of_another_shape():
     lat = make_lattice([(-3.0, 3.0), (-2.0, 2.0)], (96, 64))
     for shape in ((64, 96), (96, 63), (97, 65), (96 * 64,)):
         with pytest.raises(InputInvalidError, match="excluded mask shape"):
-            weak_type_reports(f, _circle_measure(24), (-1, 1), lat,
+            weak_type_reports(f, _circle_measure(32), (-1, 1), lat,
                               np.zeros(shape, dtype=bool))
 
 
@@ -827,7 +830,7 @@ def test_fold_rejects_a_non_finite_term(matrix, bad):
     # can reach the sup, on the separable path and on the scatter
     D = validate_dilation(matrix)
     f = _profile_sum(D, "bump", [(0, (0, 0)), (-1, (1, 0))])
-    arc = _circle_measure(24)
+    arc = _circle_measure(32)
     weights = arc.quad_weights.copy()
     weights[len(weights) // 2] = bad
     nodes = types.SimpleNamespace(quad_points=arc.quad_points, quad_weights=weights)
@@ -1230,13 +1233,13 @@ def _golden_case(name):
         # the windowed scatter
         D = validate_dilation([[4.0, 1.0], [1.0, 3.0]])
         f = _profile_sum(D, "bump", [(0, (0, 0)), (0, (-1, 1)), (-1, (1, 0))])
-        return f, _shifted_arc(16, [0.5, -0.25]), (-1, 2), make_lattice(
+        return f, _shifted_arc(32, [0.5, -0.25]), (-1, 2), make_lattice(
             [(-3.0, 3.0), (-3.0, 3.0)], (96, 96))
     if name == "diag(2,3,4) haar+bump":
         D = validate_dilation(np.diag([2.0, 3.0, 4.0]))
         f = _profile_sum(D, "bump", [(0, (0, 0, 0)), (0, (-1, 1, -2))])
         f.terms.append((make_atom(GridCube(0, 0, (1, -1, 0), D), "haar", seed=7), 0.8))
-        para = _distinct_weights(surface_quadrature(make_surface("paraboloid", dim=3), 8))
+        para = _distinct_weights(surface_quadrature(make_surface("paraboloid", dim=3), 32))
         nodes = types.SimpleNamespace(quad_points=para.quad_points + [0.5, -0.25, 0.25],
                                       quad_weights=para.quad_weights)
         return f, nodes, (-1, 1), make_lattice([(-3.0, 3.0)] * 3, (32, 36, 40))
@@ -1344,6 +1347,15 @@ def test_binary_corrupt_geometry_is_invalid_input(tmp_path, part, value):
     data[at:at + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(data))
     with pytest.raises(InputInvalidError, match="finite"):
+        read_field_binary(path)
+
+
+def test_binary_zero_dimensional_file_is_invalid_input(tmp_path):
+    # magic, dim 0 and one double used to read back as a lattice of no
+    # axes holding a 0-d value
+    path = tmp_path / "field.bin"
+    path.write_bytes(maximal.MAGIC + struct.pack("<I", 0) + struct.pack("<d", 3.5))
+    with pytest.raises(InputInvalidError, match="at least one dimension"):
         read_field_binary(path)
 
 

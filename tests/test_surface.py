@@ -659,20 +659,24 @@ def test_autocorrelation_resolution_guard():
 def test_autocorrelation_kernel_takes_a_positive_integer_bin_count(n_bins):
     # 0 raised ZeroDivisionError, -5 ValueError, and 2.5 and True read as
     # a resolution too coarse
-    meas = surface_quadrature(make_surface("circle-arc"), 24)
+    meas = surface_quadrature(make_surface("circle-arc"), 32)
     with pytest.raises(InputInvalidError, match=r"n_bins must be an integer >= 1, got "):
         autocorrelation_kernel(meas, n_bins)
     assert autocorrelation_kernel(meas, np.int64(63)).values.shape == (63, 63)
 
 
-@pytest.mark.parametrize("n_gl", [0, -4, 3, 2.5, 100.0, True])
+@pytest.mark.parametrize("n_gl", [0, -4, 3, 2.5, 100.0, True, 4, 16, 34, 50])
 def test_surface_quadrature_takes_an_integer_node_count_of_at_least_4(n_gl):
     # 0, -4 and 2.5 built 8-node panels without complaint, and 100.0 raised
-    # TypeError; 4 is the config's floor
+    # TypeError; every count from 4 to 35 built the 32-node rule and 50
+    # built 48, so only a count the rule builds exactly (a multiple of 4,
+    # at least 32) is taken
     circ = make_surface("circle-arc")
-    with pytest.raises(InputInvalidError, match=r"n_gl must be an integer >= 4, got "):
+    with pytest.raises(InputInvalidError,
+                       match=r"n_gl must be an integer, got |n_gl=-?\d+ would build \d+ nodes"):
         surface_quadrature(circ, n_gl)
-    assert len(surface_quadrature(circ, np.int64(4)).quad_weights) == 32
+    assert len(surface_quadrature(circ, np.int64(32)).quad_weights) == 32
+    assert len(surface_quadrature(circ, 36).quad_weights) == 36
 
 
 @given(st.integers(1, 3), st.integers(1, 40),
@@ -857,7 +861,7 @@ def test_linfty_bound_rejects_a_measure_without_cap_exponent():
     # the L1 bound 2^((zeta + eps(1 - d)) s) is stated per cap; the full
     # measure carries eps = 0 and must not be checked under a made-up eps
     D = _transversal()
-    measure = surface_quadrature(make_surface("circle-arc"), 50)
+    measure = surface_quadrature(make_surface("circle-arc"), 48)
     assert measure.eps == 0.0
     with pytest.raises(InputInvalidError, match="cap exponent"):
         check_linfty_bound(_haar_sum(D, (0, 0), -1), measure,
