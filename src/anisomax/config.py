@@ -13,13 +13,12 @@ only faster.
 """
 
 import copy
-import math
 from dataclasses import asdict, dataclass
 
 import yaml
 
 from .atoms import AtomicSum, make_atom, random_atomic_sum
-from .dilation import DilationStructure, _is_integer, validate_dilation
+from .dilation import DilationStructure, _is_integer, _number, validate_dilation
 from .errors import AnisoError, ConfigInvalidError
 from .grid import GridCube
 from .surface import check_node_count, make_surface
@@ -84,7 +83,7 @@ class ExperimentConfig:
         dim = self.surface["dim"]
         coeffs = self.surface.get("coeffs")
         if coeffs is not None:
-            coeffs = {_coeff_key(key): float(c) for key, c in coeffs.items()}
+            coeffs = {_coeff_key(key): c for key, c in coeffs.items()}
         return make_surface(kind, dim=dim, coeffs=coeffs)
 
     def atomic_sum(self) -> AtomicSum:
@@ -182,14 +181,6 @@ def _apply_override(merged: dict, item: str) -> dict:
 def _int_pair(value) -> bool:
     """A list of two integers, as the range fields are written."""
     return isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value))
-
-
-def _number(value) -> bool:
-    """A finite int or float: nan and inf pass no bound downstream, and
-    float() would pass a string (YAML 1.1 reads 1e6 as one) or a bool that
-    the run then uses as it is."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _positive(value) -> bool:

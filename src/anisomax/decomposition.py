@@ -671,7 +671,6 @@ class StoppingResult:
 
     kappa: dict
     classification: dict
-    host: dict
     assigned_primitive: dict
     exceptional: list
     trace: list
@@ -725,7 +724,9 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
 
     unit_diam = cube_diameter(D, 0)
     live = set(range(len(entries)))
-    kappa, classification, host, assigned_primitive = {}, {}, {}, {}
+    # each entry's owner, in stopping order: ("q", sigma, tau, n) for the
+    # selected double that stopped it, ("S", k) for the S that hosted it
+    kappa, owner = {}, {}
     # the selected q, as (sigma, tau, index) row keys
     trace, dimension_violations, selected_qs = [], [], set()
 
@@ -759,8 +760,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                         continue
                     live.discard(i)
                     kappa[i] = tau + 1
-                    classification[i] = "C1"
-                    host[i] = ("q", sigma, tau, n)
+                    owner[i] = ("q", sigma, tau, n)
                     trace.append(TraceEvent(kind="classify", sigma=sigma, tau=tau,
                                             index=n, entry=i, action="C1"))
             sigma -= 1
@@ -773,8 +773,7 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
             best = min(hosts, key=s_keys.__getitem__)
             live.discard(i)
             kappa[i] = s_taus[best] + 1
-            classification[i] = "C2"
-            host[i] = ("S", best)
+            owner[i] = ("S", best)
             trace.append(TraceEvent(kind="classify", sigma=0, tau=tau,
                                     index=s_keys[best][1:], entry=i, action="C2"))
 
@@ -792,13 +791,15 @@ def stopping_time(S_list, entries, alpha: float) -> StoppingResult:
                    for sigma, tau, n in q_keys]
     exceptional += [ExceptionalPrimitive("quad", S, (4.0 ** D.dim) * S.volume) for S in S_list]
     primitive_of_q = {key: p for p, key in enumerate(q_keys)}
+    classification = {i: "C1" if kind == "q" else "C2" for i, (kind, *_) in owner.items()}
+    assigned_primitive = {}
     for i in range(len(entries)):
-        kind, *where = host[i]
+        kind, *where = owner[i]
         assigned_primitive[i] = (primitive_of_q[tuple(where)] if kind == "q"
                                  else len(q_keys) + where[0])
 
     return StoppingResult(
-        kappa=kappa, classification=classification, host=host,
+        kappa=kappa, classification=classification,
         assigned_primitive=assigned_primitive, exceptional=exceptional,
         trace=trace, tau0=tau0, dimension_violations=dimension_violations,
         alpha=alpha,

@@ -14,6 +14,7 @@ matrix, and power(k) is np.linalg.matrix_power in any cache order, so
 sharing changes no result.  The shared arrays are read-only.
 """
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from operator import add
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     DegenerateFitError,
     EigenvalueNotExpandingError,
     InputInvalidError,
@@ -57,6 +59,15 @@ def _is_integer(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+def _number(value) -> bool:
+    """A finite Python or numpy real, not a bool: the one real-number rule
+    of the package's inputs.  nan and inf pass no bound downstream, and
+    float() would pass a string (YAML 1.1 reads 1e6 as one) or a bool that
+    the run then uses as it is."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 def _left_sum(values):
     """sum() with its rounding fixed: one add per term, left to right,
     from 0.  CPython's sum() adds floats this way up to 3.11; from 3.12 it
@@ -88,13 +99,18 @@ class DilationStructure:
         """A^k for integer k: np.linalg.matrix_power, cached read-only per
         k asked for.  Raises InputInvalidError for a k that is not an
         integer (a bool included), whatever the cache holds: 2.0 and True
-        hash as the cached 2 and 1 do."""
+        hash as the cached 2 and 1 do.  Raises BudgetExceededError when an
+        entry of A^k leaves the float range, as det_power does for a^k:
+        inf and nan entries would pass every window test downstream."""
         # a plain int, the common case, skips the call
         if type(k) is not int and not _is_integer(k):
             raise InputInvalidError(f"matrix powers need an integer exponent, got {k!r}")
         got = self._pow_cache.get(k)
         if got is None:
-            got = np.linalg.matrix_power(self.matrix, int(k))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = np.linalg.matrix_power(self.matrix, int(k))
+            if not np.isfinite(got).all():
+                raise BudgetExceededError(f"A^{int(k)} leaves the float range")
             got.flags.writeable = False
             self._pow_cache[int(k)] = got
         return got

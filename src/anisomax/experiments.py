@@ -127,12 +127,12 @@ def _write_manifest(out: Path, config, experiment: str) -> None:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def run_experiment(config, experiment: str, out_dir=None) -> int:
+def run_experiment(config, experiment: str) -> int:
     """Run one named experiment; 0 when every summary line passes."""
     if experiment not in EXPERIMENT_NAMES:
         raise ConfigInvalidError(
             f"unknown experiment {experiment!r}; choose from {EXPERIMENT_NAMES}")
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

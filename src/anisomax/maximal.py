@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atoms import AtomicSum
-from .dilation import _is_integer, cube_diameter
+from .dilation import _is_integer, _number, cube_diameter
 from .errors import InputInvalidError, ResolutionTooCoarseError, TailNotNegligibleWarning
 from .grid import TendrilBound, _axis_view, _is_diagonal
 
@@ -134,6 +134,11 @@ class Lattice:
 
 def make_lattice(box, shape) -> Lattice:
     """Lattice over the axis-aligned box with the given cell counts."""
+    # float() would read "4e0" and True as sides and raise on None or "x"
+    if not all(isinstance(side, (list, tuple, np.ndarray)) and len(side) == 2
+               and all(map(_number, side)) for side in box):
+        raise InputInvalidError(
+            f"lattice box sides must be [lo, hi] pairs of finite real numbers, got {box!r}")
     box = [(float(lo), float(hi)) for lo, hi in box]
     if np.ndim(shape) == 0:
         shape = (shape,) * len(box)
@@ -143,9 +148,8 @@ def make_lattice(box, shape) -> Lattice:
     shape = tuple(int(n) for n in shape)
     if len(shape) != len(box):
         raise InputInvalidError("box and shape dimensions disagree")
-    for lo, hi in box:
-        if not -math.inf < lo < hi < math.inf:
-            raise InputInvalidError("box sides must be finite with positive length")
+    if not all(lo < hi for lo, hi in box):
+        raise InputInvalidError("box sides must have positive length")
     origin = tuple(lo for lo, _ in box)
     spacing = tuple((hi - lo) / n for (lo, hi), n in zip(box, shape))
     return Lattice(origin=origin, spacing=spacing, shape=shape)

@@ -16,11 +16,12 @@ maximal.Lattice that callers also build by hand.
 """
 
 import numpy as np
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from numpy.polynomial.legendre import leggauss
 
-from .dilation import DilationStructure, _is_integer, cube_diameter
+from .dilation import DilationStructure, _is_integer, _number, cube_diameter
 from .errors import (
     BudgetExceededError,
     DegenerateFitError,
@@ -98,6 +99,9 @@ def _poly_callables(coeffs: dict, p: int):
             raise InputInvalidError(f"bad monomial {mono} for {p} variables")
         if sum(mono) > _MAX_POLY_DEGREE:
             raise InputInvalidError(f"polynomial degree above {_MAX_POLY_DEGREE} not supported")
+        if not _number(c):
+            raise InputInvalidError(
+                f"coefficient of {mono} must be a finite real number, got {c!r}")
         table.append((mono, float(c), 1))
 
     def derive(terms, i):
@@ -145,8 +149,10 @@ def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
     {exponents: coefficient}, evaluated and differentiated by _poly_callables."""
     if kind not in CATALOG:
         raise InputInvalidError(f"unknown surface kind {kind!r}")
-    if dim < 2:
-        raise InputInvalidError("ambient dimension must be at least 2")
+    if not (_is_integer(dim) and dim >= 2):
+        raise InputInvalidError(f"ambient dimension must be an integer of at least 2, got {dim!r}")
+    if not (coeffs is None or isinstance(coeffs, Mapping)):
+        raise InputInvalidError(f"coefficients must be a mapping, got {coeffs!r}")
     p = dim - 1
 
     if kind == "circle-arc":
@@ -175,7 +181,8 @@ def make_surface(kind: str, dim: int = 2, coeffs: dict = None) -> GraphSurface:
     surface = GraphSurface(kind, dim, psi, grad, hess)
     ambient = surface.points(grid_points([np.linspace(-CHI_RADIUS, CHI_RADIUS, _PROBE_POINTS)] * p))
     radius = float(np.max(np.linalg.norm(ambient, axis=1)))
-    if radius > 1.0:
+    # written so that a nan radius fails it too
+    if not radius <= 1.0:
         raise InputInvalidError(f"surface leaves the unit ball (radius {radius:.3f})")
     return surface
 

@@ -11,6 +11,8 @@ surface._cube_masses replaced; two_loop_escaped, per_tau_sum and
 meshgrid_radii are the check-(ii) count, the atomic-sum values and the
 kernel radii as they were computed before decomposition._escaped,
 AtomicSum.evaluate's sum over Atom.evaluate and KernelField.lattice.
+stopping_hosts rebuilds each entry's host from its assigned primitive, the
+record the golden digests hash.
 """
 
 from itertools import product
@@ -97,6 +99,20 @@ def replay_trace_masses(result: StoppingResult, entries):
         elif ev.kind == "classify":
             live.discard(ev.entry)
     return pairs
+
+
+def stopping_hosts(result: StoppingResult) -> dict:
+    """Each entry's host as stopping_time once stored it beside its
+    assigned primitive: ("q", sigma, tau, index) for the selected double
+    that stopped it, ("S", k) for S_list[k]; the quadrupled S cubes follow
+    the tendril bounds in result.exceptional, in S_list order."""
+    tendrils = sum(p.kind == "tendril" for p in result.exceptional)
+    hosts = {}
+    for i, p in result.assigned_primitive.items():
+        cube = result.exceptional[p].cube
+        hosts[i] = (("q", cube.sigma, cube.tau, cube.index) if p < tendrils
+                    else ("S", p - tendrils))
+    return hosts
 
 
 def compose_dilation(atom: Atom, j: int) -> Atom:

@@ -361,6 +361,19 @@ def test_cli_config_of_the_wrong_shape_is_a_config_error(tmp_path, override, mes
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("coeff", ["abc", "null", ".nan", ".inf", "1e400", "true"])
+def test_cli_malformed_coefficient_is_a_config_error(tmp_path, coeff):
+    # float() raised on abc and null (exit 1), nan and inf passed the unit
+    # ball test and died downstream, 1e400 is a string in YAML 1.1, and
+    # true loaded as the coefficient 1.0
+    res = _run(["run", "--experiment", "kernel-decay", "--out", str(tmp_path),
+                "--override", "surface.kind=custom-polynomial",
+                "--override", f'surface.coeffs={{"4": {coeff}}}'])
+    assert res.exit_code == 2
+    assert "config error" in res.output and "coefficient of (4,)" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_cli_infinite_alpha_is_a_config_error(tmp_path):
     # it used to reach whitney_decompose and die there with an OverflowError
     res = _run(["run", "--experiment", "whitney", "--out", str(tmp_path),
@@ -516,6 +529,18 @@ def test_cli_exit_code_mass_ratio_past_the_float_range(tmp_path, matrix):
                 "--override", "atoms.list=[{tau: 0, index: [0, 0], lam: 1.0e+10}]"])
     assert res.exit_code == 3, res.output
     assert "budget exceeded" in res.output
+
+
+def test_cli_exit_code_power_past_the_float_range(tmp_path):
+    # k up to 1100 asks for A^512 under diag(2,4), whose entries overflow;
+    # nan node positions used to pass the window test and end in numpy's
+    # "Maximum allowed dimension exceeded" ValueError (exit 1)
+    res = _run(["run", "--experiment", "maximal-weak-type", "--out", str(tmp_path),
+                "--override", "k_range=[-4, 1100]", "--override", "lattice.shape=[64, 64]",
+                "--override", "n_gl=32",
+                "--override", "atoms.list=[{tau: 0, index: [0, 0], lam: 1.0}]"])
+    assert res.exit_code == 3, res.output
+    assert "budget exceeded: A^512 leaves the float range" in res.output
 
 
 def test_cli_exit_code_cube_keys_past_exact_floats(tmp_path):

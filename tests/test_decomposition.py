@@ -61,6 +61,7 @@ from _oracles import (
     cube_contains,
     replay_trace_masses,
     star_groups,
+    stopping_hosts,
     tau_parent,
     two_loop_escaped,
 )
@@ -787,7 +788,7 @@ def test_huge_entry_stops_at_first_stage(diag_dilation):
     selects = [ev for ev in res.trace if ev.kind == "select"]
     assert len(selects) == 4
     assert {(ev.sigma, ev.tau) for ev in selects} == {(0, 4)}
-    assert res.host[0] == ("q", 0, 4, (-1, -1))
+    assert stopping_hosts(res)[0] == ("q", 0, 4, (-1, -1))
 
 
 def test_huge_alpha_yields_no_selections(diag_dilation):
@@ -799,8 +800,9 @@ def test_huge_alpha_yields_no_selections(diag_dilation):
     assert all(kind == "C2" for kind in res.classification.values())
     assert not any(ev.kind == "select" for ev in res.trace)
     assert all(p.kind == "quad" for p in res.exceptional)
+    hosts = stopping_hosts(res)
     for i, (q, _) in enumerate(usable):
-        host = res.host[i]
+        host = hosts[i]
         assert host[0] == "S"
         assert res.kappa[i] == S_list[host[1]].tau + 1
 
@@ -1147,7 +1149,6 @@ def test_sentinel_mutation_fails_host_check(diag_dilation):
     mutated = res.__class__(
         kappa=broken,
         classification=res.classification,
-        host=res.host,
         assigned_primitive=res.assigned_primitive,
         exceptional=res.exceptional,
         trace=res.trace,
@@ -1182,7 +1183,6 @@ def test_kappa_decrement_fails_stopped_mass_check(diag_dilation):
     mutated = res.__class__(
         kappa=broken,
         classification=res.classification,
-        host=res.host,
         assigned_primitive=res.assigned_primitive,
         exceptional=res.exceptional,
         trace=res.trace,
@@ -1624,7 +1624,7 @@ def _outcome(call):
 
 def _stopping_outputs(res):
     return ("stopping", sorted(res.kappa.items()), sorted(res.classification.items()),
-            sorted(res.host.items()), sorted(res.assigned_primitive.items()),
+            sorted(stopping_hosts(res).items()), sorted(res.assigned_primitive.items()),
             [(p.kind, p.cube.sigma, p.cube.tau, p.cube.index, p.volume_term)
              for p in res.exceptional],
             [(ev.kind, ev.sigma, ev.tau, ev.index, ev.entry, ev.mass, ev.action)

@@ -26,6 +26,7 @@ from anisomax.dilation import (
     validate_dilation,
 )
 from anisomax.errors import (
+    BudgetExceededError,
     DegenerateFitError,
     EigenvalueNotExpandingError,
     InputInvalidError,
@@ -351,6 +352,20 @@ def test_a_power_that_is_not_an_integer_raises_once_its_integer_is_cached():
         assert np.array_equal(D.power(k), np.linalg.matrix_power(D.matrix, k))
         with pytest.raises(InputInvalidError, match="integer exponent"):
             D.power(bad)
+
+
+def test_a_power_past_the_float_range_raises():
+    # under diag(2,4), 4^512 overflows: inf entries from k = 512 and nan
+    # from k = 513 would pass every window test and size a hull no array
+    # can hold; the overflow raises, with no numpy warning, and is not cached
+    D = validate_dilation([[2.0, 0.0], [0.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(D.power(511)).all()
+        for k in (512, 513, 512):
+            with pytest.raises(BudgetExceededError, match=f"A\\^{k} leaves the float range"):
+                D.power(k)
+    assert 512 not in D._pow_cache and 513 not in D._pow_cache
 
 
 def _diameter_by_vectors(basis):

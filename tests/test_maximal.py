@@ -109,13 +109,21 @@ def test_lattice_basic():
     lambda: Lattice(origin=(0.0, 0.0), spacing=(0.5, 0.5), shape=(2.0, 2)),
     lambda: make_lattice([], []),
     lambda: Lattice(origin=(), spacing=(), shape=()),
+    lambda: make_lattice([("x", 1.0), (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice([(None, 1.0), (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice([None, (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice([1.0, (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice([("4e0", 5.0), (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice([(True, 5.0), (0.0, 1.0)], (4, 4)),
 ], ids=["half-cell", "bool-count", "bool-shape", "float-shape", "infinite-side",
         "minus-infinite-side", "nan-origin", "infinite-origin", "nan-spacing",
-        "infinite-spacing", "float-count", "no-axes", "zero-dim"])
+        "infinite-spacing", "float-count", "no-axes", "zero-dim", "string-end",
+        "none-end", "none-side", "bare-side", "numeric-string-end", "bool-end"])
 def test_lattice_rejects_non_integer_counts_and_non_finite_geometry(make):
     # 64.5 used to be truncated to 64 cells and True read as 1; nan or inf
     # geometry gave cell centers no window test can trust; a lattice of no
-    # axes was built, with one 0-d cell
+    # axes was built, with one 0-d cell; a side that is not a pair of real
+    # numbers raised ValueError or TypeError, or float() read "4e0" and True
     with pytest.raises(InputInvalidError):
         make()
 
@@ -124,6 +132,9 @@ def test_lattice_accepts_numpy_integer_counts():
     lat = make_lattice([(0.0, 1.0), (0.0, 2.0)], (np.int64(4), np.int32(8)))
     assert lat.shape == (4, 8) and all(type(n) is int for n in lat.shape)
     assert make_lattice([(0.0, 1.0)] * 2, np.int64(3)).shape == (3, 3)
+    # numpy-real sides, as classify_pieces builds them, load
+    lat = make_lattice([(np.int64(-2), np.int64(2)), np.array([0.0, 1.0])], (4, 4))
+    assert lat.origin == (-2.0, 0.0) and lat.spacing == (1.0, 0.25)
 
 
 def test_sampled_field_validation():

@@ -220,6 +220,26 @@ def test_surface_input_validation():
         make_surface("custom-polynomial", coeffs={(1, 2): 1.0})
 
 
+@pytest.mark.parametrize("kind, dim, coeffs", [
+    ("paraboloid", 2.5, None),
+    ("paraboloid", 3.0, None),
+    ("paraboloid", "3", None),
+    ("custom-polynomial", 2, [1.0]),
+    ("custom-polynomial", 2, {(4,): "abc"}),
+    ("custom-polynomial", 2, {(4,): None}),
+    ("custom-polynomial", 2, {(4,): np.nan}),
+    ("custom-polynomial", 2, {(4,): np.inf}),
+    ("custom-polynomial", 2, {(4,): True}),
+], ids=["half-dim", "float-dim", "string-dim", "list-coeffs",
+        "string-coeff", "none-coeff", "nan-coeff", "inf-coeff", "bool-coeff"])
+def test_surface_rejects_malformed_dims_and_coefficients(kind, dim, coeffs):
+    # each raised TypeError, ValueError or AttributeError, or, for nan and
+    # inf, passed the unit-ball test, whose radius > 1 is False for nan;
+    # True loaded as the coefficient 1.0
+    with pytest.raises(InputInvalidError):
+        make_surface(kind, dim=dim, coeffs=coeffs)
+
+
 def test_surfaces_stay_in_unit_ball():
     for kind in ("circle-arc", "paraboloid", "quartic-flat"):
         surface = make_surface(kind)
