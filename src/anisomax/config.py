@@ -21,6 +21,7 @@ from .atoms import AtomicSum, make_atom, random_atomic_sum
 from .dilation import DilationStructure, _is_integer, _number, validate_dilation
 from .errors import AnisoError, ConfigInvalidError
 from .grid import GridCube
+from .maximal import Lattice, _normalize_k_range, make_lattice
 from .surface import check_node_count, make_surface
 
 DEFAULTS = {
@@ -82,9 +83,13 @@ class ExperimentConfig:
         kind = self.surface["kind"]
         dim = self.surface["dim"]
         coeffs = self.surface.get("coeffs")
-        if coeffs is not None:
+        # make_surface rejects coefficients that are not a mapping
+        if isinstance(coeffs, dict):
             coeffs = {_coeff_key(key): c for key, c in coeffs.items()}
         return make_surface(kind, dim=dim, coeffs=coeffs)
+
+    def lattice_obj(self) -> Lattice:
+        return make_lattice(self.lattice["box"], self.lattice["shape"])
 
     def atomic_sum(self) -> AtomicSum:
         """The input function: an explicit atom list or a seeded draw."""
@@ -154,7 +159,7 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> ExperimentC
     for item in overrides:
         merged = _apply_override(merged, item)
     if seed is not None:
-        merged["seed"] = int(seed)
+        merged["seed"] = seed
     if out_dir is not None:
         merged["out_dir"] = str(out_dir)
     return _validate(merged)
@@ -189,49 +194,26 @@ def _positive(value) -> bool:
 
 def _validate(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
-    # int() would truncate 2.5 and leave the manifest a value the run never used
-    for name, value in (("surface.dim", cfg.surface["dim"]), ("n_gl", cfg.n_gl)):
-        if not _is_integer(value):
-            raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
-    matrix = cfg.matrix
-    if not (isinstance(matrix, list) and all(
-            isinstance(row, list) and len(row) == len(matrix) and all(map(_number, row))
-            for row in matrix)):
-        raise ConfigInvalidError(
-            f"matrix must be square rows of finite numbers, got {matrix!r}")
-    coeffs = cfg.surface["coeffs"]
-    if not (coeffs is None or isinstance(coeffs, dict)):
-        raise ConfigInvalidError(f"surface.coeffs must be a mapping, got {coeffs!r}")
-    try:
-        dim = cfg.dilation().dim
-        cfg.surface_obj()
-        # the manifest records n_gl, so it must be the node count the run uses
-        check_node_count(cfg.n_gl)
-    except AnisoError as exc:
-        raise ConfigInvalidError(f"config rejected by its module: {exc}")
+    # each field is checked by building it with the module that owns its rule
+    # (the manifest records n_gl, so it must be the node count the run uses)
+    built = {}
+    for key, build in (("matrix", cfg.dilation), ("surface", cfg.surface_obj),
+                       ("n_gl", lambda: check_node_count(cfg.n_gl)),
+                       ("lattice", cfg.lattice_obj),
+                       ("k_range", lambda: _normalize_k_range(cfg.k_range))):
+        try:
+            built[key] = build()
+        except AnisoError as exc:
+            raise ConfigInvalidError(f"{key}: {exc}") from exc
     for name, value in (("eps", cfg.eps), ("zeta", cfg.zeta), ("alpha", cfg.alpha)):
         if not _positive(value):
             raise ConfigInvalidError(
                 f"{name} must be a number, positive and finite, got {value!r}")
-    if not (_int_pair(cfg.k_range) and cfg.k_range[0] <= cfg.k_range[1]):
-        raise ConfigInvalidError("k_range must be [lo, hi] integers with lo <= hi")
     if not (_int_pair(cfg.s_range) and 0 <= cfg.s_range[0] <= cfg.s_range[1]):
         raise ConfigInvalidError("s_range must be [lo, hi] integers with 0 <= lo <= hi")
-    box, shape = cfg.lattice.get("box"), cfg.lattice.get("shape")
-    if not (box and shape and isinstance(box, list) and isinstance(shape, list)
-            and len(box) == len(shape)):
-        raise ConfigInvalidError("lattice needs box and shape lists of equal dimension")
-    for side in box:
-        if not (isinstance(side, list) and len(side) == 2 and all(map(_number, side))):
-            raise ConfigInvalidError(
-                f"lattice.box must hold [lo, hi] sides of finite numbers, got {side!r}")
-        if not side[1] > side[0]:
-            raise ConfigInvalidError("lattice box sides must have positive length")
-    if not all(_is_integer(n) and n > 0 for n in shape):
-        raise ConfigInvalidError("lattice.shape must be positive integers")
-    dims = {"matrix": dim,
+    dims = {"matrix": built["matrix"].dim,
             "surface.dim": cfg.surface["dim"],
-            "lattice": len(box)}
+            "lattice": built["lattice"].dim}
     if len(set(dims.values())) > 1:
         raise ConfigInvalidError("dimensions disagree: " + ", ".join(
             f"{name} {d}" for name, d in dims.items()))

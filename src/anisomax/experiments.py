@@ -34,7 +34,6 @@ from .maximal import (
     THRESHOLD_FLOOR,
     TAIL_FRACTION,
     _excluded_mask,
-    make_lattice,
     weak_type_report,
     weak_type_reports,
     write_field_binary,
@@ -266,11 +265,9 @@ def _run_maximal_weak_type(config, out: Path, summary: CheckReport) -> None:
     if not f.terms:
         raise ConfigInvalidError("maximal-weak-type needs a nonempty atom list")
     measure = surface_quadrature(config.surface_obj(), config.n_gl)
-    lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
-    k_range = tuple(int(v) for v in config.k_range)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
-        mf, report, ratio = weak_type_report(f, measure, k_range, lattice)
+        mf, report, ratio = weak_type_report(f, measure, config.k_range, config.lattice_obj())
     rows = []
     if report is not None:
         rows = [(lam, mu, lam * mu) for lam, mu
@@ -321,13 +318,12 @@ def _run_full_pipeline(config, out: Path, summary: CheckReport) -> None:
                 f"s={s0}: {usable} of {len(records)} pieces kept")
 
     measure = surface_quadrature(surface, config.n_gl)
-    lattice = make_lattice(config.lattice["box"], tuple(config.lattice["shape"]))
+    lattice = config.lattice_obj()
     excluded = _excluded_mask(lattice, exclude)
-    k_range = tuple(int(v) for v in config.k_range)
     cap = C_STOP / alpha
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
-        reports = weak_type_reports(f, measure, k_range, lattice,
+        reports = weak_type_reports(f, measure, config.k_range, lattice,
                                     excluded=excluded)
     rows = [(key, len(part.terms), part.h1_norm(), ratio)
             for key, (part, _, _, ratio) in reports.items()]

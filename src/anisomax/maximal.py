@@ -81,9 +81,7 @@ class Lattice:
             raise InputInvalidError("lattice origin, spacing, shape disagree")
         if not self.shape:
             raise InputInvalidError("a lattice needs at least one dimension")
-        if not all(_is_integer(n) and n > 0 for n in self.shape):
-            raise InputInvalidError(
-                f"lattice shape must be positive integers, got {self.shape!r}")
+        _counts(self.shape)  # the shape rule make_lattice applies
         # a corrupt field file header reads as nan or inf
         if not (all(0 < h < math.inf for h in self.spacing)
                 and all(math.isfinite(v) for v in self.origin)):
@@ -132,20 +130,31 @@ class Lattice:
             spacing=self.spacing, shape=_extent(box))
 
 
+def _is_sequence(value) -> bool:
+    """A list, tuple or array of entries; a 0-d array is one value."""
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim > 0
+
+
+def _counts(shape, dim: int = None) -> tuple:
+    """shape's cell counts as ints, each a positive integer (int() would
+    truncate 64.5 cells to 64 and read True as 1); given dim, one count
+    stands for dim equal counts."""
+    counts = (shape,) * dim if dim is not None and not _is_sequence(shape) else shape
+    if not (_is_sequence(counts) and all(_is_integer(n) and n > 0 for n in counts)):
+        raise InputInvalidError(f"lattice shape must be positive integers, got {shape!r}")
+    return tuple(int(n) for n in counts)
+
+
 def make_lattice(box, shape) -> Lattice:
-    """Lattice over the axis-aligned box with the given cell counts."""
+    """Lattice over the axis-aligned box, a sequence of [lo, hi] sides, with
+    the given cell counts, or one count for every axis."""
     # float() would read "4e0" and True as sides and raise on None or "x"
-    if not all(isinstance(side, (list, tuple, np.ndarray)) and len(side) == 2
-               and all(map(_number, side)) for side in box):
+    if not (_is_sequence(box) and all(_is_sequence(side) and len(side) == 2
+                                      and all(map(_number, side)) for side in box)):
         raise InputInvalidError(
             f"lattice box sides must be [lo, hi] pairs of finite real numbers, got {box!r}")
     box = [(float(lo), float(hi)) for lo, hi in box]
-    if np.ndim(shape) == 0:
-        shape = (shape,) * len(box)
-    # int() would truncate 64.5 cells to 64 and read True as 1
-    if not all(map(_is_integer, shape)):
-        raise InputInvalidError(f"lattice shape must be integers, got {shape!r}")
-    shape = tuple(int(n) for n in shape)
+    shape = _counts(shape, len(box))
     if len(shape) != len(box):
         raise InputInvalidError("box and shape dimensions disagree")
     if not all(lo < hi for lo, hi in box):

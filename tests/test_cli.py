@@ -32,7 +32,7 @@ from anisomax.errors import (
 )
 from anisomax.experiments import run_experiment
 from anisomax.grid import TendrilBound
-from anisomax.maximal import _excluded_mask, make_lattice, weak_type_report
+from anisomax.maximal import _excluded_mask, weak_type_report
 from anisomax.surface import surface_quadrature
 
 FAST = [
@@ -115,6 +115,11 @@ def test_config_rejections(tmp_path):
                 'atoms.list=[{tau: 0, index: [0, 0], lam: 1.0, seed: -4}]'):
         with pytest.raises(ConfigInvalidError):
             load_config(None, overrides=[bad])
+    # the seed argument meets the rule of seed=: int() read 2.7 as 2, True as
+    # 1, and raised ValueError on "abc"
+    for bad in (2.7, True, "abc"):
+        with pytest.raises(ConfigInvalidError, match="seed must be a nonnegative integer"):
+            load_config(None, seed=bad)
     with pytest.raises(ConfigInvalidError):
         load_config(None, overrides=["badly formed"])
     bad = tmp_path / "bad.yaml"
@@ -138,6 +143,39 @@ def test_config_dimensions_must_agree():
         DIAG234, "surface.kind=paraboloid", "surface.dim=3",
         "lattice.box=[[-1,1],[-1,1],[-1,1]]", "lattice.shape=[8,8,8]"])
     assert cfg.dilation().dim == 3
+
+
+@pytest.mark.parametrize("override", [
+    "matrix=null", "matrix=5", "matrix=abc", "matrix={a: 1}", "matrix=[2,4]",
+    "matrix=[[2,0],[0]]", "matrix=[[2,0,0],[0,4,0]]", "matrix=[]", "matrix=[[]]",
+    "matrix=[[2e0, 0], [0, 4]]", "matrix=[[true, 0], [0, 4]]", "matrix=[[.nan, 0], [0, 4]]",
+    "matrix=[[.inf, 0], [0, 4]]", "matrix=[[1,0],[0,1]]", "matrix=[[2, null], [0, 4]]",
+    "matrix=[['2', 0], [0, 4]]",
+    "surface.kind=nope", "surface.kind=null", "surface.dim=2.5", "surface.dim=true",
+    "surface.dim=null", "surface.dim=1", "surface.dim=3", "surface.coeffs=5",
+    "surface.coeffs=[1,2]", "surface.coeffs=abc", "surface.coeffs={'4.5': 1.0}",
+    "n_gl=100.5", "n_gl=40.0", "n_gl=true", "n_gl=null", "n_gl=abc", "n_gl=16", "n_gl=34",
+    "lattice.box=null", "lattice.box=5", "lattice.box={a: 1}", "lattice.box=abc",
+    "lattice.box=[-4, 4]", "lattice.box=[[-4, 4e0], [-4, 4]]",
+    "lattice.box=[[-4, true], [-4, 4]]", "lattice.box=[[-.inf, 4], [-4, 4]]",
+    "lattice.box=[[4, -4], [-4, 4]]", "lattice.box=[[1, 1], [-4, 4]]", "lattice.box=[[-4, 4]]",
+    "lattice.box=[[-4, 4, 5], [-4, 4]]", "lattice.box=[]",
+    "lattice.shape=null", "lattice.shape=[0,4]", "lattice.shape=[-1,4]",
+    "lattice.shape=[64.5,64]", "lattice.shape=[true, 4]", "lattice.shape=[64]",
+    "lattice.shape=[64,64,64]", "lattice.shape=abc", "lattice.shape={a: 1}",
+    "lattice.shape=[[1,2],3]", "lattice.shape=[]", "lattice.shape=0", "lattice.shape=64.5",
+    "lattice.shape=true",
+    "k_range=[1,2,3]", "k_range=[3,1]", "k_range=[-2.5,2]", "k_range=null", "k_range=5",
+    "k_range=[true, 2]", "k_range=abc", "k_range={a: 1}", "k_range=[]",
+])
+def test_config_field_is_checked_by_the_module_that_owns_its_rule(override):
+    # the config builds each of these fields with its module (validate_dilation,
+    # make_surface, check_node_count, make_lattice, the engine's k-range rule)
+    # and labels the module's reason with the key
+    key = override.partition("=")[0].partition(".")[0]
+    with pytest.raises(ConfigInvalidError) as info:
+        load_config(None, overrides=[override])
+    assert str(info.value).startswith(f"{key}: ")
 
 
 def test_run_experiment_rejects_unknown_name(tmp_path):
@@ -306,17 +344,23 @@ def test_cli_string_number_is_a_config_error(tmp_path, experiment, override):
     assert not (tmp_path / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("override, field", [
-    ("lattice.box=[[-4, 4e0], [-4, 4]]", "lattice.box"),
-    ("lattice.box=[[-4, true], [-4, 4]]", "lattice.box"),
-    ("lattice.box=[[-.inf, 4], [-4, 4]]", "lattice.box"),
-    ("lattice.box=[-4, 4]", "lattice.box"),
-    ("matrix=[[2e0, 0], [0, 4]]", "matrix"),
-    ("matrix=[[true, 0], [0, 4]]", "matrix"),
-    ("matrix=[[.nan, 0], [0, 4]]", "matrix"),
-    ("matrix=[[2, 0], [0]]", "matrix"),
-])
-def test_cli_geometry_number_is_a_config_error(tmp_path, override, field):
+SQUARE_REALS = "matrix: expected a square matrix of real numbers"
+
+
+@pytest.mark.parametrize("override, message", [
+    # each id names the field the override sets
+    pytest.param(override, message, id=f"{override}-{override.partition('=')[0]}")
+    for override, message in [
+        ("lattice.box=[[-4, 4e0], [-4, 4]]", "lattice: lattice box sides must be"),
+        ("lattice.box=[[-4, true], [-4, 4]]", "lattice: lattice box sides must be"),
+        ("lattice.box=[[-.inf, 4], [-4, 4]]", "lattice: lattice box sides must be"),
+        ("lattice.box=[-4, 4]", "lattice: lattice box sides must be"),
+        ("matrix=[[2e0, 0], [0, 4]]", SQUARE_REALS),
+        ("matrix=[[true, 0], [0, 4]]", SQUARE_REALS),
+        ("matrix=[[.nan, 0], [0, 4]]", "matrix: matrix entries must be finite"),
+        ("matrix=[[2, 0], [0]]", SQUARE_REALS),
+    ]])
+def test_cli_geometry_number_is_a_config_error(tmp_path, override, message):
     # float() and validate_dilation's float array took the string '4e0' or
     # '2e0' and True as numbers, so the manifest recorded them as given;
     # True in the matrix failed as "eigenvalue 1 is not > 1", a nan matrix
@@ -325,7 +369,7 @@ def test_cli_geometry_number_is_a_config_error(tmp_path, override, field):
     res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
                 "--override", override])
     assert res.exit_code == 2
-    assert "config error" in res.output and f"{field} must" in res.output
+    assert "config error" in res.output and message in res.output
     assert "Traceback" not in res.output
     assert not (tmp_path / "manifest.json").exists()
 
@@ -336,7 +380,8 @@ def test_cli_geometry_number_is_a_config_error(tmp_path, override, field):
     ("surface=5", "surface must be a mapping"),
     ("atoms.list=5", "atoms.list must be a list of mappings"),
     ("atoms.list=[1,2]", "atoms.list must be a list of mappings"),
-    ("surface.coeffs=5", "surface.coeffs must be a mapping"),
+    pytest.param("surface.coeffs=5", "surface: coefficients must be a mapping",
+                 id="surface.coeffs=5-surface.coeffs must be a mapping"),
     ("atoms.list=[{tau: 0, index: [0, 0], lam: 1.0, extra: 1}]",
      "unknown config key: atoms.list[0].extra"),
     ("atoms.list=[{tau: 0, index: [0, 0], lam: 1.0}, "
@@ -402,21 +447,23 @@ def test_cli_has_no_seed_flag(tmp_path):
     assert not tmp_path.joinpath("summary.txt").exists()
 
 
-@pytest.mark.parametrize("override, field", [
+@pytest.mark.parametrize("override, quoted", [
     ("k_range=[-2.5,2]", "k_range"),
     ("s_range=[4.9,5.2]", "s_range"),
     ("atoms.count=2.7", "atoms.count"),
-    ("lattice.shape=[64.5,64]", "lattice.shape"),
+    pytest.param("lattice.shape=[64.5,64]", "lattice: lattice shape must be positive integers",
+                 id="lattice.shape=[64.5,64]-lattice.shape"),
     ("n_gl=100.5", "n_gl"),
     ("n_gl=40.0", "n_gl"),
-    ("surface.dim=2.5", "surface.dim"),
+    pytest.param("surface.dim=2.5", "surface: ambient dimension must be an integer",
+                 id="surface.dim=2.5-surface.dim"),
     ("surface.coeffs={'4.5': 1.0}", "surface.coeffs"),
     ("atoms.index_span=2.5", "atoms.index_span"),
     ("atoms.tau_range=[-2.5,0]", "atoms.tau_range"),
     ("atoms.list=[{tau: -1.5, index: [0, 0], lam: 1.0}]", "atoms.list[0]"),
     ("atoms.list=[{tau: 0, index: [0.5, 0], lam: 1.0}]", "atoms.list[0]"),
 ])
-def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, field):
+def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, quoted):
     # int() would truncate these where they are used (k in -2..2, s in
     # [4, 5], 2 atoms, 64 cells, a tau of -1), leaving the manifest a value
     # the run did not use, or they die in numpy with exit 1 (n_gl, a
@@ -424,7 +471,7 @@ def test_cli_non_integer_count_field_is_a_config_error(tmp_path, override, field
     res = _run(["run", "--experiment", "validate-dilation", "--out", str(tmp_path),
                 "--override", override])
     assert res.exit_code == 2
-    assert "config error" in res.output and field in res.output
+    assert "config error" in res.output and quoted in res.output
     assert "Traceback" not in res.output
     whole = override.split("=")[0] + "=" + re.sub(r"\.\d+", "", override.split("=")[1])
     assert load_config(None, overrides=[whole])
@@ -625,6 +672,28 @@ def test_cli_maximal_weak_type_small(tmp_path):
     assert len(lines) == 65
 
 
+def test_cli_lattice_shape_may_be_one_count(tmp_path):
+    # make_lattice reads one count as that count on every axis
+    outs = []
+    for shape in ("64", "[64, 64]"):
+        outs.append(tmp_path / f"shape{len(outs)}")
+        res = _run(["run", "--experiment", "maximal-weak-type", "--out", str(outs[-1])]
+                   + FAST + ["--override", f"lattice.shape={shape}"])
+        assert res.exit_code == 0, res.output
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        first, second = ((out / name).read_bytes() for out in outs)
+        if name == "manifest.json":
+            # each manifest records the shape as given
+            first, second = (json.loads(text)["config"] for text in (first, second))
+            assert (first["lattice"]["shape"], second["lattice"]["shape"]) == (64, [64, 64])
+            for config in (first, second):
+                config.pop("out_dir")
+                config["lattice"].pop("shape")
+        assert first == second, name
+
+
 def test_cli_full_pipeline_small(tmp_path):
     out = tmp_path / "fp"
     res = _run(["run", "--experiment", "full-pipeline", "--out", str(out),
@@ -664,7 +733,7 @@ def _masked_pipeline_lattice():
     wres = whitney_decompose(entries, cfg.alpha)
     kept = [entries[i] for i in sorted(wres.assigned)]
     exceptional = stopping_time(wres.selected, kept, cfg.alpha).exceptional
-    lattice = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    lattice = cfg.lattice_obj()
     return cfg, lattice, _excluded_mask(lattice, [p.region() for p in exceptional])
 
 
@@ -708,7 +777,7 @@ def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):
     cfg, lattice, excluded = _masked_pipeline_lattice()
     f = cfg.atomic_sum()
     measure = surface_quadrature(cfg.surface_obj(), cfg.n_gl)
-    k_range = tuple(int(v) for v in cfg.k_range)
+    k_range = cfg.k_range
     taus = sorted({atom.support.tau for atom, _ in f.terms})
     assert len(taus) == 2
     parts = [(tau, AtomicSum([(a, lam) for a, lam in f.terms
@@ -825,7 +894,7 @@ def test_cli_full_pipeline_3d_writes_the_recorded_outputs(tmp_path):
     wres = whitney_decompose(entries, cfg.alpha)
     kept = [entries[i] for i in sorted(wres.assigned)]
     exceptional = stopping_time(wres.selected, kept, cfg.alpha).exceptional
-    lattice = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    lattice = cfg.lattice_obj()
     coverage = _excluded_mask(lattice, [p.region() for p in exceptional]).mean()
     assert 0.0 < coverage < 1.0
     out = tmp_path / "fp"

@@ -115,15 +115,21 @@ def test_lattice_basic():
     lambda: make_lattice([1.0, (0.0, 1.0)], (4, 4)),
     lambda: make_lattice([("4e0", 5.0), (0.0, 1.0)], (4, 4)),
     lambda: make_lattice([(True, 5.0), (0.0, 1.0)], (4, 4)),
+    lambda: make_lattice(None, (4, 4)),
+    lambda: make_lattice(5, (4, 4)),
+    lambda: make_lattice([(0.0, 1.0), (0.0, 1.0)], (0, 4)),
 ], ids=["half-cell", "bool-count", "bool-shape", "float-shape", "infinite-side",
         "minus-infinite-side", "nan-origin", "infinite-origin", "nan-spacing",
         "infinite-spacing", "float-count", "no-axes", "zero-dim", "string-end",
-        "none-end", "none-side", "bare-side", "numeric-string-end", "bool-end"])
+        "none-end", "none-side", "bare-side", "numeric-string-end", "bool-end",
+        "none-box", "number-box", "zero-count"])
 def test_lattice_rejects_non_integer_counts_and_non_finite_geometry(make):
     # 64.5 used to be truncated to 64 cells and True read as 1; nan or inf
     # geometry gave cell centers no window test can trust; a lattice of no
     # axes was built, with one 0-d cell; a side that is not a pair of real
-    # numbers raised ValueError or TypeError, or float() read "4e0" and True
+    # numbers raised ValueError or TypeError, or float() read "4e0" and True;
+    # a box that is not a sequence raised TypeError, a zero count
+    # ZeroDivisionError
     with pytest.raises(InputInvalidError):
         make()
 
@@ -749,7 +755,7 @@ def _fault_guard_case():
     cfg = load_config(None, overrides=[
         "matrix=[[4.0, 0.0], [0.0, 2.0]]", f"atoms.list=[{atoms}]",
         "lattice.box=[[-6, 6], [-6, 6]]", "lattice.shape=[512, 512]", "n_gl=32"])
-    lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    lat = cfg.lattice_obj()
     measure = surface_quadrature(cfg.surface_obj(), cfg.n_gl)
     return cfg.atomic_sum(), measure, tuple(cfg.k_range), lat
 
@@ -973,7 +979,7 @@ def test_windowed_mask_matches_brute_force_union(tmp_path):
     cfg = load_config(None, overrides=PIPELINE_OVERRIDES, out_dir=tmp_path)
     exceptional = _pipeline_exceptional_set(cfg)
     assert {type(r) for r in exceptional} == {TendrilBound, Parallelepiped}
-    lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    lat = cfg.lattice_obj()
     pts = lat.points()
     brute = np.zeros(len(pts), dtype=bool)
     for region in exceptional:
@@ -1095,7 +1101,7 @@ def test_non_diagonal_mask_keeps_the_point_path(tmp_path, monkeypatch):
     exceptional = _pipeline_exceptional_set(cfg)
     assert {type(r) for r in exceptional} == {TendrilBound, Parallelepiped}
     assert not any(r.axis_aligned for r in exceptional if isinstance(r, TendrilBound))
-    lat = make_lattice(cfg.lattice["box"], tuple(cfg.lattice["shape"]))
+    lat = cfg.lattice_obj()
     pts = lat.points()
     brute = np.zeros(len(pts), dtype=bool)
     for region in exceptional:
