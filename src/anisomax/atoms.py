@@ -12,12 +12,15 @@ from math import inf
 
 import numpy as np
 
-from .dilation import DilationStructure, _left_sum
+from .dilation import DilationStructure, _is_integer, _left_sum
 from .errors import InputInvalidError
 from .grid import GridCube, det_power
 
 PROFILES = ("haar", "bump")
 CONTROL_PROFILES = ("plateau",)
+# profile and weight range of the config's seeded draw (random_atomic_sum)
+DRAW_PROFILE = "haar"
+DRAW_LAM_RANGE = (0.1, 2.0)
 
 
 def _smooth_hat(s: np.ndarray) -> np.ndarray:
@@ -79,16 +82,24 @@ class Atom:
         return _smooth_hat(u)
 
 
+def _check_seed(seed) -> None:
+    # numpy reads True as seed 1 and raises its own errors on -1 or 2.5
+    if not (_is_integer(seed) and seed >= 0):
+        raise InputInvalidError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def make_atom(Q: GridCube, profile: str, seed: int) -> Atom:
     """Build a cancellative atom on Q with the full allowed amplitude.
 
-    The seed picks the split axis deterministically.  The plateau control
-    profile is rejected here because it does not integrate to zero.
+    The seed, a nonnegative integer, picks the split axis deterministically.
+    The plateau control profile is rejected here because it does not
+    integrate to zero.
     """
     if profile not in PROFILES:
         raise InputInvalidError(
             f"profile {profile!r} is not cancellative; valid choices: {PROFILES}"
         )
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     axis = int(rng.integers(Q.dilation.dim))
     amplitude = det_power(Q.dilation.det_scale, -Q.tau)
@@ -122,8 +133,11 @@ class AtomicSum:
 
 
 def random_atomic_sum(D: DilationStructure, count: int, tau_range, lam_range,
-                      seed: int, profile: str = "haar", index_span: int = 8) -> AtomicSum:
-    """Seeded random atomic sum used by experiments and tests."""
+                      seed: int, index_span: int, profile: str = DRAW_PROFILE) -> AtomicSum:
+    """Seeded random atomic sum used by experiments and tests: count atoms
+    at taus drawn from tau_range, index entries in [-index_span,
+    index_span] and weights uniform on lam_range."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     taus = list(tau_range)
     terms = []

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import yaml
 
-from .atoms import AtomicSum, make_atom, random_atomic_sum
+from .atoms import DRAW_LAM_RANGE, AtomicSum, make_atom, random_atomic_sum
 from .dilation import DilationStructure, _is_integer, _number, validate_dilation
 from .errors import AnisoError, ConfigInvalidError
 from .grid import GridCube
@@ -33,8 +33,6 @@ DEFAULTS = {
     "atoms": {
         "count": 12,
         "tau_range": [-3, 0],
-        "lam_range": [0.1, 2.0],
-        "profile": "haar",
         "index_span": 6,
         "list": None,
     },
@@ -99,15 +97,12 @@ class ExperimentConfig:
             terms = []
             for row in spec["list"]:
                 cube = GridCube(0, row["tau"], tuple(row["index"]), D)
-                atom = make_atom(cube, row.get("profile", "haar"),
-                                 seed=int(row.get("seed", 0)))
+                atom = make_atom(cube, row.get("profile", "haar"), seed=row.get("seed", 0))
                 terms.append((atom, float(row["lam"])))
             return AtomicSum(terms=terms, dilation=D)
         lo, hi = spec["tau_range"]
-        return random_atomic_sum(
-            D, int(spec["count"]), range(lo, hi + 1),
-            tuple(float(v) for v in spec["lam_range"]), int(self.seed),
-            profile=spec["profile"], index_span=spec["index_span"])
+        return random_atomic_sum(D, spec["count"], range(lo, hi + 1), DRAW_LAM_RANGE,
+                                 self.seed, spec["index_span"])
 
     def entries(self):
         """The mass instance (cube, lambda) seen by the decompositions."""
@@ -241,12 +236,6 @@ def _validate(raw: dict) -> ExperimentConfig:
             raise ConfigInvalidError(f"atoms.index_span must be a nonnegative integer, got {span!r}")
         if not (_int_pair(taus) and taus[0] <= taus[1]):
             raise ConfigInvalidError("atoms.tau_range must be [lo, hi] integers with lo <= hi")
-        lams = cfg.atoms["lam_range"]
-        if not (isinstance(lams, list) and len(lams) == 2 and all(map(_positive, lams))
-                and lams[0] <= lams[1]):
-            raise ConfigInvalidError(
-                "atoms.lam_range must be [lo, hi] numbers with 0 < lo <= hi, "
-                f"both finite, got {lams!r}")
     else:
         for pos, row in enumerate(rows):
             if not _positive(row.get("lam")):

@@ -47,8 +47,9 @@ _STRUCTURES = weakref.WeakValueDictionary()
 _STRUCTURES_LOCK = threading.Lock()
 
 # entries numpy converts to float64 that are not real numbers: a bool shares
-# 0's or 1's float bytes, so it would find that matrix's structure
-_NOT_REAL = (bool, np.bool_, str, bytes, complex, np.complexfloating)
+# 0's or 1's float bytes, so it would find that matrix's structure, and None
+# (YAML's null) converts to nan
+_NOT_REAL = (bool, np.bool_, str, bytes, complex, np.complexfloating, type(None))
 
 
 def _is_integer(value) -> bool:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atoms import DRAW_LAM_RANGE, DRAW_PROFILE
 from .decomposition import (
     C_IV,
     C_STOP,
@@ -43,6 +44,7 @@ from .surface import (
     DECAY_SLOPE_CUT,
     FINE_POINTS,
     KERNEL_BINS,
+    KERNEL_PAIR_BUDGET,
     KERNEL_SMOOTH_CELLS,
     PIECE_BOUND_FACTOR,
     PIECE_GL_NODES,
@@ -58,6 +60,8 @@ from .surface import (
 DIAMETER_FIT_TAU = (-40, -10)
 
 MODULE_CONSTANTS = {
+    "atom_draw_lam_range": list(DRAW_LAM_RANGE),
+    "atom_draw_profile": DRAW_PROFILE,
     "c_iv": C_IV,
     "c_stop": C_STOP,
     "c_w": C_W,
@@ -66,6 +70,7 @@ MODULE_CONSTANTS = {
     "decay_slope_cut": DECAY_SLOPE_CUT,
     "diameter_fit_tau": list(DIAMETER_FIT_TAU),
     "kernel_bins": KERNEL_BINS,
+    "kernel_pair_budget": KERNEL_PAIR_BUDGET,
     "kernel_smooth_cells": KERNEL_SMOOTH_CELLS,
     "maximal_tail_fraction": TAIL_FRACTION,
     "maximal_threshold_count": THRESHOLD_COUNT,

@@ -686,16 +686,15 @@ def _weak_type(mf: SampledField, h1: float, excluded):
     return mf, report, report.weak_ratio / h1
 
 
-def weak_type_report(f: AtomicSum, measure, k_range, lattice: Lattice,
-                     excluded=None):
+def weak_type_report(f: AtomicSum, measure, k_range, lattice: Lattice):
     """Maximal field, distribution report and weak-type ratio of f.
 
     The ratio is sup over a log-spaced grid of lambda of
-    lambda |{Mf > lambda} \\ E| / ||f||, with E the cells of the boolean
-    mask excluded.  The report is None, and the ratio 0, when Mf vanishes.
+    lambda |{Mf > lambda}| / ||f||.  The report is None, and the ratio 0,
+    when Mf vanishes.  weak_type_reports measures outside a mask.
     """
     h1 = _positive_norm(f)
-    return _weak_type(maximal_field(f, measure, k_range, lattice), h1, excluded)
+    return _weak_type(maximal_field(f, measure, k_range, lattice), h1, None)
 
 
 def weak_type_reports(f: AtomicSum, measure, k_range, lattice: Lattice,
@@ -704,7 +703,8 @@ def weak_type_reports(f: AtomicSum, measure, k_range, lattice: Lattice,
 
     Keys are the taus of f, ascending, then "all" for f itself; each value
     is (atomic sum, maximal field, report, ratio), with the report and ratio
-    equal to what weak_type_report gives on that sum alone.  mu_k * f is
+    those of that sum's own maximal_field measured outside the boolean
+    mask excluded (weak_type_report's, when the mask is None).  mu_k * f is
     the sum of the group fields at each k, so one _maximal_fields run
     convolves each atom once per k and feeds the group's sup and f's.  A
     returned field covers its hull's sub-lattice (Lattice.sub), the cells
@@ -735,10 +735,9 @@ def weak_type_reports(f: AtomicSum, measure, k_range, lattice: Lattice,
     return reports
 
 
-def weak_type_ratio(f: AtomicSum, measure, k_range, lattice: Lattice,
-                    excluded=None) -> float:
-    """sup over a log-spaced grid of lambda |{Mf > lambda} \\ E| / ||f||."""
-    return weak_type_report(f, measure, k_range, lattice, excluded=excluded)[2]
+def weak_type_ratio(f: AtomicSum, measure, k_range, lattice: Lattice) -> float:
+    """sup over a log-spaced grid of lambda of lambda |{Mf > lambda}| / ||f||."""
+    return weak_type_report(f, measure, k_range, lattice)[2]
 
 
 # ----------------------------------------------------------------- exports

@@ -44,6 +44,11 @@ FINE_POINTS = 4096
 KERNEL_SMOOTH_CELLS = 1.0
 # histogram bins per axis of autocorrelation_kernel
 KERNEL_BINS = 255
+# most node pairs autocorrelation_kernel takes: n nodes build n^2 pairs of
+# d + 1 floats, about 67 B per pair at the peak in 3-D.  The largest caller,
+# a cap of the 3-D paraboloid at s = 4, has 3,600 nodes (12.96e6 pairs, an
+# 860 MB peak); the 40,000 nodes of a 3-D surface at n_gl 200 would need 51 GB
+KERNEL_PAIR_BUDGET = 16_000_000
 DECAY_N_SHELLS = 12
 DECAY_SLOPE_CUT = -0.7
 # the constant C of the sup, L1 and pair bounds of the kernel-bound checks
@@ -260,7 +265,7 @@ def check_node_count(n_gl) -> None:
             f"of {QUADRATURE_PANELS} and at least {QUADRATURE_PANELS * QUADRATURE_PANEL_FLOOR}")
 
 
-def surface_quadrature(surface: GraphSurface, n_gl: int = 200) -> SurfaceMeasure:
+def surface_quadrature(surface: GraphSurface, n_gl: int) -> SurfaceMeasure:
     """Full-measure nodes: composite Gauss-Legendre weighted by chi, with
     n_gl nodes per axis (check_node_count)."""
     check_node_count(n_gl)
@@ -467,10 +472,18 @@ class GrowthReport:
     counts: list
 
 
+def _scales(s_values) -> list:
+    """The scales as Python ints; int() would truncate 4.5 to 4 unseen."""
+    s_values = list(s_values)
+    if not all(map(_is_integer, s_values)):
+        raise InputInvalidError(f"scales must be integers, got {s_values!r}")
+    return [int(s) for s in s_values]
+
+
 def excluded_piece_growth(surface: GraphSurface, D: DilationStructure,
                           eps: float, zeta: float, s_values) -> GrowthReport:
     """Count |I1 union I2| at every scale and fit it with fit_excluded_growth."""
-    s_values = [int(s) for s in s_values]
+    s_values = _scales(s_values)
     counts = []
     for s in s_values:
         pieces = partition_measure(surface, s, eps)
@@ -481,7 +494,7 @@ def excluded_piece_growth(surface: GraphSurface, D: DilationStructure,
 
 def fit_excluded_growth(dim: int, eps: float, s_values, counts) -> GrowthReport:
     """Fit excluded counts |I1 union I2| ~ 2^{g s}; eta = (d-1)eps - g."""
-    s_values = [int(s) for s in s_values]
+    s_values = _scales(s_values)
     if len(set(s_values)) < 5:
         raise DegenerateFitError("need at least 5 distinct scales")
     logs = np.log2(np.asarray(counts, dtype=float) + 1.0)
@@ -521,6 +534,10 @@ def autocorrelation_kernel(measure, n_bins: int = KERNEL_BINS) -> KernelField:
     """
     if not (_is_integer(n_bins) and n_bins >= 1):
         raise InputInvalidError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+    n = len(measure.quad_weights)
+    if n * n > KERNEL_PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"{n} nodes make {n * n} node pairs, budget is {KERNEL_PAIR_BUDGET}")
     from scipy.ndimage import gaussian_filter
 
     pts = measure.quad_points
@@ -628,8 +645,7 @@ class KernelBoundReport:
     rationale: str
 
 
-def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int,
-                       spacing: float = None) -> KernelBoundReport:
+def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int) -> KernelBoundReport:
     """Compare sup and L1 norms of A_q * mu_rho against the scale bounds."""
     lam_q = atomic.h1_norm()
     if lam_q <= 0.0:
@@ -639,7 +655,7 @@ def check_linfty_bound(atomic, piece, sigma: int, zeta: float, s: int,
         raise InputInvalidError(
             "the L1 bound needs a cap exponent eps > 0: pass a piece of "
             "partition_measure, not the full measure")
-    _, (field,), cell = _piece_convolutions([atomic], piece, spacing)
+    _, (field,), cell = _piece_convolutions([atomic], piece)
     d = piece.surface.dim
     sup = float(np.max(np.abs(field.values)))
     l1 = float(np.sum(np.abs(field.values))) * cell
@@ -675,13 +691,13 @@ class PairBoundReport:
 
 
 def check_pair_bound(atomic_a, atomic_b, piece, sigma_prime: int, eps: float,
-                     s: int, dist: float = None, spacing: float = None) -> PairBoundReport:
-    """Inner product of two convolved atom sums against the pair bound."""
+                     s: int, spacing: float = None) -> PairBoundReport:
+    """Inner product of two convolved atom sums against the pair bound, at
+    the distance between the centers of their support boxes."""
     lam_a, lam_b = atomic_a.h1_norm(), atomic_b.h1_norm()
     boxes, (f1, f2), cell = _piece_convolutions([atomic_a, atomic_b], piece, spacing)
-    if dist is None:
-        centers = boxes.mean(axis=1)
-        dist = float(np.linalg.norm(centers[0] - centers[1]))
+    centers = boxes.mean(axis=1)
+    dist = float(np.linalg.norm(centers[0] - centers[1]))
     inner = float(np.sum(f1.values * f2.values)) * cell
     d = piece.surface.dim
     core = 2.0 ** (sigma_prime + eps * s * (5 - d)) * lam_a * lam_b / dist ** 2

@@ -82,6 +82,20 @@ def test_make_atom_rejects_plateau():
         make_atom(GridCube(0, 0, (0, 0), D), "plateau", seed=0)
 
 
+@pytest.mark.parametrize("draw, seed", [
+    ("atom", True), ("atom", -1), ("atom", 2.5), ("sum", -5), ("sum", True),
+])
+def test_a_seed_is_a_nonnegative_integer(draw, seed):
+    # numpy read True as seed 1, and raised its own ValueError on -1 or -5
+    # and TypeError on 2.5
+    D = _diag24()
+    with pytest.raises(InputInvalidError, match="seed must be a nonnegative integer"):
+        if draw == "atom":
+            make_atom(GridCube(0, 0, (0, 0), D), "haar", seed=seed)
+        else:
+            random_atomic_sum(D, 3, range(-1, 1), (0.1, 2.0), seed, index_span=2)
+
+
 def test_plateau_control_is_nonnegative():
     D = _diag24()
     atom = Atom(support=GridCube(0, 0, (0, 0), D), profile="plateau", axis=0, amplitude=1.0)
@@ -201,7 +215,7 @@ def test_compose_dilation_keeps_atom_valid():
 
 def test_random_atomic_sum_reproducible():
     D = _diag24()
-    f = random_atomic_sum(D, 12, range(-4, 1), (0.1, 2.0), seed=42)
-    g = random_atomic_sum(D, 12, range(-4, 1), (0.1, 2.0), seed=42)
+    f = random_atomic_sum(D, 12, range(-4, 1), (0.1, 2.0), seed=42, index_span=8)
+    g = random_atomic_sum(D, 12, range(-4, 1), (0.1, 2.0), seed=42, index_span=8)
     assert f.h1_norm() == approx(g.h1_norm())
     assert [a.support.index for a, _ in f.terms] == [a.support.index for a, _ in g.terms]

@@ -32,7 +32,7 @@ from anisomax.errors import (
 )
 from anisomax.experiments import run_experiment
 from anisomax.grid import TendrilBound
-from anisomax.maximal import _excluded_mask, weak_type_report
+from anisomax.maximal import _excluded_mask, _weak_type, maximal_field
 from anisomax.surface import surface_quadrature
 
 FAST = [
@@ -206,6 +206,8 @@ def test_cli_validate_dilation(tmp_path):
                                     "python": platform.python_version(),
                                     "scipy": scipy.__version__}
     assert manifest["module_constants"] == {
+        "atom_draw_lam_range": [0.1, 2.0],
+        "atom_draw_profile": "haar",
         "c_iv": 32.0,
         "c_stop": 100.0,
         "c_w": 16.0,
@@ -214,6 +216,7 @@ def test_cli_validate_dilation(tmp_path):
         "decay_slope_cut": -0.7,
         "diameter_fit_tau": [-40, -10],
         "kernel_bins": 255,
+        "kernel_pair_budget": 16_000_000,
         "kernel_smooth_cells": 1.0,
         "maximal_tail_fraction": 0.01,
         "maximal_threshold_count": 64,
@@ -229,6 +232,7 @@ def test_cli_validate_dilation(tmp_path):
 @pytest.mark.parametrize("module,name", [
     ("decomposition", "C_W"), ("decomposition", "C_STOP"), ("decomposition", "C_IV"),
     ("surface", "KERNEL_BINS"), ("surface", "PIECE_BOUND_FACTOR"),
+    ("surface", "KERNEL_PAIR_BUDGET"),
 ])
 def test_readme_quotes_the_module_constants(module, name):
     # the README copies these values by hand; each copy must be the code's
@@ -296,7 +300,6 @@ def test_cli_exit_code_config_error(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "eps=.inf", "zeta=.nan", "alpha=.inf", "alpha=.nan",
-    "atoms.lam_range=[0.1, .inf]", "atoms.lam_range=[.nan, 1.0]",
     "atoms.list=[{tau: 0, index: [0, 0], lam: .inf}]",
     "atoms.list=[{tau: 0, index: [0, 0], lam: .nan}]",
 ])
@@ -489,12 +492,13 @@ def test_cli_rejects_a_constant_nothing_reads(tmp_path):
 @pytest.mark.parametrize("source", ["override", "yaml"])
 @pytest.mark.parametrize("override", [
     "constants.c_w=16.0", "constants.c_w=.inf", "constants.c_iv=.nan",
-    "n_bins=255", "n_bins=100.5",
+    "n_bins=255", "n_bins=100.5", "atoms.profile=bump", "atoms.lam_range=[0.1, 2.0]",
 ])
 def test_cli_rejects_a_removed_constant_as_unknown(tmp_path, override, source):
-    # C_W, C_STOP, C_IV and KERNEL_BINS are module constants, recorded in
-    # the manifest's module_constants; a config that sets one, to its own
-    # value or to any other, is refused before anything runs
+    # C_W, C_STOP, C_IV, KERNEL_BINS and the seeded draw's profile and weight
+    # range are module constants, recorded in the manifest's
+    # module_constants; a config that sets one, to its own value or to any
+    # other, is refused before anything runs
     key, _, value = override.partition("=")
     top, *sub = key.split(".")
     out = tmp_path / "out"
@@ -519,7 +523,9 @@ def test_cli_exit_code_dimension_mismatch(tmp_path):
 
 
 def test_cli_exit_code_zero_weight_atoms(tmp_path):
-    # ||f|| = 0 would make every weak-type ratio 0 and pass vacuously
+    # ||f|| = 0 would make every weak-type ratio 0 and pass vacuously; the
+    # seeded draw's weights are fixed in atoms.DRAW_LAM_RANGE, so a config
+    # that asks for zero weights there names a key that no longer exists
     res = _run(["run", "--experiment", "maximal-weak-type",
                 "--out", str(tmp_path),
                 "--override", "atoms.lam_range=[0.0,0.0]",
@@ -769,7 +775,8 @@ def test_full_pipeline_validates_its_dilation_once(tmp_path, monkeypatch):
 
 def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):
     # one field run serves every tau group and the total; each row must be
-    # what weak_type_report gives on that sum alone, to the last digit
+    # the weak-type ratio outside the mask of that sum's own maximal field
+    # on the whole lattice, to the last digit
     out = tmp_path / "fp"
     res = _run(["run", "--experiment", "full-pipeline", "--out", str(out)]
                + MASKED_PIPELINE)
@@ -787,8 +794,8 @@ def test_cli_full_pipeline_rows_match_separate_reports(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailNotNegligibleWarning)
         for key, part in parts:
-            ratio = weak_type_report(part, measure, k_range, lattice,
-                                     excluded=excluded)[2]
+            ratio = _weak_type(maximal_field(part, measure, k_range, lattice),
+                               part.h1_norm(), excluded)[2]
             want.append(f"{key},{len(part.terms)},{part.h1_norm()!r},{ratio!r}")
     assert (out / "weak_type.csv").read_text() == "\n".join(want) + "\n"
 

@@ -281,10 +281,12 @@ def test_malformed_matrices_raise_package_errors_and_are_not_kept(matrix, error)
     [[2, False], [0, 4]],
     [[2, np.False_], [0, 4]],
     np.array([[2, False], [0, 4]], dtype=object),
+    [[2, None], [0, 4]],
 ])
 def test_a_bool_entry_does_not_find_the_structure_of_its_number(matrix):
     # False has 0.0's float bytes, so read as a number it would hand back
-    # the interned diag(2, 4) instead of raising
+    # the interned diag(2, 4) instead of raising; None (YAML's null) is no
+    # number either, though numpy reads it as nan
     D = _diag24()
     kept = set(_STRUCTURES.keys())
     with pytest.raises(InputInvalidError, match="not real numbers"):

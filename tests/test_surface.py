@@ -41,6 +41,7 @@ from anisomax.errors import (
 from anisomax.grid import GridCube
 from anisomax.maximal import grid_points
 from anisomax.surface import (
+    KERNEL_PAIR_BUDGET,
     GraphSurface,
     KernelField,
     SurfaceMeasure,
@@ -54,6 +55,7 @@ from anisomax.surface import (
     check_pair_bound,
     classify_pieces,
     excluded_piece_growth,
+    fit_excluded_growth,
     gaussian_curvature,
     make_surface,
     partition_measure,
@@ -432,6 +434,18 @@ def test_partition_rejects_a_bad_scale_or_eps(s, eps):
         partition_measure(make_surface("circle-arc"), s=s, eps=eps)
 
 
+@pytest.mark.parametrize("call", ["excluded_piece_growth", "fit_excluded_growth"])
+def test_growth_rejects_a_fractional_scale(call):
+    # int() ran s = 4.5 as 4 and recorded s_values [4, 5, 6, 7, 8]
+    s_values = [4.5, 5, 6, 7, 8]
+    with pytest.raises(InputInvalidError, match="scales must be integers"):
+        if call == "excluded_piece_growth":
+            excluded_piece_growth(make_surface("circle-arc"), _normal_perp(), EPS, ZETA,
+                                  s_values)
+        else:
+            fit_excluded_growth(2, EPS, s_values, [0] * 5)
+
+
 def test_partition_budget_guard():
     circ = make_surface("circle-arc")
     with pytest.raises(BudgetExceededError):
@@ -734,6 +748,22 @@ def test_kernel_decay_constant_control():
     assert not report.ok
 
 
+def test_kernel_refuses_more_node_pairs_than_its_budget():
+    # the 40,000 nodes of a 3-D paraboloid at n_gl 200 make 1.6e9 pairs,
+    # about 51 GB of differences and weights; the kernel refuses them before
+    # it allocates anything (or imports scipy.ndimage)
+    meas = surface_quadrature(make_surface("paraboloid", dim=3), 200)
+    assert len(meas.quad_weights) ** 2 > KERNEL_PAIR_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="node pairs"):
+            autocorrelation_kernel(meas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_kernel_decay_paraboloid_3d():
     par = make_surface("paraboloid", dim=3)
     kern = autocorrelation_kernel(surface_quadrature(par, 48), n_bins=95)
@@ -797,10 +827,11 @@ def test_pair_bound_spec_distance():
     assert abs(rep.inner) > 0.0
     assert rep.ratio <= 64.0
     assert rep.ok
-    # the same geometry with an overridden short distance fails the
-    # separation precondition without raising
-    short = check_pair_bound(_haar_sum(D, (0, 0), -1), _haar_sum(D, (2, 0), -1),
-                             meas, sigma_prime=-1, eps=EPS, s=0, dist=0.25)
+    # neighbouring cubes, a quarter apart, fail the separation precondition
+    # without raising
+    short = check_pair_bound(_haar_sum(D, (0, 0), -1), _haar_sum(D, (1, 0), -1),
+                             meas, sigma_prime=-1, eps=EPS, s=0)
+    assert short.dist == approx(0.25)
     assert not short.precondition_met
 
 
